@@ -14,12 +14,18 @@ so they are a validity constraint rather than free data.
 Every normalized curvature scalar is computed by two independent routes: a
 definitional sum over frame pairs (path A) and the closed-form expression in
 mean-curvature / traceless-norm data (path B); the two must agree to 1e-10.
+
+Instances are immutable (read-only arrays, finite fields, n >= 2), so their
+derived data -- the default-tolerance violation list, ``MeanData`` and
+``ShapeOperators`` -- is computed once and memoized on the instance.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,11 +55,20 @@ class LegendrianPointInstance:
         h_star.flags.writeable = False
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "h_star", h_star)
+        if self.n < 2:
+            raise ValueError("n must be >= 2")
         shape = (self.n + 1, self.n, self.n)
         if self.h.shape != shape or self.h_star.shape != shape:
             raise ValueError(f"h and h_star must have shape {shape}")
+        if not all(np.isfinite(x).all() for x in (self.c, self.f_val, self.f_prime, h, h_star)):
+            raise ValueError("c, f, f_prime, h and h_star must be finite")
         if self.f_val <= 0.0:
             raise ValueError("f_val must be positive")
+
+    # Derived data, computed on first use (module functions bound late).
+    _violations = cached_property(lambda self: tuple(_find_violations(self, VALIDATE_TOL)))
+    _mean_data = cached_property(lambda self: _compute_mean_data(self))
+    _shape_operators = cached_property(lambda self: _compute_shape_operators(self))
 
     def to_dict(self) -> dict:
         return {
@@ -70,6 +85,9 @@ class LegendrianPointInstance:
 
     @staticmethod
     def from_dict(data: dict) -> "LegendrianPointInstance":
+        for key in ("n", "c", "f", "f_prime", "h", "h_star"):
+            if key not in data:
+                raise ValueError(f"instance is missing key {key!r}")
         return LegendrianPointInstance(
             n=int(data["n"]),
             c=float(data["c"]),
@@ -95,19 +113,23 @@ def validate(inst: LegendrianPointInstance, tol: float = VALIDATE_TOL) -> list[t
     """Empty list when valid; else the violated (form, alpha, i, j) entries.
 
     Checks symmetry of every slice and the xi-slice constraint
-    h[n][i][j] = -(f'/f) delta_ij for both forms.
+    h[n][i][j] = -(f'/f) delta_ij for both forms.  The default-tolerance
+    result is memoized on the instance.
     """
+    return list(inst._violations) if tol == VALIDATE_TOL else _find_violations(inst, tol)
+
+
+def _find_violations(inst: LegendrianPointInstance, tol: float) -> list[tuple[str, int, int, int]]:
+    n = inst.n
+    forms = np.stack((inst.h, inst.h_star))
+    asym = np.triu(np.abs(forms - forms.swapaxes(-1, -2)) > tol, 1)
+    xi_bad = np.abs(forms[:, n] - (-(inst.f_prime / inst.f_val)) * np.eye(n)) > tol
+    if not (asym.any() or xi_bad.any()):
+        return []
     violations: list[tuple[str, int, int, int]] = []
-    target = -(inst.f_prime / inst.f_val) * np.eye(inst.n)
-    for name, arr in (("h", inst.h), ("h_star", inst.h_star)):
-        for alpha in range(inst.n + 1):
-            asym = np.abs(arr[alpha] - arr[alpha].T)
-            for i, j in zip(*np.nonzero(asym > tol)):
-                if i < j:
-                    violations.append((name, alpha, int(i), int(j)))
-        bad = np.abs(arr[inst.n] - target)
-        for i, j in zip(*np.nonzero(bad > tol)):
-            violations.append((name, inst.n, int(i), int(j)))
+    for k, name in enumerate(("h", "h_star")):
+        violations += [(name, int(a), int(i), int(j)) for a, i, j in zip(*np.nonzero(asym[k]))]
+        violations += [(name, n, int(i), int(j)) for i, j in zip(*np.nonzero(xi_bad[k]))]
     return violations
 
 
@@ -149,12 +171,18 @@ def _tau_norm_two_ways(form: Array, mean: Array, n: int) -> float:
 
 def means_and_traceless(inst: LegendrianPointInstance) -> MeanData:
     require_valid(inst)
+    return inst._mean_data
+
+
+def _compute_mean_data(inst: LegendrianPointInstance) -> MeanData:
     n = inst.n
     h, hs = inst.h, inst.h_star
     H = np.einsum("aii->a", h) / n
     Hs = np.einsum("aii->a", hs) / n
     h0 = 0.5 * (h + hs)
-    H0 = 0.5 * (H + Hs)
+    means = np.stack((H, Hs, 0.5 * (H + Hs)))
+    means.flags.writeable = False  # shared by every caller of means_and_traceless
+    H, Hs, H0 = means
     return MeanData(
         H=H,
         H_star=Hs,
@@ -196,18 +224,24 @@ def _traceless(ops: Array, n: int) -> Array:
 
 def shape_operators(inst: LegendrianPointInstance) -> ShapeOperators:
     require_valid(inst)
+    return inst._shape_operators
+
+
+def _compute_shape_operators(inst: LegendrianPointInstance) -> ShapeOperators:
     n = inst.n
-    a = inst.h_star.copy()
-    a_star = inst.h.copy()
+    a, a_star = inst.h_star, inst.h
     a0 = 0.5 * (a + a_star)
-    return ShapeOperators(
-        A=a,
-        A_star=a_star,
-        A0=a0,
-        S=_traceless(a, n),
-        S_star=_traceless(a_star, n),
-        S0=_traceless(a0, n),
-    )
+    ops = np.stack((a, a_star, a0, _traceless(a, n), _traceless(a_star, n), _traceless(a0, n)))
+    ops.flags.writeable = False  # shared by every caller of shape_operators
+    return ShapeOperators(*ops)
+
+
+@lru_cache(maxsize=32)
+def _pairs(n: int) -> tuple[Array, Array]:
+    """Read-only index arrays (i, j) of all pairs i < j < n."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def ambient_plane_curvature(inst: LegendrianPointInstance) -> float:
@@ -238,11 +272,12 @@ def rho_statistical_paths(inst: LegendrianPointInstance) -> tuple[float, float]:
     """Normalized dualistic scalar curvature by both routes, unchecked."""
     require_valid(inst)
     n = inst.n
-    acc = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc += gauss_sectional(inst, i, j, "nabla") + gauss_sectional(inst, i, j, "nabla_star")
-    path_a = acc / (n * (n - 1))
+    h, hs = inst.h, inst.h_star
+    i, j = _pairs(n)
+    dh, dhs = np.einsum("aii->ai", h), np.einsum("aii->ai", hs)
+    # gauss_sectional(nabla) + gauss_sectional(nabla_star), summed over all pairs i < j
+    acc = np.sum(dhs[:, i] * dh[:, j] + dh[:, i] * dhs[:, j]) - 2.0 * np.sum(h[:, i, j] * hs[:, i, j])
+    path_a = (2.0 * len(i) * ambient_plane_curvature(inst) + float(acc)) / (n * (n - 1))
 
     m = means_and_traceless(inst)
     nn1 = n * (n - 1)
@@ -304,32 +339,24 @@ def rho_perp_statistical_paths(inst: LegendrianPointInstance) -> tuple[float, fl
     n = inst.n
     ops = shape_operators(inst)
     cterm = 2.0 * inst.c / (4.0 * inst.f_val**2)
-
-    total_a = 0.0
-    for r in range(n + 1):
-        for s in range(r + 1, n + 1):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    total_a += normal_curvature_entry(inst, ops, r, s, i, j) ** 2
-    path_a = np.sqrt(total_a) / (n * (n - 1))
-
-    total_b = 0.0
     a, a_star, a0 = ops.A, ops.A_star, ops.A0
-    for r in range(n):
-        for s in range(r + 1, n):
-            comm = (
-                4.0 * (a0[r] @ a0[s] - a0[s] @ a0[r])
-                - (a[r] @ a[s] - a[s] @ a[r])
-                - (a_star[r] @ a_star[s] - a_star[s] @ a_star[r])
-            )
-            for i in range(n):
-                for j in range(i + 1, n):
-                    delta = (1.0 if i == r else 0.0) * (1.0 if j == s else 0.0) - (
-                        1.0 if i == s else 0.0
-                    ) * (1.0 if j == r else 0.0)
-                    total_b += (float(comm[j, i]) - cterm * delta) ** 2
-    path_b = np.sqrt(total_b) / (n * (n - 1))
-    return float(path_a), float(path_b)
+    total_a = _normal_sum_sq(_brackets(a_star, a) + _brackets(a, a_star), n, cterm)
+    p, ps, p0 = a[:n], a_star[:n], a0[:n]
+    total_b = _normal_sum_sq(4.0 * _brackets(p0, p0) - _brackets(p, p) - _brackets(ps, ps), n, cterm)
+    return math.sqrt(total_a) / (n * (n - 1)), math.sqrt(total_b) / (n * (n - 1))
+
+
+def _brackets(x: Array, y: Array) -> Array:
+    """[x_r, y_s] for every pair of slots, stacked as (r, s, n, n)."""
+    return x[:, None] @ y[None] - y[None] @ x[:, None]
+
+
+def _normal_sum_sq(comm: Array, n: int, cterm: float) -> float:
+    """Sum over slot pairs r < s, i < j of (comm[r, s][j, i] - cterm [(i, j) = (r, s)])^2."""
+    r, s = _pairs(len(comm))
+    i, j = _pairs(n)
+    delta = (r[:, None] == i) & (s[:, None] == j)
+    return float(np.sum((comm[r[:, None], s[:, None], j, i] - cterm * delta) ** 2))
 
 
 def rho_perp_statistical(inst: LegendrianPointInstance, tol: float = TWO_PATH_TOL) -> float:

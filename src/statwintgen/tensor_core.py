@@ -114,9 +114,9 @@ def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def symmetrize_upper(raw: np.ndarray) -> np.ndarray:
-    """Mirror the upper triangle (including diagonal) onto the lower one."""
+    """Mirror the upper triangle (including diagonal) onto the lower one, per matrix of a stack."""
     a = np.triu(np.asarray(raw, dtype=float))
-    return a + np.triu(a, 1).T
+    return a + np.triu(a, 1).swapaxes(-1, -2)
 
 
 def sample_points(

@@ -340,15 +340,12 @@ def random_instance(
     if f_range[0] <= 0.0:
         raise ValueError("f_range must be positive")
     rng = instance_rng(seed, index)
-    c = float(rng.uniform(*c_range))
-    f = float(rng.uniform(*f_range))
-    fp = float(rng.uniform(*fprime_range))
-    h = np.zeros((n + 1, n, n))
-    hs = np.zeros((n + 1, n, n))
-    for target in (h, hs):
-        for alpha in range(n):
-            target[alpha] = symmetrize_upper(rng.uniform(-magnitude, magnitude, size=(n, n)))
-        target[n] = -(fp / f) * np.eye(n)
+    # Two draws consume the stream exactly as c, f, f' and 2n slices one by one.
+    c, f, fp = map(float, rng.uniform(*zip(c_range, f_range, fprime_range)))
+    slices = symmetrize_upper(rng.uniform(-magnitude, magnitude, size=(2 * n, n, n)))
+    xi = -(fp / f) * np.eye(n)[None]
+    h = np.concatenate((slices[:n], xi))
+    hs = np.concatenate((slices[n:], xi))
     return LegendrianPointInstance(n=n, c=c, f_val=f, f_prime=fp, h=h, h_star=hs)
 
 

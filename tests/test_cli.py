@@ -217,3 +217,43 @@ def test_outdir_env_variable(tmp_path, monkeypatch):
     assert main(["wintgen", "sweep", "--n", "2", "--count", "2", "--seed", "4",
                  "--c-min", "-1", "--c-max", "0"]) == EXIT_OK
     assert (tmp_path / "sweep-4.csv").exists()
+
+
+def _malformed_instance(tmp_path, name, **changes):
+    data = lg.umbilic_instance(n=2).to_dict()
+    data.update(changes)
+    for key in [k for k, v in changes.items() if v is None]:
+        del data[key]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _assert_one_line_usage_error(code, capsys):
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_verify_nan_field_is_usage_error(tmp_path, capsys):
+    path = _malformed_instance(tmp_path, "nan", f=float("nan"))
+    _assert_one_line_usage_error(main(["wintgen", "verify", str(path)]), capsys)
+
+
+def test_verify_missing_key_is_usage_error(tmp_path, capsys):
+    path = _malformed_instance(tmp_path, "missing", f_prime=None)
+    _assert_one_line_usage_error(main(["wintgen", "verify", str(path)]), capsys)
+
+
+def test_verify_dimension_one_is_usage_error(tmp_path, capsys):
+    zero = [[[0.0]], [[0.0]]]
+    path = _malformed_instance(tmp_path, "n1", n=1, f_prime=0.0, h=zero, h_star=zero)
+    _assert_one_line_usage_error(main(["wintgen", "verify", str(path)]), capsys)
+
+
+def test_sharpness_dimension_one_is_usage_error(capsys):
+    code = main(["wintgen", "sharpness", "--n", "1", "--iterations", "10"])
+    _assert_one_line_usage_error(code, capsys)

@@ -205,3 +205,164 @@ def test_curvature_scalars_bundle():
     assert s.norm_tau_sq >= 0.0
     m = lg.means_and_traceless(inst)
     assert s.norm_H_sq == m.norm_H_sq
+
+
+# ---------------------------------------------------------------------------
+# Vectorized sums against the per-entry oracles
+# ---------------------------------------------------------------------------
+
+ORACLE_DIMS = (2, 3, 5, 8)
+
+
+def _oracle_instances(n, count=25):
+    return [wg.random_instance(n=n, seed=61, index=k) for k in range(count)]
+
+
+def _rho_path_a_oracle(inst):
+    n = inst.n
+    acc = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            acc += lg.gauss_sectional(inst, i, j, "nabla") + lg.gauss_sectional(inst, i, j, "nabla_star")
+    return acc / (n * (n - 1))
+
+
+def _rho_perp_path_a_oracle(inst):
+    n = inst.n
+    ops = lg.shape_operators(inst)
+    total = 0.0
+    for r in range(n + 1):
+        for s in range(r + 1, n + 1):
+            for i in range(n):
+                for j in range(i + 1, n):
+                    total += lg.normal_curvature_entry(inst, ops, r, s, i, j) ** 2
+    return np.sqrt(total) / (n * (n - 1))
+
+
+def _random_instance_reference(n, seed, index, magnitude=1.0):
+    """Field-by-field draw: c, f, f', then every phi-slice of h, then of h*."""
+    rng = np.random.default_rng([seed, index])
+    c = float(rng.uniform(-4.0, 4.0))
+    f = float(rng.uniform(0.5, 3.0))
+    fp = float(rng.uniform(-2.0, 2.0))
+    h = np.zeros((n + 1, n, n))
+    hs = np.zeros((n + 1, n, n))
+    for target in (h, hs):
+        for alpha in range(n):
+            raw = np.triu(rng.uniform(-magnitude, magnitude, size=(n, n)))
+            target[alpha] = raw + np.triu(raw, 1).T
+        target[n] = -(fp / f) * np.eye(n)
+    return c, f, fp, h, hs
+
+
+@pytest.mark.parametrize("n", ORACLE_DIMS)
+def test_rho_path_a_matches_gauss_sectional_loop(n):
+    for inst in _oracle_instances(n):
+        path_a, _ = lg.rho_statistical_paths(inst)
+        assert abs(path_a - _rho_path_a_oracle(inst)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", ORACLE_DIMS)
+def test_rho_perp_path_a_matches_normal_curvature_entry_loop(n):
+    for inst in _oracle_instances(n, count=10 if n == 8 else 25):
+        path_a, _ = lg.rho_perp_statistical_paths(inst)
+        assert abs(path_a - _rho_perp_path_a_oracle(inst)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", ORACLE_DIMS)
+def test_random_instance_matches_field_by_field_draws(n):
+    for index in range(20):
+        inst = wg.random_instance(n=n, seed=23, index=index)
+        c, f, fp, h, hs = _random_instance_reference(n, 23, index)
+        assert (inst.c, inst.f_val, inst.f_prime) == (c, f, fp)
+        assert inst.h.tobytes() == h.tobytes()
+        assert inst.h_star.tobytes() == hs.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Memoized derived data and the instance boundary
+# ---------------------------------------------------------------------------
+
+
+class TestMemoization:
+    def test_instance_arrays_are_read_only(self):
+        inst = wg.random_instance(n=3, seed=7, index=0)
+        with pytest.raises(ValueError):
+            inst.h[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            inst.h_star[0, 0, 0] = 1.0
+
+    def test_derived_arrays_are_read_only(self):
+        inst = wg.random_instance(n=3, seed=7, index=1)
+        with pytest.raises(ValueError):
+            lg.shape_operators(inst).A[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            lg.means_and_traceless(inst).H[0] = 1.0
+
+    def test_repeat_calls_return_the_memoized_value(self):
+        inst = wg.random_instance(n=3, seed=7, index=2)
+        assert lg.means_and_traceless(inst) is lg.means_and_traceless(inst)
+        assert lg.shape_operators(inst) is lg.shape_operators(inst)
+
+    def test_non_default_tolerance_is_recomputed(self):
+        inst = lg.umbilic_instance(n=2)
+        h = inst.h.copy()
+        h[2, 0, 1] = h[2, 1, 0] = 1e-6
+        nearly = lg.LegendrianPointInstance(n=2, c=0.0, f_val=1.0, f_prime=1.0, h=h, h_star=inst.h_star)
+        strict = lg.validate(nearly)
+        assert strict == [("h", 2, 0, 1), ("h", 2, 1, 0)]
+        assert lg.validate(nearly, tol=1e-3) == []
+        assert lg.validate(nearly) == strict
+
+    def test_returned_violation_list_is_a_copy(self):
+        inst = lg.umbilic_instance(n=2)
+        lg.validate(inst).append(("h", 0, 0, 1))
+        assert lg.validate(inst) == []
+
+    def test_instances_from_the_same_arrays_share_nothing(self):
+        base = wg.random_instance(n=3, seed=7, index=3)
+        a = lg.LegendrianPointInstance(n=3, c=base.c, f_val=base.f_val, f_prime=base.f_prime,
+                                       h=base.h, h_star=base.h_star)
+        b = lg.LegendrianPointInstance(n=3, c=base.c, f_val=base.f_val, f_prime=base.f_prime,
+                                       h=base.h, h_star=base.h_star)
+        assert not np.shares_memory(a.h, b.h)
+        ma, mb = lg.means_and_traceless(a), lg.means_and_traceless(b)
+        oa, ob = lg.shape_operators(a), lg.shape_operators(b)
+        assert ma is not mb and oa is not ob
+        assert not np.shares_memory(ma.H, mb.H)
+        assert not np.shares_memory(oa.A, ob.A) and not np.shares_memory(oa.S0, ob.S0)
+        npt.assert_array_equal(ma.H, mb.H)
+        npt.assert_array_equal(oa.S0, ob.S0)
+
+
+class TestInstanceBoundary:
+    def _fields(self, **overrides):
+        inst = lg.umbilic_instance(n=2)
+        fields = dict(n=2, c=inst.c, f_val=inst.f_val, f_prime=inst.f_prime, h=inst.h, h_star=inst.h_star)
+        fields.update(overrides)
+        return fields
+
+    @pytest.mark.parametrize("name", ["c", "f_val", "f_prime"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scalars_rejected(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            lg.LegendrianPointInstance(**self._fields(**{name: value}))
+
+    @pytest.mark.parametrize("name", ["h", "h_star"])
+    def test_non_finite_forms_rejected(self, name):
+        form = lg.umbilic_instance(n=2).h.copy()
+        form[0, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            lg.LegendrianPointInstance(**self._fields(**{name: form}))
+
+    def test_n_below_two_rejected(self):
+        zero = np.zeros((2, 1, 1))
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            lg.LegendrianPointInstance(n=1, c=0.0, f_val=1.0, f_prime=0.0, h=zero, h_star=zero)
+
+    @pytest.mark.parametrize("key", ["n", "c", "f", "f_prime", "h", "h_star"])
+    def test_from_dict_names_the_missing_key(self, key):
+        data = lg.umbilic_instance(n=2).to_dict()
+        del data[key]
+        with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            lg.LegendrianPointInstance.from_dict(data)

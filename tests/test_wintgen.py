@@ -4,7 +4,7 @@ import pytest
 
 import statwintgen.legendrian as lg
 import statwintgen.wintgen as wg
-from statwintgen.tensor_core import random_symmetric_traceless
+from statwintgen.tensor_core import random_orthogonal, random_symmetric_traceless
 
 
 class TestLuInequality:
@@ -249,3 +249,44 @@ class TestSharpness:
     def test_requires_budget(self):
         with pytest.raises(ValueError):
             wg.sharpness_search(n=2, c=0.0, f=1.0, fprime=0.0, iterations=0, seed=0)
+
+
+class TestInvariances:
+    """Reference-free checks: symmetries of the bound leave lhs and rhs unchanged."""
+
+    DIMS = (2, 3, 5)
+
+    def _instances(self):
+        for k in range(200):
+            yield wg.random_instance(n=self.DIMS[k % 3], seed=71, index=k)
+
+    @staticmethod
+    def _assert_same_bound(a, b):
+        ra = wg.main_inequality(a, include_chain=False)
+        rb = wg.main_inequality(b, include_chain=False)
+        assert rb.lhs == pytest.approx(ra.lhs, rel=1e-12, abs=0.0)
+        assert rb.rhs == pytest.approx(ra.rhs, rel=1e-12, abs=0.0)
+
+    def test_frame_rotation(self):
+        rng = np.random.default_rng(73)
+        for inst in self._instances():
+            n = inst.n
+            q = random_orthogonal(n, rng)
+
+            def rotate(form):
+                # h[alpha] -> sum_beta Q_alpha,beta Q h[beta] Q^T on the phi-slots; the
+                # xi-slice -(f'/f) I is fixed by the rotation and kept exact.
+                out = form.copy()
+                rotated = np.einsum("ab,ij,bjk,lk->ail", q, q, form[:n], q)
+                out[:n] = 0.5 * (rotated + rotated.swapaxes(1, 2))
+                return out
+
+            turned = lg.LegendrianPointInstance(n=n, c=inst.c, f_val=inst.f_val, f_prime=inst.f_prime,
+                                                h=rotate(inst.h), h_star=rotate(inst.h_star))
+            self._assert_same_bound(inst, turned)
+
+    def test_swap_of_the_dual_forms(self):
+        for inst in self._instances():
+            swapped = lg.LegendrianPointInstance(n=inst.n, c=inst.c, f_val=inst.f_val, f_prime=inst.f_prime,
+                                                 h=inst.h_star, h_star=inst.h)
+            self._assert_same_bound(inst, swapped)
