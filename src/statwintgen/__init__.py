@@ -16,10 +16,9 @@ Layers, bottom up:
 """
 
 from .tensor_core import (
-    ScalarField,
-    central_difference,
     commutator,
     frobenius_norm_sq,
+    partials,
     random_symmetric_traceless,
 )
 from .statistical_geometry import (

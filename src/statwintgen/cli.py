@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -132,12 +133,7 @@ def _spec_by_name(fiber: str, warping: wc.Warping, epsilon: float) -> wc.WarpedP
     if fiber == "flat":
         return wc.flat_kaehler_spec(1, warping)
     if fiber == "r2":
-        return wc.WarpedProductSpec(
-            fiber=sg.builtin_r2_example(),
-            complex_structure=lambda x: wc.standard_complex_structure(1),
-            warping=warping,
-            label="r2-fiber warp",
-        )
+        return replace(wc.builtin_h3_example(), warping=warping, label="r2-fiber warp")
     if fiber == "twisted":
         return wc.twisted_j_spec(epsilon, warping)
     raise ValueError(f"unknown fiber {fiber!r} (expected flat, r2 or twisted)")
@@ -152,17 +148,7 @@ def _perturbed_chart(chart: sg.DualisticChart, eps: float) -> sg.DualisticChart:
         g[0, 0, 0] += eps
         return g
 
-    def gamma_partial(x):
-        return chart.gamma_partial(x)
-
-    from dataclasses import replace
-
-    return replace(
-        chart,
-        gamma=gamma,
-        gamma_partial=gamma_partial if chart.gamma_partial is not None else None,
-        label=chart.label + f"+perturbed({eps})",
-    )
+    return replace(chart, gamma=gamma, label=chart.label + f"+perturbed({eps})")
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +161,12 @@ def cmd_axioms(args) -> int:
     if args.perturb_gamma:
         chart = _perturbed_chart(chart, args.perturb_gamma)
     rng = np.random.default_rng(args.seed)
-    box = [(-0.5, 0.5)] + [(-1.0, 1.0)] * (chart.dim - 1) if args.chart == "h3" else None
+    box = wc.default_sample_box(chart.dim) if args.chart == "h3" else [(-1.0, 1.0)] * chart.dim
+    lo, hi = np.array(box).T
     worst: dict[str, float] = {}
     breaches = []
     for _ in range(args.samples):
-        if box is None:
-            point = rng.uniform(-1.0, 1.0, chart.dim)
-        else:
-            point = np.array([rng.uniform(lo, hi) for lo, hi in box])
+        point = rng.uniform(lo, hi)
         probes = [rng.uniform(-1.0, 1.0, chart.dim) for _ in range(4)]
         rec = sg.axiom_residuals(chart, point, *probes)
         for name, value in rec.as_dict().items():
@@ -231,6 +215,7 @@ def cmd_curvature(args) -> int:
     else:
         spec = wc.builtin_h3_example()
         chart = wc.build_warped_chart(spec)
+        fd = chart.without_analytic()
         for _ in range(args.samples):
             p = wc.sample_warped_points(spec, 1, rng)[0]
             u, v = rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3)
@@ -238,18 +223,11 @@ def cmd_curvature(args) -> int:
             checks.append({"check": "levi-civita sectional", "value": val, "target": -1.0,
                            "ok": abs(val + 1.0) <= 1e-6})
             vf, uf, wf = (rng.uniform(-1.0, 1.0, 2) for _ in range(3))
+            fd_curvature = {which: sg.curvature(fd, which, p) for which in ("nabla", "nabla_star")}
             for case in wc.CLOSED_FORM_CASES:
                 closed = wc.warped_curvature_closed_form(spec, p, case, U=uf, V=vf, W=wf)
-                which = "nabla_star" if case.endswith("*") else "nabla"
-                R = sg.curvature(chart.without_analytic(), which, p)
-                if case[0] in ("a",):
-                    num = R.vector(wc.embed_fiber_vector(vf), np.eye(3)[0], np.eye(3)[0])
-                elif case[0] == "b":
-                    num = R.vector(wc.embed_fiber_vector(vf), wc.embed_fiber_vector(uf), np.eye(3)[0])
-                elif case[0] == "c":
-                    num = R.vector(np.eye(3)[0], wc.embed_fiber_vector(vf), wc.embed_fiber_vector(wf))
-                else:
-                    num = R.vector(wc.embed_fiber_vector(vf), wc.embed_fiber_vector(wf), wc.embed_fiber_vector(uf))
+                r = fd_curvature["nabla_star" if case.endswith("*") else "nabla"]
+                num = r.vector(*wc.closed_form_probes(case, uf, vf, wf))
                 dev = float(np.max(np.abs(closed - num)))
                 checks.append({"check": f"closed-form {case}", "value": dev, "target": 0.0,
                                "ok": dev <= 1e-6})
@@ -326,7 +304,8 @@ def cmd_reproduce(args) -> int:
     else:
         spec = wc.builtin_h3_example()
         chart = wc.build_warped_chart(spec)
-        table = _h3_table_residual(chart)
+        p = np.array([0.37, 0.41, -0.58])
+        table = float(np.max(np.abs(chart.gamma(p) - wc.h3_connection_table(p[0]))))
         add("connection table", table, 0.0, 1e-12)
         for _ in range(50):
             p = wc.sample_warped_points(spec, 1, rng)[0]
@@ -347,22 +326,6 @@ def cmd_reproduce(args) -> int:
     print(f"reproduce[{args.example}] {len(checks)} checks "
           f"{'PASS' if passed else 'FAIL'} (worst {worst:.3g}x tol)" + (f" -> {path}" if path else ""))
     return EXIT_OK if passed else EXIT_VIOLATION
-
-
-def _h3_table_residual(chart: sg.DualisticChart) -> float:
-    """Componentwise residual of the nine-identity connection table at a point."""
-    t = 0.37
-    p = np.array([t, 0.41, -0.58])
-    gam = chart.gamma(p)
-    e2t = math.exp(2.0 * t)
-    expected = np.zeros((3, 3, 3))
-    expected[1, 0, 1] = expected[1, 1, 0] = 1.0  # nabla_dt dx = dx
-    expected[2, 0, 2] = expected[2, 2, 0] = 1.0  # nabla_dt dy = dy
-    expected[2, 1, 1] = 1.0                      # nabla_dx dx = dy - e^{2t} dt
-    expected[0, 1, 1] = -e2t
-    expected[1, 1, 2] = expected[1, 2, 1] = 1.0  # nabla_dx dy = dx
-    expected[0, 2, 2] = -e2t                     # nabla_dy dy = -e^{2t} dt
-    return float(np.max(np.abs(gam - expected)))
 
 
 def _load_instance(path: str) -> lg.LegendrianPointInstance:
@@ -486,6 +449,20 @@ def cmd_wintgen_sharpness(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None, help="report output path")
@@ -502,26 +479,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axioms", help="dualistic axiom residual suite")
     p.add_argument("--chart", choices=("r2", "h3"), default="r2")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--residual-tol", type=float, default=1e-6)
-    p.add_argument("--perturb-gamma", type=float, default=0.0,
+    p.add_argument("--samples", type=positive_int, default=100)
+    p.add_argument("--residual-tol", type=finite_float, default=1e-6)
+    p.add_argument("--perturb-gamma", type=finite_float, default=0.0,
                    help="corrupt one connection coefficient by EPS (negative-path testing)")
     _add_common(p)
     p.set_defaults(func=cmd_axioms)
 
     p = sub.add_parser("curvature", help="curvature cross-checks")
     p.add_argument("--chart", choices=("r2", "h3"), default="r2")
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=positive_int, default=20)
     _add_common(p)
     p.set_defaults(func=cmd_curvature)
 
     p = sub.add_parser("classify", help="almost-contact classification")
     p.add_argument("--warp", choices=("exp", "const", "cosh"), default="exp")
-    p.add_argument("--const-value", type=float, default=1.0)
+    p.add_argument("--const-value", type=finite_float, default=1.0)
     p.add_argument("--fiber", choices=("flat", "r2", "twisted"), default="flat")
-    p.add_argument("--epsilon", type=float, default=0.4, help="twist size for the twisted fiber")
-    p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--residual-tol", type=float, default=1e-8)
+    p.add_argument("--epsilon", type=finite_float, default=0.4, help="twist size for the twisted fiber")
+    p.add_argument("--samples", type=positive_int, default=5)
+    p.add_argument("--residual-tol", type=finite_float, default=1e-8)
     _add_common(p)
     p.set_defaults(func=cmd_classify)
 
@@ -540,14 +517,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = wsub.add_parser("sweep", help="seeded random-instance sweep")
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--c-min", type=float, default=-4.0)
-    p.add_argument("--c-max", type=float, default=4.0)
-    p.add_argument("--f-min", type=float, default=0.5)
-    p.add_argument("--f-max", type=float, default=3.0)
-    p.add_argument("--fprime-min", type=float, default=-2.0)
-    p.add_argument("--fprime-max", type=float, default=2.0)
-    p.add_argument("--magnitude", type=float, default=1.0)
+    p.add_argument("--count", type=positive_int, default=1000)
+    p.add_argument("--c-min", type=finite_float, default=-4.0)
+    p.add_argument("--c-max", type=finite_float, default=4.0)
+    p.add_argument("--f-min", type=finite_float, default=0.5)
+    p.add_argument("--f-max", type=finite_float, default=3.0)
+    p.add_argument("--fprime-min", type=finite_float, default=-2.0)
+    p.add_argument("--fprime-max", type=finite_float, default=2.0)
+    p.add_argument("--magnitude", type=finite_float, default=1.0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(p)
     p.set_defaults(func=cmd_wintgen_sweep)
@@ -559,49 +536,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = wsub.add_parser("sharpness", help="hill-climb slack minimization")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--c", type=float, default=0.0)
-    p.add_argument("--f", type=float, default=1.0)
-    p.add_argument("--fprime", type=float, default=0.0)
-    p.add_argument("--iterations", type=int, default=2000)
+    p.add_argument("--c", type=finite_float, default=0.0)
+    p.add_argument("--f", type=finite_float, default=1.0)
+    p.add_argument("--fprime", type=finite_float, default=0.0)
+    p.add_argument("--iterations", type=positive_int, default=2000)
     _add_common(p)
     p.set_defaults(func=cmd_wintgen_sharpness)
 
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Load --config JSON and fold its keys in as leading defaults (flags win)."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    try:
-        cfg_path = argv[idx + 1]
-    except IndexError:
-        raise SystemExit(EXIT_USAGE)
-    data = json.loads(Path(cfg_path).read_text())
+def _with_config(args: argparse.Namespace, argv: list[str]) -> list[str]:
+    """argv with the --config file's keys as flags right after the command words.
+
+    Explicit flags come later in argv, so argparse's last-wins rule lets them win.
+    """
+    data = json.loads(Path(args.config).read_text())
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
-    extra: list[str] = []
-    for key, value in data.items():
-        flag = "--" + str(key).replace("_", "-")
-        if flag in argv:
-            continue  # explicit flag wins
-        extra.extend([flag, str(value)])
-    # insert config-derived flags right after the subcommand words
-    rest = [a for i, a in enumerate(argv) if i not in (idx, idx + 1)]
-    return rest + extra
+    flags = [f"--{str(key).replace('_', '-')}={value}" for key, value in data.items()]
+    i = 0
+    while argv[i].startswith("-"):  # only --config precedes the command words
+        i += 1 if "=" in argv[i] else 2
+    i += 2 if args.command == "wintgen" else 1
+    return argv[:i] + flags + argv[i:]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
+        if args.config is not None:
+            args = parser.parse_args(_with_config(args, argv))
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already; normalize other codes
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

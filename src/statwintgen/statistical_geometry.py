@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .tensor_core import DEFAULT_FD_STEP
+from .tensor_core import DEFAULT_FD_STEP, partials
 
 Array = np.ndarray
 MatrixField = Callable[[Array], Array]
@@ -91,23 +91,10 @@ class ResidualRecord:
         return dict(self.values)
 
 
-def _tensor_field_partials(fn: MatrixField, x: Array, step: float) -> Array:
-    """Central differences of an array-valued field along every axis."""
-    x = np.asarray(x, dtype=float)
-    slices = []
-    for a in range(x.size):
-        hi = x.copy()
-        lo = x.copy()
-        hi[a] += step
-        lo[a] -= step
-        slices.append((np.asarray(fn(hi), dtype=float) - np.asarray(fn(lo), dtype=float)) / (2.0 * step))
-    return np.stack(slices, axis=0)
-
-
 def metric_partials(chart: DualisticChart, point: Array) -> Array:
     if chart.metric_partial is not None:
         return np.asarray(chart.metric_partial(point), dtype=float)
-    return _tensor_field_partials(chart.metric, np.asarray(point, dtype=float), chart.fd_step)
+    return partials(chart.metric, point, chart.fd_step)
 
 
 def levi_civita(chart: DualisticChart, point: Array) -> Array:
@@ -161,7 +148,7 @@ def curvature(chart: DualisticChart, which: str, point: Array) -> CurvatureTenso
             # coarser outer step balances truncation against the propagated
             # rounding noise of the inner differences.
             step = chart.fd_step * 20.0
-        dgamma = _tensor_field_partials(fn, x, step)
+        dgamma = partials(fn, x, step)
     return CurvatureTensor(curvature_from_gamma(gamma, dgamma))
 
 
@@ -312,32 +299,6 @@ def _const_field(value: Array) -> MatrixField:
     return lambda x: arr.copy()
 
 
-def builtin_r2_example() -> DualisticChart:
-    """Flat-metric plane with the constant-curvature -1 dualistic structure.
-
-    g = dx^2 + dy^2; the primal connection has Gamma^y_xx = 1 and
-    Gamma^x_xy = Gamma^x_yx = 1, the dual one carries the opposite signs.
-    All coefficient fields are constant, so analytic partials are exact zeros.
-    """
-    dim = 2
-    gam = np.zeros((dim, dim, dim))
-    gam[1, 0, 0] = 1.0  # nabla_dx dx = dy
-    gam[0, 0, 1] = 1.0  # nabla_dx dy = dx
-    gam[0, 1, 0] = 1.0  # nabla_dy dx = dx
-    zeros3 = np.zeros((dim, dim, dim))
-    zeros4 = np.zeros((dim, dim, dim, dim))
-    return DualisticChart(
-        dim=dim,
-        metric=_const_field(np.eye(dim)),
-        gamma=_const_field(gam),
-        gamma_star=_const_field(-gam),
-        metric_partial=_const_field(zeros3),
-        gamma_partial=_const_field(zeros4),
-        gamma_star_partial=_const_field(zeros4),
-        label="r2-example",
-    )
-
-
 def trivial_chart(dim: int) -> DualisticChart:
     """Euclidean chart with nabla = nabla* = Levi-Civita = 0 (flat, trivial)."""
     zeros3 = np.zeros((dim, dim, dim))
@@ -351,4 +312,20 @@ def trivial_chart(dim: int) -> DualisticChart:
         gamma_partial=_const_field(zeros4),
         gamma_star_partial=_const_field(zeros4),
         label=f"flat-trivial-{dim}d",
+    )
+
+
+def builtin_r2_example() -> DualisticChart:
+    """Flat-metric plane with the constant-curvature -1 dualistic structure.
+
+    g = dx^2 + dy^2; the primal connection has Gamma^y_xx = 1 and
+    Gamma^x_xy = Gamma^x_yx = 1, the dual one carries the opposite signs.
+    All coefficient fields are constant, so analytic partials are exact zeros.
+    """
+    gam = np.zeros((2, 2, 2))
+    gam[1, 0, 0] = 1.0  # nabla_dx dx = dy
+    gam[0, 0, 1] = 1.0  # nabla_dx dy = dx
+    gam[0, 1, 0] = 1.0  # nabla_dy dx = dx
+    return replace(
+        trivial_chart(2), gamma=_const_field(gam), gamma_star=_const_field(-gam), label="r2-example"
     )

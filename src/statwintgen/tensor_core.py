@@ -1,35 +1,18 @@
 """Shared numerical kernel.
 
-Dense matrix helpers (Frobenius norms, commutators), central finite
-differences for scalar fields of several variables, and seeded generation of
-constrained random matrices.  Everything here is double precision and pure:
-inputs are never mutated, outputs are fresh arrays.
+Dense matrix helpers (Frobenius norms, commutators), the central-difference
+stencil for array-valued fields of several variables, and seeded generation
+of constrained random matrices.  Everything here is double precision and
+pure: inputs are never mutated, outputs are fresh arrays.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 DEFAULT_FD_STEP = 1e-5
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """A real-valued function of ``dim`` coordinates.
-
-    ``evaluator`` must be deterministic for a given point.  Instances are
-    callable, so plain functions and ScalarFields can be used interchangeably.
-    """
-
-    dim: int
-    evaluator: Callable[[np.ndarray], float]
-
-    def __call__(self, point: np.ndarray) -> float:
-        return float(self.evaluator(np.asarray(point, dtype=float)))
 
 
 def as_square_matrix(m) -> np.ndarray:
@@ -57,25 +40,23 @@ def commutator(a, b) -> np.ndarray:
     return am @ bm - bm @ am
 
 
-def central_difference(field, point, direction: int, step: float = DEFAULT_FD_STEP) -> float:
-    """Second-order central difference of a scalar field along one axis.
+def partials(fn: Callable[[np.ndarray], np.ndarray], point, step: float) -> np.ndarray:
+    """Central differences of an array-valued field along every coordinate axis.
 
-    ``field`` is any callable point -> float (e.g. a :class:`ScalarField`).
+    ``out[a] = (fn(x + step e_a) - fn(x - step e_a)) / 2 step``, stacked along
+    axis 0, so ``out[a]`` has the shape of ``fn(x)``.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
-    p = np.asarray(point, dtype=float)
-    if not (0 <= direction < p.size):
-        raise ValueError(f"direction {direction} out of range for dim {p.size}")
-    hi = p.copy()
-    lo = p.copy()
-    hi[direction] += step
-    lo[direction] -= step
-    f_hi = float(field(hi))
-    f_lo = float(field(lo))
-    if not (math.isfinite(f_hi) and math.isfinite(f_lo)):
-        raise ValueError(f"non-finite field evaluation near {p.tolist()}")
-    return (f_hi - f_lo) / (2.0 * step)
+    x = np.asarray(point, dtype=float)
+    slices = []
+    for a in range(x.size):
+        hi = x.copy()
+        lo = x.copy()
+        hi[a] += step
+        lo[a] -= step
+        slices.append((np.asarray(fn(hi), dtype=float) - np.asarray(fn(lo), dtype=float)) / (2.0 * step))
+    return np.stack(slices, axis=0)
 
 
 def instance_rng(seed: int, index: int = 0) -> np.random.Generator:

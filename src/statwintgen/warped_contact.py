@@ -36,7 +36,7 @@ from .statistical_geometry import (
     trivial_chart,
     builtin_r2_example,
 )
-from .tensor_core import sample_points
+from .tensor_core import partials, sample_points
 
 Array = np.ndarray
 
@@ -151,6 +151,19 @@ def builtin_h3_example() -> WarpedProductSpec:
         warping=exp_warping(),
         label="h3-example",
     )
+
+
+def h3_connection_table(t: float) -> Array:
+    """Gamma[k, i, j] of the h3 example at height t: its nine coefficient identities."""
+    e2t = math.exp(2.0 * t)
+    out = np.zeros((3, 3, 3))
+    out[1, 0, 1] = out[1, 1, 0] = 1.0  # nabla_dt dx = nabla_dx dt = dx
+    out[2, 0, 2] = out[2, 2, 0] = 1.0  # nabla_dt dy = nabla_dy dt = dy
+    out[2, 1, 1] = 1.0                 # nabla_dx dx = dy - e^{2t} dt
+    out[0, 1, 1] = -e2t
+    out[1, 1, 2] = out[1, 2, 1] = 1.0  # nabla_dx dy = nabla_dy dx = dx
+    out[0, 2, 2] = -e2t                # nabla_dy dy = -e^{2t} dt
+    return out
 
 
 def embed_fiber_vector(v: Array) -> Array:
@@ -268,6 +281,26 @@ def build_warped_chart(spec: WarpedProductSpec, validate_fiber: bool = True, fib
     )
 
 
+def _closed_form_case(case: str) -> str:
+    """Normalized case name ("d_star" -> "d*"); raises on an unknown case."""
+    case = case.strip().lower().replace("_star", "*")
+    if case not in CLOSED_FORM_CASES:
+        raise ValueError(f"unknown case {case!r}; expected one of {CLOSED_FORM_CASES}")
+    return case
+
+
+def closed_form_probes(case: str, U: Array, V: Array, W: Array) -> tuple[Array, Array, Array]:
+    """Total-chart probes (X, Y, Z) whose R(X,Y)Z ``warped_curvature_closed_form`` gives.
+
+    a: (V, dt, dt)   b: (V, U, dt)   c: (dt, V, W)   d: (V, W, U), with the
+    fiber probes embedded; a starred case uses the probes of its base case.
+    """
+    u, v, w = (embed_fiber_vector(a) for a in (U, V, W))
+    dt = np.zeros(u.size)
+    dt[0] = 1.0
+    return {"a": (v, dt, dt), "b": (v, u, dt), "c": (dt, v, w), "d": (v, w, u)}[_closed_form_case(case)[0]]
+
+
 def warped_curvature_closed_form(
     spec: WarpedProductSpec,
     point: Array,
@@ -286,9 +319,7 @@ def warped_curvature_closed_form(
     Starred cases use the dual fiber curvature in (d*); <.,.> is the warped
     metric f^2 g_N on fiber vectors.  Returns total-chart components.
     """
-    case = case.strip().lower().replace("_star", "*")
-    if case not in CLOSED_FORM_CASES:
-        raise ValueError(f"unknown case {case!r}; expected one of {CLOSED_FORM_CASES}")
+    case = _closed_form_case(case)
     point = np.asarray(point, dtype=float)
     t, xf = point[0], point[1:]
     f, fp, fpp = spec.warping.at(t)
@@ -333,10 +364,6 @@ def phi_matrix(spec: WarpedProductSpec, point: Array) -> Array:
     out = np.zeros((spec.dim, spec.dim))
     out[1:, 1:] = spec.j_at(point[1:])
     return out
-
-
-def phi_apply(spec: WarpedProductSpec, point: Array, u: Array) -> Array:
-    return phi_matrix(spec, point) @ np.asarray(u, dtype=float)
 
 
 def space_form_warped_curvature(
@@ -422,19 +449,22 @@ def fiber_fundamental_form(spec: WarpedProductSpec, fiber_point: Array) -> Array
     return spec.j_at(fiber_point).T @ g_n
 
 
-def exterior_derivative_2form(form_field: Callable[[Array], Array], point: Array, step: float) -> Array:
-    """d of a two-form on coordinate triples: (dw)_abc = d_a w_bc - d_b w_ac + d_c w_ab."""
-    point = np.asarray(point, dtype=float)
-    d = point.size
-    partials = []
-    for a in range(d):
-        hi = point.copy()
-        lo = point.copy()
-        hi[a] += step
-        lo[a] -= step
-        partials.append((np.asarray(form_field(hi), dtype=float) - np.asarray(form_field(lo), dtype=float)) / (2.0 * step))
-    dw = np.stack(partials, axis=0)  # dw[a,b,c] = d_a w_bc
+def exterior_derivative_2form(dw: Array) -> Array:
+    """d of a two-form from its partials dw[a,b,c] = d_a w_bc.
+
+    (dw)_abc = d_a w_bc - d_b w_ac + d_c w_ab on coordinate triples.
+    """
     return dw - np.einsum("bac->abc", dw) + np.einsum("cab->abc", dw)
+
+
+def _d_phi_and_omega(spec: WarpedProductSpec, point: Array) -> tuple[Array, Array]:
+    """Coordinate dPhi on the total chart and dOmega on the fiber at ``point``."""
+    step = spec.fiber.fd_step
+    d_phi = exterior_derivative_2form(partials(lambda x: fundamental_two_form(spec, x), point, step))
+    d_omega = exterior_derivative_2form(
+        partials(lambda xf: fiber_fundamental_form(spec, xf), point[1:], step)
+    )
+    return d_phi, d_omega
 
 
 def wedge_eta_form(two_form_total: Array) -> Array:
@@ -483,18 +513,13 @@ def contact_classification(
     frame_res = frame_invariant_residual(spec, point)
     if frame_res > frame_tol:
         raise ValueError(f"contact frame invariants violated (residual {frame_res:.3e})")
-    step = spec.fiber.fd_step
     f, fp, _ = spec.warping.at(point[0])
     kappa = fp / f  # working coefficient; reported alpha is its negative
     # eta = dt has constant components, so its coordinate d vanishes identically
     d_eta = 0.0
-    phi_form = fundamental_two_form(spec, point)
-    d_phi = exterior_derivative_2form(lambda x: fundamental_two_form(spec, x), point, step)
-    d_omega_fiber = exterior_derivative_2form(
-        lambda xf: fiber_fundamental_form(spec, xf), point[1:], step
-    )
+    d_phi, d_omega_fiber = _d_phi_and_omega(spec, point)
     d_omega = lift_fiber_three_form(d_omega_fiber, spec.dim)
-    wedge = wedge_eta_form(phi_form)
+    wedge = wedge_eta_form(fundamental_two_form(spec, point))
 
     d_phi_residual = float(np.max(np.abs(d_phi - 2.0 * kappa * wedge)))
     contact_identity_residual = float(np.max(np.abs(d_phi - f * f * d_omega - 2.0 * kappa * wedge)))
@@ -519,30 +544,21 @@ def contact_classification(
 # ---------------------------------------------------------------------------
 
 
-def _covariant_two_form_derivative(
-    form_field: Callable[[Array], Array],
-    gamma: Array,
-    point: Array,
-    X: Array,
-    Y: Array,
-    Z: Array,
-    step: float,
-) -> float:
-    """(nabla_X w)(Y,Z) for a two-form field and connection coefficients."""
-    point = np.asarray(point, dtype=float)
-    w = np.asarray(form_field(point), dtype=float)
-    dir_w = np.zeros_like(w)
-    for a in range(point.size):
-        if X[a] == 0.0:
-            continue
-        hi = point.copy()
-        lo = point.copy()
-        hi[a] += step
-        lo[a] -= step
-        dir_w += X[a] * (np.asarray(form_field(hi), dtype=float) - np.asarray(form_field(lo), dtype=float)) / (2.0 * step)
+def _covariant_two_form_derivative(w: Array, dw: Array, gamma: Array, X: Array, Y: Array, Z: Array) -> float:
+    """(nabla_X w)(Y,Z) from a two-form w, its partials dw[a] = d_a w and connection coefficients."""
+    dir_w = np.einsum("a,abc->bc", X, dw)
     nx_y = np.einsum("kab,a,b->k", gamma, X, Y)
     nx_z = np.einsum("kab,a,b->k", gamma, X, Z)
     return float(Y @ dir_w @ Z - nx_y @ w @ Z - Y @ w @ nx_z)
+
+
+def _nabla_endomorphism(t: Array, dt: Array, gamma: Array, X: Array, Y: Array) -> Array:
+    """(nabla_X T)Y from a (1,1) field T, its partials dt[a] = d_a T and connection coefficients."""
+    ty = t @ Y
+    # nabla_X (TY) with TY treated as the field x -> T(x) Y_const
+    cov_ty = np.einsum("a,abc->bc", X, dt) @ Y + np.einsum("kam,a,m->k", gamma, X, ty)
+    nx_y = np.einsum("kab,a,b->k", gamma, X, Y)
+    return cov_ty - t @ nx_y
 
 
 def hermitian_statistical_residuals(
@@ -584,11 +600,14 @@ def hermitian_statistical_residuals(
     def k_apply(A: Array, B: Array) -> Array:
         return np.einsum("kab,a,b->k", k, A, B)
 
-    n_omega = _covariant_two_form_derivative(omega_field, gam, point, X, Y, Z, step)
-    n_star_omega = _covariant_two_form_derivative(omega_field, gam_star, point, X, Y, Z, step)
-    n0_omega = _covariant_two_form_derivative(omega_field, gam0, point, X, Y, Z, step)
-    nxj_y = _nabla_endomorphism(j_field, gam, point, X, Y, step)
-    nxj_star_y = _nabla_endomorphism(j_field, gam_star, point, X, Y, step)
+    omega = jmat.T @ g
+    d_omega = partials(omega_field, point, step)
+    d_j = partials(j_field, point, step)
+    n_omega = _covariant_two_form_derivative(omega, d_omega, gam, X, Y, Z)
+    n_star_omega = _covariant_two_form_derivative(omega, d_omega, gam_star, X, Y, Z)
+    n0_omega = _covariant_two_form_derivative(omega, d_omega, gam0, X, Y, Z)
+    nxj_y = _nabla_endomorphism(jmat, d_j, gam, X, Y)
+    nxj_star_y = _nabla_endomorphism(jmat, d_j, gam_star, X, Y)
 
     mixed = k_apply(X, jmat @ Y) + jmat @ k_apply(X, Y)
 
@@ -612,33 +631,6 @@ def hermitian_statistical_residuals(
             "skew_cyclic": cyclic,
         }
     )
-
-
-def _nabla_endomorphism(
-    endo_field: Callable[[Array], Array],
-    gamma: Array,
-    point: Array,
-    X: Array,
-    Y: Array,
-    step: float,
-) -> Array:
-    """(nabla_X T)Y = X^a d_a(T) Y + Gamma-corrections, for a (1,1) field T."""
-    point = np.asarray(point, dtype=float)
-    tmat = np.asarray(endo_field(point), dtype=float)
-    dir_t = np.zeros_like(tmat)
-    for a in range(point.size):
-        if X[a] == 0.0:
-            continue
-        hi = point.copy()
-        lo = point.copy()
-        hi[a] += step
-        lo[a] -= step
-        dir_t += X[a] * (np.asarray(endo_field(hi), dtype=float) - np.asarray(endo_field(lo), dtype=float)) / (2.0 * step)
-    ty = tmat @ Y
-    # nabla_X (TY) with TY treated as the field x -> T(x) Y_const
-    cov_ty = dir_t @ Y + np.einsum("kam,a,m->k", gamma, X, ty)
-    nx_y = np.einsum("kab,a,b->k", gamma, X, Y)
-    return cov_ty - tmat @ nx_y
 
 
 def contact_statistical_residuals(
@@ -668,12 +660,8 @@ def contact_statistical_residuals(
     gam0 = levi_civita(total, point)
     k = gam - gam0
     phi = phi_matrix(spec, point)
-
-    def phi_form_field(x: Array) -> Array:
-        return fundamental_two_form(spec, x)
-
-    def phi_field(x: Array) -> Array:
-        return phi_matrix(spec, x)
+    phi_form = fundamental_two_form(spec, point)
+    d_phi_form = partials(lambda x: fundamental_two_form(spec, x), point, step)
 
     def ip(u: Array, v: Array) -> float:
         return float(u @ g @ v)
@@ -681,19 +669,23 @@ def contact_statistical_residuals(
     def k_apply(A: Array, B: Array) -> Array:
         return np.einsum("kab,a,b->k", k, A, B)
 
-    n_phi = _covariant_two_form_derivative(phi_form_field, gam, point, X, Y, Z, step)
-    n_star_phi = _covariant_two_form_derivative(phi_form_field, gam_star, point, X, Y, Z, step)
-    n0_phi = _covariant_two_form_derivative(phi_form_field, gam0, point, X, Y, Z, step)
+    def n_phi_form(gamma: Array, A: Array, B: Array, C: Array) -> float:
+        return _covariant_two_form_derivative(phi_form, d_phi_form, gamma, A, B, C)
+
+    n_phi = n_phi_form(gam, X, Y, Z)
+    n_star_phi = n_phi_form(gam_star, X, Y, Z)
+    n0_phi = n_phi_form(gam0, X, Y, Z)
     mixed = k_apply(X, phi @ Y) + phi @ k_apply(X, Y)
 
     bb1 = abs(n_phi - n0_phi + ip(mixed, Z))
     bb2 = abs(n_star_phi - n0_phi - ip(mixed, Z))
 
     # phi_warp_deriv: compare against the fiber (nabla^N_X J) Y lifted
-    nx_phi_y = _nabla_endomorphism(phi_field, gam, point, X, Y, step)
-    fiber_gam = connection_at(spec.fiber, "nabla", point[1:])
+    nx_phi_y = _nabla_endomorphism(phi, partials(lambda x: phi_matrix(spec, x), point, step), gam, X, Y)
+    xf = point[1:]
     nxj_fiber = _nabla_endomorphism(
-        lambda xf: spec.j_at(xf), fiber_gam, point[1:], X[1:], Y[1:], spec.fiber.fd_step
+        spec.j_at(xf), partials(spec.j_at, xf, spec.fiber.fd_step),
+        connection_at(spec.fiber, "nabla", xf), X[1:], Y[1:],
     )
     xi = np.zeros(spec.dim)
     xi[0] = 1.0
@@ -704,14 +696,13 @@ def contact_statistical_residuals(
     )
     contact4 = float(np.max(np.abs(nx_phi_y - predicted)))
 
-    d_phi = exterior_derivative_2form(phi_form_field, point, step)
-    d_phi_xyz = float(np.einsum("abc,a,b,c->", d_phi, X, Y, Z))
+    d_phi_xyz = float(np.einsum("abc,a,b,c->", exterior_derivative_2form(d_phi_form), X, Y, Z))
 
     def cyc(gamma_used: Array) -> float:
         return (
-            _covariant_two_form_derivative(phi_form_field, gamma_used, point, X, Y, Z, step)
-            + _covariant_two_form_derivative(phi_form_field, gamma_used, point, Z, X, Y, step)
-            + _covariant_two_form_derivative(phi_form_field, gamma_used, point, Y, Z, X, step)
+            n_phi_form(gamma_used, X, Y, Z)
+            + n_phi_form(gamma_used, Z, X, Y)
+            + n_phi_form(gamma_used, Y, Z, X)
         )
 
     contact5 = max(abs(d_phi_xyz - cyc(gam0)), abs(d_phi_xyz - cyc(gam)))
@@ -764,13 +755,8 @@ def kenmotsu_theorem_check(
     chart = build_warped_chart(spec, validate_fiber=False)
     for p in pts:
         xf = p[1:]
-        g_n = np.asarray(spec.fiber.metric(xf), dtype=float)
-        j = spec.j_at(xf)
-        compat = max(
-            float(np.max(np.abs(j @ j + np.eye(j.shape[0])))),
-            float(np.max(np.abs(j.T @ g_n @ j - g_n))),
-        )
-        d_omega = exterior_derivative_2form(lambda x: fiber_fundamental_form(spec, x), xf, spec.fiber.fd_step)
+        d_phi, d_omega = _d_phi_and_omega(spec, p)
+        compat = check_almost_complex(spec.fiber.metric(xf), spec.j_at(xf), tol=math.inf)
         fiber_res = max(compat, float(np.max(np.abs(d_omega))))
         worst_fiber = max(worst_fiber, fiber_res)
         if fiber_res > tol:
@@ -779,7 +765,6 @@ def kenmotsu_theorem_check(
         frame_res = frame_invariant_residual(spec, p)
         f, fp, _ = spec.warping.at(p[0])
         kappa = fp / f
-        d_phi = exterior_derivative_2form(lambda x: fundamental_two_form(spec, x), p, spec.fiber.fd_step)
         wedge = wedge_eta_form(fundamental_two_form(spec, p))
         kenmotsu_res = float(np.max(np.abs(d_phi - 2.0 * kappa * wedge)))
         total_res = max(frame_res, kenmotsu_res)

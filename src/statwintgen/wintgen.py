@@ -342,7 +342,15 @@ def random_instance(
     rng = instance_rng(seed, index)
     # Two draws consume the stream exactly as c, f, f' and 2n slices one by one.
     c, f, fp = map(float, rng.uniform(*zip(c_range, f_range, fprime_range)))
-    slices = symmetrize_upper(rng.uniform(-magnitude, magnitude, size=(2 * n, n, n)))
+    return _instance_from_upper(n, c, f, fp, rng.uniform(-magnitude, magnitude, size=(2 * n, n, n)))
+
+
+def _instance_from_upper(n: int, c: float, f: float, fp: float, upper: Array) -> LegendrianPointInstance:
+    """Instance whose phi-slices of h, then h*, mirror the (2n, n, n) upper triangles.
+
+    The xi-slices are set to the forced -(f'/f) I exactly.
+    """
+    slices = symmetrize_upper(upper)
     xi = -(fp / f) * np.eye(n)[None]
     h = np.concatenate((slices[:n], xi))
     hs = np.concatenate((slices[n:], xi))
@@ -387,21 +395,11 @@ class SharpnessResult:
 def _instance_from_params(
     n: int, c: float, f: float, fp: float, params: Array
 ) -> LegendrianPointInstance:
-    """Decode a flat vector of upper-triangle phi-slice entries."""
-    tri = n * (n + 1) // 2
-    h = np.zeros((n + 1, n, n))
-    hs = np.zeros((n + 1, n, n))
+    """Decode a flat vector of upper-triangle phi-slice entries, h slices first."""
+    upper = np.zeros((2 * n, n, n))
     iu = np.triu_indices(n)
-    pos = 0
-    for target in (h, hs):
-        for alpha in range(n):
-            sl = np.zeros((n, n))
-            sl[iu] = params[pos : pos + tri]
-            sl = sl + np.triu(sl, 1).T
-            target[alpha] = sl
-            pos += tri
-        target[n] = -(fp / f) * np.eye(n)
-    return LegendrianPointInstance(n=n, c=c, f_val=f, f_prime=fp, h=h, h_star=hs)
+    upper[:, iu[0], iu[1]] = params.reshape(2 * n, -1)
+    return _instance_from_upper(n, c, f, fp, upper)
 
 
 def sharpness_search(
@@ -438,24 +436,27 @@ def sharpness_search(
     rng = instance_rng(seed, 0)
     evaluations = 0
     restarts = 0
-    best_params = None
-    best_slack = math.inf
+    best_params = params = None
+    best_slack = current = math.inf
+    step = initial_step
     trace: list[float] = []
 
-    def fresh_start() -> tuple[Array, float]:
-        nonlocal evaluations
-        params = rng.uniform(-start_magnitude, start_magnitude, size=nparams)
-        value = slack_of(params)
+    def accept(trial: Array, value: float) -> None:
+        nonlocal params, current, best_params, best_slack
+        params, current = trial, value
+        if value < best_slack:
+            best_slack, best_params = value, trial.copy()
+            trace.append(value)
+
+    def fresh_start() -> None:
+        nonlocal evaluations, restarts, step
+        step = initial_step
+        trial = rng.uniform(-start_magnitude, start_magnitude, size=nparams)
         evaluations += 1
-        return params, value
+        restarts += 1
+        accept(trial, slack_of(trial))
 
-    params, current = fresh_start()
-    restarts += 1
-    step = initial_step
-    if current < best_slack:
-        best_slack, best_params = current, params.copy()
-        trace.append(current)
-
+    fresh_start()
     while evaluations < iterations:
         improved = False
         for k in range(nparams):
@@ -469,23 +470,15 @@ def sharpness_search(
                 value = slack_of(trial)
                 evaluations += 1
                 if value < current:
-                    params, current = trial, value
+                    accept(trial, value)
                     improved = True
-                    if current < best_slack:
-                        best_slack, best_params = current, params.copy()
-                        trace.append(current)
                     break
         if not improved:
             step *= 0.5
             if step < min_step:
                 if evaluations >= iterations:
                     break
-                params, current = fresh_start()
-                restarts += 1
-                step = initial_step
-                if current < best_slack:
-                    best_slack, best_params = current, params.copy()
-                    trace.append(current)
+                fresh_start()
 
     best_instance = _instance_from_params(n, c, f, fprime, best_params)
     hard = False

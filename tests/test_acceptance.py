@@ -110,20 +110,10 @@ def test_criterion_3_closed_form_curvature():
             for _ in range(20):
                 p = wc.sample_warped_points(spec, 1, rng)[0]
                 vf, uf, wf = (rng.uniform(-1, 1, 2) for _ in range(3))
-                e0 = np.eye(3)[0]
-                emb = wc.embed_fiber_vector
                 for case in wc.CLOSED_FORM_CASES:
                     closed = wc.warped_curvature_closed_form(spec, p, case, U=uf, V=vf, W=wf)
                     which = "nabla_star" if case.endswith("*") else "nabla"
-                    r = sg.curvature(chart, which, p)
-                    if case[0] == "a":
-                        num = r.vector(emb(vf), e0, e0)
-                    elif case[0] == "b":
-                        num = r.vector(emb(vf), emb(uf), e0)
-                    elif case[0] == "c":
-                        num = r.vector(e0, emb(vf), emb(wf))
-                    else:
-                        num = r.vector(emb(vf), emb(wf), emb(uf))
+                    num = sg.curvature(chart, which, p).vector(*wc.closed_form_probes(case, uf, vf, wf))
                     worst = max(worst, float(np.max(np.abs(closed - num))))
                     samples += 1
     elapsed = time.perf_counter() - start

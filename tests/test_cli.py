@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import statwintgen.legendrian as lg
 from statwintgen.cli import (
     EXIT_OK,
@@ -257,3 +259,70 @@ def test_verify_dimension_one_is_usage_error(tmp_path, capsys):
 def test_sharpness_dimension_one_is_usage_error(capsys):
     code = main(["wintgen", "sharpness", "--n", "1", "--iterations", "10"])
     _assert_one_line_usage_error(code, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["axioms", "--chart", chart, "--samples", "2", "--perturb-gamma", bad]
+          for chart in ("r2", "h3") for bad in ("nan", "inf")),
+        ["axioms", "--samples", "2", "--residual-tol", "nan"],
+        ["classify", "--fiber", "twisted", "--samples", "1", "--epsilon", "nan"],
+        ["classify", "--samples", "0"],
+        ["axioms", "--samples", "0"],
+        ["curvature", "--samples", "0"],
+        ["wintgen", "sweep", "--count", "0"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_domain_number_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # no --out: a report would reject a non-finite value itself and hide the defect
+    monkeypatch.delenv("STATWINTGEN_OUTDIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "error:" in captured.err and "Traceback" not in captured.err
+
+
+def _sweep_config(tmp_path, **values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "seed": 8, "c_max": 0.0, **values}))
+    return cfg
+
+
+def _sweep_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("config_form", ["joined", "separate"])
+def test_config_applies_and_explicit_joined_flag_wins(tmp_path, config_form):
+    cfg = _sweep_config(tmp_path, count=5)
+    config_args = [f"--config={cfg}"] if config_form == "joined" else ["--config", str(cfg)]
+    out = tmp_path / "s.csv"
+    assert main(config_args + ["wintgen", "sweep", "--count=7", "--out", str(out)]) == EXIT_OK
+    rows = _sweep_rows(out)
+    assert len(rows) == 7  # the explicit flag beats the config's count
+    assert {row[1] for row in rows} == {"2"}  # the config's n still applies
+    assert rows[0][0] == "8-0"
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ({"bogus": 1}, ["reproduce", "example-r2"]),
+        ({"chart": "bogus"}, ["axioms"]),
+        ({"count": "many"}, ["wintgen", "sweep"]),
+        ({"count": 0}, ["wintgen", "sweep"]),
+    ],
+)
+def test_config_unknown_key_or_bad_value_is_usage_error(tmp_path, config, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg)] + argv + ["--out", str(tmp_path / "r")]) == EXIT_USAGE
+
+
+def test_config_missing_file_is_usage_error(tmp_path, capsys):
+    assert main([f"--config={tmp_path / 'absent.json'}", "reproduce", "example-r2"]) == EXIT_USAGE
+    assert "config error" in capsys.readouterr().err

@@ -5,10 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from statwintgen.tensor_core import (
-    ScalarField,
-    central_difference,
     commutator,
     frobenius_norm_sq,
+    partials,
     random_orthogonal,
     random_symmetric_traceless,
     symmetrize_upper,
@@ -73,36 +72,35 @@ class TestCommutator:
 
 class TestCentralDifference:
     def test_square(self):
-        f = ScalarField(1, lambda x: x[0] ** 2)
-        assert abs(central_difference(f, [1.0], 0) - 2.0) <= 1e-9
+        out = partials(lambda x: x[0] ** 2, [1.0], 1e-5)
+        assert out.shape == (1,)
+        assert abs(out[0] - 2.0) <= 1e-9
 
     def test_constant_exact(self):
-        f = ScalarField(3, lambda x: 4.25)
-        assert central_difference(f, [0.2, -0.5, 1.0], 1) == 0.0
+        value = np.array([[4.25, -1.0], [0.5, 3.0]])
+        out = partials(lambda x: value, [0.2, -0.5, 1.0], 1e-5)
+        assert out.shape == (3, 2, 2)
+        npt.assert_array_equal(out, np.zeros((3, 2, 2)))
 
     def test_exponential(self):
-        f = ScalarField(1, lambda x: math.exp(x[0]))
-        assert abs(central_difference(f, [0.0], 0) - 1.0) <= 1e-9
+        assert abs(partials(lambda x: math.exp(x[0]), [0.0], 1e-5)[0] - 1.0) <= 1e-9
 
     def test_quadratics_match_analytic(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             a, b, c = rng.uniform(-3, 3, 3)
             x0 = rng.uniform(-1, 1)
-            f = ScalarField(1, lambda x, a=a, b=b, c=c: a * x[0] ** 2 + b * x[0] + c)
-            assert abs(central_difference(f, [x0], 0) - (2 * a * x0 + b)) <= 1e-8
+            out = partials(lambda x, a=a, b=b, c=c: a * x[0] ** 2 + b * x[0] + c, [x0], 1e-5)
+            assert abs(out[0] - (2 * a * x0 + b)) <= 1e-8
 
     def test_bad_step(self):
         with pytest.raises(ValueError):
-            central_difference(lambda x: x[0], [0.0], 0, step=0.0)
+            partials(lambda x: x[0], [0.0], 0.0)
 
-    def test_nonfinite_evaluation(self):
-        with pytest.raises(ValueError):
-            central_difference(lambda x: float("inf"), [0.0], 0)
-
-    def test_bad_direction(self):
-        with pytest.raises(ValueError):
-            central_difference(lambda x: x[0], [0.0], 3)
+    def test_axis_order_matches_coordinates(self):
+        # out[a] is the derivative along coordinate a, stacked on axis 0
+        out = partials(lambda x: np.array([x[0] * x[1], x[1] ** 2]), [2.0, 3.0], 1e-4)
+        npt.assert_allclose(out, [[3.0, 0.0], [2.0, 6.0]], atol=1e-8)
 
 
 class TestRandomSymmetricTraceless:

@@ -36,6 +36,7 @@ class TestBuildWarpedChart:
         expected[1, 1, 2] = expected[1, 2, 1] = 1.0      # nabla_dx dy = nabla_dy dx = dx
         expected[0, 2, 2] = -e2t                         # nabla_dy dy = -e^{2t} dt
         npt.assert_allclose(gam, expected, atol=1e-13)
+        npt.assert_array_equal(wc.h3_connection_table(t), expected)
 
     def test_flat_fiber_exp_warp(self):
         spec = wc.flat_kaehler_spec(1, wc.exp_warping())
@@ -86,16 +87,7 @@ class TestBuildWarpedChart:
 
 def fd_curvature_vector(chart, which, point, case, vf, uf, wf):
     r = sg.curvature(chart.without_analytic(), which, point)
-    e0 = np.zeros(chart.dim)
-    e0[0] = 1.0
-    emb = wc.embed_fiber_vector
-    if case[0] == "a":
-        return r.vector(emb(vf), e0, e0)
-    if case[0] == "b":
-        return r.vector(emb(vf), emb(uf), e0)
-    if case[0] == "c":
-        return r.vector(e0, emb(vf), emb(wf))
-    return r.vector(emb(vf), emb(wf), emb(uf))
+    return r.vector(*wc.closed_form_probes(case, uf, vf, wf))
 
 
 class TestClosedFormCurvature:
@@ -141,6 +133,16 @@ class TestClosedFormCurvature:
                 which = "nabla_star" if case.endswith("*") else "nabla"
                 num = fd_curvature_vector(chart, which, p, case, vf, uf, wf)
                 npt.assert_allclose(closed, num, atol=1e-6)
+
+    def test_probes_per_case(self):
+        u, v, w = np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0])
+        dt, eu, ev, ew = E3[0], np.array([0.0, 1, 2]), np.array([0.0, 3, 4]), np.array([0.0, 5, 6])
+        expected = {"a": (ev, dt, dt), "b": (ev, eu, dt), "c": (dt, ev, ew), "d": (ev, ew, eu)}
+        for case in wc.CLOSED_FORM_CASES:
+            for got, want in zip(wc.closed_form_probes(case, u, v, w), expected[case[0]]):
+                npt.assert_array_equal(got, want)
+        with pytest.raises(ValueError):
+            wc.closed_form_probes("z", u, v, w)
 
     def test_bad_case_and_missing_probe(self, h3_spec):
         with pytest.raises(ValueError):
@@ -287,6 +289,28 @@ class TestHermitianResiduals:
                 np.ones(2), np.ones(2), np.ones(2),
                 psi_field=lambda x: np.eye(2),
             )
+
+
+def test_covariant_helpers_match_index_loops():
+    # the helpers contract the partials array with einsum; the reference sums
+    # the directional derivative axis by axis, as the per-axis stencils did
+    rng = np.random.default_rng(12)
+    d = 5
+    for _ in range(20):
+        w, t = rng.standard_normal((2, d, d))
+        dw, dt = rng.standard_normal((2, d, d, d))
+        gamma = rng.standard_normal((d, d, d))
+        X, Y, Z = rng.standard_normal((3, d))
+
+        def nabla_x(V):
+            return sum(gamma[:, a, b] * X[a] * V[b] for a in range(d) for b in range(d))
+
+        dir_w = sum(X[a] * dw[a] for a in range(d))
+        ref_w = Y @ dir_w @ Z - nabla_x(Y) @ w @ Z - Y @ w @ nabla_x(Z)
+        assert abs(wc._covariant_two_form_derivative(w, dw, gamma, X, Y, Z) - ref_w) <= 1e-11
+        dir_t = sum(X[a] * dt[a] for a in range(d))
+        ref_t = dir_t @ Y + nabla_x(t @ Y) - t @ nabla_x(Y)
+        npt.assert_allclose(wc._nabla_endomorphism(t, dt, gamma, X, Y), ref_t, rtol=0, atol=1e-11)
 
 
 class TestContactResiduals:
