@@ -40,10 +40,6 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
-def report_schema_version() -> str:
-    return SCHEMA
-
-
 def format_float(x: float) -> str:
     """17 significant digits: enough for exact double round-trips."""
     return format(float(x), ".17g")
@@ -86,24 +82,27 @@ def _output_dir() -> Path:
     return Path(os.environ.get("STATWINTGEN_OUTDIR", "."))
 
 
-def _write_report(args, report: dict, default_name: str) -> Path | None:
-    """Write to --out when given, else to $STATWINTGEN_OUTDIR when set."""
-    out = getattr(args, "out", None)
-    if out is None:
-        if "STATWINTGEN_OUTDIR" not in os.environ:
-            return None
-        path = _output_dir() / default_name
-    else:
-        path = Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dump_json(report) + "\n")
-    return path
-
-
 def _base_report(command: str, passed: bool, body: dict) -> dict:
     rep = {"schema": SCHEMA, "command": command, "passed": passed}
     rep.update(body)
     return rep
+
+
+def _finish(args, command: str, passed: bool, body: dict, default_name: str, summary: str) -> int:
+    """Epilogue of every report-writing command except the sweep.
+
+    Writes the report to --out when given, else to $STATWINTGEN_OUTDIR when
+    set, prints ``summary`` with a ``-> path`` suffix on its last line and
+    returns the exit code: 0 when passed, else 1.
+    """
+    path = Path(args.out) if args.out is not None else None
+    if path is None and "STATWINTGEN_OUTDIR" in os.environ:
+        path = _output_dir() / default_name
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(dump_json(_base_report(command, passed, body)) + "\n")
+    print(summary + (f" -> {path}" if path else ""))
+    return EXIT_OK if passed else EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +173,10 @@ def cmd_axioms(args) -> int:
             if value > args.residual_tol:
                 breaches.append({"residual": name, "value": value, "point": point.tolist()})
     passed = not breaches
-    report = _base_report(
-        "axioms",
-        passed,
+    lines = [f"axioms[{args.chart}] {name:<16} max {format_float(value)}" for name, value in worst.items()]
+    lines.append(f"axioms[{args.chart}] {'PASS' if passed else 'FAIL'} ({len(breaches)} breaches)")
+    return _finish(
+        args, "axioms", passed,
         {
             "chart": args.chart,
             "seed": args.seed,
@@ -186,13 +186,9 @@ def cmd_axioms(args) -> int:
             "breaches": breaches[:20],
             "breach_count": len(breaches),
         },
+        f"axioms-{args.chart}-{args.seed}.json",
+        "\n".join(lines),
     )
-    path = _write_report(args, report, f"axioms-{args.chart}-{args.seed}.json")
-    for name, value in worst.items():
-        print(f"axioms[{args.chart}] {name:<16} max {format_float(value)}")
-    print(f"axioms[{args.chart}] {'PASS' if passed else 'FAIL'} ({len(breaches)} breaches)"
-          + (f" -> {path}" if path else ""))
-    return EXIT_OK if passed else EXIT_VIOLATION
 
 
 def cmd_curvature(args) -> int:
@@ -233,49 +229,40 @@ def cmd_curvature(args) -> int:
                                "ok": dev <= 1e-6})
     passed = all(c["ok"] for c in checks)
     worst = max((abs(c["value"] - c["target"]) for c in checks), default=0.0)
-    report = _base_report(
-        "curvature",
-        passed,
+    return _finish(
+        args, "curvature", passed,
         {"chart": args.chart, "seed": args.seed, "samples": args.samples,
          "worst_deviation": worst, "checks": checks[:50], "check_count": len(checks)},
+        f"curvature-{args.chart}-{args.seed}.json",
+        f"curvature[{args.chart}] {len(checks)} checks, worst deviation {format_float(worst)} "
+        f"{'PASS' if passed else 'FAIL'}",
     )
-    path = _write_report(args, report, f"curvature-{args.chart}-{args.seed}.json")
-    print(f"curvature[{args.chart}] {len(checks)} checks, worst deviation {format_float(worst)} "
-          f"{'PASS' if passed else 'FAIL'}" + (f" -> {path}" if path else ""))
-    return EXIT_OK if passed else EXIT_VIOLATION
 
 
 def cmd_classify(args) -> int:
     warping = _warping_by_name(args.warp, args.const_value)
     spec = _spec_by_name(args.fiber, warping, args.epsilon)
-    rng = np.random.default_rng(args.seed)
-    pts = wc.sample_warped_points(spec, args.samples, rng)
-    rows = []
-    for p in pts:
-        cls = wc.contact_classification(spec, p, tol=args.residual_tol)
-        rows.append(
-            {"point": p.tolist(), "alpha": cls.alpha, "d_eta_residual": cls.d_eta_residual,
-             "d_phi_residual": cls.d_phi_residual,
-             "contact_identity_residual": cls.contact_identity_residual,
-             "d_omega_residual": cls.d_omega_residual, "tag": cls.structure_tag}
-        )
-    check = wc.kenmotsu_theorem_check(spec, samples=args.samples, seed=args.seed)
-    passed = check.consistent
-    report = _base_report(
-        "classify",
-        passed,
+    check = wc.kenmotsu_theorem_check(spec, samples=args.samples, seed=args.seed, tol=args.residual_tol)
+    rows = [
+        {"point": p.tolist(), "alpha": cls.alpha, "d_eta_residual": cls.d_eta_residual,
+         "d_phi_residual": cls.d_phi_residual,
+         "contact_identity_residual": cls.contact_identity_residual,
+         "d_omega_residual": cls.d_omega_residual, "tag": cls.structure_tag}
+        for p, cls in zip(check.points, check.classifications)
+    ]
+    tags = sorted({r["tag"] for r in rows})
+    return _finish(
+        args, "classify", check.consistent,
         {"warp": args.warp, "fiber": args.fiber, "seed": args.seed, "samples": args.samples,
          "fiber_almost_kaehler": check.fiber_almost_kaehler,
          "total_almost_kenmotsu": check.total_almost_kenmotsu,
          "consistent": check.consistent,
          "k_tilde_xi_residual": check.k_tilde_xi_residual,
          "classifications": rows},
+        f"classify-{args.warp}-{args.fiber}.json",
+        f"classify[{args.warp}/{args.fiber}] tags={tags} alpha={format_float(rows[0]['alpha'])} "
+        f"consistent={check.consistent}",
     )
-    path = _write_report(args, report, f"classify-{args.warp}-{args.fiber}.json")
-    tags = sorted({r["tag"] for r in rows})
-    print(f"classify[{args.warp}/{args.fiber}] tags={tags} alpha={format_float(rows[0]['alpha'])} "
-          f"consistent={check.consistent}" + (f" -> {path}" if path else ""))
-    return EXIT_OK if passed else EXIT_VIOLATION
 
 
 def cmd_reproduce(args) -> int:
@@ -318,14 +305,12 @@ def cmd_reproduce(args) -> int:
         add("d_phi residual", cls.d_phi_residual, 0.0, 1e-8)
     passed = all(c["ok"] for c in checks)
     worst = max((abs(c["value"] - c["target"]) / max(c["tol"], 1e-300) for c in checks), default=0.0)
-    report = _base_report(
-        "reproduce", passed,
+    return _finish(
+        args, "reproduce", passed,
         {"example": args.example, "seed": args.seed, "checks": checks, "check_count": len(checks)},
+        f"reproduce-{args.example}.json",
+        f"reproduce[{args.example}] {len(checks)} checks {'PASS' if passed else 'FAIL'} (worst {worst:.3g}x tol)",
     )
-    path = _write_report(args, report, f"reproduce-{args.example}.json")
-    print(f"reproduce[{args.example}] {len(checks)} checks "
-          f"{'PASS' if passed else 'FAIL'} (worst {worst:.3g}x tol)" + (f" -> {path}" if path else ""))
-    return EXIT_OK if passed else EXIT_VIOLATION
 
 
 def _load_instance(path: str) -> lg.LegendrianPointInstance:
@@ -339,11 +324,11 @@ def cmd_wintgen_verify(args) -> int:
         print(f"instance invalid: {violations[:5]}")
         return EXIT_USAGE
     rep = wg.main_inequality(inst, seed=args.instance)
-    report = _base_report("wintgen-verify", rep.holds, rep.as_dict())
-    path = _write_report(args, report, "wintgen-verify.json")
-    print(f"wintgen verify lhs={format_float(rep.lhs)} rhs={format_float(rep.rhs)} "
-          f"slack={format_float(rep.slack)} holds={rep.holds}" + (f" -> {path}" if path else ""))
-    return EXIT_OK if rep.holds else EXIT_VIOLATION
+    return _finish(
+        args, "wintgen-verify", rep.holds, rep.as_dict(), "wintgen-verify.json",
+        f"wintgen verify lhs={format_float(rep.lhs)} rhs={format_float(rep.rhs)} "
+        f"slack={format_float(rep.slack)} holds={rep.holds}",
+    )
 
 
 CSV_COLUMNS = ("seed", "n", "c", "f", "f_prime", "lhs", "rhs", "slack", "holds")
@@ -409,13 +394,10 @@ def cmd_wintgen_chain(args) -> int:
     rep = wg.main_inequality(inst, seed=args.instance, include_chain=True)
     required = [s for s in rep.chain if s.step != "final_bound_rederived"]
     passed = all(s.holds for s in required)
-    report = _base_report("wintgen-chain", passed, rep.as_dict())
-    path = _write_report(args, report, "wintgen-chain.json")
-    for s in rep.chain:
-        print(f"  {s.step:<24} lhs={format_float(s.lhs)} rhs={format_float(s.rhs)} "
-              f"{'ok' if s.holds else 'VIOLATED'}")
-    print(f"wintgen chain {'PASS' if passed else 'FAIL'}" + (f" -> {path}" if path else ""))
-    return EXIT_OK if passed else EXIT_VIOLATION
+    lines = [f"  {s.step:<24} lhs={format_float(s.lhs)} rhs={format_float(s.rhs)} "
+             f"{'ok' if s.holds else 'VIOLATED'}" for s in rep.chain]
+    lines.append(f"wintgen chain {'PASS' if passed else 'FAIL'}")
+    return _finish(args, "wintgen-chain", passed, rep.as_dict(), "wintgen-chain.json", "\n".join(lines))
 
 
 def cmd_wintgen_sharpness(args) -> int:
@@ -423,9 +405,8 @@ def cmd_wintgen_sharpness(args) -> int:
         n=args.n, c=args.c, f=args.f, fprime=args.fprime,
         iterations=args.iterations, seed=args.seed,
     )
-    report = _base_report(
-        "wintgen-sharpness",
-        not result.hard_violation,
+    return _finish(
+        args, "wintgen-sharpness", not result.hard_violation,
         {
             "n": args.n, "c": args.c, "f": args.f, "f_prime": args.fprime,
             "seed": args.seed, "iterations": args.iterations,
@@ -436,12 +417,11 @@ def cmd_wintgen_sharpness(args) -> int:
             "hard_violation": result.hard_violation,
             "best_instance": result.best_instance.to_dict(),
         },
+        f"sharpness-{args.seed}.json",
+        f"wintgen sharpness min slack {format_float(result.min_slack)} "
+        f"({result.evaluations} evals, {result.restarts} restarts, "
+        f"hard_violation={result.hard_violation})",
     )
-    path = _write_report(args, report, f"sharpness-{args.seed}.json")
-    print(f"wintgen sharpness min slack {format_float(result.min_slack)} "
-          f"({result.evaluations} evals, {result.restarts} restarts, "
-          f"hard_violation={result.hard_violation})" + (f" -> {path}" if path else ""))
-    return EXIT_OK if not result.hard_violation else EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +433,13 @@ def finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def nonnegative_float(text: str) -> float:
+    value = finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0: {text!r}")
     return value
 
 
@@ -480,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("axioms", help="dualistic axiom residual suite")
     p.add_argument("--chart", choices=("r2", "h3"), default="r2")
     p.add_argument("--samples", type=positive_int, default=100)
-    p.add_argument("--residual-tol", type=finite_float, default=1e-6)
+    p.add_argument("--residual-tol", type=nonnegative_float, default=1e-6)
     p.add_argument("--perturb-gamma", type=finite_float, default=0.0,
                    help="corrupt one connection coefficient by EPS (negative-path testing)")
     _add_common(p)
@@ -498,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fiber", choices=("flat", "r2", "twisted"), default="flat")
     p.add_argument("--epsilon", type=finite_float, default=0.4, help="twist size for the twisted fiber")
     p.add_argument("--samples", type=positive_int, default=5)
-    p.add_argument("--residual-tol", type=finite_float, default=1e-8)
+    p.add_argument("--residual-tol", type=nonnegative_float, default=1e-8)
     _add_common(p)
     p.set_defaults(func=cmd_classify)
 

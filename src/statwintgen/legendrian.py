@@ -66,7 +66,7 @@ class LegendrianPointInstance:
             raise ValueError("f_val must be positive")
 
     # Derived data, computed on first use (module functions bound late).
-    _violations = cached_property(lambda self: tuple(_find_violations(self, VALIDATE_TOL)))
+    _violations = cached_property(lambda self: tuple(_find_violations(self)))
     _mean_data = cached_property(lambda self: _compute_mean_data(self))
     _shape_operators = cached_property(lambda self: _compute_shape_operators(self))
 
@@ -109,21 +109,21 @@ def umbilic_instance(n: int = 2, c: float = 0.0, f_val: float = 1.0, f_prime: fl
     return LegendrianPointInstance(n=n, c=c, f_val=f_val, f_prime=f_prime, h=h, h_star=h.copy())
 
 
-def validate(inst: LegendrianPointInstance, tol: float = VALIDATE_TOL) -> list[tuple[str, int, int, int]]:
+def validate(inst: LegendrianPointInstance) -> list[tuple[str, int, int, int]]:
     """Empty list when valid; else the violated (form, alpha, i, j) entries.
 
-    Checks symmetry of every slice and the xi-slice constraint
-    h[n][i][j] = -(f'/f) delta_ij for both forms.  The default-tolerance
-    result is memoized on the instance.
+    Checks, to ``VALIDATE_TOL``, symmetry of every slice and the xi-slice
+    constraint h[n][i][j] = -(f'/f) delta_ij for both forms.  The result is
+    memoized on the instance; each call returns a fresh list.
     """
-    return list(inst._violations) if tol == VALIDATE_TOL else _find_violations(inst, tol)
+    return list(inst._violations)
 
 
-def _find_violations(inst: LegendrianPointInstance, tol: float) -> list[tuple[str, int, int, int]]:
+def _find_violations(inst: LegendrianPointInstance) -> list[tuple[str, int, int, int]]:
     n = inst.n
     forms = np.stack((inst.h, inst.h_star))
-    asym = np.triu(np.abs(forms - forms.swapaxes(-1, -2)) > tol, 1)
-    xi_bad = np.abs(forms[:, n] - (-(inst.f_prime / inst.f_val)) * np.eye(n)) > tol
+    asym = np.triu(np.abs(forms - forms.swapaxes(-1, -2)) > VALIDATE_TOL, 1)
+    xi_bad = np.abs(forms[:, n] - (-(inst.f_prime / inst.f_val)) * np.eye(n)) > VALIDATE_TOL
     if not (asym.any() or xi_bad.any()):
         return []
     violations: list[tuple[str, int, int, int]] = []
@@ -152,9 +152,6 @@ class MeanData:
     norm_tau_sq: float
     norm_taustar_sq: float
     norm_tau0_sq: float
-    norm_h_sq: float
-    norm_hstar_sq: float
-    norm_h0_sq: float
 
 
 def _tau_norm_two_ways(form: Array, mean: Array, n: int) -> float:
@@ -193,9 +190,6 @@ def _compute_mean_data(inst: LegendrianPointInstance) -> MeanData:
         norm_tau_sq=_tau_norm_two_ways(h, H, n),
         norm_taustar_sq=_tau_norm_two_ways(hs, Hs, n),
         norm_tau0_sq=_tau_norm_two_ways(h0, H0, n),
-        norm_h_sq=float(np.sum(h * h)),
-        norm_hstar_sq=float(np.sum(hs * hs)),
-        norm_h0_sq=float(np.sum(h0 * h0)),
     )
 
 

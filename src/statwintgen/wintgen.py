@@ -19,7 +19,7 @@ fails while the rederived bound (and every earlier chain step) still holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -284,35 +284,21 @@ def corollary_reports(inst: LegendrianPointInstance, variant: str, seed: str | N
     f = 1 and f' = 0.  The specialized constant must reproduce the general
     one exactly (checked to 1e-12).
     """
-    if variant not in COROLLARY_VARIANTS:
-        raise ValueError(f"unknown corollary variant {variant!r}; expected one of {COROLLARY_VARIANTS}")
+    special = corollary_constant(variant, inst.c)
     if variant == "kenmotsu" and not (inst.c == 0.0 and inst.f_prime == inst.f_val):
         raise ValueError("kenmotsu corollary needs c = 0 and f' = f")
     if variant == "cosymplectic" and not (inst.f_val == 1.0 and inst.f_prime == 0.0):
         raise ValueError("cosymplectic corollary needs f = 1 and f' = 0")
     base = main_inequality(inst, seed=seed, include_chain=False)
-    special = corollary_constant(variant, inst.c)
-    terms = dict(base.rhs_terms)
-    terms["curvature_constant"] = special
+    terms = {**base.rhs_terms, "curvature_constant": special}
     rhs = sum(terms.values())
     if abs(rhs - base.rhs) > 1e-12:
         raise AssertionError(
             f"corollary constant mismatch: specialized {rhs!r} vs general {base.rhs!r}"
         )
     slack = rhs - base.lhs
-    return WintgenReport(
-        seed=seed,
-        n=base.n,
-        c=base.c,
-        f=base.f,
-        f_prime=base.f_prime,
-        lhs=base.lhs,
-        rhs_terms=terms,
-        rhs=rhs,
-        slack=slack,
-        holds=_holds_with_compensation(terms, base.lhs, slack),
-        chain=[],
-    )
+    return replace(base, rhs_terms=terms, rhs=rhs, slack=slack,
+                   holds=_holds_with_compensation(terms, base.lhs, slack))
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +388,10 @@ def _instance_from_params(
     return _instance_from_upper(n, c, f, fp, upper)
 
 
+SHARPNESS_FIRST_STEP = 0.25
+SHARPNESS_MIN_STEP = 1e-6
+
+
 def sharpness_search(
     n: int,
     c: float,
@@ -409,15 +399,13 @@ def sharpness_search(
     fprime: float,
     iterations: int,
     seed: int,
-    start_magnitude: float = 1.0,
-    initial_step: float = 0.25,
-    min_step: float = 1e-6,
 ) -> SharpnessResult:
     """Random-restart coordinate hill climb minimizing the slack.
 
-    Coordinates are the phi-slice entries of h and h*; each sweep tries +/-
-    step on every coordinate, halves the step after a fruitless sweep, and
-    restarts from a fresh random draw once the step drops below ``min_step``.
+    Coordinates are the phi-slice entries of h and h*, drawn from [-1, 1] at
+    each start; each sweep tries +/- step on every coordinate, halves the step
+    after a fruitless sweep, and restarts from a fresh random draw once the
+    step drops below ``SHARPNESS_MIN_STEP``.
     ``iterations`` is the total slack-evaluation budget.  The trace records
     the best slack after every improvement (monotone non-increasing).
     A final slack below -1e-9 is re-checked and flagged as a hard violation.
@@ -438,7 +426,7 @@ def sharpness_search(
     restarts = 0
     best_params = params = None
     best_slack = current = math.inf
-    step = initial_step
+    step = SHARPNESS_FIRST_STEP
     trace: list[float] = []
 
     def accept(trial: Array, value: float) -> None:
@@ -450,8 +438,8 @@ def sharpness_search(
 
     def fresh_start() -> None:
         nonlocal evaluations, restarts, step
-        step = initial_step
-        trial = rng.uniform(-start_magnitude, start_magnitude, size=nparams)
+        step = SHARPNESS_FIRST_STEP
+        trial = rng.uniform(-1.0, 1.0, size=nparams)
         evaluations += 1
         restarts += 1
         accept(trial, slack_of(trial))
@@ -475,7 +463,7 @@ def sharpness_search(
                     break
         if not improved:
             step *= 0.5
-            if step < min_step:
+            if step < SHARPNESS_MIN_STEP:
                 if evaluations >= iterations:
                     break
                 fresh_start()

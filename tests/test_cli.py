@@ -7,17 +7,18 @@ from statwintgen.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    SCHEMA,
     dump_json,
     format_float,
     main,
-    report_schema_version,
     sweep_csv_lines,
 )
+import statwintgen.warped_contact as wc
 import statwintgen.wintgen as wg
 
 
 def test_schema_version_constant():
-    assert report_schema_version() == "statwintgen-report/1"
+    assert SCHEMA == "statwintgen-report/1"
 
 
 def test_format_float_seventeen_digits_roundtrip():
@@ -62,7 +63,7 @@ def test_axioms_writes_schema_report(tmp_path):
     out = tmp_path / "ax.json"
     assert main(["axioms", "--chart", "r2", "--samples", "5", "--out", str(out)]) == EXIT_OK
     data = json.loads(out.read_text())
-    assert data["schema"] == report_schema_version()
+    assert data["schema"] == SCHEMA
     assert data["passed"] is True
 
 
@@ -75,6 +76,19 @@ def test_classify_command(capsys):
     assert main(["classify", "--warp", "exp", "--fiber", "flat", "--samples", "2"]) == EXIT_OK
     assert main(["classify", "--warp", "const", "--fiber", "flat", "--samples", "2"]) == EXIT_OK
     assert main(["classify", "--warp", "exp", "--fiber", "twisted", "--samples", "2"]) == EXIT_OK
+
+
+def test_classify_evaluates_each_sample_point_once(monkeypatch, capsys):
+    calls = []
+    original = wc._d_phi_and_omega
+
+    def counting(spec, point):
+        calls.append(point)
+        return original(spec, point)
+
+    monkeypatch.setattr(wc, "_d_phi_and_omega", counting)
+    assert main(["classify", "--warp", "cosh", "--fiber", "twisted", "--samples", "5"]) == EXIT_OK
+    assert len(calls) == 5
 
 
 def test_unknown_command_usage_error():
@@ -153,7 +167,7 @@ def test_sweep_json_format(tmp_path):
                  "--c-min", "-1", "--c-max", "0", "--format", "json",
                  "--out", str(out)]) == EXIT_OK
     data = json.loads(out.read_text())
-    assert data["schema"] == report_schema_version()
+    assert data["schema"] == SCHEMA
     assert len(data["rows"]) == 3
     row = data["rows"][0]
     assert list(row.keys()) == ["seed", "n", "c", "f", "f_prime", "lhs", "rhs_terms",
@@ -176,7 +190,7 @@ def test_sharpness_command(tmp_path):
                  "--out", str(out)]) == EXIT_OK
     data = json.loads(out.read_text())
     assert data["hard_violation"] is False
-    assert data["schema"] == report_schema_version()
+    assert data["schema"] == SCHEMA
 
 
 def test_config_file_defaults_and_flag_priority(tmp_path):
@@ -267,6 +281,8 @@ def test_sharpness_dimension_one_is_usage_error(capsys):
         *(["axioms", "--chart", chart, "--samples", "2", "--perturb-gamma", bad]
           for chart in ("r2", "h3") for bad in ("nan", "inf")),
         ["axioms", "--samples", "2", "--residual-tol", "nan"],
+        ["axioms", "--samples", "2", "--residual-tol", "-1"],
+        ["classify", "--samples", "2", "--residual-tol", "-1"],
         ["classify", "--fiber", "twisted", "--samples", "1", "--epsilon", "nan"],
         ["classify", "--samples", "0"],
         ["axioms", "--samples", "0"],

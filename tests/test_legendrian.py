@@ -304,14 +304,13 @@ class TestMemoization:
         assert lg.means_and_traceless(inst) is lg.means_and_traceless(inst)
         assert lg.shape_operators(inst) is lg.shape_operators(inst)
 
-    def test_non_default_tolerance_is_recomputed(self):
+    def test_small_asymmetry_is_a_violation_on_every_call(self):
         inst = lg.umbilic_instance(n=2)
         h = inst.h.copy()
         h[2, 0, 1] = h[2, 1, 0] = 1e-6
         nearly = lg.LegendrianPointInstance(n=2, c=0.0, f_val=1.0, f_prime=1.0, h=h, h_star=inst.h_star)
         strict = lg.validate(nearly)
         assert strict == [("h", 2, 0, 1), ("h", 2, 1, 0)]
-        assert lg.validate(nearly, tol=1e-3) == []
         assert lg.validate(nearly) == strict
 
     def test_returned_violation_list_is_a_copy(self):

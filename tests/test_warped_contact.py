@@ -360,6 +360,24 @@ class TestKenmotsuTheorem:
         assert not chk.fiber_almost_kaehler
         assert not chk.total_almost_kenmotsu
         assert chk.consistent
+        # the broken frame is recorded per point, not raised
+        assert all(cls.frame_residual > 1e-9 for cls in chk.classifications)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    @pytest.mark.parametrize("name", ["flat", "h3", "twisted"])
+    def test_records_are_the_classification_of_each_point(self, name, tol):
+        spec = {
+            "flat": lambda: wc.flat_kaehler_spec(1, wc.exp_warping()),
+            "h3": wc.builtin_h3_example,
+            "twisted": lambda: wc.twisted_j_spec(0.4, wc.exp_warping()),
+        }[name]()
+        chk = wc.kenmotsu_theorem_check(spec, samples=4, seed=11, tol=tol)
+        assert len(chk.points) == len(chk.classifications) == 4
+        for p, cls in zip(chk.points, chk.classifications):
+            assert cls == wc.contact_classification(spec, p, tol=tol)
+        if name == "flat" and tol == 1e-12:
+            # exp/flat residuals sit near 1e-10: the strict tag tolerance rejects them
+            assert {cls.structure_tag for cls in chk.classifications} == {"unclassified"}
 
     def test_k_tilde_matches_fiber(self, h3_spec):
         chk = wc.kenmotsu_theorem_check(h3_spec)

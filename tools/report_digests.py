@@ -1,0 +1,95 @@
+"""Print one digest line per command of a fixed statwintgen CLI battery.
+
+Run from the repository root as
+
+    PYTHONPATH=src python tools/report_digests.py
+
+Every command runs in-process through ``statwintgen.cli.main`` inside a
+temporary directory and writes its report to a relative path there.  Each
+output line is ``sha256  exit  argv``, where the digest covers the report
+bytes followed by the command's stdout.  Instance files are written by
+``random_instance`` (plus the RP^2 counterexample) and passed as relative
+paths, so reports that echo the path compare equal between checkouts.  Two
+checkouts produce the same behaviour on the battery exactly when their
+outputs are equal line for line, e.g.
+
+    diff <(cd old && PYTHONPATH=src python ../new/tools/report_digests.py) \\
+         <(cd new && PYTHONPATH=src python tools/report_digests.py)
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from statwintgen import cli, legendrian, wintgen
+
+OUT = "report.out"
+SEED = ["--seed", "11"]
+INSTANCES = {f"n{n}.json": wintgen.random_instance(n, seed=11, index=n) for n in (2, 3, 5, 8)}
+INSTANCES["rp2.json"] = legendrian.LegendrianPointInstance(
+    n=2, c=4.0, f_val=1.0, f_prime=0.0, h=np.zeros((3, 2, 2)), h_star=np.zeros((3, 2, 2))
+)
+
+
+def battery() -> list[list[str]]:
+    geometry = [
+        ["reproduce", "example-r2"],
+        ["reproduce", "example-h3"],
+        *(["axioms", "--chart", chart, *perturb] for chart in ("r2", "h3")
+          for perturb in ([], ["--perturb-gamma", "0.01"])),
+        ["curvature", "--chart", "r2"],
+        ["curvature", "--chart", "h3"],
+        *(["classify", "--warp", warp, "--fiber", fiber] for warp in ("exp", "const", "cosh")
+          for fiber in ("flat", "r2", "twisted")),
+        ["classify", "--warp", "exp", "--fiber", "flat", "--residual-tol", "1e-12"],
+        ["classify", "--warp", "cosh", "--fiber", "twisted", "--samples", "7", "--residual-tol", "1"],
+    ]
+    wintgen_cmds = [
+        *(["wintgen", sub, name] for name in INSTANCES for sub in ("verify", "chain")),
+        ["wintgen", "sweep", "--n", "3", "--count", "300"],
+        ["wintgen", "sweep", "--n", "2", "--count", "50", "--format", "json"],
+    ]
+    sharpness = [
+        ["wintgen", "sharpness", "--n", "2", "--iterations", "3000", "--seed", "5"],
+        ["wintgen", "sharpness", "--n", "2", "--iterations", "3000", "--seed", "5", "--c", "4", "--f", "1"],
+        ["wintgen", "sharpness", "--n", "3", "--iterations", "1500", "--seed", "2"],
+    ]
+    return [argv + SEED for argv in geometry + wintgen_cmds] + sharpness
+
+
+def digest(argv: list[str]) -> tuple[str, int]:
+    out = Path(OUT)
+    out.unlink(missing_ok=True)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv + ["--out", OUT])
+    report = out.read_bytes() if out.exists() else b""
+    return hashlib.sha256(report + stdout.getvalue().encode()).hexdigest(), code
+
+
+def main() -> int:
+    os.environ.pop("STATWINTGEN_OUTDIR", None)
+    start = Path.cwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for name, inst in INSTANCES.items():
+                Path(name).write_text(inst.to_json())
+            for argv in battery():
+                sha, code = digest(argv)
+                print(f"{sha}  {code}  {' '.join(argv)}", flush=True)
+        finally:
+            os.chdir(start)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
