@@ -9,7 +9,8 @@ Layers, bottom up:
   curvature, the induced almost-contact frame, Kenmotsu/cosymplectic
   classification, Hermitian-statistical identity residuals.
 - ``legendrian``: pointwise algebraic model of a Legendrian submanifold,
-  normalized curvature scalars by two independent computation paths.
+  normalized curvature scalars in closed form (the definitional frame sums
+  they are tested against live in ``tests/frame_oracle.py``).
 - ``wintgen``: Lu's commutator inequality, the generalized Wintgen bound with
   per-step chain diagnostics, random sweeps and a sharpness search.
 - ``cli``: batch command-line harness emitting JSON/CSV reports.
@@ -43,7 +44,6 @@ from .warped_contact import (
 from .legendrian import (
     LegendrianPointInstance,
     curvature_scalars,
-    gauss_sectional,
     means_and_traceless,
     rho_levicivita,
     rho_perp_statistical,

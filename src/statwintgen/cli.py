@@ -318,12 +318,7 @@ def _load_instance(path: str) -> lg.LegendrianPointInstance:
 
 
 def cmd_wintgen_verify(args) -> int:
-    inst = _load_instance(args.instance)
-    violations = lg.validate(inst)
-    if violations:
-        print(f"instance invalid: {violations[:5]}")
-        return EXIT_USAGE
-    rep = wg.main_inequality(inst, seed=args.instance)
+    rep = wg.main_inequality(_load_instance(args.instance), seed=args.instance)
     return _finish(
         args, "wintgen-verify", rep.holds, rep.as_dict(), "wintgen-verify.json",
         f"wintgen verify lhs={format_float(rep.lhs)} rhs={format_float(rep.rhs)} "

@@ -11,9 +11,11 @@ The xi-slices are forced to -(f'/f) I by the structure of the warp (the
 xi-shape operators of both connections are that multiple of the identity),
 so they are a validity constraint rather than free data.
 
-Every normalized curvature scalar is computed by two independent routes: a
-definitional sum over frame pairs (path A) and the closed-form expression in
-mean-curvature / traceless-norm data (path B); the two must agree to 1e-10.
+Each normalized curvature scalar is computed by one route: rho in closed form
+from mean-curvature / traceless-norm data, rho_perp as a sum of squared
+brackets of the mean shape operators over phi-pairs.  The definitional frame
+sums over sectional curvatures and normal curvature entries live with the
+tests (``tests/frame_oracle.py``), which compare this module against them.
 
 Instances are immutable (read-only arrays, finite fields, n >= 2), so their
 derived data -- the default-tolerance violation list, ``MeanData`` and
@@ -29,14 +31,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-TWO_PATH_TOL = 1e-10
 VALIDATE_TOL = 1e-12
 
 Array = np.ndarray
-
-
-class TwoPathMismatch(AssertionError):
-    """Definitional and closed-form paths disagreed beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -154,16 +151,10 @@ class MeanData:
     norm_tau0_sq: float
 
 
-def _tau_norm_two_ways(form: Array, mean: Array, n: int) -> float:
-    """||h - H g||^2 directly, cross-checked against ||h||^2 - n ||H||^2."""
-    direct = form - mean[:, None, None] * np.eye(n)[None, :, :]
-    direct_sq = float(np.sum(direct * direct))
-    identity_sq = float(np.sum(form * form) - n * float(mean @ mean))
-    if abs(direct_sq - identity_sq) > 1e-12 * max(1.0, abs(direct_sq)):
-        raise TwoPathMismatch(
-            f"traceless-norm identity violated: {direct_sq!r} vs {identity_sq!r}"
-        )
-    return direct_sq
+def _traceless_norm_sq(form: Array, mean: Array, n: int) -> float:
+    """||h - H g||^2, summed over every normal slot."""
+    tau = form - mean[:, None, None] * np.eye(n)[None, :, :]
+    return float(np.sum(tau * tau))
 
 
 def means_and_traceless(inst: LegendrianPointInstance) -> MeanData:
@@ -187,9 +178,9 @@ def _compute_mean_data(inst: LegendrianPointInstance) -> MeanData:
         norm_H_sq=float(H @ H),
         norm_Hstar_sq=float(Hs @ Hs),
         norm_H0_sq=float(H0 @ H0),
-        norm_tau_sq=_tau_norm_two_ways(h, H, n),
-        norm_taustar_sq=_tau_norm_two_ways(hs, Hs, n),
-        norm_tau0_sq=_tau_norm_two_ways(h0, H0, n),
+        norm_tau_sq=_traceless_norm_sq(h, H, n),
+        norm_taustar_sq=_traceless_norm_sq(hs, Hs, n),
+        norm_tau0_sq=_traceless_norm_sq(h0, H0, n),
     )
 
 
@@ -243,39 +234,13 @@ def ambient_plane_curvature(inst: LegendrianPointInstance) -> float:
     return inst.c / (4.0 * inst.f_val**2) - (inst.f_prime / inst.f_val) ** 2
 
 
-def gauss_sectional(inst: LegendrianPointInstance, i: int, j: int, which: str = "nabla") -> float:
-    """g(R(e_i,e_j)e_j,e_i) of the induced connection, via the Gauss equation.
-
-    Primal: base + <h*(e_i,e_i), h(e_j,e_j)> - <h(e_i,e_j), h*(e_i,e_j)>;
-    starred form swaps h and h*.  Indices are zero-based and must differ.
-    """
-    if i == j:
-        raise ValueError("sectional contraction needs i != j")
-    if not (0 <= i < inst.n and 0 <= j < inst.n):
-        raise ValueError("frame index out of range")
-    base = ambient_plane_curvature(inst)
-    h, hs = inst.h, inst.h_star
-    if which == "nabla":
-        return base + float(hs[:, i, i] @ h[:, j, j]) - float(h[:, i, j] @ hs[:, i, j])
-    if which == "nabla_star":
-        return base + float(h[:, i, i] @ hs[:, j, j]) - float(hs[:, i, j] @ h[:, i, j])
-    raise ValueError(f"unknown connection {which!r}")
-
-
-def rho_statistical_paths(inst: LegendrianPointInstance) -> tuple[float, float]:
-    """Normalized dualistic scalar curvature by both routes, unchecked."""
+def rho_statistical(inst: LegendrianPointInstance) -> float:
+    """Sum of K(e_i,e_j) + K*(e_i,e_j) over i < j, divided by n(n-1), in closed form."""
     require_valid(inst)
     n = inst.n
-    h, hs = inst.h, inst.h_star
-    i, j = _pairs(n)
-    dh, dhs = np.einsum("aii->ai", h), np.einsum("aii->ai", hs)
-    # gauss_sectional(nabla) + gauss_sectional(nabla_star), summed over all pairs i < j
-    acc = np.sum(dhs[:, i] * dh[:, j] + dh[:, i] * dhs[:, j]) - 2.0 * np.sum(h[:, i, j] * hs[:, i, j])
-    path_a = (2.0 * len(i) * ambient_plane_curvature(inst) + float(acc)) / (n * (n - 1))
-
     m = means_and_traceless(inst)
     nn1 = n * (n - 1)
-    path_b = (
+    return (
         ambient_plane_curvature(inst)
         + 2.0 * m.norm_H0_sq
         - (2.0 / nn1) * m.norm_tau0_sq
@@ -284,60 +249,6 @@ def rho_statistical_paths(inst: LegendrianPointInstance) -> tuple[float, float]:
         - 0.5 * m.norm_Hstar_sq
         + m.norm_taustar_sq / (2.0 * nn1)
     )
-    return path_a, path_b
-
-
-def rho_statistical(inst: LegendrianPointInstance, tol: float = TWO_PATH_TOL) -> float:
-    a, b = rho_statistical_paths(inst)
-    if abs(a - b) > tol:
-        raise TwoPathMismatch(f"rho paths disagree: {a!r} vs {b!r}")
-    return a
-
-
-def normal_curvature_entry(
-    inst: LegendrianPointInstance,
-    ops: ShapeOperators,
-    r: int,
-    s: int,
-    i: int,
-    j: int,
-) -> float:
-    """Combined normal curvature <(R-perp + R*-perp)(e_i,e_j) u_{r+1}, u_{s+1}>.
-
-    Bracket part [A*_r, A_s] + [A_r, A*_s] evaluated at (e_i, e_j), plus the
-    space-form contribution -(2c/4f^2)(delta_ir delta_js - delta_is delta_jr);
-    pairs involving xi (r or s = n) carry no space-form term and their
-    brackets vanish because A_xi is a multiple of the identity.
-    """
-    a, a_star = ops.A, ops.A_star
-    comm = (a_star[r] @ a[s] - a[s] @ a_star[r]) + (a[r] @ a_star[s] - a_star[s] @ a[r])
-    value = float(comm[j, i])
-    if r < inst.n and s < inst.n:
-        cterm = 2.0 * inst.c / (4.0 * inst.f_val**2)
-        delta = (1.0 if i == r else 0.0) * (1.0 if j == s else 0.0) - (
-            1.0 if i == s else 0.0
-        ) * (1.0 if j == r else 0.0)
-        value -= cterm * delta
-    return value
-
-
-def rho_perp_statistical_paths(inst: LegendrianPointInstance) -> tuple[float, float]:
-    """Normalized normal scalar curvature by both routes, unchecked.
-
-    Path A: definitional double sum over all n+1 normal pairs with the
-    resolved normal-curvature entries.  Path B: the phi-pair sum with the
-    brackets rearranged through the mean operators,
-    4[A0_r, A0_s] - [A_r, A_s] - [A*_r, A*_s].
-    """
-    require_valid(inst)
-    n = inst.n
-    ops = shape_operators(inst)
-    cterm = 2.0 * inst.c / (4.0 * inst.f_val**2)
-    a, a_star, a0 = ops.A, ops.A_star, ops.A0
-    total_a = _normal_sum_sq(_brackets(a_star, a) + _brackets(a, a_star), n, cterm)
-    p, ps, p0 = a[:n], a_star[:n], a0[:n]
-    total_b = _normal_sum_sq(4.0 * _brackets(p0, p0) - _brackets(p, p) - _brackets(ps, ps), n, cterm)
-    return math.sqrt(total_a) / (n * (n - 1)), math.sqrt(total_b) / (n * (n - 1))
 
 
 def _brackets(x: Array, y: Array) -> Array:
@@ -353,11 +264,20 @@ def _normal_sum_sq(comm: Array, n: int, cterm: float) -> float:
     return float(np.sum((comm[r[:, None], s[:, None], j, i] - cterm * delta) ** 2))
 
 
-def rho_perp_statistical(inst: LegendrianPointInstance, tol: float = TWO_PATH_TOL) -> float:
-    a, b = rho_perp_statistical_paths(inst)
-    if abs(a - b) > tol:
-        raise TwoPathMismatch(f"rho_perp paths disagree: {a!r} vs {b!r}")
-    return a
+def rho_perp_statistical(inst: LegendrianPointInstance) -> float:
+    """Normalized normal scalar curvature of R-perp + R*-perp, summed over phi-pairs.
+
+    The bracket part [A*_r, A_s] + [A_r, A*_s] is rearranged through the mean
+    operators as 4[A0_r, A0_s] - [A_r, A_s] - [A*_r, A*_s].  Pairs involving
+    xi contribute nothing because A_xi is a multiple of the identity.
+    """
+    require_valid(inst)
+    n = inst.n
+    ops = shape_operators(inst)
+    cterm = 2.0 * inst.c / (4.0 * inst.f_val**2)
+    p, ps, p0 = ops.A[:n], ops.A_star[:n], ops.A0[:n]
+    total = _normal_sum_sq(4.0 * _brackets(p0, p0) - _brackets(p, p) - _brackets(ps, ps), n, cterm)
+    return math.sqrt(total) / (n * (n - 1))
 
 
 def rho_levicivita(inst: LegendrianPointInstance) -> float:

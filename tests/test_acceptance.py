@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+import frame_oracle
 import statwintgen.legendrian as lg
 import statwintgen.statistical_geometry as sg
 import statwintgen.warped_contact as wc
@@ -186,10 +187,8 @@ def test_criterion_7_two_path_agreement(sweep_instances):
     start = time.perf_counter()
     worst = 0.0
     for inst in sweep_instances:
-        a, b = lg.rho_statistical_paths(inst)
-        worst = max(worst, abs(a - b))
-        a, b = lg.rho_perp_statistical_paths(inst)
-        worst = max(worst, abs(a - b))
+        worst = max(worst, abs(lg.rho_statistical(inst) - frame_oracle.rho(inst)))
+        worst = max(worst, abs(lg.rho_perp_statistical(inst) - frame_oracle.rho_perp(inst)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 60.0
     assert _line(7, "two-path oracle equivalence", ok,

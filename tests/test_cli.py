@@ -111,14 +111,16 @@ def test_wintgen_verify_missing_file():
     assert main(["wintgen", "verify", "/nonexistent/instance.json"]) == EXIT_USAGE
 
 
-def test_wintgen_verify_invalid_instance(tmp_path):
+def test_wintgen_verify_invalid_instance(tmp_path, capsys):
     inst = lg.umbilic_instance(n=2)
     data = inst.to_dict()
     data["h"][2][0][1] = 0.5
     data["h"][2][1][0] = 0.5
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    assert main(["wintgen", "verify", str(path)]) == EXIT_USAGE
+    errors = [_assert_one_line_usage_error(main(["wintgen", sub, str(path)]), capsys)
+              for sub in ("verify", "chain")]
+    assert errors[0] == errors[1]
 
 
 def test_wintgen_chain_command(tmp_path, capsys):
@@ -159,6 +161,19 @@ def test_sweep_violations_exit_one(tmp_path):
                  "--magnitude", "0.0", "--out", str(out)])
     assert code == EXIT_VIOLATION
     assert "false" in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "extra", [["--magnitude", "1000"], ["--fprime-min", "500", "--fprime-max", "600"]], ids=" ".join
+)
+def test_large_scale_sweep_completes(extra, tmp_path, capsys):
+    # the terms of rho cancel by ~1e6 here; no absolute-tolerance check may trip
+    code = main(["wintgen", "sweep", "--n", "3", "--count", "300", "--seed", "7", *extra,
+                 "--out", str(tmp_path / "s.csv")])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert ": 0 violations," in captured.out
+    assert captured.err == ""
 
 
 def test_sweep_json_format(tmp_path):
@@ -246,12 +261,14 @@ def _malformed_instance(tmp_path, name, **changes):
 
 
 def _assert_one_line_usage_error(code, capsys):
+    """Assert exit 2 with one ``error:`` line on stderr and nothing on stdout; return that line."""
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
+    return lines[0]
 
 
 def test_verify_nan_field_is_usage_error(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import frame_oracle
 import statwintgen.legendrian as lg
 import statwintgen.wintgen as wg
 
@@ -103,34 +104,34 @@ class TestShapeOperators:
 class TestGaussSectional:
     def test_umbilic_vanishes(self):
         inst = lg.umbilic_instance(n=2)
-        assert lg.gauss_sectional(inst, 0, 1, "nabla") == 0.0
-        assert lg.gauss_sectional(inst, 0, 1, "nabla_star") == 0.0
+        assert frame_oracle.gauss_sectional(inst, 0, 1, "nabla") == 0.0
+        assert frame_oracle.gauss_sectional(inst, 0, 1, "nabla_star") == 0.0
 
     def test_zero_instance(self):
         inst = lg.umbilic_instance(n=3, c=0.0, f_prime=0.0)
-        assert lg.gauss_sectional(inst, 0, 2) == 0.0
+        assert frame_oracle.gauss_sectional(inst, 0, 2) == 0.0
 
     def test_space_form_term_only(self):
         inst = lg.umbilic_instance(n=2, c=4.0, f_val=1.0, f_prime=0.0)
-        assert lg.gauss_sectional(inst, 0, 1) == 1.0
+        assert frame_oracle.gauss_sectional(inst, 0, 1) == 1.0
 
     def test_rejects_equal_indices(self):
         with pytest.raises(ValueError):
-            lg.gauss_sectional(lg.umbilic_instance(), 1, 1)
+            frame_oracle.gauss_sectional(lg.umbilic_instance(), 1, 1)
 
 
 class TestRhoTwoPaths:
+    """The closed-form scalars against the definitional frame sums."""
+
     def test_umbilic_rho_zero(self):
-        a, b = lg.rho_statistical_paths(lg.umbilic_instance())
-        assert a == 0.0 and abs(b) <= 1e-15
+        inst = lg.umbilic_instance()
+        assert frame_oracle.rho(inst) == 0.0 and abs(lg.rho_statistical(inst)) <= 1e-15
 
     def test_random_agreement(self):
         for i in range(2000):
             inst = wg.random_instance(n=2 + i % 4, seed=99, index=i)
-            a, b = lg.rho_statistical_paths(inst)
-            assert abs(a - b) <= 1e-10
-            a, b = lg.rho_perp_statistical_paths(inst)
-            assert abs(a - b) <= 1e-10
+            assert abs(lg.rho_statistical(inst) - frame_oracle.rho(inst)) <= 1e-10
+            assert abs(lg.rho_perp_statistical(inst) - frame_oracle.rho_perp(inst)) <= 1e-10
 
     def test_rho_perp_nonnegative(self):
         for i in range(200):
@@ -140,12 +141,11 @@ class TestRhoTwoPaths:
     def test_xi_pairs_contribute_exact_zero(self):
         for i in range(100):
             inst = wg.random_instance(n=3, seed=29, index=i)
-            ops = lg.shape_operators(inst)
             n = inst.n
             for r in range(n):
                 for i_ in range(n):
                     for j_ in range(i_ + 1, n):
-                        assert lg.normal_curvature_entry(inst, ops, r, n, i_, j_) == 0.0
+                        assert frame_oracle.normal_curvature_entry(inst, r, n, i_, j_) == 0.0
 
     def test_zero_phi_slices_kill_commutators(self):
         for i in range(20):
@@ -157,14 +157,13 @@ class TestRhoTwoPaths:
             inst = lg.LegendrianPointInstance(
                 n=3, c=base.c, f_val=base.f_val, f_prime=base.f_prime, h=h, h_star=hs
             )
-            ops = lg.shape_operators(inst)
             n = inst.n
             cterm = 2.0 * inst.c / (4.0 * inst.f_val**2)
             for r in range(n):
                 for s in range(r + 1, n):
                     for i_ in range(n):
                         for j_ in range(i_ + 1, n):
-                            entry = lg.normal_curvature_entry(inst, ops, r, s, i_, j_)
+                            entry = frame_oracle.normal_curvature_entry(inst, r, s, i_, j_)
                             expected = -cterm if (i_ == r and j_ == s) else 0.0
                             assert entry == expected
 
@@ -173,18 +172,6 @@ class TestRhoTwoPaths:
         inst = lg.umbilic_instance(n=2, c=4.0, f_val=1.0, f_prime=0.0)
         assert lg.rho_perp_statistical(inst) == 1.0
         assert lg.rho_statistical(inst) == 1.0
-
-    def test_mismatch_raises(self):
-        # find an instance whose two paths differ by at least a few ulps, then
-        # shrink the tolerance below that difference
-        for i in range(100):
-            inst = wg.random_instance(n=3, seed=1, index=i)
-            a, b = lg.rho_statistical_paths(inst)
-            if a != b:
-                with pytest.raises(lg.TwoPathMismatch):
-                    lg.rho_statistical(inst, tol=abs(a - b) / 2.0)
-                return
-        pytest.skip("paths agreed exactly on every probe instance")
 
 
 class TestRhoLeviCivita:
@@ -208,7 +195,7 @@ def test_curvature_scalars_bundle():
 
 
 # ---------------------------------------------------------------------------
-# Vectorized sums against the per-entry oracles
+# The scalar API against the per-entry oracle loops
 # ---------------------------------------------------------------------------
 
 ORACLE_DIMS = (2, 3, 5, 8)
@@ -216,27 +203,6 @@ ORACLE_DIMS = (2, 3, 5, 8)
 
 def _oracle_instances(n, count=25):
     return [wg.random_instance(n=n, seed=61, index=k) for k in range(count)]
-
-
-def _rho_path_a_oracle(inst):
-    n = inst.n
-    acc = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc += lg.gauss_sectional(inst, i, j, "nabla") + lg.gauss_sectional(inst, i, j, "nabla_star")
-    return acc / (n * (n - 1))
-
-
-def _rho_perp_path_a_oracle(inst):
-    n = inst.n
-    ops = lg.shape_operators(inst)
-    total = 0.0
-    for r in range(n + 1):
-        for s in range(r + 1, n + 1):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    total += lg.normal_curvature_entry(inst, ops, r, s, i, j) ** 2
-    return np.sqrt(total) / (n * (n - 1))
 
 
 def _random_instance_reference(n, seed, index, magnitude=1.0):
@@ -258,15 +224,39 @@ def _random_instance_reference(n, seed, index, magnitude=1.0):
 @pytest.mark.parametrize("n", ORACLE_DIMS)
 def test_rho_path_a_matches_gauss_sectional_loop(n):
     for inst in _oracle_instances(n):
-        path_a, _ = lg.rho_statistical_paths(inst)
-        assert abs(path_a - _rho_path_a_oracle(inst)) <= 1e-13
+        assert abs(lg.rho_statistical(inst) - frame_oracle.rho(inst)) <= 1e-13
 
 
 @pytest.mark.parametrize("n", ORACLE_DIMS)
 def test_rho_perp_path_a_matches_normal_curvature_entry_loop(n):
     for inst in _oracle_instances(n, count=10 if n == 8 else 25):
-        path_a, _ = lg.rho_perp_statistical_paths(inst)
-        assert abs(path_a - _rho_perp_path_a_oracle(inst)) <= 1e-13
+        assert abs(lg.rho_perp_statistical(inst) - frame_oracle.rho_perp(inst)) <= 1e-13
+
+
+# The sweeps ``--magnitude 1000`` and ``--fprime-min 500 --fprime-max 600``: the
+# terms of rho cancel by about 1e6, so both routes err relative to the size of
+# those terms, not of rho itself.
+LARGE_FAMILIES = {"magnitude-1000": {"magnitude": 1000.0}, "fprime-500-600": {"fprime_range": (500.0, 600.0)}}
+
+
+def _term_scale(inst):
+    """1 + |c|/4f^2 + (f'/f)^2 + ||h||^2 + ||h*||^2."""
+    return (1.0 + abs(inst.c) / (4.0 * inst.f_val**2) + (inst.f_prime / inst.f_val) ** 2
+            + float(np.sum(inst.h**2)) + float(np.sum(inst.h_star**2)))
+
+
+@pytest.mark.parametrize("family", LARGE_FAMILIES.values(), ids=LARGE_FAMILIES)
+def test_large_families_match_the_oracle(family):
+    for index in range(200):
+        inst = wg.random_instance(n=3, seed=7, index=index, **family)
+        tol = 1e-12 * _term_scale(inst)
+        assert abs(lg.rho_statistical(inst) - frame_oracle.rho(inst)) <= tol
+        assert abs(lg.rho_perp_statistical(inst) - frame_oracle.rho_perp(inst)) <= tol
+        m = lg.means_and_traceless(inst)
+        h0 = 0.5 * (inst.h + inst.h_star)
+        for form, tau_sq in ((inst.h, m.norm_tau_sq), (inst.h_star, m.norm_taustar_sq), (h0, m.norm_tau0_sq)):
+            mean = np.trace(form, axis1=1, axis2=2) / inst.n
+            assert abs(tau_sq - (np.sum(form**2) - inst.n * (mean @ mean))) <= tol
 
 
 @pytest.mark.parametrize("n", ORACLE_DIMS)

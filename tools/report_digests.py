@@ -7,9 +7,11 @@ Run from the repository root as
 Every command runs in-process through ``statwintgen.cli.main`` inside a
 temporary directory and writes its report to a relative path there.  Each
 output line is ``sha256  exit  argv``, where the digest covers the report
-bytes followed by the command's stdout.  Instance files are written by
-``random_instance`` (plus the RP^2 counterexample) and passed as relative
-paths, so reports that echo the path compare equal between checkouts.  Two
+bytes followed by the command's stdout and then its stderr, so error
+messages are pinned too.  Instance files are written by ``random_instance``
+(plus the RP^2 counterexample and an asymmetric instance that every command
+must reject) and passed as relative paths, so reports that echo the path
+compare equal between checkouts.  Two
 checkouts produce the same behaviour on the battery exactly when their
 outputs are equal line for line, e.g.
 
@@ -37,6 +39,9 @@ INSTANCES = {f"n{n}.json": wintgen.random_instance(n, seed=11, index=n) for n in
 INSTANCES["rp2.json"] = legendrian.LegendrianPointInstance(
     n=2, c=4.0, f_val=1.0, f_prime=0.0, h=np.zeros((3, 2, 2)), h_star=np.zeros((3, 2, 2))
 )
+_BAD = legendrian.umbilic_instance(n=2).to_dict()
+_BAD["h"][2][0][1] = 0.5  # not mirrored: asymmetric, and off-diagonal in the xi-slice
+INSTANCES["bad.json"] = legendrian.LegendrianPointInstance.from_dict(_BAD)
 
 
 def battery() -> list[list[str]]:
@@ -68,11 +73,11 @@ def battery() -> list[list[str]]:
 def digest(argv: list[str]) -> tuple[str, int]:
     out = Path(OUT)
     out.unlink(missing_ok=True)
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(argv + ["--out", OUT])
     report = out.read_bytes() if out.exists() else b""
-    return hashlib.sha256(report + stdout.getvalue().encode()).hexdigest(), code
+    return hashlib.sha256(report + (stdout.getvalue() + stderr.getvalue()).encode()).hexdigest(), code
 
 
 def main() -> int:
