@@ -13,12 +13,16 @@ violation, 2 usage or configuration error.  Every JSON report embeds the
 schema string; floats are printed with 17 significant digits so reports
 round-trip exactly.  An optional JSON config file provides defaults for any
 long flag (flags win); the environment variable STATWINTGEN_OUTDIR sets the
-default output directory.
+default output directory.  Arithmetic that leaves double precision (a
+non-finite bound, a float overflow or a division by an underflowed zero)
+is a usage error: exit 2 with one ``error:`` line, and no report is written.
+The argument parser is built once per process, on the first ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -466,13 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb-gamma", type=finite_float, default=0.0,
                    help="corrupt one connection coefficient by EPS (negative-path testing)")
     _add_common(p)
-    p.set_defaults(func=cmd_axioms)
 
     p = sub.add_parser("curvature", help="curvature cross-checks")
     p.add_argument("--chart", choices=("r2", "h3"), default="r2")
     p.add_argument("--samples", type=positive_int, default=20)
     _add_common(p)
-    p.set_defaults(func=cmd_curvature)
 
     p = sub.add_parser("classify", help="almost-contact classification")
     p.add_argument("--warp", choices=("exp", "const", "cosh"), default="exp")
@@ -482,12 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=positive_int, default=5)
     p.add_argument("--residual-tol", type=nonnegative_float, default=1e-8)
     _add_common(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("reproduce", help="reproduce a built-in example end to end")
     p.add_argument("example", choices=("example-r2", "example-h3"))
     _add_common(p)
-    p.set_defaults(func=cmd_reproduce)
 
     pw = sub.add_parser("wintgen", help="Legendrian instance checks")
     wsub = pw.add_subparsers(dest="subcommand", required=True)
@@ -495,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = wsub.add_parser("verify", help="verify the bound on an instance file")
     p.add_argument("instance", type=str)
     _add_common(p)
-    p.set_defaults(func=cmd_wintgen_verify)
 
     p = wsub.add_parser("sweep", help="seeded random-instance sweep")
     p.add_argument("--n", type=int, default=3)
@@ -509,12 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--magnitude", type=finite_float, default=1.0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(p)
-    p.set_defaults(func=cmd_wintgen_sweep)
 
     p = wsub.add_parser("chain", help="per-step inequality chain on an instance file")
     p.add_argument("instance", type=str)
     _add_common(p)
-    p.set_defaults(func=cmd_wintgen_chain)
 
     p = wsub.add_parser("sharpness", help="hill-climb slack minimization")
     p.add_argument("--n", type=int, default=2)
@@ -523,9 +520,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fprime", type=finite_float, default=0.0)
     p.add_argument("--iterations", type=positive_int, default=2000)
     _add_common(p)
-    p.set_defaults(func=cmd_wintgen_sharpness)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call of this process shares; parsing leaves it unchanged."""
+    return build_parser()
+
+
+def _handler(args: argparse.Namespace):
+    """The ``cmd_*`` function named by the command words, looked up in this module
+    when the command runs, so a rebound ``cli.cmd_*`` attribute is the one called."""
+    words = (args.command, getattr(args, "subcommand", None))
+    return globals()["cmd_" + "_".join(w for w in words if w)]
 
 
 def _with_config(args: argparse.Namespace, argv: list[str]) -> list[str]:
@@ -546,7 +555,7 @@ def _with_config(args: argparse.Namespace, argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
@@ -558,9 +567,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        # numpy's overflow warnings would only add stderr lines: a non-finite
+        # bound raises OverflowError, caught below, and reports refuse non-finite floats
+        with np.errstate(all="ignore"):
+            return _handler(args)(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ArithmeticError as exc:  # Python's float overflow carries (errno, text)
+        print(f"error: arithmetic overflow: {exc.args[-1] if exc.args else exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -148,6 +148,19 @@ def _rhs_terms(inst: LegendrianPointInstance, scalars: CurvatureScalars) -> dict
     }
 
 
+def _rhs_and_slack(terms: dict[str, float], lhs: float) -> tuple[float, float]:
+    """Sum of the bound's terms and its slack over ``lhs``.
+
+    A non-finite slack (and so a non-finite lhs or rhs) has no verdict: it
+    raises OverflowError instead of reporting a violation.
+    """
+    rhs = sum(terms.values())
+    slack = rhs - lhs
+    if not math.isfinite(slack):
+        raise OverflowError(f"non-finite bound (lhs={lhs!r}, rhs={rhs!r})")
+    return rhs, slack
+
+
 def _holds_with_compensation(terms: dict[str, float], lhs: float, slack: float) -> bool:
     """Re-evaluate near-violations in compensated summation before flagging."""
     if slack >= -SLACK_TOL:
@@ -246,9 +259,8 @@ def main_inequality(
     require_valid(inst)
     scalars = curvature_scalars(inst)
     terms = _rhs_terms(inst, scalars)
-    rhs = sum(terms.values())
     lhs = scalars.rho_perp
-    slack = rhs - lhs
+    rhs, slack = _rhs_and_slack(terms, lhs)
     holds = _holds_with_compensation(terms, lhs, slack)
     chain = inequality_chain(inst, scalars) if include_chain else []
     return WintgenReport(
@@ -418,8 +430,7 @@ def sharpness_search(
     def slack_of(params: Array) -> float:
         inst = _instance_from_params(n, c, f, fprime, params)
         scalars = curvature_scalars(inst)
-        terms = _rhs_terms(inst, scalars)
-        return sum(terms.values()) - scalars.rho_perp
+        return _rhs_and_slack(_rhs_terms(inst, scalars), scalars.rho_perp)[1]
 
     rng = instance_rng(seed, 0)
     evaluations = 0

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import statwintgen.cli as cli
 import statwintgen.legendrian as lg
 from statwintgen.cli import (
     EXIT_OK,
@@ -359,3 +360,85 @@ def test_config_unknown_key_or_bad_value_is_usage_error(tmp_path, config, argv):
 def test_config_missing_file_is_usage_error(tmp_path, capsys):
     assert main([f"--config={tmp_path / 'absent.json'}", "reproduce", "example-r2"]) == EXIT_USAGE
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--n", "3", "--count", "3", "--seed", "1", "--magnitude", "1e150"],
+        ["sweep", "--n", "3", "--count", "3", "--seed", "1", "--magnitude", "1e160"],
+        ["sweep", "--n", "2", "--count", "3", "--c-min", "1e308", "--c-max", "1.7e308"],
+        ["sharpness", "--n", "2", "--c", "1e308", "--iterations", "5"],
+        ["sharpness", "--n", "2", "--f", "1e-200", "--iterations", "5"],
+        ["sharpness", "--n", "2", "--fprime", "1e200", "--iterations", "5"],
+    ],
+    ids=" ".join,
+)
+def test_arithmetic_overflow_is_usage_error(argv, tmp_path, capsys):
+    # the sweeps used to report "violations" computed from inf and NaN
+    out = tmp_path / "report.out"
+    line = _assert_one_line_usage_error(main(["wintgen", *argv, "--out", str(out)]), capsys)
+    assert line.startswith("error: arithmetic overflow: ")
+    assert not out.exists()
+
+
+def _run(argv, capsys, out):
+    """Exit code, stdout and report bytes of one ``main`` call writing to ``out``."""
+    out.unlink(missing_ok=True)
+    code = main([*argv, "--out", str(out)])
+    return code, capsys.readouterr().out, out.read_bytes()
+
+
+def test_parser_reuse_keeps_no_config_value(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"count": 5}))
+    out = tmp_path / "s.csv"
+    sweep_argv = ["wintgen", "sweep", "--n", "2", "--seed", "3", "--c-max", "0"]
+    assert main(["--config", str(cfg), *sweep_argv, "--out", str(out)]) == EXIT_OK
+    assert len(_sweep_rows(out)) == 5
+    assert main([*sweep_argv, "--out", str(out)]) == EXIT_OK
+    assert len(_sweep_rows(out)) == 1000  # the default count, not the config's
+
+
+def test_parser_reuse_keeps_no_explicit_flag(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["wintgen", "sweep", "--n", "2", "--count", "3", "--seed", "3", "--magnitude", "0",
+                 "--c-min", "-1", "--c-max", "0", "--format", "json",
+                 "--out", str(tmp_path / "a.json")]) == EXIT_OK
+    assert main(["wintgen", "sweep", "--n", "2", "--count", "3", "--seed", "3", "--out", str(out)]) == EXIT_OK
+    assert out.read_text().splitlines() == sweep_csv_lines(wg.sweep(n=2, count=3, seed=3))
+
+
+@pytest.mark.parametrize("bad", [["--format", "xml"], ["--bogus", "1"]], ids=" ".join)
+def test_usage_error_leaves_next_call_unchanged(bad, tmp_path, capsys):
+    path = tmp_path / "u.json"
+    path.write_text(wg.random_instance(3, seed=4).to_json())
+    good = ["wintgen", "chain", str(path)]
+    alone = _run(good, capsys, tmp_path / "r.json")
+    assert main(["wintgen", "sweep", "--count", "2", *bad]) == EXIT_USAGE
+    capsys.readouterr()
+    assert _run(good, capsys, tmp_path / "r.json") == alone
+
+
+def test_handler_is_looked_up_when_the_command_runs(tmp_path, monkeypatch):
+    path = tmp_path / "u.json"
+    path.write_text(lg.umbilic_instance().to_json())
+    assert main(["wintgen", "chain", str(path), "--out", str(tmp_path / "r.json")]) == EXIT_OK
+    seen = []
+    monkeypatch.setattr(cli, "cmd_wintgen_chain", lambda args: seen.append(args.instance) or 7)
+    assert main(["wintgen", "chain", str(path)]) == 7
+    assert seen == [str(path)]
+
+
+def test_repeated_calls_build_the_parser_at_most_once(monkeypatch, capsys):
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for _ in range(3):
+        assert main(["reproduce", "example-r2"]) == EXIT_OK
+    assert len(built) <= 1
