@@ -19,21 +19,65 @@ tests (``tests/frame_oracle.py``), which compare this module against them.
 
 Instances are immutable (read-only arrays, finite fields, n >= 2), so their
 derived data -- the default-tolerance violation list, ``MeanData`` and
-``ShapeOperators`` -- is computed once and memoized on the instance.
+``ShapeOperators`` -- is computed once and memoized on the instance.  Each
+piece costs a fixed number of array operations whatever n is: ``MeanData``
+works on one stacked (h, h*, h0) array (traces in one einsum, the three
+traceless norms in one row reduction); ``ShapeOperators`` are views of one
+(6, n+1, n, n) array filled in place; rho_perp brackets only the phi-pairs
+r < s, in one batched matmul.  The identity, masks and index arrays of each
+n are cached read-only (``_frame``).  Every floating-point operation runs in
+the order of the plain per-form formulas, so results match them bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 VALIDATE_TOL = 1e-12
 
 Array = np.ndarray
+
+
+class _Frame(NamedTuple):
+    """Read-only constants of dimension n, built once per n.
+
+    The P = n(n-1)/2 pairs i < j come in ``np.triu_indices`` order.  ``left``
+    and ``right`` pick, for every slot pair r < s, both products x_r x_s
+    (first P) and x_s x_r (last P) in one matmul; ``ji`` holds the flat
+    offsets j n + i of the entries (j, i).  Slot pairs and tangent pairs run
+    over the same list, so the space-form term of a pair sits on the
+    diagonal (p, p) of the (P, P) entry matrix, which ``delta`` indexes.
+    """
+
+    eye: Array
+    strict_upper: Array
+    left: Array
+    right: Array
+    ji: Array
+    delta: Array
+
+
+@lru_cache(maxsize=32)
+def _frame(n: int) -> _Frame:
+    i, j = np.triu_indices(n, 1)
+    frame = _Frame(
+        eye=np.eye(n),
+        strict_upper=np.triu(np.ones((n, n), dtype=bool), 1),
+        left=np.concatenate((i, j)),
+        right=np.concatenate((j, i)),
+        ji=j * n + i,
+        delta=np.arange(len(i)),
+    )
+    for a in frame:
+        a.flags.writeable = False
+    return frame
 
 
 @dataclass(frozen=True)
@@ -57,7 +101,8 @@ class LegendrianPointInstance:
         shape = (self.n + 1, self.n, self.n)
         if self.h.shape != shape or self.h_star.shape != shape:
             raise ValueError(f"h and h_star must have shape {shape}")
-        if not all(np.isfinite(x).all() for x in (self.c, self.f_val, self.f_prime, h, h_star)):
+        if not (math.isfinite(self.c) and math.isfinite(self.f_val) and math.isfinite(self.f_prime)
+                and np.isfinite(h).all() and np.isfinite(h_star).all()):
             raise ValueError("c, f, f_prime, h and h_star must be finite")
         if self.f_val <= 0.0:
             raise ValueError("f_val must be positive")
@@ -82,21 +127,52 @@ class LegendrianPointInstance:
 
     @staticmethod
     def from_dict(data: dict) -> "LegendrianPointInstance":
+        """Instance from decoded JSON; a malformed value raises ValueError naming its key.
+
+        ``data`` must be an object with an integral ``n``, numbers ``c``, ``f``
+        and ``f_prime`` and nested lists of numbers ``h`` and ``h_star``.
+        """
+        if not isinstance(data, dict):
+            raise ValueError(f"instance must be a JSON object, got {type(data).__name__}")
         for key in ("n", "c", "f", "f_prime", "h", "h_star"):
             if key not in data:
                 raise ValueError(f"instance is missing key {key!r}")
+        n = _json_number(data, "n")
+        if not (isinstance(n, numbers.Integral) or float(n).is_integer()):
+            raise ValueError(f"instance key 'n' must be an integer, got {n!r}")
         return LegendrianPointInstance(
-            n=int(data["n"]),
-            c=float(data["c"]),
-            f_val=float(data["f"]),
-            f_prime=float(data["f_prime"]),
-            h=np.asarray(data["h"], dtype=float),
-            h_star=np.asarray(data["h_star"], dtype=float),
+            n=int(n),
+            c=float(_json_number(data, "c")),
+            f_val=float(_json_number(data, "f")),
+            f_prime=float(_json_number(data, "f_prime")),
+            h=_json_form(data, "h"),
+            h_star=_json_form(data, "h_star"),
         )
 
     @staticmethod
     def from_json(text: str) -> "LegendrianPointInstance":
-        return LegendrianPointInstance.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("instance JSON is nested too deeply") from None
+        return LegendrianPointInstance.from_dict(data)
+
+
+def _json_number(data: dict, key: str) -> numbers.Real:
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"instance key {key!r} must be a number, got {value!r}")
+    return value
+
+
+def _json_form(data: dict, key: str) -> Array:
+    try:
+        form = np.asarray(data[key])
+        if form.dtype.kind in "iuf":
+            return form.astype(float, copy=False)
+    except ValueError:  # ragged nesting
+        pass
+    raise ValueError(f"instance key {key!r} must be a nested list of numbers")
 
 
 def umbilic_instance(n: int = 2, c: float = 0.0, f_val: float = 1.0, f_prime: float = 1.0) -> LegendrianPointInstance:
@@ -118,9 +194,10 @@ def validate(inst: LegendrianPointInstance) -> list[tuple[str, int, int, int]]:
 
 def _find_violations(inst: LegendrianPointInstance) -> list[tuple[str, int, int, int]]:
     n = inst.n
+    frame = _frame(n)
     forms = np.stack((inst.h, inst.h_star))
-    asym = np.triu(np.abs(forms - forms.swapaxes(-1, -2)) > VALIDATE_TOL, 1)
-    xi_bad = np.abs(forms[:, n] - (-(inst.f_prime / inst.f_val)) * np.eye(n)) > VALIDATE_TOL
+    asym = (np.abs(forms - forms.swapaxes(-1, -2)) > VALIDATE_TOL) & frame.strict_upper
+    xi_bad = np.abs(forms[:, n] - (-(inst.f_prime / inst.f_val)) * frame.eye) > VALIDATE_TOL
     if not (asym.any() or xi_bad.any()):
         return []
     violations: list[tuple[str, int, int, int]] = []
@@ -151,12 +228,6 @@ class MeanData:
     norm_tau0_sq: float
 
 
-def _traceless_norm_sq(form: Array, mean: Array, n: int) -> float:
-    """||h - H g||^2, summed over every normal slot."""
-    tau = form - mean[:, None, None] * np.eye(n)[None, :, :]
-    return float(np.sum(tau * tau))
-
-
 def means_and_traceless(inst: LegendrianPointInstance) -> MeanData:
     require_valid(inst)
     return inst._mean_data
@@ -164,12 +235,20 @@ def means_and_traceless(inst: LegendrianPointInstance) -> MeanData:
 
 def _compute_mean_data(inst: LegendrianPointInstance) -> MeanData:
     n = inst.n
-    h, hs = inst.h, inst.h_star
-    H = np.einsum("aii->a", h) / n
-    Hs = np.einsum("aii->a", hs) / n
-    h0 = 0.5 * (h + hs)
-    means = np.stack((H, Hs, 0.5 * (H + Hs)))
+    forms = np.empty((3, n + 1, n, n))  # h, h*, h0
+    forms[0] = inst.h
+    forms[1] = inst.h_star
+    np.add(forms[0], forms[1], out=forms[2])
+    forms[2] *= 0.5
+    means = np.empty((3, n + 1))  # H, H*, H0 = (H + H*)/2
+    np.einsum("faii->fa", forms[:2], out=means[:2])
+    means[:2] /= n
+    np.add(means[0], means[1], out=means[2])
+    means[2] *= 0.5
     means.flags.writeable = False  # shared by every caller of means_and_traceless
+    # ||form - mean g||^2 summed over every normal slot, one row per form
+    forms -= means[:, :, None, None] * _frame(n).eye
+    tau_sq = np.square(forms, out=forms).reshape(3, -1).sum(axis=1).tolist()
     H, Hs, H0 = means
     return MeanData(
         H=H,
@@ -178,9 +257,9 @@ def _compute_mean_data(inst: LegendrianPointInstance) -> MeanData:
         norm_H_sq=float(H @ H),
         norm_Hstar_sq=float(Hs @ Hs),
         norm_H0_sq=float(H0 @ H0),
-        norm_tau_sq=_traceless_norm_sq(h, H, n),
-        norm_taustar_sq=_traceless_norm_sq(hs, Hs, n),
-        norm_tau0_sq=_traceless_norm_sq(h0, H0, n),
+        norm_tau_sq=tau_sq[0],
+        norm_taustar_sq=tau_sq[1],
+        norm_tau0_sq=tau_sq[2],
     )
 
 
@@ -191,7 +270,8 @@ class ShapeOperators:
     A[alpha] is the operator of u_{alpha+1} for the primal connection (dual
     pairing: <h*(X,Y), u> = g(A_u X, Y), so A comes from the h* slices), and
     A_star[alpha] from the h slices; A0 is their mean.  S-variants subtract
-    (trace/n) I and are exactly trace-free.
+    (trace/n) I and are exactly trace-free.  The six are views of ``stack``,
+    one read-only (6, n+1, n, n) array.
     """
 
     A: Array
@@ -200,11 +280,7 @@ class ShapeOperators:
     S: Array
     S_star: Array
     S0: Array
-
-
-def _traceless(ops: Array, n: int) -> Array:
-    traces = np.einsum("aii->a", ops) / n
-    return ops - traces[:, None, None] * np.eye(n)[None, :, :]
+    stack: Array = field(repr=False, compare=False)
 
 
 def shape_operators(inst: LegendrianPointInstance) -> ShapeOperators:
@@ -214,19 +290,15 @@ def shape_operators(inst: LegendrianPointInstance) -> ShapeOperators:
 
 def _compute_shape_operators(inst: LegendrianPointInstance) -> ShapeOperators:
     n = inst.n
-    a, a_star = inst.h_star, inst.h
-    a0 = 0.5 * (a + a_star)
-    ops = np.stack((a, a_star, a0, _traceless(a, n), _traceless(a_star, n), _traceless(a0, n)))
+    ops = np.empty((6, n + 1, n, n))
+    ops[0] = inst.h_star
+    ops[1] = inst.h
+    np.add(ops[0], ops[1], out=ops[2])
+    ops[2] *= 0.5
+    traces = np.einsum("faii->fa", ops[:3]) / n
+    np.subtract(ops[:3], traces[:, :, None, None] * _frame(n).eye, out=ops[3:])
     ops.flags.writeable = False  # shared by every caller of shape_operators
-    return ShapeOperators(*ops)
-
-
-@lru_cache(maxsize=32)
-def _pairs(n: int) -> tuple[Array, Array]:
-    """Read-only index arrays (i, j) of all pairs i < j < n."""
-    i, j = np.triu_indices(n, 1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
+    return ShapeOperators(*ops, stack=ops)
 
 
 def ambient_plane_curvature(inst: LegendrianPointInstance) -> float:
@@ -251,19 +323,6 @@ def rho_statistical(inst: LegendrianPointInstance) -> float:
     )
 
 
-def _brackets(x: Array, y: Array) -> Array:
-    """[x_r, y_s] for every pair of slots, stacked as (r, s, n, n)."""
-    return x[:, None] @ y[None] - y[None] @ x[:, None]
-
-
-def _normal_sum_sq(comm: Array, n: int, cterm: float) -> float:
-    """Sum over slot pairs r < s, i < j of (comm[r, s][j, i] - cterm [(i, j) = (r, s)])^2."""
-    r, s = _pairs(len(comm))
-    i, j = _pairs(n)
-    delta = (r[:, None] == i) & (s[:, None] == j)
-    return float(np.sum((comm[r[:, None], s[:, None], j, i] - cterm * delta) ** 2))
-
-
 def rho_perp_statistical(inst: LegendrianPointInstance) -> float:
     """Normalized normal scalar curvature of R-perp + R*-perp, summed over phi-pairs.
 
@@ -274,10 +333,17 @@ def rho_perp_statistical(inst: LegendrianPointInstance) -> float:
     require_valid(inst)
     n = inst.n
     ops = shape_operators(inst)
+    frame = _frame(n)
     cterm = 2.0 * inst.c / (4.0 * inst.f_val**2)
-    p, ps, p0 = ops.A[:n], ops.A_star[:n], ops.A0[:n]
-    total = _normal_sum_sq(4.0 * _brackets(p0, p0) - _brackets(p, p) - _brackets(ps, ps), n, cterm)
-    return math.sqrt(total) / (n * (n - 1))
+    x = ops.stack[:3, :n]  # A, A*, A0 on the phi-slots
+    prod = np.take(x, frame.left, axis=1) @ np.take(x, frame.right, axis=1)
+    # (x_r x_s)[j, i] and (x_s x_r)[j, i]; np.take keeps C order, so np.sum adds row by row
+    entries = np.take(prod.reshape(3, len(frame.left), n * n), frame.ji, axis=2)
+    pairs = len(frame.delta)
+    bracket = entries[:, :pairs] - entries[:, pairs:]  # [x_r, x_s][j, i]: rows r < s, columns i < j
+    comm = 4.0 * bracket[2] - bracket[0] - bracket[1]
+    comm[frame.delta, frame.delta] -= cterm
+    return math.sqrt(float(np.sum(comm * comm))) / (n * (n - 1))
 
 
 def rho_levicivita(inst: LegendrianPointInstance) -> float:

@@ -162,15 +162,6 @@ def kk_bracket(k: Array) -> Array:
     return np.einsum("lim,mjk->lkij", k, k) - np.einsum("ljm,mik->lkij", k, k)
 
 
-def nabla_g_residual(chart: DualisticChart, gamma: Array, point: Array) -> float:
-    """max |(nabla g)_{a;ij}| for the connection with coefficients ``gamma``."""
-    x = np.asarray(point, dtype=float)
-    g = np.asarray(chart.metric(x), dtype=float)
-    dg = metric_partials(chart, x)
-    cov = dg - np.einsum("mai,mj->aij", gamma, g) - np.einsum("maj,im->aij", gamma, g)
-    return float(np.max(np.abs(cov)))
-
-
 def sectional_curvature(chart: DualisticChart, which: str, point: Array, X: Array, Y: Array) -> float:
     """g(R(X,Y)Y,X) normalized by the Gram determinant of the plane."""
     x = np.asarray(point, dtype=float)

@@ -8,6 +8,7 @@ pure: inputs are never mutated, outputs are fresh arrays.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -88,16 +89,23 @@ def random_symmetric_traceless(dim: int, count: int, seed: int) -> list[np.ndarr
     return out
 
 
-def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random orthogonal matrix via QR with sign fixing."""
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return q * np.sign(np.diag(r))
+@lru_cache(maxsize=32)
+def _triu_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays (i, j) of the upper triangle i <= j < n."""
+    i, j = np.triu_indices(n)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 def symmetrize_upper(raw: np.ndarray) -> np.ndarray:
     """Mirror the upper triangle (including diagonal) onto the lower one, per matrix of a stack."""
-    a = np.triu(np.asarray(raw, dtype=float))
-    return a + np.triu(a, 1).swapaxes(-1, -2)
+    a = np.asarray(raw, dtype=float)
+    i, j = _triu_indices(a.shape[-1])
+    upper = a[..., i, j] + 0.0  # + 0.0 turns -0.0 into 0.0, as a sum with the zero triangle did
+    out = np.empty_like(a)
+    out[..., i, j] = upper
+    out[..., j, i] = upper
+    return out
 
 
 def sample_points(

@@ -26,11 +26,12 @@ import numpy as np
 from .legendrian import (
     CurvatureScalars,
     LegendrianPointInstance,
+    _frame,
     curvature_scalars,
     require_valid,
     shape_operators,
 )
-from .tensor_core import commutator, frobenius_norm_sq, instance_rng, symmetrize_upper
+from .tensor_core import _triu_indices, commutator, frobenius_norm_sq, instance_rng, symmetrize_upper
 
 SLACK_TOL = 1e-9
 
@@ -348,11 +349,10 @@ def _instance_from_upper(n: int, c: float, f: float, fp: float, upper: Array) ->
 
     The xi-slices are set to the forced -(f'/f) I exactly.
     """
-    slices = symmetrize_upper(upper)
-    xi = -(fp / f) * np.eye(n)[None]
-    h = np.concatenate((slices[:n], xi))
-    hs = np.concatenate((slices[n:], xi))
-    return LegendrianPointInstance(n=n, c=c, f_val=f, f_prime=fp, h=h, h_star=hs)
+    forms = np.empty((2, n + 1, n, n))  # h, h*
+    forms[:, :n] = symmetrize_upper(upper).reshape(2, n, n, n)
+    forms[:, n] = -(fp / f) * _frame(n).eye
+    return LegendrianPointInstance(n=n, c=c, f_val=f, f_prime=fp, h=forms[0], h_star=forms[1])
 
 
 def sweep(
@@ -365,7 +365,16 @@ def sweep(
     magnitude: float = 1.0,
     include_chain: bool = False,
 ) -> list[WintgenReport]:
-    """Reports for ``count`` seeded instances, ordered by instance index."""
+    """Reports for ``count`` seeded instances, ordered by instance index.
+
+    The ranges and ``magnitude`` are checked once, before any instance is
+    drawn; a bad one raises ValueError naming it.
+    """
+    for name, (low, high) in (("c_range", c_range), ("f_range", f_range), ("fprime_range", fprime_range)):
+        if not low <= high:
+            raise ValueError(f"{name} must have low <= high, got ({low!r}, {high!r})")
+    if not magnitude >= 0.0:
+        raise ValueError(f"magnitude must be >= 0, got {magnitude!r}")
     out = []
     for index in range(count):
         inst = random_instance(
@@ -395,8 +404,8 @@ def _instance_from_params(
 ) -> LegendrianPointInstance:
     """Decode a flat vector of upper-triangle phi-slice entries, h slices first."""
     upper = np.zeros((2 * n, n, n))
-    iu = np.triu_indices(n)
-    upper[:, iu[0], iu[1]] = params.reshape(2 * n, -1)
+    i, j = _triu_indices(n)
+    upper[:, i, j] = params.reshape(2 * n, -1)
     return _instance_from_upper(n, c, f, fp, upper)
 
 
@@ -422,6 +431,10 @@ def sharpness_search(
     the best slack after every improvement (monotone non-increasing).
     A final slack below -1e-9 is re-checked and flagged as a hard violation.
     """
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n!r}")
+    if not f > 0.0:
+        raise ValueError(f"f must be positive, got {f!r}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     tri = n * (n + 1) // 2

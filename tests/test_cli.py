@@ -442,3 +442,63 @@ def test_repeated_calls_build_the_parser_at_most_once(monkeypatch, capsys):
     for _ in range(3):
         assert main(["reproduce", "example-r2"]) == EXIT_OK
     assert len(built) <= 1
+
+
+# Malformed instance files: each used to end in a traceback (TypeError or
+# RecursionError), or in a verdict for a silently truncated n.
+UMBILIC = lg.umbilic_instance(n=2).to_dict()
+MALFORMED_FILES = {
+    "c-null": json.dumps({**UMBILIC, "c": None}),
+    "h-object": json.dumps({**UMBILIC, "h": {"a": 1}}),
+    "top-level-number": "5",
+    "n-fractional": json.dumps({**UMBILIC, "n": 2.7}),
+    "nested-too-deeply": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("sub", ["verify", "chain"])
+@pytest.mark.parametrize("text", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
+def test_malformed_instance_file_is_usage_error(text, sub, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    out = tmp_path / "report.out"
+    line = _assert_one_line_usage_error(main(["wintgen", sub, str(path), "--out", str(out)]), capsys)
+    assert not out.exists()
+    assert "instance" in line
+
+
+def test_integral_float_dimension_is_accepted(tmp_path):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({**UMBILIC, "n": 2.0}))
+    assert main(["wintgen", "verify", str(path)]) == EXIT_OK
+
+
+# Out-of-domain flags are checked once per command, and the message names the
+# parameter; they used to surface as numpy's or Python's own messages.
+BAD_FLAGS = {
+    "sharpness --n 0": ("n must be >= 2", ["sharpness", "--n", "0"]),
+    "sharpness --n -1": ("n must be >= 2", ["sharpness", "--n", "-1"]),
+    "sharpness --f 0": ("f must be positive", ["sharpness", "--f", "0"]),
+    "sweep --magnitude -1": ("magnitude must be >= 0", ["sweep", "--magnitude", "-1"]),
+    "sweep --c-min 3 --c-max -3": ("c_range must have low <= high", ["sweep", "--c-min", "3", "--c-max", "-3"]),
+    "sweep --f-min 2 --f-max 1": ("f_range must have low <= high", ["sweep", "--f-min", "2", "--f-max", "1"]),
+}
+SMALL_RUN = {"sharpness": ["--iterations", "5"], "sweep": ["--count", "5"]}
+
+
+@pytest.mark.parametrize("message, argv", BAD_FLAGS.values(), ids=BAD_FLAGS)
+def test_out_of_domain_flag_names_the_parameter(message, argv, tmp_path, capsys):
+    out = tmp_path / "report.out"
+    code = main(["wintgen", *argv, *SMALL_RUN[argv[0]], "--out", str(out)])
+    line = _assert_one_line_usage_error(code, capsys)
+    assert line.startswith(f"error: {message}, got ")
+    assert not out.exists()
+
+
+def test_equal_bounds_and_zero_magnitude_stay_valid(tmp_path):
+    out = tmp_path / "s.csv"
+    argv = ["wintgen", "sweep", "--n", "2", "--count", "4", "--magnitude", "0", "--f-min", "1", "--f-max", "1",
+            "--c-min", "0", "--c-max", "0", "--fprime-min", "0.5", "--fprime-max", "0.5", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    rows = _sweep_rows(out)
+    assert len(rows) == 4 and {tuple(r[2:5]) for r in rows} == {("0", "1", "0.5")}

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import frame_oracle
 import statwintgen.legendrian as lg
+import statwintgen.tensor_core as tensor_core
 import statwintgen.wintgen as wg
 
 
@@ -355,3 +358,91 @@ class TestInstanceBoundary:
         del data[key]
         with pytest.raises(ValueError, match=f"missing key '{key}'"):
             lg.LegendrianPointInstance.from_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# The fused kernel: cached per-n constants, bitwise equality with the plain
+# per-form formulas, and no state carried between dimensions
+# ---------------------------------------------------------------------------
+
+
+def _plain_mean_norms(inst):
+    """Squared traceless norms of h, h*, h0, one form at a time, in the kernel's operation order."""
+    n = inst.n
+    H = np.einsum("aii->a", inst.h) / n
+    Hs = np.einsum("aii->a", inst.h_star) / n
+    out = []
+    for form, mean in ((inst.h, H), (inst.h_star, Hs), (0.5 * (inst.h + inst.h_star), 0.5 * (H + Hs))):
+        tau = form - mean[:, None, None] * np.eye(n)
+        out.append(float(np.sum(tau * tau)))
+    return out
+
+
+def _plain_rho_perp(inst):
+    """Brackets of every slot pair r, s by broadcasting, then the phi-pair entries (j, i), i < j."""
+    n = inst.n
+    ops = lg.shape_operators(inst)
+
+    def brackets(x):
+        return x[:, None] @ x[None] - x[None] @ x[:, None]
+
+    comm = 4.0 * brackets(ops.A0[:n]) - brackets(ops.A[:n]) - brackets(ops.A_star[:n])
+    i, j = np.triu_indices(n, 1)
+    entries = comm[i[:, None], j[:, None], j, i]
+    entries -= 2.0 * inst.c / (4.0 * inst.f_val**2) * np.eye(len(i))
+    return math.sqrt(float(np.sum(entries * entries))) / (n * (n - 1))
+
+
+def _evaluation(inst):
+    """Every derived value of one evaluation, as exact bytes and reprs."""
+    m = lg.means_and_traceless(inst)
+    ops = lg.shape_operators(inst)
+    arrays = (inst.h, inst.h_star, m.H, m.H_star, m.H0, ops.A, ops.A_star, ops.A0, ops.S, ops.S_star, ops.S0)
+    report = wg.main_inequality(inst, include_chain=True)
+    return [a.tobytes() for a in arrays] + [repr(report.as_dict())]
+
+
+class TestFusedKernel:
+    @pytest.mark.parametrize("n", ORACLE_DIMS)
+    def test_cached_constants_are_read_only(self, n):
+        constants = [*lg._frame(n), *tensor_core._triu_indices(n)]
+        for array in constants:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = array.flat[0]
+
+    @pytest.mark.parametrize("n", ORACLE_DIMS)
+    def test_norms_equal_the_per_form_formulas_bit_for_bit(self, n):
+        for inst in _oracle_instances(n):
+            m = lg.means_and_traceless(inst)
+            assert [m.norm_tau_sq, m.norm_taustar_sq, m.norm_tau0_sq] == _plain_mean_norms(inst)
+
+    @pytest.mark.parametrize("n", ORACLE_DIMS)
+    def test_rho_perp_equals_the_all_pairs_brackets_bit_for_bit(self, n):
+        for inst in _oracle_instances(n):
+            assert lg.rho_perp_statistical(inst) == _plain_rho_perp(inst)
+
+    @pytest.mark.parametrize("n", ORACLE_DIMS)
+    def test_rho_perp_matches_the_frame_oracle(self, n):
+        insts = _oracle_instances(n, count=10 if n == 8 else 25)
+        insts += [wg.random_instance(n, seed=61, index=k, magnitude=1000.0) for k in range(5)]
+        insts.append(lg.umbilic_instance(n, c=4.0, f_val=1.0, f_prime=0.0))  # the space-form term alone
+        for inst in insts:
+            assert lg.rho_perp_statistical(inst) == pytest.approx(frame_oracle.rho_perp(inst), rel=1e-12, abs=0.0)
+
+    def test_interleaved_dimensions_match_first_evaluations(self):
+        def make(n, k):
+            return wg.random_instance(n, c_range=(1.0, 4.0), seed=67, index=k)
+
+        order = [(2, 0), (8, 0), (3, 0), (2, 1)]
+        first = {}
+        for key in order:  # each on cold caches, as the first evaluation of a process
+            lg._frame.cache_clear()
+            tensor_core._triu_indices.cache_clear()
+            first[key] = _evaluation(make(*key))
+        evaluated = []
+        for key in order:
+            inst = make(*key)
+            assert _evaluation(inst) == first[key], key
+            evaluated.append((key, inst))
+        for key, inst in evaluated:  # later dimensions left the memoized data alone
+            assert _evaluation(inst) == first[key], key

@@ -14,10 +14,11 @@ from statwintgen.statistical_geometry import (
     holomorphic_space_form_curvature,
     kk_bracket,
     levi_civita,
-    nabla_g_residual,
     sectional_curvature,
     trivial_chart,
 )
+
+from helpers import nabla_g_residual
 
 EX, EY = np.eye(2)
 

@@ -8,10 +8,11 @@ from statwintgen.tensor_core import (
     commutator,
     frobenius_norm_sq,
     partials,
-    random_orthogonal,
     random_symmetric_traceless,
     symmetrize_upper,
 )
+
+from helpers import random_orthogonal
 
 
 class TestFrobenius:

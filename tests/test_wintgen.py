@@ -4,7 +4,9 @@ import pytest
 
 import statwintgen.legendrian as lg
 import statwintgen.wintgen as wg
-from statwintgen.tensor_core import random_orthogonal, random_symmetric_traceless
+from statwintgen.tensor_core import random_symmetric_traceless
+
+from helpers import random_orthogonal
 
 
 class TestLuInequality:

@@ -61,6 +61,8 @@ def battery() -> list[list[str]]:
         *(["wintgen", sub, name] for name in INSTANCES for sub in ("verify", "chain")),
         ["wintgen", "sweep", "--n", "3", "--count", "300"],
         ["wintgen", "sweep", "--n", "2", "--count", "50", "--format", "json"],
+        ["wintgen", "sweep", "--n", "5", "--count", "100"],
+        ["wintgen", "sweep", "--n", "8", "--count", "40", "--format", "json"],
     ]
     sharpness = [
         ["wintgen", "sharpness", "--n", "2", "--iterations", "3000", "--seed", "5"],

@@ -1,0 +1,90 @@
+"""Print microseconds per instance for each stage of one Wintgen evaluation.
+
+Run from the repository root as
+
+    PYTHONPATH=src python tools/stage_timings.py [--count 200] [--repeats 5] [--json]
+
+Stages run in pipeline order on the same batch of fresh seeded instances,
+so each figure is the cost that stage adds on top of the ones before it
+(derived data is memoized on the instance):
+
+    generate   wintgen.random_instance
+    validate   legendrian.validate (first call on a fresh instance)
+    means      legendrian.means_and_traceless
+    rho        legendrian.rho_statistical
+    rho_perp   legendrian.rho_perp_statistical (shape operators included)
+    chain      wintgen.inequality_chain, scalars given
+    csv        cli.sweep_csv_lines, per row
+
+for n in {2, 3, 5, 8}.  Each figure is the median over ``--repeats``
+batches of ``--count`` instances (a quarter as many at n = 8).  Keys are
+``<stage>.n<n>``; ``--json`` prints them as one JSON object.  The script
+uses only public functions that have existed since the benchmark was added,
+so it runs unchanged against older checkouts for before/after tables.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+
+from statwintgen import cli, legendrian, wintgen
+
+DIMS = (2, 3, 5, 8)
+STAGES = ("generate", "validate", "means", "rho", "rho_perp", "chain", "csv")
+
+
+def _timed(fn, items) -> tuple[float, list]:
+    start = time.perf_counter()
+    out = [fn(x) for x in items]
+    return time.perf_counter() - start, out
+
+
+def batch(n: int, count: int, seed: int) -> dict[str, float]:
+    """Seconds spent in each stage on ``count`` fresh instances of dimension ``n``."""
+    t = {}
+    t["generate"], insts = _timed(lambda k: wintgen.random_instance(n, seed=seed, index=k), range(count))
+    t["validate"], _ = _timed(legendrian.validate, insts)
+    t["means"], _ = _timed(legendrian.means_and_traceless, insts)
+    t["rho"], _ = _timed(legendrian.rho_statistical, insts)
+    t["rho_perp"], _ = _timed(legendrian.rho_perp_statistical, insts)
+    scalars = [legendrian.curvature_scalars(inst) for inst in insts]
+    t["chain"], _ = _timed(lambda pair: wintgen.inequality_chain(*pair), list(zip(insts, scalars)))
+    reports = [wintgen.main_inequality(inst, seed=f"{seed}-{k}", include_chain=False)
+               for k, inst in enumerate(insts)]
+    t["csv"], _ = _timed(cli.sweep_csv_lines, [reports])
+    return t
+
+
+def stage_timings(count: int, repeats: int) -> dict[str, float]:
+    """``<stage>.n<n>`` -> median microseconds per instance."""
+    out = {}
+    for n in DIMS:
+        size = count if n < 8 else max(1, count // 4)
+        runs = [batch(n, size, seed) for seed in range(repeats)]
+        for stage in STAGES:
+            out[f"{stage}.n{n}"] = 1e6 * statistics.median(r[stage] for r in runs) / size
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--count", type=int, default=200, help="instances per batch")
+    parser.add_argument("--repeats", type=int, default=5, help="batches per dimension")
+    parser.add_argument("--json", action="store_true", help="print one JSON object")
+    args = parser.parse_args(argv)
+    timings = stage_timings(args.count, args.repeats)
+    if args.json:
+        print(json.dumps({k: round(v, 2) for k, v in timings.items()}))
+        return 0
+    print(f"{'stage':<10}" + "".join(f"{f'n={n}':>10}" for n in DIMS) + "   (us per instance)")
+    for stage in STAGES:
+        print(f"{stage:<10}" + "".join(f"{timings[f'{stage}.n{n}']:>10.1f}" for n in DIMS))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
