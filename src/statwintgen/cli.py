@@ -113,33 +113,21 @@ def _finish(args, command: str, passed: bool, body: dict, default_name: str, sum
 # chart / spec selection helpers
 # ---------------------------------------------------------------------------
 
-
-def _chart_by_name(name: str):
-    if name == "r2":
-        return sg.builtin_r2_example()
-    if name == "h3":
-        return wc.build_warped_chart(wc.builtin_h3_example())
-    raise ValueError(f"unknown chart {name!r} (expected r2 or h3)")
-
-
-def _warping_by_name(name: str, const_value: float) -> wc.Warping:
-    if name == "exp":
-        return wc.exp_warping()
-    if name == "const":
-        return wc.const_warping(const_value)
-    if name == "cosh":
-        return wc.cosh_warping()
-    raise ValueError(f"unknown warp {name!r} (expected exp, const or cosh)")
-
-
-def _spec_by_name(fiber: str, warping: wc.Warping, epsilon: float) -> wc.WarpedProductSpec:
-    if fiber == "flat":
-        return wc.flat_kaehler_spec(1, warping)
-    if fiber == "r2":
-        return replace(wc.builtin_h3_example(), warping=warping, label="r2-fiber warp")
-    if fiber == "twisted":
-        return wc.twisted_j_spec(epsilon, warping)
-    raise ValueError(f"unknown fiber {fiber!r} (expected flat, r2 or twisted)")
+# Name -> factory; the parser's choices are these keys.
+CHARTS = {
+    "r2": sg.builtin_r2_example,
+    "h3": lambda: wc.build_warped_chart(wc.builtin_h3_example()),
+}
+WARPS = {
+    "exp": lambda const_value: wc.exp_warping(),
+    "const": wc.const_warping,
+    "cosh": lambda const_value: wc.cosh_warping(),
+}
+FIBERS = {
+    "flat": lambda warping, epsilon: wc.flat_kaehler_spec(1, warping),
+    "r2": lambda warping, epsilon: replace(wc.builtin_h3_example(), warping=warping, label="r2-fiber warp"),
+    "twisted": lambda warping, epsilon: wc.twisted_j_spec(epsilon, warping),
+}
 
 
 def _perturbed_chart(chart: sg.DualisticChart, eps: float) -> sg.DualisticChart:
@@ -160,7 +148,7 @@ def _perturbed_chart(chart: sg.DualisticChart, eps: float) -> sg.DualisticChart:
 
 
 def cmd_axioms(args) -> int:
-    chart = _chart_by_name(args.chart)
+    chart = CHARTS[args.chart]()
     if args.perturb_gamma:
         chart = _perturbed_chart(chart, args.perturb_gamma)
     rng = np.random.default_rng(args.seed)
@@ -244,8 +232,7 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    warping = _warping_by_name(args.warp, args.const_value)
-    spec = _spec_by_name(args.fiber, warping, args.epsilon)
+    spec = FIBERS[args.fiber](WARPS[args.warp](args.const_value), args.epsilon)
     check = wc.kenmotsu_theorem_check(spec, samples=args.samples, seed=args.seed, tol=args.residual_tol)
     rows = [
         {"point": p.tolist(), "alpha": cls.alpha, "d_eta_residual": cls.d_eta_residual,
@@ -363,7 +350,6 @@ def cmd_wintgen_sweep(args) -> int:
         f_range=(args.f_min, args.f_max),
         fprime_range=(args.fprime_min, args.fprime_max),
         magnitude=args.magnitude,
-        include_chain=False,
     )
     failures = [r for r in reports if not r.holds]
     out = Path(args.out) if args.out else _output_dir() / f"sweep-{args.seed}.{args.format}"
@@ -464,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("axioms", help="dualistic axiom residual suite")
-    p.add_argument("--chart", choices=("r2", "h3"), default="r2")
+    p.add_argument("--chart", choices=tuple(CHARTS), default="r2")
     p.add_argument("--samples", type=positive_int, default=100)
     p.add_argument("--residual-tol", type=nonnegative_float, default=1e-6)
     p.add_argument("--perturb-gamma", type=finite_float, default=0.0,
@@ -472,14 +458,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("curvature", help="curvature cross-checks")
-    p.add_argument("--chart", choices=("r2", "h3"), default="r2")
+    p.add_argument("--chart", choices=tuple(CHARTS), default="r2")
     p.add_argument("--samples", type=positive_int, default=20)
     _add_common(p)
 
     p = sub.add_parser("classify", help="almost-contact classification")
-    p.add_argument("--warp", choices=("exp", "const", "cosh"), default="exp")
+    p.add_argument("--warp", choices=tuple(WARPS), default="exp")
     p.add_argument("--const-value", type=finite_float, default=1.0)
-    p.add_argument("--fiber", choices=("flat", "r2", "twisted"), default="flat")
+    p.add_argument("--fiber", choices=tuple(FIBERS), default="flat")
     p.add_argument("--epsilon", type=finite_float, default=0.4, help="twist size for the twisted fiber")
     p.add_argument("--samples", type=positive_int, default=5)
     p.add_argument("--residual-tol", type=nonnegative_float, default=1e-8)
@@ -542,7 +528,10 @@ def _with_config(args: argparse.Namespace, argv: list[str]) -> list[str]:
 
     Explicit flags come later in argv, so argparse's last-wins rule lets them win.
     """
-    data = json.loads(Path(args.config).read_text())
+    try:
+        data = json.loads(Path(args.config).read_text())
+    except RecursionError:
+        raise ValueError("config file is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
     flags = [f"--{str(key).replace('_', '-')}={value}" for key, value in data.items()]

@@ -18,15 +18,15 @@ sums over sectional curvatures and normal curvature entries live with the
 tests (``tests/frame_oracle.py``), which compare this module against them.
 
 Instances are immutable (read-only arrays, finite fields, n >= 2), so their
-derived data -- the default-tolerance violation list, ``MeanData`` and
-``ShapeOperators`` -- is computed once and memoized on the instance.  Each
-piece costs a fixed number of array operations whatever n is: ``MeanData``
-works on one stacked (h, h*, h0) array (traces in one einsum, the three
-traceless norms in one row reduction); ``ShapeOperators`` are views of one
-(6, n+1, n, n) array filled in place; rho_perp brackets only the phi-pairs
-r < s, in one batched matmul.  The identity, masks and index arrays of each
-n are cached read-only (``_frame``).  Every floating-point operation runs in
-the order of the plain per-form formulas, so results match them bit for bit.
+derived data -- the violation list, and ``MeanData`` with ``ShapeOperators``
+from one derivation (``_derive``) -- is memoized on the instance.  ``_derive``
+fills one (6, n+1, n, n) stack (A = h*, A* = h, A0, S, S*, S0): it takes the
+means H*, H and H0 = (H + H*)/2 in one einsum, subtracts them times I to get
+S, S* and S0 = h0 - H0 I, and reads the three traceless norms off the S rows,
+so the chain brackets the very operators whose norms rho uses.  rho_perp
+brackets only the phi-pairs r < s, in one batched matmul.  The constants of
+each n are cached read-only (``_frame``).  Every floating-point operation runs
+in the order of the plain per-form formulas, so results match them bit for bit.
 """
 
 from __future__ import annotations
@@ -109,8 +109,7 @@ class LegendrianPointInstance:
 
     # Derived data, computed on first use (module functions bound late).
     _violations = cached_property(lambda self: tuple(_find_violations(self)))
-    _mean_data = cached_property(lambda self: _compute_mean_data(self))
-    _shape_operators = cached_property(lambda self: _compute_shape_operators(self))
+    _derived = cached_property(lambda self: _derive(self))
 
     def to_dict(self) -> dict:
         return {
@@ -230,37 +229,7 @@ class MeanData:
 
 def means_and_traceless(inst: LegendrianPointInstance) -> MeanData:
     require_valid(inst)
-    return inst._mean_data
-
-
-def _compute_mean_data(inst: LegendrianPointInstance) -> MeanData:
-    n = inst.n
-    forms = np.empty((3, n + 1, n, n))  # h, h*, h0
-    forms[0] = inst.h
-    forms[1] = inst.h_star
-    np.add(forms[0], forms[1], out=forms[2])
-    forms[2] *= 0.5
-    means = np.empty((3, n + 1))  # H, H*, H0 = (H + H*)/2
-    np.einsum("faii->fa", forms[:2], out=means[:2])
-    means[:2] /= n
-    np.add(means[0], means[1], out=means[2])
-    means[2] *= 0.5
-    means.flags.writeable = False  # shared by every caller of means_and_traceless
-    # ||form - mean g||^2 summed over every normal slot, one row per form
-    forms -= means[:, :, None, None] * _frame(n).eye
-    tau_sq = np.square(forms, out=forms).reshape(3, -1).sum(axis=1).tolist()
-    H, Hs, H0 = means
-    return MeanData(
-        H=H,
-        H_star=Hs,
-        H0=H0,
-        norm_H_sq=float(H @ H),
-        norm_Hstar_sq=float(Hs @ Hs),
-        norm_H0_sq=float(H0 @ H0),
-        norm_tau_sq=tau_sq[0],
-        norm_taustar_sq=tau_sq[1],
-        norm_tau0_sq=tau_sq[2],
-    )
+    return inst._derived[0]
 
 
 @dataclass(frozen=True)
@@ -270,8 +239,8 @@ class ShapeOperators:
     A[alpha] is the operator of u_{alpha+1} for the primal connection (dual
     pairing: <h*(X,Y), u> = g(A_u X, Y), so A comes from the h* slices), and
     A_star[alpha] from the h slices; A0 is their mean.  S-variants subtract
-    (trace/n) I and are exactly trace-free.  The six are views of ``stack``,
-    one read-only (6, n+1, n, n) array.
+    the matching mean curvature times I (H*, H, H0) and are trace-free.  The
+    six are views of ``stack``, one read-only (6, n+1, n, n) array.
     """
 
     A: Array
@@ -285,20 +254,38 @@ class ShapeOperators:
 
 def shape_operators(inst: LegendrianPointInstance) -> ShapeOperators:
     require_valid(inst)
-    return inst._shape_operators
+    return inst._derived[1]
 
 
-def _compute_shape_operators(inst: LegendrianPointInstance) -> ShapeOperators:
+def _derive(inst: LegendrianPointInstance) -> tuple[MeanData, ShapeOperators]:
+    """``MeanData`` and ``ShapeOperators`` of one instance, from one stack (see the module docstring)."""
     n = inst.n
-    ops = np.empty((6, n + 1, n, n))
+    ops = np.empty((6, n + 1, n, n))  # A, A*, A0, S, S*, S0
     ops[0] = inst.h_star
     ops[1] = inst.h
     np.add(ops[0], ops[1], out=ops[2])
     ops[2] *= 0.5
-    traces = np.einsum("faii->fa", ops[:3]) / n
-    np.subtract(ops[:3], traces[:, :, None, None] * _frame(n).eye, out=ops[3:])
-    ops.flags.writeable = False  # shared by every caller of shape_operators
-    return ShapeOperators(*ops, stack=ops)
+    means = np.empty((3, n + 1))  # H*, H, H0 = (H + H*)/2
+    np.einsum("faii->fa", ops[:2], out=means[:2])
+    means[:2] /= n
+    np.add(means[0], means[1], out=means[2])
+    means[2] *= 0.5
+    np.subtract(ops[:3], means[:, :, None, None] * _frame(n).eye, out=ops[3:])
+    tau_sq = np.square(ops[3:]).reshape(3, -1).sum(axis=1).tolist()  # tau*, tau, tau0
+    ops.flags.writeable = means.flags.writeable = False  # shared by every caller
+    Hs, H, H0 = means
+    mean_data = MeanData(
+        H=H,
+        H_star=Hs,
+        H0=H0,
+        norm_H_sq=float(H @ H),
+        norm_Hstar_sq=float(Hs @ Hs),
+        norm_H0_sq=float(H0 @ H0),
+        norm_tau_sq=tau_sq[1],
+        norm_taustar_sq=tau_sq[0],
+        norm_tau0_sq=tau_sq[2],
+    )
+    return mean_data, ShapeOperators(*ops, stack=ops)
 
 
 def ambient_plane_curvature(inst: LegendrianPointInstance) -> float:

@@ -37,7 +37,8 @@ class DualisticChart:
     """Coordinate chart with metric and dual connection coefficient fields.
 
     Analytic first-derivative providers are optional; when absent, central
-    differences with ``fd_step`` are used.  All fields must be pure functions.
+    differences with ``DEFAULT_FD_STEP`` are used.  All fields must be pure
+    functions.
     """
 
     dim: int
@@ -47,7 +48,6 @@ class DualisticChart:
     metric_partial: MatrixField | None = None
     gamma_partial: MatrixField | None = None
     gamma_star_partial: MatrixField | None = None
-    fd_step: float = DEFAULT_FD_STEP
     label: str = "chart"
 
     def without_analytic(self) -> "DualisticChart":
@@ -94,7 +94,7 @@ class ResidualRecord:
 def metric_partials(chart: DualisticChart, point: Array) -> Array:
     if chart.metric_partial is not None:
         return np.asarray(chart.metric_partial(point), dtype=float)
-    return partials(chart.metric, point, chart.fd_step)
+    return partials(chart.metric, point, DEFAULT_FD_STEP)
 
 
 def levi_civita(chart: DualisticChart, point: Array) -> Array:
@@ -142,14 +142,25 @@ def curvature(chart: DualisticChart, which: str, point: Array) -> CurvatureTenso
     if analytic is not None:
         dgamma = np.asarray(analytic(x), dtype=float)
     else:
-        step = chart.fd_step
+        step = DEFAULT_FD_STEP
         if which == "levi_civita" and chart.metric_partial is None:
             # The Christoffel field is itself finite-differenced here; a
             # coarser outer step balances truncation against the propagated
             # rounding noise of the inner differences.
-            step = chart.fd_step * 20.0
+            step = DEFAULT_FD_STEP * 20.0
         dgamma = partials(fn, x, step)
     return CurvatureTensor(curvature_from_gamma(gamma, dgamma))
+
+
+def covariant(gamma: Array, A: Array, B: Array) -> Array:
+    """Gamma^k_ab A^a B^b: the covariant derivative of the constant field B along A."""
+    return np.einsum("kab,a,b->k", gamma, A, B)
+
+
+def covariant_two_form_derivative(w: Array, dw: Array, gamma: Array, X: Array, Y: Array, Z: Array) -> float:
+    """(nabla_X w)(Y,Z) from a two-form w, its partials dw[a] = d_a w and connection coefficients."""
+    dir_w = np.einsum("a,abc->bc", X, dw)
+    return float(Y @ dir_w @ Z - covariant(gamma, X, Y) @ w @ Z - Y @ w @ covariant(gamma, X, Z))
 
 
 def difference_tensor(chart: DualisticChart, point: Array) -> Array:
@@ -199,25 +210,18 @@ def axiom_residuals(
     gam_star = connection_at(chart, "nabla_star", x)
     gam0 = levi_civita(chart, x)
 
-    def nabla_vec(gamma: Array, A: Array, B: Array) -> Array:
-        # covariant derivative of the constant field B along A
-        return np.einsum("kab,a,b->k", gamma, A, B)
-
     def inner(u: Array, v: Array) -> float:
         return float(u @ g @ v)
 
     dir_g = np.einsum("aij,a->ij", dg, Z)
-    duality = abs(float(X @ dir_g @ Y) - inner(nabla_vec(gam, Z, X), Y) - inner(X, nabla_vec(gam_star, Z, Y)))
-
-    def nabla_g(A: Array, B: Array, C: Array) -> float:
-        d = float(B @ np.einsum("aij,a->ij", dg, A) @ C)
-        return d - inner(nabla_vec(gam, A, B), C) - inner(B, nabla_vec(gam, A, C))
-
-    codazzi = abs(nabla_g(X, Y, Z) - nabla_g(Y, X, Z))
+    duality = abs(float(X @ dir_g @ Y) - inner(covariant(gam, Z, X), Y) - inner(X, covariant(gam_star, Z, Y)))
+    codazzi = abs(
+        covariant_two_form_derivative(g, dg, gam, X, Y, Z) - covariant_two_form_derivative(g, dg, gam, Y, X, Z)
+    )
 
     k = gam - gam0
-    k_sym = float(np.max(np.abs(np.einsum("kij,i,j->k", k, X, Y) - np.einsum("kij,i,j->k", k, Y, X))))
-    k_self = abs(inner(np.einsum("kij,i,j->k", k, X, Y), Z) - inner(Y, np.einsum("kij,i,j->k", k, X, Z)))
+    k_sym = float(np.max(np.abs(covariant(k, X, Y) - covariant(k, Y, X))))
+    k_self = abs(inner(covariant(k, X, Y), Z) - inner(Y, covariant(k, X, Z)))
 
     R = curvature(chart, "nabla", x)
     R_star = curvature(chart, "nabla_star", x)

@@ -31,12 +31,15 @@ from .statistical_geometry import (
     axiom_residuals,
     check_almost_complex,
     connection_at,
+    covariant,
+    covariant_two_form_derivative,
     curvature,
+    difference_tensor,
     levi_civita,
     trivial_chart,
     builtin_r2_example,
 )
-from .tensor_core import partials, sample_points
+from .tensor_core import DEFAULT_FD_STEP, partials, sample_points
 
 Array = np.ndarray
 
@@ -278,14 +281,12 @@ def build_warped_chart(spec: WarpedProductSpec, validate_fiber: bool = True) -> 
         metric_partial=metric_partial if fiber.metric_partial is not None else None,
         gamma_partial=_gamma_partial_from(fiber.gamma_partial) if has_analytic else None,
         gamma_star_partial=_gamma_partial_from(fiber.gamma_star_partial) if has_analytic else None,
-        fd_step=fiber.fd_step,
         label=spec.label,
     )
 
 
 def _closed_form_case(case: str) -> str:
-    """Normalized case name ("d_star" -> "d*"); raises on an unknown case."""
-    case = case.strip().lower().replace("_star", "*")
+    """``case`` when it is one of ``CLOSED_FORM_CASES``; raises ValueError otherwise."""
     if case not in CLOSED_FORM_CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {CLOSED_FORM_CASES}")
     return case
@@ -461,10 +462,9 @@ def exterior_derivative_2form(dw: Array) -> Array:
 
 def _d_phi_and_omega(spec: WarpedProductSpec, point: Array) -> tuple[Array, Array]:
     """Coordinate dPhi on the total chart and dOmega on the fiber at ``point``."""
-    step = spec.fiber.fd_step
-    d_phi = exterior_derivative_2form(partials(lambda x: fundamental_two_form(spec, x), point, step))
+    d_phi = exterior_derivative_2form(partials(lambda x: fundamental_two_form(spec, x), point, DEFAULT_FD_STEP))
     d_omega = exterior_derivative_2form(
-        partials(lambda xf: fiber_fundamental_form(spec, xf), point[1:], step)
+        partials(lambda xf: fiber_fundamental_form(spec, xf), point[1:], DEFAULT_FD_STEP)
     )
     return d_phi, d_omega
 
@@ -548,21 +548,11 @@ def contact_classification(
 # ---------------------------------------------------------------------------
 
 
-def _covariant_two_form_derivative(w: Array, dw: Array, gamma: Array, X: Array, Y: Array, Z: Array) -> float:
-    """(nabla_X w)(Y,Z) from a two-form w, its partials dw[a] = d_a w and connection coefficients."""
-    dir_w = np.einsum("a,abc->bc", X, dw)
-    nx_y = np.einsum("kab,a,b->k", gamma, X, Y)
-    nx_z = np.einsum("kab,a,b->k", gamma, X, Z)
-    return float(Y @ dir_w @ Z - nx_y @ w @ Z - Y @ w @ nx_z)
-
-
 def _nabla_endomorphism(t: Array, dt: Array, gamma: Array, X: Array, Y: Array) -> Array:
     """(nabla_X T)Y from a (1,1) field T, its partials dt[a] = d_a T and connection coefficients."""
-    ty = t @ Y
     # nabla_X (TY) with TY treated as the field x -> T(x) Y_const
-    cov_ty = np.einsum("a,abc->bc", X, dt) @ Y + np.einsum("kam,a,m->k", gamma, X, ty)
-    nx_y = np.einsum("kab,a,b->k", gamma, X, Y)
-    return cov_ty - t @ nx_y
+    cov_ty = np.einsum("a,abc->bc", X, dt) @ Y + covariant(gamma, X, t @ Y)
+    return cov_ty - t @ covariant(gamma, X, Y)
 
 
 def hermitian_statistical_residuals(
@@ -572,7 +562,6 @@ def hermitian_statistical_residuals(
     X: Array,
     Y: Array,
     Z: Array,
-    psi_field: Callable[[Array], Array] | None = None,
 ) -> ResidualRecord:
     """Residuals of the Hermitian-statistical identities at one point.
 
@@ -581,12 +570,11 @@ def hermitian_statistical_residuals(
     omega_deriv_dual               starred version, + 2 g(K_X JY, Z)
     omega_deriv_levi_civita        (nabla_X Omega) = (nabla0_X Omega) - g(K_X JY + J K_X Y, Z)
     omega_deriv_levi_civita_dual   starred version, opposite sign
-    skew_cyclic                    cyclic sum of g(K_X psi Y + psi K_X Y, Z) vanishes
-                                   for any g-skew psi (default psi = J)
+    skew_cyclic                    cyclic sum of g(K_X JY + J K_X Y, Z) vanishes
+                                   (J is g-skew)
     """
     point = np.asarray(point, dtype=float)
     X, Y, Z = (np.asarray(v, dtype=float) for v in (X, Y, Z))
-    step = chart.fd_step
     g = np.asarray(chart.metric(point), dtype=float)
     jmat = np.asarray(j_field(point), dtype=float)
     check_almost_complex(g, jmat)
@@ -601,35 +589,27 @@ def hermitian_statistical_residuals(
     def ip(u: Array, v: Array) -> float:
         return float(u @ g @ v)
 
-    def k_apply(A: Array, B: Array) -> Array:
-        return np.einsum("kab,a,b->k", k, A, B)
-
     omega = jmat.T @ g
-    d_omega = partials(omega_field, point, step)
-    d_j = partials(j_field, point, step)
-    n_omega = _covariant_two_form_derivative(omega, d_omega, gam, X, Y, Z)
-    n_star_omega = _covariant_two_form_derivative(omega, d_omega, gam_star, X, Y, Z)
-    n0_omega = _covariant_two_form_derivative(omega, d_omega, gam0, X, Y, Z)
+    d_omega = partials(omega_field, point, DEFAULT_FD_STEP)
+    d_j = partials(j_field, point, DEFAULT_FD_STEP)
+    n_omega = covariant_two_form_derivative(omega, d_omega, gam, X, Y, Z)
+    n_star_omega = covariant_two_form_derivative(omega, d_omega, gam_star, X, Y, Z)
+    n0_omega = covariant_two_form_derivative(omega, d_omega, gam0, X, Y, Z)
     nxj_y = _nabla_endomorphism(jmat, d_j, gam, X, Y)
     nxj_star_y = _nabla_endomorphism(jmat, d_j, gam_star, X, Y)
 
-    mixed = k_apply(X, jmat @ Y) + jmat @ k_apply(X, Y)
-
-    psi = jmat if psi_field is None else np.asarray(psi_field(point), dtype=float)
-    skew_res = float(np.max(np.abs(psi.T @ g + g @ psi)))
-    if skew_res > 1e-9:
-        raise ValueError(f"psi is not g-skew-symmetric (residual {skew_res:.3e})")
+    mixed = covariant(k, X, jmat @ Y) + jmat @ covariant(k, X, Y)
 
     def cyc_term(A: Array, B: Array, C: Array) -> float:
-        return ip(k_apply(A, psi @ B) + psi @ k_apply(A, B), C)
+        return ip(covariant(k, A, jmat @ B) + jmat @ covariant(k, A, B), C)
 
     cyclic = abs(cyc_term(X, Y, Z) + cyc_term(Z, X, Y) + cyc_term(Y, Z, X))
 
     return ResidualRecord(
         {
             "omega_parallel": abs(n_omega),
-            "omega_deriv_primal": abs(n_omega - ip(nxj_y, Z) + 2.0 * ip(k_apply(X, jmat @ Y), Z)),
-            "omega_deriv_dual": abs(n_star_omega - ip(nxj_star_y, Z) - 2.0 * ip(k_apply(X, jmat @ Y), Z)),
+            "omega_deriv_primal": abs(n_omega - ip(nxj_y, Z) + 2.0 * ip(covariant(k, X, jmat @ Y), Z)),
+            "omega_deriv_dual": abs(n_star_omega - ip(nxj_star_y, Z) - 2.0 * ip(covariant(k, X, jmat @ Y), Z)),
             "omega_deriv_levi_civita": abs(n_omega - n0_omega + ip(mixed, Z)),
             "omega_deriv_levi_civita_dual": abs(n_star_omega - n0_omega - ip(mixed, Z)),
             "skew_cyclic": cyclic,
@@ -656,7 +636,6 @@ def contact_statistical_residuals(
     point = np.asarray(point, dtype=float)
     X, Y, Z = (np.asarray(v, dtype=float) for v in (X, Y, Z))
     total = chart if chart is not None else build_warped_chart(spec, validate_fiber=False)
-    step = total.fd_step
     g = warped_metric(spec, point)
     f, fp, _ = spec.warping.at(point[0])
     gam = connection_at(total, "nabla", point)
@@ -665,30 +644,28 @@ def contact_statistical_residuals(
     k = gam - gam0
     phi = phi_matrix(spec, point)
     phi_form = fundamental_two_form(spec, point)
-    d_phi_form = partials(lambda x: fundamental_two_form(spec, x), point, step)
+    d_phi_form = partials(lambda x: fundamental_two_form(spec, x), point, DEFAULT_FD_STEP)
 
     def ip(u: Array, v: Array) -> float:
         return float(u @ g @ v)
 
-    def k_apply(A: Array, B: Array) -> Array:
-        return np.einsum("kab,a,b->k", k, A, B)
-
     def n_phi_form(gamma: Array, A: Array, B: Array, C: Array) -> float:
-        return _covariant_two_form_derivative(phi_form, d_phi_form, gamma, A, B, C)
+        return covariant_two_form_derivative(phi_form, d_phi_form, gamma, A, B, C)
 
     n_phi = n_phi_form(gam, X, Y, Z)
     n_star_phi = n_phi_form(gam_star, X, Y, Z)
     n0_phi = n_phi_form(gam0, X, Y, Z)
-    mixed = k_apply(X, phi @ Y) + phi @ k_apply(X, Y)
+    mixed = covariant(k, X, phi @ Y) + phi @ covariant(k, X, Y)
 
     bb1 = abs(n_phi - n0_phi + ip(mixed, Z))
     bb2 = abs(n_star_phi - n0_phi - ip(mixed, Z))
 
     # phi_warp_deriv: compare against the fiber (nabla^N_X J) Y lifted
-    nx_phi_y = _nabla_endomorphism(phi, partials(lambda x: phi_matrix(spec, x), point, step), gam, X, Y)
+    d_phi_matrix = partials(lambda x: phi_matrix(spec, x), point, DEFAULT_FD_STEP)
+    nx_phi_y = _nabla_endomorphism(phi, d_phi_matrix, gam, X, Y)
     xf = point[1:]
     nxj_fiber = _nabla_endomorphism(
-        spec.j_at(xf), partials(spec.j_at, xf, spec.fiber.fd_step),
+        spec.j_at(xf), partials(spec.j_at, xf, DEFAULT_FD_STEP),
         connection_at(spec.fiber, "nabla", xf), X[1:], Y[1:],
     )
     xi = np.zeros(spec.dim)
@@ -766,13 +743,13 @@ def kenmotsu_theorem_check(
         worst_fiber = max(worst_fiber, compat, cls.d_omega_residual)
         worst_total = max(worst_total, cls.frame_residual, cls.d_phi_residual)
 
-        k_tilde = connection_at(chart, "nabla", p) - levi_civita(chart, p)
+        k_tilde = difference_tensor(chart, p)
         k_xi_res = max(
             k_xi_res,
             float(np.max(np.abs(k_tilde[:, :, 0]))),
             float(np.max(np.abs(k_tilde[:, 0, :]))),
         )
-        k_fiber = connection_at(spec.fiber, "nabla", xf) - levi_civita(spec.fiber, xf)
+        k_fiber = difference_tensor(spec.fiber, xf)
         k_fiber_res = max(k_fiber_res, float(np.max(np.abs(k_tilde[1:, 1:, 1:] - k_fiber))))
 
     fiber_ok = worst_fiber <= KENMOTSU_TOL

@@ -363,9 +363,8 @@ def sweep(
     f_range: tuple[float, float] = (0.5, 3.0),
     fprime_range: tuple[float, float] = (-2.0, 2.0),
     magnitude: float = 1.0,
-    include_chain: bool = False,
 ) -> list[WintgenReport]:
-    """Reports for ``count`` seeded instances, ordered by instance index.
+    """Reports for ``count`` seeded instances, ordered by instance index, without chains.
 
     The ranges and ``magnitude`` are checked once, before any instance is
     drawn; a bad one raises ValueError naming it.
@@ -380,7 +379,7 @@ def sweep(
         inst = random_instance(
             n, c_range, f_range, fprime_range, magnitude, seed=seed, index=index
         )
-        out.append(main_inequality(inst, seed=f"{seed}-{index}", include_chain=include_chain))
+        out.append(main_inequality(inst, seed=f"{seed}-{index}", include_chain=False))
     return out
 
 

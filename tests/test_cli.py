@@ -222,10 +222,15 @@ def test_config_file_defaults_and_flag_priority(tmp_path):
     assert len(out2.read_text().splitlines()) == 6
 
 
-def test_config_file_malformed_is_usage_error(tmp_path):
+def test_config_file_malformed_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
-    cfg.write_text("{not json")
-    assert main(["--config", str(cfg), "reproduce", "example-r2"]) == EXIT_USAGE
+    for text in ("{not json", "[" * 100_000 + "]" * 100_000):  # the second is nested too deeply
+        cfg.write_text(text)
+        assert main(["--config", str(cfg), "reproduce", "example-r2"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
 
 
 def test_chain_report_step_order(tmp_path):

@@ -446,3 +446,31 @@ class TestFusedKernel:
             evaluated.append((key, inst))
         for key, inst in evaluated:  # later dimensions left the memoized data alone
             assert _evaluation(inst) == first[key], key
+
+
+class TestOneDerivation:
+    @pytest.mark.parametrize("n", ORACLE_DIMS)
+    def test_traceless_operators_subtract_the_means(self, n):
+        insts = _oracle_instances(n, count=10)
+        insts += [wg.random_instance(n, seed=61, index=k, magnitude=1000.0) for k in range(5)]
+        insts.append(lg.umbilic_instance(n, c=1.0, f_val=1.5, f_prime=0.7))
+        for inst in insts:
+            m, ops = lg.means_and_traceless(inst), lg.shape_operators(inst)
+            h0 = 0.5 * (inst.h_star + inst.h)
+            for got, form, mean, norm_sq in ((ops.S, inst.h_star, m.H_star, m.norm_taustar_sq),
+                                             (ops.S_star, inst.h, m.H, m.norm_tau_sq),
+                                             (ops.S0, h0, m.H0, m.norm_tau0_sq)):
+                npt.assert_array_equal(got, form - mean[:, None, None] * np.eye(n))
+                assert float(np.sum(got * got)) == pytest.approx(norm_sq, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("first", ["means_and_traceless", "shape_operators", "rho_perp_statistical"])
+    def test_derivation_runs_once_whichever_is_called_first(self, first, monkeypatch):
+        derive = lg._derive
+        calls = []
+        monkeypatch.setattr(lg, "_derive", lambda inst: calls.append(inst) or derive(inst))
+        inst = wg.random_instance(3, seed=71, index=0)
+        getattr(lg, first)(inst)
+        for fn in (lg.means_and_traceless, lg.shape_operators, lg.rho_perp_statistical, lg.curvature_scalars):
+            fn(inst)
+        wg.main_inequality(inst, include_chain=True)
+        assert len(calls) == 1 and calls[0] is inst
