@@ -20,7 +20,7 @@ Sectional-type contractions use K(X,Y) = g(R(X,Y)Y,X) / (|X|^2|Y|^2 - g(X,Y)^2).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -73,22 +73,6 @@ class CurvatureTensor:
     def scalar(self, g: Array, X: Array, Y: Array, Z: Array, W: Array) -> float:
         """g(R(X,Y)Z, W)."""
         return float(self.vector(X, Y, Z) @ g @ W)
-
-
-@dataclass(frozen=True)
-class ResidualRecord:
-    """Named absolute residuals of structural identities at one sample point."""
-
-    values: Mapping[str, float]
-
-    def __getitem__(self, key: str) -> float:
-        return self.values[key]
-
-    def worst(self) -> float:
-        return max(self.values.values()) if self.values else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.values)
 
 
 def metric_partials(chart: DualisticChart, point: Array) -> Array:
@@ -192,7 +176,7 @@ def axiom_residuals(
     Y: Array,
     Z: Array,
     W: Array,
-) -> ResidualRecord:
+) -> dict[str, float]:
     """Residuals of the dualistic-structure axioms with constant-frame probes.
 
     duality         |Z g(X,Y) - g(nabla_Z X, Y) - g(X, nabla*_Z Y)|
@@ -231,16 +215,14 @@ def axiom_residuals(
     total = R.components + R_star.components - 2.0 * R0.components - 2.0 * kk_bracket(k)
     curvature_sum = float(np.max(np.abs(total)))
 
-    return ResidualRecord(
-        {
-            "duality": duality,
-            "codazzi": codazzi,
-            "k_symmetry": k_sym,
-            "k_self_adjoint": k_self,
-            "conjugate": conjugate,
-            "curvature_sum": curvature_sum,
-        }
-    )
+    return {
+        "duality": duality,
+        "codazzi": codazzi,
+        "k_symmetry": k_sym,
+        "k_self_adjoint": k_self,
+        "conjugate": conjugate,
+        "curvature_sum": curvature_sum,
+    }
 
 
 def check_almost_complex(g: Array, J: Array, tol: float = 1e-9) -> float:

@@ -12,6 +12,9 @@ structure J, and the classification into almost alpha-Kenmotsu / almost
 cosymplectic is decided from the coordinate exterior derivatives of eta and
 of the fundamental two-form Phi(X,Y) = <phi X, Y>.
 
+J on the fiber and phi on the warp are both g-skew, so one function,
+``skew_field_residuals``, checks their statistical identities.
+
 Sign conventions: Omega(X,Y) = g(JX, Y) on the fiber, matching Phi's slot
 order; with these the exact two-form identity of the warp is
 dPhi = f^2 dOmega - 2 alpha eta ^ Phi for the reported alpha = -f'/f.
@@ -27,7 +30,6 @@ import numpy as np
 
 from .statistical_geometry import (
     DualisticChart,
-    ResidualRecord,
     axiom_residuals,
     check_almost_complex,
     connection_at,
@@ -200,7 +202,7 @@ def _fiber_axiom_check(spec: WarpedProductSpec) -> None:
     pts = sample_points(fiber.dim, 3, rng)
     for p in pts:
         probes = [rng.uniform(-1.0, 1.0, fiber.dim) for _ in range(4)]
-        worst = axiom_residuals(fiber, p, *probes).worst()
+        worst = max(axiom_residuals(fiber, p, *probes).values())
         if worst > FIBER_AXIOM_TOL:
             raise ValueError(
                 f"fiber of {spec.label} violates the dualistic axioms "
@@ -544,7 +546,7 @@ def contact_classification(
 
 
 # ---------------------------------------------------------------------------
-# Hermitian / contact statistical identity residuals
+# Statistical identity residuals of g-skew fields
 # ---------------------------------------------------------------------------
 
 
@@ -555,147 +557,85 @@ def _nabla_endomorphism(t: Array, dt: Array, gamma: Array, X: Array, Y: Array) -
     return cov_ty - t @ covariant(gamma, X, Y)
 
 
-def hermitian_statistical_residuals(
+def skew_field_residuals(
     chart: DualisticChart,
-    j_field: Callable[[Array], Array],
+    t_field: Callable[[Array], Array],
     point: Array,
     X: Array,
     Y: Array,
     Z: Array,
-) -> ResidualRecord:
-    """Residuals of the Hermitian-statistical identities at one point.
+) -> dict[str, float]:
+    """Statistical identity residuals of a g-skew (1,1) field T and its form w(Y,Z) = g(TY, Z).
 
-    omega_parallel                 |(nabla_X Omega)(Y,Z)|  (holomorphic-statistical test)
-    omega_deriv_primal             (nabla_X Omega)(Y,Z) = g((nabla_X J)Y,Z) - 2 g(K_X JY, Z)
-    omega_deriv_dual               starred version, + 2 g(K_X JY, Z)
-    omega_deriv_levi_civita        (nabla_X Omega) = (nabla0_X Omega) - g(K_X JY + J K_X Y, Z)
-    omega_deriv_levi_civita_dual   starred version, opposite sign
-    skew_cyclic                    cyclic sum of g(K_X JY + J K_X Y, Z) vanishes
-                                   (J is g-skew)
+    w_parallel                 |(nabla_X w)(Y,Z)|, a measurement (zero when T is parallel)
+    w_deriv_primal             (nabla_X w)(Y,Z) = g((nabla_X T)Y, Z) - 2 g(K_X TY, Z)
+    w_deriv_dual               starred version, + 2 g(K_X TY, Z)
+    w_deriv_levi_civita        (nabla_X w)(Y,Z) = (nabla0_X w)(Y,Z) - g(K_X TY + T K_X Y, Z)
+    w_deriv_levi_civita_dual   starred version, opposite sign
+    skew_cyclic                cyclic sum of g(K_X TY + T K_X Y, Z) vanishes (T is g-skew)
+    dw_cyclic                  coordinate dw(X,Y,Z) equals the cyclic sums of nabla0 w and nabla w
     """
     point = np.asarray(point, dtype=float)
     X, Y, Z = (np.asarray(v, dtype=float) for v in (X, Y, Z))
     g = np.asarray(chart.metric(point), dtype=float)
-    jmat = np.asarray(j_field(point), dtype=float)
-    check_almost_complex(g, jmat)
+    t = np.asarray(t_field(point), dtype=float)
     gam = connection_at(chart, "nabla", point)
     gam_star = connection_at(chart, "nabla_star", point)
     gam0 = levi_civita(chart, point)
     k = gam - gam0
 
-    def omega_field(x: Array) -> Array:
-        return np.asarray(j_field(x), dtype=float).T @ np.asarray(chart.metric(x), dtype=float)
+    def w_field(x: Array) -> Array:
+        return np.asarray(t_field(x), dtype=float).T @ np.asarray(chart.metric(x), dtype=float)
+
+    w = t.T @ g
+    dw = partials(w_field, point, DEFAULT_FD_STEP)
+    d_t = partials(t_field, point, DEFAULT_FD_STEP)
 
     def ip(u: Array, v: Array) -> float:
         return float(u @ g @ v)
 
-    omega = jmat.T @ g
-    d_omega = partials(omega_field, point, DEFAULT_FD_STEP)
-    d_j = partials(j_field, point, DEFAULT_FD_STEP)
-    n_omega = covariant_two_form_derivative(omega, d_omega, gam, X, Y, Z)
-    n_star_omega = covariant_two_form_derivative(omega, d_omega, gam_star, X, Y, Z)
-    n0_omega = covariant_two_form_derivative(omega, d_omega, gam0, X, Y, Z)
-    nxj_y = _nabla_endomorphism(jmat, d_j, gam, X, Y)
-    nxj_star_y = _nabla_endomorphism(jmat, d_j, gam_star, X, Y)
+    def nabla_w(gamma: Array, A: Array, B: Array, C: Array) -> float:
+        return covariant_two_form_derivative(w, dw, gamma, A, B, C)
 
-    mixed = covariant(k, X, jmat @ Y) + jmat @ covariant(k, X, Y)
+    def mixed(A: Array, B: Array, C: Array) -> float:
+        return ip(covariant(k, A, t @ B) + t @ covariant(k, A, B), C)
 
-    def cyc_term(A: Array, B: Array, C: Array) -> float:
-        return ip(covariant(k, A, jmat @ B) + jmat @ covariant(k, A, B), C)
+    def cyclic(term: Callable[..., float], *head: Array) -> float:
+        return term(*head, X, Y, Z) + term(*head, Z, X, Y) + term(*head, Y, Z, X)
 
-    cyclic = abs(cyc_term(X, Y, Z) + cyc_term(Z, X, Y) + cyc_term(Y, Z, X))
-
-    return ResidualRecord(
-        {
-            "omega_parallel": abs(n_omega),
-            "omega_deriv_primal": abs(n_omega - ip(nxj_y, Z) + 2.0 * ip(covariant(k, X, jmat @ Y), Z)),
-            "omega_deriv_dual": abs(n_star_omega - ip(nxj_star_y, Z) - 2.0 * ip(covariant(k, X, jmat @ Y), Z)),
-            "omega_deriv_levi_civita": abs(n_omega - n0_omega + ip(mixed, Z)),
-            "omega_deriv_levi_civita_dual": abs(n_star_omega - n0_omega - ip(mixed, Z)),
-            "skew_cyclic": cyclic,
-        }
-    )
+    n_w, n_star_w, n0_w = (nabla_w(gamma, X, Y, Z) for gamma in (gam, gam_star, gam0))
+    k_ty = ip(covariant(k, X, t @ Y), Z)
+    dw_xyz = float(np.einsum("abc,a,b,c->", exterior_derivative_2form(dw), X, Y, Z))
+    return {
+        "w_parallel": abs(n_w),
+        "w_deriv_primal": abs(n_w - ip(_nabla_endomorphism(t, d_t, gam, X, Y), Z) + 2.0 * k_ty),
+        "w_deriv_dual": abs(n_star_w - ip(_nabla_endomorphism(t, d_t, gam_star, X, Y), Z) - 2.0 * k_ty),
+        "w_deriv_levi_civita": abs(n_w - n0_w + mixed(X, Y, Z)),
+        "w_deriv_levi_civita_dual": abs(n_star_w - n0_w - mixed(X, Y, Z)),
+        "skew_cyclic": abs(cyclic(mixed)),
+        "dw_cyclic": max(abs(dw_xyz - cyclic(nabla_w, gamma)) for gamma in (gam0, gam)),
+    }
 
 
-def contact_statistical_residuals(
-    spec: WarpedProductSpec,
-    point: Array,
-    X: Array,
-    Y: Array,
-    Z: Array,
-    chart: DualisticChart | None = None,
-) -> ResidualRecord:
-    """Contact-frame statistical identity residuals on the total chart.
+def phi_warp_residual(spec: WarpedProductSpec, chart: DualisticChart, point: Array, X: Array, Y: Array) -> float:
+    """Max-norm residual of the warp identity of phi on the total chart of ``spec``.
 
-    phi_deriv_levi_civita        (nabla_X Phi)(Y,Z) = (nabla0_X Phi)(Y,Z) - g(K_X phi Y + phi K_X Y, Z)
-    phi_deriv_levi_civita_dual   starred version, opposite sign
-    phi_warp_deriv               (nabla_X phi)Y = (nabla^N_X J)Y - (f'/f)<X, phi Y> xi - (f'/f) eta(Y) phi X
-    dphi_cyclic                  coordinate dPhi equals the cyclic covariant sums
-                                 (both the Levi-Civita and the primal one)
+    (nabla_X phi)Y = (nabla^N_X J)Y - (f'/f)<X, phi Y> xi - (f'/f) eta(Y) phi X
     """
     point = np.asarray(point, dtype=float)
-    X, Y, Z = (np.asarray(v, dtype=float) for v in (X, Y, Z))
-    total = chart if chart is not None else build_warped_chart(spec, validate_fiber=False)
-    g = warped_metric(spec, point)
+    X, Y = (np.asarray(v, dtype=float) for v in (X, Y))
     f, fp, _ = spec.warping.at(point[0])
-    gam = connection_at(total, "nabla", point)
-    gam_star = connection_at(total, "nabla_star", point)
-    gam0 = levi_civita(total, point)
-    k = gam - gam0
     phi = phi_matrix(spec, point)
-    phi_form = fundamental_two_form(spec, point)
-    d_phi_form = partials(lambda x: fundamental_two_form(spec, x), point, DEFAULT_FD_STEP)
-
-    def ip(u: Array, v: Array) -> float:
-        return float(u @ g @ v)
-
-    def n_phi_form(gamma: Array, A: Array, B: Array, C: Array) -> float:
-        return covariant_two_form_derivative(phi_form, d_phi_form, gamma, A, B, C)
-
-    n_phi = n_phi_form(gam, X, Y, Z)
-    n_star_phi = n_phi_form(gam_star, X, Y, Z)
-    n0_phi = n_phi_form(gam0, X, Y, Z)
-    mixed = covariant(k, X, phi @ Y) + phi @ covariant(k, X, Y)
-
-    bb1 = abs(n_phi - n0_phi + ip(mixed, Z))
-    bb2 = abs(n_star_phi - n0_phi - ip(mixed, Z))
-
-    # phi_warp_deriv: compare against the fiber (nabla^N_X J) Y lifted
-    d_phi_matrix = partials(lambda x: phi_matrix(spec, x), point, DEFAULT_FD_STEP)
-    nx_phi_y = _nabla_endomorphism(phi, d_phi_matrix, gam, X, Y)
+    d_phi = partials(lambda x: phi_matrix(spec, x), point, DEFAULT_FD_STEP)
+    nx_phi_y = _nabla_endomorphism(phi, d_phi, connection_at(chart, "nabla", point), X, Y)
     xf = point[1:]
     nxj_fiber = _nabla_endomorphism(
         spec.j_at(xf), partials(spec.j_at, xf, DEFAULT_FD_STEP),
         connection_at(spec.fiber, "nabla", xf), X[1:], Y[1:],
     )
-    xi = np.zeros(spec.dim)
-    xi[0] = 1.0
-    predicted = (
-        embed_fiber_vector(nxj_fiber)
-        - (fp / f) * ip(X, phi @ Y) * xi
-        - (fp / f) * Y[0] * (phi @ X)
-    )
-    contact4 = float(np.max(np.abs(nx_phi_y - predicted)))
-
-    d_phi_xyz = float(np.einsum("abc,a,b,c->", exterior_derivative_2form(d_phi_form), X, Y, Z))
-
-    def cyc(gamma_used: Array) -> float:
-        return (
-            n_phi_form(gamma_used, X, Y, Z)
-            + n_phi_form(gamma_used, Z, X, Y)
-            + n_phi_form(gamma_used, Y, Z, X)
-        )
-
-    contact5 = max(abs(d_phi_xyz - cyc(gam0)), abs(d_phi_xyz - cyc(gam)))
-
-    return ResidualRecord(
-        {
-            "phi_deriv_levi_civita": bb1,
-            "phi_deriv_levi_civita_dual": bb2,
-            "phi_warp_deriv": contact4,
-            "dphi_cyclic": contact5,
-        }
-    )
+    predicted = embed_fiber_vector(nxj_fiber) - (fp / f) * Y[0] * (phi @ X)
+    predicted[0] -= (fp / f) * float(X @ warped_metric(spec, point) @ phi @ Y)
+    return float(np.max(np.abs(nx_phi_y - predicted)))
 
 
 # ---------------------------------------------------------------------------

@@ -51,11 +51,10 @@ class LuResult:
     gap: float
 
 
-def lu_inequality(matrices: list[Array], ordered_pairs: bool = True, tol: float = 1e-9) -> LuResult:
+def lu_inequality(matrices: list[Array]) -> LuResult:
     """sum_{a,b} ||[B_a,B_b]||^2 <= (sum_a ||B_a||^2)^2 for symmetric trace-free B.
 
-    ``ordered_pairs`` counts (a,b) and (b,a) separately (the double-sum
-    normalization); set it False for the halved a<b variant.
+    The double sum runs over ordered pairs, so (a,b) and (b,a) both count.
     """
     mats = [np.asarray(m, dtype=float) for m in matrices]
     if not mats:
@@ -64,18 +63,17 @@ def lu_inequality(matrices: list[Array], ordered_pairs: bool = True, tol: float 
     for m in mats:
         if m.shape != (dim, dim):
             raise ValueError("all matrices must share one square shape")
-        if float(np.max(np.abs(m - m.T))) > tol:
+        if float(np.max(np.abs(m - m.T))) > SLACK_TOL:
             raise ValueError("matrices must be symmetric")
-        if abs(float(np.trace(m))) > tol:
+        if abs(float(np.trace(m))) > SLACK_TOL:
             raise ValueError("matrices must be trace-free")
     lhs = 0.0
     for a in range(len(mats)):
         for b in range(a + 1, len(mats)):
             lhs += frobenius_norm_sq(commutator(mats[a], mats[b]))
-    if ordered_pairs:
-        lhs *= 2.0
+    lhs *= 2.0
     rhs = sum(frobenius_norm_sq(m) for m in mats) ** 2
-    return LuResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol, gap=rhs - lhs)
+    return LuResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs + SLACK_TOL, gap=rhs - lhs)
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,21 @@ def test_config_unknown_key_or_bad_value_is_usage_error(tmp_path, config, argv):
     assert main(["--config", str(cfg)] + argv + ["--out", str(tmp_path / "r")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("value", [None, True, [1], {"a": 1}])
+def test_config_value_neither_string_nor_number_is_usage_error(tmp_path, monkeypatch, capsys, value):
+    # str() of these would reach argparse as "--out=None", "--out=True", ... and name a file
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STATWINTGEN_OUTDIR", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": value}))
+    assert main(["--config", str(cfg), "reproduce", "example-r2"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("config error: ") and "'out'" in lines[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_config_missing_file_is_usage_error(tmp_path, capsys):
     assert main([f"--config={tmp_path / 'absent.json'}", "reproduce", "example-r2"]) == EXIT_USAGE
     assert "config error" in capsys.readouterr().err

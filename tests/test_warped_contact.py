@@ -58,7 +58,7 @@ class TestBuildWarpedChart:
         for _ in range(20):
             p = wc.sample_warped_points(h3_spec, 1, rng)[0]
             probes = [rng.uniform(-1, 1, 3) for _ in range(4)]
-            assert sg.axiom_residuals(h3_chart, p, *probes).worst() < 1e-6
+            assert max(sg.axiom_residuals(h3_chart, p, *probes).values()) < 1e-6
 
     def test_rejects_nonstatistical_fiber(self):
         # primal connection of the plane example paired with a zero dual
@@ -247,16 +247,27 @@ class TestContactClassification:
             assert wc.frame_invariant_residual(h3_spec, p) < 1e-9
 
 
+# w_parallel is a measurement, not an identity, so it is left out
+SKEW_IDENTITIES = (
+    "w_deriv_primal",
+    "w_deriv_dual",
+    "w_deriv_levi_civita",
+    "w_deriv_levi_civita_dual",
+    "skew_cyclic",
+    "dw_cyclic",
+)
+
+
 class TestHermitianResiduals:
     def test_trivial_kaehler_fiber_all_zero(self):
         chart = sg.trivial_chart(2)
         j = wc.standard_complex_structure(1)
         rng = np.random.default_rng(6)
-        rec = wc.hermitian_statistical_residuals(
+        rec = wc.skew_field_residuals(
             chart, lambda x: j.copy(), np.zeros(2), *(rng.uniform(-1, 1, 2) for _ in range(3))
         )
-        assert rec.worst() < 1e-12
-        assert rec["omega_parallel"] < 1e-12
+        assert max(rec.values()) < 1e-12
+        assert rec["w_parallel"] < 1e-12
 
     def test_r2_identities_hold(self):
         chart = sg.builtin_r2_example()
@@ -266,19 +277,21 @@ class TestHermitianResiduals:
         for _ in range(100):
             p = rng.uniform(-1, 1, 2)
             probes = [rng.uniform(-1, 1, 2) for _ in range(3)]
-            rec = wc.hermitian_statistical_residuals(chart, lambda x: j.copy(), p, *probes)
-            for name in (
-                "omega_deriv_primal",
-                "omega_deriv_dual",
-                "omega_deriv_levi_civita",
-                "omega_deriv_levi_civita_dual",
-                "skew_cyclic",
-            ):
+            rec = wc.skew_field_residuals(chart, lambda x: j.copy(), p, *probes)
+            for name in SKEW_IDENTITIES:
                 assert rec[name] < 1e-8, name
-            if rec["omega_parallel"] > 1e-3:
+            if rec["w_parallel"] > 1e-3:
                 saw_nonparallel = True
         # the plane example is statistical but not holomorphic-statistical
         assert saw_nonparallel
+
+    def test_identity_field_breaks_skew_cyclic(self):
+        # negative control: T = I is g-symmetric, and K of the plane example is nonzero
+        chart = sg.builtin_r2_example()
+        rng = np.random.default_rng(9)
+        probes = [rng.uniform(-1, 1, 2) for _ in range(3)]
+        rec = wc.skew_field_residuals(chart, lambda x: np.eye(2), rng.uniform(-1, 1, 2), *probes)
+        assert rec["skew_cyclic"] > 1.0
 
 
 def test_covariant_helpers_match_index_loops():
@@ -320,8 +333,10 @@ class TestContactResiduals:
         for _ in range(10):
             p = wc.sample_warped_points(spec, 1, rng)[0]
             probes = [rng.uniform(-1, 1, spec.dim) for _ in range(3)]
-            rec = wc.contact_statistical_residuals(spec, p, *probes, chart=chart)
-            assert rec.worst() < 1e-6, rec.as_dict()
+            rec = wc.skew_field_residuals(chart, lambda x: wc.phi_matrix(spec, x), p, *probes)
+            for name in SKEW_IDENTITIES:
+                assert rec[name] < 1e-6, (name, rec)
+            assert wc.phi_warp_residual(spec, chart, p, *probes[:2]) < 1e-6
 
 
 class TestKenmotsuTheorem:

@@ -11,7 +11,8 @@ bytes followed by the command's stdout and then its stderr, so error
 messages are pinned too.  Instance files are written by ``random_instance``
 (plus the RP^2 counterexample and an asymmetric instance that every command
 must reject) and passed as relative paths, so reports that echo the path
-compare equal between checkouts.  Two
+compare equal between checkouts; so are the ``--config`` files, a valid one
+and one whose ``null`` value every checkout must reject.  Two
 checkouts produce the same behaviour on the battery exactly when their
 outputs are equal line for line, e.g.
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -42,6 +44,7 @@ INSTANCES["rp2.json"] = legendrian.LegendrianPointInstance(
 _BAD = legendrian.umbilic_instance(n=2).to_dict()
 _BAD["h"][2][0][1] = 0.5  # not mirrored: asymmetric, and off-diagonal in the xi-slice
 INSTANCES["bad.json"] = legendrian.LegendrianPointInstance.from_dict(_BAD)
+CONFIGS = {"axioms-h3.json": {"chart": "h3", "samples": 3}, "out-null.json": {"out": None}}
 
 
 def battery() -> list[list[str]]:
@@ -69,7 +72,11 @@ def battery() -> list[list[str]]:
         ["wintgen", "sharpness", "--n", "2", "--iterations", "3000", "--seed", "5", "--c", "4", "--f", "1"],
         ["wintgen", "sharpness", "--n", "3", "--iterations", "1500", "--seed", "2"],
     ]
-    return [argv + SEED for argv in geometry + wintgen_cmds] + sharpness
+    configs = [
+        ["--config", "axioms-h3.json", "axioms", *SEED],
+        ["--config", "out-null.json", "reproduce", "example-r2", *SEED],
+    ]
+    return [argv + SEED for argv in geometry + wintgen_cmds] + sharpness + configs
 
 
 def digest(argv: list[str]) -> tuple[str, int]:
@@ -90,6 +97,8 @@ def main() -> int:
         try:
             for name, inst in INSTANCES.items():
                 Path(name).write_text(inst.to_json())
+            for name, config in CONFIGS.items():
+                Path(name).write_text(json.dumps(config))
             for argv in battery():
                 sha, code = digest(argv)
                 print(f"{sha}  {code}  {' '.join(argv)}", flush=True)
