@@ -14,8 +14,9 @@ schema string; floats are printed with 17 significant digits so reports
 round-trip exactly.  An optional JSON config file provides defaults for any
 long flag (flags win); the environment variable STATWINTGEN_OUTDIR sets the
 default output directory.  Arithmetic that leaves double precision (a
-non-finite bound, a float overflow or a division by an underflowed zero)
-is a usage error: exit 2 with one ``error:`` line, and no report is written.
+non-finite bound or geometry residual, a float overflow or a division by an
+underflowed zero) is a usage error: exit 2 with one ``error:`` line, and no
+report is written; so is a problem size whose arrays cannot be allocated.
 The argument parser is built once per process, on the first ``main`` call.
 """
 
@@ -97,14 +98,17 @@ def _finish(args, command: str, passed: bool, body: dict, default_name: str, sum
 
     Writes the report to --out when given, else to $STATWINTGEN_OUTDIR when
     set, prints ``summary`` with a ``-> path`` suffix on its last line and
-    returns the exit code: 0 when passed, else 1.
+    returns the exit code: 0 when passed, else 1.  The report is rendered
+    even when it is not written, so a non-finite float in it is the same
+    usage error with or without a path.
     """
+    text = dump_json(_base_report(command, passed, body)) + "\n"
     path = Path(args.out) if args.out is not None else None
     if path is None and "STATWINTGEN_OUTDIR" in os.environ:
         path = _output_dir() / default_name
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(dump_json(_base_report(command, passed, body)) + "\n")
+        path.write_text(text)
     print(summary + (f" -> {path}" if path else ""))
     return EXIT_OK if passed else EXIT_VIOLATION
 
@@ -161,6 +165,8 @@ def cmd_axioms(args) -> int:
         probes = [rng.uniform(-1.0, 1.0, chart.dim) for _ in range(4)]
         rec = sg.axiom_residuals(chart, point, *probes)
         for name, value in rec.items():
+            if not math.isfinite(value):  # max() below would drop a NaN
+                raise OverflowError(f"non-finite {name} residual at {point.tolist()}")
             worst[name] = max(worst.get(name, 0.0), value)
             if value > args.residual_tol:
                 breaches.append({"residual": name, "value": value, "point": point.tolist()})
@@ -569,6 +575,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except ArithmeticError as exc:  # Python's float overflow carries (errno, text)
         print(f"error: arithmetic overflow: {exc.args[-1] if exc.args else exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

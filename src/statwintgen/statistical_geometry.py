@@ -225,49 +225,13 @@ def axiom_residuals(
     }
 
 
-def check_almost_complex(g: Array, J: Array, tol: float = 1e-9) -> float:
-    """Residual of J^2 = -Id and g(J.,J.) = g; raises when above ``tol``."""
+def check_almost_complex(g: Array, J: Array) -> float:
+    """Residual of J^2 = -Id and g(J.,J.) = g."""
     g = np.asarray(g, dtype=float)
     J = np.asarray(J, dtype=float)
-    res = max(
+    return max(
         float(np.max(np.abs(J @ J + np.eye(J.shape[0])))),
         float(np.max(np.abs(J.T @ g @ J - g))),
-    )
-    if res > tol:
-        raise ValueError(f"not an almost complex compatible pair (residual {res:.3e})")
-    return res
-
-
-def holomorphic_space_form_curvature(
-    c: float,
-    g: Array,
-    J: Array,
-    X: Array,
-    Y: Array,
-    Z: Array,
-    tol: float = 1e-9,
-) -> Array:
-    """Curvature vector R(X,Y)Z of constant holomorphic sectional curvature c.
-
-    Standard form (c/4)[g(Y,Z)X - g(X,Z)Y + g(JY,Z)JX - g(JX,Z)JY + 2g(X,JY)JZ];
-    contracting with X at Y = JX, Z = JX reproduces sectional curvature c of the
-    holomorphic plane, and c/4 on totally real planes.
-    """
-    g = np.asarray(g, dtype=float)
-    J = np.asarray(J, dtype=float)
-    X, Y, Z = (np.asarray(v, dtype=float) for v in (X, Y, Z))
-    check_almost_complex(g, J, tol)
-
-    def ip(u: Array, v: Array) -> float:
-        return float(u @ g @ v)
-
-    JX, JY, JZ = J @ X, J @ Y, J @ Z
-    return (c / 4.0) * (
-        ip(Y, Z) * X
-        - ip(X, Z) * Y
-        + ip(JY, Z) * JX
-        - ip(JX, Z) * JY
-        + 2.0 * ip(X, JY) * JZ
     )
 
 

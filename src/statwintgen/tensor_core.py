@@ -1,9 +1,9 @@
 """Shared numerical kernel.
 
 Dense matrix helpers (Frobenius norms, commutators), the central-difference
-stencil for array-valued fields of several variables, and seeded generation
-of constrained random matrices.  Everything here is double precision and
-pure: inputs are never mutated, outputs are fresh arrays.
+stencil for array-valued fields of several variables, per-instance seeded
+generators, upper-triangle mirroring and box sampling.  Everything here is
+double precision and pure: inputs are never mutated, outputs are fresh arrays.
 """
 
 from __future__ import annotations
@@ -67,26 +67,6 @@ def instance_rng(seed: int, index: int = 0) -> np.random.Generator:
     depend on evaluation order.
     """
     return np.random.default_rng([int(seed), int(index)])
-
-
-def random_symmetric_traceless(dim: int, count: int, seed: int) -> list[np.ndarray]:
-    """`count` random symmetric trace-free matrices, deterministic per seed.
-
-    Entries are drawn uniformly from [-1, 1], symmetrized, then projected onto
-    the trace-zero subspace.
-    """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    out = []
-    for k in range(count):
-        rng = instance_rng(seed, k)
-        raw = rng.uniform(-1.0, 1.0, size=(dim, dim))
-        sym = 0.5 * (raw + raw.T)
-        sym -= (np.trace(sym) / dim) * np.eye(dim)
-        out.append(sym)
-    return out
 
 
 @lru_cache(maxsize=32)

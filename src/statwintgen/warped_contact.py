@@ -12,9 +12,6 @@ structure J, and the classification into almost alpha-Kenmotsu / almost
 cosymplectic is decided from the coordinate exterior derivatives of eta and
 of the fundamental two-form Phi(X,Y) = <phi X, Y>.
 
-J on the fiber and phi on the warp are both g-skew, so one function,
-``skew_field_residuals``, checks their statistical identities.
-
 Sign conventions: Omega(X,Y) = g(JX, Y) on the fiber, matching Phi's slot
 order; with these the exact two-form identity of the warp is
 dPhi = f^2 dOmega - 2 alpha eta ^ Phi for the reported alpha = -f'/f.
@@ -32,12 +29,8 @@ from .statistical_geometry import (
     DualisticChart,
     axiom_residuals,
     check_almost_complex,
-    connection_at,
-    covariant,
-    covariant_two_form_derivative,
     curvature,
     difference_tensor,
-    levi_civita,
     trivial_chart,
     builtin_r2_example,
 )
@@ -82,17 +75,11 @@ def cosh_warping() -> Warping:
 
 @dataclass(frozen=True)
 class WarpedProductSpec:
-    """Fiber chart + almost complex field + warping data for R x_f N.
-
-    ``space_form_c`` declares the fiber as a holomorphic statistical space
-    form of constant c (with vanishing [K,K]); it gates the closed
-    four-slot curvature formula.
-    """
+    """Fiber chart + almost complex field + warping data for R x_f N."""
 
     fiber: DualisticChart
     complex_structure: Callable[[Array], Array]
     warping: Warping
-    space_form_c: float | None = None
     label: str = "warped product"
 
     @property
@@ -112,14 +99,13 @@ def standard_complex_structure(n: int) -> Array:
     return out
 
 
-def flat_kaehler_spec(n: int, warping: Warping, space_form_c: float | None = 0.0) -> WarpedProductSpec:
+def flat_kaehler_spec(n: int, warping: Warping) -> WarpedProductSpec:
     """Trivial flat fiber R^{2n} with the constant standard J."""
     j = standard_complex_structure(n)
     return WarpedProductSpec(
         fiber=trivial_chart(2 * n),
         complex_structure=lambda x: j.copy(),
         warping=warping,
-        space_form_c=space_form_c,
         label=f"R x_{warping.name} C^{n} (flat)",
     )
 
@@ -371,49 +357,6 @@ def phi_matrix(spec: WarpedProductSpec, point: Array) -> Array:
     return out
 
 
-def space_form_warped_curvature(
-    spec: WarpedProductSpec,
-    point: Array,
-    X: Array,
-    Y: Array,
-    Z: Array,
-    W: Array,
-) -> float:
-    """Four-slot curvature scalar of R x_f N(c) (identical for both connections).
-
-    <R(X,Y)Z, W> = A [<Y,Z><X,W> - <X,Z><Y,W>]
-                 + B [<X,Z> Y_t W_t - <Y,Z> X_t W_t + <Y,W> X_t Z_t - <X,W> Y_t Z_t]
-                 + (c/4f^2) [<X,phiZ><phiY,W> - <Y,phiZ><phiX,W> + 2<X,phiY><phiZ,W>]
-
-    with A = c/4f^2 - (f'/f)^2 and B = A + f''/f; the subscript t denotes the
-    dt-component.
-    """
-    if spec.space_form_c is None:
-        raise ValueError(f"{spec.label}: fiber is not declared as a holomorphic statistical space form")
-    point = np.asarray(point, dtype=float)
-    c = float(spec.space_form_c)
-    f, fp, fpp = spec.warping.at(point[0])
-    g = warped_metric(spec, point)
-    phi = phi_matrix(spec, point)
-    X, Y, Z, W = (np.asarray(v, dtype=float) for v in (X, Y, Z, W))
-
-    def ip(u: Array, v: Array) -> float:
-        return float(u @ g @ v)
-
-    a_coef = c / (4.0 * f * f) - (fp / f) ** 2
-    b_coef = a_coef + fpp / f
-    phi_x, phi_y, phi_z = phi @ X, phi @ Y, phi @ Z
-    xt, yt, zt, wt = X[0], Y[0], Z[0], W[0]
-    term1 = a_coef * (ip(Y, Z) * ip(X, W) - ip(X, Z) * ip(Y, W))
-    term2 = b_coef * (
-        ip(X, Z) * yt * wt - ip(Y, Z) * xt * wt + ip(Y, W) * xt * zt - ip(X, W) * yt * zt
-    )
-    term3 = (c / (4.0 * f * f)) * (
-        ip(X, phi_z) * ip(phi_y, W) - ip(Y, phi_z) * ip(phi_x, W) + 2.0 * ip(X, phi_y) * ip(phi_z, W)
-    )
-    return term1 + term2 + term3
-
-
 # ---------------------------------------------------------------------------
 # Almost contact frame, exterior calculus, classification
 # ---------------------------------------------------------------------------
@@ -546,99 +489,6 @@ def contact_classification(
 
 
 # ---------------------------------------------------------------------------
-# Statistical identity residuals of g-skew fields
-# ---------------------------------------------------------------------------
-
-
-def _nabla_endomorphism(t: Array, dt: Array, gamma: Array, X: Array, Y: Array) -> Array:
-    """(nabla_X T)Y from a (1,1) field T, its partials dt[a] = d_a T and connection coefficients."""
-    # nabla_X (TY) with TY treated as the field x -> T(x) Y_const
-    cov_ty = np.einsum("a,abc->bc", X, dt) @ Y + covariant(gamma, X, t @ Y)
-    return cov_ty - t @ covariant(gamma, X, Y)
-
-
-def skew_field_residuals(
-    chart: DualisticChart,
-    t_field: Callable[[Array], Array],
-    point: Array,
-    X: Array,
-    Y: Array,
-    Z: Array,
-) -> dict[str, float]:
-    """Statistical identity residuals of a g-skew (1,1) field T and its form w(Y,Z) = g(TY, Z).
-
-    w_parallel                 |(nabla_X w)(Y,Z)|, a measurement (zero when T is parallel)
-    w_deriv_primal             (nabla_X w)(Y,Z) = g((nabla_X T)Y, Z) - 2 g(K_X TY, Z)
-    w_deriv_dual               starred version, + 2 g(K_X TY, Z)
-    w_deriv_levi_civita        (nabla_X w)(Y,Z) = (nabla0_X w)(Y,Z) - g(K_X TY + T K_X Y, Z)
-    w_deriv_levi_civita_dual   starred version, opposite sign
-    skew_cyclic                cyclic sum of g(K_X TY + T K_X Y, Z) vanishes (T is g-skew)
-    dw_cyclic                  coordinate dw(X,Y,Z) equals the cyclic sums of nabla0 w and nabla w
-    """
-    point = np.asarray(point, dtype=float)
-    X, Y, Z = (np.asarray(v, dtype=float) for v in (X, Y, Z))
-    g = np.asarray(chart.metric(point), dtype=float)
-    t = np.asarray(t_field(point), dtype=float)
-    gam = connection_at(chart, "nabla", point)
-    gam_star = connection_at(chart, "nabla_star", point)
-    gam0 = levi_civita(chart, point)
-    k = gam - gam0
-
-    def w_field(x: Array) -> Array:
-        return np.asarray(t_field(x), dtype=float).T @ np.asarray(chart.metric(x), dtype=float)
-
-    w = t.T @ g
-    dw = partials(w_field, point, DEFAULT_FD_STEP)
-    d_t = partials(t_field, point, DEFAULT_FD_STEP)
-
-    def ip(u: Array, v: Array) -> float:
-        return float(u @ g @ v)
-
-    def nabla_w(gamma: Array, A: Array, B: Array, C: Array) -> float:
-        return covariant_two_form_derivative(w, dw, gamma, A, B, C)
-
-    def mixed(A: Array, B: Array, C: Array) -> float:
-        return ip(covariant(k, A, t @ B) + t @ covariant(k, A, B), C)
-
-    def cyclic(term: Callable[..., float], *head: Array) -> float:
-        return term(*head, X, Y, Z) + term(*head, Z, X, Y) + term(*head, Y, Z, X)
-
-    n_w, n_star_w, n0_w = (nabla_w(gamma, X, Y, Z) for gamma in (gam, gam_star, gam0))
-    k_ty = ip(covariant(k, X, t @ Y), Z)
-    dw_xyz = float(np.einsum("abc,a,b,c->", exterior_derivative_2form(dw), X, Y, Z))
-    return {
-        "w_parallel": abs(n_w),
-        "w_deriv_primal": abs(n_w - ip(_nabla_endomorphism(t, d_t, gam, X, Y), Z) + 2.0 * k_ty),
-        "w_deriv_dual": abs(n_star_w - ip(_nabla_endomorphism(t, d_t, gam_star, X, Y), Z) - 2.0 * k_ty),
-        "w_deriv_levi_civita": abs(n_w - n0_w + mixed(X, Y, Z)),
-        "w_deriv_levi_civita_dual": abs(n_star_w - n0_w - mixed(X, Y, Z)),
-        "skew_cyclic": abs(cyclic(mixed)),
-        "dw_cyclic": max(abs(dw_xyz - cyclic(nabla_w, gamma)) for gamma in (gam0, gam)),
-    }
-
-
-def phi_warp_residual(spec: WarpedProductSpec, chart: DualisticChart, point: Array, X: Array, Y: Array) -> float:
-    """Max-norm residual of the warp identity of phi on the total chart of ``spec``.
-
-    (nabla_X phi)Y = (nabla^N_X J)Y - (f'/f)<X, phi Y> xi - (f'/f) eta(Y) phi X
-    """
-    point = np.asarray(point, dtype=float)
-    X, Y = (np.asarray(v, dtype=float) for v in (X, Y))
-    f, fp, _ = spec.warping.at(point[0])
-    phi = phi_matrix(spec, point)
-    d_phi = partials(lambda x: phi_matrix(spec, x), point, DEFAULT_FD_STEP)
-    nx_phi_y = _nabla_endomorphism(phi, d_phi, connection_at(chart, "nabla", point), X, Y)
-    xf = point[1:]
-    nxj_fiber = _nabla_endomorphism(
-        spec.j_at(xf), partials(spec.j_at, xf, DEFAULT_FD_STEP),
-        connection_at(spec.fiber, "nabla", xf), X[1:], Y[1:],
-    )
-    predicted = embed_fiber_vector(nxj_fiber) - (fp / f) * Y[0] * (phi @ X)
-    predicted[0] -= (fp / f) * float(X @ warped_metric(spec, point) @ phi @ Y)
-    return float(np.max(np.abs(nx_phi_y - predicted)))
-
-
-# ---------------------------------------------------------------------------
 # Warped-Kenmotsu equivalence check
 # ---------------------------------------------------------------------------
 
@@ -649,7 +499,6 @@ class KenmotsuCheck:
     total_almost_kenmotsu: bool
     consistent: bool
     k_tilde_xi_residual: float
-    details: dict
     points: Array
     classifications: tuple[ContactClassification, ...]
 
@@ -664,47 +513,34 @@ def kenmotsu_theorem_check(
 
     Fiber side: J compatible with g_N and dOmega = 0.  Total side: contact
     frame invariants hold, d eta = 0, and dPhi = 2 (f'/f) eta ^ Phi; both at
-    ``KENMOTSU_TOL``.  Also verifies the difference-tensor identities
-    K~_X xi = K~_xi xi = 0 and K~_X Y = K_X Y on fiber probes (these hold for
-    every warp).  Each point is evaluated once, by ``contact_classification``
-    with tag tolerance ``tol`` and no frame gate; the records are returned.
+    ``KENMOTSU_TOL``.  Also measures the difference-tensor identities
+    K~_X xi = K~_xi xi = 0, which hold for every warp.  Each point is
+    evaluated once, by ``contact_classification`` with tag tolerance ``tol``
+    and no frame gate; the records are returned.  A non-finite residual has
+    no verdict: it raises OverflowError.
     """
     rng = np.random.default_rng(seed)
     pts = sample_warped_points(spec, samples, rng)
-    worst_fiber = 0.0
-    worst_total = 0.0
-    k_xi_res = 0.0
-    k_fiber_res = 0.0
     chart = build_warped_chart(spec, validate_fiber=False)
     classifications = tuple(contact_classification(spec, p, tol=tol, frame_tol=math.inf) for p in pts)
+    fiber_res, total_res, k_xi_res = [], [], []
     for p, cls in zip(pts, classifications):
         xf = p[1:]
-        compat = check_almost_complex(spec.fiber.metric(xf), spec.j_at(xf), tol=math.inf)
-        worst_fiber = max(worst_fiber, compat, cls.d_omega_residual)
-        worst_total = max(worst_total, cls.frame_residual, cls.d_phi_residual)
-
+        fiber_res += [check_almost_complex(spec.fiber.metric(xf), spec.j_at(xf)), cls.d_omega_residual]
+        total_res += [cls.frame_residual, cls.d_phi_residual]
         k_tilde = difference_tensor(chart, p)
-        k_xi_res = max(
-            k_xi_res,
-            float(np.max(np.abs(k_tilde[:, :, 0]))),
-            float(np.max(np.abs(k_tilde[:, 0, :]))),
-        )
-        k_fiber = difference_tensor(spec.fiber, xf)
-        k_fiber_res = max(k_fiber_res, float(np.max(np.abs(k_tilde[1:, 1:, 1:] - k_fiber))))
-
+        k_xi_res += [np.max(np.abs(k_tilde[:, :, 0])), np.max(np.abs(k_tilde[:, 0, :]))]
+    # np.max keeps a NaN, which Python's max(0.0, nan) would drop
+    worst_fiber, worst_total, k_xi = (float(np.max(r, initial=0.0)) for r in (fiber_res, total_res, k_xi_res))
+    if not all(map(math.isfinite, (worst_fiber, worst_total, k_xi))):
+        raise OverflowError(f"non-finite residual on {spec.label}")
     fiber_ok = worst_fiber <= KENMOTSU_TOL
     total_ok = worst_total <= KENMOTSU_TOL
     return KenmotsuCheck(
         fiber_almost_kaehler=fiber_ok,
         total_almost_kenmotsu=total_ok,
         consistent=(fiber_ok == total_ok),
-        k_tilde_xi_residual=k_xi_res,
-        details={
-            "worst_fiber_residual": worst_fiber,
-            "worst_total_residual": worst_total,
-            "k_tilde_fiber_match_residual": k_fiber_res,
-            "samples": int(samples),
-        },
+        k_tilde_xi_residual=k_xi,
         points=pts,
         classifications=classifications,
     )

@@ -19,7 +19,7 @@ fails while the rederived bound (and every earlier chain step) still holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,44 +36,6 @@ from .tensor_core import _triu_indices, commutator, frobenius_norm_sq, instance_
 SLACK_TOL = 1e-9
 
 Array = np.ndarray
-
-
-# ---------------------------------------------------------------------------
-# Lu's commutator inequality
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LuResult:
-    lhs: float
-    rhs: float
-    holds: bool
-    gap: float
-
-
-def lu_inequality(matrices: list[Array]) -> LuResult:
-    """sum_{a,b} ||[B_a,B_b]||^2 <= (sum_a ||B_a||^2)^2 for symmetric trace-free B.
-
-    The double sum runs over ordered pairs, so (a,b) and (b,a) both count.
-    """
-    mats = [np.asarray(m, dtype=float) for m in matrices]
-    if not mats:
-        raise ValueError("need at least one matrix")
-    dim = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (dim, dim):
-            raise ValueError("all matrices must share one square shape")
-        if float(np.max(np.abs(m - m.T))) > SLACK_TOL:
-            raise ValueError("matrices must be symmetric")
-        if abs(float(np.trace(m))) > SLACK_TOL:
-            raise ValueError("matrices must be trace-free")
-    lhs = 0.0
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            lhs += frobenius_norm_sq(commutator(mats[a], mats[b]))
-    lhs *= 2.0
-    rhs = sum(frobenius_norm_sq(m) for m in mats) ** 2
-    return LuResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs + SLACK_TOL, gap=rhs - lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -275,41 +237,6 @@ def main_inequality(
         holds=holds,
         chain=chain,
     )
-
-
-COROLLARY_VARIANTS = ("kenmotsu", "cosymplectic")
-
-
-def corollary_constant(variant: str, c: float) -> float:
-    if variant == "kenmotsu":
-        return 1.0
-    if variant == "cosymplectic":
-        return (2.0 * abs(c) - c) / 4.0
-    raise ValueError(f"unknown corollary variant {variant!r}; expected one of {COROLLARY_VARIANTS}")
-
-
-def corollary_reports(inst: LegendrianPointInstance, variant: str, seed: str | None = None) -> WintgenReport:
-    """Specialized bound for R x_{e^t} C^n (kenmotsu) or R x N(c) (cosymplectic).
-
-    Parameter gates: kenmotsu needs c = 0 and f' = f; cosymplectic needs
-    f = 1 and f' = 0.  The specialized constant must reproduce the general
-    one exactly (checked to 1e-12).
-    """
-    special = corollary_constant(variant, inst.c)
-    if variant == "kenmotsu" and not (inst.c == 0.0 and inst.f_prime == inst.f_val):
-        raise ValueError("kenmotsu corollary needs c = 0 and f' = f")
-    if variant == "cosymplectic" and not (inst.f_val == 1.0 and inst.f_prime == 0.0):
-        raise ValueError("cosymplectic corollary needs f = 1 and f' = 0")
-    base = main_inequality(inst, seed=seed, include_chain=False)
-    terms = {**base.rhs_terms, "curvature_constant": special}
-    rhs = sum(terms.values())
-    if abs(rhs - base.rhs) > 1e-12:
-        raise AssertionError(
-            f"corollary constant mismatch: specialized {rhs!r} vs general {base.rhs!r}"
-        )
-    slack = rhs - base.lhs
-    return replace(base, rhs_terms=terms, rhs=rhs, slack=slack,
-                   holds=_holds_with_compensation(terms, base.lhs, slack))
 
 
 # ---------------------------------------------------------------------------

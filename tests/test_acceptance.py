@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 import frame_oracle
+import paper_checks as pc
 import statwintgen.legendrian as lg
 import statwintgen.statistical_geometry as sg
 import statwintgen.warped_contact as wc
 import statwintgen.wintgen as wg
 from statwintgen.cli import main as cli_main
-from statwintgen.tensor_core import random_symmetric_traceless
 
 EX, EY = np.eye(2)
 
@@ -124,26 +124,26 @@ def test_criterion_3_closed_form_curvature():
 
 
 def test_criterion_4_space_form_curvature():
-    spec = wc.flat_kaehler_spec(1, wc.exp_warping(), space_form_c=0.0)
+    spec = wc.flat_kaehler_spec(1, wc.exp_warping())
     chart = wc.build_warped_chart(spec).without_analytic()
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(100):
         p = wc.sample_warped_points(spec, 1, rng)[0]
         x, y, z, w = (rng.uniform(-1, 1, 3) for _ in range(4))
-        closed = wc.space_form_warped_curvature(spec, p, x, y, z, w)
+        closed = pc.space_form_warped_curvature(spec, 0.0, p, x, y, z, w)
         g = wc.warped_metric(spec, p)
         worst = max(worst, abs(closed - sg.curvature(chart, "nabla", p).scalar(g, x, y, z, w)))
         worst = max(worst, abs(closed - sg.curvature(chart, "nabla_star", p).scalar(g, x, y, z, w)))
     ok = worst <= 1e-6
     anti = 0.0
     for c in (-3.0, 1.5, 4.0):
-        spec_c = wc.flat_kaehler_spec(2, wc.cosh_warping(), space_form_c=c)
+        spec_c = wc.flat_kaehler_spec(2, wc.cosh_warping())
         for _ in range(20):
             p = wc.sample_warped_points(spec_c, 1, rng)[0]
             x, y, z, w = (rng.uniform(-1, 1, 5) for _ in range(4))
-            a = wc.space_form_warped_curvature(spec_c, p, x, y, z, w)
-            b = wc.space_form_warped_curvature(spec_c, p, y, x, z, w)
+            a = pc.space_form_warped_curvature(spec_c, c, p, x, y, z, w)
+            b = pc.space_form_warped_curvature(spec_c, c, p, y, x, z, w)
             anti = max(anti, abs(a + b))
     ok &= anti <= 1e-12
     assert _line(4, "space-form four-slot tensor", ok,
@@ -174,11 +174,11 @@ def test_criterion_6_lu_inequality():
     for trial in range(10_000):
         dim = int(rng.integers(1, 7))
         count = int(rng.integers(1, 6))
-        mats = random_symmetric_traceless(dim, count, seed=trial)
-        if not wg.lu_inequality(mats).holds:
+        mats = pc.random_symmetric_traceless(dim, count, seed=trial)
+        if not pc.lu_inequality(mats).holds:
             ok = False
             break
-    pair = wg.lu_inequality([np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])])
+    pair = pc.lu_inequality([np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])])
     ok &= pair.lhs == 16.0 and pair.rhs == 16.0
     assert _line(6, "Lu commutator inequality", ok, "10^4 sets, equality pair exact")
 
@@ -228,16 +228,16 @@ def test_criterion_8_main_theorem_sweep(sweep_instances):
 
 def test_criterion_9_corollary_specialization():
     ok = True
-    kengold = wg.corollary_reports(lg.umbilic_instance(), "kenmotsu")
+    kengold = pc.corollary_reports(lg.umbilic_instance(), "kenmotsu")
     ok &= abs(kengold.rhs - 7.0) <= 1e-12
     for i, c in enumerate((4.0, -4.0)):
         base = wg.random_instance(n=2, seed=90, index=i, f_range=(1.0, 1.0), fprime_range=(0.0, 0.0))
         inst = lg.LegendrianPointInstance(n=2, c=c, f_val=1.0, f_prime=0.0, h=base.h, h_star=base.h_star)
-        rep = wg.corollary_reports(inst, "cosymplectic")
+        rep = pc.corollary_reports(inst, "cosymplectic")
         main_rep = wg.main_inequality(inst, include_chain=False)
         ok &= abs(rep.rhs - main_rep.rhs) <= 1e-12
-    ok &= wg.corollary_constant("cosymplectic", 4.0) == 1.0
-    ok &= wg.corollary_constant("cosymplectic", -4.0) == 3.0
+    ok &= pc.corollary_constant("cosymplectic", 4.0) == 1.0
+    ok &= pc.corollary_constant("cosymplectic", -4.0) == 3.0
     assert _line(9, "corollary specialization", ok, "constants 1 and 3 at c = +/-4")
 
 

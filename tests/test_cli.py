@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -399,6 +400,46 @@ def test_arithmetic_overflow_is_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "report.out"
     line = _assert_one_line_usage_error(main(["wintgen", *argv, "--out", str(out)]), capsys)
     assert line.startswith("error: arithmetic overflow: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--warp", "const", "--const-value", "1e200", "--samples", "2"],
+        ["axioms", "--perturb-gamma", "1e200", "--samples", "2"],
+    ],
+    ids=" ".join,
+)
+@pytest.mark.parametrize("out", [[], ["--out", "report.json"]], ids=["no-out", "out"])
+def test_non_finite_geometry_residual_is_usage_error(argv, out, tmp_path, monkeypatch, capsys):
+    # f^2 = inf and a 1e200 coefficient give NaN residuals; max(0.0, nan) dropped them
+    # and the verdict came from the rest (classify "consistent", axioms "max 0")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STATWINTGEN_OUTDIR", raising=False)
+    line = _assert_one_line_usage_error(main([*argv, *out]), capsys)
+    assert line.startswith("error: arithmetic overflow: non-finite ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritten_report_with_non_finite_float_is_refused(monkeypatch, capsys):
+    monkeypatch.delenv("STATWINTGEN_OUTDIR", raising=False)
+    with pytest.raises(ValueError, match="non-finite float"):
+        cli._finish(argparse.Namespace(out=None), "axioms", True, {"worst": float("nan")}, "r.json", "summary")
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--n", "100000", "--count", "1"], ["sharpness", "--n", "100000", "--iterations", "1"]],
+    ids=" ".join,
+)
+def test_unallocatable_dimension_is_usage_error(argv, tmp_path, capsys):
+    # n = 100000 asks for 7 PiB (sharpness) or 14 PiB (sweep), beyond a 128 TiB address space,
+    # so the allocation fails at once
+    out = tmp_path / "report.out"
+    line = _assert_one_line_usage_error(main(["wintgen", *argv, "--out", str(out)]), capsys)
+    assert line.startswith("error: out of memory: ")
     assert not out.exists()
 
 

@@ -11,7 +11,6 @@ from statwintgen.statistical_geometry import (
     connection_at,
     curvature,
     difference_tensor,
-    holomorphic_space_form_curvature,
     kk_bracket,
     levi_civita,
     sectional_curvature,
@@ -19,6 +18,7 @@ from statwintgen.statistical_geometry import (
 )
 
 from helpers import nabla_g_residual
+from paper_checks import holomorphic_space_form_curvature
 
 EX, EY = np.eye(2)
 

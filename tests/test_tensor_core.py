@@ -8,11 +8,11 @@ from statwintgen.tensor_core import (
     commutator,
     frobenius_norm_sq,
     partials,
-    random_symmetric_traceless,
     symmetrize_upper,
 )
 
 from helpers import random_orthogonal
+from paper_checks import random_symmetric_traceless
 
 
 class TestFrobenius:

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import paper_checks as pc
 import statwintgen.statistical_geometry as sg
 import statwintgen.warped_contact as wc
 
@@ -152,35 +153,31 @@ class TestClosedFormCurvature:
 
 
 class TestSpaceFormCurvature:
-    def test_requires_declared_space_form(self, h3_spec):
-        with pytest.raises(ValueError):
-            wc.space_form_warped_curvature(h3_spec, np.zeros(3), E3[0], E3[1], E3[1], E3[0])
-
     def test_flat_product_vanishes_on_fiber_probes(self):
-        spec = wc.flat_kaehler_spec(1, wc.const_warping(1.0), space_form_c=0.0)
+        spec = wc.flat_kaehler_spec(1, wc.const_warping(1.0))
         rng = np.random.default_rng(1)
         for _ in range(10):
             probes = [wc.embed_fiber_vector(rng.uniform(-1, 1, 2)) for _ in range(4)]
-            assert wc.space_form_warped_curvature(spec, np.zeros(3), *probes) == 0.0
+            assert pc.space_form_warped_curvature(spec, 0.0, np.zeros(3), *probes) == 0.0
 
     def test_c0_exp_warp_is_hyperbolic(self):
-        spec = wc.flat_kaehler_spec(1, wc.exp_warping(), space_form_c=0.0)
+        spec = wc.flat_kaehler_spec(1, wc.exp_warping())
         p = np.array([0.2, 0.3, -0.1])
         g = wc.warped_metric(spec, p)
         rng = np.random.default_rng(2)
         x, y = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-        val = wc.space_form_warped_curvature(spec, p, x, y, y, x)
+        val = pc.space_form_warped_curvature(spec, 0.0, p, x, y, y, x)
         gram = float((x @ g @ x) * (y @ g @ y) - (x @ g @ y) ** 2)
         assert abs(val / gram + 1.0) <= 1e-12
 
     def test_matches_numerical_curvature(self):
-        spec = wc.flat_kaehler_spec(1, wc.exp_warping(), space_form_c=0.0)
+        spec = wc.flat_kaehler_spec(1, wc.exp_warping())
         chart = wc.build_warped_chart(spec)
         rng = np.random.default_rng(3)
         for _ in range(100):
             p = wc.sample_warped_points(spec, 1, rng)[0]
             x, y, z, w = (rng.uniform(-1, 1, 3) for _ in range(4))
-            closed = wc.space_form_warped_curvature(spec, p, x, y, z, w)
+            closed = pc.space_form_warped_curvature(spec, 0.0, p, x, y, z, w)
             g = chart.metric(p)
             num = sg.curvature(chart.without_analytic(), "nabla", p).scalar(g, x, y, z, w)
             num_star = sg.curvature(chart.without_analytic(), "nabla_star", p).scalar(g, x, y, z, w)
@@ -188,13 +185,13 @@ class TestSpaceFormCurvature:
             assert abs(closed - num_star) <= 1e-6
 
     def test_antisymmetry_first_pair_any_c(self):
-        spec = wc.flat_kaehler_spec(2, wc.cosh_warping(), space_form_c=2.5)
+        spec = wc.flat_kaehler_spec(2, wc.cosh_warping())
         rng = np.random.default_rng(4)
         for _ in range(20):
             p = wc.sample_warped_points(spec, 1, rng)[0]
             x, y, z, w = (rng.uniform(-1, 1, 5) for _ in range(4))
-            a = wc.space_form_warped_curvature(spec, p, x, y, z, w)
-            b = wc.space_form_warped_curvature(spec, p, y, x, z, w)
+            a = pc.space_form_warped_curvature(spec, 2.5, p, x, y, z, w)
+            b = pc.space_form_warped_curvature(spec, 2.5, p, y, x, z, w)
             assert abs(a + b) <= 1e-12 * max(1.0, abs(a))
 
 
@@ -263,7 +260,7 @@ class TestHermitianResiduals:
         chart = sg.trivial_chart(2)
         j = wc.standard_complex_structure(1)
         rng = np.random.default_rng(6)
-        rec = wc.skew_field_residuals(
+        rec = pc.skew_field_residuals(
             chart, lambda x: j.copy(), np.zeros(2), *(rng.uniform(-1, 1, 2) for _ in range(3))
         )
         assert max(rec.values()) < 1e-12
@@ -277,7 +274,7 @@ class TestHermitianResiduals:
         for _ in range(100):
             p = rng.uniform(-1, 1, 2)
             probes = [rng.uniform(-1, 1, 2) for _ in range(3)]
-            rec = wc.skew_field_residuals(chart, lambda x: j.copy(), p, *probes)
+            rec = pc.skew_field_residuals(chart, lambda x: j.copy(), p, *probes)
             for name in SKEW_IDENTITIES:
                 assert rec[name] < 1e-8, name
             if rec["w_parallel"] > 1e-3:
@@ -290,7 +287,7 @@ class TestHermitianResiduals:
         chart = sg.builtin_r2_example()
         rng = np.random.default_rng(9)
         probes = [rng.uniform(-1, 1, 2) for _ in range(3)]
-        rec = wc.skew_field_residuals(chart, lambda x: np.eye(2), rng.uniform(-1, 1, 2), *probes)
+        rec = pc.skew_field_residuals(chart, lambda x: np.eye(2), rng.uniform(-1, 1, 2), *probes)
         assert rec["skew_cyclic"] > 1.0
 
 
@@ -314,7 +311,7 @@ def test_covariant_helpers_match_index_loops():
         assert abs(sg.covariant_two_form_derivative(w, dw, gamma, X, Y, Z) - ref_w) <= 1e-11
         dir_t = sum(X[a] * dt[a] for a in range(d))
         ref_t = dir_t @ Y + nabla_x(t @ Y) - t @ nabla_x(Y)
-        npt.assert_allclose(wc._nabla_endomorphism(t, dt, gamma, X, Y), ref_t, rtol=0, atol=1e-11)
+        npt.assert_allclose(pc._nabla_endomorphism(t, dt, gamma, X, Y), ref_t, rtol=0, atol=1e-11)
 
 
 class TestContactResiduals:
@@ -333,10 +330,10 @@ class TestContactResiduals:
         for _ in range(10):
             p = wc.sample_warped_points(spec, 1, rng)[0]
             probes = [rng.uniform(-1, 1, spec.dim) for _ in range(3)]
-            rec = wc.skew_field_residuals(chart, lambda x: wc.phi_matrix(spec, x), p, *probes)
+            rec = pc.skew_field_residuals(chart, lambda x: wc.phi_matrix(spec, x), p, *probes)
             for name in SKEW_IDENTITIES:
                 assert rec[name] < 1e-6, (name, rec)
-            assert wc.phi_warp_residual(spec, chart, p, *probes[:2]) < 1e-6
+            assert pc.phi_warp_residual(spec, chart, p, *probes[:2]) < 1e-6
 
 
 class TestKenmotsuTheorem:
@@ -386,8 +383,14 @@ class TestKenmotsuTheorem:
             assert {cls.structure_tag for cls in chk.classifications} == {"unclassified"}
 
     def test_k_tilde_matches_fiber(self, h3_spec):
+        # K~_X Y = K_X Y on fiber probes, at the points the check samples
         chk = wc.kenmotsu_theorem_check(h3_spec)
-        assert chk.details["k_tilde_fiber_match_residual"] < 1e-8
+        chart = wc.build_warped_chart(h3_spec, validate_fiber=False)
+        residual = max(
+            float(np.max(np.abs(sg.difference_tensor(chart, p)[1:, 1:, 1:] - sg.difference_tensor(h3_spec.fiber, p[1:]))))
+            for p in chk.points
+        )
+        assert residual < 1e-8
 
 
 class TestBuiltinH3:

@@ -2,9 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import paper_checks as pc
 import statwintgen.legendrian as lg
 import statwintgen.wintgen as wg
-from statwintgen.tensor_core import random_symmetric_traceless
 
 from helpers import random_orthogonal
 
@@ -12,14 +12,14 @@ from helpers import random_orthogonal
 class TestLuInequality:
     def test_single_matrix(self):
         b = np.array([[1.0, 0.5], [0.5, -1.0]])
-        res = wg.lu_inequality([b])
+        res = pc.lu_inequality([b])
         assert res.lhs == 0.0
         assert res.rhs == (2.0 + 2 * 0.25) ** 2  # ||B||^4
         assert res.holds
 
     def test_equality_pair(self):
         mats = [np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])]
-        res = wg.lu_inequality(mats)
+        res = pc.lu_inequality(mats)
         assert res.lhs == 16.0
         assert res.rhs == 16.0
         assert res.holds
@@ -30,20 +30,20 @@ class TestLuInequality:
         for trial in range(500):
             dim = int(rng.integers(1, 7))
             count = int(rng.integers(1, 6))
-            mats = random_symmetric_traceless(dim, count, seed=trial)
-            assert wg.lu_inequality(mats).holds
+            mats = pc.random_symmetric_traceless(dim, count, seed=trial)
+            assert pc.lu_inequality(mats).holds
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            wg.lu_inequality([np.array([[0.0, 1.0], [0.0, 0.0]])])
+            pc.lu_inequality([np.array([[0.0, 1.0], [0.0, 0.0]])])
 
     def test_rejects_trace(self):
         with pytest.raises(ValueError):
-            wg.lu_inequality([np.eye(2)])
+            pc.lu_inequality([np.eye(2)])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            wg.lu_inequality([])
+            pc.lu_inequality([])
 
 
 class TestMainInequality:
@@ -150,13 +150,13 @@ class TestChain:
 class TestCorollaries:
     def test_kenmotsu_matches_main(self):
         inst = lg.umbilic_instance(n=2, c=0.0, f_val=1.0, f_prime=1.0)
-        rep = wg.corollary_reports(inst, "kenmotsu")
+        rep = pc.corollary_reports(inst, "kenmotsu")
         assert abs(rep.rhs - 7.0) <= 1e-12
         assert rep.rhs_terms["curvature_constant"] == 1.0
 
     def test_cosymplectic_constants(self):
-        assert wg.corollary_constant("cosymplectic", 4.0) == 1.0
-        assert wg.corollary_constant("cosymplectic", -4.0) == 3.0
+        assert pc.corollary_constant("cosymplectic", 4.0) == 1.0
+        assert pc.corollary_constant("cosymplectic", -4.0) == 3.0
 
     def test_cosymplectic_matches_main(self):
         for i, c in enumerate((4.0, -4.0, 1.3)):
@@ -164,18 +164,18 @@ class TestCorollaries:
             inst = lg.LegendrianPointInstance(
                 n=3, c=c, f_val=1.0, f_prime=0.0, h=base.h, h_star=base.h_star
             )
-            rep = wg.corollary_reports(inst, "cosymplectic")
+            rep = pc.corollary_reports(inst, "cosymplectic")
             main = wg.main_inequality(inst, include_chain=False)
             assert abs(rep.rhs - main.rhs) <= 1e-12
 
     def test_parameter_gate(self):
         inst = lg.umbilic_instance(n=2, c=1.0, f_val=1.0, f_prime=1.0)
         with pytest.raises(ValueError):
-            wg.corollary_reports(inst, "kenmotsu")
+            pc.corollary_reports(inst, "kenmotsu")
         with pytest.raises(ValueError):
-            wg.corollary_reports(lg.umbilic_instance(), "cosymplectic")
+            pc.corollary_reports(lg.umbilic_instance(), "cosymplectic")
         with pytest.raises(ValueError):
-            wg.corollary_reports(lg.umbilic_instance(), "sasakian")
+            pc.corollary_reports(lg.umbilic_instance(), "sasakian")
 
 
 class TestRandomInstance:
