@@ -358,7 +358,7 @@ def cmd_wintgen_sweep(args) -> int:
         magnitude=args.magnitude,
     )
     failures = [r for r in reports if not r.holds]
-    out = Path(args.out) if args.out else _output_dir() / f"sweep-{args.seed}.{args.format}"
+    out = Path(args.out) if args.out is not None else _output_dir() / f"sweep-{args.seed}.{args.format}"
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
         out.write_text("\n".join(sweep_csv_lines(reports)) + "\n")
@@ -441,9 +441,15 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonempty_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must be a non-empty path")
+    return text
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=str, default=None, help="report output path")
+    p.add_argument("--out", type=nonempty_path, default=None, help="report output path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -529,6 +535,35 @@ def _handler(args: argparse.Namespace):
     return globals()["cmd_" + "_".join(w for w in words if w)]
 
 
+def _is_negative_number(token: str) -> bool:
+    if not token.startswith("-"):
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with every ``--flag -4e0`` written as ``--flag=-4e0``.
+
+    argparse takes a token that starts with '-' for an option unless it looks
+    like ``-4`` or ``-1.5``, so a negative number in exponent notation would
+    leave the flag before it without a value.  Tokens after ``--`` stay as given.
+    """
+    out: list[str] = []
+    for i, token in enumerate(argv):
+        if token == "--":
+            return out + argv[i:]
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and _is_negative_number(token):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def _with_config(args: argparse.Namespace, argv: list[str]) -> list[str]:
     """argv with the --config file's keys as flags right after the command words.
 
@@ -553,7 +588,7 @@ def _with_config(args: argparse.Namespace, argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _join_negative_values(list(sys.argv[1:] if argv is None else argv))
     parser = _parser()
     try:
         args = parser.parse_args(argv)

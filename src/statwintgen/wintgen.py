@@ -8,17 +8,19 @@
 term by term and reports the slack.  ``inequality_chain`` retraces the proof
 skeleton step by step (Cauchy-Schwarz on the normal-curvature summands, the
 S-operator bound, Lu's commutator inequality, the closed-form substitution,
-the final constant), reporting an independent verdict per step.  The chain
-carries a sixth diagnostic step, ``final_bound_rederived``: redoing the last
-substitution gives the constant (1/4f^2)(2f|c| + 6c - 24 f'^2), which differs
-from the printed one by 7(c/4f^2 - (f'/f)^2); the two coincide only when
-c = 4 f'^2.  Sweeps therefore flag instances where the printed constant
-fails while the rederived bound (and every earlier chain step) still holds.
+the final constant).  Its fifth step *is* the stated bound, with the report's
+own terms, rhs and verdict, and every step is judged by the bound's one rule,
+``_judge``.  A sixth diagnostic step, ``final_bound_rederived``, redoes the
+last substitution: that gives the constant (1/4f^2)(2f|c| + 6c - 24 f'^2),
+which differs from the printed one by 7(c/4f^2 - (f'/f)^2); the two coincide
+only when c = 4 f'^2.  Sweeps therefore flag instances where the printed
+constant fails while the rederived bound (and every earlier chain step) holds.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,25 +111,31 @@ def _rhs_terms(inst: LegendrianPointInstance, scalars: CurvatureScalars) -> dict
     }
 
 
-def _rhs_and_slack(terms: dict[str, float], lhs: float) -> tuple[float, float]:
-    """Sum of the bound's terms and its slack over ``lhs``.
+def _rhs_and_slack(terms: Collection[float], lhs: float) -> tuple[float, float]:
+    """Sum of the rhs terms and its slack over ``lhs``.
 
     A non-finite slack (and so a non-finite lhs or rhs) has no verdict: it
     raises OverflowError instead of reporting a violation.
     """
-    rhs = sum(terms.values())
+    rhs = sum(terms)
     slack = rhs - lhs
     if not math.isfinite(slack):
         raise OverflowError(f"non-finite bound (lhs={lhs!r}, rhs={rhs!r})")
     return rhs, slack
 
 
-def _holds_with_compensation(terms: dict[str, float], lhs: float, slack: float) -> bool:
+def _holds_with_compensation(terms: Collection[float], lhs: float, slack: float) -> bool:
     """Re-evaluate near-violations in compensated summation before flagging."""
     if slack >= -SLACK_TOL:
         return True
-    compensated = math.fsum(list(terms.values()) + [-lhs])
+    compensated = math.fsum([*terms, -lhs])
     return compensated >= -SLACK_TOL
+
+
+def _judge(terms: Collection[float], lhs: float) -> tuple[float, float, bool]:
+    """rhs, slack and verdict of ``lhs <= sum(terms)``: the one rule for every comparison."""
+    rhs, slack = _rhs_and_slack(terms, lhs)
+    return rhs, slack, _holds_with_compensation(terms, lhs, slack)
 
 
 def inequality_chain(inst: LegendrianPointInstance, scalars: CurvatureScalars | None = None) -> list[ChainStep]:
@@ -137,8 +145,10 @@ def inequality_chain(inst: LegendrianPointInstance, scalars: CurvatureScalars | 
     s_operator_bound        trace-free operator form with the c^2 n^2(n-1)^2/4f^2 term
     lu_bound                after Lu: |c|/2f + (4||tau0||^2 + ||tau||^2 + ||tau*||^2)/n(n-1)
     substitution_bound      lu_bound rewritten through the closed form of rho
-    final_bound             the stated constant (1/4f^2)(2f|c| - c + 4f'^2)
-    final_bound_rederived   the constant obtained by redoing the substitution
+    final_bound             the stated bound itself: main_inequality's terms, rhs and verdict
+    final_bound_rederived   those terms with the constant obtained by redoing the substitution
+
+    Every step is a list of rhs terms, summed in order and judged by ``_judge``.
     """
     require_valid(inst)
     if scalars is None:
@@ -179,36 +189,23 @@ def inequality_chain(inst: LegendrianPointInstance, scalars: CurvatureScalars | 
             )
     b2 = (2.0 / nn1) * math.sqrt(c * c / (4.0 * f * f) * n * n * (n - 1) ** 2 + 0.25 * quad)
 
-    # Step 3: Lu's inequality collapses the commutator sums to traceless norms.
-    b3 = abs(c) / (2.0 * f) + (
-        4.0 * scalars.norm_tau0_sq + scalars.norm_tau_sq + scalars.norm_taustar_sq
-    ) / nn1
-
-    # Step 4: eliminate ||tau||^2 + ||tau*||^2 through the closed form of rho.
-    b4 = (
-        abs(c) / (2.0 * f)
-        + 8.0 * scalars.norm_tau0_sq / nn1
-        + 2.0 * scalars.rho
-        - 2.0 * c / (4.0 * f * f)
-        + 2.0 * (fp / f) ** 2
-        - 4.0 * scalars.norm_H0_sq
-        + scalars.norm_H_sq
-        + scalars.norm_Hstar_sq
-    )
-
-    mean_terms = 4.0 * scalars.norm_H0_sq + scalars.norm_H_sq + scalars.norm_Hstar_sq
-    b5 = 2.0 * scalars.rho - 8.0 * scalars.rho_zero + curvature_constant(c, f, fp) + mean_terms
-    b6 = 2.0 * scalars.rho - 8.0 * scalars.rho_zero + rederived_curvature_constant(c, f, fp) + mean_terms
-
-    steps = [
-        ("cauchy_schwarz", b1),
-        ("s_operator_bound", b2),
-        ("lu_bound", b3),
-        ("substitution_bound", b4),
-        ("final_bound", b5),
-        ("final_bound_rederived", b6),
-    ]
-    return [ChainStep(step=name, lhs=lhs, rhs=rhs, holds=lhs <= rhs + SLACK_TOL) for name, rhs in steps]
+    bound = _rhs_terms(inst, scalars)
+    rederived = {**bound, "curvature_constant": rederived_curvature_constant(c, f, fp)}
+    steps = {
+        "cauchy_schwarz": [b1],
+        "s_operator_bound": [b2],
+        # Step 3: Lu's inequality collapses the commutator sums to traceless norms.
+        "lu_bound": [abs(c) / (2.0 * f),
+                     (4.0 * scalars.norm_tau0_sq + scalars.norm_tau_sq + scalars.norm_taustar_sq) / nn1],
+        # Step 4: eliminate ||tau||^2 + ||tau*||^2 through the closed form of rho.
+        "substitution_bound": [abs(c) / (2.0 * f), 8.0 * scalars.norm_tau0_sq / nn1, 2.0 * scalars.rho,
+                               -cterm, 2.0 * (fp / f) ** 2, -4.0 * scalars.norm_H0_sq, scalars.norm_H_sq,
+                               scalars.norm_Hstar_sq],
+        "final_bound": bound.values(),
+        "final_bound_rederived": rederived.values(),
+    }
+    verdicts = ((name, *_judge(terms, lhs)) for name, terms in steps.items())
+    return [ChainStep(name, lhs, rhs, holds) for name, rhs, _, holds in verdicts]
 
 
 def main_inequality(
@@ -221,8 +218,7 @@ def main_inequality(
     scalars = curvature_scalars(inst)
     terms = _rhs_terms(inst, scalars)
     lhs = scalars.rho_perp
-    rhs, slack = _rhs_and_slack(terms, lhs)
-    holds = _holds_with_compensation(terms, lhs, slack)
+    rhs, slack, holds = _judge(terms.values(), lhs)
     chain = inequality_chain(inst, scalars) if include_chain else []
     return WintgenReport(
         seed=seed,
@@ -353,7 +349,7 @@ def sharpness_search(
     step drops below ``SHARPNESS_MIN_STEP``.
     ``iterations`` is the total slack-evaluation budget.  The trace records
     the best slack after every improvement (monotone non-increasing).
-    A final slack below -1e-9 is re-checked and flagged as a hard violation.
+    The best instance is judged by ``main_inequality``; a failed bound is a hard violation.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n!r}")
@@ -367,7 +363,7 @@ def sharpness_search(
     def slack_of(params: Array) -> float:
         inst = _instance_from_params(n, c, f, fprime, params)
         scalars = curvature_scalars(inst)
-        return _rhs_and_slack(_rhs_terms(inst, scalars), scalars.rho_perp)[1]
+        return _rhs_and_slack(_rhs_terms(inst, scalars).values(), scalars.rho_perp)[1]
 
     rng = instance_rng(seed, 0)
     evaluations = 0
@@ -417,10 +413,7 @@ def sharpness_search(
                 fresh_start()
 
     best_instance = _instance_from_params(n, c, f, fprime, best_params)
-    hard = False
-    if best_slack < -SLACK_TOL:
-        report = main_inequality(best_instance, include_chain=False)
-        hard = not report.holds
+    hard = not main_inequality(best_instance, include_chain=False).holds
     return SharpnessResult(
         best_instance=best_instance,
         min_slack=best_slack,

@@ -132,14 +132,12 @@ def corollary_reports(inst: LegendrianPointInstance, variant: str, seed: str | N
         raise ValueError("cosymplectic corollary needs f = 1 and f' = 0")
     base = wg.main_inequality(inst, seed=seed, include_chain=False)
     terms = {**base.rhs_terms, "curvature_constant": special}
-    rhs = sum(terms.values())
+    rhs, slack, holds = wg._judge(terms.values(), base.lhs)
     if abs(rhs - base.rhs) > 1e-12:
         raise AssertionError(
             f"corollary constant mismatch: specialized {rhs!r} vs general {base.rhs!r}"
         )
-    slack = rhs - base.lhs
-    return replace(base, rhs_terms=terms, rhs=rhs, slack=slack,
-                   holds=wg._holds_with_compensation(terms, base.lhs, slack))
+    return replace(base, rhs_terms=terms, rhs=rhs, slack=slack, holds=holds)
 
 
 # ---------------------------------------------------------------------------

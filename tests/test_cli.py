@@ -1,6 +1,7 @@
 import argparse
 import json
 
+import numpy as np
 import pytest
 
 import statwintgen.cli as cli
@@ -132,6 +133,48 @@ def test_wintgen_chain_command(tmp_path, capsys):
     out = capsys.readouterr().out
     for name in ("cauchy_schwarz", "s_operator_bound", "lu_bound", "substitution_bound", "final_bound"):
         assert name in out
+
+
+def test_verify_and_chain_agree_on_rounded_equality(tmp_path, capsys):
+    # c = f' = 0 and h = h* umbilic: rhs = 0 exactly, but the plain sum rounds to -1.86e-9
+    h = np.zeros((4, 3, 3))
+    h[:3] = np.multiply.outer([886.1122111447353, 22.65510562872319, 952.4874114154082], np.eye(3))
+    path = tmp_path / "eq.json"
+    path.write_text(lg.LegendrianPointInstance(n=3, c=0.0, f_val=1.0, f_prime=0.0, h=h, h_star=h).to_json())
+    out = tmp_path / "chain.json"
+    assert main(["wintgen", "verify", str(path)]) == EXIT_OK
+    assert main(["wintgen", "chain", str(path), "--out", str(out)]) == EXIT_OK
+    assert "VIOLATED" not in capsys.readouterr().out
+    data = json.loads(out.read_text())
+    final = {s["step"]: s for s in data["chain"]}["final_bound"]
+    assert (final["rhs"], final["holds"]) == (data["rhs"], data["holds"]) == (0.0, True)
+
+
+NEGATIVE_FLAGS = {
+    "sharpness --c": (["wintgen", "sharpness", "--iterations", "5"], "--c", "-4e0"),
+    "sweep --c-min": (["wintgen", "sweep", "--count", "5"], "--c-min", "-1e-1"),
+    "axioms --perturb-gamma": (["axioms", "--samples", "2"], "--perturb-gamma", "-1E-2"),
+}
+
+
+@pytest.mark.parametrize("argv, flag, value", NEGATIVE_FLAGS.values(), ids=NEGATIVE_FLAGS)
+def test_negative_exponent_value_reads_as_the_flag_value(argv, flag, value, tmp_path):
+    spaced, joined = tmp_path / "spaced.out", tmp_path / "joined.out"
+    code = main([*argv, flag, value, "--out", str(spaced)])
+    assert code == main([*argv, f"{flag}={value}", "--out", str(joined)]) != EXIT_USAGE
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["wintgen", "sweep", "--count", "2"], ["reproduce", "example-r2"]], ids=" ".join)
+def test_empty_out_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("STATWINTGEN_OUTDIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", ""]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--out" in errors[0]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_csv_deterministic(tmp_path):

@@ -139,6 +139,30 @@ class TestChain:
                 if step.step != "final_bound":
                     assert step.holds, (i, step.step)
 
+    @staticmethod
+    def _equality_instance(k, scale):
+        """c = f' = 0 and h = h* umbilic in every phi-slice: lhs and rhs are both exactly 0."""
+        rng = np.random.default_rng(k)
+        n = 2 + k % 3
+        h = np.zeros((n + 1, n, n))
+        for alpha in range(n):
+            h[alpha] = scale * rng.uniform(-1, 1) * np.eye(n)
+        return lg.LegendrianPointInstance(n=n, c=0.0, f_val=1.0, f_prime=0.0, h=h, h_star=h.copy())
+
+    @pytest.mark.parametrize("scale", [None, 1e3, 1e4], ids=["random", "equality-1e3", "equality-1e4"])
+    def test_final_bound_is_the_reported_bound(self, scale):
+        if scale is None:
+            insts = [wg.random_instance(n, seed=41, index=i) for n in (2, 3, 5, 8) for i in range(40 // n)]
+        else:
+            insts = [self._equality_instance(k, scale) for k in range(400)]
+        for inst in insts:
+            rep = wg.main_inequality(inst)
+            chain = {s.step: s for s in rep.chain}
+            assert (chain["final_bound"].rhs, chain["final_bound"].holds) == (rep.rhs, rep.holds)
+            swapped = wg.rederived_curvature_constant(rep.c, rep.f, rep.f_prime)
+            rederived = {**rep.rhs_terms, "curvature_constant": swapped}
+            assert chain["final_bound_rederived"].rhs == sum(rederived.values())
+
     def test_chain_ordering_monotone_through_step_two(self):
         # B1 <= B2 holds on the sweep domain f >= 1/2
         for i in range(300):

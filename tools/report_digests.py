@@ -9,8 +9,9 @@ temporary directory and writes its report to a relative path there.  Each
 output line is ``sha256  exit  argv``, where the digest covers the report
 bytes followed by the command's stdout and then its stderr, so error
 messages are pinned too.  Instance files are written by ``random_instance``
-(plus the RP^2 counterexample and an asymmetric instance that every command
-must reject) and passed as relative paths, so reports that echo the path
+(plus the RP^2 counterexample, an exact-equality instance whose rhs rounds
+a few ulps below 0, and an asymmetric instance that every command must
+reject) and passed as relative paths, so reports that echo the path
 compare equal between checkouts; so are the ``--config`` files, a valid one
 and one whose ``null`` value every checkout must reject.  Two
 checkouts produce the same behaviour on the battery exactly when their
@@ -40,6 +41,13 @@ SEED = ["--seed", "11"]
 INSTANCES = {f"n{n}.json": wintgen.random_instance(n, seed=11, index=n) for n in (2, 3, 5, 8)}
 INSTANCES["rp2.json"] = legendrian.LegendrianPointInstance(
     n=2, c=4.0, f_val=1.0, f_prime=0.0, h=np.zeros((3, 2, 2)), h_star=np.zeros((3, 2, 2))
+)
+# Exact equality (c = f' = 0, h = h* umbilic in every phi-slice) at |h| ~ 10^3, where
+# rounding puts the rhs a few ulps below 0: verify and chain must give one verdict.
+_EQ = np.zeros((4, 3, 3))
+_EQ[:3] = np.multiply.outer([886.1122111447353, 22.65510562872319, 952.4874114154082], np.eye(3))
+INSTANCES["eq.json"] = legendrian.LegendrianPointInstance(
+    n=3, c=0.0, f_val=1.0, f_prime=0.0, h=_EQ, h_star=_EQ.copy()
 )
 _BAD = legendrian.umbilic_instance(n=2).to_dict()
 _BAD["h"][2][0][1] = 0.5  # not mirrored: asymmetric, and off-diagonal in the xi-slice
