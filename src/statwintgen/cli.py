@@ -13,10 +13,12 @@ violation, 2 usage or configuration error.  Every JSON report embeds the
 schema string; floats are printed with 17 significant digits so reports
 round-trip exactly.  An optional JSON config file provides defaults for any
 long flag (flags win); the environment variable STATWINTGEN_OUTDIR sets the
-default output directory.  Arithmetic that leaves double precision (a
-non-finite bound or geometry residual, a float overflow or a division by an
-underflowed zero) is a usage error: exit 2 with one ``error:`` line, and no
-report is written; so is a problem size whose arrays cannot be allocated.
+default output directory.  A flag or value the parser rejects ends in one
+``error:`` line and exit 2, without the usage block.  Arithmetic that leaves
+double precision (a non-finite bound or geometry residual, a float overflow
+or a division by an underflowed zero) is a usage error too: exit 2 with one
+``error:`` line, and no report is written; so is a problem size whose arrays
+cannot be allocated.
 The argument parser is built once per process, on the first ``main`` call.
 """
 
@@ -447,13 +449,24 @@ def nonempty_path(text: str) -> str:
     return text
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose rejected flags and values exit 2 with one ``error:`` line on stderr.
+
+    argparse's own ``error`` prints the usage block first; subparsers are built
+    from this class too, so every command word gets the one-line form.
+    """
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=nonempty_path, default=None, help="report output path")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="statwintgen",
         description="Numerical checks for dualistic warped-product geometry and the Wintgen bound.",
     )

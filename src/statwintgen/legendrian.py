@@ -18,15 +18,20 @@ sums over sectional curvatures and normal curvature entries live with the
 tests (``tests/frame_oracle.py``), which compare this module against them.
 
 Instances are immutable (read-only arrays, finite fields, n >= 2), so their
-derived data -- the violation list, and ``MeanData`` with ``ShapeOperators``
-from one derivation (``_derive``) -- is memoized on the instance.  ``_derive``
-fills one (6, n+1, n, n) stack (A = h*, A* = h, A0, S, S*, S0): it takes the
-means H*, H and H0 = (H + H*)/2 in one einsum, subtracts them times I to get
-S, S* and S0 = h0 - H0 I, and reads the three traceless norms off the S rows,
-so the chain brackets the very operators whose norms rho uses.  rho_perp
-brackets only the phi-pairs r < s, in one batched matmul.  The constants of
-each n are cached read-only (``_frame``).  Every floating-point operation runs
-in the order of the plain per-form formulas, so results match them bit for bit.
+derived data is memoized on the instance: the violation list, and one
+derivation that holds ``MeanData``, ``ShapeOperators`` and rho_perp.  Each
+instance is validated and derived once.  One kernel computes both on stacks
+of same-n instances, (B, 2, n+1, n, n) forms h, h*: ``derive_batch`` runs it
+once over a whole stack (the sweep's chunks) and stores each instance's
+share in its memo, and an instance evaluated on its own is the B = 1 call of
+the same functions.  The derivation fills one (B, 6, n+1, n, n) stack (A =
+h*, A* = h, A0, S, S*, S0): it takes the means H*, H and H0 = (H + H*)/2 in
+one einsum, subtracts them times I to get S, S* and S0 = h0 - H0 I, and
+reads the three traceless norms off the S rows, so the chain brackets the
+very operators whose norms rho uses.  rho_perp brackets only the phi-pairs
+r < s, in one batched matmul.  The constants of each n are cached read-only
+(``_frame``).  Every floating-point operation runs in the order of the plain
+per-form formulas, whatever B is, so results match them bit for bit.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -53,7 +59,7 @@ class _Frame(NamedTuple):
     (first P) and x_s x_r (last P) in one matmul; ``ji`` holds the flat
     offsets j n + i of the entries (j, i).  Slot pairs and tangent pairs run
     over the same list, so the space-form term of a pair sits on the
-    diagonal (p, p) of the (P, P) entry matrix, which ``delta`` indexes.
+    diagonal (p, p) of the (P, P) entry matrix.
     """
 
     eye: Array
@@ -61,7 +67,6 @@ class _Frame(NamedTuple):
     left: Array
     right: Array
     ji: Array
-    delta: Array
 
 
 @lru_cache(maxsize=32)
@@ -73,7 +78,6 @@ def _frame(n: int) -> _Frame:
         left=np.concatenate((i, j)),
         right=np.concatenate((j, i)),
         ji=j * n + i,
-        delta=np.arange(len(i)),
     )
     for a in frame:
         a.flags.writeable = False
@@ -90,25 +94,27 @@ class LegendrianPointInstance:
     h_star: Array
 
     def __post_init__(self):
-        h = np.array(self.h, dtype=float, copy=True)
-        h_star = np.array(self.h_star, dtype=float, copy=True)
-        h.flags.writeable = False
-        h_star.flags.writeable = False
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "h_star", h_star)
+        h = np.asarray(self.h, dtype=float)
+        h_star = np.asarray(self.h_star, dtype=float)
         if self.n < 2:
             raise ValueError("n must be >= 2")
         shape = (self.n + 1, self.n, self.n)
-        if self.h.shape != shape or self.h_star.shape != shape:
+        if h.shape != shape or h_star.shape != shape:
             raise ValueError(f"h and h_star must have shape {shape}")
+        forms = np.array((h, h_star))  # the kernel's (2, n+1, n, n) slice of this instance
+        forms.flags.writeable = False
+        object.__setattr__(self, "_forms", forms)
+        object.__setattr__(self, "h", forms[0])
+        object.__setattr__(self, "h_star", forms[1])
         if not (math.isfinite(self.c) and math.isfinite(self.f_val) and math.isfinite(self.f_prime)
-                and np.isfinite(h).all() and np.isfinite(h_star).all()):
+                and np.isfinite(forms).all()):
             raise ValueError("c, f, f_prime, h and h_star must be finite")
         if self.f_val <= 0.0:
             raise ValueError("f_val must be positive")
 
-    # Derived data, computed on first use (module functions bound late).
-    _violations = cached_property(lambda self: tuple(_find_violations(self)))
+    # Derived data, computed on first use by the B = 1 call of the kernel
+    # (module functions bound late); ``derive_batch`` fills it for whole stacks.
+    _violations = cached_property(lambda self: _find_violations([self], self._forms[None])[0])
     _derived = cached_property(lambda self: _derive(self))
 
     def to_dict(self) -> dict:
@@ -191,19 +197,23 @@ def validate(inst: LegendrianPointInstance) -> list[tuple[str, int, int, int]]:
     return list(inst._violations)
 
 
-def _find_violations(inst: LegendrianPointInstance) -> list[tuple[str, int, int, int]]:
-    n = inst.n
+def _find_violations(insts: Sequence[LegendrianPointInstance], forms: Array) -> list[tuple]:
+    """The violation tuple of every instance of a stack, with its (B, 2, n+1, n, n) forms."""
+    count, n = len(insts), insts[0].n
     frame = _frame(n)
-    forms = np.stack((inst.h, inst.h_star))
+    xi = np.array([-(inst.f_prime / inst.f_val) for inst in insts])
     asym = (np.abs(forms - forms.swapaxes(-1, -2)) > VALIDATE_TOL) & frame.strict_upper
-    xi_bad = np.abs(forms[:, n] - (-(inst.f_prime / inst.f_val)) * frame.eye) > VALIDATE_TOL
+    xi_bad = np.abs(forms[:, :, n] - xi[:, None, None, None] * frame.eye) > VALIDATE_TOL
+    found: list[tuple] = [()] * count
     if not (asym.any() or xi_bad.any()):
-        return []
-    violations: list[tuple[str, int, int, int]] = []
-    for k, name in enumerate(("h", "h_star")):
-        violations += [(name, int(a), int(i), int(j)) for a, i, j in zip(*np.nonzero(asym[k]))]
-        violations += [(name, n, int(i), int(j)) for i, j in zip(*np.nonzero(xi_bad[k]))]
-    return violations
+        return found
+    for b in np.flatnonzero(asym.reshape(count, -1).any(axis=1) | xi_bad.reshape(count, -1).any(axis=1)):
+        violations: list[tuple[str, int, int, int]] = []
+        for k, name in enumerate(("h", "h_star")):
+            violations += [(name, int(a), int(i), int(j)) for a, i, j in zip(*np.nonzero(asym[b, k]))]
+            violations += [(name, n, int(i), int(j)) for i, j in zip(*np.nonzero(xi_bad[b, k]))]
+        found[b] = tuple(violations)
+    return found
 
 
 def require_valid(inst: LegendrianPointInstance) -> None:
@@ -257,35 +267,68 @@ def shape_operators(inst: LegendrianPointInstance) -> ShapeOperators:
     return inst._derived[1]
 
 
-def _derive(inst: LegendrianPointInstance) -> tuple[MeanData, ShapeOperators]:
-    """``MeanData`` and ``ShapeOperators`` of one instance, from one stack (see the module docstring)."""
-    n = inst.n
-    ops = np.empty((6, n + 1, n, n))  # A, A*, A0, S, S*, S0
-    ops[0] = inst.h_star
-    ops[1] = inst.h
-    np.add(ops[0], ops[1], out=ops[2])
-    ops[2] *= 0.5
-    means = np.empty((3, n + 1))  # H*, H, H0 = (H + H*)/2
-    np.einsum("faii->fa", ops[:2], out=means[:2])
-    means[:2] /= n
-    np.add(means[0], means[1], out=means[2])
-    means[2] *= 0.5
-    np.subtract(ops[:3], means[:, :, None, None] * _frame(n).eye, out=ops[3:])
-    tau_sq = np.square(ops[3:]).reshape(3, -1).sum(axis=1).tolist()  # tau*, tau, tau0
+_Derived = tuple[MeanData, ShapeOperators, float]  # the memoized derivation: means, operators, rho_perp
+
+
+def _derive(inst: LegendrianPointInstance) -> _Derived:
+    """The derivation of one instance: the B = 1 call of ``_derive_stack``."""
+    return _derive_stack([inst], inst._forms[None])[0]
+
+
+def _derive_stack(insts: Sequence[LegendrianPointInstance], forms: Array) -> list[_Derived]:
+    """The derivation of every instance of a stack, with its (B, 2, n+1, n, n) forms.
+
+    ``MeanData`` and ``ShapeOperators`` are views of one (B, 6, n+1, n, n)
+    operator stack, from which rho_perp is bracketed (see the module docstring).
+    """
+    count, n = len(forms), forms.shape[-1]
+    ops = np.empty((count, 6, n + 1, n, n))  # A, A*, A0, S, S*, S0
+    ops[:, :2] = forms[:, ::-1]
+    np.add(ops[:, 0], ops[:, 1], out=ops[:, 2])
+    ops[:, 2] *= 0.5
+    means = np.empty((count, 3, n + 1))  # H*, H, H0 = (H + H*)/2
+    np.einsum("bfaii->bfa", ops[:, :2], out=means[:, :2])
+    means[:, :2] /= n
+    np.add(means[:, 0], means[:, 1], out=means[:, 2])
+    means[:, 2] *= 0.5
+    np.subtract(ops[:, :3], means[..., None, None] * _frame(n).eye, out=ops[:, 3:])
+    tau_sq = np.square(ops[:, 3:]).reshape(count, 3, -1).sum(axis=2).tolist()  # tau*, tau, tau0
+    # a stacked (1, n+1) @ (n+1, 1) product adds like the 1-d H @ H
+    mean_sq = (means[..., None, :] @ means[..., None]).reshape(count, 3).tolist()
     ops.flags.writeable = means.flags.writeable = False  # shared by every caller
-    Hs, H, H0 = means
-    mean_data = MeanData(
-        H=H,
-        H_star=Hs,
-        H0=H0,
-        norm_H_sq=float(H @ H),
-        norm_Hstar_sq=float(Hs @ Hs),
-        norm_H0_sq=float(H0 @ H0),
-        norm_tau_sq=tau_sq[1],
-        norm_taustar_sq=tau_sq[0],
-        norm_tau0_sq=tau_sq[2],
-    )
-    return mean_data, ShapeOperators(*ops, stack=ops)
+    derived = []
+    rows = zip(ops, means, mean_sq, tau_sq, _rho_perp_stack(insts, ops))
+    for stack, (Hs, H, H0), (Hs_sq, H_sq, H0_sq), tau, rho_perp in rows:
+        mean_data = MeanData(
+            H=H,
+            H_star=Hs,
+            H0=H0,
+            norm_H_sq=H_sq,
+            norm_Hstar_sq=Hs_sq,
+            norm_H0_sq=H0_sq,
+            norm_tau_sq=tau[1],
+            norm_taustar_sq=tau[0],
+            norm_tau0_sq=tau[2],
+        )
+        derived.append((mean_data, ShapeOperators(*stack, stack=stack), rho_perp))
+    return derived
+
+
+def derive_batch(insts: Sequence[LegendrianPointInstance]) -> None:
+    """Validate and derive same-n instances in one stacked pass, memoizing each one's share.
+
+    The symmetry and xi-slice check and the derivation (means, traceless
+    norms, operators, rho_perp) each run once for the whole stack.  Afterwards
+    every accessor of these instances reads its memo; a value an instance had
+    already memoized is kept.
+    """
+    if any(inst.n != insts[0].n for inst in insts):
+        raise ValueError("a stacked pass needs instances of one dimension n")
+    forms = np.stack([inst._forms for inst in insts])
+    for inst, violations, derived in zip(insts, _find_violations(insts, forms), _derive_stack(insts, forms)):
+        memo = vars(inst)
+        memo.setdefault("_violations", violations)
+        memo.setdefault("_derived", derived)
 
 
 def ambient_plane_curvature(inst: LegendrianPointInstance) -> float:
@@ -315,22 +358,28 @@ def rho_perp_statistical(inst: LegendrianPointInstance) -> float:
 
     The bracket part [A*_r, A_s] + [A_r, A*_s] is rearranged through the mean
     operators as 4[A0_r, A0_s] - [A_r, A_s] - [A*_r, A*_s].  Pairs involving
-    xi contribute nothing because A_xi is a multiple of the identity.
+    xi contribute nothing because A_xi is a multiple of the identity.  The
+    value is memoized on the instance with the rest of its derivation.
     """
     require_valid(inst)
-    n = inst.n
-    ops = shape_operators(inst)
+    return inst._derived[2]
+
+
+def _rho_perp_stack(insts: Sequence[LegendrianPointInstance], ops: Array) -> list[float]:
+    """rho_perp of every instance of a stack, from its (B, 6, n+1, n, n) operator stack."""
+    count, n = len(insts), insts[0].n
     frame = _frame(n)
-    cterm = 2.0 * inst.c / (4.0 * inst.f_val**2)
-    x = ops.stack[:3, :n]  # A, A*, A0 on the phi-slots
-    prod = np.take(x, frame.left, axis=1) @ np.take(x, frame.right, axis=1)
-    # (x_r x_s)[j, i] and (x_s x_r)[j, i]; np.take keeps C order, so np.sum adds row by row
-    entries = np.take(prod.reshape(3, len(frame.left), n * n), frame.ji, axis=2)
-    pairs = len(frame.delta)
-    bracket = entries[:, :pairs] - entries[:, pairs:]  # [x_r, x_s][j, i]: rows r < s, columns i < j
-    comm = 4.0 * bracket[2] - bracket[0] - bracket[1]
-    comm[frame.delta, frame.delta] -= cterm
-    return math.sqrt(float(np.sum(comm * comm))) / (n * (n - 1))
+    cterm = np.array([2.0 * inst.c / (4.0 * inst.f_val**2) for inst in insts])
+    x = ops[:, :3, :n]  # A, A*, A0 on the phi-slots
+    prod = np.take(x, frame.left, axis=2) @ np.take(x, frame.right, axis=2)
+    # (x_r x_s)[j, i] and (x_s x_r)[j, i]; np.take keeps C order, so the sum adds row by row
+    entries = np.take(prod.reshape(count, 3, len(frame.left), n * n), frame.ji, axis=3)
+    pairs = len(frame.ji)
+    bracket = entries[:, :, :pairs] - entries[:, :, pairs:]  # [x_r, x_s][j, i]: rows r < s, columns i < j
+    comm = 4.0 * bracket[:, 2] - bracket[:, 0] - bracket[:, 1]
+    comm = comm.reshape(count, -1)  # a view: comm is a fresh C-ordered array
+    comm[:, :: pairs + 1] -= cterm[:, None]  # the diagonal (p, p) of each (P, P) block
+    return [math.sqrt(total) / (n * (n - 1)) for total in np.square(comm).sum(axis=1).tolist()]
 
 
 def rho_levicivita(inst: LegendrianPointInstance) -> float:
@@ -353,6 +402,7 @@ class CurvatureScalars:
 
 
 def curvature_scalars(inst: LegendrianPointInstance) -> CurvatureScalars:
+    require_valid(inst)
     m = means_and_traceless(inst)
     return CurvatureScalars(
         rho=rho_statistical(inst),

@@ -30,6 +30,7 @@ from .legendrian import (
     LegendrianPointInstance,
     _frame,
     curvature_scalars,
+    derive_batch,
     require_valid,
     shape_operators,
 )
@@ -255,25 +256,54 @@ def random_instance(
     then those of h*; each slice is a symmetrized uniform [-magnitude,
     magnitude] matrix.  xi-slices are set to the forced -(f'/f) I exactly.
     """
+    return _random_instances(n, c_range, f_range, fprime_range, magnitude, seed, range(index, index + 1))[0]
+
+
+def _random_instances(n: int, c_range, f_range, fprime_range, magnitude: float, seed: int,
+                      indices: range) -> list[LegendrianPointInstance]:
+    """``random_instance`` for every index, each drawn from its own stream, built as one stack."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if f_range[0] <= 0.0:
         raise ValueError("f_range must be positive")
-    rng = instance_rng(seed, index)
-    # Two draws consume the stream exactly as c, f, f' and 2n slices one by one.
-    c, f, fp = map(float, rng.uniform(*zip(c_range, f_range, fprime_range)))
-    return _instance_from_upper(n, c, f, fp, rng.uniform(-magnitude, magnitude, size=(2 * n, n, n)))
+    params, upper = [], []
+    for index in indices:
+        rng = instance_rng(seed, index)
+        params.append((rng.uniform(*c_range), rng.uniform(*f_range), rng.uniform(*fprime_range)))
+        upper.append(rng.uniform(-magnitude, magnitude, size=(2 * n, n, n)))
+    return _instances_from_upper(n, params, np.stack(upper))
 
 
-def _instance_from_upper(n: int, c: float, f: float, fp: float, upper: Array) -> LegendrianPointInstance:
-    """Instance whose phi-slices of h, then h*, mirror the (2n, n, n) upper triangles.
+def _instances_from_upper(
+    n: int, params: list[tuple[float, float, float]], upper: Array
+) -> list[LegendrianPointInstance]:
+    """Instances with fields (c, f, f') whose phi-slices of h, then h*, mirror a
+    (B, 2n, n, n) stack of upper triangles.
 
     The xi-slices are set to the forced -(f'/f) I exactly.
     """
-    forms = np.empty((2, n + 1, n, n))  # h, h*
-    forms[:, :n] = symmetrize_upper(upper).reshape(2, n, n, n)
-    forms[:, n] = -(fp / f) * _frame(n).eye
-    return LegendrianPointInstance(n=n, c=c, f_val=f, f_prime=fp, h=forms[0], h_star=forms[1])
+    forms = np.empty((len(params), 2, n + 1, n, n))  # h, h*
+    forms[:, :, :n] = symmetrize_upper(upper).reshape(len(params), 2, n, n, n)
+    eye = _frame(n).eye
+    insts = []
+    for (c, f, fp), form in zip(params, forms):
+        form[:, n] = -(fp / f) * eye
+        insts.append(LegendrianPointInstance(n=n, c=c, f_val=f, f_prime=fp, h=form[0], h_star=form[1]))
+    return insts
+
+
+# Floats of kernel scratch per stacked pass: a sweep chunk holds as many
+# instances as fit (at least one), so memory stays bounded at any count and n.
+SWEEP_CHUNK_FLOATS = 1 << 18
+
+
+def sweep_chunk(n: int) -> int:
+    """Instances per stacked pass of ``sweep`` at dimension ``n``.
+
+    Per instance the kernel holds about n^2 (8(n+1) + 9n(n-1)) floats: the
+    forms, the operator stack, and the phi-pair products it brackets.
+    """
+    return max(1, SWEEP_CHUNK_FLOATS // (n * n * (8 * (n + 1) + 9 * n * (n - 1))))
 
 
 def sweep(
@@ -288,7 +318,10 @@ def sweep(
     """Reports for ``count`` seeded instances, ordered by instance index, without chains.
 
     The ranges and ``magnitude`` are checked once, before any instance is
-    drawn; a bad one raises ValueError naming it.
+    drawn; a bad one raises ValueError naming it.  Instances are drawn per
+    index, as ``random_instance`` draws them, and validated and derived in
+    stacked chunks of ``sweep_chunk(n)`` (``legendrian.derive_batch``); each
+    report is then ``main_inequality`` of an instance whose data is memoized.
     """
     for name, (low, high) in (("c_range", c_range), ("f_range", f_range), ("fprime_range", fprime_range)):
         if not low <= high:
@@ -296,11 +329,13 @@ def sweep(
     if not magnitude >= 0.0:
         raise ValueError(f"magnitude must be >= 0, got {magnitude!r}")
     out = []
-    for index in range(count):
-        inst = random_instance(
-            n, c_range, f_range, fprime_range, magnitude, seed=seed, index=index
-        )
-        out.append(main_inequality(inst, seed=f"{seed}-{index}", include_chain=False))
+    chunk = sweep_chunk(max(n, 2))  # n < 2 is refused when the first chunk is drawn
+    for start in range(0, count, chunk):
+        indices = range(start, min(start + chunk, count))
+        insts = _random_instances(n, c_range, f_range, fprime_range, magnitude, seed, indices)
+        derive_batch(insts)
+        out += [main_inequality(inst, seed=f"{seed}-{index}", include_chain=False)
+                for index, inst in zip(indices, insts)]
     return out
 
 
@@ -326,7 +361,7 @@ def _instance_from_params(
     upper = np.zeros((2 * n, n, n))
     i, j = _triu_indices(n)
     upper[:, i, j] = params.reshape(2 * n, -1)
-    return _instance_from_upper(n, c, f, fp, upper)
+    return _instances_from_upper(n, [(c, f, fp)], upper[None])[0]
 
 
 SHARPNESS_FIRST_STEP = 0.25

@@ -321,6 +321,35 @@ def _assert_one_line_usage_error(code, capsys):
     return lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wintgen", "sweep", "--out", ""],
+        ["wintgen", "sharpness", "--c", "-inf"],
+        ["axioms", "--samples", "0"],
+        ["classify", "--residual-tol", "-1"],
+        ["wintgen", "sweep", "--format", "xml"],
+        ["wintgen", "sweep", "--bogus", "1"],
+        ["wintgen", "frobnicate"],
+    ],
+    ids=" ".join,
+)
+def test_rejected_flag_value_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
+    # argparse used to print its usage block before the error line
+    monkeypatch.delenv("STATWINTGEN_OUTDIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    line = _assert_one_line_usage_error(main(argv), capsys)
+    assert line.startswith("error: argument ") or line.startswith("error: unrecognized arguments")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_still_prints_usage(capsys):
+    assert main(["wintgen", "sweep", "--help"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: ") and "--magnitude" in captured.out
+    assert captured.err == ""
+
+
 def test_verify_nan_field_is_usage_error(tmp_path, capsys):
     path = _malformed_instance(tmp_path, "nan", f=float("nan"))
     _assert_one_line_usage_error(main(["wintgen", "verify", str(path)]), capsys)

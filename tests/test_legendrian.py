@@ -474,3 +474,87 @@ class TestOneDerivation:
             fn(inst)
         wg.main_inequality(inst, include_chain=True)
         assert len(calls) == 1 and calls[0] is inst
+
+
+# ---------------------------------------------------------------------------
+# The stacked pass against the B = 1 call of the same kernel
+# ---------------------------------------------------------------------------
+
+
+def _copy(inst):
+    """A fresh instance with the same fields: nothing memoized, so every accessor takes the B = 1 path."""
+    return lg.LegendrianPointInstance(n=inst.n, c=inst.c, f_val=inst.f_val, f_prime=inst.f_prime,
+                                      h=inst.h, h_star=inst.h_star)
+
+
+def _derived_bytes(inst):
+    m, ops = lg.means_and_traceless(inst), lg.shape_operators(inst)
+    return ([a.tobytes() for a in (m.H, m.H_star, m.H0, ops.stack)]
+            + [repr(v) for v in (m.norm_H_sq, m.norm_Hstar_sq, m.norm_H0_sq, m.norm_tau_sq,
+                                 m.norm_taustar_sq, m.norm_tau0_sq, lg.rho_perp_statistical(inst))])
+
+
+def _asymmetric(n):
+    inst = wg.random_instance(n, seed=73, index=1)
+    h = inst.h.copy()
+    h[n - 1, 0, 1] += 0.25  # a phi-slice, not mirrored
+    return lg.LegendrianPointInstance(n=n, c=inst.c, f_val=inst.f_val, f_prime=inst.f_prime, h=h,
+                                      h_star=inst.h_star)
+
+
+def _wrong_xi(n):
+    inst = wg.random_instance(n, seed=73, index=2)
+    h_star = inst.h_star.copy()
+    h_star[n] += 0.5 * np.eye(n)  # symmetric, but not -(f'/f) I
+    h_star[n, 0, 1] = h_star[n, 1, 0] = 0.125
+    return lg.LegendrianPointInstance(n=n, c=inst.c, f_val=inst.f_val, f_prime=inst.f_prime, h=inst.h,
+                                      h_star=h_star)
+
+
+class TestStackedPass:
+    @pytest.mark.parametrize("n", ORACLE_DIMS)
+    def test_memo_equals_the_single_instance_path_bit_for_bit(self, n):
+        insts = _oracle_instances(n, count=9)
+        insts += [wg.random_instance(n, seed=61, index=k, magnitude=1000.0) for k in range(3)]
+        insts.append(lg.umbilic_instance(n, c=4.0, f_val=1.0, f_prime=0.0))
+        lg.derive_batch(insts)
+        for inst in insts:
+            assert {"_violations", "_derived"} <= vars(inst).keys()
+            assert _derived_bytes(inst) == _derived_bytes(_copy(inst))
+
+    @pytest.mark.parametrize("make", [_asymmetric, _wrong_xi], ids=["asymmetric-phi", "wrong-xi"])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_invalid_instance_gets_the_single_instance_verdict(self, make, n):
+        bad = make(n)
+        stacked = [make(n)]
+        lg.derive_batch(stacked)
+        assert lg.validate(stacked[0]) == lg.validate(bad) != []
+        with pytest.raises(ValueError) as alone:
+            lg.require_valid(bad)
+        with pytest.raises(ValueError) as batched:
+            lg.require_valid(stacked[0])
+        assert str(batched.value) == str(alone.value)
+        with pytest.raises(ValueError, match="invalid Legendrian instance"):
+            lg.rho_perp_statistical(stacked[0])
+
+    def test_mixed_stack_keeps_each_verdict(self):
+        n = 3
+        fresh = [wg.random_instance(n, seed=79, index=0), _asymmetric(n), wg.random_instance(n, seed=79, index=1),
+                 _wrong_xi(n), _asymmetric(n)]
+        stacked = [_copy(inst) for inst in fresh]
+        lg.derive_batch(stacked)
+        for alone, batched in zip(fresh, stacked):
+            assert lg.validate(batched) == lg.validate(alone)
+            if not lg.validate(alone):
+                assert _derived_bytes(batched) == _derived_bytes(alone)
+
+    def test_memoized_values_are_kept(self):
+        inst = wg.random_instance(3, seed=83, index=0)
+        means, ops = lg.means_and_traceless(inst), lg.shape_operators(inst)
+        others = [wg.random_instance(3, seed=83, index=k) for k in (1, 2)]
+        lg.derive_batch([others[0], inst, others[1]])
+        assert lg.means_and_traceless(inst) is means and lg.shape_operators(inst) is ops
+
+    def test_stack_needs_one_dimension(self):
+        with pytest.raises(ValueError, match="one dimension"):
+            lg.derive_batch([wg.random_instance(2, seed=1), wg.random_instance(3, seed=1)])

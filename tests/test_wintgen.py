@@ -5,6 +5,7 @@ import pytest
 import paper_checks as pc
 import statwintgen.legendrian as lg
 import statwintgen.wintgen as wg
+from statwintgen.tensor_core import instance_rng
 
 from helpers import random_orthogonal
 
@@ -242,6 +243,34 @@ class TestSweep:
             rep = wg.main_inequality(wg.random_instance(2, seed=3, index=i))
             by_name = {s.step: s for s in rep.chain}
             assert by_name["final_bound_rederived"].holds
+
+    @pytest.mark.parametrize("chunk", [None, 4], ids=["one-chunk", "chunks-of-4"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_reports_equal_single_instance_evaluations_bit_for_bit(self, n, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(wg, "sweep_chunk", lambda n: chunk)
+        count, seed = 10, 89
+        kwargs = {"c_range": (-4.0, 4.0), "magnitude": 1000.0} if n == 3 else {}
+        swept = wg.sweep(n=n, count=count, seed=seed, **kwargs)
+        # each fresh instance has nothing memoized, so main_inequality takes the B = 1 path
+        alone = [wg.main_inequality(wg.random_instance(n, seed=seed, index=k, **kwargs), seed=f"{seed}-{k}",
+                                    include_chain=False) for k in range(count)]
+        assert [repr(r.as_dict()) for r in swept] == [repr(r.as_dict()) for r in alone]
+
+    def test_chunks_bound_the_kernel_scratch(self):
+        assert wg.sweep_chunk(3) >= 100
+        assert [wg.sweep_chunk(n) for n in (40, 400)] == [1, 1]
+        assert all(wg.sweep_chunk(n) >= wg.sweep_chunk(n + 1) for n in range(2, 40))
+
+    @pytest.mark.parametrize(
+        "ranges", [((-4.0, 4.0), (0.5, 3.0), (-2.0, 2.0)), ((1.0, 7.5), (2.0, 2.0), (-0.3, 9.0))], ids=["default", "other"]
+    )
+    def test_scalar_parameter_draws_equal_the_zipped_draw(self, ranges):
+        # the per-index streams are the data behind acceptance criterion 8
+        for index in range(1000):
+            old = tuple(map(float, instance_rng(7, index).uniform(*zip(*ranges))))
+            inst = wg.random_instance(2, *ranges, seed=7, index=index)
+            assert (inst.c, inst.f_val, inst.f_prime) == old
 
 
 class TestSharpness:

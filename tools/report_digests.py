@@ -74,6 +74,8 @@ def battery() -> list[list[str]]:
         ["wintgen", "sweep", "--n", "2", "--count", "50", "--format", "json"],
         ["wintgen", "sweep", "--n", "5", "--count", "100"],
         ["wintgen", "sweep", "--n", "8", "--count", "40", "--format", "json"],
+        ["wintgen", "sweep", "--n", "2", "--count", "3900"],  # 2.5 stacked chunks of 1560
+        ["wintgen", "sweep", "--n", "3", "--count", "500", "--magnitude", "1000"],
     ]
     sharpness = [
         ["wintgen", "sharpness", "--n", "2", "--iterations", "3000", "--seed", "5"],

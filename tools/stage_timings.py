@@ -4,23 +4,29 @@ Run from the repository root as
 
     PYTHONPATH=src python tools/stage_timings.py [--count 200] [--repeats 5] [--json]
 
-Stages run in pipeline order on the same batch of fresh seeded instances,
-so each figure is the cost that stage adds on top of the ones before it
-(derived data is memoized on the instance):
+The first seven stages run in pipeline order on the same batch of fresh
+seeded instances, each instance on its own (the B = 1 path), so each figure
+is the cost that stage adds on top of the ones before it (derived data is
+memoized on the instance):
 
     generate   wintgen.random_instance
     validate   legendrian.validate (first call on a fresh instance)
-    means      legendrian.means_and_traceless
+    means      legendrian.means_and_traceless (the whole derivation where
+               it holds rho_perp too)
     rho        legendrian.rho_statistical
-    rho_perp   legendrian.rho_perp_statistical (shape operators included)
+    rho_perp   legendrian.rho_perp_statistical (shape operators included
+               where the derivation does not hold it)
     chain      wintgen.inequality_chain, scalars given
     csv        cli.sweep_csv_lines, per row
 
-for n in {2, 3, 5, 8}.  Each figure is the median over ``--repeats``
-batches of ``--count`` instances (a quarter as many at n = 8).  Keys are
-``<stage>.n<n>``; ``--json`` prints them as one JSON object.  The script
-uses only public functions that have existed since the benchmark was added,
-so it runs unchanged against older checkouts for before/after tables.
+and ``sweep`` is ``wintgen.sweep`` of a batch of the same size, per
+instance: generation and report included, on whatever path the sweep takes
+(stacked chunks where it has them), for n in {2, 3, 5, 8}.  Each figure is
+the median over ``--repeats`` batches of ``--count`` instances (a quarter as
+many at n = 8).  Keys are ``<stage>.n<n>``; ``--json`` prints them as one
+JSON object.  The script uses only public functions that have existed since
+the benchmark was added, so it runs unchanged against older checkouts for
+before/after tables.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import time
 from statwintgen import cli, legendrian, wintgen
 
 DIMS = (2, 3, 5, 8)
-STAGES = ("generate", "validate", "means", "rho", "rho_perp", "chain", "csv")
+STAGES = ("generate", "validate", "means", "rho", "rho_perp", "chain", "csv", "sweep")
 
 
 def _timed(fn, items) -> tuple[float, list]:
@@ -56,6 +62,7 @@ def batch(n: int, count: int, seed: int) -> dict[str, float]:
     reports = [wintgen.main_inequality(inst, seed=f"{seed}-{k}", include_chain=False)
                for k, inst in enumerate(insts)]
     t["csv"], _ = _timed(cli.sweep_csv_lines, [reports])
+    t["sweep"], _ = _timed(lambda s: wintgen.sweep(n, count, s), [seed])
     return t
 
 
