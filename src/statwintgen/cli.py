@@ -20,6 +20,10 @@ or a division by an underflowed zero) is a usage error too: exit 2 with one
 ``error:`` line, and no report is written; so is a problem size whose arrays
 cannot be allocated.
 The argument parser is built once per process, on the first ``main`` call.
+``axioms``, ``curvature`` and ``reproduce`` draw their sample points and
+probes one sample at a time, in a fixed order, and evaluate them in stacked
+chunks of ``statistical_geometry.geometry_chunk`` samples, so memory stays
+bounded at any ``--samples``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -153,6 +158,18 @@ def _perturbed_chart(chart: sg.DualisticChart, eps: float) -> sg.DualisticChart:
 # ---------------------------------------------------------------------------
 
 
+def _chunks(count: int, dim: int, draw: Callable[[], tuple]) -> Iterator[tuple[np.ndarray, ...]]:
+    """Sample draws in consecutive chunks of at most ``sg.geometry_chunk(dim)``.
+
+    ``draw()`` returns one sample's arrays; each chunk is yielded as the tuple
+    of their (size, ...) stacks.  Draws happen in sample order and nothing
+    else uses the generator, so the streams are those of one sample at a time.
+    """
+    size = sg.geometry_chunk(dim)
+    for start in range(0, count, size):
+        yield tuple(np.array(column) for column in zip(*(draw() for _ in range(min(size, count - start)))))
+
+
 def cmd_axioms(args) -> int:
     chart = CHARTS[args.chart]()
     if args.perturb_gamma:
@@ -160,18 +177,22 @@ def cmd_axioms(args) -> int:
     rng = np.random.default_rng(args.seed)
     box = wc.default_sample_box(chart.dim) if args.chart == "h3" else [(-1.0, 1.0)] * chart.dim
     lo, hi = np.array(box).T
-    worst: dict[str, float] = {}
+
+    def draw():
+        return rng.uniform(lo, hi), *(rng.uniform(-1.0, 1.0, chart.dim) for _ in range(4))
+
+    worst = dict.fromkeys(sg.AXIOM_RESIDUALS, 0.0)
     breaches = []
-    for _ in range(args.samples):
-        point = rng.uniform(lo, hi)
-        probes = [rng.uniform(-1.0, 1.0, chart.dim) for _ in range(4)]
-        rec = sg.axiom_residuals(chart, point, *probes)
-        for name, value in rec.items():
-            if not math.isfinite(value):  # max() below would drop a NaN
-                raise OverflowError(f"non-finite {name} residual at {point.tolist()}")
-            worst[name] = max(worst.get(name, 0.0), value)
-            if value > args.residual_tol:
-                breaches.append({"residual": name, "value": value, "point": point.tolist()})
+    for points, *probes in _chunks(args.samples, chart.dim, draw):
+        table = np.stack(list(sg.axiom_residuals(chart, points, *probes).values()), axis=1)
+        bad = np.argwhere(~np.isfinite(table))  # row-major: the first sample, then the first residual
+        if bad.size:
+            i, j = bad[0]
+            raise OverflowError(f"non-finite {sg.AXIOM_RESIDUALS[j]} residual at {points[i].tolist()}")
+        for name, column in zip(sg.AXIOM_RESIDUALS, table.T):
+            worst[name] = max(worst[name], float(column.max()))
+        breaches += [{"residual": sg.AXIOM_RESIDUALS[j], "value": float(table[i, j]), "point": points[i].tolist()}
+                     for i, j in np.argwhere(table > args.residual_tol)]
     passed = not breaches
     lines = [f"axioms[{args.chart}] {name:<16} max {format_float(value)}" for name, value in worst.items()]
     lines.append(f"axioms[{args.chart}] {'PASS' if passed else 'FAIL'} ({len(breaches)} breaches)")
@@ -194,39 +215,47 @@ def cmd_axioms(args) -> int:
 def cmd_curvature(args) -> int:
     rng = np.random.default_rng(args.seed)
     checks = []
+
+    def add(name: str, value: float, target: float, tol: float):
+        value = float(value)
+        checks.append({"check": name, "value": value, "target": target, "ok": abs(value - target) <= tol})
+
     if args.chart == "r2":
         chart = sg.builtin_r2_example()
         fd = chart.without_analytic()
         ex, ey = np.eye(2)
-        for _ in range(args.samples):
-            p = rng.uniform(-1.0, 1.0, 2)
-            g = chart.metric(p)
-            for label, ch, tol in (("analytic", chart, 1e-10), ("finite-difference", fd, 1e-6)):
-                for which in ("nabla", "nabla_star"):
-                    val = sg.curvature(ch, which, p).scalar(g, ex, ey, ey, ex)
-                    checks.append(
-                        {"check": f"{label}:{which}", "value": val, "target": -1.0,
-                         "ok": abs(val + 1.0) <= tol}
-                    )
+        cases = [(f"{label}:{which}", ch, which, tol) for label, ch, tol in
+                 (("analytic", chart, 1e-10), ("finite-difference", fd, 1e-6)) for which in ("nabla", "nabla_star")]
+        for (points,) in _chunks(args.samples, 2, lambda: (rng.uniform(-1.0, 1.0, 2),)):
+            # ex, ey are g-orthonormal on this chart: the sectional curvature is g(R(ex,ey)ey, ex)
+            values = [sg.sectional_curvature(ch, which, points, ex, ey) for _, ch, which, _ in cases]
+            for i in range(len(points)):
+                for (name, _, _, tol), vals in zip(cases, values):
+                    add(name, vals[i], -1.0, tol)
     else:
         spec = wc.builtin_h3_example()
         chart = wc.build_warped_chart(spec)
         fd = chart.without_analytic()
-        for _ in range(args.samples):
+
+        def draw():
             p = wc.sample_warped_points(spec, 1, rng)[0]
             u, v = rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3)
-            val = sg.sectional_curvature(chart, "levi_civita", p, u, v)
-            checks.append({"check": "levi-civita sectional", "value": val, "target": -1.0,
-                           "ok": abs(val + 1.0) <= 1e-6})
             vf, uf, wf = (rng.uniform(-1.0, 1.0, 2) for _ in range(3))
-            fd_curvature = {which: sg.curvature(fd, which, p) for which in ("nabla", "nabla_star")}
+            return p, u, v, uf, vf, wf
+
+        for points, u, v, uf, vf, wf in _chunks(args.samples, 3, draw):
+            sectional = sg.sectional_curvature(chart, "levi_civita", points, u, v)
+            fd_curvature = {which: sg.curvature(fd, which, points) for which in ("nabla", "nabla_star")}
+            deviations = []
             for case in wc.CLOSED_FORM_CASES:
-                closed = wc.warped_curvature_closed_form(spec, p, case, U=uf, V=vf, W=wf)
+                closed = wc.warped_curvature_closed_form(spec, points, case, U=uf, V=vf, W=wf)
                 r = fd_curvature["nabla_star" if case.endswith("*") else "nabla"]
                 num = r.vector(*wc.closed_form_probes(case, uf, vf, wf))
-                dev = float(np.max(np.abs(closed - num)))
-                checks.append({"check": f"closed-form {case}", "value": dev, "target": 0.0,
-                               "ok": dev <= 1e-6})
+                deviations.append(np.max(np.abs(closed - num), axis=-1))
+            for i in range(len(points)):
+                add("levi-civita sectional", sectional[i], -1.0, 1e-6)
+                for case, dev in zip(wc.CLOSED_FORM_CASES, deviations):
+                    add(f"closed-form {case}", dev[i], 0.0, 1e-6)
     passed = all(c["ok"] for c in checks)
     worst = max((abs(c["value"] - c["target"]) for c in checks), default=0.0)
     return _finish(
@@ -269,36 +298,49 @@ def cmd_reproduce(args) -> int:
     checks: list[dict] = []
 
     def add(name: str, value: float, target: float, tol: float):
+        value = float(value)
         checks.append({"check": name, "value": value, "target": target, "tol": tol,
                        "ok": abs(value - target) <= tol})
 
     if args.example == "example-r2":
         chart = sg.builtin_r2_example()
+        fd = chart.without_analytic()
         ex, ey = np.eye(2)
-        for _ in range(20):
-            p = rng.uniform(-1.0, 1.0, 2)
-            g = chart.metric(p)
-            add("curvature(nabla)", sg.curvature(chart, "nabla", p).scalar(g, ex, ey, ey, ex), -1.0, 1e-10)
-            add("curvature(nabla_star)", sg.curvature(chart, "nabla_star", p).scalar(g, ex, ey, ey, ex), -1.0, 1e-10)
-            fd = chart.without_analytic()
-            add("fd curvature(nabla)", sg.curvature(fd, "nabla", p).scalar(g, ex, ey, ey, ex), -1.0, 1e-6)
-            rec = sg.axiom_residuals(chart, p, *[rng.uniform(-1, 1, 2) for _ in range(4)])
-            add("axiom residual", max(rec.values()), 0.0, 1e-8)
-            k = sg.difference_tensor(chart, p)
-            add("K^y_xx", k[1, 0, 0], 1.0, 1e-12)
-            add("K^x_xy", k[0, 0, 1], 1.0, 1e-12)
+
+        def draw():
+            return rng.uniform(-1.0, 1.0, 2), *(rng.uniform(-1, 1, 2) for _ in range(4))
+
+        for points, *probes in _chunks(20, 2, draw):
+            # ex, ey are g-orthonormal on this chart: the sectional curvature is g(R(ex,ey)ey, ex)
+            nabla, nabla_star, fd_nabla = (sg.sectional_curvature(ch, which, points, ex, ey) for ch, which in
+                                           ((chart, "nabla"), (chart, "nabla_star"), (fd, "nabla")))
+            residual = np.max(list(sg.axiom_residuals(chart, points, *probes).values()), axis=0)
+            k = sg.difference_tensor(chart, points)
+            for i in range(len(points)):
+                add("curvature(nabla)", nabla[i], -1.0, 1e-10)
+                add("curvature(nabla_star)", nabla_star[i], -1.0, 1e-10)
+                add("fd curvature(nabla)", fd_nabla[i], -1.0, 1e-6)
+                add("axiom residual", residual[i], 0.0, 1e-8)
+                add("K^y_xx", k[i, 1, 0, 0], 1.0, 1e-12)
+                add("K^x_xy", k[i, 0, 0, 1], 1.0, 1e-12)
     else:
         spec = wc.builtin_h3_example()
         chart = wc.build_warped_chart(spec)
         p = np.array([0.37, 0.41, -0.58])
         table = float(np.max(np.abs(chart.gamma(p) - wc.h3_connection_table(p[0]))))
         add("connection table", table, 0.0, 1e-12)
-        for _ in range(50):
+
+        def draw():
             p = wc.sample_warped_points(spec, 1, rng)[0]
             u, v = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-            add("hyperbolic sectional", sg.sectional_curvature(chart, "levi_civita", p, u, v), -1.0, 1e-6)
-            rec = sg.axiom_residuals(chart, p, *[rng.uniform(-1, 1, 3) for _ in range(4)])
-            add("axiom residual", max(rec.values()), 0.0, 1e-6)
+            return p, u, v, *(rng.uniform(-1, 1, 3) for _ in range(4))
+
+        for points, u, v, *probes in _chunks(50, 3, draw):
+            sectional = sg.sectional_curvature(chart, "levi_civita", points, u, v)
+            residual = np.max(list(sg.axiom_residuals(chart, points, *probes).values()), axis=0)
+            for i in range(len(points)):
+                add("hyperbolic sectional", sectional[i], -1.0, 1e-6)
+                add("axiom residual", residual[i], 0.0, 1e-6)
         cls = wc.contact_classification(spec, wc.sample_warped_points(spec, 1, rng)[0])
         add("alpha", cls.alpha, -1.0, 1e-12)
         add("d_phi residual", cls.d_phi_residual, 0.0, 1e-8)

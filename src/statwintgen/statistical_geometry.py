@@ -15,6 +15,11 @@ Index conventions, fixed package-wide:
                                R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
                                (coordinate frames, so no bracket term)
 Sectional-type contractions use K(X,Y) = g(R(X,Y)Y,X) / (|X|^2|Y|^2 - g(X,Y)^2).
+
+The geometry functions take one point or a stack of N points and evaluate a
+single point as the N = 1 stack: one ``np.linalg.inv`` and one set of
+einsums per stack, and one stencil array holding the 2 dim central-difference
+points of every sample.  Component arrays then carry the leading axis N.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor_core import DEFAULT_FD_STEP, partials
+from .tensor_core import DEFAULT_FD_STEP, central_differences, stencil
 
 Array = np.ndarray
 MatrixField = Callable[[Array], Array]
@@ -62,111 +67,193 @@ class DualisticChart:
 
 @dataclass(frozen=True)
 class CurvatureTensor:
-    """Curvature components R[l, k, i, j] at a point (see module docstring)."""
+    """Curvature components R[..., l, k, i, j] at a point or a stack of points (see module docstring)."""
 
     components: Array
 
     def vector(self, X: Array, Y: Array, Z: Array) -> Array:
         """Components of R(X,Y)Z."""
-        return np.einsum("lkij,k,i,j->l", self.components, Z, X, Y)
+        return np.einsum("...lkij,...k,...i,...j->...l", self.components, Z, X, Y)
 
-    def scalar(self, g: Array, X: Array, Y: Array, Z: Array, W: Array) -> float:
-        """g(R(X,Y)Z, W)."""
-        return float(self.vector(X, Y, Z) @ g @ W)
+    def scalar(self, g: Array, X: Array, Y: Array, Z: Array, W: Array) -> float | Array:
+        """g(R(X,Y)Z, W); a float at one point, an array over a stack."""
+        return _float_at_one_point(_bilinear(self.vector(X, Y, Z), g, W))
+
+
+# ---------------------------------------------------------------------------
+# The stacked kernel.  Every function below takes one point, shape (dim,), or
+# a stack of points, shape (N, dim); a single point is evaluated as the N = 1
+# stack.  Chart fields are single-point functions, called once per point to
+# fill the stacks; the linear algebra then runs once per stack.
+# ---------------------------------------------------------------------------
+
+# Floats of kernel scratch per stacked pass of the CLI's geometry commands.
+GEOMETRY_CHUNK_FLOATS = 1 << 18
+
+
+def geometry_chunk(dim: int) -> int:
+    """Sample points per stacked pass at chart dimension ``dim``.
+
+    The largest pass, Levi-Civita curvature on finite-difference metric
+    partials, holds per point about (1+2d)^2 d^2 metric entries on the nested
+    stencils, 4 (1+2d) d^3 Christoffel-stage floats and 8 d^4 curvature floats.
+    """
+    grid = 1 + 2 * dim
+    return max(1, GEOMETRY_CHUNK_FLOATS // (grid * grid * dim * dim + 4 * grid * dim**3 + 8 * dim**4))
+
+
+def _as_stack(point: Array) -> tuple[Array, bool]:
+    """(points as an (N, dim) float stack, whether a single point was given)."""
+    x = np.asarray(point, dtype=float)
+    return (x[None], True) if x.ndim == 1 else (x, False)
+
+
+def _float_at_one_point(value: Array) -> float | Array:
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _fill(field: MatrixField, points: Array) -> Array:
+    """(N, ...) stack of a single-point field evaluated at each of the (N, dim) points."""
+    return np.array([np.asarray(field(x), dtype=float) for x in points])
+
+
+def _with_partials(fn: Callable[[Array], Array], points: Array, step: float) -> tuple[Array, Array]:
+    """(fn, d fn) at the (N, dim) points from one call of the stacked ``fn`` on every
+    point followed by its central-difference stencil, so each point's own
+    evaluation comes right before its stencil's."""
+    n, dim = points.shape
+    grid = np.concatenate([points[:, None], stencil(points, step)], axis=1)
+    values = fn(grid.reshape(-1, dim))
+    values = values.reshape((n, 1 + 2 * dim) + values.shape[1:])
+    return values[:, 0], central_differences(values[:, 1:], step)
+
+
+def _bilinear(u: Array, m: Array, v: Array) -> Array:
+    """u^i m_ij v^j over matching leading axes, as the row-vector products (u m) v."""
+    return (np.matmul(u[..., None, :], m) @ v[..., :, None])[..., 0, 0]
 
 
 def metric_partials(chart: DualisticChart, point: Array) -> Array:
+    """d_a g_ij at a point or over a stack of points."""
+    x, one = _as_stack(point)
     if chart.metric_partial is not None:
-        return np.asarray(chart.metric_partial(point), dtype=float)
-    return partials(chart.metric, point, DEFAULT_FD_STEP)
+        dg = _fill(chart.metric_partial, x)
+    else:
+        d = chart.dim
+        values = _fill(chart.metric, stencil(x, DEFAULT_FD_STEP).reshape(-1, d))
+        dg = central_differences(values.reshape(len(x), 2 * d, d, d), DEFAULT_FD_STEP)
+    return dg[0] if one else dg
+
+
+def _inverse(g: Array, points: Array, label: str) -> Array:
+    """Inverses of a stack of metrics; a singular one is named by its point, the first in stack order."""
+    try:
+        return np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        for x, m in zip(points, g):
+            try:
+                np.linalg.inv(m)
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(f"singular metric at {x.tolist()} on {label}") from exc
+        raise
 
 
 def levi_civita(chart: DualisticChart, point: Array) -> Array:
-    """Christoffel symbols of the metric, Gamma0[k,i,j], from g and dg."""
-    x = np.asarray(point, dtype=float)
-    g = np.asarray(chart.metric(x), dtype=float)
+    """Christoffel symbols of the metric, Gamma0[..., k, i, j], from g and dg."""
+    x, one = _as_stack(point)
+    g = _fill(chart.metric, x)
     dg = metric_partials(chart, x)
-    try:
-        g_inv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular metric at {x.tolist()} on {chart.label}") from exc
+    g_inv = _inverse(g, x, chart.label)
     # lowered[l,i,j] = d_i g_lj + d_j g_li - d_l g_ij
-    lowered = np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
-    return 0.5 * np.einsum("kl,lij->kij", g_inv, lowered)
+    lowered = np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg
+    gamma0 = 0.5 * np.einsum("...kl,...lij->...kij", g_inv, lowered)
+    return gamma0[0] if one else gamma0
 
 
-def _gamma_field(chart: DualisticChart, which: str):
-    """(field, analytic-partial-or-None) for the requested connection."""
+def connection_at(chart: DualisticChart, which: str, point: Array) -> Array:
+    """Coefficients of nabla, nabla* or the Levi-Civita connection at a point or over a stack."""
+    if which == "levi_civita":
+        return levi_civita(chart, point)
+    x, one = _as_stack(point)
+    gamma = _fill(_gamma_fields(chart, which)[0], x)
+    return gamma[0] if one else gamma
+
+
+def _gamma_fields(chart: DualisticChart, which: str) -> tuple[MatrixField, MatrixField | None]:
+    """(field, analytic-partial-or-None) of nabla or nabla*."""
     if which == "nabla":
         return chart.gamma, chart.gamma_partial
     if which == "nabla_star":
         return chart.gamma_star, chart.gamma_star_partial
-    if which == "levi_civita":
-        return (lambda x: levi_civita(chart, x)), None
     raise ValueError(f"unknown connection {which!r}; expected one of {WHICH_CONNECTIONS}")
 
 
-def connection_at(chart: DualisticChart, which: str, point: Array) -> Array:
-    fn, _ = _gamma_field(chart, which)
-    return np.asarray(fn(np.asarray(point, dtype=float)), dtype=float)
-
-
-def curvature_from_gamma(gamma: Array, dgamma: Array) -> Array:
-    """Assemble R[l,k,i,j] from Gamma and its coordinate derivatives."""
-    term_d = np.einsum("iljk->lkij", dgamma) - np.einsum("jlik->lkij", dgamma)
-    term_q = np.einsum("lim,mjk->lkij", gamma, gamma) - np.einsum("ljm,mik->lkij", gamma, gamma)
-    return term_d + term_q
-
-
-def curvature(chart: DualisticChart, which: str, point: Array) -> CurvatureTensor:
-    """Curvature tensor of nabla, nabla* or the Levi-Civita connection."""
-    x = np.asarray(point, dtype=float)
-    fn, analytic = _gamma_field(chart, which)
-    gamma = np.asarray(fn(x), dtype=float)
-    if analytic is not None:
-        dgamma = np.asarray(analytic(x), dtype=float)
-    else:
+def _connection_and_partials(chart: DualisticChart, which: str, points: Array) -> tuple[Array, Array]:
+    """(Gamma, d Gamma) of one connection over an (N, dim) stack."""
+    if which == "levi_civita":
         step = DEFAULT_FD_STEP
-        if which == "levi_civita" and chart.metric_partial is None:
+        if chart.metric_partial is None:
             # The Christoffel field is itself finite-differenced here; a
             # coarser outer step balances truncation against the propagated
             # rounding noise of the inner differences.
             step = DEFAULT_FD_STEP * 20.0
-        dgamma = partials(fn, x, step)
-    return CurvatureTensor(curvature_from_gamma(gamma, dgamma))
+        return _with_partials(lambda x: levi_civita(chart, x), points, step)
+    field, analytic = _gamma_fields(chart, which)
+    if analytic is not None:
+        return _fill(field, points), _fill(analytic, points)
+    return _with_partials(lambda x: _fill(field, x), points, DEFAULT_FD_STEP)
+
+
+def curvature_from_gamma(gamma: Array, dgamma: Array) -> Array:
+    """Assemble R[..., l, k, i, j] from Gamma and its coordinate derivatives."""
+    term_d = np.einsum("...iljk->...lkij", dgamma) - np.einsum("...jlik->...lkij", dgamma)
+    term_q = np.einsum("...lim,...mjk->...lkij", gamma, gamma) - np.einsum("...ljm,...mik->...lkij", gamma, gamma)
+    return term_d + term_q
+
+
+def curvature(chart: DualisticChart, which: str, point: Array) -> CurvatureTensor:
+    """Curvature tensor of nabla, nabla* or the Levi-Civita connection at a point or over a stack."""
+    x, one = _as_stack(point)
+    R = curvature_from_gamma(*_connection_and_partials(chart, which, x))
+    return CurvatureTensor(R[0] if one else R)
 
 
 def covariant(gamma: Array, A: Array, B: Array) -> Array:
     """Gamma^k_ab A^a B^b: the covariant derivative of the constant field B along A."""
-    return np.einsum("kab,a,b->k", gamma, A, B)
+    return np.einsum("...kab,...a,...b->...k", gamma, A, B)
 
 
-def covariant_two_form_derivative(w: Array, dw: Array, gamma: Array, X: Array, Y: Array, Z: Array) -> float:
+def covariant_two_form_derivative(w: Array, dw: Array, gamma: Array, X: Array, Y: Array, Z: Array) -> float | Array:
     """(nabla_X w)(Y,Z) from a two-form w, its partials dw[a] = d_a w and connection coefficients."""
-    dir_w = np.einsum("a,abc->bc", X, dw)
-    return float(Y @ dir_w @ Z - covariant(gamma, X, Y) @ w @ Z - Y @ w @ covariant(gamma, X, Z))
+    dir_w = np.einsum("...a,...abc->...bc", X, dw)
+    return _float_at_one_point(
+        _bilinear(Y, dir_w, Z) - _bilinear(covariant(gamma, X, Y), w, Z) - _bilinear(Y, w, covariant(gamma, X, Z))
+    )
 
 
 def difference_tensor(chart: DualisticChart, point: Array) -> Array:
-    """K[k,i,j] = Gamma^k_ij - Gamma0^k_ij at the point."""
+    """K[..., k, i, j] = Gamma^k_ij - Gamma0^k_ij at a point or over a stack."""
     return connection_at(chart, "nabla", point) - levi_civita(chart, point)
 
 
 def kk_bracket(k: Array) -> Array:
-    """[K,K][l,k,i,j], the curvature-like square K_X K_Y Z - K_Y K_X Z."""
-    return np.einsum("lim,mjk->lkij", k, k) - np.einsum("ljm,mik->lkij", k, k)
+    """[K,K][..., l, k, i, j], the curvature-like square K_X K_Y Z - K_Y K_X Z."""
+    return np.einsum("...lim,...mjk->...lkij", k, k) - np.einsum("...ljm,...mik->...lkij", k, k)
 
 
-def sectional_curvature(chart: DualisticChart, which: str, point: Array, X: Array, Y: Array) -> float:
-    """g(R(X,Y)Y,X) normalized by the Gram determinant of the plane."""
-    x = np.asarray(point, dtype=float)
-    g = np.asarray(chart.metric(x), dtype=float)
-    R = curvature(chart, which, x)
-    num = R.scalar(g, X, Y, Y, X)
-    gram = (X @ g @ X) * (Y @ g @ Y) - (X @ g @ Y) ** 2
-    if abs(gram) < 1e-12:
+def sectional_curvature(chart: DualisticChart, which: str, point: Array, X: Array, Y: Array) -> float | Array:
+    """g(R(X,Y)Y,X) normalized by the Gram determinant of the plane; an array over a stack."""
+    x, one = _as_stack(point)
+    g = _fill(chart.metric, x)
+    num = curvature(chart, which, x).scalar(g, X, Y, Y, X)
+    gram = _bilinear(X, g, X) * _bilinear(Y, g, Y) - _bilinear(X, g, Y) ** 2
+    if np.any(np.abs(gram) < 1e-12):
         raise ValueError("probe vectors are (numerically) linearly dependent")
-    return num / gram
+    value = num / gram
+    return float(value[0]) if one else value
+
+
+AXIOM_RESIDUALS = ("duality", "codazzi", "k_symmetry", "k_self_adjoint", "conjugate", "curvature_sum")
 
 
 def axiom_residuals(
@@ -176,7 +263,7 @@ def axiom_residuals(
     Y: Array,
     Z: Array,
     W: Array,
-) -> dict[str, float]:
+) -> dict[str, float] | dict[str, Array]:
     """Residuals of the dualistic-structure axioms with constant-frame probes.
 
     duality         |Z g(X,Y) - g(nabla_Z X, Y) - g(X, nabla*_Z Y)|
@@ -185,44 +272,40 @@ def axiom_residuals(
     k_self_adjoint  |g(K_X Y, Z) - g(Y, K_X Z)|
     conjugate       |g(R(X,Y)Z, W) + g(Z, R*(X,Y)W)|
     curvature_sum   componentwise max of R + R* - 2 R0 - 2 [K,K]
+
+    Over a stack of points the probes are stacks too (or one probe for all)
+    and each residual is an array, one value per point.
     """
-    x = np.asarray(point, dtype=float)
+    x, one = _as_stack(point)
     X, Y, Z, W = (np.asarray(v, dtype=float) for v in (X, Y, Z, W))
-    g = np.asarray(chart.metric(x), dtype=float)
+    g = _fill(chart.metric, x)
     dg = metric_partials(chart, x)
-    gam = connection_at(chart, "nabla", x)
-    gam_star = connection_at(chart, "nabla_star", x)
-    gam0 = levi_civita(chart, x)
+    gam, dgam = _connection_and_partials(chart, "nabla", x)
+    gam_star, dgam_star = _connection_and_partials(chart, "nabla_star", x)
+    gam0, dgam0 = _connection_and_partials(chart, "levi_civita", x)
 
-    def inner(u: Array, v: Array) -> float:
-        return float(u @ g @ v)
-
-    dir_g = np.einsum("aij,a->ij", dg, Z)
-    duality = abs(float(X @ dir_g @ Y) - inner(covariant(gam, Z, X), Y) - inner(X, covariant(gam_star, Z, Y)))
-    codazzi = abs(
+    dir_g = np.einsum("...aij,...a->...ij", dg, Z)
+    duality = np.abs(
+        _bilinear(X, dir_g, Y) - _bilinear(covariant(gam, Z, X), g, Y) - _bilinear(X, g, covariant(gam_star, Z, Y))
+    )
+    codazzi = np.abs(
         covariant_two_form_derivative(g, dg, gam, X, Y, Z) - covariant_two_form_derivative(g, dg, gam, Y, X, Z)
     )
 
     k = gam - gam0
-    k_sym = float(np.max(np.abs(covariant(k, X, Y) - covariant(k, Y, X))))
-    k_self = abs(inner(covariant(k, X, Y), Z) - inner(Y, covariant(k, X, Z)))
+    k_sym = np.max(np.abs(covariant(k, X, Y) - covariant(k, Y, X)), axis=-1)
+    k_self = np.abs(_bilinear(covariant(k, X, Y), g, Z) - _bilinear(Y, g, covariant(k, X, Z)))
 
-    R = curvature(chart, "nabla", x)
-    R_star = curvature(chart, "nabla_star", x)
-    R0 = curvature(chart, "levi_civita", x)
-    conjugate = abs(R.scalar(g, X, Y, Z, W) + R_star.scalar(g, X, Y, W, Z))
+    R = curvature_from_gamma(gam, dgam)
+    R_star = curvature_from_gamma(gam_star, dgam_star)
+    R0 = curvature_from_gamma(gam0, dgam0)
+    conjugate = np.abs(CurvatureTensor(R).scalar(g, X, Y, Z, W) + CurvatureTensor(R_star).scalar(g, X, Y, W, Z))
 
-    total = R.components + R_star.components - 2.0 * R0.components - 2.0 * kk_bracket(k)
-    curvature_sum = float(np.max(np.abs(total)))
+    total = R + R_star - 2.0 * R0 - 2.0 * kk_bracket(k)
+    curvature_sum = np.max(np.abs(total), axis=(-4, -3, -2, -1))
 
-    return {
-        "duality": duality,
-        "codazzi": codazzi,
-        "k_symmetry": k_sym,
-        "k_self_adjoint": k_self,
-        "conjugate": conjugate,
-        "curvature_sum": curvature_sum,
-    }
+    values = (duality, codazzi, k_sym, k_self, conjugate, curvature_sum)
+    return {name: float(v[0]) if one else v for name, v in zip(AXIOM_RESIDUALS, values)}
 
 
 def check_almost_complex(g: Array, J: Array) -> float:

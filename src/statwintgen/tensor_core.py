@@ -41,23 +41,45 @@ def commutator(a, b) -> np.ndarray:
     return am @ bm - bm @ am
 
 
+@lru_cache(maxsize=32)
+def _stencil_signs(dim: int) -> np.ndarray:
+    """Read-only (2 dim, dim) signs: +1 at [2a, a], -1 at [2a + 1, a], 0 elsewhere."""
+    axes = np.arange(dim)
+    signs = np.zeros((2 * dim, dim))
+    signs[2 * axes, axes] = 1.0
+    signs[2 * axes + 1, axes] = -1.0
+    signs.flags.writeable = False
+    return signs
+
+
+def stencil(points, step: float) -> np.ndarray:
+    """Central-difference points of a (N, dim) stack, shape (N, 2 dim, dim).
+
+    ``out[:, 2a]`` is ``x + step e_a`` and ``out[:, 2a + 1]`` is ``x - step e_a``.
+    """
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    x = np.asarray(points, dtype=float)[:, None, :]
+    signs = _stencil_signs(x.shape[-1])
+    # the unshifted coordinates are copied, not offset by 0.0, so a -0.0 stays -0.0
+    return np.where(signs == 0.0, x, x + signs * step)
+
+
+def central_differences(values: np.ndarray, step: float) -> np.ndarray:
+    """(N, dim, ...) partials from (N, 2 dim, ...) field values on ``stencil(points, step)``."""
+    return (values[:, 0::2] - values[:, 1::2]) / (2.0 * step)
+
+
 def partials(fn: Callable[[np.ndarray], np.ndarray], point, step: float) -> np.ndarray:
     """Central differences of an array-valued field along every coordinate axis.
 
     ``out[a] = (fn(x + step e_a) - fn(x - step e_a)) / 2 step``, stacked along
-    axis 0, so ``out[a]`` has the shape of ``fn(x)``.
+    axis 0, so ``out[a]`` has the shape of ``fn(x)``: the one-point call of
+    ``stencil`` and ``central_differences``.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
     x = np.asarray(point, dtype=float)
-    slices = []
-    for a in range(x.size):
-        hi = x.copy()
-        lo = x.copy()
-        hi[a] += step
-        lo[a] -= step
-        slices.append((np.asarray(fn(hi), dtype=float) - np.asarray(fn(lo), dtype=float)) / (2.0 * step))
-    return np.stack(slices, axis=0)
+    values = np.array([np.asarray(fn(p), dtype=float) for p in stencil(x[None], step)[0]])
+    return central_differences(values[None], step)[0]
 
 
 def instance_rng(seed: int, index: int = 0) -> np.random.Generator:

@@ -160,8 +160,15 @@ def h3_connection_table(t: float) -> Array:
 
 
 def embed_fiber_vector(v: Array) -> Array:
+    """Fiber vectors (..., 2n) as total-chart vectors (..., 2n+1) with dt-component 0."""
     v = np.asarray(v, dtype=float)
-    return np.concatenate(([0.0], v))
+    return np.concatenate((np.zeros(v.shape[:-1] + (1,)), v), axis=-1)
+
+
+def _per_point(fn: Callable[[Array], Array], points: Array) -> Array:
+    """``fn`` at each point of a (..., dim) array, stacked with the same leading axes."""
+    values = np.array([np.asarray(fn(x), dtype=float) for x in points.reshape(-1, points.shape[-1])])
+    return values.reshape(points.shape[:-1] + values.shape[1:])
 
 
 def warped_metric(spec: WarpedProductSpec, point: Array) -> Array:
@@ -186,9 +193,10 @@ def _fiber_axiom_check(spec: WarpedProductSpec) -> None:
     rng = np.random.default_rng(171)
     fiber = spec.fiber
     pts = sample_points(fiber.dim, 3, rng)
-    for p in pts:
-        probes = [rng.uniform(-1.0, 1.0, fiber.dim) for _ in range(4)]
-        worst = max(axiom_residuals(fiber, p, *probes).values())
+    probes = np.array([[rng.uniform(-1.0, 1.0, fiber.dim) for _ in range(4)] for _ in pts])
+    residuals = axiom_residuals(fiber, pts, *probes.transpose(1, 0, 2))
+    for p, *values in zip(pts, *residuals.values()):
+        worst = max(values)
         if worst > FIBER_AXIOM_TOL:
             raise ValueError(
                 f"fiber of {spec.label} violates the dualistic axioms "
@@ -285,10 +293,11 @@ def closed_form_probes(case: str, U: Array, V: Array, W: Array) -> tuple[Array, 
 
     a: (V, dt, dt)   b: (V, U, dt)   c: (dt, V, W)   d: (V, W, U), with the
     fiber probes embedded; a starred case uses the probes of its base case.
+    Stacked fiber probes (N, 2n) give stacked total-chart probes.
     """
     u, v, w = (embed_fiber_vector(a) for a in (U, V, W))
-    dt = np.zeros(u.size)
-    dt[0] = 1.0
+    dt = np.zeros(u.shape)
+    dt[..., 0] = 1.0
     return {"a": (v, dt, dt), "b": (v, u, dt), "c": (dt, v, w), "d": (v, w, u)}[_closed_form_case(case)[0]]
 
 
@@ -308,13 +317,14 @@ def warped_curvature_closed_form(
       d : R(V, W) U = R^N(V,W)U - (f'/f)^2 [<W,U> V - <V,U> W]
 
     Starred cases use the dual fiber curvature in (d*); <.,.> is the warped
-    metric f^2 g_N on fiber vectors.  Returns total-chart components.
+    metric f^2 g_N on fiber vectors.  Returns total-chart components; over a
+    stack of points (N, 2n+1), with stacked probes, one row per point.
     """
     case = _closed_form_case(case)
     point = np.asarray(point, dtype=float)
-    t, xf = point[0], point[1:]
-    f, fp, fpp = spec.warping.at(t)
-    g_n = np.asarray(spec.fiber.metric(xf), dtype=float)
+    xf = point[..., 1:]
+    f, fp, fpp = np.moveaxis(_per_point(lambda t: spec.warping.at(t[0]), point[..., :1]), -1, 0)
+    g_n = _per_point(spec.fiber.metric, xf)
     which = "nabla_star" if case.endswith("*") else "nabla"
     base = case[0]
 
@@ -322,30 +332,32 @@ def warped_curvature_closed_form(
         if v is None:
             raise ValueError(f"case {case!r} requires fiber probe {name}")
         v = np.asarray(v, dtype=float)
-        if v.size != spec.fiber.dim:
+        if v.shape[-1:] != (spec.fiber.dim,):
             raise ValueError(f"probe {name} must be a fiber vector of dim {spec.fiber.dim}")
         return v
 
+    def ip(a: Array, b: Array) -> Array:
+        """g_N(a, b) as the row-vector products (a g_N) b, with a trailing axis to scale vectors by."""
+        return (np.matmul(a[..., None, :], g_n) @ b[..., :, None])[..., 0, :]
+
     if base == "a":
         v = need("V", V)
-        return embed_fiber_vector(-(fpp / f) * v)
+        return embed_fiber_vector(-(fpp / f)[..., None] * v)
     if base == "b":
         need("V", V)
         need("U", U)
-        return np.zeros(spec.dim)
+        return np.zeros(point.shape)
     if base == "c":
         v = need("V", V)
         wv = need("W", W)
-        warped_ip = f * f * float(v @ g_n @ wv)
-        out = np.zeros(spec.dim)
-        out[0] = -(fpp / f) * warped_ip
-        return out
+        warped_ip = (f * f)[..., None] * ip(v, wv)
+        return np.concatenate((-(fpp / f)[..., None] * warped_ip, np.zeros(xf.shape)), axis=-1)
     # case d
     v = need("V", V)
     wv = need("W", W)
     u = need("U", U)
     r_fiber = curvature(spec.fiber, which, xf).vector(v, wv, u)
-    warp = (fp / f) ** 2 * (f * f) * (float(wv @ g_n @ u) * v - float(v @ g_n @ u) * wv)
+    warp = ((fp / f) ** 2 * (f * f))[..., None] * (ip(wv, u) * v - ip(v, u) * wv)
     return embed_fiber_vector(r_fiber - warp)
 
 
@@ -523,13 +535,13 @@ def kenmotsu_theorem_check(
     pts = sample_warped_points(spec, samples, rng)
     chart = build_warped_chart(spec, validate_fiber=False)
     classifications = tuple(contact_classification(spec, p, tol=tol, frame_tol=math.inf) for p in pts)
-    fiber_res, total_res, k_xi_res = [], [], []
+    fiber_res, total_res = [], []
     for p, cls in zip(pts, classifications):
         xf = p[1:]
         fiber_res += [check_almost_complex(spec.fiber.metric(xf), spec.j_at(xf)), cls.d_omega_residual]
         total_res += [cls.frame_residual, cls.d_phi_residual]
-        k_tilde = difference_tensor(chart, p)
-        k_xi_res += [np.max(np.abs(k_tilde[:, :, 0])), np.max(np.abs(k_tilde[:, 0, :]))]
+    k_tilde = difference_tensor(chart, pts)
+    k_xi_res = [np.abs(k_tilde[:, :, :, 0]), np.abs(k_tilde[:, :, 0, :])]
     # np.max keeps a NaN, which Python's max(0.0, nan) would drop
     worst_fiber, worst_total, k_xi = (float(np.max(r, initial=0.0)) for r in (fiber_res, total_res, k_xi_res))
     if not all(map(math.isfinite, (worst_fiber, worst_total, k_xi))):

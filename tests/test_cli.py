@@ -1,11 +1,14 @@
 import argparse
 import json
+from dataclasses import replace
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 import statwintgen.cli as cli
 import statwintgen.legendrian as lg
+import statwintgen.statistical_geometry as sg
 from statwintgen.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -635,3 +638,132 @@ def test_equal_bounds_and_zero_magnitude_stay_valid(tmp_path):
     assert main(argv) == EXIT_OK
     rows = _sweep_rows(out)
     assert len(rows) == 4 and {tuple(r[2:5]) for r in rows} == {("0", "1", "0.5")}
+
+
+# ---------------------------------------------------------------------------
+# stacked geometry commands
+# ---------------------------------------------------------------------------
+
+
+GEOMETRY_COMMANDS = {  # argv -> (chart dimension, samples)
+    ("axioms", "--chart", "r2"): (2, 100),
+    ("axioms", "--chart", "h3"): (3, 100),
+    ("axioms", "--chart", "h3", "--perturb-gamma", "0.01"): (3, 100),
+    ("reproduce", "example-r2"): (2, 20),
+    ("reproduce", "example-h3"): (3, 50),
+    ("curvature", "--chart", "r2", "--samples", "100"): (2, 100),
+    ("curvature", "--chart", "h3", "--samples", "30"): (3, 30),
+}
+
+
+def _report_and_stdout(argv, path, capsys):
+    code = main([*argv, "--seed", "4", "--out", str(path)])
+    return code, path.read_bytes(), capsys.readouterr().out.replace(str(path), "OUT")
+
+
+@pytest.mark.parametrize("budget", [1, 2000])
+@pytest.mark.parametrize("argv", list(GEOMETRY_COMMANDS), ids=" ".join)
+def test_geometry_chunks_leave_reports_byte_identical(argv, budget, tmp_path, monkeypatch, capsys):
+    dim, samples = GEOMETRY_COMMANDS[argv]
+    assert samples <= sg.geometry_chunk(dim)  # the default budget: one chunk
+    one_chunk = _report_and_stdout(argv, tmp_path / "one.json", capsys)
+    monkeypatch.setattr(sg, "GEOMETRY_CHUNK_FLOATS", budget)
+    assert samples >= 3 * sg.geometry_chunk(dim)
+    assert _report_and_stdout(argv, tmp_path / "chunked.json", capsys) == one_chunk
+
+
+def _sequential_draws(argv, seed):
+    """Each sample's draws in the order of one sample at a time: point first, then probes."""
+    rng = np.random.default_rng(seed)
+    spec = wc.builtin_h3_example()
+    draws = {
+        ("axioms", "r2"): lambda: [rng.uniform([-1.0] * 2, [1.0] * 2), *(rng.uniform(-1.0, 1.0, 2) for _ in range(4))],
+        ("axioms", "h3"): lambda: [rng.uniform(*np.array(wc.default_sample_box(3)).T),
+                                   *(rng.uniform(-1.0, 1.0, 3) for _ in range(4))],
+        ("reproduce", "example-r2"): lambda: [rng.uniform(-1.0, 1.0, 2), *(rng.uniform(-1, 1, 2) for _ in range(4))],
+        ("reproduce", "example-h3"): lambda: [wc.sample_warped_points(spec, 1, rng)[0],
+                                              *(rng.uniform(-1, 1, 3) for _ in range(6))],
+    }[argv[0], argv[-1]]
+    count = {"axioms": 10, "reproduce": 20 if argv[-1] == "example-r2" else 50}[argv[0]]
+    return [draws() for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["axioms", "--samples", "10", "--chart", "r2"], ["axioms", "--samples", "10", "--chart", "h3"],
+     ["reproduce", "example-r2"], ["reproduce", "example-h3"]],
+    ids=" ".join,
+)
+def test_geometry_samples_keep_the_one_sample_at_a_time_stream(argv, tmp_path, monkeypatch):
+    seen = []
+
+    def recording(chart, points, *probes):
+        seen.extend(zip(points, *probes))
+        return residuals(chart, points, *probes)
+
+    residuals = sg.axiom_residuals
+    monkeypatch.setattr(sg, "GEOMETRY_CHUNK_FLOATS", 3000)  # several chunks
+    monkeypatch.setattr(sg, "axiom_residuals", recording)
+    assert main([*argv, "--seed", "6", "--out", str(tmp_path / "r.json")]) == EXIT_OK
+    want = _sequential_draws(argv, 6)
+    if argv[0] == "reproduce" and argv[-1] == "example-h3":
+        want = [[p, *probes] for p, _, _, *probes in want]  # the sectional pair u, v comes before the probes
+    assert len(seen) == len(want)
+    for got, expected in zip(seen, want):
+        for a, b in zip(got, expected, strict=True):
+            npt.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_singular_metric_names_the_first_singular_sample(budget, monkeypatch, capsys):
+    points = [draw[0] for draw in _sequential_draws(["axioms", "r2"], 8)][:5]
+    bad = points[3].tobytes()
+    base = sg.builtin_r2_example()
+    chart = replace(base, metric=lambda x: np.zeros((2, 2)) if np.asarray(x).tobytes() == bad else np.eye(2),
+                    label="singular-at-sample-3")
+    monkeypatch.setitem(cli.CHARTS, "r2", lambda: chart)
+    if budget is not None:
+        monkeypatch.setattr(sg, "GEOMETRY_CHUNK_FLOATS", budget)
+    line = _assert_one_line_usage_error(main(["axioms", "--chart", "r2", "--samples", "5", "--seed", "8"]), capsys)
+    assert line == f"error: singular metric at {points[3].tolist()} on singular-at-sample-3"
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+@pytest.mark.parametrize("chart_name", ["r2", "h3"])
+def test_non_finite_residual_names_the_first_sample_and_residual(chart_name, budget, monkeypatch, capsys):
+    draws = _sequential_draws(["axioms", chart_name], 2)[:4]
+    chart = cli._perturbed_chart(cli.CHARTS[chart_name](), 1e200)
+    want = None
+    with np.errstate(all="ignore"):
+        for point, *probes in draws:  # one sample at a time, residuals in report order
+            for name, value in sg.axiom_residuals(chart, point, *probes).items():
+                if want is None and not np.isfinite(value):
+                    want = f"error: arithmetic overflow: non-finite {name} residual at {point.tolist()}"
+    assert want is not None
+    if budget is not None:
+        monkeypatch.setattr(sg, "GEOMETRY_CHUNK_FLOATS", budget)
+    argv = ["axioms", "--chart", chart_name, "--samples", "4", "--seed", "2", "--perturb-gamma", "1e200"]
+    assert _assert_one_line_usage_error(main(argv), capsys) == want
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_non_finite_residual_order_is_sample_first(budget, monkeypatch, capsys):
+    # sample 2 has a NaN in a later residual than sample 3's inf: sample order wins over residual order
+    residuals = sg.axiom_residuals
+    offset = []
+
+    def crafted(chart, points, *probes):
+        out = residuals(chart, points, *probes)
+        for key, sample, value in (("k_symmetry", 2, np.nan), ("duality", 3, np.inf)):
+            index = sample - sum(offset)
+            if 0 <= index < len(points):
+                out[key][index] = value
+        offset.append(len(points))
+        return out
+
+    monkeypatch.setattr(sg, "axiom_residuals", crafted)
+    if budget is not None:
+        monkeypatch.setattr(sg, "GEOMETRY_CHUNK_FLOATS", budget)
+    point = _sequential_draws(["axioms", "r2"], 5)[2][0]
+    line = _assert_one_line_usage_error(main(["axioms", "--chart", "r2", "--samples", "5", "--seed", "5"]), capsys)
+    assert line == f"error: arithmetic overflow: non-finite k_symmetry residual at {point.tolist()}"

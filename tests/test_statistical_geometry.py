@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -10,12 +11,15 @@ from statwintgen.statistical_geometry import (
     builtin_r2_example,
     connection_at,
     curvature,
+    curvature_from_gamma,
     difference_tensor,
     kk_bracket,
     levi_civita,
+    metric_partials,
     sectional_curvature,
     trivial_chart,
 )
+from statwintgen.tensor_core import DEFAULT_FD_STEP, partials
 
 from helpers import nabla_g_residual
 from paper_checks import holomorphic_space_form_curvature
@@ -231,3 +235,127 @@ class TestBuiltinR2Example:
         for _ in range(20):
             p = rng.uniform(-1, 1, 2)
             assert abs(sectional_curvature(chart, "nabla", p, EX, EY) + 1.0) <= 1e-10
+
+
+def _stack_charts():
+    from statwintgen import cli, warped_contact as wc
+
+    r2 = builtin_r2_example()
+    h3 = wc.build_warped_chart(wc.builtin_h3_example())
+    return {
+        "r2": r2,
+        "h3": h3,
+        "r2-fd": r2.without_analytic(),
+        "h3-fd": h3.without_analytic(),
+        "r2-perturbed": cli._perturbed_chart(r2, 0.01),
+        "h3-perturbed": cli._perturbed_chart(h3, 0.01),
+    }
+
+
+STACK_CHARTS = _stack_charts()
+
+
+def _stack(chart, count=7, seed=5):
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-0.5, 0.5, (count, chart.dim))
+    probes = rng.uniform(-1.0, 1.0, (4, count, chart.dim))
+    return points, probes
+
+
+@pytest.mark.parametrize("name", list(STACK_CHARTS))
+class TestStackedKernel:
+    """A stack of points gives, row by row, the single-point results: bit for bit."""
+
+    def test_axiom_residuals(self, name):
+        chart = STACK_CHARTS[name]
+        points, probes = _stack(chart)
+        stacked = axiom_residuals(chart, points, *probes)
+        for i, point in enumerate(points):
+            single = axiom_residuals(chart, point, *probes[:, i])
+            assert list(single) == list(stacked)
+            for key, value in single.items():
+                assert type(value) is float
+                assert stacked[key][i] == value, (key, i)
+
+    @pytest.mark.parametrize("which", ["nabla", "nabla_star", "levi_civita"])
+    def test_curvature_and_sectional_curvature(self, name, which):
+        chart = STACK_CHARTS[name]
+        points, probes = _stack(chart)
+        components = curvature(chart, which, points).components
+        sectional = sectional_curvature(chart, which, points, probes[0], probes[1])
+        assert components.shape == (len(points),) + (chart.dim,) * 4
+        for i, point in enumerate(points):
+            npt.assert_array_equal(components[i], curvature(chart, which, point).components)
+            single = sectional_curvature(chart, which, point, probes[0, i], probes[1, i])
+            assert type(single) is float and sectional[i] == single
+
+    def test_connections_and_metric_partials(self, name):
+        chart = STACK_CHARTS[name]
+        points, _ = _stack(chart)
+        for fn in (levi_civita, difference_tensor, metric_partials):
+            stacked = fn(chart, points)
+            for i, point in enumerate(points):
+                npt.assert_array_equal(stacked[i], fn(chart, point))
+
+    def test_levi_civita_curvature_matches_pointwise_partials(self, name):
+        # the stacked stencil against tensor_core.partials around each point on its own
+        chart = STACK_CHARTS[name]
+        points, _ = _stack(chart, count=3)
+        step = DEFAULT_FD_STEP * (1.0 if chart.metric_partial is not None else 20.0)
+        stacked = curvature(chart, "levi_civita", points).components
+        for i, point in enumerate(points):
+            dgamma = partials(lambda x: levi_civita(chart, x), point, step)
+            want = curvature_from_gamma(levi_civita(chart, point), dgamma)
+            npt.assert_allclose(stacked[i], want, rtol=0.0, atol=1e-12)
+
+
+def _singular_chart(singular_points) -> DualisticChart:
+    """Identity metric except at the given points, where it is the zero matrix."""
+    bad = [np.asarray(p, dtype=float).tobytes() for p in singular_points]
+
+    def metric(x):
+        return np.zeros((2, 2)) if np.asarray(x, dtype=float).tobytes() in bad else np.eye(2)
+
+    zeros3, zeros4 = (lambda x: np.zeros((2, 2, 2))), (lambda x: np.zeros((2, 2, 2, 2)))
+    return DualisticChart(dim=2, metric=metric, gamma=zeros3, gamma_star=zeros3, metric_partial=zeros3,
+                          gamma_partial=zeros4, gamma_star_partial=zeros4, label="singular-test")
+
+
+def _first_single_point_error(fn, count):
+    for i in range(count):
+        try:
+            fn(i)
+        except ValueError as exc:
+            return str(exc)
+    raise AssertionError("no point raised")
+
+
+class TestSingularMetricInAStack:
+    POINTS, PROBES = _stack(trivial_chart(2), count=5, seed=9)
+
+    def _stencil_point(self, i, axis):
+        x = self.POINTS[i].copy()
+        x[axis] += DEFAULT_FD_STEP
+        return x
+
+    @pytest.mark.parametrize("singular", ["point 3", "point 3 and a stencil point of point 1"])
+    def test_error_names_the_first_singular_point_in_evaluation_order(self, singular):
+        bad = [self.POINTS[3]] + ([self._stencil_point(1, 0)] if singular != "point 3" else [])
+        chart = _singular_chart(bad)
+        want = bad[-1]  # point 1 comes before point 3
+        with pytest.raises(ValueError) as err:
+            axiom_residuals(chart, self.POINTS, *self.PROBES)
+        assert str(err.value) == f"singular metric at {want.tolist()} on singular-test"
+        assert str(err.value) == _first_single_point_error(
+            lambda i: axiom_residuals(chart, self.POINTS[i], *self.PROBES[:, i]), 5)
+        with pytest.raises(ValueError) as sectional:
+            sectional_curvature(chart, "levi_civita", self.POINTS, EX, EY)
+        assert str(sectional.value) == str(err.value)
+        assert str(err.value) == _first_single_point_error(
+            lambda i: curvature(chart, "levi_civita", self.POINTS[i]), 5)
+
+    def test_levi_civita_names_the_singular_point(self):
+        chart = _singular_chart([self.POINTS[3]])
+        with pytest.raises(ValueError, match=r"^singular metric at " + re.escape(str(self.POINTS[3].tolist()))):
+            levi_civita(chart, self.POINTS)
+        npt.assert_array_equal(levi_civita(chart, self.POINTS[[0, 1, 2, 4]]), np.zeros((4, 2, 2, 2)))

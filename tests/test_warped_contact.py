@@ -8,6 +8,7 @@ import pytest
 import paper_checks as pc
 import statwintgen.statistical_geometry as sg
 import statwintgen.warped_contact as wc
+from statwintgen.tensor_core import sample_points
 
 E3 = np.eye(3)
 
@@ -404,3 +405,24 @@ class TestBuiltinH3:
     def test_gamma_yy_entry(self, h3_chart):
         p = np.array([0.5, 0.1, 0.1])
         assert abs(h3_chart.gamma(p)[0, 2, 2] + math.exp(1.0)) <= 1e-12
+
+
+def test_fiber_check_names_the_first_violating_sample_point():
+    # the fiber check evaluates its three sample points as one stack; the message is the
+    # one a point-by-point loop over the same draws gives
+    from statwintgen import cli
+
+    fiber = cli._perturbed_chart(sg.builtin_r2_example(), 0.01)
+    spec = wc.WarpedProductSpec(fiber=fiber, complex_structure=lambda x: wc.standard_complex_structure(1),
+                                warping=wc.exp_warping(), label="perturbed fiber")
+    rng = np.random.default_rng(171)
+    want = None
+    for p in sample_points(2, 3, rng):
+        worst = max(sg.axiom_residuals(fiber, p, *(rng.uniform(-1.0, 1.0, 2) for _ in range(4))).values())
+        if want is None and worst > wc.FIBER_AXIOM_TOL:
+            want = (f"fiber of perturbed fiber violates the dualistic axioms "
+                    f"(residual {worst:.3e} > {wc.FIBER_AXIOM_TOL:.1e} at {p.tolist()})")
+    assert want is not None
+    with pytest.raises(ValueError) as err:
+        wc.build_warped_chart(spec)
+    assert str(err.value) == want

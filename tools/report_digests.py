@@ -63,6 +63,10 @@ def battery() -> list[list[str]]:
           for perturb in ([], ["--perturb-gamma", "0.01"])),
         ["curvature", "--chart", "r2"],
         ["curvature", "--chart", "h3"],
+        # more samples than one stacked chunk holds (142 at dimension 3, 675 at dimension 2)
+        ["axioms", "--chart", "h3", "--samples", "300"],
+        ["curvature", "--chart", "h3", "--samples", "300"],
+        ["curvature", "--chart", "r2", "--samples", "1500"],
         *(["classify", "--warp", warp, "--fiber", fiber] for warp in ("exp", "const", "cosh")
           for fiber in ("flat", "r2", "twisted")),
         ["classify", "--warp", "exp", "--fiber", "flat", "--residual-tol", "1e-12"],

@@ -24,9 +24,23 @@ instance: generation and report included, on whatever path the sweep takes
 (stacked chunks where it has them), for n in {2, 3, 5, 8}.  Each figure is
 the median over ``--repeats`` batches of ``--count`` instances (a quarter as
 many at n = 8).  Keys are ``<stage>.n<n>``; ``--json`` prints them as one
-JSON object.  The script uses only public functions that have existed since
-the benchmark was added, so it runs unchanged against older checkouts for
-before/after tables.
+JSON object.
+
+The geometry stages time ``GEOMETRY_SAMPLES`` seeded sample points of the
+built-in charts, in microseconds per sample:
+
+    axioms_r2       statistical_geometry.axiom_residuals on the r2 chart
+    axioms_h3       the same on the warped h3 chart
+    lc_curvature    statistical_geometry.curvature of the Levi-Civita connection (h3)
+    sectional       statistical_geometry.sectional_curvature, Levi-Civita (h3)
+
+each once per point (``geometry.<stage>.point``) and, where the checkout
+evaluates stacks of points (it has ``statistical_geometry.geometry_chunk``),
+as one stacked call over all samples (``geometry.<stage>.stack``), as the
+``axioms``, ``curvature`` and ``reproduce`` commands do.  The script uses
+only public functions that have existed since the benchmark was added and
+skips the stacked stages where they are absent, so it runs unchanged
+against older checkouts for before/after tables.
 """
 
 from __future__ import annotations
@@ -37,10 +51,16 @@ import statistics
 import sys
 import time
 
+import numpy as np
+
 from statwintgen import cli, legendrian, wintgen
+from statwintgen import statistical_geometry as sg
+from statwintgen import warped_contact as wc
 
 DIMS = (2, 3, 5, 8)
 STAGES = ("generate", "validate", "means", "rho", "rho_perp", "chain", "csv", "sweep")
+GEOMETRY_STAGES = ("axioms_r2", "axioms_h3", "lc_curvature", "sectional")
+GEOMETRY_SAMPLES = 100
 
 
 def _timed(fn, items) -> tuple[float, list]:
@@ -77,6 +97,42 @@ def stage_timings(count: int, repeats: int) -> dict[str, float]:
     return out
 
 
+def geometry_batch(seed: int, stacked: bool) -> dict[str, float]:
+    """Seconds per geometry stage on ``GEOMETRY_SAMPLES`` fresh points, one at a time or stacked."""
+    charts = {"r2": sg.builtin_r2_example(), "h3": wc.build_warped_chart(wc.builtin_h3_example())}
+    rng = np.random.default_rng(seed)
+    samples = {}
+    for name, chart in charts.items():
+        lo, hi = np.array(wc.default_sample_box(chart.dim)).T
+        samples[name] = (rng.uniform(lo, hi, (GEOMETRY_SAMPLES, chart.dim)),
+                         rng.uniform(-1.0, 1.0, (4, GEOMETRY_SAMPLES, chart.dim)))
+    calls = {
+        "axioms_r2": ("r2", lambda chart, x, p: sg.axiom_residuals(chart, x, *p)),
+        "axioms_h3": ("h3", lambda chart, x, p: sg.axiom_residuals(chart, x, *p)),
+        "lc_curvature": ("h3", lambda chart, x, p: sg.curvature(chart, "levi_civita", x)),
+        "sectional": ("h3", lambda chart, x, p: sg.sectional_curvature(chart, "levi_civita", x, p[0], p[1])),
+    }
+    t = {}
+    for stage, (name, call) in calls.items():
+        chart, (points, probes) = charts[name], samples[name]
+        if stacked:
+            t[stage], _ = _timed(lambda _: call(chart, points, probes), [None])
+        else:
+            t[stage], _ = _timed(lambda i: call(chart, points[i], probes[:, i]), range(GEOMETRY_SAMPLES))
+    return t
+
+
+def geometry_timings(repeats: int) -> dict[str, float]:
+    """``geometry.<stage>.point`` and, where stacks are evaluated, ``.stack`` -> median us per sample."""
+    modes = ("point", "stack") if hasattr(sg, "geometry_chunk") else ("point",)
+    out = {}
+    for mode in modes:
+        runs = [geometry_batch(seed, mode == "stack") for seed in range(repeats)]
+        for stage in GEOMETRY_STAGES:
+            out[f"geometry.{stage}.{mode}"] = 1e6 * statistics.median(r[stage] for r in runs) / GEOMETRY_SAMPLES
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=200, help="instances per batch")
@@ -84,12 +140,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args(argv)
     timings = stage_timings(args.count, args.repeats)
+    timings.update(geometry_timings(args.repeats))
     if args.json:
         print(json.dumps({k: round(v, 2) for k, v in timings.items()}))
         return 0
     print(f"{'stage':<10}" + "".join(f"{f'n={n}':>10}" for n in DIMS) + "   (us per instance)")
     for stage in STAGES:
         print(f"{stage:<10}" + "".join(f"{timings[f'{stage}.n{n}']:>10.1f}" for n in DIMS))
+    print(f"\n{'geometry':<14}{'point':>10}{'stack':>10}   (us per sample, {GEOMETRY_SAMPLES} samples)")
+    for stage in GEOMETRY_STAGES:
+        cells = (timings.get(f"geometry.{stage}.{mode}") for mode in ("point", "stack"))
+        print(f"{stage:<14}" + "".join(f"{c:>10.1f}" if c is not None else f"{'-':>10}" for c in cells))
     return 0
 
 
