@@ -21,9 +21,10 @@ or a division by an underflowed zero) is a usage error too: exit 2 with one
 cannot be allocated.
 The argument parser is built once per process, on the first ``main`` call.
 ``axioms``, ``curvature`` and ``reproduce`` draw their sample points and
-probes one sample at a time, in a fixed order, and evaluate them in stacked
-chunks of ``statistical_geometry.geometry_chunk`` samples, so memory stays
-bounded at any ``--samples``.
+probes with one ``uniform`` call per chunk of
+``statistical_geometry.geometry_chunk`` samples, which gives the doubles of
+a sample-by-sample draw in the same order, and evaluate each chunk as one
+stack, so memory stays bounded at any ``--samples``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -147,7 +148,7 @@ def _perturbed_chart(chart: sg.DualisticChart, eps: float) -> sg.DualisticChart:
 
     def gamma(x):
         g = np.array(base_gamma(x), dtype=float, copy=True)
-        g[0, 0, 0] += eps
+        g[..., 0, 0, 0] += eps
         return g
 
     return replace(chart, gamma=gamma, label=chart.label + f"+perturbed({eps})")
@@ -158,16 +159,19 @@ def _perturbed_chart(chart: sg.DualisticChart, eps: float) -> sg.DualisticChart:
 # ---------------------------------------------------------------------------
 
 
-def _chunks(count: int, dim: int, draw: Callable[[], tuple]) -> Iterator[tuple[np.ndarray, ...]]:
-    """Sample draws in consecutive chunks of at most ``sg.geometry_chunk(dim)``.
+def _chunks(count: int, dim: int, rng: np.random.Generator, *boxes) -> Iterator[tuple[np.ndarray, ...]]:
+    """Uniform samples in consecutive chunks of at most ``sg.geometry_chunk(dim)``.
 
-    ``draw()`` returns one sample's arrays; each chunk is yielded as the tuple
-    of their (size, ...) stacks.  Draws happen in sample order and nothing
-    else uses the generator, so the streams are those of one sample at a time.
+    A sample is one vector per box of per-axis (low, high) pairs.  Each chunk
+    is one ``rng.uniform`` call with per-column bounds, yielded as the boxes'
+    (size, width) stacks: the doubles of a sample-by-sample draw, in order.
     """
+    low, high = np.concatenate([np.asarray(box, dtype=float) for box in boxes]).T
+    edges = np.cumsum([len(box) for box in boxes])[:-1]
     size = sg.geometry_chunk(dim)
     for start in range(0, count, size):
-        yield tuple(np.array(column) for column in zip(*(draw() for _ in range(min(size, count - start)))))
+        draws = rng.uniform(low, high, size=(min(size, count - start), len(low)))
+        yield tuple(np.ascontiguousarray(column) for column in np.split(draws, edges, axis=1))
 
 
 def cmd_axioms(args) -> int:
@@ -175,15 +179,11 @@ def cmd_axioms(args) -> int:
     if args.perturb_gamma:
         chart = _perturbed_chart(chart, args.perturb_gamma)
     rng = np.random.default_rng(args.seed)
-    box = wc.default_sample_box(chart.dim) if args.chart == "h3" else [(-1.0, 1.0)] * chart.dim
-    lo, hi = np.array(box).T
-
-    def draw():
-        return rng.uniform(lo, hi), *(rng.uniform(-1.0, 1.0, chart.dim) for _ in range(4))
-
+    cube = [(-1.0, 1.0)] * chart.dim
+    box = wc.default_sample_box(chart.dim) if args.chart == "h3" else cube
     worst = dict.fromkeys(sg.AXIOM_RESIDUALS, 0.0)
     breaches = []
-    for points, *probes in _chunks(args.samples, chart.dim, draw):
+    for points, *probes in _chunks(args.samples, chart.dim, rng, box, *[cube] * 4):
         table = np.stack(list(sg.axiom_residuals(chart, points, *probes).values()), axis=1)
         bad = np.argwhere(~np.isfinite(table))  # row-major: the first sample, then the first residual
         if bad.size:
@@ -226,7 +226,7 @@ def cmd_curvature(args) -> int:
         ex, ey = np.eye(2)
         cases = [(f"{label}:{which}", ch, which, tol) for label, ch, tol in
                  (("analytic", chart, 1e-10), ("finite-difference", fd, 1e-6)) for which in ("nabla", "nabla_star")]
-        for (points,) in _chunks(args.samples, 2, lambda: (rng.uniform(-1.0, 1.0, 2),)):
+        for (points,) in _chunks(args.samples, 2, rng, [(-1.0, 1.0)] * 2):
             # ex, ey are g-orthonormal on this chart: the sectional curvature is g(R(ex,ey)ey, ex)
             values = [sg.sectional_curvature(ch, which, points, ex, ey) for _, ch, which, _ in cases]
             for i in range(len(points)):
@@ -236,14 +236,8 @@ def cmd_curvature(args) -> int:
         spec = wc.builtin_h3_example()
         chart = wc.build_warped_chart(spec)
         fd = chart.without_analytic()
-
-        def draw():
-            p = wc.sample_warped_points(spec, 1, rng)[0]
-            u, v = rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3)
-            vf, uf, wf = (rng.uniform(-1.0, 1.0, 2) for _ in range(3))
-            return p, u, v, uf, vf, wf
-
-        for points, u, v, uf, vf, wf in _chunks(args.samples, 3, draw):
+        boxes = wc.default_sample_box(3), *[[(-1.0, 1.0)] * 3] * 2, *[[(-1.0, 1.0)] * 2] * 3
+        for points, u, v, vf, uf, wf in _chunks(args.samples, 3, rng, *boxes):
             sectional = sg.sectional_curvature(chart, "levi_civita", points, u, v)
             fd_curvature = {which: sg.curvature(fd, which, points) for which in ("nabla", "nabla_star")}
             deviations = []
@@ -306,11 +300,7 @@ def cmd_reproduce(args) -> int:
         chart = sg.builtin_r2_example()
         fd = chart.without_analytic()
         ex, ey = np.eye(2)
-
-        def draw():
-            return rng.uniform(-1.0, 1.0, 2), *(rng.uniform(-1, 1, 2) for _ in range(4))
-
-        for points, *probes in _chunks(20, 2, draw):
+        for points, *probes in _chunks(20, 2, rng, *[[(-1.0, 1.0)] * 2] * 5):
             # ex, ey are g-orthonormal on this chart: the sectional curvature is g(R(ex,ey)ey, ex)
             nabla, nabla_star, fd_nabla = (sg.sectional_curvature(ch, which, points, ex, ey) for ch, which in
                                            ((chart, "nabla"), (chart, "nabla_star"), (fd, "nabla")))
@@ -329,13 +319,7 @@ def cmd_reproduce(args) -> int:
         p = np.array([0.37, 0.41, -0.58])
         table = float(np.max(np.abs(chart.gamma(p) - wc.h3_connection_table(p[0]))))
         add("connection table", table, 0.0, 1e-12)
-
-        def draw():
-            p = wc.sample_warped_points(spec, 1, rng)[0]
-            u, v = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-            return p, u, v, *(rng.uniform(-1, 1, 3) for _ in range(4))
-
-        for points, u, v, *probes in _chunks(50, 3, draw):
+        for points, u, v, *probes in _chunks(50, 3, rng, wc.default_sample_box(3), *[[(-1.0, 1.0)] * 3] * 6):
             sectional = sg.sectional_curvature(chart, "levi_civita", points, u, v)
             residual = np.max(list(sg.axiom_residuals(chart, points, *probes).values()), axis=0)
             for i in range(len(points)):

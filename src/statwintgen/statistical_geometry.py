@@ -16,9 +16,9 @@ Index conventions, fixed package-wide:
                                (coordinate frames, so no bracket term)
 Sectional-type contractions use K(X,Y) = g(R(X,Y)Y,X) / (|X|^2|Y|^2 - g(X,Y)^2).
 
-The geometry functions take one point or a stack of N points and evaluate a
-single point as the N = 1 stack: one ``np.linalg.inv`` and one set of
-einsums per stack, and one stencil array holding the 2 dim central-difference
+The geometry functions take one point or a stack of N points and evaluate a single
+point as the N = 1 stack: one call of each chart field, one ``np.linalg.inv`` and one
+set of einsums per stack, and one stencil array holding the 2 dim central-difference
 points of every sample.  Component arrays then carry the leading axis N.
 """
 
@@ -41,7 +41,10 @@ WHICH_CONNECTIONS = ("nabla", "nabla_star", "levi_civita")
 class DualisticChart:
     """Coordinate chart with metric and dual connection coefficient fields.
 
-    Analytic first-derivative providers are optional; when absent, central
+    Every field is stacked: an (N, dim) stack of points gives the (N, dim,
+    ..., dim) stack of its values; the built-in fields broadcast over any
+    leading axes, so one point (dim,) gives one value.  Analytic
+    first-derivative providers are optional; when absent, central
     differences with ``DEFAULT_FD_STEP`` are used.  All fields must be pure
     functions.
     """
@@ -83,8 +86,8 @@ class CurvatureTensor:
 # ---------------------------------------------------------------------------
 # The stacked kernel.  Every function below takes one point, shape (dim,), or
 # a stack of points, shape (N, dim); a single point is evaluated as the N = 1
-# stack.  Chart fields are single-point functions, called once per point to
-# fill the stacks; the linear algebra then runs once per stack.
+# stack.  Each chart field is called once per stack, and the linear algebra
+# runs once per stack.
 # ---------------------------------------------------------------------------
 
 # Floats of kernel scratch per stacked pass of the CLI's geometry commands.
@@ -112,19 +115,26 @@ def _float_at_one_point(value: Array) -> float | Array:
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _fill(field: MatrixField, points: Array) -> Array:
-    """(N, ...) stack of a single-point field evaluated at each of the (N, dim) points."""
-    return np.array([np.asarray(field(x), dtype=float) for x in points])
+_FIELD_RANKS = dict(metric=2, gamma=3, gamma_star=3, metric_partial=3, gamma_partial=4, gamma_star_partial=4)
 
 
-def _with_partials(fn: Callable[[Array], Array], points: Array, step: float) -> tuple[Array, Array]:
-    """(fn, d fn) at the (N, dim) points from one call of the stacked ``fn`` on every
-    point followed by its central-difference stencil, so each point's own
-    evaluation comes right before its stencil's."""
-    n, dim = points.shape
-    grid = np.concatenate([points[:, None], stencil(points, step)], axis=1)
-    values = fn(grid.reshape(-1, dim))
-    values = values.reshape((n, 1 + 2 * dim) + values.shape[1:])
+def _field(chart: DualisticChart, name: str, points: Array) -> Array:
+    """The chart's field ``name`` at an (N, dim) stack of points, checked to hold one value per point."""
+    values = np.asarray(getattr(chart, name)(points), dtype=float)
+    shape = points.shape[:1] + (chart.dim,) * _FIELD_RANKS[name]
+    if values.shape != shape:
+        raise ValueError(f"field {name} of chart {chart.label} returned shape {values.shape}, expected {shape}")
+    return values
+
+
+def _grid(points: Array, step: float) -> Array:
+    """Each of the (N, dim) points followed by its central-difference stencil, as one (N (1 + 2 dim), dim) stack."""
+    return np.concatenate([points[:, None], stencil(points, step)], axis=1).reshape(-1, points.shape[1])
+
+
+def _with_partials(values: Array, n: int, step: float) -> tuple[Array, Array]:
+    """(values, partials) at n points from the values on their ``_grid(points, step)``."""
+    values = values.reshape((n, -1) + values.shape[1:])
     return values[:, 0], central_differences(values[:, 1:], step)
 
 
@@ -137,10 +147,10 @@ def metric_partials(chart: DualisticChart, point: Array) -> Array:
     """d_a g_ij at a point or over a stack of points."""
     x, one = _as_stack(point)
     if chart.metric_partial is not None:
-        dg = _fill(chart.metric_partial, x)
+        dg = _field(chart, "metric_partial", x)
     else:
         d = chart.dim
-        values = _fill(chart.metric, stencil(x, DEFAULT_FD_STEP).reshape(-1, d))
+        values = _field(chart, "metric", stencil(x, DEFAULT_FD_STEP).reshape(-1, d))
         dg = central_differences(values.reshape(len(x), 2 * d, d, d), DEFAULT_FD_STEP)
     return dg[0] if one else dg
 
@@ -158,15 +168,20 @@ def _inverse(g: Array, points: Array, label: str) -> Array:
         raise
 
 
+def _metric_and_christoffel(chart: DualisticChart, points: Array) -> tuple[Array, Array, Array]:
+    """(g, dg, Gamma0) over an (N, dim) stack; Gamma0[..., k, i, j] are the Christoffel symbols of g."""
+    g = _field(chart, "metric", points)
+    dg = metric_partials(chart, points)
+    g_inv = _inverse(g, points, chart.label)
+    # lowered[l,i,j] = d_i g_lj + d_j g_li - d_l g_ij
+    lowered = np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg
+    return g, dg, 0.5 * np.einsum("...kl,...lij->...kij", g_inv, lowered)
+
+
 def levi_civita(chart: DualisticChart, point: Array) -> Array:
     """Christoffel symbols of the metric, Gamma0[..., k, i, j], from g and dg."""
     x, one = _as_stack(point)
-    g = _fill(chart.metric, x)
-    dg = metric_partials(chart, x)
-    g_inv = _inverse(g, x, chart.label)
-    # lowered[l,i,j] = d_i g_lj + d_j g_li - d_l g_ij
-    lowered = np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg
-    gamma0 = 0.5 * np.einsum("...kl,...lij->...kij", g_inv, lowered)
+    gamma0 = _metric_and_christoffel(chart, x)[2]
     return gamma0[0] if one else gamma0
 
 
@@ -175,33 +190,37 @@ def connection_at(chart: DualisticChart, which: str, point: Array) -> Array:
     if which == "levi_civita":
         return levi_civita(chart, point)
     x, one = _as_stack(point)
-    gamma = _fill(_gamma_fields(chart, which)[0], x)
+    gamma = _field(chart, _gamma_fields(which)[0], x)
     return gamma[0] if one else gamma
 
 
-def _gamma_fields(chart: DualisticChart, which: str) -> tuple[MatrixField, MatrixField | None]:
-    """(field, analytic-partial-or-None) of nabla or nabla*."""
-    if which == "nabla":
-        return chart.gamma, chart.gamma_partial
-    if which == "nabla_star":
-        return chart.gamma_star, chart.gamma_star_partial
-    raise ValueError(f"unknown connection {which!r}; expected one of {WHICH_CONNECTIONS}")
+def _gamma_fields(which: str) -> tuple[str, str]:
+    """Names of the (coefficient, analytic partial) fields of nabla or nabla*."""
+    if which not in ("nabla", "nabla_star"):
+        raise ValueError(f"unknown connection {which!r}; expected one of {WHICH_CONNECTIONS}")
+    name = "gamma" if which == "nabla" else "gamma_star"
+    return name, name + "_partial"
+
+
+def _levi_civita_pass(chart: DualisticChart, points: Array) -> tuple[Array, Array, Array, Array]:
+    """(g, dg, Gamma0, d Gamma0) over an (N, dim) stack, from one evaluation of g and dg on
+    every point followed by its central-difference stencil."""
+    # On finite-difference metric partials the Christoffel field is itself finite-differenced: a coarser
+    # outer step balances truncation against the propagated rounding noise of the inner differences.
+    step = DEFAULT_FD_STEP * (20.0 if chart.metric_partial is None else 1.0)
+    g, dg, gamma0 = _metric_and_christoffel(chart, _grid(points, step))
+    grid = 1 + 2 * chart.dim  # grid rows per point, the point itself first
+    return g[::grid], dg[::grid], *_with_partials(gamma0, len(points), step)
 
 
 def _connection_and_partials(chart: DualisticChart, which: str, points: Array) -> tuple[Array, Array]:
     """(Gamma, d Gamma) of one connection over an (N, dim) stack."""
     if which == "levi_civita":
-        step = DEFAULT_FD_STEP
-        if chart.metric_partial is None:
-            # The Christoffel field is itself finite-differenced here; a
-            # coarser outer step balances truncation against the propagated
-            # rounding noise of the inner differences.
-            step = DEFAULT_FD_STEP * 20.0
-        return _with_partials(lambda x: levi_civita(chart, x), points, step)
-    field, analytic = _gamma_fields(chart, which)
-    if analytic is not None:
-        return _fill(field, points), _fill(analytic, points)
-    return _with_partials(lambda x: _fill(field, x), points, DEFAULT_FD_STEP)
+        return _levi_civita_pass(chart, points)[2:]
+    name, partial = _gamma_fields(which)
+    if getattr(chart, partial) is not None:
+        return _field(chart, name, points), _field(chart, partial, points)
+    return _with_partials(_field(chart, name, _grid(points, DEFAULT_FD_STEP)), len(points), DEFAULT_FD_STEP)
 
 
 def curvature_from_gamma(gamma: Array, dgamma: Array) -> Array:
@@ -244,7 +263,7 @@ def kk_bracket(k: Array) -> Array:
 def sectional_curvature(chart: DualisticChart, which: str, point: Array, X: Array, Y: Array) -> float | Array:
     """g(R(X,Y)Y,X) normalized by the Gram determinant of the plane; an array over a stack."""
     x, one = _as_stack(point)
-    g = _fill(chart.metric, x)
+    g = _field(chart, "metric", x)
     num = curvature(chart, which, x).scalar(g, X, Y, Y, X)
     gram = _bilinear(X, g, X) * _bilinear(Y, g, Y) - _bilinear(X, g, Y) ** 2
     if np.any(np.abs(gram) < 1e-12):
@@ -278,11 +297,10 @@ def axiom_residuals(
     """
     x, one = _as_stack(point)
     X, Y, Z, W = (np.asarray(v, dtype=float) for v in (X, Y, Z, W))
-    g = _fill(chart.metric, x)
-    dg = metric_partials(chart, x)
+    # g and dg at the points come with the Levi-Civita pass, which evaluates them on the stencil grid anyway
+    g, dg, gam0, dgam0 = _levi_civita_pass(chart, x)
     gam, dgam = _connection_and_partials(chart, "nabla", x)
     gam_star, dgam_star = _connection_and_partials(chart, "nabla_star", x)
-    gam0, dgam0 = _connection_and_partials(chart, "levi_civita", x)
 
     dir_g = np.einsum("...aij,...a->...ij", dg, Z)
     duality = np.abs(
@@ -309,18 +327,25 @@ def axiom_residuals(
 
 
 def check_almost_complex(g: Array, J: Array) -> float:
-    """Residual of J^2 = -Id and g(J.,J.) = g."""
+    """Residual of J^2 = -Id and g(J.,J.) = g; the worst over a stack of (g, J) pairs."""
     g = np.asarray(g, dtype=float)
     J = np.asarray(J, dtype=float)
     return max(
-        float(np.max(np.abs(J @ J + np.eye(J.shape[0])))),
-        float(np.max(np.abs(J.T @ g @ J - g))),
+        float(np.max(np.abs(J @ J + np.eye(J.shape[-1])))),
+        float(np.max(np.abs(np.swapaxes(J, -1, -2) @ g @ J - g))),
     )
 
 
-def _const_field(value: Array) -> MatrixField:
+def constant_field(value: Array) -> MatrixField:
+    """Stacked field with the value ``value`` at every point."""
     arr = np.asarray(value, dtype=float)
-    return lambda x: arr.copy()
+
+    def field(x: Array) -> Array:
+        out = np.empty(np.shape(x)[:-1] + arr.shape)
+        out[...] = arr
+        return out
+
+    return field
 
 
 def trivial_chart(dim: int) -> DualisticChart:
@@ -329,12 +354,12 @@ def trivial_chart(dim: int) -> DualisticChart:
     zeros4 = np.zeros((dim, dim, dim, dim))
     return DualisticChart(
         dim=dim,
-        metric=_const_field(np.eye(dim)),
-        gamma=_const_field(zeros3),
-        gamma_star=_const_field(zeros3),
-        metric_partial=_const_field(zeros3),
-        gamma_partial=_const_field(zeros4),
-        gamma_star_partial=_const_field(zeros4),
+        metric=constant_field(np.eye(dim)),
+        gamma=constant_field(zeros3),
+        gamma_star=constant_field(zeros3),
+        metric_partial=constant_field(zeros3),
+        gamma_partial=constant_field(zeros4),
+        gamma_star_partial=constant_field(zeros4),
         label=f"flat-trivial-{dim}d",
     )
 
@@ -351,5 +376,5 @@ def builtin_r2_example() -> DualisticChart:
     gam[0, 0, 1] = 1.0  # nabla_dx dy = dx
     gam[0, 1, 0] = 1.0  # nabla_dy dx = dx
     return replace(
-        trivial_chart(2), gamma=_const_field(gam), gamma_star=_const_field(-gam), label="r2-example"
+        trivial_chart(2), gamma=constant_field(gam), gamma_star=constant_field(-gam), label="r2-example"
     )

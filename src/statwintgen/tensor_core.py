@@ -9,7 +9,7 @@ double precision and pure: inputs are never mutated, outputs are fresh arrays.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,18 +68,6 @@ def stencil(points, step: float) -> np.ndarray:
 def central_differences(values: np.ndarray, step: float) -> np.ndarray:
     """(N, dim, ...) partials from (N, 2 dim, ...) field values on ``stencil(points, step)``."""
     return (values[:, 0::2] - values[:, 1::2]) / (2.0 * step)
-
-
-def partials(fn: Callable[[np.ndarray], np.ndarray], point, step: float) -> np.ndarray:
-    """Central differences of an array-valued field along every coordinate axis.
-
-    ``out[a] = (fn(x + step e_a) - fn(x - step e_a)) / 2 step``, stacked along
-    axis 0, so ``out[a]`` has the shape of ``fn(x)``: the one-point call of
-    ``stencil`` and ``central_differences``.
-    """
-    x = np.asarray(point, dtype=float)
-    values = np.array([np.asarray(fn(p), dtype=float) for p in stencil(x[None], step)[0]])
-    return central_differences(values[None], step)[0]
 
 
 def instance_rng(seed: int, index: int = 0) -> np.random.Generator:

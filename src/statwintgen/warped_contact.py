@@ -29,12 +29,13 @@ from .statistical_geometry import (
     DualisticChart,
     axiom_residuals,
     check_almost_complex,
+    constant_field,
     curvature,
     difference_tensor,
     trivial_chart,
     builtin_r2_example,
 )
-from .tensor_core import DEFAULT_FD_STEP, partials, sample_points
+from .tensor_core import DEFAULT_FD_STEP, central_differences, sample_points, stencil
 
 Array = np.ndarray
 
@@ -52,11 +53,19 @@ class Warping:
     f_double_prime: Callable[[float], float]
     name: str = "f"
 
-    def at(self, t: float) -> tuple[float, float, float]:
-        f = float(self.f(t))
-        if not (math.isfinite(f) and f > 0.0):
-            raise ValueError(f"warping {self.name} must stay positive, got f({t}) = {f}")
-        return f, float(self.f_prime(t)), float(self.f_double_prime(t))
+    def at(self, t) -> tuple[Array, Array, Array]:
+        """(f, f', f'') at each t of an array of any shape, each an array of that shape.
+
+        The functions are called on each t as a Python float, t by t in array
+        order, so a non-positive f is reported at the first such t."""
+        t = np.asarray(t, dtype=float)
+        values = []
+        for s in t.ravel().tolist():
+            f = float(self.f(s))
+            if not (math.isfinite(f) and f > 0.0):
+                raise ValueError(f"warping {self.name} must stay positive, got f({s}) = {f}")
+            values.append((f, float(self.f_prime(s)), float(self.f_double_prime(s))))
+        return tuple(np.array(values).T.reshape((3,) + t.shape))
 
 
 def exp_warping() -> Warping:
@@ -75,7 +84,11 @@ def cosh_warping() -> Warping:
 
 @dataclass(frozen=True)
 class WarpedProductSpec:
-    """Fiber chart + almost complex field + warping data for R x_f N."""
+    """Fiber chart + almost complex field + warping data for R x_f N.
+
+    ``complex_structure`` is stacked like the fiber's fields: fiber points
+    (N, 2n) give the (N, 2n, 2n) stack of J.
+    """
 
     fiber: DualisticChart
     complex_structure: Callable[[Array], Array]
@@ -87,7 +100,12 @@ class WarpedProductSpec:
         return self.fiber.dim + 1
 
     def j_at(self, fiber_point: Array) -> Array:
-        return np.asarray(self.complex_structure(np.asarray(fiber_point, dtype=float)), dtype=float)
+        """J at a fiber point (2n,) or at each point of a stack (..., 2n), checked to hold one J per point."""
+        x = np.asarray(fiber_point, dtype=float)
+        j = np.asarray(self.complex_structure(x), dtype=float)
+        if j.shape != x.shape + x.shape[-1:]:
+            raise ValueError(f"complex structure of {self.label} returned shape {j.shape} for points {x.shape}")
+        return j
 
 
 def standard_complex_structure(n: int) -> Array:
@@ -101,10 +119,9 @@ def standard_complex_structure(n: int) -> Array:
 
 def flat_kaehler_spec(n: int, warping: Warping) -> WarpedProductSpec:
     """Trivial flat fiber R^{2n} with the constant standard J."""
-    j = standard_complex_structure(n)
     return WarpedProductSpec(
         fiber=trivial_chart(2 * n),
-        complex_structure=lambda x: j.copy(),
+        complex_structure=constant_field(standard_complex_structure(n)),
         warping=warping,
         label=f"R x_{warping.name} C^{n} (flat)",
     )
@@ -121,11 +138,11 @@ def twisted_j_spec(epsilon: float, warping: Warping) -> WarpedProductSpec:
     j0 = standard_complex_structure(2)
 
     def j_field(x: Array) -> Array:
-        theta = epsilon * (0.5 + float(x[3]))
-        p = np.eye(4)
-        c, s = math.cos(theta), math.sin(theta)
-        p[1, 1], p[1, 2], p[2, 1], p[2, 2] = c, -s, s, c
-        return p @ j0 @ p.T
+        theta = epsilon * (0.5 + np.asarray(x, dtype=float)[..., 3])
+        c, s = (np.reshape([fn(t) for t in theta.ravel().tolist()], theta.shape) for fn in (math.cos, math.sin))
+        p = np.tile(np.eye(4), theta.shape + (1, 1))
+        p[..., 1, 1], p[..., 1, 2], p[..., 2, 1], p[..., 2, 2] = c, -s, s, c
+        return p @ j0 @ np.swapaxes(p, -1, -2)
 
     return WarpedProductSpec(
         fiber=trivial_chart(4),
@@ -137,10 +154,9 @@ def twisted_j_spec(epsilon: float, warping: Warping) -> WarpedProductSpec:
 
 def builtin_h3_example() -> WarpedProductSpec:
     """R x_{e^t} (constant-curvature -1 plane): warped model of hyperbolic 3-space."""
-    j = standard_complex_structure(1)
     return WarpedProductSpec(
         fiber=builtin_r2_example(),
-        complex_structure=lambda x: j.copy(),
+        complex_structure=constant_field(standard_complex_structure(1)),
         warping=exp_warping(),
         label="h3-example",
     )
@@ -165,18 +181,13 @@ def embed_fiber_vector(v: Array) -> Array:
     return np.concatenate((np.zeros(v.shape[:-1] + (1,)), v), axis=-1)
 
 
-def _per_point(fn: Callable[[Array], Array], points: Array) -> Array:
-    """``fn`` at each point of a (..., dim) array, stacked with the same leading axes."""
-    values = np.array([np.asarray(fn(x), dtype=float) for x in points.reshape(-1, points.shape[-1])])
-    return values.reshape(points.shape[:-1] + values.shape[1:])
-
-
 def warped_metric(spec: WarpedProductSpec, point: Array) -> Array:
+    """dt^2 + f(t)^2 g_N at a point (2n+1,) or at each point of a (..., 2n+1) stack."""
     point = np.asarray(point, dtype=float)
-    f, _, _ = spec.warping.at(point[0])
-    g = np.zeros((spec.dim, spec.dim))
-    g[0, 0] = 1.0
-    g[1:, 1:] = f * f * np.asarray(spec.fiber.metric(point[1:]), dtype=float)
+    f, _, _ = spec.warping.at(point[..., 0])
+    g = np.zeros(point.shape[:-1] + (spec.dim, spec.dim))
+    g[..., 0, 0] = 1.0
+    g[..., 1:, 1:] = (f * f)[..., None, None] * np.asarray(spec.fiber.metric(point[..., 1:]), dtype=float)
     return g
 
 
@@ -205,7 +216,7 @@ def _fiber_axiom_check(spec: WarpedProductSpec) -> None:
 
 
 def build_warped_chart(spec: WarpedProductSpec, validate_fiber: bool = True) -> DualisticChart:
-    """Assemble the (2n+1)-dim dualistic chart of R x_f N.
+    """Assemble the (2n+1)-dim dualistic chart of R x_f N, with fields stacked like the fiber's.
 
     Analytic derivative providers are attached whenever the fiber has them.
     """
@@ -214,69 +225,63 @@ def build_warped_chart(spec: WarpedProductSpec, validate_fiber: bool = True) -> 
     fiber = spec.fiber
     d = spec.dim
     w = spec.warping
+    fiber_axes = np.arange(1, d)  # index arrays of the (a, 0, a) and (a, a, 0) entries, a >= 1
+
+    def warp(x: Array) -> tuple[Array, Array, Array, Array]:
+        """(the points (..., d) as floats, then f, f', f'' at their t)."""
+        x = np.asarray(x, dtype=float)
+        return (x, *w.at(x[..., 0]))
+
+    def fiber_field(name: str, x: Array) -> Array:
+        """The fiber's field ``name`` at the fiber coordinates of the points (..., d)."""
+        return np.asarray(getattr(fiber, name)(x[..., 1:]), dtype=float)
 
     def metric(x: Array) -> Array:
         return warped_metric(spec, x)
 
-    def _gamma_from(fiber_gamma_field) -> Callable[[Array], Array]:
+    def _gamma_from(fiber_gamma: str) -> Callable[[Array], Array]:
         def gamma(x: Array) -> Array:
-            x = np.asarray(x, dtype=float)
-            f, fp, _ = w.at(x[0])
-            g_n = np.asarray(fiber.metric(x[1:]), dtype=float)
-            out = np.zeros((d, d, d))
-            out[1:, 1:, 1:] = np.asarray(fiber_gamma_field(x[1:]), dtype=float)
-            ratio = fp / f
-            for a in range(1, d):
-                out[a, 0, a] = ratio
-                out[a, a, 0] = ratio
-            out[0, 1:, 1:] = -f * fp * g_n
+            x, f, fp, _ = warp(x)
+            out = np.zeros(x.shape[:-1] + (d, d, d))
+            out[..., 1:, 1:, 1:] = fiber_field(fiber_gamma, x)
+            out[..., fiber_axes, 0, fiber_axes] = out[..., fiber_axes, fiber_axes, 0] = (fp / f)[..., None]
+            out[..., 0, 1:, 1:] = (-f * fp)[..., None, None] * fiber_field("metric", x)
             return out
 
         return gamma
 
     def metric_partial(x: Array) -> Array:
-        x = np.asarray(x, dtype=float)
-        f, fp, _ = w.at(x[0])
-        g_n = np.asarray(fiber.metric(x[1:]), dtype=float)
-        dg_n = np.asarray(fiber.metric_partial(x[1:]), dtype=float)
-        out = np.zeros((d, d, d))
-        out[0, 1:, 1:] = 2.0 * f * fp * g_n
-        out[1:, 1:, 1:] = f * f * dg_n
+        x, f, fp, _ = warp(x)
+        out = np.zeros(x.shape[:-1] + (d, d, d))
+        out[..., 0, 1:, 1:] = (2.0 * f * fp)[..., None, None] * fiber_field("metric", x)
+        out[..., 1:, 1:, 1:] = (f * f)[..., None, None, None] * fiber_field("metric_partial", x)
         return out
 
-    def _gamma_partial_from(fiber_gamma_partial) -> Callable[[Array], Array]:
+    def _gamma_partial_from(fiber_gamma_partial: str) -> Callable[[Array], Array]:
         def gamma_partial(x: Array) -> Array:
-            x = np.asarray(x, dtype=float)
-            f, fp, fpp = w.at(x[0])
-            g_n = np.asarray(fiber.metric(x[1:]), dtype=float)
-            dg_n = np.asarray(fiber.metric_partial(x[1:]), dtype=float)
-            out = np.zeros((d, d, d, d))
-            # d/dt blocks
-            d_ratio = fpp / f - (fp / f) ** 2
-            for a in range(1, d):
-                out[0, a, 0, a] = d_ratio
-                out[0, a, a, 0] = d_ratio
-            out[0, 0, 1:, 1:] = -(fp * fp + f * fpp) * g_n
+            x, f, fp, fpp = warp(x)
+            out = np.zeros(x.shape[:-1] + (d, d, d, d))
+            # d/dt blocks; float_power calls C pow, as Python's float ** does (numpy's ** 2 squares)
+            d_ratio = (fpp / f - np.float_power(fp / f, 2.0))[..., None]
+            out[..., 0, fiber_axes, 0, fiber_axes] = out[..., 0, fiber_axes, fiber_axes, 0] = d_ratio
+            out[..., 0, 0, 1:, 1:] = (-(fp * fp + f * fpp))[..., None, None] * fiber_field("metric", x)
             # fiber-direction blocks
-            out[1:, 1:, 1:, 1:] = np.asarray(fiber_gamma_partial(x[1:]), dtype=float)
-            out[1:, 0, 1:, 1:] = -f * fp * dg_n
+            out[..., 1:, 1:, 1:, 1:] = fiber_field(fiber_gamma_partial, x)
+            out[..., 1:, 0, 1:, 1:] = (-f * fp)[..., None, None, None] * fiber_field("metric_partial", x)
             return out
 
         return gamma_partial
 
-    has_analytic = (
-        fiber.metric_partial is not None
-        and fiber.gamma_partial is not None
-        and fiber.gamma_star_partial is not None
-    )
+    partial_fields = ("metric_partial", "gamma_partial", "gamma_star_partial")
+    has_analytic = all(getattr(fiber, name) is not None for name in partial_fields)
     return DualisticChart(
         dim=d,
         metric=metric,
-        gamma=_gamma_from(fiber.gamma),
-        gamma_star=_gamma_from(fiber.gamma_star),
+        gamma=_gamma_from("gamma"),
+        gamma_star=_gamma_from("gamma_star"),
         metric_partial=metric_partial if fiber.metric_partial is not None else None,
-        gamma_partial=_gamma_partial_from(fiber.gamma_partial) if has_analytic else None,
-        gamma_star_partial=_gamma_partial_from(fiber.gamma_star_partial) if has_analytic else None,
+        gamma_partial=_gamma_partial_from("gamma_partial") if has_analytic else None,
+        gamma_star_partial=_gamma_partial_from("gamma_star_partial") if has_analytic else None,
         label=spec.label,
     )
 
@@ -323,8 +328,8 @@ def warped_curvature_closed_form(
     case = _closed_form_case(case)
     point = np.asarray(point, dtype=float)
     xf = point[..., 1:]
-    f, fp, fpp = np.moveaxis(_per_point(lambda t: spec.warping.at(t[0]), point[..., :1]), -1, 0)
-    g_n = _per_point(spec.fiber.metric, xf)
+    f, fp, fpp = spec.warping.at(point[..., 0])
+    g_n = np.asarray(spec.fiber.metric(xf), dtype=float)
     which = "nabla_star" if case.endswith("*") else "nabla"
     base = case[0]
 
@@ -362,10 +367,10 @@ def warped_curvature_closed_form(
 
 
 def phi_matrix(spec: WarpedProductSpec, point: Array) -> Array:
-    """(1,1) frame tensor on the total chart: phi(dt) = 0, phi(X) = JX."""
+    """(1,1) frame tensor on the total chart: phi(dt) = 0, phi(X) = JX; at a point or over a stack."""
     point = np.asarray(point, dtype=float)
-    out = np.zeros((spec.dim, spec.dim))
-    out[1:, 1:] = spec.j_at(point[1:])
+    out = np.zeros(point.shape[:-1] + (spec.dim, spec.dim))
+    out[..., 1:, 1:] = spec.j_at(point[..., 1:])
     return out
 
 
@@ -374,8 +379,8 @@ def phi_matrix(spec: WarpedProductSpec, point: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def frame_invariant_residual(spec: WarpedProductSpec, point: Array) -> float:
-    """Worst violation of the almost-contact-metric frame identities.
+def frame_invariant_residual(spec: WarpedProductSpec, point: Array) -> float | Array:
+    """Worst violation of the almost-contact-metric frame identities; over a stack, one per point.
 
     phi xi = 0, eta o phi = 0, phi^2 = -Id + eta (x) xi,
     <phi u, phi v> = <u,v> - eta(u) eta(v).
@@ -384,64 +389,56 @@ def frame_invariant_residual(spec: WarpedProductSpec, point: Array) -> float:
     d = spec.dim
     g = warped_metric(spec, point)
     phi = phi_matrix(spec, point)
-    xi = np.zeros(d)
-    xi[0] = 1.0
-    eta = np.zeros(d)
-    eta[0] = 1.0
-    res = [
-        float(np.max(np.abs(phi @ xi))),
-        float(np.max(np.abs(eta @ phi))),
-        float(np.max(np.abs(phi @ phi + np.eye(d) - np.outer(xi, eta)))),
-        float(np.max(np.abs(phi.T @ g @ phi - g + np.outer(eta, eta)))),
-    ]
-    return max(res)
+    xi = eta = np.eye(d)[0]
+    res = np.stack([
+        np.max(np.abs(phi @ xi), axis=-1),
+        np.max(np.abs(eta @ phi), axis=-1),
+        np.max(np.abs(phi @ phi + np.eye(d) - np.outer(xi, eta)), axis=(-2, -1)),
+        np.max(np.abs(np.swapaxes(phi, -1, -2) @ g @ phi - g + np.outer(eta, eta)), axis=(-2, -1)),
+    ])
+    worst = np.max(res, axis=0)
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def fundamental_two_form(spec: WarpedProductSpec, point: Array) -> Array:
-    """Phi_ab = <phi d_a, d_b> on the total chart."""
-    return phi_matrix(spec, point).T @ warped_metric(spec, point)
+    """Phi_ab = <phi d_a, d_b> on the total chart, at a point or over a stack."""
+    return np.swapaxes(phi_matrix(spec, point), -1, -2) @ warped_metric(spec, point)
 
 
 def fiber_fundamental_form(spec: WarpedProductSpec, fiber_point: Array) -> Array:
-    """Omega_ab = g_N(J d_a, d_b) on the fiber."""
+    """Omega_ab = g_N(J d_a, d_b) on the fiber, at a point or over a stack."""
     fiber_point = np.asarray(fiber_point, dtype=float)
     g_n = np.asarray(spec.fiber.metric(fiber_point), dtype=float)
-    return spec.j_at(fiber_point).T @ g_n
+    return np.swapaxes(spec.j_at(fiber_point), -1, -2) @ g_n
 
 
 def exterior_derivative_2form(dw: Array) -> Array:
-    """d of a two-form from its partials dw[a,b,c] = d_a w_bc.
+    """d of a two-form from its partials dw[..., a,b,c] = d_a w_bc.
 
     (dw)_abc = d_a w_bc - d_b w_ac + d_c w_ab on coordinate triples.
     """
-    return dw - np.einsum("bac->abc", dw) + np.einsum("cab->abc", dw)
+    return dw - np.einsum("...bac->...abc", dw) + np.einsum("...cab->...abc", dw)
 
 
-def _d_phi_and_omega(spec: WarpedProductSpec, point: Array) -> tuple[Array, Array]:
-    """Coordinate dPhi on the total chart and dOmega on the fiber at ``point``."""
-    d_phi = exterior_derivative_2form(partials(lambda x: fundamental_two_form(spec, x), point, DEFAULT_FD_STEP))
-    d_omega = exterior_derivative_2form(
-        partials(lambda xf: fiber_fundamental_form(spec, xf), point[1:], DEFAULT_FD_STEP)
-    )
-    return d_phi, d_omega
+def _d_phi_and_omega(spec: WarpedProductSpec, points: Array) -> tuple[Array, Array]:
+    """Coordinate dPhi on the total chart and dOmega on the fiber at the (N, 2n+1) points, each
+    from one stacked call of the two-form on the points' central-difference stencils."""
+    out = []
+    for form, x in ((fundamental_two_form, points), (fiber_fundamental_form, points[:, 1:])):
+        values = form(spec, stencil(x, DEFAULT_FD_STEP).reshape(-1, x.shape[1]))
+        values = values.reshape(x.shape[:1] + (-1,) + values.shape[1:])
+        out.append(exterior_derivative_2form(central_differences(values, DEFAULT_FD_STEP)))
+    return out[0], out[1]
 
 
 def wedge_eta_form(two_form_total: Array) -> Array:
-    """(eta ^ w)_abc = eta_a w_bc - eta_b w_ac + eta_c w_ab with eta = dt."""
-    d = two_form_total.shape[0]
-    eta = np.zeros(d)
-    eta[0] = 1.0
+    """(eta ^ w)_abc = eta_a w_bc - eta_b w_ac + eta_c w_ab with eta = dt; per form of a stack."""
+    eta = np.eye(two_form_total.shape[-1])[0]
     return (
-        np.einsum("a,bc->abc", eta, two_form_total)
-        - np.einsum("b,ac->abc", eta, two_form_total)
-        + np.einsum("c,ab->abc", eta, two_form_total)
+        np.einsum("a,...bc->...abc", eta, two_form_total)
+        - np.einsum("b,...ac->...abc", eta, two_form_total)
+        + np.einsum("c,...ab->...abc", eta, two_form_total)
     )
-
-
-def lift_fiber_three_form(fiber_form: Array, total_dim: int) -> Array:
-    out = np.zeros((total_dim,) * 3)
-    out[1:, 1:, 1:] = fiber_form
-    return out
 
 
 @dataclass(frozen=True)
@@ -464,40 +461,47 @@ class ContactClassification:
 
 
 def contact_classification(
-    spec: WarpedProductSpec,
-    point: Array,
-    tol: float = 1e-8,
-    frame_tol: float = 1e-9,
+    spec: WarpedProductSpec, point: Array, tol: float = 1e-8, frame_tol: float = 1e-9
 ) -> ContactClassification:
-    point = np.asarray(point, dtype=float)
-    frame_res = frame_invariant_residual(spec, point)
-    if frame_res > frame_tol:
-        raise ValueError(f"contact frame invariants violated (residual {frame_res:.3e})")
-    f, fp, _ = spec.warping.at(point[0])
+    """Classification record at one point, the N = 1 stack of ``_classifications``."""
+    return _classifications(spec, np.asarray(point, dtype=float)[None], tol, frame_tol)[0]
+
+
+def _classifications(
+    spec: WarpedProductSpec, points: Array, tol: float, frame_tol: float
+) -> tuple[ContactClassification, ...]:
+    """``contact_classification`` at each of the (N, 2n+1) points, evaluated as one stack.
+
+    A frame residual above ``frame_tol`` raises at the first such point.
+    """
+    frame_res = frame_invariant_residual(spec, points)
+    for res in frame_res:
+        if res > frame_tol:
+            raise ValueError(f"contact frame invariants violated (residual {res:.3e})")
+    f, fp, _ = spec.warping.at(points[:, 0])
     kappa = fp / f  # working coefficient; reported alpha is its negative
     # eta = dt has constant components, so its coordinate d vanishes identically
     d_eta = 0.0
-    d_phi, d_omega_fiber = _d_phi_and_omega(spec, point)
-    d_omega = lift_fiber_three_form(d_omega_fiber, spec.dim)
-    wedge = wedge_eta_form(fundamental_two_form(spec, point))
+    d_phi, d_omega_fiber = _d_phi_and_omega(spec, points)
+    d_omega = np.zeros(d_phi.shape)
+    d_omega[:, 1:, 1:, 1:] = d_omega_fiber
+    wedge = wedge_eta_form(fundamental_two_form(spec, points))
 
-    d_phi_residual = float(np.max(np.abs(d_phi - 2.0 * kappa * wedge)))
-    contact_identity_residual = float(np.max(np.abs(d_phi - f * f * d_omega - 2.0 * kappa * wedge)))
-    d_omega_residual = float(np.max(np.abs(d_omega_fiber)))
+    k, ff = (kappa[:, None, None, None], (f * f)[:, None, None, None])
+    axes = (1, 2, 3)
+    d_phi_residual = np.max(np.abs(d_phi - 2.0 * k * wedge), axis=axes)
+    contact_identity_residual = np.max(np.abs(d_phi - ff * d_omega - 2.0 * k * wedge), axis=axes)
+    d_omega_residual = np.max(np.abs(d_omega_fiber), axis=axes)
 
-    if d_eta <= tol and d_phi_residual <= tol:
-        tag = "almost cosymplectic" if abs(kappa) <= 1e-12 else "almost alpha-kenmotsu"
-    else:
+    records = []
+    columns = (kappa, d_phi_residual, contact_identity_residual, d_omega_residual, frame_res)
+    for kap, phi_res, identity_res, omega_res, frame in zip(*(c.tolist() for c in columns)):
         tag = "unclassified"
-    return ContactClassification(
-        alpha=-kappa if kappa != 0.0 else 0.0,
-        d_eta_residual=d_eta,
-        d_phi_residual=d_phi_residual,
-        contact_identity_residual=contact_identity_residual,
-        d_omega_residual=d_omega_residual,
-        frame_residual=frame_res,
-        structure_tag=tag,
-    )
+        if d_eta <= tol and phi_res <= tol:
+            tag = "almost cosymplectic" if abs(kap) <= 1e-12 else "almost alpha-kenmotsu"
+        alpha = -kap if kap != 0.0 else 0.0
+        records.append(ContactClassification(alpha, d_eta, phi_res, identity_res, omega_res, frame, tag))
+    return tuple(records)
 
 
 # ---------------------------------------------------------------------------
@@ -527,19 +531,17 @@ def kenmotsu_theorem_check(
     frame invariants hold, d eta = 0, and dPhi = 2 (f'/f) eta ^ Phi; both at
     ``KENMOTSU_TOL``.  Also measures the difference-tensor identities
     K~_X xi = K~_xi xi = 0, which hold for every warp.  Each point is
-    evaluated once, by ``contact_classification`` with tag tolerance ``tol``
-    and no frame gate; the records are returned.  A non-finite residual has
+    classified once, all points as one stack, with tag tolerance ``tol`` and
+    no frame gate; the records are returned.  A non-finite residual has
     no verdict: it raises OverflowError.
     """
     rng = np.random.default_rng(seed)
     pts = sample_warped_points(spec, samples, rng)
     chart = build_warped_chart(spec, validate_fiber=False)
-    classifications = tuple(contact_classification(spec, p, tol=tol, frame_tol=math.inf) for p in pts)
-    fiber_res, total_res = [], []
-    for p, cls in zip(pts, classifications):
-        xf = p[1:]
-        fiber_res += [check_almost_complex(spec.fiber.metric(xf), spec.j_at(xf)), cls.d_omega_residual]
-        total_res += [cls.frame_residual, cls.d_phi_residual]
+    classifications = _classifications(spec, pts, tol, math.inf)
+    fiber_res = [check_almost_complex(spec.fiber.metric(pts[:, 1:]), spec.j_at(pts[:, 1:]))]
+    fiber_res += [cls.d_omega_residual for cls in classifications]
+    total_res = [r for cls in classifications for r in (cls.frame_residual, cls.d_phi_residual)]
     k_tilde = difference_tensor(chart, pts)
     k_xi_res = [np.abs(k_tilde[:, :, :, 0]), np.abs(k_tilde[:, :, 0, :])]
     # np.max keeps a NaN, which Python's max(0.0, nan) would drop

@@ -1,9 +1,11 @@
 """Test-only helpers that no code path of the package calls.
 
-``random_orthogonal`` draws the frame rotations of the invariance tests, and
+``random_orthogonal`` draws the frame rotations of the invariance tests,
 ``nabla_g_residual`` measures metric compatibility of a connection, which the
-Levi-Civita tests check.  The module name has no ``test_`` prefix, so pytest
-imports it without collecting it.
+Levi-Civita tests check, ``stacked`` turns a chart field written for one
+point into the stacked field a ``DualisticChart`` holds, and ``partials``
+differentiates a single-point function around one point.  The module name
+has no ``test_`` prefix, so pytest imports it without collecting it.
 """
 
 from __future__ import annotations
@@ -11,12 +13,37 @@ from __future__ import annotations
 import numpy as np
 
 from statwintgen.statistical_geometry import DualisticChart, metric_partials
+from statwintgen.tensor_core import central_differences, stencil
 
 
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random orthogonal matrix via QR with sign fixing."""
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     return q * np.sign(np.diag(r))
+
+
+def stacked(field):
+    """The stacked chart field of a single-point ``field``: its value at each point of a (..., dim) array."""
+
+    def lifted(points):
+        x = np.asarray(points, dtype=float)
+        values = np.array([np.asarray(field(p), dtype=float) for p in x.reshape(-1, x.shape[-1])])
+        return values.reshape(x.shape[:-1] + values.shape[1:])
+
+    return lifted
+
+
+def partials(fn, point, step: float) -> np.ndarray:
+    """Central differences of an array-valued single-point function along every coordinate axis.
+
+    ``out[a] = (fn(x + step e_a) - fn(x - step e_a)) / 2 step``, stacked along
+    axis 0, so ``out[a]`` has the shape of ``fn(x)``: one point of
+    ``tensor_core.stencil`` and ``central_differences``, with ``fn`` called
+    once per stencil point.
+    """
+    x = np.asarray(point, dtype=float)
+    values = np.array([np.asarray(fn(p), dtype=float) for p in stencil(x[None], step)[0]])
+    return central_differences(values[None], step)[0]
 
 
 def nabla_g_residual(chart: DualisticChart, gamma: np.ndarray, point: np.ndarray) -> float:

@@ -32,7 +32,7 @@ from statwintgen.statistical_geometry import (
     covariant_two_form_derivative,
     levi_civita,
 )
-from statwintgen.tensor_core import DEFAULT_FD_STEP, commutator, frobenius_norm_sq, instance_rng, partials
+from statwintgen.tensor_core import DEFAULT_FD_STEP, commutator, frobenius_norm_sq, instance_rng
 from statwintgen.warped_contact import (
     WarpedProductSpec,
     embed_fiber_vector,
@@ -40,6 +40,8 @@ from statwintgen.warped_contact import (
     phi_matrix,
     warped_metric,
 )
+
+from helpers import partials
 
 Array = np.ndarray
 

@@ -24,6 +24,8 @@ import statwintgen.warped_contact as wc
 import statwintgen.wintgen as wg
 from statwintgen.cli import main as cli_main
 
+from helpers import stacked
+
 EX, EY = np.eye(2)
 
 
@@ -103,7 +105,7 @@ def test_criterion_3_closed_form_curvature():
             else:
                 spec = wc.WarpedProductSpec(
                     fiber=sg.builtin_r2_example(),
-                    complex_structure=lambda x: wc.standard_complex_structure(1),
+                    complex_structure=stacked(lambda x: wc.standard_complex_structure(1)),
                     warping=warp,
                 )
             chart = wc.build_warped_chart(spec).without_analytic()

@@ -22,6 +22,8 @@ from statwintgen.cli import (
 import statwintgen.warped_contact as wc
 import statwintgen.wintgen as wg
 
+from helpers import stacked
+
 
 def test_schema_version_constant():
     assert SCHEMA == "statwintgen-report/1"
@@ -88,9 +90,9 @@ def test_classify_evaluates_each_sample_point_once(monkeypatch, capsys):
     calls = []
     original = wc._d_phi_and_omega
 
-    def counting(spec, point):
-        calls.append(point)
-        return original(spec, point)
+    def counting(spec, points):
+        calls.extend(points)
+        return original(spec, points)
 
     monkeypatch.setattr(wc, "_d_phi_and_omega", counting)
     assert main(["classify", "--warp", "cosh", "--fiber", "twisted", "--samples", "5"]) == EXIT_OK
@@ -672,20 +674,78 @@ def test_geometry_chunks_leave_reports_byte_identical(argv, budget, tmp_path, mo
     assert _report_and_stdout(argv, tmp_path / "chunked.json", capsys) == one_chunk
 
 
-def _sequential_draws(argv, seed):
-    """Each sample's draws in the order of one sample at a time: point first, then probes."""
-    rng = np.random.default_rng(seed)
+def _sequential_draws(argv, seed, rng=None):
+    """Each sample's draws in the order of one sample at a time: point first, then probes.
+
+    ``rng`` (default: a fresh generator seeded with ``seed``) is left just past the draws.
+    """
+    rng = np.random.default_rng(seed) if rng is None else rng
     spec = wc.builtin_h3_example()
     draws = {
         ("axioms", "r2"): lambda: [rng.uniform([-1.0] * 2, [1.0] * 2), *(rng.uniform(-1.0, 1.0, 2) for _ in range(4))],
         ("axioms", "h3"): lambda: [rng.uniform(*np.array(wc.default_sample_box(3)).T),
                                    *(rng.uniform(-1.0, 1.0, 3) for _ in range(4))],
+        ("curvature", "r2"): lambda: [rng.uniform(-1.0, 1.0, 2)],
+        ("curvature", "h3"): lambda: [wc.sample_warped_points(spec, 1, rng)[0],
+                                      *(rng.uniform(-1.0, 1.0, 3) for _ in range(2)),
+                                      *(rng.uniform(-1.0, 1.0, 2) for _ in range(3))],
         ("reproduce", "example-r2"): lambda: [rng.uniform(-1.0, 1.0, 2), *(rng.uniform(-1, 1, 2) for _ in range(4))],
         ("reproduce", "example-h3"): lambda: [wc.sample_warped_points(spec, 1, rng)[0],
                                               *(rng.uniform(-1, 1, 3) for _ in range(6))],
     }[argv[0], argv[-1]]
-    count = {"axioms": 10, "reproduce": 20 if argv[-1] == "example-r2" else 50}[argv[0]]
+    count = {"axioms": 10, "curvature": 20, "reproduce": 20 if argv[-1] == "example-r2" else 50}[argv[0]]
     return [draws() for _ in range(count)]
+
+
+@pytest.mark.parametrize("budget", [None, 1000])
+@pytest.mark.parametrize(
+    "argv",
+    [["axioms", "--samples", "10", "--chart", "r2"], ["axioms", "--samples", "10", "--chart", "h3"],
+     ["curvature", "--chart", "r2"], ["curvature", "--chart", "h3"],
+     ["reproduce", "example-r2"], ["reproduce", "example-h3"]],
+    ids=" ".join,
+)
+def test_one_call_chunk_draws_equal_the_per_sample_draws(argv, budget, tmp_path, monkeypatch):
+    # each chunk is one rng.uniform call; the doubles and the generator state must be those of
+    # the old draw loop, one sample and one array at a time
+    chunks, states, rngs = [], [], []
+    chunked = cli._chunks
+
+    def recording(count, dim, rng, *boxes):
+        rngs.append(rng)
+        for chunk in chunked(count, dim, rng, *boxes):
+            chunks.append(chunk)
+            yield chunk
+        states.append(rng.bit_generator.state)
+
+    closed_form, probes = wc.warped_curvature_closed_form, []
+
+    def recording_probes(spec, points, case, U=None, V=None, W=None):
+        if case == "a":
+            probes.extend(zip(U, V, W))
+        return closed_form(spec, points, case, U=U, V=V, W=W)
+
+    monkeypatch.setattr(cli, "_chunks", recording)
+    monkeypatch.setattr(wc, "warped_curvature_closed_form", recording_probes)
+    if budget is not None:
+        monkeypatch.setattr(sg, "GEOMETRY_CHUNK_FLOATS", budget)  # chunks of 1 or 2 samples
+    assert main([*argv, "--seed", "9", "--out", str(tmp_path / "r.json")]) == EXIT_OK
+    oracle = np.random.default_rng(9)
+    want = _sequential_draws(argv, 9, rng=oracle)
+    if argv[-1] == "h3" and argv[0] == "curvature":  # drawn V, U, W; handed over as U, V, W
+        assert len(probes) == len(want)
+        for (u, v, w), (*_, vf, uf, wf) in zip(probes, want):
+            assert np.array_equal(u, uf) and np.array_equal(v, vf) and np.array_equal(w, wf)
+    assert (len(chunks) == 1) is (budget is None)
+    got = [sample for chunk in chunks for sample in zip(*chunk)]
+    assert len(got) == len(want)
+    for sample, expected in zip(got, want):
+        for a, b in zip(sample, expected, strict=True):
+            assert np.array_equal(a, b)
+    assert states == [oracle.bit_generator.state]  # after the last chunk
+    if argv[-1] == "example-h3":
+        wc.sample_warped_points(wc.builtin_h3_example(), 1, oracle)  # the classification point after the chunks
+    assert rngs[0].bit_generator.state == oracle.bit_generator.state
 
 
 @pytest.mark.parametrize(
@@ -719,7 +779,7 @@ def test_singular_metric_names_the_first_singular_sample(budget, monkeypatch, ca
     points = [draw[0] for draw in _sequential_draws(["axioms", "r2"], 8)][:5]
     bad = points[3].tobytes()
     base = sg.builtin_r2_example()
-    chart = replace(base, metric=lambda x: np.zeros((2, 2)) if np.asarray(x).tobytes() == bad else np.eye(2),
+    chart = replace(base, metric=stacked(lambda x: np.zeros((2, 2)) if np.asarray(x).tobytes() == bad else np.eye(2)),
                     label="singular-at-sample-3")
     monkeypatch.setitem(cli.CHARTS, "r2", lambda: chart)
     if budget is not None:

@@ -1,0 +1,109 @@
+"""Stacked chart fields against their single-point definitions, bit for bit.
+
+Every built-in chart field takes an (N, dim) stack of points.  Evaluated on a
+stack, it must return, row by row, exactly the doubles of the single-point
+definitions in ``field_oracle.py`` evaluated one point at a time: for the r2
+and h3 charts, for every warp x fiber of the ``classify`` command, for their
+``without_analytic()`` copies and for ``cli._perturbed_chart``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import field_oracle as oracle
+import statwintgen.cli as cli
+import statwintgen.warped_contact as wc
+
+EPS = 0.01
+
+
+def _specs() -> dict:
+    specs = {"h3": wc.builtin_h3_example()}
+    for warp in cli.WARPS:
+        for fiber in cli.FIBERS:
+            specs[f"{warp}/{fiber}"] = cli.FIBERS[fiber](cli.WARPS[warp](2.5), 0.4)
+    return specs
+
+
+SPECS = _specs()
+
+
+def _charts() -> dict:
+    """name -> (chart, its single-point oracle fields)."""
+    base = {"r2": (cli.CHARTS["r2"](), oracle.r2_fields())}
+    base["h3"] = (cli.CHARTS["h3"](), oracle.warped_fields(SPECS["h3"]))
+    for name, spec in SPECS.items():
+        if name != "h3":
+            base[name] = (wc.build_warped_chart(spec, validate_fiber=False), oracle.warped_fields(spec))
+    out = dict(base)
+    for name, (chart, fields) in base.items():
+        no_partials = {k: v for k, v in fields.items() if not k.endswith("_partial")}
+        out[f"{name} without_analytic"] = (chart.without_analytic(), no_partials)
+        out[f"{name} perturbed"] = (cli._perturbed_chart(chart, EPS), oracle.perturbed(fields, EPS))
+    return out
+
+
+CHARTS = _charts()
+
+
+def _squares_that_round_apart(count: int = 8) -> list[float]:
+    """Heights t where the cosh warp's (f'/f)^2 differs between C pow and a product, r ** 2 != r * r.
+
+    The warped d_t Gamma block squares f'/f the way Python's float ** does;
+    these t pin that rounding, which about 1 t in 1000 exposes.
+    """
+    out = []
+    for t in np.random.default_rng(11).uniform(-2.0, 2.0, 100_000).tolist():
+        r = math.sinh(t) / math.cosh(t)
+        if r ** 2 != r * r:
+            out.append(t)
+            if len(out) == count:
+                return out
+    raise AssertionError("no such height found")
+
+
+SQUARES = _squares_that_round_apart()
+
+
+def _points(dim: int, count: int = 64, seed: int = 3) -> np.ndarray:
+    # |t| up to 2 so that cosh(t) and its ratios leave the well-rounded range near t = 0
+    points = np.random.default_rng(seed).uniform(-2.0, 2.0, (count, dim))
+    points[: len(SQUARES), 0] = SQUARES
+    return points
+
+
+@pytest.mark.parametrize("name", list(CHARTS))
+def test_stacked_fields_equal_the_single_point_oracle(name):
+    chart, fields = CHARTS[name]
+    points = _points(chart.dim)
+    for field in oracle.FIELDS:
+        if field not in fields:
+            assert getattr(chart, field) is None
+            continue
+        want = np.array([fields[field](p) for p in points])
+        stacked = getattr(chart, field)(points)
+        assert stacked.shape == want.shape, field
+        assert np.array_equal(stacked, want), field
+        assert np.array_equal(getattr(chart, field)(points[0]), want[0]), field  # one point broadcasts
+
+
+@pytest.mark.parametrize("name", list(SPECS))
+def test_stacked_complex_structure_equals_the_single_point_oracle(name):
+    spec = SPECS[name]
+    points = _points(spec.fiber.dim)
+    if name.endswith("twisted"):
+        j_field = oracle.twisted_j(0.4)
+    else:
+        j = wc.standard_complex_structure(spec.fiber.dim // 2)
+        j_field = lambda x: j  # noqa: E731
+    assert np.array_equal(spec.j_at(points), np.array([j_field(p) for p in points]))
+
+
+@pytest.mark.parametrize("name", list(SPECS))
+def test_stacked_warped_metric_equals_the_single_point_oracle(name):
+    spec = SPECS[name]
+    points = _points(spec.dim)
+    metric = oracle.warped_fields(spec)["metric"]
+    assert np.array_equal(wc.warped_metric(spec, points), np.array([metric(p) for p in points]))

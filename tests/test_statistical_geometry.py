@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -19,9 +20,9 @@ from statwintgen.statistical_geometry import (
     sectional_curvature,
     trivial_chart,
 )
-from statwintgen.tensor_core import DEFAULT_FD_STEP, partials
+from statwintgen.tensor_core import DEFAULT_FD_STEP
 
-from helpers import nabla_g_residual
+from helpers import nabla_g_residual, partials, stacked
 from paper_checks import holomorphic_space_form_curvature
 
 EX, EY = np.eye(2)
@@ -35,8 +36,8 @@ def warped_h3_metric_chart() -> DualisticChart:
         g[1, 1] = g[2, 2] = math.exp(2.0 * x[0])
         return g
 
-    zeros = lambda x: np.zeros((3, 3, 3))
-    return DualisticChart(dim=3, metric=metric, gamma=zeros, gamma_star=zeros, label="h3-metric")
+    zeros = stacked(lambda x: np.zeros((3, 3, 3)))
+    return DualisticChart(dim=3, metric=stacked(metric), gamma=zeros, gamma_star=zeros, label="h3-metric")
 
 
 class TestLeviCivita:
@@ -74,9 +75,9 @@ class TestLeviCivita:
     def test_singular_metric(self):
         chart = DualisticChart(
             dim=2,
-            metric=lambda x: np.zeros((2, 2)),
-            gamma=lambda x: np.zeros((2, 2, 2)),
-            gamma_star=lambda x: np.zeros((2, 2, 2)),
+            metric=stacked(lambda x: np.zeros((2, 2))),
+            gamma=stacked(lambda x: np.zeros((2, 2, 2))),
+            gamma_star=stacked(lambda x: np.zeros((2, 2, 2))),
         )
         with pytest.raises(ValueError):
             levi_civita(chart, np.zeros(2))
@@ -309,6 +310,50 @@ class TestStackedKernel:
             npt.assert_allclose(stacked[i], want, rtol=0.0, atol=1e-12)
 
 
+class TestFieldContract:
+    """Chart fields take an (N, dim) stack and return one value per point."""
+
+    @pytest.mark.parametrize("count", [2, 5])  # 2 = dim: the single-point value (2, 2) has the stack's length
+    def test_field_without_the_stack_axis_is_named(self, count):
+        chart = replace(builtin_r2_example(), metric=lambda x: np.eye(2), label="single-point-metric")
+        points, probes = np.zeros((count, 2)), np.ones((4, count, 2))
+        message = "field metric of chart single-point-metric returned shape (2, 2), expected "
+        for call in (lambda: sectional_curvature(chart, "nabla", points, EX, EY), lambda: levi_civita(chart, points)):
+            with pytest.raises(ValueError, match=re.escape(message + f"({count}, 2, 2)")):
+                call()
+        # the axioms' Levi-Civita pass evaluates the metric on each point and its four stencil points
+        with pytest.raises(ValueError, match=re.escape(message + f"({5 * count}, 2, 2)")):
+            axiom_residuals(chart, points, *probes)
+
+    def test_connection_field_without_the_stack_axis_is_named(self):
+        zeros = np.zeros((2, 2, 2, 2))
+        chart = replace(builtin_r2_example(), gamma_star_partial=lambda x: zeros, label="flat-partial")
+        with pytest.raises(ValueError, match=re.escape("field gamma_star_partial of chart flat-partial")):
+            curvature(chart, "nabla_star", np.zeros((3, 2)))
+
+    def test_axiom_residuals_evaluate_g_and_dg_once_per_stencil_point(self):
+        from statwintgen import warped_contact as wc
+
+        chart = wc.build_warped_chart(wc.builtin_h3_example())
+        seen = {"metric": 0, "metric_partial": 0}
+
+        def counted(name):
+            field = getattr(chart, name)
+
+            def count(x):
+                seen[name] += len(x)
+                return field(x)
+
+            return count
+
+        counting = replace(chart, metric=counted("metric"), metric_partial=counted("metric_partial"))
+        points, probes = _stack(chart, count=100)
+        residuals = axiom_residuals(counting, points, *probes)
+        assert seen == {"metric": 100 * 7, "metric_partial": 100 * 7}  # each point and its six stencil points
+        for key, value in axiom_residuals(chart, points, *probes).items():
+            npt.assert_array_equal(residuals[key], value)
+
+
 def _singular_chart(singular_points) -> DualisticChart:
     """Identity metric except at the given points, where it is the zero matrix."""
     bad = [np.asarray(p, dtype=float).tobytes() for p in singular_points]
@@ -316,8 +361,8 @@ def _singular_chart(singular_points) -> DualisticChart:
     def metric(x):
         return np.zeros((2, 2)) if np.asarray(x, dtype=float).tobytes() in bad else np.eye(2)
 
-    zeros3, zeros4 = (lambda x: np.zeros((2, 2, 2))), (lambda x: np.zeros((2, 2, 2, 2)))
-    return DualisticChart(dim=2, metric=metric, gamma=zeros3, gamma_star=zeros3, metric_partial=zeros3,
+    zeros3, zeros4 = stacked(lambda x: np.zeros((2, 2, 2))), stacked(lambda x: np.zeros((2, 2, 2, 2)))
+    return DualisticChart(dim=2, metric=stacked(metric), gamma=zeros3, gamma_star=zeros3, metric_partial=zeros3,
                           gamma_partial=zeros4, gamma_star_partial=zeros4, label="singular-test")
 
 

@@ -7,11 +7,10 @@ import pytest
 from statwintgen.tensor_core import (
     commutator,
     frobenius_norm_sq,
-    partials,
     symmetrize_upper,
 )
 
-from helpers import random_orthogonal
+from helpers import partials, random_orthogonal
 from paper_checks import random_symmetric_traceless
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,8 @@ import paper_checks as pc
 import statwintgen.statistical_geometry as sg
 import statwintgen.warped_contact as wc
 from statwintgen.tensor_core import sample_points
+
+from helpers import stacked
 
 E3 = np.eye(3)
 
@@ -66,11 +69,11 @@ class TestBuildWarpedChart:
         # primal connection of the plane example paired with a zero dual
         # connection breaks the duality axiom
         base = sg.builtin_r2_example()
-        broken = replace(base, gamma_star=lambda x: np.zeros((2, 2, 2)),
-                         gamma_star_partial=lambda x: np.zeros((2, 2, 2, 2)))
+        broken = replace(base, gamma_star=stacked(lambda x: np.zeros((2, 2, 2))),
+                         gamma_star_partial=stacked(lambda x: np.zeros((2, 2, 2, 2))))
         spec = wc.WarpedProductSpec(
             fiber=broken,
-            complex_structure=lambda x: wc.standard_complex_structure(1),
+            complex_structure=stacked(lambda x: wc.standard_complex_structure(1)),
             warping=wc.exp_warping(),
         )
         with pytest.raises(ValueError):
@@ -80,11 +83,33 @@ class TestBuildWarpedChart:
         bad = wc.Warping(lambda t: t, lambda t: 1.0, lambda t: 0.0, name="t")
         spec = wc.WarpedProductSpec(
             fiber=sg.trivial_chart(2),
-            complex_structure=lambda x: wc.standard_complex_structure(1),
+            complex_structure=stacked(lambda x: wc.standard_complex_structure(1)),
             warping=bad,
         )
         with pytest.raises(ValueError):
             wc.build_warped_chart(spec, validate_fiber=False).metric(np.array([-1.0, 0.0, 0.0]))
+
+    def test_warping_positivity_names_the_first_bad_point_of_a_stack(self):
+        # f(t) = t is non-positive at the second and fourth points; the second is named
+        bad = wc.Warping(lambda t: t, lambda t: 1.0, lambda t: 0.0, name="t")
+        spec = wc.WarpedProductSpec(fiber=sg.trivial_chart(2), complex_structure=sg.constant_field(np.eye(2)),
+                                    warping=bad)
+        chart = wc.build_warped_chart(spec, validate_fiber=False)
+        points = np.array([[0.5, 0.1, 0.2], [-0.25, 0.0, 0.3], [0.75, -0.4, 0.0], [-1.5, 0.2, 0.2]])
+        message = "warping t must stay positive, got f(-0.25) = -0.25"
+        for field in (chart.metric, chart.gamma, chart.gamma_star, chart.metric_partial, chart.gamma_partial):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                field(points)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bad.at(points[:, 0])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sg.axiom_residuals(chart, points, *np.ones((4, 4, 3)))
+
+    def test_complex_structure_without_the_stack_axis_is_named(self):
+        spec = wc.WarpedProductSpec(fiber=sg.trivial_chart(2), complex_structure=lambda x: wc.standard_complex_structure(1),
+                                    warping=wc.exp_warping(), label="unstacked-j")
+        with pytest.raises(ValueError, match=re.escape("complex structure of unstacked-j returned shape (2, 2)")):
+            wc.kenmotsu_theorem_check(spec)
 
 
 def fd_curvature_vector(chart, which, point, case, vf, uf, wf):
@@ -122,7 +147,7 @@ class TestClosedFormCurvature:
         else:
             spec = wc.WarpedProductSpec(
                 fiber=sg.builtin_r2_example(),
-                complex_structure=lambda x: wc.standard_complex_structure(1),
+                complex_structure=stacked(lambda x: wc.standard_complex_structure(1)),
                 warping=warp,
             )
         chart = wc.build_warped_chart(spec)
@@ -232,7 +257,7 @@ class TestContactClassification:
         j_bad = j_bad + 0.05 * np.eye(2)
         spec = wc.WarpedProductSpec(
             fiber=sg.trivial_chart(2),
-            complex_structure=lambda x: j_bad.copy(),
+            complex_structure=stacked(lambda x: j_bad.copy()),
             warping=wc.exp_warping(),
         )
         with pytest.raises(ValueError):
@@ -357,7 +382,7 @@ class TestKenmotsuTheorem:
         j_bad = wc.standard_complex_structure(1) + 0.1 * np.eye(2)
         spec = wc.WarpedProductSpec(
             fiber=sg.trivial_chart(2),
-            complex_structure=lambda x: j_bad.copy(),
+            complex_structure=stacked(lambda x: j_bad.copy()),
             warping=wc.exp_warping(),
         )
         chk = wc.kenmotsu_theorem_check(spec)
@@ -413,7 +438,7 @@ def test_fiber_check_names_the_first_violating_sample_point():
     from statwintgen import cli
 
     fiber = cli._perturbed_chart(sg.builtin_r2_example(), 0.01)
-    spec = wc.WarpedProductSpec(fiber=fiber, complex_structure=lambda x: wc.standard_complex_structure(1),
+    spec = wc.WarpedProductSpec(fiber=fiber, complex_structure=stacked(lambda x: wc.standard_complex_structure(1)),
                                 warping=wc.exp_warping(), label="perturbed fiber")
     rng = np.random.default_rng(171)
     want = None

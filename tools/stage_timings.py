@@ -33,10 +33,13 @@ built-in charts, in microseconds per sample:
     axioms_h3       the same on the warped h3 chart
     lc_curvature    statistical_geometry.curvature of the Levi-Civita connection (h3)
     sectional       statistical_geometry.sectional_curvature, Levi-Civita (h3)
+    fields_h3       the h3 chart's six fields (metric, both connections and
+                    their analytic partials)
 
 each once per point (``geometry.<stage>.point``) and, where the checkout
-evaluates stacks of points (it has ``statistical_geometry.geometry_chunk``),
-as one stacked call over all samples (``geometry.<stage>.stack``), as the
+evaluates stacks of points (it has ``statistical_geometry.geometry_chunk``;
+for ``fields_h3``, chart fields that take a stack of points), as one
+stacked call over all samples (``geometry.<stage>.stack``), as the
 ``axioms``, ``curvature`` and ``reproduce`` commands do.  The script uses
 only public functions that have existed since the benchmark was added and
 skips the stacked stages where they are absent, so it runs unchanged
@@ -59,7 +62,8 @@ from statwintgen import warped_contact as wc
 
 DIMS = (2, 3, 5, 8)
 STAGES = ("generate", "validate", "means", "rho", "rho_perp", "chain", "csv", "sweep")
-GEOMETRY_STAGES = ("axioms_r2", "axioms_h3", "lc_curvature", "sectional")
+GEOMETRY_STAGES = ("axioms_r2", "axioms_h3", "lc_curvature", "sectional", "fields_h3")
+CHART_FIELDS = ("metric", "gamma", "gamma_star", "metric_partial", "gamma_partial", "gamma_star_partial")
 GEOMETRY_SAMPLES = 100
 
 
@@ -111,15 +115,26 @@ def geometry_batch(seed: int, stacked: bool) -> dict[str, float]:
         "axioms_h3": ("h3", lambda chart, x, p: sg.axiom_residuals(chart, x, *p)),
         "lc_curvature": ("h3", lambda chart, x, p: sg.curvature(chart, "levi_civita", x)),
         "sectional": ("h3", lambda chart, x, p: sg.sectional_curvature(chart, "levi_civita", x, p[0], p[1])),
+        "fields_h3": ("h3", lambda chart, x, p: [getattr(chart, f)(x) for f in CHART_FIELDS]),
     }
     t = {}
     for stage, (name, call) in calls.items():
         chart, (points, probes) = charts[name], samples[name]
+        if stacked and stage == "fields_h3" and not _fields_take_stacks(chart, points):
+            continue
         if stacked:
             t[stage], _ = _timed(lambda _: call(chart, points, probes), [None])
         else:
             t[stage], _ = _timed(lambda i: call(chart, points[i], probes[:, i]), range(GEOMETRY_SAMPLES))
     return t
+
+
+def _fields_take_stacks(chart, points) -> bool:
+    """Whether the chart's fields map an (N, dim) stack of points to one value per point."""
+    try:
+        return np.shape(chart.metric(points[:2])) == (2, chart.dim, chart.dim)
+    except (TypeError, ValueError):  # a single-point field given a stack
+        return False
 
 
 def geometry_timings(repeats: int) -> dict[str, float]:
@@ -129,7 +144,8 @@ def geometry_timings(repeats: int) -> dict[str, float]:
     for mode in modes:
         runs = [geometry_batch(seed, mode == "stack") for seed in range(repeats)]
         for stage in GEOMETRY_STAGES:
-            out[f"geometry.{stage}.{mode}"] = 1e6 * statistics.median(r[stage] for r in runs) / GEOMETRY_SAMPLES
+            if stage in runs[0]:
+                out[f"geometry.{stage}.{mode}"] = 1e6 * statistics.median(r[stage] for r in runs) / GEOMETRY_SAMPLES
     return out
 
 
