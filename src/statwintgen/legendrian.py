@@ -19,19 +19,22 @@ tests (``tests/frame_oracle.py``), which compare this module against them.
 
 Instances are immutable (read-only arrays, finite fields, n >= 2), so their
 derived data is memoized on the instance: the violation list, and one
-derivation that holds ``MeanData``, ``ShapeOperators`` and rho_perp.  Each
-instance is validated and derived once.  One kernel computes both on stacks
-of same-n instances, (B, 2, n+1, n, n) forms h, h*: ``derive_batch`` runs it
-once over a whole stack (the sweep's chunks) and stores each instance's
-share in its memo, and an instance evaluated on its own is the B = 1 call of
-the same functions.  The derivation fills one (B, 6, n+1, n, n) stack (A =
-h*, A* = h, A0, S, S*, S0): it takes the means H*, H and H0 = (H + H*)/2 in
-one einsum, subtracts them times I to get S, S* and S0 = h0 - H0 I, and
+derivation that holds ``MeanData``, ``ShapeOperators`` and rho_perp.  The
+kernels take arrays, not instances: ``_find_violations`` a (B, 2, n+1, n, n)
+stack of forms h, h* with its xi values, and ``_derive_arrays`` the forms
+with their c-terms 2c/4f^2.  ``derive_batch`` runs them once over a stack
+of same-n instances (the sweep's chunks) and stores each instance's share in
+its memo; an instance evaluated on its own is the B = 1 call; and
+``_stacked_curvature_scalars`` scores a stack with no instance at all (the
+sharpness climb's passes).  The derivation fills one (B, 6, n+1, n, n) stack
+(A = h*, A* = h, A0, S, S*, S0): it takes the means H*, H and H0 = (H + H*)/2
+in one einsum, subtracts them times I to get S, S* and S0 = h0 - H0 I, and
 reads the three traceless norms off the S rows, so the chain brackets the
 very operators whose norms rho uses.  rho_perp brackets only the phi-pairs
 r < s, in one batched matmul.  The constants of each n are cached read-only
 (``_frame``).  Every floating-point operation runs in the order of the plain
-per-form formulas, whatever B is, so results match them bit for bit.
+per-form formulas, whatever B is, and rho and rho0 are formed from each
+row's floats by the same formulas, so results match them bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -106,15 +109,13 @@ class LegendrianPointInstance:
         object.__setattr__(self, "_forms", forms)
         object.__setattr__(self, "h", forms[0])
         object.__setattr__(self, "h_star", forms[1])
-        if not (math.isfinite(self.c) and math.isfinite(self.f_val) and math.isfinite(self.f_prime)
-                and np.isfinite(forms).all()):
-            raise ValueError("c, f, f_prime, h and h_star must be finite")
+        _require_finite(self.c, self.f_val, self.f_prime, forms)
         if self.f_val <= 0.0:
             raise ValueError("f_val must be positive")
 
     # Derived data, computed on first use by the B = 1 call of the kernel
     # (module functions bound late); ``derive_batch`` fills it for whole stacks.
-    _violations = cached_property(lambda self: _find_violations([self], self._forms[None])[0])
+    _violations = cached_property(lambda self: _find_violations(_xi_values([self]), self._forms[None])[0])
     _derived = cached_property(lambda self: _derive(self))
 
     def to_dict(self) -> dict:
@@ -197,11 +198,15 @@ def validate(inst: LegendrianPointInstance) -> list[tuple[str, int, int, int]]:
     return list(inst._violations)
 
 
-def _find_violations(insts: Sequence[LegendrianPointInstance], forms: Array) -> list[tuple]:
-    """The violation tuple of every instance of a stack, with its (B, 2, n+1, n, n) forms."""
-    count, n = len(insts), insts[0].n
+def _require_finite(c: float, f_val: float, f_prime: float, forms: Array) -> None:
+    if not (math.isfinite(c) and math.isfinite(f_val) and math.isfinite(f_prime) and np.isfinite(forms).all()):
+        raise ValueError("c, f, f_prime, h and h_star must be finite")
+
+
+def _find_violations(xi: Array, forms: Array) -> list[tuple]:
+    """The violation tuple of every form pair of a (B, 2, n+1, n, n) stack, whose xi-slices must be xi I."""
+    count, n = len(forms), forms.shape[-1]
     frame = _frame(n)
-    xi = np.array([-(inst.f_prime / inst.f_val) for inst in insts])
     asym = (np.abs(forms - forms.swapaxes(-1, -2)) > VALIDATE_TOL) & frame.strict_upper
     xi_bad = np.abs(forms[:, :, n] - xi[:, None, None, None] * frame.eye) > VALIDATE_TOL
     found: list[tuple] = [()] * count
@@ -216,10 +221,18 @@ def _find_violations(insts: Sequence[LegendrianPointInstance], forms: Array) -> 
     return found
 
 
+def _xi_values(insts: Sequence[LegendrianPointInstance]) -> Array:
+    """The forced xi value -(f'/f) of every instance."""
+    return np.array([-(inst.f_prime / inst.f_val) for inst in insts])
+
+
 def require_valid(inst: LegendrianPointInstance) -> None:
-    violations = validate(inst)
+    _require_no_violations(validate(inst))
+
+
+def _require_no_violations(violations: Sequence[tuple]) -> None:
     if violations:
-        raise ValueError(f"invalid Legendrian instance: first violations {violations[:5]}")
+        raise ValueError(f"invalid Legendrian instance: first violations {list(violations[:5])}")
 
 
 @dataclass(frozen=True)
@@ -276,10 +289,26 @@ def _derive(inst: LegendrianPointInstance) -> _Derived:
 
 
 def _derive_stack(insts: Sequence[LegendrianPointInstance], forms: Array) -> list[_Derived]:
-    """The derivation of every instance of a stack, with its (B, 2, n+1, n, n) forms.
+    """The derivation of every instance of a stack, with its (B, 2, n+1, n, n) forms, as the memo holds it."""
+    cterm = np.array([2.0 * inst.c / (4.0 * inst.f_val**2) for inst in insts])
+    ops, means, mean_sq, tau_sq, rho_perp = _derive_arrays(forms, cterm)
+    rows = zip(_mean_rows(means, mean_sq, tau_sq), ops, rho_perp.tolist())
+    return [(m, ShapeOperators(*stack, stack=stack), row_rho_perp) for m, stack, row_rho_perp in rows]
 
-    ``MeanData`` and ``ShapeOperators`` are views of one (B, 6, n+1, n, n)
-    operator stack, from which rho_perp is bracketed (see the module docstring).
+
+def _mean_rows(means: Array, mean_sq: Array, tau_sq: Array) -> Iterator[MeanData]:
+    """The ``MeanData`` of every row of ``_derive_arrays``'s means and norms, each built when it is read."""
+    for (Hs, H, H0), (Hs_sq, H_sq, H0_sq), (taus, tau, tau0) in zip(means, mean_sq.tolist(), tau_sq.tolist()):
+        yield MeanData(H, Hs, H0, H_sq, Hs_sq, H0_sq, tau, taus, tau0)
+
+
+def _derive_arrays(forms: Array, cterm: Array) -> tuple[Array, Array, Array, Array, Array]:
+    """The derivation of a (B, 2, n+1, n, n) stack of forms h, h* with (B,) c-terms 2c/4f^2, as arrays.
+
+    Returns the read-only (B, 6, n+1, n, n) operator stack, the read-only
+    (B, 3, n+1) means H*, H, H0, their (B, 3) squared norms, the (B, 3)
+    traceless norms tau*, tau, tau0, and the (B,) rho_perp bracketed from the
+    operators (see the module docstring).
     """
     count, n = len(forms), forms.shape[-1]
     ops = np.empty((count, 6, n + 1, n, n))  # A, A*, A0, S, S*, S0
@@ -292,26 +321,11 @@ def _derive_stack(insts: Sequence[LegendrianPointInstance], forms: Array) -> lis
     np.add(means[:, 0], means[:, 1], out=means[:, 2])
     means[:, 2] *= 0.5
     np.subtract(ops[:, :3], means[..., None, None] * _frame(n).eye, out=ops[:, 3:])
-    tau_sq = np.square(ops[:, 3:]).reshape(count, 3, -1).sum(axis=2).tolist()  # tau*, tau, tau0
+    tau_sq = np.square(ops[:, 3:]).reshape(count, 3, -1).sum(axis=2)  # tau*, tau, tau0
     # a stacked (1, n+1) @ (n+1, 1) product adds like the 1-d H @ H
-    mean_sq = (means[..., None, :] @ means[..., None]).reshape(count, 3).tolist()
+    mean_sq = (means[..., None, :] @ means[..., None]).reshape(count, 3)
     ops.flags.writeable = means.flags.writeable = False  # shared by every caller
-    derived = []
-    rows = zip(ops, means, mean_sq, tau_sq, _rho_perp_stack(insts, ops))
-    for stack, (Hs, H, H0), (Hs_sq, H_sq, H0_sq), tau, rho_perp in rows:
-        mean_data = MeanData(
-            H=H,
-            H_star=Hs,
-            H0=H0,
-            norm_H_sq=H_sq,
-            norm_Hstar_sq=Hs_sq,
-            norm_H0_sq=H0_sq,
-            norm_tau_sq=tau[1],
-            norm_taustar_sq=tau[0],
-            norm_tau0_sq=tau[2],
-        )
-        derived.append((mean_data, ShapeOperators(*stack, stack=stack), rho_perp))
-    return derived
+    return ops, means, mean_sq, tau_sq, _rho_perp_stack(cterm, ops)
 
 
 def derive_batch(insts: Sequence[LegendrianPointInstance]) -> None:
@@ -325,32 +339,31 @@ def derive_batch(insts: Sequence[LegendrianPointInstance]) -> None:
     if any(inst.n != insts[0].n for inst in insts):
         raise ValueError("a stacked pass needs instances of one dimension n")
     forms = np.stack([inst._forms for inst in insts])
-    for inst, violations, derived in zip(insts, _find_violations(insts, forms), _derive_stack(insts, forms)):
+    violations = _find_violations(_xi_values(insts), forms)
+    for inst, found, derived in zip(insts, violations, _derive_stack(insts, forms)):
         memo = vars(inst)
-        memo.setdefault("_violations", violations)
+        memo.setdefault("_violations", found)
         memo.setdefault("_derived", derived)
 
 
-def ambient_plane_curvature(inst: LegendrianPointInstance) -> float:
+def ambient_plane_curvature(c: float, f_val: float, f_prime: float) -> float:
     """c/4f^2 - (f'/f)^2: ambient curvature of tangent planes of the warp."""
-    return inst.c / (4.0 * inst.f_val**2) - (inst.f_prime / inst.f_val) ** 2
+    return c / (4.0 * f_val**2) - (f_prime / f_val) ** 2
 
 
 def rho_statistical(inst: LegendrianPointInstance) -> float:
     """Sum of K(e_i,e_j) + K*(e_i,e_j) over i < j, divided by n(n-1), in closed form."""
     require_valid(inst)
-    n = inst.n
     m = means_and_traceless(inst)
+    return _rho_pair(inst.n, ambient_plane_curvature(inst.c, inst.f_val, inst.f_prime), m)[0]
+
+
+def _rho_pair(n: int, ambient: float, m: MeanData) -> tuple[float, float]:
+    """rho and rho0 from the ambient term and the norms of ``m``."""
     nn1 = n * (n - 1)
-    return (
-        ambient_plane_curvature(inst)
-        + 2.0 * m.norm_H0_sq
-        - (2.0 / nn1) * m.norm_tau0_sq
-        - 0.5 * m.norm_H_sq
-        + m.norm_tau_sq / (2.0 * nn1)
-        - 0.5 * m.norm_Hstar_sq
-        + m.norm_taustar_sq / (2.0 * nn1)
-    )
+    rho = (ambient + 2.0 * m.norm_H0_sq - (2.0 / nn1) * m.norm_tau0_sq - 0.5 * m.norm_H_sq
+           + m.norm_tau_sq / (2.0 * nn1) - 0.5 * m.norm_Hstar_sq + m.norm_taustar_sq / (2.0 * nn1))
+    return rho, ambient + m.norm_H0_sq - m.norm_tau0_sq / nn1
 
 
 def rho_perp_statistical(inst: LegendrianPointInstance) -> float:
@@ -365,11 +378,10 @@ def rho_perp_statistical(inst: LegendrianPointInstance) -> float:
     return inst._derived[2]
 
 
-def _rho_perp_stack(insts: Sequence[LegendrianPointInstance], ops: Array) -> list[float]:
-    """rho_perp of every instance of a stack, from its (B, 6, n+1, n, n) operator stack."""
-    count, n = len(insts), insts[0].n
+def _rho_perp_stack(cterm: Array, ops: Array) -> Array:
+    """(B,) rho_perp from a (B, 6, n+1, n, n) operator stack and the (B,) c-terms 2c/4f^2."""
+    count, n = len(ops), ops.shape[-1]
     frame = _frame(n)
-    cterm = np.array([2.0 * inst.c / (4.0 * inst.f_val**2) for inst in insts])
     x = ops[:, :3, :n]  # A, A*, A0 on the phi-slots
     prod = np.take(x, frame.left, axis=2) @ np.take(x, frame.right, axis=2)
     # (x_r x_s)[j, i] and (x_s x_r)[j, i]; np.take keeps C order, so the sum adds row by row
@@ -379,13 +391,13 @@ def _rho_perp_stack(insts: Sequence[LegendrianPointInstance], ops: Array) -> lis
     comm = 4.0 * bracket[:, 2] - bracket[:, 0] - bracket[:, 1]
     comm = comm.reshape(count, -1)  # a view: comm is a fresh C-ordered array
     comm[:, :: pairs + 1] -= cterm[:, None]  # the diagonal (p, p) of each (P, P) block
-    return [math.sqrt(total) / (n * (n - 1)) for total in np.square(comm).sum(axis=1).tolist()]
+    return np.sqrt(np.square(comm).sum(axis=1)) / (n * (n - 1))
 
 
 def rho_levicivita(inst: LegendrianPointInstance) -> float:
     """base + ||H0||^2 - ||tau0||^2/(n(n-1)), the Levi-Civita normalization."""
     m = means_and_traceless(inst)
-    return ambient_plane_curvature(inst) + m.norm_H0_sq - m.norm_tau0_sq / (inst.n * (inst.n - 1))
+    return _rho_pair(inst.n, ambient_plane_curvature(inst.c, inst.f_val, inst.f_prime), m)[1]
 
 
 @dataclass(frozen=True)
@@ -403,15 +415,22 @@ class CurvatureScalars:
 
 def curvature_scalars(inst: LegendrianPointInstance) -> CurvatureScalars:
     require_valid(inst)
-    m = means_and_traceless(inst)
-    return CurvatureScalars(
-        rho=rho_statistical(inst),
-        rho_perp=rho_perp_statistical(inst),
-        rho_zero=rho_levicivita(inst),
-        norm_H_sq=m.norm_H_sq,
-        norm_Hstar_sq=m.norm_Hstar_sq,
-        norm_H0_sq=m.norm_H0_sq,
-        norm_tau_sq=m.norm_tau_sq,
-        norm_taustar_sq=m.norm_taustar_sq,
-        norm_tau0_sq=m.norm_tau0_sq,
-    )
+    return _scalars(means_and_traceless(inst), rho_statistical(inst), rho_levicivita(inst),
+                    rho_perp_statistical(inst))
+
+
+def _scalars(m: MeanData, rho: float, rho_zero: float, rho_perp: float) -> CurvatureScalars:
+    return CurvatureScalars(rho, rho_perp, rho_zero, m.norm_H_sq, m.norm_Hstar_sq, m.norm_H0_sq,
+                            m.norm_tau_sq, m.norm_taustar_sq, m.norm_tau0_sq)
+
+
+def _stacked_curvature_scalars(c: float, f_val: float, f_prime: float, forms: Array) -> Iterator[CurvatureScalars]:
+    """The curvature scalars of every row of a (B, 2, n+1, n, n) stack of valid forms sharing (c, f, f').
+
+    The stack is derived in one kernel call; a row's scalars are formed from
+    its floats, by the single-instance formulas, only when the row is read.
+    """
+    _, means, mean_sq, tau_sq, rho_perp = _derive_arrays(forms, np.full(len(forms), 2.0 * c / (4.0 * f_val**2)))
+    ambient = ambient_plane_curvature(c, f_val, f_prime)
+    for m, row_rho_perp in zip(_mean_rows(means, mean_sq, tau_sq), rho_perp.tolist()):
+        yield _scalars(m, *_rho_pair(forms.shape[-1], ambient, m), row_rho_perp)

@@ -20,7 +20,7 @@ constant fails while the rederived bound (and every earlier chain step) holds.
 from __future__ import annotations
 
 import math
-from collections.abc import Collection
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +28,11 @@ import numpy as np
 from .legendrian import (
     CurvatureScalars,
     LegendrianPointInstance,
+    _find_violations,
     _frame,
+    _require_finite,
+    _require_no_violations,
+    _stacked_curvature_scalars,
     curvature_scalars,
     derive_batch,
     require_valid,
@@ -101,11 +105,11 @@ def rederived_curvature_constant(c: float, f: float, f_prime: float) -> float:
     return (2.0 * f * abs(c) + 6.0 * c - 24.0 * f_prime * f_prime) / (4.0 * f * f)
 
 
-def _rhs_terms(inst: LegendrianPointInstance, scalars: CurvatureScalars) -> dict[str, float]:
+def _rhs_terms(c: float, f: float, f_prime: float, scalars: CurvatureScalars) -> dict[str, float]:
     return {
         "two_rho": 2.0 * scalars.rho,
         "minus_eight_rho_zero": -8.0 * scalars.rho_zero,
-        "curvature_constant": curvature_constant(inst.c, inst.f_val, inst.f_prime),
+        "curvature_constant": curvature_constant(c, f, f_prime),
         "four_norm_H0_sq": 4.0 * scalars.norm_H0_sq,
         "norm_H_sq": scalars.norm_H_sq,
         "norm_Hstar_sq": scalars.norm_Hstar_sq,
@@ -190,7 +194,7 @@ def inequality_chain(inst: LegendrianPointInstance, scalars: CurvatureScalars | 
             )
     b2 = (2.0 / nn1) * math.sqrt(c * c / (4.0 * f * f) * n * n * (n - 1) ** 2 + 0.25 * quad)
 
-    bound = _rhs_terms(inst, scalars)
+    bound = _rhs_terms(c, f, fp, scalars)
     rederived = {**bound, "curvature_constant": rederived_curvature_constant(c, f, fp)}
     steps = {
         "cauchy_schwarz": [b1],
@@ -217,7 +221,7 @@ def main_inequality(
     """Evaluate the generalized Wintgen bound on a validated instance."""
     require_valid(inst)
     scalars = curvature_scalars(inst)
-    terms = _rhs_terms(inst, scalars)
+    terms = _rhs_terms(inst.c, inst.f_val, inst.f_prime, scalars)
     lhs = scalars.rho_perp
     rhs, slack, holds = _judge(terms.values(), lhs)
     chain = inequality_chain(inst, scalars) if include_chain else []
@@ -274,22 +278,21 @@ def _random_instances(n: int, c_range, f_range, fprime_range, magnitude: float, 
     return _instances_from_upper(n, params, np.stack(upper))
 
 
-def _instances_from_upper(
-    n: int, params: list[tuple[float, float, float]], upper: Array
-) -> list[LegendrianPointInstance]:
-    """Instances with fields (c, f, f') whose phi-slices of h, then h*, mirror a
-    (B, 2n, n, n) stack of upper triangles.
+def _instances_from_upper(n: int, params: list[tuple[float, float, float]],
+                          upper: Array) -> list[LegendrianPointInstance]:
+    """Instances with fields (c, f, f') and the forms of ``_forms_from_upper``."""
+    forms = _forms_from_upper(n, np.array([-(fp / f) for _, f, fp in params]), upper)
+    return [LegendrianPointInstance(n=n, c=c, f_val=f, f_prime=fp, h=form[0], h_star=form[1])
+            for (c, f, fp), form in zip(params, forms)]
 
-    The xi-slices are set to the forced -(f'/f) I exactly.
-    """
-    forms = np.empty((len(params), 2, n + 1, n, n))  # h, h*
-    forms[:, :, :n] = symmetrize_upper(upper).reshape(len(params), 2, n, n, n)
-    eye = _frame(n).eye
-    insts = []
-    for (c, f, fp), form in zip(params, forms):
-        form[:, n] = -(fp / f) * eye
-        insts.append(LegendrianPointInstance(n=n, c=c, f_val=f, f_prime=fp, h=form[0], h_star=form[1]))
-    return insts
+
+def _forms_from_upper(n: int, xi: Array, upper: Array) -> Array:
+    """(B, 2, n+1, n, n) forms h, h*: phi-slices mirrored from a (B, 2n, n, n) stack of
+    upper triangles, xi-slices the (B,) forced values xi times I, set exactly."""
+    forms = np.empty((len(upper), 2, n + 1, n, n))  # h, h*
+    forms[:, :, :n] = symmetrize_upper(upper).reshape(len(upper), 2, n, n, n)
+    forms[:, :, n] = xi[:, None, None, None] * _frame(n).eye
+    return forms
 
 
 # Floats of kernel scratch per stacked pass: a sweep chunk holds as many
@@ -354,37 +357,56 @@ class SharpnessResult:
     hard_violation: bool
 
 
-def _instance_from_params(
-    n: int, c: float, f: float, fp: float, params: Array
-) -> LegendrianPointInstance:
-    """Decode a flat vector of upper-triangle phi-slice entries, h slices first."""
-    upper = np.zeros((2 * n, n, n))
+def _upper_from_params(n: int, params: Array) -> Array:
+    """Decode a (B, nparams) stack of upper-triangle phi-slice entries, h slices first, to (B, 2n, n, n)."""
+    upper = np.zeros((len(params), 2 * n, n, n))
     i, j = _triu_indices(n)
-    upper[:, i, j] = params.reshape(2 * n, -1)
-    return _instances_from_upper(n, [(c, f, fp)], upper[None])[0]
+    upper[:, :, i, j] = params.reshape(len(params), 2 * n, -1)
+    return upper
+
+
+def _stacked_bound(n: int, c: float, f: float, fp: float, params: Array) -> Iterator[float]:
+    """The slack of the stated bound at every row of a (B, nparams) stack, in order, without instances.
+
+    The forms are built and checked as ``_instances_from_upper``, an instance
+    and ``require_valid`` do, and derived in one kernel call; a row's slack
+    (``main_inequality``'s, bit for bit) is formed, or raises, when it is read.
+    """
+    xi = np.full(len(params), -(fp / f))
+    forms = _forms_from_upper(n, xi, _upper_from_params(n, params))
+    _require_finite(c, f, fp, forms)
+    for violations in _find_violations(xi, forms):
+        _require_no_violations(violations)
+    for scalars in _stacked_curvature_scalars(c, f, fp, forms):
+        yield _rhs_and_slack(_rhs_terms(c, f, fp, scalars).values(), scalars.rho_perp)[1]
 
 
 SHARPNESS_FIRST_STEP = 0.25
 SHARPNESS_MIN_STEP = 1e-6
 
 
-def sharpness_search(
-    n: int,
-    c: float,
-    f: float,
-    fprime: float,
-    iterations: int,
-    seed: int,
-) -> SharpnessResult:
+def _sharpness_pass_rows(n: int) -> int:
+    """Most trials in one pass of ``sharpness_search``: together they cost about the pass's fixed numpy
+    calls, worth some 256 of the 3n(n-1) per-matrix products a row makes (one trial at n >= 8)."""
+    return max(1, min(sweep_chunk(n), 256 // (3 * n * (n - 1))))
+
+
+def sharpness_search(n: int, c: float, f: float, fprime: float, iterations: int, seed: int) -> SharpnessResult:
     """Random-restart coordinate hill climb minimizing the slack.
 
     Coordinates are the phi-slice entries of h and h*, drawn from [-1, 1] at
-    each start; each sweep tries +/- step on every coordinate, halves the step
-    after a fruitless sweep, and restarts from a fresh random draw once the
-    step drops below ``SHARPNESS_MIN_STEP``.
-    ``iterations`` is the total slack-evaluation budget.  The trace records
-    the best slack after every improvement (monotone non-increasing).
-    The best instance is judged by ``main_inequality``; a failed bound is a hard violation.
+    each start; each sweep tries +/- step on every coordinate and moves to
+    the first trial that lowers the slack, halves the step after a fruitless
+    sweep, and restarts from a fresh draw once the step drops below
+    ``SHARPNESS_MIN_STEP``.  ``iterations`` is the total slack-evaluation
+    budget.  The trace records the best slack after every improvement.  The
+    best instance is judged by ``main_inequality``; a failed bound is a hard
+    violation.  A sweep is scored in speculative passes: one ``_stacked_bound``
+    call scores the next trials in order, (k, +step), (k, -step), (k+1, +step),
+    ..., up to the sweep's end, the budget and ``_sharpness_pass_rows(n)``;
+    rows are read in order, each an evaluation, up to the first that lowers
+    the slack, and the next pass starts at coordinate k+1.  So the result is
+    that of one trial at a time, bit for bit.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n!r}")
@@ -392,62 +414,52 @@ def sharpness_search(
         raise ValueError(f"f must be positive, got {f!r}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    tri = n * (n + 1) // 2
-    nparams = 2 * n * tri
-
-    def slack_of(params: Array) -> float:
-        inst = _instance_from_params(n, c, f, fprime, params)
-        scalars = curvature_scalars(inst)
-        return _rhs_and_slack(_rhs_terms(inst, scalars).values(), scalars.rho_perp)[1]
-
+    nparams = 2 * n * (n * (n + 1) // 2)
+    widest = _sharpness_pass_rows(n)
+    # trial 2k moves coordinate k by +step, trial 2k + 1 by -step
+    coordinate, sign, pass_rows = np.arange(2 * nparams) // 2, np.tile((1.0, -1.0), nparams), np.arange(widest)
     rng = instance_rng(seed, 0)
     evaluations = 0
     restarts = 0
     best_params = params = None
     best_slack = current = math.inf
-    step = SHARPNESS_FIRST_STEP
+    step = 0.0  # below SHARPNESS_MIN_STEP: the climb begins with a fresh draw
     trace: list[float] = []
 
-    def accept(trial: Array, value: float) -> None:
-        nonlocal params, current, best_params, best_slack
-        params, current = trial, value
-        if value < best_slack:
-            best_slack, best_params = value, trial.copy()
-            trace.append(value)
+    def score(trials: Array) -> int | None:
+        """Read a pass's slacks in order and take the first improvement; its row, or None."""
+        nonlocal evaluations, params, current, best_params, best_slack
+        for row, value in enumerate(_stacked_bound(n, c, f, fprime, trials)):
+            evaluations += 1
+            if value < current:
+                params, current = trials[row], value
+                if value < best_slack:
+                    best_slack, best_params = value, params
+                    trace.append(value)
+                return row
+        return None
 
-    def fresh_start() -> None:
-        nonlocal evaluations, restarts, step
-        step = SHARPNESS_FIRST_STEP
-        trial = rng.uniform(-1.0, 1.0, size=nparams)
-        evaluations += 1
-        restarts += 1
-        accept(trial, slack_of(trial))
-
-    fresh_start()
     while evaluations < iterations:
+        if step < SHARPNESS_MIN_STEP:  # a fresh start, always taken
+            step, current, restarts = SHARPNESS_FIRST_STEP, math.inf, restarts + 1
+            score(rng.uniform(-1.0, 1.0, size=(1, nparams)))
+            continue
         improved = False
-        for k in range(nparams):
-            if evaluations >= iterations:
-                break
-            for direction in (1.0, -1.0):
-                if evaluations >= iterations:
-                    break
-                trial = params.copy()
-                trial[k] += direction * step
-                value = slack_of(trial)
-                evaluations += 1
-                if value < current:
-                    accept(trial, value)
-                    improved = True
-                    break
+        position = 0
+        while position < 2 * nparams and evaluations < iterations:
+            rows = min(widest, 2 * nparams - position, iterations - evaluations)
+            trials = np.repeat(params[None], rows, axis=0)
+            trials[pass_rows[:rows], coordinate[position:position + rows]] += step * sign[position:position + rows]
+            row = score(trials)
+            if row is None:
+                position += rows
+            else:
+                improved = True
+                position = 2 * ((position + row) // 2 + 1)
         if not improved:
             step *= 0.5
-            if step < SHARPNESS_MIN_STEP:
-                if evaluations >= iterations:
-                    break
-                fresh_start()
 
-    best_instance = _instance_from_params(n, c, f, fprime, best_params)
+    best_instance = _instances_from_upper(n, [(c, f, fprime)], _upper_from_params(n, best_params[None]))[0]
     hard = not main_inequality(best_instance, include_chain=False).holds
     return SharpnessResult(
         best_instance=best_instance,

@@ -481,6 +481,25 @@ def test_arithmetic_overflow_is_usage_error(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flags, line",
+    [
+        (["--f", "1e-200"], "error: arithmetic overflow: float division by zero"),
+        (["--fprime", "1e200"], "error: arithmetic overflow: Numerical result out of range"),
+        (["--c", "1e308", "--f", "1e-10"], "error: arithmetic overflow: non-finite bound (lhs=inf, rhs=nan)"),
+        (["--c", "1e308"], "error: arithmetic overflow: non-finite bound (lhs=inf, rhs=nan)"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+)
+@pytest.mark.parametrize("iterations", ["1", "150"])
+def test_sharpness_overflow_lines_are_pinned(flags, line, iterations, tmp_path, capsys):
+    # the stacked passes raise where the one-trial-at-a-time climb raised, with its message
+    out = tmp_path / "report.out"
+    argv = ["wintgen", "sharpness", "--n", "2", "--iterations", iterations, *flags, "--out", str(out)]
+    assert _assert_one_line_usage_error(main(argv), capsys) == line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["classify", "--warp", "const", "--const-value", "1e200", "--samples", "2"],

@@ -26,6 +26,12 @@ the median over ``--repeats`` batches of ``--count`` instances (a quarter as
 many at n = 8).  Keys are ``<stage>.n<n>``; ``--json`` prints them as one
 JSON object.
 
+The sharpness stages (``sharpness.n<n>``) time one ``wintgen.sharpness_search``
+of ``SHARPNESS_BUDGET`` evaluations (c = 0, f = 1, f' = 0, seed 5), in
+microseconds per evaluation, median over ``--repeats`` runs.  The budget
+covers the climb's first descent and its later sweeps at halved steps, as
+the sharpness runs of ``tools/report_digests.py`` (1500 and 3000) do.
+
 The geometry stages time ``GEOMETRY_SAMPLES`` seeded sample points of the
 built-in charts, in microseconds per sample:
 
@@ -65,6 +71,7 @@ STAGES = ("generate", "validate", "means", "rho", "rho_perp", "chain", "csv", "s
 GEOMETRY_STAGES = ("axioms_r2", "axioms_h3", "lc_curvature", "sectional", "fields_h3")
 CHART_FIELDS = ("metric", "gamma", "gamma_star", "metric_partial", "gamma_partial", "gamma_star_partial")
 GEOMETRY_SAMPLES = 100
+SHARPNESS_BUDGET = 1000
 
 
 def _timed(fn, items) -> tuple[float, list]:
@@ -98,6 +105,16 @@ def stage_timings(count: int, repeats: int) -> dict[str, float]:
         runs = [batch(n, size, seed) for seed in range(repeats)]
         for stage in STAGES:
             out[f"{stage}.n{n}"] = 1e6 * statistics.median(r[stage] for r in runs) / size
+    return out
+
+
+def sharpness_timings(repeats: int) -> dict[str, float]:
+    """``sharpness.n<n>`` -> median microseconds per evaluation of a fixed-budget, fixed-seed climb."""
+    out = {}
+    for n in DIMS:
+        runs = [_timed(lambda _: wintgen.sharpness_search(n, 0.0, 1.0, 0.0, SHARPNESS_BUDGET, 5), [None])[0]
+                for _ in range(repeats)]
+        out[f"sharpness.n{n}"] = 1e6 * statistics.median(runs) / SHARPNESS_BUDGET
     return out
 
 
@@ -156,6 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args(argv)
     timings = stage_timings(args.count, args.repeats)
+    timings.update(sharpness_timings(args.repeats))
     timings.update(geometry_timings(args.repeats))
     if args.json:
         print(json.dumps({k: round(v, 2) for k, v in timings.items()}))
@@ -163,6 +181,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'stage':<10}" + "".join(f"{f'n={n}':>10}" for n in DIMS) + "   (us per instance)")
     for stage in STAGES:
         print(f"{stage:<10}" + "".join(f"{timings[f'{stage}.n{n}']:>10.1f}" for n in DIMS))
+    print(f"{'sharpness':<10}" + "".join(f"{timings[f'sharpness.n{n}']:>10.1f}" for n in DIMS)
+          + f"   (us per evaluation, {SHARPNESS_BUDGET} evaluations)")
     print(f"\n{'geometry':<14}{'point':>10}{'stack':>10}   (us per sample, {GEOMETRY_SAMPLES} samples)")
     for stage in GEOMETRY_STAGES:
         cells = (timings.get(f"geometry.{stage}.{mode}") for mode in ("point", "stack"))
