@@ -18,8 +18,9 @@ Sectional-type contractions use K(X,Y) = g(R(X,Y)Y,X) / (|X|^2|Y|^2 - g(X,Y)^2).
 
 The geometry functions take one point or a stack of N points and evaluate a single
 point as the N = 1 stack: one call of each chart field, one ``np.linalg.inv`` and one
-set of einsums per stack, and one stencil array holding the 2 dim central-difference
-points of every sample.  Component arrays then carry the leading axis N.
+set of einsums per stack, and one ``tensor_core.grid`` array holding every sample
+followed by its 2 dim central-difference points.  Component arrays then carry the
+leading axis N.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor_core import DEFAULT_FD_STEP, central_differences, stencil
+from .tensor_core import DEFAULT_FD_STEP, grid, grid_partials
 
 Array = np.ndarray
 MatrixField = Callable[[Array], Array]
@@ -43,29 +44,24 @@ class DualisticChart:
 
     Every field is stacked: an (N, dim) stack of points gives the (N, dim,
     ..., dim) stack of its values; the built-in fields broadcast over any
-    leading axes, so one point (dim,) gives one value.  Analytic
-    first-derivative providers are optional; when absent, central
-    differences with ``DEFAULT_FD_STEP`` are used.  All fields must be pure
-    functions.
+    leading axes, so one point (dim,) gives one value.  The metric partials
+    are required; the connection partials are optional, and when absent,
+    central differences with ``DEFAULT_FD_STEP`` are used.  All fields must
+    be pure functions.
     """
 
     dim: int
     metric: MatrixField
     gamma: MatrixField
     gamma_star: MatrixField
-    metric_partial: MatrixField | None = None
+    metric_partial: MatrixField
     gamma_partial: MatrixField | None = None
     gamma_star_partial: MatrixField | None = None
     label: str = "chart"
 
     def without_analytic(self) -> "DualisticChart":
-        """Copy of the chart with analytic derivative providers stripped.
-
-        Forces every derivative onto the finite-difference path.
-        """
-        return replace(
-            self, metric_partial=None, gamma_partial=None, gamma_star_partial=None
-        )
+        """Copy of the chart with the connection partials stripped, so they are finite-differenced."""
+        return replace(self, gamma_partial=None, gamma_star_partial=None)
 
 
 @dataclass(frozen=True)
@@ -97,12 +93,10 @@ GEOMETRY_CHUNK_FLOATS = 1 << 18
 def geometry_chunk(dim: int) -> int:
     """Sample points per stacked pass at chart dimension ``dim``.
 
-    The largest pass, Levi-Civita curvature on finite-difference metric
-    partials, holds per point about (1+2d)^2 d^2 metric entries on the nested
-    stencils, 4 (1+2d) d^3 Christoffel-stage floats and 8 d^4 curvature floats.
+    The largest pass, Levi-Civita curvature, holds per point about
+    4 (1+2d) d^3 Christoffel-stage floats on its grid and 8 d^4 curvature floats.
     """
-    grid = 1 + 2 * dim
-    return max(1, GEOMETRY_CHUNK_FLOATS // (grid * grid * dim * dim + 4 * grid * dim**3 + 8 * dim**4))
+    return max(1, GEOMETRY_CHUNK_FLOATS // (4 * (1 + 2 * dim) * dim**3 + 8 * dim**4))
 
 
 def _as_stack(point: Array) -> tuple[Array, bool]:
@@ -127,32 +121,9 @@ def _field(chart: DualisticChart, name: str, points: Array) -> Array:
     return values
 
 
-def _grid(points: Array, step: float) -> Array:
-    """Each of the (N, dim) points followed by its central-difference stencil, as one (N (1 + 2 dim), dim) stack."""
-    return np.concatenate([points[:, None], stencil(points, step)], axis=1).reshape(-1, points.shape[1])
-
-
-def _with_partials(values: Array, n: int, step: float) -> tuple[Array, Array]:
-    """(values, partials) at n points from the values on their ``_grid(points, step)``."""
-    values = values.reshape((n, -1) + values.shape[1:])
-    return values[:, 0], central_differences(values[:, 1:], step)
-
-
 def _bilinear(u: Array, m: Array, v: Array) -> Array:
     """u^i m_ij v^j over matching leading axes, as the row-vector products (u m) v."""
     return (np.matmul(u[..., None, :], m) @ v[..., :, None])[..., 0, 0]
-
-
-def metric_partials(chart: DualisticChart, point: Array) -> Array:
-    """d_a g_ij at a point or over a stack of points."""
-    x, one = _as_stack(point)
-    if chart.metric_partial is not None:
-        dg = _field(chart, "metric_partial", x)
-    else:
-        d = chart.dim
-        values = _field(chart, "metric", stencil(x, DEFAULT_FD_STEP).reshape(-1, d))
-        dg = central_differences(values.reshape(len(x), 2 * d, d, d), DEFAULT_FD_STEP)
-    return dg[0] if one else dg
 
 
 def _inverse(g: Array, points: Array, label: str) -> Array:
@@ -171,7 +142,7 @@ def _inverse(g: Array, points: Array, label: str) -> Array:
 def _metric_and_christoffel(chart: DualisticChart, points: Array) -> tuple[Array, Array, Array]:
     """(g, dg, Gamma0) over an (N, dim) stack; Gamma0[..., k, i, j] are the Christoffel symbols of g."""
     g = _field(chart, "metric", points)
-    dg = metric_partials(chart, points)
+    dg = _field(chart, "metric_partial", points)
     g_inv = _inverse(g, points, chart.label)
     # lowered[l,i,j] = d_i g_lj + d_j g_li - d_l g_ij
     lowered = np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg
@@ -185,15 +156,6 @@ def levi_civita(chart: DualisticChart, point: Array) -> Array:
     return gamma0[0] if one else gamma0
 
 
-def connection_at(chart: DualisticChart, which: str, point: Array) -> Array:
-    """Coefficients of nabla, nabla* or the Levi-Civita connection at a point or over a stack."""
-    if which == "levi_civita":
-        return levi_civita(chart, point)
-    x, one = _as_stack(point)
-    gamma = _field(chart, _gamma_fields(which)[0], x)
-    return gamma[0] if one else gamma
-
-
 def _gamma_fields(which: str) -> tuple[str, str]:
     """Names of the (coefficient, analytic partial) fields of nabla or nabla*."""
     if which not in ("nabla", "nabla_star"):
@@ -204,13 +166,10 @@ def _gamma_fields(which: str) -> tuple[str, str]:
 
 def _levi_civita_pass(chart: DualisticChart, points: Array) -> tuple[Array, Array, Array, Array]:
     """(g, dg, Gamma0, d Gamma0) over an (N, dim) stack, from one evaluation of g and dg on
-    every point followed by its central-difference stencil."""
-    # On finite-difference metric partials the Christoffel field is itself finite-differenced: a coarser
-    # outer step balances truncation against the propagated rounding noise of the inner differences.
-    step = DEFAULT_FD_STEP * (20.0 if chart.metric_partial is None else 1.0)
-    g, dg, gamma0 = _metric_and_christoffel(chart, _grid(points, step))
-    grid = 1 + 2 * chart.dim  # grid rows per point, the point itself first
-    return g[::grid], dg[::grid], *_with_partials(gamma0, len(points), step)
+    every point of its central-difference grid."""
+    g, dg, gamma0 = _metric_and_christoffel(chart, grid(points, DEFAULT_FD_STEP))
+    rows = 1 + 2 * chart.dim  # grid rows per point, the point itself first
+    return g[::rows], dg[::rows], *grid_partials(gamma0, len(points), DEFAULT_FD_STEP)
 
 
 def _connection_and_partials(chart: DualisticChart, which: str, points: Array) -> tuple[Array, Array]:
@@ -220,7 +179,7 @@ def _connection_and_partials(chart: DualisticChart, which: str, points: Array) -
     name, partial = _gamma_fields(which)
     if getattr(chart, partial) is not None:
         return _field(chart, name, points), _field(chart, partial, points)
-    return _with_partials(_field(chart, name, _grid(points, DEFAULT_FD_STEP)), len(points), DEFAULT_FD_STEP)
+    return grid_partials(_field(chart, name, grid(points, DEFAULT_FD_STEP)), len(points), DEFAULT_FD_STEP)
 
 
 def curvature_from_gamma(gamma: Array, dgamma: Array) -> Array:
@@ -252,7 +211,9 @@ def covariant_two_form_derivative(w: Array, dw: Array, gamma: Array, X: Array, Y
 
 def difference_tensor(chart: DualisticChart, point: Array) -> Array:
     """K[..., k, i, j] = Gamma^k_ij - Gamma0^k_ij at a point or over a stack."""
-    return connection_at(chart, "nabla", point) - levi_civita(chart, point)
+    x, one = _as_stack(point)
+    k = _field(chart, "gamma", x) - levi_civita(chart, x)
+    return k[0] if one else k
 
 
 def kk_bracket(k: Array) -> Array:
@@ -297,7 +258,7 @@ def axiom_residuals(
     """
     x, one = _as_stack(point)
     X, Y, Z, W = (np.asarray(v, dtype=float) for v in (X, Y, Z, W))
-    # g and dg at the points come with the Levi-Civita pass, which evaluates them on the stencil grid anyway
+    # g and dg at the points come with the Levi-Civita pass, which evaluates them on the grid anyway
     g, dg, gam0, dgam0 = _levi_civita_pass(chart, x)
     gam, dgam = _connection_and_partials(chart, "nabla", x)
     gam_star, dgam_star = _connection_and_partials(chart, "nabla_star", x)

@@ -1,9 +1,10 @@
 """Shared numerical kernel.
 
-Dense matrix helpers (Frobenius norms, commutators), the central-difference
-stencil for array-valued fields of several variables, per-instance seeded
-generators, upper-triangle mirroring and box sampling.  Everything here is
-double precision and pure: inputs are never mutated, outputs are fresh arrays.
+Dense matrix helpers (Frobenius norms, commutators), the one central-difference
+primitive (``grid`` and ``grid_partials``) for array-valued fields of several
+variables, per-instance seeded generators, upper-triangle mirroring and box
+sampling.  Everything here is double precision and pure: inputs are never
+mutated, outputs are fresh arrays.
 """
 
 from __future__ import annotations
@@ -42,32 +43,38 @@ def commutator(a, b) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _stencil_signs(dim: int) -> np.ndarray:
-    """Read-only (2 dim, dim) signs: +1 at [2a, a], -1 at [2a + 1, a], 0 elsewhere."""
+def _grid_signs(dim: int) -> np.ndarray:
+    """Read-only (1 + 2 dim, dim) signs: 0 in row 0, +1 at [1 + 2a, a], -1 at [2 + 2a, a], 0 elsewhere."""
     axes = np.arange(dim)
-    signs = np.zeros((2 * dim, dim))
-    signs[2 * axes, axes] = 1.0
-    signs[2 * axes + 1, axes] = -1.0
+    signs = np.zeros((1 + 2 * dim, dim))
+    signs[1 + 2 * axes, axes] = 1.0
+    signs[2 + 2 * axes, axes] = -1.0
     signs.flags.writeable = False
     return signs
 
 
-def stencil(points, step: float) -> np.ndarray:
-    """Central-difference points of a (N, dim) stack, shape (N, 2 dim, dim).
+def grid(points, step: float) -> np.ndarray:
+    """Each point of an (N, dim) stack followed by its central-difference points, an (N (1 + 2 dim), dim) stack.
 
-    ``out[:, 2a]`` is ``x + step e_a`` and ``out[:, 2a + 1]`` is ``x - step e_a``.
+    Row ``(1 + 2 dim) i`` is point i, then rows ``+ 1 + 2a`` and ``+ 2 + 2a``
+    are that point moved by ``+step`` and ``-step`` along axis a.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     x = np.asarray(points, dtype=float)[:, None, :]
-    signs = _stencil_signs(x.shape[-1])
+    signs = _grid_signs(x.shape[-1])
     # the unshifted coordinates are copied, not offset by 0.0, so a -0.0 stays -0.0
-    return np.where(signs == 0.0, x, x + signs * step)
+    return np.where(signs == 0.0, x, x + signs * step).reshape(-1, x.shape[-1])
 
 
-def central_differences(values: np.ndarray, step: float) -> np.ndarray:
-    """(N, dim, ...) partials from (N, 2 dim, ...) field values on ``stencil(points, step)``."""
-    return (values[:, 0::2] - values[:, 1::2]) / (2.0 * step)
+def grid_partials(values: np.ndarray, count: int, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """(values, partials) at ``count`` points from a field's values on their ``grid(points, step)``.
+
+    ``values`` has one row per grid point, (count (1 + 2 dim), ...); the
+    values come back as (count, ...) and the partials as (count, dim, ...).
+    """
+    values = values.reshape((count, -1) + values.shape[1:])
+    return values[:, 0], (values[:, 1::2] - values[:, 2::2]) / (2.0 * step)
 
 
 def instance_rng(seed: int, index: int = 0) -> np.random.Generator:

@@ -35,7 +35,7 @@ from .statistical_geometry import (
     trivial_chart,
     builtin_r2_example,
 )
-from .tensor_core import DEFAULT_FD_STEP, central_differences, sample_points, stencil
+from .tensor_core import DEFAULT_FD_STEP, grid, grid_partials, sample_points
 
 Array = np.ndarray
 
@@ -218,7 +218,7 @@ def _fiber_axiom_check(spec: WarpedProductSpec) -> None:
 def build_warped_chart(spec: WarpedProductSpec, validate_fiber: bool = True) -> DualisticChart:
     """Assemble the (2n+1)-dim dualistic chart of R x_f N, with fields stacked like the fiber's.
 
-    Analytic derivative providers are attached whenever the fiber has them.
+    The analytic connection partials are attached whenever the fiber has them.
     """
     if validate_fiber:
         _fiber_axiom_check(spec)
@@ -272,14 +272,13 @@ def build_warped_chart(spec: WarpedProductSpec, validate_fiber: bool = True) -> 
 
         return gamma_partial
 
-    partial_fields = ("metric_partial", "gamma_partial", "gamma_star_partial")
-    has_analytic = all(getattr(fiber, name) is not None for name in partial_fields)
+    has_analytic = fiber.gamma_partial is not None and fiber.gamma_star_partial is not None
     return DualisticChart(
         dim=d,
         metric=metric,
         gamma=_gamma_from("gamma"),
         gamma_star=_gamma_from("gamma_star"),
-        metric_partial=metric_partial if fiber.metric_partial is not None else None,
+        metric_partial=metric_partial,
         gamma_partial=_gamma_partial_from("gamma_partial") if has_analytic else None,
         gamma_star_partial=_gamma_partial_from("gamma_star_partial") if has_analytic else None,
         label=spec.label,
@@ -420,15 +419,13 @@ def exterior_derivative_2form(dw: Array) -> Array:
     return dw - np.einsum("...bac->...abc", dw) + np.einsum("...cab->...abc", dw)
 
 
-def _d_phi_and_omega(spec: WarpedProductSpec, points: Array) -> tuple[Array, Array]:
-    """Coordinate dPhi on the total chart and dOmega on the fiber at the (N, 2n+1) points, each
-    from one stacked call of the two-form on the points' central-difference stencils."""
-    out = []
-    for form, x in ((fundamental_two_form, points), (fiber_fundamental_form, points[:, 1:])):
-        values = form(spec, stencil(x, DEFAULT_FD_STEP).reshape(-1, x.shape[1]))
-        values = values.reshape(x.shape[:1] + (-1,) + values.shape[1:])
-        out.append(exterior_derivative_2form(central_differences(values, DEFAULT_FD_STEP)))
-    return out[0], out[1]
+def _d_phi_and_omega(spec: WarpedProductSpec, points: Array) -> tuple[Array, Array, Array]:
+    """Phi and the coordinate dPhi on the total chart and dOmega on the fiber at the (N, 2n+1)
+    points, each two-form called once on the central-difference grid of the points."""
+    step = DEFAULT_FD_STEP
+    phi, d_phi = grid_partials(fundamental_two_form(spec, grid(points, step)), len(points), step)
+    d_omega = grid_partials(fiber_fundamental_form(spec, grid(points[:, 1:], step)), len(points), step)[1]
+    return phi, exterior_derivative_2form(d_phi), exterior_derivative_2form(d_omega)
 
 
 def wedge_eta_form(two_form_total: Array) -> Array:
@@ -482,10 +479,10 @@ def _classifications(
     kappa = fp / f  # working coefficient; reported alpha is its negative
     # eta = dt has constant components, so its coordinate d vanishes identically
     d_eta = 0.0
-    d_phi, d_omega_fiber = _d_phi_and_omega(spec, points)
+    phi, d_phi, d_omega_fiber = _d_phi_and_omega(spec, points)
     d_omega = np.zeros(d_phi.shape)
     d_omega[:, 1:, 1:, 1:] = d_omega_fiber
-    wedge = wedge_eta_form(fundamental_two_form(spec, points))
+    wedge = wedge_eta_form(phi)
 
     k, ff = (kappa[:, None, None, None], (f * f)[:, None, None, None])
     axes = (1, 2, 3)

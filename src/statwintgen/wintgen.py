@@ -143,7 +143,7 @@ def _judge(terms: Collection[float], lhs: float) -> tuple[float, float, bool]:
     return rhs, slack, _holds_with_compensation(terms, lhs, slack)
 
 
-def inequality_chain(inst: LegendrianPointInstance, scalars: CurvatureScalars | None = None) -> list[ChainStep]:
+def inequality_chain(inst: LegendrianPointInstance, scalars: CurvatureScalars) -> list[ChainStep]:
     """Per-step verdicts of the proof skeleton, each against the exact rho_perp.
 
     cauchy_schwarz          per-summand (l+m+n+w)^2 <= 4(l^2+m^2+n^2+w^2)
@@ -156,8 +156,6 @@ def inequality_chain(inst: LegendrianPointInstance, scalars: CurvatureScalars | 
     Every step is a list of rhs terms, summed in order and judged by ``_judge``.
     """
     require_valid(inst)
-    if scalars is None:
-        scalars = curvature_scalars(inst)
     n = inst.n
     nn1 = n * (n - 1)
     f, fp, c = inst.f_val, inst.f_prime, inst.c
@@ -320,19 +318,21 @@ def sweep(
 ) -> list[WintgenReport]:
     """Reports for ``count`` seeded instances, ordered by instance index, without chains.
 
-    The ranges and ``magnitude`` are checked once, before any instance is
-    drawn; a bad one raises ValueError naming it.  Instances are drawn per
-    index, as ``random_instance`` draws them, and validated and derived in
+    ``n``, the ranges and ``magnitude`` are checked once, before any
+    instance is drawn; a bad one raises ValueError naming it.  Instances are
+    drawn per index, as ``random_instance`` draws them, and validated and derived in
     stacked chunks of ``sweep_chunk(n)`` (``legendrian.derive_batch``); each
     report is then ``main_inequality`` of an instance whose data is memoized.
     """
+    if n < 2:
+        raise ValueError("n must be >= 2")
     for name, (low, high) in (("c_range", c_range), ("f_range", f_range), ("fprime_range", fprime_range)):
         if not low <= high:
             raise ValueError(f"{name} must have low <= high, got ({low!r}, {high!r})")
     if not magnitude >= 0.0:
         raise ValueError(f"magnitude must be >= 0, got {magnitude!r}")
     out = []
-    chunk = sweep_chunk(max(n, 2))  # n < 2 is refused when the first chunk is drawn
+    chunk = sweep_chunk(n)
     for start in range(0, count, chunk):
         indices = range(start, min(start + chunk, count))
         insts = _random_instances(n, c_range, f_range, fprime_range, magnitude, seed, indices)

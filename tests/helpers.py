@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from statwintgen.statistical_geometry import DualisticChart, metric_partials
-from statwintgen.tensor_core import central_differences, stencil
+from statwintgen.statistical_geometry import DualisticChart
+from statwintgen.tensor_core import grid, grid_partials
 
 
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -38,18 +38,18 @@ def partials(fn, point, step: float) -> np.ndarray:
 
     ``out[a] = (fn(x + step e_a) - fn(x - step e_a)) / 2 step``, stacked along
     axis 0, so ``out[a]`` has the shape of ``fn(x)``: one point of
-    ``tensor_core.stencil`` and ``central_differences``, with ``fn`` called
-    once per stencil point.
+    ``tensor_core.grid`` and ``grid_partials``, with ``fn`` called once per
+    grid point.
     """
     x = np.asarray(point, dtype=float)
-    values = np.array([np.asarray(fn(p), dtype=float) for p in stencil(x[None], step)[0]])
-    return central_differences(values[None], step)[0]
+    values = np.array([np.asarray(fn(p), dtype=float) for p in grid(x[None], step)])
+    return grid_partials(values, 1, step)[1][0]
 
 
 def nabla_g_residual(chart: DualisticChart, gamma: np.ndarray, point: np.ndarray) -> float:
     """max |(nabla g)_{a;ij}| for the connection with coefficients ``gamma``."""
     x = np.asarray(point, dtype=float)
     g = np.asarray(chart.metric(x), dtype=float)
-    dg = metric_partials(chart, x)
+    dg = np.asarray(chart.metric_partial(x), dtype=float)
     cov = dg - np.einsum("mai,mj->aij", gamma, g) - np.einsum("maj,im->aij", gamma, g)
     return float(np.max(np.abs(cov)))

@@ -27,7 +27,6 @@ from statwintgen.legendrian import LegendrianPointInstance
 from statwintgen.statistical_geometry import (
     DualisticChart,
     check_almost_complex,
-    connection_at,
     covariant,
     covariant_two_form_derivative,
     levi_civita,
@@ -260,8 +259,8 @@ def skew_field_residuals(
     X, Y, Z = (np.asarray(v, dtype=float) for v in (X, Y, Z))
     g = np.asarray(chart.metric(point), dtype=float)
     t = np.asarray(t_field(point), dtype=float)
-    gam = connection_at(chart, "nabla", point)
-    gam_star = connection_at(chart, "nabla_star", point)
+    gam = np.asarray(chart.gamma(point), dtype=float)
+    gam_star = np.asarray(chart.gamma_star(point), dtype=float)
     gam0 = levi_civita(chart, point)
     k = gam - gam0
 
@@ -308,11 +307,11 @@ def phi_warp_residual(spec: WarpedProductSpec, chart: DualisticChart, point: Arr
     f, fp, _ = spec.warping.at(point[0])
     phi = phi_matrix(spec, point)
     d_phi = partials(lambda x: phi_matrix(spec, x), point, DEFAULT_FD_STEP)
-    nx_phi_y = _nabla_endomorphism(phi, d_phi, connection_at(chart, "nabla", point), X, Y)
+    nx_phi_y = _nabla_endomorphism(phi, d_phi, np.asarray(chart.gamma(point), dtype=float), X, Y)
     xf = point[1:]
     nxj_fiber = _nabla_endomorphism(
         spec.j_at(xf), partials(spec.j_at, xf, DEFAULT_FD_STEP),
-        connection_at(spec.fiber, "nabla", xf), X[1:], Y[1:],
+        np.asarray(spec.fiber.gamma(xf), dtype=float), X[1:], Y[1:],
     )
     predicted = embed_fiber_vector(nxj_fiber) - (fp / f) * Y[0] * (phi @ X)
     predicted[0] -= (fp / f) * float(X @ warped_metric(spec, point) @ phi @ Y)

@@ -39,8 +39,8 @@ def _charts() -> dict:
             base[name] = (wc.build_warped_chart(spec, validate_fiber=False), oracle.warped_fields(spec))
     out = dict(base)
     for name, (chart, fields) in base.items():
-        no_partials = {k: v for k, v in fields.items() if not k.endswith("_partial")}
-        out[f"{name} without_analytic"] = (chart.without_analytic(), no_partials)
+        no_connection_partials = {k: v for k, v in fields.items() if k not in ("gamma_partial", "gamma_star_partial")}
+        out[f"{name} without_analytic"] = (chart.without_analytic(), no_connection_partials)
         out[f"{name} perturbed"] = (cli._perturbed_chart(chart, EPS), oracle.perturbed(fields, EPS))
     return out
 

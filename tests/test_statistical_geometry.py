@@ -10,13 +10,11 @@ from statwintgen.statistical_geometry import (
     DualisticChart,
     axiom_residuals,
     builtin_r2_example,
-    connection_at,
     curvature,
     curvature_from_gamma,
     difference_tensor,
     kk_bracket,
     levi_civita,
-    metric_partials,
     sectional_curvature,
     trivial_chart,
 )
@@ -29,15 +27,21 @@ EX, EY = np.eye(2)
 
 
 def warped_h3_metric_chart() -> DualisticChart:
-    """dt^2 + e^{2t}(dx^2 + dy^2) with only the metric populated."""
+    """dt^2 + e^{2t}(dx^2 + dy^2) with only the metric and its partials populated."""
 
     def metric(x):
         g = np.eye(3)
         g[1, 1] = g[2, 2] = math.exp(2.0 * x[0])
         return g
 
+    def metric_partial(x):
+        dg = np.zeros((3, 3, 3))
+        dg[0, 1, 1] = dg[0, 2, 2] = 2.0 * math.exp(2.0 * x[0])  # d_t e^{2t}
+        return dg
+
     zeros = stacked(lambda x: np.zeros((3, 3, 3)))
-    return DualisticChart(dim=3, metric=stacked(metric), gamma=zeros, gamma_star=zeros, label="h3-metric")
+    return DualisticChart(dim=3, metric=stacked(metric), gamma=zeros, gamma_star=zeros,
+                          metric_partial=stacked(metric_partial), label="h3-metric")
 
 
 class TestLeviCivita:
@@ -60,6 +64,7 @@ class TestLeviCivita:
             metric=lambda x: 4.0 * chart.metric(x),
             gamma=chart.gamma,
             gamma_star=chart.gamma_star,
+            metric_partial=lambda x: 4.0 * chart.metric_partial(x),
             label="scaled",
         )
         p = np.array([0.2, 0.5, 0.5])
@@ -78,6 +83,7 @@ class TestLeviCivita:
             metric=stacked(lambda x: np.zeros((2, 2))),
             gamma=stacked(lambda x: np.zeros((2, 2, 2))),
             gamma_star=stacked(lambda x: np.zeros((2, 2, 2))),
+            metric_partial=stacked(lambda x: np.zeros((2, 2, 2))),
         )
         with pytest.raises(ValueError):
             levi_civita(chart, np.zeros(2))
@@ -167,7 +173,7 @@ class TestAxiomResiduals:
         rng = np.random.default_rng(4)
         for _ in range(10):
             p = rng.uniform(-1, 1, 2)
-            mean = 0.5 * (connection_at(chart, "nabla", p) + connection_at(chart, "nabla_star", p))
+            mean = 0.5 * (chart.gamma(p) + chart.gamma_star(p))
             npt.assert_allclose(levi_civita(chart, p), mean, atol=1e-6)
 
     def test_fd_path_within_tolerance(self):
@@ -290,22 +296,21 @@ class TestStackedKernel:
             single = sectional_curvature(chart, which, point, probes[0, i], probes[1, i])
             assert type(single) is float and sectional[i] == single
 
-    def test_connections_and_metric_partials(self, name):
+    def test_connections(self, name):
         chart = STACK_CHARTS[name]
         points, _ = _stack(chart)
-        for fn in (levi_civita, difference_tensor, metric_partials):
+        for fn in (levi_civita, difference_tensor):
             stacked = fn(chart, points)
             for i, point in enumerate(points):
                 npt.assert_array_equal(stacked[i], fn(chart, point))
 
     def test_levi_civita_curvature_matches_pointwise_partials(self, name):
-        # the stacked stencil against tensor_core.partials around each point on its own
+        # the stacked grid against helpers.partials around each point on its own
         chart = STACK_CHARTS[name]
         points, _ = _stack(chart, count=3)
-        step = DEFAULT_FD_STEP * (1.0 if chart.metric_partial is not None else 20.0)
         stacked = curvature(chart, "levi_civita", points).components
         for i, point in enumerate(points):
-            dgamma = partials(lambda x: levi_civita(chart, x), point, step)
+            dgamma = partials(lambda x: levi_civita(chart, x), point, DEFAULT_FD_STEP)
             want = curvature_from_gamma(levi_civita(chart, point), dgamma)
             npt.assert_allclose(stacked[i], want, rtol=0.0, atol=1e-12)
 
@@ -321,9 +326,22 @@ class TestFieldContract:
         for call in (lambda: sectional_curvature(chart, "nabla", points, EX, EY), lambda: levi_civita(chart, points)):
             with pytest.raises(ValueError, match=re.escape(message + f"({count}, 2, 2)")):
                 call()
-        # the axioms' Levi-Civita pass evaluates the metric on each point and its four stencil points
+        # the axioms' Levi-Civita pass evaluates the metric on each point and its four grid neighbours
         with pytest.raises(ValueError, match=re.escape(message + f"({5 * count}, 2, 2)")):
             axiom_residuals(chart, points, *probes)
+
+    def test_metric_partial_is_required(self):
+        zeros = stacked(lambda x: np.zeros((2, 2, 2)))
+        with pytest.raises(TypeError, match="metric_partial"):
+            DualisticChart(dim=2, metric=stacked(lambda x: np.eye(2)), gamma=zeros, gamma_star=zeros)
+
+    @pytest.mark.parametrize("name", ["r2", "h3"])
+    def test_without_analytic_strips_only_the_connection_partials(self, name):
+        chart = STACK_CHARTS[name]
+        fd = chart.without_analytic()
+        assert fd.metric_partial is chart.metric_partial
+        assert (fd.metric, fd.gamma, fd.gamma_star) == (chart.metric, chart.gamma, chart.gamma_star)
+        assert fd.gamma_partial is None and fd.gamma_star_partial is None
 
     def test_connection_field_without_the_stack_axis_is_named(self):
         zeros = np.zeros((2, 2, 2, 2))

@@ -7,6 +7,8 @@ import pytest
 from statwintgen.tensor_core import (
     commutator,
     frobenius_norm_sq,
+    grid,
+    grid_partials,
     symmetrize_upper,
 )
 
@@ -101,6 +103,46 @@ class TestCentralDifference:
         # out[a] is the derivative along coordinate a, stacked on axis 0
         out = partials(lambda x: np.array([x[0] * x[1], x[1] ** 2]), [2.0, 3.0], 1e-4)
         npt.assert_allclose(out, [[3.0, 0.0], [2.0, 6.0]], atol=1e-8)
+
+
+class TestGrid:
+    def test_row_order_is_the_point_then_plus_minus_step_per_axis(self):
+        points = np.array([[1.0, 2.0, 3.0], [-4.0, 0.5, 0.25]])
+        step = 0.125
+        rows = grid(points, step)
+        assert rows.shape == (2 * 7, 3)
+        for i, x in enumerate(points):
+            want = [x]
+            for axis in range(3):
+                e = np.eye(3)[axis]
+                want += [x + step * e, x - step * e]
+            npt.assert_array_equal(rows[7 * i : 7 * (i + 1)], want)
+
+    def test_negative_zero_coordinate_survives(self):
+        rows = grid(np.array([[-0.0, 1.0]]), 1e-5)
+        # every row that does not move axis 0 keeps its -0.0, the point itself included
+        for row in rows[[0, 3, 4]]:
+            assert row[0] == 0.0 and math.copysign(1.0, row[0]) == -1.0
+        assert list(rows[1:3, 0]) == [1e-5, -1e-5]
+
+    @pytest.mark.parametrize("step", [0.0, -1e-5])
+    def test_non_positive_step_raises(self, step):
+        with pytest.raises(ValueError, match="step must be positive"):
+            grid(np.zeros((1, 2)), step)
+
+    def test_partials_return_the_values_at_the_points(self):
+        points = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 2))
+        step = 1e-4
+
+        def field(x):  # (N, 2) -> (N, 2, 2)
+            return np.stack([[x[:, 0] * x[:, 1], x[:, 1] ** 2], [3.0 * x[:, 0], x[:, 0] - x[:, 1]]]).transpose(2, 0, 1)
+
+        values, dvalues = grid_partials(field(grid(points, step)), len(points), step)
+        npt.assert_array_equal(values, field(points))
+        assert dvalues.shape == (4, 2, 2, 2)
+        for x, d in zip(points, dvalues):
+            npt.assert_allclose(d[0], [[x[1], 0.0], [3.0, 1.0]], atol=1e-8)
+            npt.assert_allclose(d[1], [[x[0], 2.0 * x[1]], [0.0, -1.0]], atol=1e-8)
 
 
 class TestRandomSymmetricTraceless:

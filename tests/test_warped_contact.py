@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import paper_checks as pc
+import statwintgen.cli as cli
 import statwintgen.statistical_geometry as sg
 import statwintgen.warped_contact as wc
 from statwintgen.tensor_core import sample_points
@@ -262,6 +263,25 @@ class TestContactClassification:
         )
         with pytest.raises(ValueError):
             wc.contact_classification(spec, np.zeros(3))
+
+    @pytest.mark.parametrize("warp", ["exp", "const", "cosh"])
+    @pytest.mark.parametrize("fiber", ["flat", "r2", "twisted"])
+    def test_wedge_uses_the_fundamental_two_form_bit_for_bit(self, warp, fiber, monkeypatch):
+        # Phi comes back from the grid with dPhi; it must be the two-form the classification used to evaluate
+        spec = cli.FIBERS[fiber](cli.WARPS[warp](2.5), 0.4)
+        seen = []
+        original = wc.wedge_eta_form
+
+        def recording(phi):
+            seen.append(phi)
+            return original(phi)
+
+        monkeypatch.setattr(wc, "wedge_eta_form", recording)
+        chk = wc.kenmotsu_theorem_check(spec, samples=6, seed=19)
+        (phi,) = seen
+        want = wc.fundamental_two_form(spec, chk.points)
+        assert phi.shape == want.shape
+        assert phi.tobytes() == want.tobytes()
 
     def test_frame_invariant_residual_small(self, h3_spec):
         rng = np.random.default_rng(5)

@@ -105,7 +105,8 @@ class TestMainInequality:
 
 class TestChain:
     def test_umbilic_lu_step_equality(self):
-        chain = {s.step: s for s in wg.inequality_chain(lg.umbilic_instance())}
+        inst = lg.umbilic_instance()
+        chain = {s.step: s for s in wg.inequality_chain(inst, lg.curvature_scalars(inst))}
         assert chain["lu_bound"].lhs == 0.0
         assert chain["lu_bound"].rhs == 0.0
         assert chain["lu_bound"].holds
@@ -119,7 +120,7 @@ class TestChain:
         # steps 3 and 4 are algebraic rewrites of one another
         for i in range(200):
             inst = wg.random_instance(n=2 + i % 4, seed=77, index=i)
-            chain = {s.step: s for s in wg.inequality_chain(inst)}
+            chain = {s.step: s for s in wg.inequality_chain(inst, lg.curvature_scalars(inst))}
             assert abs(chain["lu_bound"].rhs - chain["substitution_bound"].rhs) <= 1e-9 * max(
                 1.0, abs(chain["lu_bound"].rhs)
             )
@@ -128,7 +129,7 @@ class TestChain:
         # the rederived constant makes step 6 an exact rewrite of step 4
         for i in range(200):
             inst = wg.random_instance(n=2 + i % 4, seed=78, index=i)
-            chain = {s.step: s for s in wg.inequality_chain(inst)}
+            chain = {s.step: s for s in wg.inequality_chain(inst, lg.curvature_scalars(inst))}
             a = chain["substitution_bound"].rhs
             b = chain["final_bound_rederived"].rhs
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
@@ -136,7 +137,7 @@ class TestChain:
     def test_early_steps_and_rederived_hold_on_sweep(self):
         for i in range(1000):
             inst = wg.random_instance(n=2 + i % 4, seed=13, index=i)
-            for step in wg.inequality_chain(inst):
+            for step in wg.inequality_chain(inst, lg.curvature_scalars(inst)):
                 if step.step != "final_bound":
                     assert step.holds, (i, step.step)
 
@@ -168,7 +169,7 @@ class TestChain:
         # B1 <= B2 holds on the sweep domain f >= 1/2
         for i in range(300):
             inst = wg.random_instance(n=2 + i % 4, seed=21, index=i)
-            chain = {s.step: s for s in wg.inequality_chain(inst)}
+            chain = {s.step: s for s in wg.inequality_chain(inst, lg.curvature_scalars(inst))}
             assert chain["cauchy_schwarz"].rhs <= chain["s_operator_bound"].rhs + 1e-9
 
 
@@ -256,6 +257,21 @@ class TestSweep:
         alone = [wg.main_inequality(wg.random_instance(n, seed=seed, index=k, **kwargs), seed=f"{seed}-{k}",
                                     include_chain=False) for k in range(count)]
         assert [repr(r.as_dict()) for r in swept] == [repr(r.as_dict()) for r in alone]
+
+    @pytest.mark.parametrize("count", [0, 5])
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"n": 1}, "n must be >= 2"), ({"n": 0}, "n must be >= 2"),
+         ({"c_range": (3.0, -3.0)}, "c_range must have low <= high"),
+         ({"f_range": (2.0, 1.0)}, "f_range must have low <= high"),
+         ({"fprime_range": (1.0, 0.0)}, "fprime_range must have low <= high"),
+         ({"magnitude": -1.0}, "magnitude must be >= 0")],
+        ids=["n1", "n0", "c_range", "f_range", "fprime_range", "magnitude"],
+    )
+    def test_bad_args_are_refused_before_any_draw(self, kwargs, message, count):
+        # count = 0 draws nothing, so a check made while drawing would let it through
+        with pytest.raises(ValueError, match=message):
+            wg.sweep(**{"n": 2, **kwargs}, count=count, seed=0)
 
     def test_chunks_bound_the_kernel_scratch(self):
         assert wg.sweep_chunk(3) >= 100
