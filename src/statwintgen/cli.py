@@ -240,12 +240,12 @@ def cmd_curvature(args) -> int:
         for points, u, v, vf, uf, wf in _chunks(args.samples, 3, rng, *boxes):
             sectional = sg.sectional_curvature(chart, "levi_civita", points, u, v)
             fd_curvature = {which: sg.curvature(fd, which, points) for which in ("nabla", "nabla_star")}
+            closed = wc.warped_curvature_closed_form(spec, points, uf, vf, wf)
+            probes = wc.closed_form_probes(uf, vf, wf)
             deviations = []
             for case in wc.CLOSED_FORM_CASES:
-                closed = wc.warped_curvature_closed_form(spec, points, case, U=uf, V=vf, W=wf)
                 r = fd_curvature["nabla_star" if case.endswith("*") else "nabla"]
-                num = r.vector(*wc.closed_form_probes(case, uf, vf, wf))
-                deviations.append(np.max(np.abs(closed - num), axis=-1))
+                deviations.append(np.max(np.abs(closed[case] - r.vector(*probes[case])), axis=-1))
             for i in range(len(points)):
                 add("levi-civita sectional", sectional[i], -1.0, 1e-6)
                 for case, dev in zip(wc.CLOSED_FORM_CASES, deviations):
@@ -325,7 +325,7 @@ def cmd_reproduce(args) -> int:
             for i in range(len(points)):
                 add("hyperbolic sectional", sectional[i], -1.0, 1e-6)
                 add("axiom residual", residual[i], 0.0, 1e-6)
-        cls = wc.contact_classification(spec, wc.sample_warped_points(spec, 1, rng)[0])
+        (cls,) = wc.contact_classification(spec, wc.sample_warped_points(spec, 1, rng))
         add("alpha", cls.alpha, -1.0, 1e-12)
         add("d_phi residual", cls.d_phi_residual, 0.0, 1e-8)
     passed = all(c["ok"] for c in checks)

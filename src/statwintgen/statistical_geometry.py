@@ -16,11 +16,10 @@ Index conventions, fixed package-wide:
                                (coordinate frames, so no bracket term)
 Sectional-type contractions use K(X,Y) = g(R(X,Y)Y,X) / (|X|^2|Y|^2 - g(X,Y)^2).
 
-The geometry functions take one point or a stack of N points and evaluate a single
-point as the N = 1 stack: one call of each chart field, one ``np.linalg.inv`` and one
-set of einsums per stack, and one ``tensor_core.grid`` array holding every sample
-followed by its 2 dim central-difference points.  Component arrays then carry the
-leading axis N.
+The geometry functions take an (N, dim) stack of points and return per-point
+arrays with the leading axis N: one call of each chart field, one ``np.linalg.inv``
+and one set of einsums per stack, and one ``tensor_core.grid`` array holding every
+sample followed by its 2 dim central-difference points.  One point is the N = 1 stack.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ class DualisticChart:
 
 @dataclass(frozen=True)
 class CurvatureTensor:
-    """Curvature components R[..., l, k, i, j] at a point or a stack of points (see module docstring)."""
+    """Curvature components R[N, l, k, i, j] over a stack of points (see module docstring)."""
 
     components: Array
 
@@ -74,16 +73,15 @@ class CurvatureTensor:
         """Components of R(X,Y)Z."""
         return np.einsum("...lkij,...k,...i,...j->...l", self.components, Z, X, Y)
 
-    def scalar(self, g: Array, X: Array, Y: Array, Z: Array, W: Array) -> float | Array:
-        """g(R(X,Y)Z, W); a float at one point, an array over a stack."""
-        return _float_at_one_point(_bilinear(self.vector(X, Y, Z), g, W))
+    def scalar(self, g: Array, X: Array, Y: Array, Z: Array, W: Array) -> Array:
+        """g(R(X,Y)Z, W), one value per point."""
+        return _bilinear(self.vector(X, Y, Z), g, W)
 
 
 # ---------------------------------------------------------------------------
-# The stacked kernel.  Every function below takes one point, shape (dim,), or
-# a stack of points, shape (N, dim); a single point is evaluated as the N = 1
-# stack.  Each chart field is called once per stack, and the linear algebra
-# runs once per stack.
+# The stacked kernel.  Every function below takes a stack of points, shape
+# (N, dim), and returns arrays with the leading axis N.  Each chart field is
+# called once per stack, and the linear algebra runs once per stack.
 # ---------------------------------------------------------------------------
 
 # Floats of kernel scratch per stacked pass of the CLI's geometry commands.
@@ -97,16 +95,6 @@ def geometry_chunk(dim: int) -> int:
     4 (1+2d) d^3 Christoffel-stage floats on its grid and 8 d^4 curvature floats.
     """
     return max(1, GEOMETRY_CHUNK_FLOATS // (4 * (1 + 2 * dim) * dim**3 + 8 * dim**4))
-
-
-def _as_stack(point: Array) -> tuple[Array, bool]:
-    """(points as an (N, dim) float stack, whether a single point was given)."""
-    x = np.asarray(point, dtype=float)
-    return (x[None], True) if x.ndim == 1 else (x, False)
-
-
-def _float_at_one_point(value: Array) -> float | Array:
-    return float(value) if np.ndim(value) == 0 else value
 
 
 _FIELD_RANKS = dict(metric=2, gamma=3, gamma_star=3, metric_partial=3, gamma_partial=4, gamma_star_partial=4)
@@ -149,11 +137,9 @@ def _metric_and_christoffel(chart: DualisticChart, points: Array) -> tuple[Array
     return g, dg, 0.5 * np.einsum("...kl,...lij->...kij", g_inv, lowered)
 
 
-def levi_civita(chart: DualisticChart, point: Array) -> Array:
-    """Christoffel symbols of the metric, Gamma0[..., k, i, j], from g and dg."""
-    x, one = _as_stack(point)
-    gamma0 = _metric_and_christoffel(chart, x)[2]
-    return gamma0[0] if one else gamma0
+def levi_civita(chart: DualisticChart, points: Array) -> Array:
+    """Christoffel symbols of the metric, Gamma0[N, k, i, j], from g and dg."""
+    return _metric_and_christoffel(chart, np.asarray(points, dtype=float))[2]
 
 
 def _gamma_fields(which: str) -> tuple[str, str]:
@@ -189,11 +175,10 @@ def curvature_from_gamma(gamma: Array, dgamma: Array) -> Array:
     return term_d + term_q
 
 
-def curvature(chart: DualisticChart, which: str, point: Array) -> CurvatureTensor:
-    """Curvature tensor of nabla, nabla* or the Levi-Civita connection at a point or over a stack."""
-    x, one = _as_stack(point)
-    R = curvature_from_gamma(*_connection_and_partials(chart, which, x))
-    return CurvatureTensor(R[0] if one else R)
+def curvature(chart: DualisticChart, which: str, points: Array) -> CurvatureTensor:
+    """Curvature tensor of nabla, nabla* or the Levi-Civita connection over a stack."""
+    points = np.asarray(points, dtype=float)
+    return CurvatureTensor(curvature_from_gamma(*_connection_and_partials(chart, which, points)))
 
 
 def covariant(gamma: Array, A: Array, B: Array) -> Array:
@@ -201,19 +186,16 @@ def covariant(gamma: Array, A: Array, B: Array) -> Array:
     return np.einsum("...kab,...a,...b->...k", gamma, A, B)
 
 
-def covariant_two_form_derivative(w: Array, dw: Array, gamma: Array, X: Array, Y: Array, Z: Array) -> float | Array:
+def covariant_two_form_derivative(w: Array, dw: Array, gamma: Array, X: Array, Y: Array, Z: Array) -> Array:
     """(nabla_X w)(Y,Z) from a two-form w, its partials dw[a] = d_a w and connection coefficients."""
     dir_w = np.einsum("...a,...abc->...bc", X, dw)
-    return _float_at_one_point(
-        _bilinear(Y, dir_w, Z) - _bilinear(covariant(gamma, X, Y), w, Z) - _bilinear(Y, w, covariant(gamma, X, Z))
-    )
+    return _bilinear(Y, dir_w, Z) - _bilinear(covariant(gamma, X, Y), w, Z) - _bilinear(Y, w, covariant(gamma, X, Z))
 
 
-def difference_tensor(chart: DualisticChart, point: Array) -> Array:
-    """K[..., k, i, j] = Gamma^k_ij - Gamma0^k_ij at a point or over a stack."""
-    x, one = _as_stack(point)
-    k = _field(chart, "gamma", x) - levi_civita(chart, x)
-    return k[0] if one else k
+def difference_tensor(chart: DualisticChart, points: Array) -> Array:
+    """K[N, k, i, j] = Gamma^k_ij - Gamma0^k_ij over a stack."""
+    points = np.asarray(points, dtype=float)
+    return _field(chart, "gamma", points) - levi_civita(chart, points)
 
 
 def kk_bracket(k: Array) -> Array:
@@ -221,16 +203,15 @@ def kk_bracket(k: Array) -> Array:
     return np.einsum("...lim,...mjk->...lkij", k, k) - np.einsum("...ljm,...mik->...lkij", k, k)
 
 
-def sectional_curvature(chart: DualisticChart, which: str, point: Array, X: Array, Y: Array) -> float | Array:
-    """g(R(X,Y)Y,X) normalized by the Gram determinant of the plane; an array over a stack."""
-    x, one = _as_stack(point)
-    g = _field(chart, "metric", x)
-    num = curvature(chart, which, x).scalar(g, X, Y, Y, X)
+def sectional_curvature(chart: DualisticChart, which: str, points: Array, X: Array, Y: Array) -> Array:
+    """g(R(X,Y)Y,X) normalized by the Gram determinant of the plane, one value per point."""
+    points = np.asarray(points, dtype=float)
+    g = _field(chart, "metric", points)
+    num = curvature(chart, which, points).scalar(g, X, Y, Y, X)
     gram = _bilinear(X, g, X) * _bilinear(Y, g, Y) - _bilinear(X, g, Y) ** 2
     if np.any(np.abs(gram) < 1e-12):
         raise ValueError("probe vectors are (numerically) linearly dependent")
-    value = num / gram
-    return float(value[0]) if one else value
+    return num / gram
 
 
 AXIOM_RESIDUALS = ("duality", "codazzi", "k_symmetry", "k_self_adjoint", "conjugate", "curvature_sum")
@@ -238,12 +219,12 @@ AXIOM_RESIDUALS = ("duality", "codazzi", "k_symmetry", "k_self_adjoint", "conjug
 
 def axiom_residuals(
     chart: DualisticChart,
-    point: Array,
+    points: Array,
     X: Array,
     Y: Array,
     Z: Array,
     W: Array,
-) -> dict[str, float] | dict[str, Array]:
+) -> dict[str, Array]:
     """Residuals of the dualistic-structure axioms with constant-frame probes.
 
     duality         |Z g(X,Y) - g(nabla_Z X, Y) - g(X, nabla*_Z Y)|
@@ -253,10 +234,10 @@ def axiom_residuals(
     conjugate       |g(R(X,Y)Z, W) + g(Z, R*(X,Y)W)|
     curvature_sum   componentwise max of R + R* - 2 R0 - 2 [K,K]
 
-    Over a stack of points the probes are stacks too (or one probe for all)
-    and each residual is an array, one value per point.
+    The probes are stacks like the points (or one probe for all), and each
+    residual is an array, one value per point.
     """
-    x, one = _as_stack(point)
+    x = np.asarray(points, dtype=float)
     X, Y, Z, W = (np.asarray(v, dtype=float) for v in (X, Y, Z, W))
     # g and dg at the points come with the Levi-Civita pass, which evaluates them on the grid anyway
     g, dg, gam0, dgam0 = _levi_civita_pass(chart, x)
@@ -284,7 +265,7 @@ def axiom_residuals(
     curvature_sum = np.max(np.abs(total), axis=(-4, -3, -2, -1))
 
     values = (duality, codazzi, k_sym, k_self, conjugate, curvature_sum)
-    return {name: float(v[0]) if one else v for name, v in zip(AXIOM_RESIDUALS, values)}
+    return dict(zip(AXIOM_RESIDUALS, values))
 
 
 def check_almost_complex(g: Array, J: Array) -> float:

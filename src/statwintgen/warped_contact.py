@@ -15,6 +15,9 @@ of the fundamental two-form Phi(X,Y) = <phi X, Y>.
 Sign conventions: Omega(X,Y) = g(JX, Y) on the fiber, matching Phi's slot
 order; with these the exact two-form identity of the warp is
 dPhi = f^2 dOmega - 2 alpha eta ^ Phi for the reported alpha = -f'/f.
+
+Every function works on (N, 2n+1) stacks of points, one value or record per point;
+the closed forms give all eight ``CLOSED_FORM_CASES`` from one evaluation of f and g_N.
 """
 
 from __future__ import annotations
@@ -182,7 +185,7 @@ def embed_fiber_vector(v: Array) -> Array:
 
 
 def warped_metric(spec: WarpedProductSpec, point: Array) -> Array:
-    """dt^2 + f(t)^2 g_N at a point (2n+1,) or at each point of a (..., 2n+1) stack."""
+    """dt^2 + f(t)^2 g_N at each point of a (..., 2n+1) stack."""
     point = np.asarray(point, dtype=float)
     f, _, _ = spec.warping.at(point[..., 0])
     g = np.zeros(point.shape[:-1] + (spec.dim, spec.dim))
@@ -204,7 +207,7 @@ def _fiber_axiom_check(spec: WarpedProductSpec) -> None:
     rng = np.random.default_rng(171)
     fiber = spec.fiber
     pts = sample_points(fiber.dim, 3, rng)
-    probes = np.array([[rng.uniform(-1.0, 1.0, fiber.dim) for _ in range(4)] for _ in pts])
+    probes = rng.uniform(-1.0, 1.0, size=(len(pts), 4, fiber.dim))
     residuals = axiom_residuals(fiber, pts, *probes.transpose(1, 0, 2))
     for p, *values in zip(pts, *residuals.values()):
         worst = max(values)
@@ -285,35 +288,23 @@ def build_warped_chart(spec: WarpedProductSpec, validate_fiber: bool = True) -> 
     )
 
 
-def _closed_form_case(case: str) -> str:
-    """``case`` when it is one of ``CLOSED_FORM_CASES``; raises ValueError otherwise."""
-    if case not in CLOSED_FORM_CASES:
-        raise ValueError(f"unknown case {case!r}; expected one of {CLOSED_FORM_CASES}")
-    return case
-
-
-def closed_form_probes(case: str, U: Array, V: Array, W: Array) -> tuple[Array, Array, Array]:
-    """Total-chart probes (X, Y, Z) whose R(X,Y)Z ``warped_curvature_closed_form`` gives.
+def closed_form_probes(U: Array, V: Array, W: Array) -> dict[str, tuple[Array, Array, Array]]:
+    """Total-chart probes (X, Y, Z) whose R(X,Y)Z ``warped_curvature_closed_form`` gives, by case.
 
     a: (V, dt, dt)   b: (V, U, dt)   c: (dt, V, W)   d: (V, W, U), with the
-    fiber probes embedded; a starred case uses the probes of its base case.
-    Stacked fiber probes (N, 2n) give stacked total-chart probes.
+    (N, 2n) fiber probes embedded; a starred case uses the probes of its base case.
     """
     u, v, w = (embed_fiber_vector(a) for a in (U, V, W))
     dt = np.zeros(u.shape)
     dt[..., 0] = 1.0
-    return {"a": (v, dt, dt), "b": (v, u, dt), "c": (dt, v, w), "d": (v, w, u)}[_closed_form_case(case)[0]]
+    base = {"a": (v, dt, dt), "b": (v, u, dt), "c": (dt, v, w), "d": (v, w, u)}
+    return {case: base[case[0]] for case in CLOSED_FORM_CASES}
 
 
 def warped_curvature_closed_form(
-    spec: WarpedProductSpec,
-    point: Array,
-    case: str,
-    U: Array | None = None,
-    V: Array | None = None,
-    W: Array | None = None,
-) -> Array:
-    """Closed-form curvature of the warp, by case; probes are fiber vectors.
+    spec: WarpedProductSpec, points: Array, U: Array, V: Array, W: Array
+) -> dict[str, Array]:
+    """Closed-form curvature of the warp for each of ``CLOSED_FORM_CASES``; probes are fiber vectors.
 
       a : R(V, dt) dt = -(f''/f) V
       b : R(V, U) dt = 0
@@ -321,52 +312,31 @@ def warped_curvature_closed_form(
       d : R(V, W) U = R^N(V,W)U - (f'/f)^2 [<W,U> V - <V,U> W]
 
     Starred cases use the dual fiber curvature in (d*); <.,.> is the warped
-    metric f^2 g_N on fiber vectors.  Returns total-chart components; over a
-    stack of points (N, 2n+1), with stacked probes, one row per point.
+    metric f^2 g_N on fiber vectors.  Over a stack of points (N, 2n+1), with
+    (N, 2n) probes, each case gives total-chart components, one row per point.
     """
-    case = _closed_form_case(case)
-    point = np.asarray(point, dtype=float)
-    xf = point[..., 1:]
-    f, fp, fpp = spec.warping.at(point[..., 0])
+    points = np.asarray(points, dtype=float)
+    u, v, wv = (np.asarray(a, dtype=float) for a in (U, V, W))
+    xf = points[:, 1:]
+    f, fp, fpp = spec.warping.at(points[:, 0])
     g_n = np.asarray(spec.fiber.metric(xf), dtype=float)
-    which = "nabla_star" if case.endswith("*") else "nabla"
-    base = case[0]
-
-    def need(name: str, v: Array | None) -> Array:
-        if v is None:
-            raise ValueError(f"case {case!r} requires fiber probe {name}")
-        v = np.asarray(v, dtype=float)
-        if v.shape[-1:] != (spec.fiber.dim,):
-            raise ValueError(f"probe {name} must be a fiber vector of dim {spec.fiber.dim}")
-        return v
 
     def ip(a: Array, b: Array) -> Array:
         """g_N(a, b) as the row-vector products (a g_N) b, with a trailing axis to scale vectors by."""
         return (np.matmul(a[..., None, :], g_n) @ b[..., :, None])[..., 0, :]
 
-    if base == "a":
-        v = need("V", V)
-        return embed_fiber_vector(-(fpp / f)[..., None] * v)
-    if base == "b":
-        need("V", V)
-        need("U", U)
-        return np.zeros(point.shape)
-    if base == "c":
-        v = need("V", V)
-        wv = need("W", W)
-        warped_ip = (f * f)[..., None] * ip(v, wv)
-        return np.concatenate((-(fpp / f)[..., None] * warped_ip, np.zeros(xf.shape)), axis=-1)
-    # case d
-    v = need("V", V)
-    wv = need("W", W)
-    u = need("U", U)
-    r_fiber = curvature(spec.fiber, which, xf).vector(v, wv, u)
+    a = embed_fiber_vector(-(fpp / f)[..., None] * v)
+    b = np.zeros(points.shape)
+    warped_ip = (f * f)[..., None] * ip(v, wv)
+    c = np.concatenate((-(fpp / f)[..., None] * warped_ip, np.zeros(xf.shape)), axis=-1)
     warp = ((fp / f) ** 2 * (f * f))[..., None] * (ip(wv, u) * v - ip(v, u) * wv)
-    return embed_fiber_vector(r_fiber - warp)
+    d, d_star = (embed_fiber_vector(curvature(spec.fiber, which, xf).vector(v, wv, u) - warp)
+                 for which in ("nabla", "nabla_star"))
+    return {"a": a, "b": b, "c": c, "d": d, "a*": a, "b*": b, "c*": c, "d*": d_star}
 
 
 def phi_matrix(spec: WarpedProductSpec, point: Array) -> Array:
-    """(1,1) frame tensor on the total chart: phi(dt) = 0, phi(X) = JX; at a point or over a stack."""
+    """(1,1) frame tensor on the total chart: phi(dt) = 0, phi(X) = JX; at each point of a (..., 2n+1) stack."""
     point = np.asarray(point, dtype=float)
     out = np.zeros(point.shape[:-1] + (spec.dim, spec.dim))
     out[..., 1:, 1:] = spec.j_at(point[..., 1:])
@@ -378,16 +348,16 @@ def phi_matrix(spec: WarpedProductSpec, point: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 
-def frame_invariant_residual(spec: WarpedProductSpec, point: Array) -> float | Array:
-    """Worst violation of the almost-contact-metric frame identities; over a stack, one per point.
+def frame_invariant_residual(spec: WarpedProductSpec, points: Array) -> Array:
+    """Worst violation of the almost-contact-metric frame identities, one value per point of a stack.
 
     phi xi = 0, eta o phi = 0, phi^2 = -Id + eta (x) xi,
     <phi u, phi v> = <u,v> - eta(u) eta(v).
     """
-    point = np.asarray(point, dtype=float)
+    points = np.asarray(points, dtype=float)
     d = spec.dim
-    g = warped_metric(spec, point)
-    phi = phi_matrix(spec, point)
+    g = warped_metric(spec, points)
+    phi = phi_matrix(spec, points)
     xi = eta = np.eye(d)[0]
     res = np.stack([
         np.max(np.abs(phi @ xi), axis=-1),
@@ -395,17 +365,16 @@ def frame_invariant_residual(spec: WarpedProductSpec, point: Array) -> float | A
         np.max(np.abs(phi @ phi + np.eye(d) - np.outer(xi, eta)), axis=(-2, -1)),
         np.max(np.abs(np.swapaxes(phi, -1, -2) @ g @ phi - g + np.outer(eta, eta)), axis=(-2, -1)),
     ])
-    worst = np.max(res, axis=0)
-    return float(worst) if worst.ndim == 0 else worst
+    return np.max(res, axis=0)
 
 
 def fundamental_two_form(spec: WarpedProductSpec, point: Array) -> Array:
-    """Phi_ab = <phi d_a, d_b> on the total chart, at a point or over a stack."""
+    """Phi_ab = <phi d_a, d_b> on the total chart, at each point of a (..., 2n+1) stack."""
     return np.swapaxes(phi_matrix(spec, point), -1, -2) @ warped_metric(spec, point)
 
 
 def fiber_fundamental_form(spec: WarpedProductSpec, fiber_point: Array) -> Array:
-    """Omega_ab = g_N(J d_a, d_b) on the fiber, at a point or over a stack."""
+    """Omega_ab = g_N(J d_a, d_b) on the fiber, at each point of a (..., 2n) stack."""
     fiber_point = np.asarray(fiber_point, dtype=float)
     g_n = np.asarray(spec.fiber.metric(fiber_point), dtype=float)
     return np.swapaxes(spec.j_at(fiber_point), -1, -2) @ g_n
@@ -458,16 +427,9 @@ class ContactClassification:
 
 
 def contact_classification(
-    spec: WarpedProductSpec, point: Array, tol: float = 1e-8, frame_tol: float = 1e-9
-) -> ContactClassification:
-    """Classification record at one point, the N = 1 stack of ``_classifications``."""
-    return _classifications(spec, np.asarray(point, dtype=float)[None], tol, frame_tol)[0]
-
-
-def _classifications(
-    spec: WarpedProductSpec, points: Array, tol: float, frame_tol: float
+    spec: WarpedProductSpec, points: Array, tol: float = 1e-8, frame_tol: float = 1e-9
 ) -> tuple[ContactClassification, ...]:
-    """``contact_classification`` at each of the (N, 2n+1) points, evaluated as one stack.
+    """Classification record at each of the (N, 2n+1) points, evaluated as one stack.
 
     A frame residual above ``frame_tol`` raises at the first such point.
     """
@@ -535,7 +497,7 @@ def kenmotsu_theorem_check(
     rng = np.random.default_rng(seed)
     pts = sample_warped_points(spec, samples, rng)
     chart = build_warped_chart(spec, validate_fiber=False)
-    classifications = _classifications(spec, pts, tol, math.inf)
+    classifications = contact_classification(spec, pts, tol, math.inf)
     fiber_res = [check_almost_complex(spec.fiber.metric(pts[:, 1:]), spec.j_at(pts[:, 1:]))]
     fiber_res += [cls.d_omega_residual for cls in classifications]
     total_res = [r for cls in classifications for r in (cls.frame_residual, cls.d_phi_residual)]

@@ -257,23 +257,34 @@ def random_instance(
     Draw order is fixed: c, f, f', then the phi-slices of h (alpha ascending),
     then those of h*; each slice is a symmetrized uniform [-magnitude,
     magnitude] matrix.  xi-slices are set to the forced -(f'/f) I exactly.
+    The arguments are checked as ``sweep`` checks them.
     """
+    _check_draw_args(n, c_range, f_range, fprime_range, magnitude)
     return _random_instances(n, c_range, f_range, fprime_range, magnitude, seed, range(index, index + 1))[0]
 
 
 def _random_instances(n: int, c_range, f_range, fprime_range, magnitude: float, seed: int,
                       indices: range) -> list[LegendrianPointInstance]:
     """``random_instance`` for every index, each drawn from its own stream, built as one stack."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if f_range[0] <= 0.0:
-        raise ValueError("f_range must be positive")
     params, upper = [], []
     for index in indices:
         rng = instance_rng(seed, index)
         params.append((rng.uniform(*c_range), rng.uniform(*f_range), rng.uniform(*fprime_range)))
         upper.append(rng.uniform(-magnitude, magnitude, size=(2 * n, n, n)))
     return _instances_from_upper(n, params, np.stack(upper))
+
+
+def _check_draw_args(n: int, c_range, f_range, fprime_range, magnitude: float) -> None:
+    """Refuse, before any draw, an ``n``, range or ``magnitude`` that ``_random_instances`` cannot draw from."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n!r}")
+    for name, (low, high) in (("c_range", c_range), ("f_range", f_range), ("fprime_range", fprime_range)):
+        if not low <= high:
+            raise ValueError(f"{name} must have low <= high, got ({low!r}, {high!r})")
+    if not magnitude >= 0.0:
+        raise ValueError(f"magnitude must be >= 0, got {magnitude!r}")
+    if not f_range[0] > 0.0:
+        raise ValueError(f"f_range must be positive, got ({f_range[0]!r}, {f_range[1]!r})")
 
 
 def _instances_from_upper(n: int, params: list[tuple[float, float, float]],
@@ -324,13 +335,7 @@ def sweep(
     stacked chunks of ``sweep_chunk(n)`` (``legendrian.derive_batch``); each
     report is then ``main_inequality`` of an instance whose data is memoized.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    for name, (low, high) in (("c_range", c_range), ("f_range", f_range), ("fprime_range", fprime_range)):
-        if not low <= high:
-            raise ValueError(f"{name} must have low <= high, got ({low!r}, {high!r})")
-    if not magnitude >= 0.0:
-        raise ValueError(f"magnitude must be >= 0, got {magnitude!r}")
+    _check_draw_args(n, c_range, f_range, fprime_range, magnitude)
     out = []
     chunk = sweep_chunk(n)
     for start in range(0, count, chunk):

@@ -261,7 +261,7 @@ def skew_field_residuals(
     t = np.asarray(t_field(point), dtype=float)
     gam = np.asarray(chart.gamma(point), dtype=float)
     gam_star = np.asarray(chart.gamma_star(point), dtype=float)
-    gam0 = levi_civita(chart, point)
+    gam0 = levi_civita(chart, point[None])[0]
     k = gam - gam0
 
     def w_field(x: Array) -> Array:

@@ -54,10 +54,10 @@ def test_criterion_1_r2_reproduction():
         p = rng.uniform(-1, 1, 2)
         g = chart.metric(p)
         for which in ("nabla", "nabla_star"):
-            ok &= abs(sg.curvature(chart, which, p).scalar(g, EX, EY, EY, EX) + 1.0) <= 1e-10
-            ok &= abs(sg.curvature(fd, which, p).scalar(g, EX, EY, EY, EX) + 1.0) <= 1e-6
+            ok &= abs(sg.curvature(chart, which, p[None]).scalar(g, EX, EY, EY, EX)[0] + 1.0) <= 1e-10
+            ok &= abs(sg.curvature(fd, which, p[None]).scalar(g, EX, EY, EY, EX)[0] + 1.0) <= 1e-6
         probes = [rng.uniform(-1, 1, 2) for _ in range(4)]
-        ok &= max(sg.axiom_residuals(chart, p, *probes).values()) < 1e-8
+        ok &= max(v[0] for v in sg.axiom_residuals(chart, p[None], *probes).values()) < 1e-8
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0
     assert _line(1, "r2 example reproduction", ok, f"runtime {elapsed:.2f}s")
@@ -87,7 +87,7 @@ def test_criterion_2_h3_reproduction():
     for _ in range(50):
         q = wc.sample_warped_points(spec, 1, rng)[0]
         u, v = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-        worst = max(worst, abs(sg.sectional_curvature(chart, "levi_civita", q, u, v) + 1.0))
+        worst = max(worst, abs(sg.sectional_curvature(chart, "levi_civita", q[None], u, v)[0] + 1.0))
     ok &= worst <= 1e-6
     elapsed = time.perf_counter() - start
     ok &= elapsed < 5.0
@@ -113,11 +113,12 @@ def test_criterion_3_closed_form_curvature():
             for _ in range(20):
                 p = wc.sample_warped_points(spec, 1, rng)[0]
                 vf, uf, wf = (rng.uniform(-1, 1, 2) for _ in range(3))
+                closed = wc.warped_curvature_closed_form(spec, p[None], uf[None], vf[None], wf[None])
+                probes = wc.closed_form_probes(uf, vf, wf)
                 for case in wc.CLOSED_FORM_CASES:
-                    closed = wc.warped_curvature_closed_form(spec, p, case, U=uf, V=vf, W=wf)
                     which = "nabla_star" if case.endswith("*") else "nabla"
-                    num = sg.curvature(chart, which, p).vector(*wc.closed_form_probes(case, uf, vf, wf))
-                    worst = max(worst, float(np.max(np.abs(closed - num))))
+                    num = sg.curvature(chart, which, p[None]).vector(*probes[case])[0]
+                    worst = max(worst, float(np.max(np.abs(closed[case][0] - num))))
                     samples += 1
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and samples >= 100 and elapsed < 30.0
@@ -135,8 +136,8 @@ def test_criterion_4_space_form_curvature():
         x, y, z, w = (rng.uniform(-1, 1, 3) for _ in range(4))
         closed = pc.space_form_warped_curvature(spec, 0.0, p, x, y, z, w)
         g = wc.warped_metric(spec, p)
-        worst = max(worst, abs(closed - sg.curvature(chart, "nabla", p).scalar(g, x, y, z, w)))
-        worst = max(worst, abs(closed - sg.curvature(chart, "nabla_star", p).scalar(g, x, y, z, w)))
+        worst = max(worst, abs(closed - sg.curvature(chart, "nabla", p[None]).scalar(g, x, y, z, w)[0]))
+        worst = max(worst, abs(closed - sg.curvature(chart, "nabla_star", p[None]).scalar(g, x, y, z, w)[0]))
     ok = worst <= 1e-6
     anti = 0.0
     for c in (-3.0, 1.5, 4.0):
@@ -154,11 +155,11 @@ def test_criterion_4_space_form_curvature():
 
 def test_criterion_5_contact_classification():
     const_spec = wc.flat_kaehler_spec(1, wc.const_warping(2.0))
-    cls_const = wc.contact_classification(const_spec, np.array([0.2, 0.4, -0.1]))
+    cls_const = wc.contact_classification(const_spec, np.array([[0.2, 0.4, -0.1]]))[0]
     ok = cls_const.structure_tag == "almost cosymplectic" and cls_const.d_phi_residual < 1e-8
 
     exp_spec = wc.flat_kaehler_spec(1, wc.exp_warping())
-    cls_exp = wc.contact_classification(exp_spec, np.array([0.3, -0.2, 0.5]))
+    cls_exp = wc.contact_classification(exp_spec, np.array([[0.3, -0.2, 0.5]]))[0]
     ok &= abs(abs(cls_exp.alpha) - 1.0) <= 1e-12
     ok &= cls_exp.contact_identity_residual < 1e-8
 

@@ -639,6 +639,8 @@ BAD_FLAGS = {
     "sweep --magnitude -1": ("magnitude must be >= 0", ["sweep", "--magnitude", "-1"]),
     "sweep --c-min 3 --c-max -3": ("c_range must have low <= high", ["sweep", "--c-min", "3", "--c-max", "-3"]),
     "sweep --f-min 2 --f-max 1": ("f_range must have low <= high", ["sweep", "--f-min", "2", "--f-max", "1"]),
+    "sweep --n 1": ("n must be >= 2", ["sweep", "--n", "1"]),
+    "sweep --f-min 0 --f-max 1": ("f_range must be positive", ["sweep", "--f-min", "0", "--f-max", "1"]),
 }
 SMALL_RUN = {"sharpness": ["--iterations", "5"], "sweep": ["--count", "5"]}
 
@@ -739,10 +741,9 @@ def test_one_call_chunk_draws_equal_the_per_sample_draws(argv, budget, tmp_path,
 
     closed_form, probes = wc.warped_curvature_closed_form, []
 
-    def recording_probes(spec, points, case, U=None, V=None, W=None):
-        if case == "a":
-            probes.extend(zip(U, V, W))
-        return closed_form(spec, points, case, U=U, V=V, W=W)
+    def recording_probes(spec, points, U, V, W):
+        probes.extend(zip(U, V, W))
+        return closed_form(spec, points, U, V, W)
 
     monkeypatch.setattr(cli, "_chunks", recording)
     monkeypatch.setattr(wc, "warped_curvature_closed_form", recording_probes)
@@ -815,8 +816,8 @@ def test_non_finite_residual_names_the_first_sample_and_residual(chart_name, bud
     want = None
     with np.errstate(all="ignore"):
         for point, *probes in draws:  # one sample at a time, residuals in report order
-            for name, value in sg.axiom_residuals(chart, point, *probes).items():
-                if want is None and not np.isfinite(value):
+            for name, value in sg.axiom_residuals(chart, point[None], *(q[None] for q in probes)).items():
+                if want is None and not np.isfinite(value[0]):
                     want = f"error: arithmetic overflow: non-finite {name} residual at {point.tolist()}"
     assert want is not None
     if budget is not None:

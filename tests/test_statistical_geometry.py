@@ -47,12 +47,12 @@ def warped_h3_metric_chart() -> DualisticChart:
 class TestLeviCivita:
     def test_euclidean_vanishes(self):
         chart = trivial_chart(3)
-        npt.assert_array_equal(levi_civita(chart, np.zeros(3)), np.zeros((3, 3, 3)))
+        npt.assert_array_equal(levi_civita(chart, np.zeros((1, 3)))[0], np.zeros((3, 3, 3)))
 
     def test_warped_metric_hand_values(self):
         chart = warped_h3_metric_chart()
         p = np.array([0.3, 0.1, -0.4])
-        gamma0 = levi_civita(chart, p)
+        gamma0 = levi_civita(chart, p[None])[0]
         e2t = math.exp(2.0 * 0.3)
         assert abs(gamma0[0, 1, 1] + e2t) <= 1e-9  # Gamma^t_xx = -e^{2t}
         assert abs(gamma0[1, 0, 1] - 1.0) <= 1e-9  # Gamma^x_tx = 1
@@ -68,14 +68,14 @@ class TestLeviCivita:
             label="scaled",
         )
         p = np.array([0.2, 0.5, 0.5])
-        npt.assert_allclose(levi_civita(chart, p), levi_civita(scaled, p), atol=1e-8)
+        npt.assert_allclose(levi_civita(chart, p[None])[0], levi_civita(scaled, p[None])[0], atol=1e-8)
 
     def test_metric_covariantly_constant(self):
         chart = warped_h3_metric_chart()
         rng = np.random.default_rng(2)
         for _ in range(5):
             p = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-1, 1), rng.uniform(-1, 1)])
-            assert nabla_g_residual(chart, levi_civita(chart, p), p) < 1e-6
+            assert nabla_g_residual(chart, levi_civita(chart, p[None])[0], p) < 1e-6
 
     def test_singular_metric(self):
         chart = DualisticChart(
@@ -86,29 +86,29 @@ class TestLeviCivita:
             metric_partial=stacked(lambda x: np.zeros((2, 2, 2))),
         )
         with pytest.raises(ValueError):
-            levi_civita(chart, np.zeros(2))
+            levi_civita(chart, np.zeros((1, 2)))
 
 
 class TestCurvature:
     def test_flat_chart_zero(self):
         chart = trivial_chart(3)
-        npt.assert_array_equal(curvature(chart, "nabla", np.zeros(3)).components, np.zeros((3,) * 4))
+        npt.assert_array_equal(curvature(chart, "nabla", np.zeros((1, 3))).components[0], np.zeros((3,) * 4))
 
     def test_r2_example_values(self):
         chart = builtin_r2_example()
         p = np.array([0.4, -0.2])
         g = chart.metric(p)
-        assert abs(curvature(chart, "nabla", p).scalar(g, EX, EY, EY, EX) + 1.0) <= 1e-12
-        assert abs(curvature(chart, "nabla_star", p).scalar(g, EX, EY, EY, EX) + 1.0) <= 1e-12
+        assert abs(curvature(chart, "nabla", p[None]).scalar(g, EX, EY, EY, EX)[0] + 1.0) <= 1e-12
+        assert abs(curvature(chart, "nabla_star", p[None]).scalar(g, EX, EY, EY, EX)[0] + 1.0) <= 1e-12
 
     def test_r2_levi_civita_flat(self):
         chart = builtin_r2_example()
-        comp = curvature(chart, "levi_civita", np.zeros(2)).components
+        comp = curvature(chart, "levi_civita", np.zeros((1, 2))).components[0]
         npt.assert_allclose(comp, 0.0, atol=1e-12)
 
     def test_antisymmetry_in_xy_slots(self):
         chart = builtin_r2_example()
-        comp = curvature(chart, "nabla", np.zeros(2)).components
+        comp = curvature(chart, "nabla", np.zeros((1, 2))).components[0]
         npt.assert_array_equal(comp, -np.swapaxes(comp, 2, 3))
 
     def test_finite_difference_path_matches(self):
@@ -116,20 +116,20 @@ class TestCurvature:
         fd = chart.without_analytic()
         p = np.array([0.1, 0.9])
         g = chart.metric(p)
-        val = curvature(fd, "nabla", p).scalar(g, EX, EY, EY, EX)
+        val = curvature(fd, "nabla", p[None]).scalar(g, EX, EY, EY, EX)[0]
         assert abs(val + 1.0) <= 1e-6
 
     def test_unknown_connection(self):
         with pytest.raises(ValueError):
-            curvature(builtin_r2_example(), "nope", np.zeros(2))
+            curvature(builtin_r2_example(), "nope", np.zeros((1, 2)))
 
 
 class TestAxiomResiduals:
     def test_trivial_chart_all_zero(self):
         chart = trivial_chart(2)
-        rec = axiom_residuals(chart, np.zeros(2), EX, EY, EX + EY, EX - EY)
-        assert max(rec.values()) == 0.0
-        npt.assert_array_equal(difference_tensor(chart, np.zeros(2)), np.zeros((2, 2, 2)))
+        rec = axiom_residuals(chart, np.zeros((1, 2)), EX, EY, EX + EY, EX - EY)
+        assert max(v[0] for v in rec.values()) == 0.0
+        npt.assert_array_equal(difference_tensor(chart, np.zeros((1, 2)))[0], np.zeros((2, 2, 2)))
 
     def test_r2_residuals_small(self):
         chart = builtin_r2_example()
@@ -137,10 +137,10 @@ class TestAxiomResiduals:
         for _ in range(100):
             p = rng.uniform(-1, 1, 2)
             probes = [rng.uniform(-1, 1, 2) for _ in range(4)]
-            assert max(axiom_residuals(chart, p, *probes).values()) < 1e-10
+            assert max(v[0] for v in axiom_residuals(chart, p[None], *probes).values()) < 1e-10
 
     def test_r2_difference_tensor_components(self):
-        k = difference_tensor(builtin_r2_example(), np.zeros(2))
+        k = difference_tensor(builtin_r2_example(), np.zeros((1, 2)))[0]
         assert k[1, 0, 0] == 1.0  # K^y_xx
         assert k[0, 0, 1] == 1.0  # K^x_xy
         assert k[0, 1, 0] == 1.0
@@ -149,12 +149,12 @@ class TestAxiomResiduals:
         # [K,K](dx,dy)dy = -dx, and (R + R*)(dx,dy)dy = 2 [K,K](dx,dy)dy
         chart = builtin_r2_example()
         p = np.zeros(2)
-        k = difference_tensor(chart, p)
+        k = difference_tensor(chart, p[None])[0]
         bracket = kk_bracket(k)
         vec = np.einsum("lkij,k,i,j->l", bracket, EY, EX, EY)
         npt.assert_allclose(vec, [-1.0, 0.0], atol=1e-14)
-        r = curvature(chart, "nabla", p).vector(EX, EY, EY)
-        r_star = curvature(chart, "nabla_star", p).vector(EX, EY, EY)
+        r = curvature(chart, "nabla", p[None]).vector(EX, EY, EY)[0]
+        r_star = curvature(chart, "nabla_star", p[None]).vector(EX, EY, EY)[0]
         npt.assert_allclose(r + r_star, 2.0 * vec, atol=1e-14)
 
     def test_conjugate_identity_random_probes(self):
@@ -162,11 +162,11 @@ class TestAxiomResiduals:
         rng = np.random.default_rng(8)
         p = rng.uniform(-1, 1, 2)
         g = chart.metric(p)
-        r = curvature(chart, "nabla", p)
-        r_star = curvature(chart, "nabla_star", p)
+        r = curvature(chart, "nabla", p[None])
+        r_star = curvature(chart, "nabla_star", p[None])
         for _ in range(50):
             x, y, z, w = (rng.uniform(-1, 1, 2) for _ in range(4))
-            assert abs(r.scalar(g, x, y, z, w) + r_star.scalar(g, x, y, w, z)) < 1e-6
+            assert abs(r.scalar(g, x, y, z, w)[0] + r_star.scalar(g, x, y, w, z)[0]) < 1e-6
 
     def test_levi_civita_is_connection_mean(self):
         chart = builtin_r2_example()
@@ -174,7 +174,7 @@ class TestAxiomResiduals:
         for _ in range(10):
             p = rng.uniform(-1, 1, 2)
             mean = 0.5 * (chart.gamma(p) + chart.gamma_star(p))
-            npt.assert_allclose(levi_civita(chart, p), mean, atol=1e-6)
+            npt.assert_allclose(levi_civita(chart, p[None])[0], mean, atol=1e-6)
 
     def test_fd_path_within_tolerance(self):
         chart = builtin_r2_example().without_analytic()
@@ -182,7 +182,7 @@ class TestAxiomResiduals:
         for _ in range(25):
             p = rng.uniform(-1, 1, 2)
             probes = [rng.uniform(-1, 1, 2) for _ in range(4)]
-            assert max(axiom_residuals(chart, p, *probes).values()) < 1e-6
+            assert max(v[0] for v in axiom_residuals(chart, p[None], *probes).values()) < 1e-6
 
 
 class TestHolomorphicSpaceForm:
@@ -234,14 +234,14 @@ class TestBuiltinR2Example:
         for _ in range(20):
             p = rng.uniform(-1, 1, 2)
             probes = [rng.uniform(-1, 1, 2) for _ in range(4)]
-            assert max(axiom_residuals(chart, p, *probes).values()) < 1e-12
+            assert max(v[0] for v in axiom_residuals(chart, p[None], *probes).values()) < 1e-12
 
     def test_constant_curvature_everywhere(self):
         chart = builtin_r2_example()
         rng = np.random.default_rng(13)
         for _ in range(20):
             p = rng.uniform(-1, 1, 2)
-            assert abs(sectional_curvature(chart, "nabla", p, EX, EY) + 1.0) <= 1e-10
+            assert abs(sectional_curvature(chart, "nabla", p[None], EX, EY)[0] + 1.0) <= 1e-10
 
 
 def _stack_charts():
@@ -271,18 +271,17 @@ def _stack(chart, count=7, seed=5):
 
 @pytest.mark.parametrize("name", list(STACK_CHARTS))
 class TestStackedKernel:
-    """A stack of points gives, row by row, the single-point results: bit for bit."""
+    """A stack of points gives, row by row, the results of its N = 1 stacks: bit for bit."""
 
     def test_axiom_residuals(self, name):
         chart = STACK_CHARTS[name]
         points, probes = _stack(chart)
         stacked = axiom_residuals(chart, points, *probes)
         for i, point in enumerate(points):
-            single = axiom_residuals(chart, point, *probes[:, i])
+            single = axiom_residuals(chart, point[None], *probes[:, i:i + 1])
             assert list(single) == list(stacked)
             for key, value in single.items():
-                assert type(value) is float
-                assert stacked[key][i] == value, (key, i)
+                assert stacked[key][i] == value[0], (key, i)
 
     @pytest.mark.parametrize("which", ["nabla", "nabla_star", "levi_civita"])
     def test_curvature_and_sectional_curvature(self, name, which):
@@ -292,9 +291,9 @@ class TestStackedKernel:
         sectional = sectional_curvature(chart, which, points, probes[0], probes[1])
         assert components.shape == (len(points),) + (chart.dim,) * 4
         for i, point in enumerate(points):
-            npt.assert_array_equal(components[i], curvature(chart, which, point).components)
-            single = sectional_curvature(chart, which, point, probes[0, i], probes[1, i])
-            assert type(single) is float and sectional[i] == single
+            npt.assert_array_equal(components[i], curvature(chart, which, point[None]).components[0])
+            single = sectional_curvature(chart, which, point[None], probes[0, i:i + 1], probes[1, i:i + 1])
+            assert sectional[i] == single[0]
 
     def test_connections(self, name):
         chart = STACK_CHARTS[name]
@@ -302,7 +301,7 @@ class TestStackedKernel:
         for fn in (levi_civita, difference_tensor):
             stacked = fn(chart, points)
             for i, point in enumerate(points):
-                npt.assert_array_equal(stacked[i], fn(chart, point))
+                npt.assert_array_equal(stacked[i], fn(chart, point[None])[0])
 
     def test_levi_civita_curvature_matches_pointwise_partials(self, name):
         # the stacked grid against helpers.partials around each point on its own
@@ -310,8 +309,8 @@ class TestStackedKernel:
         points, _ = _stack(chart, count=3)
         stacked = curvature(chart, "levi_civita", points).components
         for i, point in enumerate(points):
-            dgamma = partials(lambda x: levi_civita(chart, x), point, DEFAULT_FD_STEP)
-            want = curvature_from_gamma(levi_civita(chart, point), dgamma)
+            dgamma = partials(lambda x: levi_civita(chart, x[None])[0], point, DEFAULT_FD_STEP)
+            want = curvature_from_gamma(levi_civita(chart, point[None])[0], dgamma)
             npt.assert_allclose(stacked[i], want, rtol=0.0, atol=1e-12)
 
 
@@ -410,12 +409,12 @@ class TestSingularMetricInAStack:
             axiom_residuals(chart, self.POINTS, *self.PROBES)
         assert str(err.value) == f"singular metric at {want.tolist()} on singular-test"
         assert str(err.value) == _first_single_point_error(
-            lambda i: axiom_residuals(chart, self.POINTS[i], *self.PROBES[:, i]), 5)
+            lambda i: axiom_residuals(chart, self.POINTS[i:i + 1], *self.PROBES[:, i:i + 1]), 5)
         with pytest.raises(ValueError) as sectional:
             sectional_curvature(chart, "levi_civita", self.POINTS, EX, EY)
         assert str(sectional.value) == str(err.value)
         assert str(err.value) == _first_single_point_error(
-            lambda i: curvature(chart, "levi_civita", self.POINTS[i]), 5)
+            lambda i: curvature(chart, "levi_civita", self.POINTS[i:i + 1]), 5)
 
     def test_levi_civita_names_the_singular_point(self):
         chart = _singular_chart([self.POINTS[3]])

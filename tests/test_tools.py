@@ -1,0 +1,24 @@
+"""The scripts under ``tools/`` run against the package as it is."""
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_stage_timings_times_every_geometry_stage_one_point_at_a_time(capsys):
+    stage_timings = _load("stage_timings")
+    assert stage_timings.main(["--count", "2", "--repeats", "1", "--json"]) == 0
+    timings = json.loads(capsys.readouterr().out)
+    for stage in stage_timings.GEOMETRY_STAGES:
+        value = timings[f"geometry.{stage}.point"]
+        assert math.isfinite(value) and value > 0.0, stage

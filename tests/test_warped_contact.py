@@ -64,7 +64,7 @@ class TestBuildWarpedChart:
         for _ in range(20):
             p = wc.sample_warped_points(h3_spec, 1, rng)[0]
             probes = [rng.uniform(-1, 1, 3) for _ in range(4)]
-            assert max(sg.axiom_residuals(h3_chart, p, *probes).values()) < 1e-6
+            assert max(v[0] for v in sg.axiom_residuals(h3_chart, p[None], *probes).values()) < 1e-6
 
     def test_rejects_nonstatistical_fiber(self):
         # primal connection of the plane example paired with a zero dual
@@ -114,21 +114,23 @@ class TestBuildWarpedChart:
 
 
 def fd_curvature_vector(chart, which, point, case, vf, uf, wf):
-    r = sg.curvature(chart.without_analytic(), which, point)
-    return r.vector(*wc.closed_form_probes(case, uf, vf, wf))
+    r = sg.curvature(chart.without_analytic(), which, point[None])
+    return r.vector(*wc.closed_form_probes(uf, vf, wf)[case])[0]
 
 
 class TestClosedFormCurvature:
     def test_case_a_exp_warp(self, h3_spec):
         p = np.array([0.2, 0.1, 0.4])
         v = np.array([0.7, -0.3])
-        out = wc.warped_curvature_closed_form(h3_spec, p, "a", V=v)
+        out = wc.warped_curvature_closed_form(
+            h3_spec, p[None], U=np.zeros((1, 2)), V=v[None], W=np.zeros((1, 2))
+        )["a"][0]
         npt.assert_allclose(out, wc.embed_fiber_vector(-v), atol=1e-14)
 
     def test_case_b_zero(self, h3_spec):
         out = wc.warped_curvature_closed_form(
-            h3_spec, np.array([0.0, 0.0, 0.0]), "b", V=np.array([1.0, 2.0]), U=np.array([0.5, 0.5])
-        )
+            h3_spec, np.array([[0.0, 0.0, 0.0]]), V=np.array([[1.0, 2.0]]), U=np.array([[0.5, 0.5]]), W=np.zeros((1, 2))
+        )["b"][0]
         npt.assert_array_equal(out, np.zeros(3))
 
     def test_case_d_hand_value(self, h3_spec):
@@ -136,8 +138,8 @@ class TestClosedFormCurvature:
         t = 0.31
         p = np.array([t, 0.2, -0.5])
         out = wc.warped_curvature_closed_form(
-            h3_spec, p, "d", V=np.array([1.0, 0.0]), W=np.array([0.0, 1.0]), U=np.array([0.0, 1.0])
-        )
+            h3_spec, p[None], V=np.array([[1.0, 0.0]]), W=np.array([[0.0, 1.0]]), U=np.array([[0.0, 1.0]])
+        )["d"][0]
         npt.assert_allclose(out, [0.0, -(1.0 + math.exp(2 * t)), 0.0], atol=1e-12)
 
     @pytest.mark.parametrize("warp", [wc.exp_warping(), wc.const_warping(2.0), wc.cosh_warping()])
@@ -156,27 +158,37 @@ class TestClosedFormCurvature:
         for _ in range(3):
             p = wc.sample_warped_points(spec, 1, rng)[0]
             vf, uf, wf = (rng.uniform(-1, 1, 2) for _ in range(3))
+            closed = wc.warped_curvature_closed_form(spec, p[None], uf[None], vf[None], wf[None])
             for case in wc.CLOSED_FORM_CASES:
-                closed = wc.warped_curvature_closed_form(spec, p, case, U=uf, V=vf, W=wf)
                 which = "nabla_star" if case.endswith("*") else "nabla"
                 num = fd_curvature_vector(chart, which, p, case, vf, uf, wf)
-                npt.assert_allclose(closed, num, atol=1e-6)
+                npt.assert_allclose(closed[case][0], num, atol=1e-6)
 
     def test_probes_per_case(self):
         u, v, w = np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0])
         dt, eu, ev, ew = E3[0], np.array([0.0, 1, 2]), np.array([0.0, 3, 4]), np.array([0.0, 5, 6])
         expected = {"a": (ev, dt, dt), "b": (ev, eu, dt), "c": (dt, ev, ew), "d": (ev, ew, eu)}
+        probes = wc.closed_form_probes(u[None], v[None], w[None])
         for case in wc.CLOSED_FORM_CASES:
-            for got, want in zip(wc.closed_form_probes(case, u, v, w), expected[case[0]]):
-                npt.assert_array_equal(got, want)
-        with pytest.raises(ValueError):
-            wc.closed_form_probes("z", u, v, w)
+            for got, want in zip(probes[case], expected[case[0]]):
+                npt.assert_array_equal(got[0], want)
 
-    def test_bad_case_and_missing_probe(self, h3_spec):
-        with pytest.raises(ValueError):
-            wc.warped_curvature_closed_form(h3_spec, np.zeros(3), "z", V=np.zeros(2))
-        with pytest.raises(ValueError):
-            wc.warped_curvature_closed_form(h3_spec, np.zeros(3), "a")
+    def test_one_warping_evaluation_gives_all_eight_cases(self, h3_spec, monkeypatch):
+        calls = []
+        at = wc.Warping.at
+
+        def counting(self, t):
+            calls.append(np.shape(t))
+            return at(self, t)
+
+        monkeypatch.setattr(wc.Warping, "at", counting)
+        rng = np.random.default_rng(14)
+        points = wc.sample_warped_points(h3_spec, 20, rng)
+        U, V, W = rng.uniform(-1.0, 1.0, (3, 20, 2))
+        closed = wc.warped_curvature_closed_form(h3_spec, points, U, V, W)
+        assert calls == [(20,)]
+        assert list(closed) == list(wc.CLOSED_FORM_CASES)
+        assert all(value.shape == (20, 3) for value in closed.values())
 
 
 class TestSpaceFormCurvature:
@@ -206,8 +218,8 @@ class TestSpaceFormCurvature:
             x, y, z, w = (rng.uniform(-1, 1, 3) for _ in range(4))
             closed = pc.space_form_warped_curvature(spec, 0.0, p, x, y, z, w)
             g = chart.metric(p)
-            num = sg.curvature(chart.without_analytic(), "nabla", p).scalar(g, x, y, z, w)
-            num_star = sg.curvature(chart.without_analytic(), "nabla_star", p).scalar(g, x, y, z, w)
+            num = sg.curvature(chart.without_analytic(), "nabla", p[None]).scalar(g, x, y, z, w)[0]
+            num_star = sg.curvature(chart.without_analytic(), "nabla_star", p[None]).scalar(g, x, y, z, w)[0]
             assert abs(closed - num) <= 1e-6
             assert abs(closed - num_star) <= 1e-6
 
@@ -225,7 +237,7 @@ class TestSpaceFormCurvature:
 class TestContactClassification:
     def test_cosymplectic_branch(self):
         spec = wc.flat_kaehler_spec(1, wc.const_warping(2.0))
-        cls = wc.contact_classification(spec, np.array([0.1, 0.2, 0.3]))
+        cls = wc.contact_classification(spec, np.array([[0.1, 0.2, 0.3]]))[0]
         assert cls.structure_tag == "almost cosymplectic"
         assert cls.alpha == 0.0
         assert cls.d_phi_residual < 1e-8
@@ -233,20 +245,20 @@ class TestContactClassification:
 
     def test_kenmotsu_branch_flat_fiber(self):
         spec = wc.flat_kaehler_spec(1, wc.exp_warping())
-        cls = wc.contact_classification(spec, np.array([0.4, -0.2, 0.1]))
+        cls = wc.contact_classification(spec, np.array([[0.4, -0.2, 0.1]]))[0]
         assert cls.structure_tag == "almost alpha-kenmotsu"
         assert abs(cls.alpha + 1.0) <= 1e-12
         assert cls.d_phi_residual < 1e-8
         assert cls.contact_identity_residual < 1e-8
 
     def test_kenmotsu_branch_r2_fiber(self, h3_spec):
-        cls = wc.contact_classification(h3_spec, np.array([0.25, 0.5, -0.5]))
+        cls = wc.contact_classification(h3_spec, np.array([[0.25, 0.5, -0.5]]))[0]
         assert cls.structure_tag == "almost alpha-kenmotsu"
         assert abs(abs(cls.alpha) - 1.0) <= 1e-12
 
     def test_twisted_fiber_unclassified_but_identity_exact(self):
         spec = wc.twisted_j_spec(0.4, wc.exp_warping())
-        cls = wc.contact_classification(spec, np.array([0.1, 0.3, -0.2, 0.4, 0.1]))
+        cls = wc.contact_classification(spec, np.array([[0.1, 0.3, -0.2, 0.4, 0.1]]))[0]
         assert cls.structure_tag == "unclassified"
         assert cls.d_omega_residual > 1e-3
         assert cls.d_phi_residual > 1e-3
@@ -262,7 +274,7 @@ class TestContactClassification:
             warping=wc.exp_warping(),
         )
         with pytest.raises(ValueError):
-            wc.contact_classification(spec, np.zeros(3))
+            wc.contact_classification(spec, np.zeros((1, 3)))
 
     @pytest.mark.parametrize("warp", ["exp", "const", "cosh"])
     @pytest.mark.parametrize("fiber", ["flat", "r2", "twisted"])
@@ -287,7 +299,7 @@ class TestContactClassification:
         rng = np.random.default_rng(5)
         for _ in range(10):
             p = wc.sample_warped_points(h3_spec, 1, rng)[0]
-            assert wc.frame_invariant_residual(h3_spec, p) < 1e-9
+            assert wc.frame_invariant_residual(h3_spec, p[None])[0] < 1e-9
 
 
 # w_parallel is a measurement, not an identity, so it is left out
@@ -423,7 +435,7 @@ class TestKenmotsuTheorem:
         chk = wc.kenmotsu_theorem_check(spec, samples=4, seed=11, tol=tol)
         assert len(chk.points) == len(chk.classifications) == 4
         for p, cls in zip(chk.points, chk.classifications):
-            assert cls == wc.contact_classification(spec, p, tol=tol)
+            assert cls == wc.contact_classification(spec, p[None], tol=tol)[0]
         if name == "flat" and tol == 1e-12:
             # exp/flat residuals sit near 1e-10: the strict tag tolerance rejects them
             assert {cls.structure_tag for cls in chk.classifications} == {"unclassified"}
@@ -433,7 +445,8 @@ class TestKenmotsuTheorem:
         chk = wc.kenmotsu_theorem_check(h3_spec)
         chart = wc.build_warped_chart(h3_spec, validate_fiber=False)
         residual = max(
-            float(np.max(np.abs(sg.difference_tensor(chart, p)[1:, 1:, 1:] - sg.difference_tensor(h3_spec.fiber, p[1:]))))
+            float(np.max(np.abs(sg.difference_tensor(chart, p[None])[0, 1:, 1:, 1:]
+                                - sg.difference_tensor(h3_spec.fiber, p[None, 1:])[0])))
             for p in chk.points
         )
         assert residual < 1e-8
@@ -445,7 +458,7 @@ class TestBuiltinH3:
         for _ in range(50):
             p = wc.sample_warped_points(h3_spec, 1, rng)[0]
             u, v = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-            assert abs(sg.sectional_curvature(h3_chart, "levi_civita", p, u, v) + 1.0) <= 1e-6
+            assert abs(sg.sectional_curvature(h3_chart, "levi_civita", p[None], u, v)[0] + 1.0) <= 1e-6
 
     def test_gamma_yy_entry(self, h3_chart):
         p = np.array([0.5, 0.1, 0.1])
@@ -463,7 +476,8 @@ def test_fiber_check_names_the_first_violating_sample_point():
     rng = np.random.default_rng(171)
     want = None
     for p in sample_points(2, 3, rng):
-        worst = max(sg.axiom_residuals(fiber, p, *(rng.uniform(-1.0, 1.0, 2) for _ in range(4))).values())
+        probes = [rng.uniform(-1.0, 1.0, 2) for _ in range(4)]
+        worst = max(v[0] for v in sg.axiom_residuals(fiber, p[None], *probes).values())
         if want is None and worst > wc.FIBER_AXIOM_TOL:
             want = (f"fiber of perturbed fiber violates the dualistic axioms "
                     f"(residual {worst:.3e} > {wc.FIBER_AXIOM_TOL:.1e} at {p.tolist()})")
@@ -471,3 +485,42 @@ def test_fiber_check_names_the_first_violating_sample_point():
     with pytest.raises(ValueError) as err:
         wc.build_warped_chart(spec)
     assert str(err.value) == want
+
+
+H3 = wc.builtin_h3_example()
+H3_CHART = wc.build_warped_chart(H3)
+P, X, Y = np.array([[0.2, 0.1, -0.3]]), np.array([[1.0, 0.5, -0.2]]), np.array([[0.3, -1.0, 0.4]])
+U = np.array([[0.6, -0.7]])
+ONE_POINT_CALLS = {  # each public geometry function on an N = 1 stack
+    "levi_civita": lambda: sg.levi_civita(H3_CHART, P),
+    "curvature": lambda: sg.curvature(H3_CHART, "nabla", P).components,
+    "CurvatureTensor.scalar": lambda: sg.curvature(H3_CHART, "nabla", P).scalar(H3_CHART.metric(P), X, Y, Y, X),
+    "covariant_two_form_derivative": lambda: sg.covariant_two_form_derivative(
+        H3_CHART.metric(P), H3_CHART.metric_partial(P), H3_CHART.gamma(P), X, Y, X),
+    "difference_tensor": lambda: sg.difference_tensor(H3_CHART, P),
+    "sectional_curvature": lambda: sg.sectional_curvature(H3_CHART, "levi_civita", P, X, Y),
+    "axiom_residuals": lambda: sg.axiom_residuals(H3_CHART, P, X, Y, X, Y),
+    "closed_form_probes": lambda: wc.closed_form_probes(U, U, U),
+    "warped_curvature_closed_form": lambda: wc.warped_curvature_closed_form(H3, P, U, U, U),
+    "frame_invariant_residual": lambda: wc.frame_invariant_residual(H3, P),
+    "contact_classification": lambda: wc.contact_classification(H3, P),
+}
+
+
+def _assert_one_row(value):
+    """Arrays with the leading axis 1, also inside dicts and tuples; a tuple of records holds one record."""
+    if isinstance(value, dict):
+        for item in value.values():
+            _assert_one_row(item)
+    elif isinstance(value, tuple) and all(isinstance(item, np.ndarray) for item in value):
+        for item in value:
+            _assert_one_row(item)
+    elif isinstance(value, tuple):
+        assert len(value) == 1 and isinstance(value[0], wc.ContactClassification)
+    else:
+        assert isinstance(value, np.ndarray) and value.shape[:1] == (1,), type(value)
+
+
+@pytest.mark.parametrize("name", ONE_POINT_CALLS)
+def test_one_point_is_the_one_row_stack(name):
+    _assert_one_row(ONE_POINT_CALLS[name]())

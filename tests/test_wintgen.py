@@ -265,13 +265,16 @@ class TestSweep:
          ({"c_range": (3.0, -3.0)}, "c_range must have low <= high"),
          ({"f_range": (2.0, 1.0)}, "f_range must have low <= high"),
          ({"fprime_range": (1.0, 0.0)}, "fprime_range must have low <= high"),
-         ({"magnitude": -1.0}, "magnitude must be >= 0")],
-        ids=["n1", "n0", "c_range", "f_range", "fprime_range", "magnitude"],
+         ({"magnitude": -1.0}, "magnitude must be >= 0"),
+         ({"f_range": (0.0, 1.0)}, "f_range must be positive")],
+        ids=["n1", "n0", "c_range", "f_range", "fprime_range", "magnitude", "f_range_positive"],
     )
     def test_bad_args_are_refused_before_any_draw(self, kwargs, message, count):
         # count = 0 draws nothing, so a check made while drawing would let it through
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message + ", got "):
             wg.sweep(**{"n": 2, **kwargs}, count=count, seed=0)
+        with pytest.raises(ValueError, match=message + ", got "):  # one instance: the same check
+            wg.random_instance(**{"n": 2, **kwargs}, seed=0, index=count)
 
     def test_chunks_bound_the_kernel_scratch(self):
         assert wg.sweep_chunk(3) >= 100

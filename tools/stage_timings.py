@@ -42,14 +42,14 @@ built-in charts, in microseconds per sample:
     fields_h3       the h3 chart's six fields (metric, both connections and
                     their analytic partials)
 
-each once per point (``geometry.<stage>.point``) and, where the checkout
-evaluates stacks of points (it has ``statistical_geometry.geometry_chunk``;
-for ``fields_h3``, chart fields that take a stack of points), as one
-stacked call over all samples (``geometry.<stage>.stack``), as the
+each once per point, as an N = 1 stack (``geometry.<stage>.point``), and as
+one stacked call over all samples (``geometry.<stage>.stack``), as the
 ``axioms``, ``curvature`` and ``reproduce`` commands do.  The script uses
-only public functions that have existed since the benchmark was added and
-skips the stacked stages where they are absent, so it runs unchanged
-against older checkouts for before/after tables.
+only public functions that have existed since the benchmark was added.  It
+skips the geometry stages where the checkout does not evaluate stacks of
+points (it lacks ``statistical_geometry.geometry_chunk``), and ``fields_h3``
+where the chart fields do not take a stack, so it runs unchanged against
+older checkouts for before/after tables.
 """
 
 from __future__ import annotations
@@ -137,12 +137,12 @@ def geometry_batch(seed: int, stacked: bool) -> dict[str, float]:
     t = {}
     for stage, (name, call) in calls.items():
         chart, (points, probes) = charts[name], samples[name]
-        if stacked and stage == "fields_h3" and not _fields_take_stacks(chart, points):
+        if stage == "fields_h3" and not _fields_take_stacks(chart, points):
             continue
         if stacked:
             t[stage], _ = _timed(lambda _: call(chart, points, probes), [None])
         else:
-            t[stage], _ = _timed(lambda i: call(chart, points[i], probes[:, i]), range(GEOMETRY_SAMPLES))
+            t[stage], _ = _timed(lambda i: call(chart, points[i:i + 1], probes[:, i:i + 1]), range(GEOMETRY_SAMPLES))
     return t
 
 
@@ -155,10 +155,11 @@ def _fields_take_stacks(chart, points) -> bool:
 
 
 def geometry_timings(repeats: int) -> dict[str, float]:
-    """``geometry.<stage>.point`` and, where stacks are evaluated, ``.stack`` -> median us per sample."""
-    modes = ("point", "stack") if hasattr(sg, "geometry_chunk") else ("point",)
+    """``geometry.<stage>.point`` and ``.stack`` -> median us per sample, where stacks are evaluated."""
     out = {}
-    for mode in modes:
+    if not hasattr(sg, "geometry_chunk"):
+        return out
+    for mode in ("point", "stack"):
         runs = [geometry_batch(seed, mode == "stack") for seed in range(repeats)]
         for stage in GEOMETRY_STAGES:
             if stage in runs[0]:
