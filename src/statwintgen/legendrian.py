@@ -17,16 +17,16 @@ brackets of the mean shape operators over phi-pairs.  The definitional frame
 sums over sectional curvatures and normal curvature entries live with the
 tests (``tests/frame_oracle.py``), which compare this module against them.
 
-Instances are immutable (read-only arrays, finite fields, n >= 2), so their
-derived data is memoized on the instance: the violation list, and one
-derivation that holds ``MeanData``, ``ShapeOperators`` and rho_perp.  The
-kernels take arrays, not instances: ``_find_violations`` a (B, 2, n+1, n, n)
-stack of forms h, h* with its xi values, and ``_derive_arrays`` the forms
-with their c-terms 2c/4f^2.  ``derive_batch`` runs them once over a stack
-of same-n instances (the sweep's chunks) and stores each instance's share in
-its memo; an instance evaluated on its own is the B = 1 call; and
-``_stacked_curvature_scalars`` scores a stack with no instance at all (the
-sharpness climb's passes).  The derivation fills one (B, 6, n+1, n, n) stack
+Instances are immutable (read-only arrays, finite fields, n >= 2, f > 0), so
+their derived data is memoized on the instance: the violation list, and one
+derivation that holds ``MeanData``, the operator stack and rho_perp
+(``ShapeOperators`` is built on first request).  The kernels take arrays:
+``_find_violations`` a (B, 2, n+1, n, n) stack of forms h, h* with its xi
+values, and ``_derive_arrays`` the forms with their c-terms 2c/4f^2, read row
+by row through ``_derive_rows``.  A lone instance reads the B = 1 row;
+``derive_batch`` memoizes a sweep chunk's fresh instances from the stack they
+were drawn as; ``_stacked_curvature_scalars`` scores a stack with no instance
+at all (the sharpness climb's passes).  The derivation fills one (B, 6, n+1, n, n) stack
 (A = h*, A* = h, A0, S, S*, S0): it takes the means H*, H and H0 = (H + H*)/2
 in one einsum, subtracts them times I to get S, S* and S0 = h0 - H0 I, and
 reads the three traceless norms off the S rows, so the chain brackets the
@@ -99,8 +99,7 @@ class LegendrianPointInstance:
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
         h_star = np.asarray(self.h_star, dtype=float)
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
+        _require_dimension(self.n)
         shape = (self.n + 1, self.n, self.n)
         if h.shape != shape or h_star.shape != shape:
             raise ValueError(f"h and h_star must have shape {shape}")
@@ -111,12 +110,15 @@ class LegendrianPointInstance:
         object.__setattr__(self, "h_star", forms[1])
         _require_finite(self.c, self.f_val, self.f_prime, forms)
         if self.f_val <= 0.0:
-            raise ValueError("f_val must be positive")
+            raise ValueError(f"f must be positive, got {self.f_val!r}")
 
-    # Derived data, computed on first use by the B = 1 call of the kernel
-    # (module functions bound late); ``derive_batch`` fills it for whole stacks.
-    _violations = cached_property(lambda self: _find_violations(_xi_values([self]), self._forms[None])[0])
-    _derived = cached_property(lambda self: _derive(self))
+    # Derived data, computed on first use by the B = 1 call of the kernels
+    # (module functions bound late); ``derive_batch`` fills it for a sweep chunk.
+    _violations = cached_property(
+        lambda self: _find_violations(np.array([-(self.f_prime / self.f_val)]), self._forms[None])[0])
+    _derived = cached_property(
+        lambda self: next(_derive_rows(self._forms[None], np.array([2.0 * self.c / (4.0 * self.f_val**2)]))))
+    _operators = cached_property(lambda self: ShapeOperators(*self._derived[1], stack=self._derived[1]))
 
     def to_dict(self) -> dict:
         return {
@@ -198,6 +200,11 @@ def validate(inst: LegendrianPointInstance) -> list[tuple[str, int, int, int]]:
     return list(inst._violations)
 
 
+def _require_dimension(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n!r}")
+
+
 def _require_finite(c: float, f_val: float, f_prime: float, forms: Array) -> None:
     if not (math.isfinite(c) and math.isfinite(f_val) and math.isfinite(f_prime) and np.isfinite(forms).all()):
         raise ValueError("c, f, f_prime, h and h_star must be finite")
@@ -219,11 +226,6 @@ def _find_violations(xi: Array, forms: Array) -> list[tuple]:
             violations += [(name, n, int(i), int(j)) for i, j in zip(*np.nonzero(xi_bad[b, k]))]
         found[b] = tuple(violations)
     return found
-
-
-def _xi_values(insts: Sequence[LegendrianPointInstance]) -> Array:
-    """The forced xi value -(f'/f) of every instance."""
-    return np.array([-(inst.f_prime / inst.f_val) for inst in insts])
 
 
 def require_valid(inst: LegendrianPointInstance) -> None:
@@ -277,23 +279,16 @@ class ShapeOperators:
 
 def shape_operators(inst: LegendrianPointInstance) -> ShapeOperators:
     require_valid(inst)
-    return inst._derived[1]
+    return inst._operators
 
 
-_Derived = tuple[MeanData, ShapeOperators, float]  # the memoized derivation: means, operators, rho_perp
+_Derived = tuple[MeanData, Array, float]  # the memoized derivation: means, operator stack, rho_perp
 
 
-def _derive(inst: LegendrianPointInstance) -> _Derived:
-    """The derivation of one instance: the B = 1 call of ``_derive_stack``."""
-    return _derive_stack([inst], inst._forms[None])[0]
-
-
-def _derive_stack(insts: Sequence[LegendrianPointInstance], forms: Array) -> list[_Derived]:
-    """The derivation of every instance of a stack, with its (B, 2, n+1, n, n) forms, as the memo holds it."""
-    cterm = np.array([2.0 * inst.c / (4.0 * inst.f_val**2) for inst in insts])
+def _derive_rows(forms: Array, cterm: Array) -> Iterator[_Derived]:
+    """The derivation of every row of a (B, 2, n+1, n, n) stack of forms with (B,) c-terms, as the memo holds it."""
     ops, means, mean_sq, tau_sq, rho_perp = _derive_arrays(forms, cterm)
-    rows = zip(_mean_rows(means, mean_sq, tau_sq), ops, rho_perp.tolist())
-    return [(m, ShapeOperators(*stack, stack=stack), row_rho_perp) for m, stack, row_rho_perp in rows]
+    return zip(_mean_rows(means, mean_sq, tau_sq), ops, rho_perp.tolist())
 
 
 def _mean_rows(means: Array, mean_sq: Array, tau_sq: Array) -> Iterator[MeanData]:
@@ -328,22 +323,12 @@ def _derive_arrays(forms: Array, cterm: Array) -> tuple[Array, Array, Array, Arr
     return ops, means, mean_sq, tau_sq, _rho_perp_stack(cterm, ops)
 
 
-def derive_batch(insts: Sequence[LegendrianPointInstance]) -> None:
-    """Validate and derive same-n instances in one stacked pass, memoizing each one's share.
-
-    The symmetry and xi-slice check and the derivation (means, traceless
-    norms, operators, rho_perp) each run once for the whole stack.  Afterwards
-    every accessor of these instances reads its memo; a value an instance had
-    already memoized is kept.
-    """
-    if any(inst.n != insts[0].n for inst in insts):
-        raise ValueError("a stacked pass needs instances of one dimension n")
-    forms = np.stack([inst._forms for inst in insts])
-    violations = _find_violations(_xi_values(insts), forms)
-    for inst, found, derived in zip(insts, violations, _derive_stack(insts, forms)):
-        memo = vars(inst)
-        memo.setdefault("_violations", found)
-        memo.setdefault("_derived", derived)
+def derive_batch(insts: Sequence[LegendrianPointInstance], forms: Array, xi: Array) -> None:
+    """Validate and derive fresh instances in one pass over the (B, 2, n+1, n, n) forms and (B,) xi values
+    -(f'/f) they were built from, and memoize each instance's row, which its accessors then read."""
+    cterm = np.array([2.0 * inst.c / (4.0 * inst.f_val**2) for inst in insts])
+    for inst, found, derived in zip(insts, _find_violations(xi, forms), _derive_rows(forms, cterm)):
+        vars(inst).update(_violations=found, _derived=derived)
 
 
 def ambient_plane_curvature(c: float, f_val: float, f_prime: float) -> float:

@@ -30,6 +30,7 @@ from .legendrian import (
     LegendrianPointInstance,
     _find_violations,
     _frame,
+    _require_dimension,
     _require_finite,
     _require_no_violations,
     _stacked_curvature_scalars,
@@ -260,12 +261,12 @@ def random_instance(
     The arguments are checked as ``sweep`` checks them.
     """
     _check_draw_args(n, c_range, f_range, fprime_range, magnitude)
-    return _random_instances(n, c_range, f_range, fprime_range, magnitude, seed, range(index, index + 1))[0]
+    return _random_instances(n, c_range, f_range, fprime_range, magnitude, seed, range(index, index + 1))[0][0]
 
 
 def _random_instances(n: int, c_range, f_range, fprime_range, magnitude: float, seed: int,
-                      indices: range) -> list[LegendrianPointInstance]:
-    """``random_instance`` for every index, each drawn from its own stream, built as one stack."""
+                      indices: range) -> tuple[list[LegendrianPointInstance], Array, Array]:
+    """``random_instance`` for every index, each drawn from its own stream, returned as ``_instances_from_upper``."""
     params, upper = [], []
     for index in indices:
         rng = instance_rng(seed, index)
@@ -276,8 +277,7 @@ def _random_instances(n: int, c_range, f_range, fprime_range, magnitude: float, 
 
 def _check_draw_args(n: int, c_range, f_range, fprime_range, magnitude: float) -> None:
     """Refuse, before any draw, an ``n``, range or ``magnitude`` that ``_random_instances`` cannot draw from."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n!r}")
+    _require_dimension(n)
     for name, (low, high) in (("c_range", c_range), ("f_range", f_range), ("fprime_range", fprime_range)):
         if not low <= high:
             raise ValueError(f"{name} must have low <= high, got ({low!r}, {high!r})")
@@ -288,11 +288,12 @@ def _check_draw_args(n: int, c_range, f_range, fprime_range, magnitude: float) -
 
 
 def _instances_from_upper(n: int, params: list[tuple[float, float, float]],
-                          upper: Array) -> list[LegendrianPointInstance]:
-    """Instances with fields (c, f, f') and the forms of ``_forms_from_upper``."""
-    forms = _forms_from_upper(n, np.array([-(fp / f) for _, f, fp in params]), upper)
+                          upper: Array) -> tuple[list[LegendrianPointInstance], Array, Array]:
+    """Instances with fields (c, f, f') and the forms of ``_forms_from_upper``, with those forms and xi values."""
+    xi = np.array([-(fp / f) for _, f, fp in params])
+    forms = _forms_from_upper(n, xi, upper)
     return [LegendrianPointInstance(n=n, c=c, f_val=f, f_prime=fp, h=form[0], h_star=form[1])
-            for (c, f, fp), form in zip(params, forms)]
+            for (c, f, fp), form in zip(params, forms)], forms, xi
 
 
 def _forms_from_upper(n: int, xi: Array, upper: Array) -> Array:
@@ -331,17 +332,17 @@ def sweep(
 
     ``n``, the ranges and ``magnitude`` are checked once, before any
     instance is drawn; a bad one raises ValueError naming it.  Instances are
-    drawn per index, as ``random_instance`` draws them, and validated and derived in
-    stacked chunks of ``sweep_chunk(n)`` (``legendrian.derive_batch``); each
-    report is then ``main_inequality`` of an instance whose data is memoized.
+    drawn per index, as ``random_instance`` draws them, into one forms stack per
+    chunk of ``sweep_chunk(n)``, which ``legendrian.derive_batch`` validates and
+    derives once; each report is ``main_inequality`` reading memoized data.
     """
     _check_draw_args(n, c_range, f_range, fprime_range, magnitude)
     out = []
     chunk = sweep_chunk(n)
     for start in range(0, count, chunk):
         indices = range(start, min(start + chunk, count))
-        insts = _random_instances(n, c_range, f_range, fprime_range, magnitude, seed, indices)
-        derive_batch(insts)
+        insts, forms, xi = _random_instances(n, c_range, f_range, fprime_range, magnitude, seed, indices)
+        derive_batch(insts, forms, xi)
         out += [main_inequality(inst, seed=f"{seed}-{index}", include_chain=False)
                 for index, inst in zip(indices, insts)]
     return out
@@ -413,12 +414,11 @@ def sharpness_search(n: int, c: float, f: float, fprime: float, iterations: int,
     the slack, and the next pass starts at coordinate k+1.  So the result is
     that of one trial at a time, bit for bit.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n!r}")
+    _require_dimension(n)
     if not f > 0.0:
         raise ValueError(f"f must be positive, got {f!r}")
     if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+        raise ValueError(f"iterations must be >= 1, got {iterations!r}")
     nparams = 2 * n * (n * (n + 1) // 2)
     widest = _sharpness_pass_rows(n)
     # trial 2k moves coordinate k by +step, trial 2k + 1 by -step
@@ -464,7 +464,7 @@ def sharpness_search(n: int, c: float, f: float, fprime: float, iterations: int,
         if not improved:
             step *= 0.5
 
-    best_instance = _instances_from_upper(n, [(c, f, fprime)], _upper_from_params(n, best_params[None]))[0]
+    best_instance = _instances_from_upper(n, [(c, f, fprime)], _upper_from_params(n, best_params[None]))[0][0]
     hard = not main_inequality(best_instance, include_chain=False).holds
     return SharpnessResult(
         best_instance=best_instance,

@@ -19,7 +19,8 @@ from statwintgen.tensor_core import instance_rng
 
 def instance_from_params(n: int, c: float, f: float, fprime: float, params):
     """The instance whose phi-slice upper triangles, h slices first, are ``params``."""
-    return wg._instances_from_upper(n, [(c, f, fprime)], wg._upper_from_params(n, params[None]))[0]
+    insts, _, _ = wg._instances_from_upper(n, [(c, f, fprime)], wg._upper_from_params(n, params[None]))
+    return insts[0]
 
 
 def serial_slack(n: int, c: float, f: float, fprime: float, params) -> float:
@@ -37,7 +38,7 @@ def serial_sharpness_search(n: int, c: float, f: float, fprime: float, iteration
     if not f > 0.0:
         raise ValueError(f"f must be positive, got {f!r}")
     if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+        raise ValueError(f"iterations must be >= 1, got {iterations!r}")
     nparams = 2 * n * (n * (n + 1) // 2)
     rng = instance_rng(seed, 0)
     evaluations = 0

@@ -654,6 +654,26 @@ def test_out_of_domain_flag_names_the_parameter(message, argv, tmp_path, capsys)
     assert not out.exists()
 
 
+# Out-of-domain instance fields are refused as the flags are, naming the value;
+# f used to be refused as "f_val must be positive", with no value.
+ZERO_FORM = [[[0.0]], [[0.0]]]
+BAD_INSTANCE_FIELDS = {
+    "n 1": ("n must be >= 2, got 1", {"n": 1, "f_prime": 0.0, "h": ZERO_FORM, "h_star": ZERO_FORM}),
+    "f 0": ("f must be positive, got 0.0", {"f": 0.0}),
+    "f -1.5": ("f must be positive, got -1.5", {"f": -1.5}),
+}
+
+
+@pytest.mark.parametrize("sub", ["verify", "chain"])
+@pytest.mark.parametrize("message, changes", BAD_INSTANCE_FIELDS.values(), ids=BAD_INSTANCE_FIELDS)
+def test_out_of_domain_instance_field_names_the_value(message, changes, sub, tmp_path, capsys):
+    path = _malformed_instance(tmp_path, "bad", **changes)
+    out = tmp_path / "report.out"
+    line = _assert_one_line_usage_error(main(["wintgen", sub, str(path), "--out", str(out)]), capsys)
+    assert ", got " in line and line.endswith(message)
+    assert not out.exists()
+
+
 def test_equal_bounds_and_zero_magnitude_stay_valid(tmp_path):
     out = tmp_path / "s.csv"
     argv = ["wintgen", "sweep", "--n", "2", "--count", "4", "--magnitude", "0", "--f-min", "1", "--f-max", "1",

@@ -465,15 +465,16 @@ class TestOneDerivation:
 
     @pytest.mark.parametrize("first", ["means_and_traceless", "shape_operators", "rho_perp_statistical"])
     def test_derivation_runs_once_whichever_is_called_first(self, first, monkeypatch):
-        derive = lg._derive
+        derive_rows = lg._derive_rows
         calls = []
-        monkeypatch.setattr(lg, "_derive", lambda inst: calls.append(inst) or derive(inst))
-        inst = wg.random_instance(3, seed=71, index=0)
+        monkeypatch.setattr(lg, "_derive_rows", lambda forms, cterm: calls.append(forms) or derive_rows(forms, cterm))
+        inst = _copy(wg.random_instance(3, seed=71, index=0))
+        assert calls == []
         getattr(lg, first)(inst)
         for fn in (lg.means_and_traceless, lg.shape_operators, lg.rho_perp_statistical, lg.curvature_scalars):
             fn(inst)
         wg.main_inequality(inst, include_chain=True)
-        assert len(calls) == 1 and calls[0] is inst
+        assert len(calls) == 1 and calls[0].tobytes() == inst._forms[None].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -511,14 +512,24 @@ def _wrong_xi(n):
                                       h_star=h_star)
 
 
+def _chunk_fill(insts):
+    """Fresh copies of ``insts`` memoized as a sweep chunk is: ``derive_batch`` on their stacked forms and xi values."""
+    forms = np.stack([np.array((inst.h, inst.h_star)) for inst in insts])
+    xi = np.array([-(inst.f_prime / inst.f_val) for inst in insts])
+    fresh = [_copy(inst) for inst in insts]
+    lg.derive_batch(fresh, forms, xi)
+    return fresh
+
+
 class TestStackedPass:
     @pytest.mark.parametrize("n", ORACLE_DIMS)
     def test_memo_equals_the_single_instance_path_bit_for_bit(self, n):
         insts = _oracle_instances(n, count=9)
         insts += [wg.random_instance(n, seed=61, index=k, magnitude=1000.0) for k in range(3)]
         insts.append(lg.umbilic_instance(n, c=4.0, f_val=1.0, f_prime=0.0))
-        lg.derive_batch(insts)
-        for inst in insts:
+        drawn, forms, xi = wg._random_instances(n, (-4.0, 4.0), (0.5, 3.0), (-2.0, 2.0), 1.0, 67, range(5))
+        lg.derive_batch(drawn, forms, xi)  # the sweep's own chunk fill
+        for inst in _chunk_fill(insts) + drawn:
             assert {"_violations", "_derived"} <= vars(inst).keys()
             assert _derived_bytes(inst) == _derived_bytes(_copy(inst))
 
@@ -526,35 +537,33 @@ class TestStackedPass:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_invalid_instance_gets_the_single_instance_verdict(self, make, n):
         bad = make(n)
-        stacked = [make(n)]
-        lg.derive_batch(stacked)
-        assert lg.validate(stacked[0]) == lg.validate(bad) != []
+        stacked = _chunk_fill([wg.random_instance(n, seed=73, index=0), make(n)])[1]
+        assert lg.validate(stacked) == lg.validate(bad) != []
         with pytest.raises(ValueError) as alone:
             lg.require_valid(bad)
         with pytest.raises(ValueError) as batched:
-            lg.require_valid(stacked[0])
+            lg.require_valid(stacked)
         assert str(batched.value) == str(alone.value)
         with pytest.raises(ValueError, match="invalid Legendrian instance"):
-            lg.rho_perp_statistical(stacked[0])
+            lg.rho_perp_statistical(stacked)
 
     def test_mixed_stack_keeps_each_verdict(self):
         n = 3
         fresh = [wg.random_instance(n, seed=79, index=0), _asymmetric(n), wg.random_instance(n, seed=79, index=1),
                  _wrong_xi(n), _asymmetric(n)]
-        stacked = [_copy(inst) for inst in fresh]
-        lg.derive_batch(stacked)
-        for alone, batched in zip(fresh, stacked):
+        for alone, batched in zip(fresh, _chunk_fill(fresh)):
             assert lg.validate(batched) == lg.validate(alone)
             if not lg.validate(alone):
                 assert _derived_bytes(batched) == _derived_bytes(alone)
 
-    def test_memoized_values_are_kept(self):
-        inst = wg.random_instance(3, seed=83, index=0)
-        means, ops = lg.means_and_traceless(inst), lg.shape_operators(inst)
-        others = [wg.random_instance(3, seed=83, index=k) for k in (1, 2)]
-        lg.derive_batch([others[0], inst, others[1]])
-        assert lg.means_and_traceless(inst) is means and lg.shape_operators(inst) is ops
-
-    def test_stack_needs_one_dimension(self):
-        with pytest.raises(ValueError, match="one dimension"):
-            lg.derive_batch([wg.random_instance(2, seed=1), wg.random_instance(3, seed=1)])
+    def test_sweep_derives_once_per_chunk_and_builds_no_operators(self, monkeypatch):
+        counts = {"_derive_arrays": 0, "_find_violations": 0, "ShapeOperators": 0}
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(lg, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(lg, name, counted)
+        monkeypatch.setattr(wg, "sweep_chunk", lambda n: 4)
+        reports = wg.sweep(n=3, count=10, seed=89)  # chunks of 4, 4 and 2
+        assert len(reports) == 10
+        assert counts == {"_derive_arrays": 3, "_find_violations": 3, "ShapeOperators": 0}

@@ -316,7 +316,7 @@ class TestSharpness:
         assert res.hard_violation
 
     def test_requires_budget(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^iterations must be >= 1, got 0$"):
             wg.sharpness_search(n=2, c=0.0, f=1.0, fprime=0.0, iterations=0, seed=0)
 
 

@@ -12,11 +12,14 @@ memoized on the instance):
     generate   wintgen.random_instance
     validate   legendrian.validate (first call on a fresh instance)
     means      legendrian.means_and_traceless (the whole derivation where
-               it holds rho_perp too)
+               it holds rho_perp too; the ``ShapeOperators`` only where
+               the derivation builds them, before they were built on demand)
     rho        legendrian.rho_statistical
     rho_perp   legendrian.rho_perp_statistical (shape operators included
                where the derivation does not hold it)
-    chain      wintgen.inequality_chain, scalars given
+    chain      wintgen.inequality_chain, scalars given (including the first
+               ``shape_operators`` call, which builds the ``ShapeOperators``
+               where they are built on demand)
     csv        cli.sweep_csv_lines, per row
 
 and ``sweep`` is ``wintgen.sweep`` of a batch of the same size, per
