@@ -320,8 +320,8 @@ def cmd_reproduce(args) -> int:
         table = float(np.max(np.abs(chart.gamma(p) - wc.h3_connection_table(p[0]))))
         add("connection table", table, 0.0, 1e-12)
         for points, u, v, *probes in _chunks(50, 3, rng, wc.default_sample_box(3), *[[(-1.0, 1.0)] * 3] * 6):
-            sectional = sg.sectional_curvature(chart, "levi_civita", points, u, v)
-            residual = np.max(list(sg.axiom_residuals(chart, points, *probes).values()), axis=0)
+            sectional, residuals = sg.levi_civita_sectional_and_axioms(chart, points, u, v, probes)
+            residual = np.max(list(residuals.values()), axis=0)
             for i in range(len(points)):
                 add("hyperbolic sectional", sectional[i], -1.0, 1e-6)
                 add("axiom residual", residual[i], 0.0, 1e-6)

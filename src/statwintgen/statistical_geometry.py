@@ -25,7 +25,7 @@ sample followed by its 2 dim central-difference points.  One point is the N = 1 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -151,17 +151,16 @@ def _gamma_fields(which: str) -> tuple[str, str]:
 
 
 def _levi_civita_pass(chart: DualisticChart, points: Array) -> tuple[Array, Array, Array, Array]:
-    """(g, dg, Gamma0, d Gamma0) over an (N, dim) stack, from one evaluation of g and dg on
-    every point of its central-difference grid."""
+    """(g, dg, Gamma0, R0) over an (N, dim) stack, R0 the curvature of Gamma0, from one evaluation
+    of g and dg on every point of its central-difference grid."""
     g, dg, gamma0 = _metric_and_christoffel(chart, grid(points, DEFAULT_FD_STEP))
     rows = 1 + 2 * chart.dim  # grid rows per point, the point itself first
-    return g[::rows], dg[::rows], *grid_partials(gamma0, len(points), DEFAULT_FD_STEP)
+    gamma0, dgamma0 = grid_partials(gamma0, len(points), DEFAULT_FD_STEP)
+    return g[::rows], dg[::rows], gamma0, curvature_from_gamma(gamma0, dgamma0)
 
 
 def _connection_and_partials(chart: DualisticChart, which: str, points: Array) -> tuple[Array, Array]:
-    """(Gamma, d Gamma) of one connection over an (N, dim) stack."""
-    if which == "levi_civita":
-        return _levi_civita_pass(chart, points)[2:]
+    """(Gamma, d Gamma) of nabla or nabla* over an (N, dim) stack."""
     name, partial = _gamma_fields(which)
     if getattr(chart, partial) is not None:
         return _field(chart, name, points), _field(chart, partial, points)
@@ -178,6 +177,8 @@ def curvature_from_gamma(gamma: Array, dgamma: Array) -> Array:
 def curvature(chart: DualisticChart, which: str, points: Array) -> CurvatureTensor:
     """Curvature tensor of nabla, nabla* or the Levi-Civita connection over a stack."""
     points = np.asarray(points, dtype=float)
+    if which == "levi_civita":
+        return CurvatureTensor(_levi_civita_pass(chart, points)[3])
     return CurvatureTensor(curvature_from_gamma(*_connection_and_partials(chart, which, points)))
 
 
@@ -203,15 +204,25 @@ def kk_bracket(k: Array) -> Array:
     return np.einsum("...lim,...mjk->...lkij", k, k) - np.einsum("...ljm,...mik->...lkij", k, k)
 
 
-def sectional_curvature(chart: DualisticChart, which: str, points: Array, X: Array, Y: Array) -> Array:
-    """g(R(X,Y)Y,X) normalized by the Gram determinant of the plane, one value per point."""
-    points = np.asarray(points, dtype=float)
-    g = _field(chart, "metric", points)
-    num = curvature(chart, which, points).scalar(g, X, Y, Y, X)
+def _sectional(g: Array, R: Array, X: Array, Y: Array) -> Array:
+    """g(R(X,Y)Y,X) normalized by the Gram determinant of the plane, from g and R at the points."""
+    num = CurvatureTensor(R).scalar(g, X, Y, Y, X)
     gram = _bilinear(X, g, X) * _bilinear(Y, g, Y) - _bilinear(X, g, Y) ** 2
     if np.any(np.abs(gram) < 1e-12):
         raise ValueError("probe vectors are (numerically) linearly dependent")
     return num / gram
+
+
+def sectional_curvature(chart: DualisticChart, which: str, points: Array, X: Array, Y: Array) -> Array:
+    """g(R(X,Y)Y,X) normalized by the Gram determinant of the plane, one value per point.
+
+    For the Levi-Civita connection, g at the points comes with its pass."""
+    points = np.asarray(points, dtype=float)
+    if which == "levi_civita":
+        g, _, _, R = _levi_civita_pass(chart, points)
+    else:
+        g, R = _field(chart, "metric", points), curvature(chart, which, points).components
+    return _sectional(g, R, X, Y)
 
 
 AXIOM_RESIDUALS = ("duality", "codazzi", "k_symmetry", "k_self_adjoint", "conjugate", "curvature_sum")
@@ -238,9 +249,25 @@ def axiom_residuals(
     residual is an array, one value per point.
     """
     x = np.asarray(points, dtype=float)
+    return _axiom_residuals(chart, x, *_levi_civita_pass(chart, x), X, Y, Z, W)
+
+
+def levi_civita_sectional_and_axioms(
+    chart: DualisticChart, points: Array, X: Array, Y: Array, probes: Sequence[Array]
+) -> tuple[Array, dict[str, Array]]:
+    """``sectional_curvature(chart, "levi_civita", points, X, Y)`` and ``axiom_residuals(chart, points, *probes)``
+    from one Levi-Civita pass over the stack."""
+    x = np.asarray(points, dtype=float)
+    lc_pass = _levi_civita_pass(chart, x)
+    return _sectional(lc_pass[0], lc_pass[3], X, Y), _axiom_residuals(chart, x, *lc_pass, *probes)
+
+
+def _axiom_residuals(
+    chart: DualisticChart, x: Array, g: Array, dg: Array, gam0: Array, R0: Array, X: Array, Y: Array, Z: Array, W: Array
+) -> dict[str, Array]:
+    """The residuals of ``axiom_residuals`` at the points x from their Levi-Civita pass (g, dg, Gamma0, R0);
+    g and dg at the points come with the pass, which evaluates them on the grid anyway."""
     X, Y, Z, W = (np.asarray(v, dtype=float) for v in (X, Y, Z, W))
-    # g and dg at the points come with the Levi-Civita pass, which evaluates them on the grid anyway
-    g, dg, gam0, dgam0 = _levi_civita_pass(chart, x)
     gam, dgam = _connection_and_partials(chart, "nabla", x)
     gam_star, dgam_star = _connection_and_partials(chart, "nabla_star", x)
 
@@ -258,7 +285,6 @@ def axiom_residuals(
 
     R = curvature_from_gamma(gam, dgam)
     R_star = curvature_from_gamma(gam_star, dgam_star)
-    R0 = curvature_from_gamma(gam0, dgam0)
     conjugate = np.abs(CurvatureTensor(R).scalar(g, X, Y, Z, W) + CurvatureTensor(R_star).scalar(g, X, Y, W, Z))
 
     total = R + R_star - 2.0 * R0 - 2.0 * kk_bracket(k)

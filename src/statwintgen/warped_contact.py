@@ -59,16 +59,19 @@ class Warping:
     def at(self, t) -> tuple[Array, Array, Array]:
         """(f, f', f'') at each t of an array of any shape, each an array of that shape.
 
-        The functions are called on each t as a Python float, t by t in array
-        order, so a non-positive f is reported at the first such t."""
+        Each function is called on each t as a Python float, in array order:
+        f over the whole stack first, then f', then f''.  The first t whose f
+        is not positive (or not finite) is reported before f' is called."""
         t = np.asarray(t, dtype=float)
-        values = []
-        for s in t.ravel().tolist():
-            f = float(self.f(s))
-            if not (math.isfinite(f) and f > 0.0):
-                raise ValueError(f"warping {self.name} must stay positive, got f({s}) = {f}")
-            values.append((f, float(self.f_prime(s)), float(self.f_double_prime(s))))
-        return tuple(np.array(values).T.reshape((3,) + t.shape))
+        s = t.ravel().tolist()
+        n, shape = len(s), t.shape
+        f = np.fromiter(map(self.f, s), float, n)
+        ok = (0.0 < f) & (f < math.inf)  # False at a NaN too
+        if np.count_nonzero(ok) < n:
+            i = int(ok.argmin())  # the first bad t
+            raise ValueError(f"warping {self.name} must stay positive, got f({s[i]}) = {float(f[i])}")
+        return (f.reshape(shape), np.fromiter(map(self.f_prime, s), float, n).reshape(shape),
+                np.fromiter(map(self.f_double_prime, s), float, n).reshape(shape))
 
 
 def exp_warping() -> Warping:

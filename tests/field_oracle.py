@@ -48,6 +48,17 @@ def warping_at(warping, t: float) -> tuple[float, float, float]:
     return f, float(warping.f_prime(t)), float(warping.f_double_prime(t))
 
 
+def warping_stack(warping, t) -> tuple:
+    """(f, f', f'') at each t of an array of any shape, each an array of that shape.
+
+    ``warping_at`` runs t by t in array order, so f, f' and f'' of one t are
+    evaluated before f of the next, and the first non-positive f is named.
+    """
+    t = np.asarray(t, dtype=float)
+    values = [warping_at(warping, s) for s in t.ravel().tolist()]
+    return tuple(np.array(values).T.reshape((3,) + t.shape))
+
+
 def warped_fields(spec) -> dict:
     """Fields of ``build_warped_chart(spec)`` for a spec whose fiber is in ``FIBERS``."""
     fiber = FIBERS[spec.fiber.label]

@@ -99,6 +99,54 @@ def test_classify_evaluates_each_sample_point_once(monkeypatch, capsys):
     assert len(calls) == 5
 
 
+@pytest.fixture
+def h3_warping_calls(monkeypatch) -> list:
+    """The t of each call of f of the h3 chart's warping, in call order."""
+    calls = []
+    exp = wc.exp_warping()
+
+    def f(t):
+        calls.append(t)
+        return exp.f(t)
+
+    monkeypatch.setattr(wc, "exp_warping", lambda: replace(exp, f=f))
+    return calls
+
+
+@pytest.mark.parametrize("argv, count", [
+    # 100 samples: the Levi-Civita pass on 700 grid points (metric, metric_partial) and the
+    # four connection fields on the 100 points; nothing is shared across the chart's fields
+    (["axioms", "--chart", "h3", "--samples", "100"], 1800),
+    # 50 samples: one pass (700) for the sectional curvature and the axioms, the connection
+    # fields (200), the connection table (1) and one classified point (9)
+    (["reproduce", "example-h3"], 910),
+    # 20 samples: the pass (280) with g at the points taken from it, both finite-differenced
+    # connections on the grid (280) and the closed forms (20)
+    (["curvature", "--chart", "h3", "--samples", "20"], 580),
+])
+def test_h3_commands_evaluate_the_warping_once_per_field_and_point(h3_warping_calls, tmp_path, argv, count):
+    assert main([*argv, "--out", str(tmp_path / "report.json")]) == EXIT_OK
+    assert len(h3_warping_calls) == count
+
+
+def test_reproduce_h3_evaluates_metric_partial_once_per_chunk(monkeypatch, tmp_path):
+    calls = []
+    original = wc.build_warped_chart
+
+    def counting(spec, validate_fiber=True):
+        chart = original(spec, validate_fiber)
+
+        def metric_partial(x):
+            calls.append(len(x))
+            return chart.metric_partial(x)
+
+        return replace(chart, metric_partial=metric_partial)
+
+    monkeypatch.setattr(wc, "build_warped_chart", counting)
+    assert main(["reproduce", "example-h3", "--out", str(tmp_path / "report.json")]) == EXIT_OK
+    assert calls == [7 * 50]  # one chunk of 50 samples, each with its 6 stencil points
+
+
 def test_unknown_command_usage_error():
     assert main(["frobnicate"]) == EXIT_USAGE
 
@@ -801,13 +849,16 @@ def test_geometry_samples_keep_the_one_sample_at_a_time_stream(argv, tmp_path, m
         seen.extend(zip(points, *probes))
         return residuals(chart, points, *probes)
 
-    residuals = sg.axiom_residuals
+    def recording_pair(chart, points, u, v, probes):  # reproduce example-h3: the sectional pair, then the probes
+        seen.extend(zip(points, u, v, *probes))
+        return pair(chart, points, u, v, probes)
+
+    residuals, pair = sg.axiom_residuals, sg.levi_civita_sectional_and_axioms
     monkeypatch.setattr(sg, "GEOMETRY_CHUNK_FLOATS", 3000)  # several chunks
     monkeypatch.setattr(sg, "axiom_residuals", recording)
+    monkeypatch.setattr(sg, "levi_civita_sectional_and_axioms", recording_pair)
     assert main([*argv, "--seed", "6", "--out", str(tmp_path / "r.json")]) == EXIT_OK
     want = _sequential_draws(argv, 6)
-    if argv[0] == "reproduce" and argv[-1] == "example-h3":
-        want = [[p, *probes] for p, _, _, *probes in want]  # the sectional pair u, v comes before the probes
     assert len(seen) == len(want)
     for got, expected in zip(seen, want):
         for a, b in zip(got, expected, strict=True):

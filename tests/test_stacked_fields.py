@@ -4,7 +4,8 @@ Every built-in chart field takes an (N, dim) stack of points.  Evaluated on a
 stack, it must return, row by row, exactly the doubles of the single-point
 definitions in ``field_oracle.py`` evaluated one point at a time: for the r2
 and h3 charts, for every warp x fiber of the ``classify`` command, for their
-``without_analytic()`` copies and for ``cli._perturbed_chart``.
+``without_analytic()`` copies and for ``cli._perturbed_chart``.  The same
+holds for ``Warping.at`` against the per-t loop ``field_oracle.warping_stack``.
 """
 
 import math
@@ -107,3 +108,20 @@ def test_stacked_warped_metric_equals_the_single_point_oracle(name):
     points = _points(spec.dim)
     metric = oracle.warped_fields(spec)["metric"]
     assert np.array_equal(wc.warped_metric(spec, points), np.array([metric(p) for p in points]))
+
+
+WARPINGS = {"exp": wc.exp_warping(), "cosh": wc.cosh_warping(), "const 2.5": wc.const_warping(2.5)}
+# a repeated t, both zeros and the sample box's t edges, then a t whose cosh ratio squares apart
+EDGE_HEIGHTS = [0.5, -0.5, -0.0, 0.0, 0.5, -0.5, -0.0, SQUARES[0], SQUARES[0]]
+
+
+@pytest.mark.parametrize("shape", [(64,), (64, 7), (0,)])
+@pytest.mark.parametrize("name", list(WARPINGS))
+def test_warping_at_equals_the_per_t_oracle(name, shape):
+    warping = WARPINGS[name]
+    t = np.random.default_rng(5).uniform(-2.0, 2.0, shape)
+    flat = t.reshape(-1)
+    flat[: len(EDGE_HEIGHTS)] = EDGE_HEIGHTS[: flat.size]
+    for got, want in zip(warping.at(t), oracle.warping_stack(warping, t), strict=True):
+        assert got.shape == want.shape == shape
+        assert got.tobytes() == want.tobytes()  # bit for bit, so -0.0 is not 0.0

@@ -91,20 +91,22 @@ class TestBuildWarpedChart:
             wc.build_warped_chart(spec, validate_fiber=False).metric(np.array([-1.0, 0.0, 0.0]))
 
     def test_warping_positivity_names_the_first_bad_point_of_a_stack(self):
-        # f(t) = t is non-positive at the second and fourth points; the second is named
-        bad = wc.Warping(lambda t: t, lambda t: 1.0, lambda t: 0.0, name="t")
-        spec = wc.WarpedProductSpec(fiber=sg.trivial_chart(2), complex_structure=sg.constant_field(np.eye(2)),
-                                    warping=bad)
-        chart = wc.build_warped_chart(spec, validate_fiber=False)
+        # each f is non-positive or not finite at the second and fourth points (t < 0); the second is named
         points = np.array([[0.5, 0.1, 0.2], [-0.25, 0.0, 0.3], [0.75, -0.4, 0.0], [-1.5, 0.2, 0.2]])
-        message = "warping t must stay positive, got f(-0.25) = -0.25"
-        for field in (chart.metric, chart.gamma, chart.gamma_star, chart.metric_partial, chart.gamma_partial):
+        for f, shown in ((lambda t: t, "-0.25"), (lambda t: t if t > 0 else math.nan, "nan"),
+                         (lambda t: t if t > 0 else math.inf, "inf")):
+            bad = wc.Warping(f, lambda t: 1.0, lambda t: 0.0, name="t")
+            spec = wc.WarpedProductSpec(fiber=sg.trivial_chart(2), complex_structure=sg.constant_field(np.eye(2)),
+                                        warping=bad)
+            chart = wc.build_warped_chart(spec, validate_fiber=False)
+            message = f"warping t must stay positive, got f(-0.25) = {shown}"
+            for field in (chart.metric, chart.gamma, chart.gamma_star, chart.metric_partial, chart.gamma_partial):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    field(points)
             with pytest.raises(ValueError, match=re.escape(message)):
-                field(points)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            bad.at(points[:, 0])
-        with pytest.raises(ValueError, match=re.escape(message)):
-            sg.axiom_residuals(chart, points, *np.ones((4, 4, 3)))
+                bad.at(points[:, 0])
+            with pytest.raises(ValueError, match=re.escape(message)):
+                sg.axiom_residuals(chart, points, *np.ones((4, 4, 3)))
 
     def test_complex_structure_without_the_stack_axis_is_named(self):
         spec = wc.WarpedProductSpec(fiber=sg.trivial_chart(2), complex_structure=lambda x: wc.standard_complex_structure(1),

@@ -44,15 +44,22 @@ built-in charts, in microseconds per sample:
     sectional       statistical_geometry.sectional_curvature, Levi-Civita (h3)
     fields_h3       the h3 chart's six fields (metric, both connections and
                     their analytic partials)
+    warping_h3      warped_contact.Warping.at of the h3 chart on the t column
+                    of the samples' Levi-Civita grid, in microseconds per t
+    reproduce_h3    the Levi-Civita sectional curvature and axiom_residuals
+                    (h3), as ``reproduce example-h3`` computes them: from one
+                    pass with ``levi_civita_sectional_and_axioms`` where the
+                    checkout has it, else with one call of each function
 
 each once per point, as an N = 1 stack (``geometry.<stage>.point``), and as
 one stacked call over all samples (``geometry.<stage>.stack``), as the
 ``axioms``, ``curvature`` and ``reproduce`` commands do.  The script uses
-only public functions that have existed since the benchmark was added.  It
-skips the geometry stages where the checkout does not evaluate stacks of
-points (it lacks ``statistical_geometry.geometry_chunk``), and ``fields_h3``
-where the chart fields do not take a stack, so it runs unchanged against
-older checkouts for before/after tables.
+only public functions that have existed since the benchmark was added,
+except where named above.  It skips the geometry stages where the checkout
+does not evaluate stacks of points (it lacks
+``statistical_geometry.geometry_chunk``), and ``fields_h3`` and
+``warping_h3`` where the chart fields and the warping do not take a stack,
+so it runs unchanged against older checkouts for before/after tables.
 """
 
 from __future__ import annotations
@@ -68,12 +75,15 @@ import numpy as np
 from statwintgen import cli, legendrian, wintgen
 from statwintgen import statistical_geometry as sg
 from statwintgen import warped_contact as wc
+from statwintgen.tensor_core import DEFAULT_FD_STEP
 
 DIMS = (2, 3, 5, 8)
 STAGES = ("generate", "validate", "means", "rho", "rho_perp", "chain", "csv", "sweep")
-GEOMETRY_STAGES = ("axioms_r2", "axioms_h3", "lc_curvature", "sectional", "fields_h3")
+GEOMETRY_STAGES = ("axioms_r2", "axioms_h3", "lc_curvature", "sectional", "fields_h3", "warping_h3", "reproduce_h3")
+STACK_STAGES = ("fields_h3", "warping_h3")  # skipped where the fields and the warping take one point
 CHART_FIELDS = ("metric", "gamma", "gamma_star", "metric_partial", "gamma_partial", "gamma_star_partial")
 GEOMETRY_SAMPLES = 100
+GRID_ROWS_H3 = 7  # t values per h3 sample on the Levi-Civita grid: the point and its 6 stencil points
 SHARPNESS_BUDGET = 1000
 
 
@@ -123,7 +133,8 @@ def sharpness_timings(repeats: int) -> dict[str, float]:
 
 def geometry_batch(seed: int, stacked: bool) -> dict[str, float]:
     """Seconds per geometry stage on ``GEOMETRY_SAMPLES`` fresh points, one at a time or stacked."""
-    charts = {"r2": sg.builtin_r2_example(), "h3": wc.build_warped_chart(wc.builtin_h3_example())}
+    h3 = wc.builtin_h3_example()
+    charts = {"r2": sg.builtin_r2_example(), "h3": wc.build_warped_chart(h3)}
     rng = np.random.default_rng(seed)
     samples = {}
     for name, chart in charts.items():
@@ -136,17 +147,33 @@ def geometry_batch(seed: int, stacked: bool) -> dict[str, float]:
         "lc_curvature": ("h3", lambda chart, x, p: sg.curvature(chart, "levi_civita", x)),
         "sectional": ("h3", lambda chart, x, p: sg.sectional_curvature(chart, "levi_civita", x, p[0], p[1])),
         "fields_h3": ("h3", lambda chart, x, p: [getattr(chart, f)(x) for f in CHART_FIELDS]),
+        "warping_h3": ("h3", lambda chart, x, p: h3.warping.at(_grid_heights(x))),
+        "reproduce_h3": ("h3", _reproduce_pair),
     }
     t = {}
     for stage, (name, call) in calls.items():
         chart, (points, probes) = charts[name], samples[name]
-        if stage == "fields_h3" and not _fields_take_stacks(chart, points):
+        if stage in STACK_STAGES and not _fields_take_stacks(chart, points):
             continue
         if stacked:
             t[stage], _ = _timed(lambda _: call(chart, points, probes), [None])
         else:
             t[stage], _ = _timed(lambda i: call(chart, points[i:i + 1], probes[:, i:i + 1]), range(GEOMETRY_SAMPLES))
     return t
+
+
+def _grid_heights(points) -> np.ndarray:
+    """The t column of the Levi-Civita grid of (N, 3) points: each t, then t + h, t - h and t four times."""
+    t, h = points[:, :1], DEFAULT_FD_STEP
+    return np.hstack([t, t + h, t - h, t, t, t, t]).ravel()
+
+
+def _reproduce_pair(chart, points, probes):
+    """The Levi-Civita sectional curvature on the first two probes and the axiom residuals on all four."""
+    if hasattr(sg, "levi_civita_sectional_and_axioms"):
+        return sg.levi_civita_sectional_and_axioms(chart, points, probes[0], probes[1], probes)
+    return (sg.sectional_curvature(chart, "levi_civita", points, probes[0], probes[1]),
+            sg.axiom_residuals(chart, points, *probes))
 
 
 def _fields_take_stacks(chart, points) -> bool:
@@ -158,7 +185,8 @@ def _fields_take_stacks(chart, points) -> bool:
 
 
 def geometry_timings(repeats: int) -> dict[str, float]:
-    """``geometry.<stage>.point`` and ``.stack`` -> median us per sample, where stacks are evaluated."""
+    """``geometry.<stage>.point`` and ``.stack`` -> median us per sample (per t for ``warping_h3``),
+    where stacks are evaluated."""
     out = {}
     if not hasattr(sg, "geometry_chunk"):
         return out
@@ -166,7 +194,8 @@ def geometry_timings(repeats: int) -> dict[str, float]:
         runs = [geometry_batch(seed, mode == "stack") for seed in range(repeats)]
         for stage in GEOMETRY_STAGES:
             if stage in runs[0]:
-                out[f"geometry.{stage}.{mode}"] = 1e6 * statistics.median(r[stage] for r in runs) / GEOMETRY_SAMPLES
+                units = GEOMETRY_SAMPLES * (GRID_ROWS_H3 if stage == "warping_h3" else 1)
+                out[f"geometry.{stage}.{mode}"] = 1e6 * statistics.median(r[stage] for r in runs) / units
     return out
 
 
