@@ -15,10 +15,10 @@ round-trip exactly.  An optional JSON config file provides defaults for any
 long flag (flags win); the environment variable STATWINTGEN_OUTDIR sets the
 default output directory.  A flag or value the parser rejects ends in one
 ``error:`` line and exit 2, without the usage block.  Arithmetic that leaves
-double precision (a non-finite bound or geometry residual, a float overflow
-or a division by an underflowed zero) is a usage error too: exit 2 with one
-``error:`` line, and no report is written; so is a problem size whose arrays
-cannot be allocated.
+double precision (a non-finite bound, geometry residual or check value, a
+float overflow or a division by an underflowed zero) is a usage error too:
+exit 2 with one ``error:`` line, and no report is written; so is a problem
+size whose arrays cannot be allocated.
 The argument parser is built once per process, on the first ``main`` call.
 ``axioms``, ``curvature`` and ``reproduce`` draw their sample points and
 probes with one ``uniform`` call per chunk of
@@ -212,14 +212,31 @@ def cmd_axioms(args) -> int:
     )
 
 
+def _check_table(chunks) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Names, values, targets and tolerances of a command's checks, one row each, sample by sample.
+
+    ``chunks`` holds (points, columns) pairs, a column being one check's
+    (name, values, target, tol) with a value per point; each sample's rows
+    follow its chunk's columns.  A non-finite value has no verdict:
+    OverflowError names the first such check and its sample point.
+    """
+    names, values, bounds, points = [], [], [], []
+    for pts, columns in chunks:
+        col_names, col_values, *col_bounds = zip(*columns)
+        names += list(col_names) * len(pts)
+        values.append(np.stack(col_values, axis=1).ravel())
+        bounds.append(np.tile(col_bounds, len(pts)))
+        points.append(np.repeat(pts, len(columns), axis=0))
+    values = np.concatenate(values)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise OverflowError(f"non-finite {names[bad[0]]} check at {np.concatenate(points)[bad[0]].tolist()}")
+    return names, values, *np.concatenate(bounds, axis=1)
+
+
 def cmd_curvature(args) -> int:
     rng = np.random.default_rng(args.seed)
-    checks = []
-
-    def add(name: str, value: float, target: float, tol: float):
-        value = float(value)
-        checks.append({"check": name, "value": value, "target": target, "ok": abs(value - target) <= tol})
-
+    chunks = []
     if args.chart == "r2":
         chart = sg.builtin_r2_example()
         fd = chart.without_analytic()
@@ -228,10 +245,8 @@ def cmd_curvature(args) -> int:
                  (("analytic", chart, 1e-10), ("finite-difference", fd, 1e-6)) for which in ("nabla", "nabla_star")]
         for (points,) in _chunks(args.samples, 2, rng, [(-1.0, 1.0)] * 2):
             # ex, ey are g-orthonormal on this chart: the sectional curvature is g(R(ex,ey)ey, ex)
-            values = [sg.sectional_curvature(ch, which, points, ex, ey) for _, ch, which, _ in cases]
-            for i in range(len(points)):
-                for (name, _, _, tol), vals in zip(cases, values):
-                    add(name, vals[i], -1.0, tol)
+            chunks.append((points, [(name, sg.sectional_curvature(ch, which, points, ex, ey), -1.0, tol)
+                                    for name, ch, which, tol in cases]))
     else:
         spec = wc.builtin_h3_example()
         chart = wc.build_warped_chart(spec)
@@ -242,22 +257,24 @@ def cmd_curvature(args) -> int:
             fd_curvature = {which: sg.curvature(fd, which, points) for which in ("nabla", "nabla_star")}
             closed = wc.warped_curvature_closed_form(spec, points, uf, vf, wf)
             probes = wc.closed_form_probes(uf, vf, wf)
-            deviations = []
+            columns = [("levi-civita sectional", sectional, -1.0, 1e-6)]
             for case in wc.CLOSED_FORM_CASES:
                 r = fd_curvature["nabla_star" if case.endswith("*") else "nabla"]
-                deviations.append(np.max(np.abs(closed[case] - r.vector(*probes[case])), axis=-1))
-            for i in range(len(points)):
-                add("levi-civita sectional", sectional[i], -1.0, 1e-6)
-                for case, dev in zip(wc.CLOSED_FORM_CASES, deviations):
-                    add(f"closed-form {case}", dev[i], 0.0, 1e-6)
-    passed = all(c["ok"] for c in checks)
-    worst = max((abs(c["value"] - c["target"]) for c in checks), default=0.0)
+                deviation = np.max(np.abs(closed[case] - r.vector(*probes[case])), axis=-1)
+                columns.append((f"closed-form {case}", deviation, 0.0, 1e-6))
+            chunks.append((points, columns))
+    names, values, targets, tols = _check_table(chunks)
+    deviation = np.abs(values - targets)
+    ok = (deviation <= tols).tolist()
+    passed, worst = all(ok), float(deviation.max(initial=0.0))
+    checks = [{"check": c, "value": v, "target": t, "ok": o}
+              for c, v, t, o in zip(names, values[:50].tolist(), targets[:50].tolist(), ok)]
     return _finish(
         args, "curvature", passed,
         {"chart": args.chart, "seed": args.seed, "samples": args.samples,
-         "worst_deviation": worst, "checks": checks[:50], "check_count": len(checks)},
+         "worst_deviation": worst, "checks": checks, "check_count": len(names)},
         f"curvature-{args.chart}-{args.seed}.json",
-        f"curvature[{args.chart}] {len(checks)} checks, worst deviation {format_float(worst)} "
+        f"curvature[{args.chart}] {len(names)} checks, worst deviation {format_float(worst)} "
         f"{'PASS' if passed else 'FAIL'}",
     )
 
@@ -289,13 +306,7 @@ def cmd_classify(args) -> int:
 
 def cmd_reproduce(args) -> int:
     rng = np.random.default_rng(args.seed)
-    checks: list[dict] = []
-
-    def add(name: str, value: float, target: float, tol: float):
-        value = float(value)
-        checks.append({"check": name, "value": value, "target": target, "tol": tol,
-                       "ok": abs(value - target) <= tol})
-
+    chunks = []
     if args.example == "example-r2":
         chart = sg.builtin_r2_example()
         fd = chart.without_analytic()
@@ -306,30 +317,31 @@ def cmd_reproduce(args) -> int:
                                            ((chart, "nabla"), (chart, "nabla_star"), (fd, "nabla")))
             residual = np.max(list(sg.axiom_residuals(chart, points, *probes).values()), axis=0)
             k = sg.difference_tensor(chart, points)
-            for i in range(len(points)):
-                add("curvature(nabla)", nabla[i], -1.0, 1e-10)
-                add("curvature(nabla_star)", nabla_star[i], -1.0, 1e-10)
-                add("fd curvature(nabla)", fd_nabla[i], -1.0, 1e-6)
-                add("axiom residual", residual[i], 0.0, 1e-8)
-                add("K^y_xx", k[i, 1, 0, 0], 1.0, 1e-12)
-                add("K^x_xy", k[i, 0, 0, 1], 1.0, 1e-12)
+            chunks.append((points, [
+                ("curvature(nabla)", nabla, -1.0, 1e-10), ("curvature(nabla_star)", nabla_star, -1.0, 1e-10),
+                ("fd curvature(nabla)", fd_nabla, -1.0, 1e-6), ("axiom residual", residual, 0.0, 1e-8),
+                ("K^y_xx", k[:, 1, 0, 0], 1.0, 1e-12), ("K^x_xy", k[:, 0, 0, 1], 1.0, 1e-12)]))
     else:
         spec = wc.builtin_h3_example()
         chart = wc.build_warped_chart(spec)
         p = np.array([0.37, 0.41, -0.58])
         table = float(np.max(np.abs(chart.gamma(p) - wc.h3_connection_table(p[0]))))
-        add("connection table", table, 0.0, 1e-12)
+        chunks.append((p[None], [("connection table", [table], 0.0, 1e-12)]))
         for points, u, v, *probes in _chunks(50, 3, rng, wc.default_sample_box(3), *[[(-1.0, 1.0)] * 3] * 6):
             sectional, residuals = sg.levi_civita_sectional_and_axioms(chart, points, u, v, probes)
             residual = np.max(list(residuals.values()), axis=0)
-            for i in range(len(points)):
-                add("hyperbolic sectional", sectional[i], -1.0, 1e-6)
-                add("axiom residual", residual[i], 0.0, 1e-6)
-        (cls,) = wc.contact_classification(spec, wc.sample_warped_points(spec, 1, rng))
-        add("alpha", cls.alpha, -1.0, 1e-12)
-        add("d_phi residual", cls.d_phi_residual, 0.0, 1e-8)
-    passed = all(c["ok"] for c in checks)
-    worst = max((abs(c["value"] - c["target"]) / max(c["tol"], 1e-300) for c in checks), default=0.0)
+            chunks.append((points, [("hyperbolic sectional", sectional, -1.0, 1e-6),
+                                    ("axiom residual", residual, 0.0, 1e-6)]))
+        point = wc.sample_warped_points(spec, 1, rng)
+        (cls,) = wc.contact_classification(spec, point)
+        chunks.append((point, [("alpha", [cls.alpha], -1.0, 1e-12),
+                               ("d_phi residual", [cls.d_phi_residual], 0.0, 1e-8)]))
+    names, values, targets, tols = _check_table(chunks)
+    deviation = np.abs(values - targets)
+    ok = (deviation <= tols).tolist()
+    passed, worst = all(ok), float((deviation / np.maximum(tols, 1e-300)).max(initial=0.0))
+    checks = [{"check": c, "value": v, "target": t, "tol": tol, "ok": o}
+              for c, v, t, tol, o in zip(names, values.tolist(), targets.tolist(), tols.tolist(), ok)]
     return _finish(
         args, "reproduce", passed,
         {"example": args.example, "seed": args.seed, "checks": checks, "check_count": len(checks)},

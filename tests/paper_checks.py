@@ -10,6 +10,8 @@
   R x_f N(c);
 - ``skew_field_residuals`` and ``phi_warp_residual``: the statistical
   identities of a g-skew (1,1) field (J on the fiber, phi on the warp).
+- ``fiber_axiom_check``: the dualistic axioms of a warped product's fiber
+  at three seeded sample points, within ``FIBER_AXIOM_TOL``.
 
 The module name has no ``test_`` prefix, so pytest imports it without
 collecting it.
@@ -26,12 +28,13 @@ import statwintgen.wintgen as wg
 from statwintgen.legendrian import LegendrianPointInstance
 from statwintgen.statistical_geometry import (
     DualisticChart,
+    axiom_residuals,
     check_almost_complex,
     covariant,
     covariant_two_form_derivative,
     levi_civita,
 )
-from statwintgen.tensor_core import DEFAULT_FD_STEP, commutator, frobenius_norm_sq, instance_rng
+from statwintgen.tensor_core import DEFAULT_FD_STEP, commutator, frobenius_norm_sq, instance_rng, sample_points
 from statwintgen.warped_contact import (
     WarpedProductSpec,
     embed_fiber_vector,
@@ -316,3 +319,27 @@ def phi_warp_residual(spec: WarpedProductSpec, chart: DualisticChart, point: Arr
     predicted = embed_fiber_vector(nxj_fiber) - (fp / f) * Y[0] * (phi @ X)
     predicted[0] -= (fp / f) * float(X @ warped_metric(spec, point) @ phi @ Y)
     return float(np.max(np.abs(nx_phi_y - predicted)))
+
+
+# ---------------------------------------------------------------------------
+# Dualistic axioms of a warped product's fiber
+# ---------------------------------------------------------------------------
+
+FIBER_AXIOM_TOL = 1e-6
+
+
+def fiber_axiom_check(spec: WarpedProductSpec) -> None:
+    """Raise ValueError at the first of three seeded fiber points whose worst axiom
+    residual is above ``FIBER_AXIOM_TOL`` or not finite."""
+    rng = np.random.default_rng(171)
+    fiber = spec.fiber
+    pts = sample_points(fiber.dim, 3, rng)
+    probes = rng.uniform(-1.0, 1.0, size=(len(pts), 4, fiber.dim))
+    residuals = axiom_residuals(fiber, pts, *probes.transpose(1, 0, 2))
+    for p, *values in zip(pts, *residuals.values()):
+        worst = float(np.max(values))  # keeps a NaN, which max() could drop
+        if not worst <= FIBER_AXIOM_TOL:
+            raise ValueError(
+                f"fiber of {spec.label} violates the dualistic axioms "
+                f"(residual {worst:.3e} > {FIBER_AXIOM_TOL:.1e} at {p.tolist()})"
+            )

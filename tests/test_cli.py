@@ -133,8 +133,8 @@ def test_reproduce_h3_evaluates_metric_partial_once_per_chunk(monkeypatch, tmp_p
     calls = []
     original = wc.build_warped_chart
 
-    def counting(spec, validate_fiber=True):
-        chart = original(spec, validate_fiber)
+    def counting(spec):
+        chart = original(spec)
 
         def metric_partial(x):
             calls.append(len(x))
@@ -918,3 +918,30 @@ def test_non_finite_residual_order_is_sample_first(budget, monkeypatch, capsys):
     point = _sequential_draws(["axioms", "r2"], 5)[2][0]
     line = _assert_one_line_usage_error(main(["axioms", "--chart", "r2", "--samples", "5", "--seed", "5"]), capsys)
     assert line == f"error: arithmetic overflow: non-finite k_symmetry residual at {point.tolist()}"
+
+
+@pytest.mark.parametrize(
+    "argv, function, check",
+    [
+        (["curvature", "--chart", "r2"], "sectional_curvature", "analytic:nabla"),
+        # row 90 of 180: past the 50 reported rows, where max() dropped the NaN and the command exited 1
+        (["curvature", "--chart", "h3"], "sectional_curvature", "levi-civita sectional"),
+        (["reproduce", "example-r2"], "sectional_curvature", "curvature(nabla)"),
+        (["reproduce", "example-h3"], "levi_civita_sectional_and_axioms", "hyperbolic sectional"),
+    ],
+    ids=["curvature r2", "curvature h3", "reproduce example-r2", "reproduce example-h3"],
+)
+def test_non_finite_check_value_names_the_first_check_and_sample(argv, function, check, tmp_path, monkeypatch, capsys):
+    original = getattr(sg, function)
+
+    def nan_at_sample_10(*args):
+        out = original(*args)
+        (out[0] if isinstance(out, tuple) else out)[10] = np.nan
+        return out
+
+    monkeypatch.setattr(sg, function, nan_at_sample_10)
+    point = _sequential_draws(argv, 0)[10][0]
+    out = tmp_path / "report.json"
+    line = _assert_one_line_usage_error(main([*argv, "--seed", "0", "--out", str(out)]), capsys)
+    assert line == f"error: arithmetic overflow: non-finite {check} check at {point.tolist()}"
+    assert not out.exists()

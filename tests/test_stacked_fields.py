@@ -37,7 +37,7 @@ def _charts() -> dict:
     base["h3"] = (cli.CHARTS["h3"](), oracle.warped_fields(SPECS["h3"]))
     for name, spec in SPECS.items():
         if name != "h3":
-            base[name] = (wc.build_warped_chart(spec, validate_fiber=False), oracle.warped_fields(spec))
+            base[name] = (wc.build_warped_chart(spec), oracle.warped_fields(spec))
     out = dict(base)
     for name, (chart, fields) in base.items():
         no_connection_partials = {k: v for k, v in fields.items() if k not in ("gamma_partial", "gamma_star_partial")}

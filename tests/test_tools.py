@@ -29,3 +29,6 @@ def test_stage_timings_times_every_geometry_stage_one_point_at_a_time(capsys):
     for stage in ("warping_h3", "reproduce_h3"):
         value = timings[f"geometry.{stage}.stack"]
         assert math.isfinite(value) and value > 0.0, stage
+    for command in stage_timings.COMMANDS:
+        value = timings[f"command.{command}"]
+        assert math.isfinite(value) and value > 0.0, command

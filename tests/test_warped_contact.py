@@ -66,20 +66,6 @@ class TestBuildWarpedChart:
             probes = [rng.uniform(-1, 1, 3) for _ in range(4)]
             assert max(v[0] for v in sg.axiom_residuals(h3_chart, p[None], *probes).values()) < 1e-6
 
-    def test_rejects_nonstatistical_fiber(self):
-        # primal connection of the plane example paired with a zero dual
-        # connection breaks the duality axiom
-        base = sg.builtin_r2_example()
-        broken = replace(base, gamma_star=stacked(lambda x: np.zeros((2, 2, 2))),
-                         gamma_star_partial=stacked(lambda x: np.zeros((2, 2, 2, 2))))
-        spec = wc.WarpedProductSpec(
-            fiber=broken,
-            complex_structure=stacked(lambda x: wc.standard_complex_structure(1)),
-            warping=wc.exp_warping(),
-        )
-        with pytest.raises(ValueError):
-            wc.build_warped_chart(spec)
-
     def test_warping_must_stay_positive(self):
         bad = wc.Warping(lambda t: t, lambda t: 1.0, lambda t: 0.0, name="t")
         spec = wc.WarpedProductSpec(
@@ -88,7 +74,7 @@ class TestBuildWarpedChart:
             warping=bad,
         )
         with pytest.raises(ValueError):
-            wc.build_warped_chart(spec, validate_fiber=False).metric(np.array([-1.0, 0.0, 0.0]))
+            wc.build_warped_chart(spec).metric(np.array([-1.0, 0.0, 0.0]))
 
     def test_warping_positivity_names_the_first_bad_point_of_a_stack(self):
         # each f is non-positive or not finite at the second and fourth points (t < 0); the second is named
@@ -98,7 +84,7 @@ class TestBuildWarpedChart:
             bad = wc.Warping(f, lambda t: 1.0, lambda t: 0.0, name="t")
             spec = wc.WarpedProductSpec(fiber=sg.trivial_chart(2), complex_structure=sg.constant_field(np.eye(2)),
                                         warping=bad)
-            chart = wc.build_warped_chart(spec, validate_fiber=False)
+            chart = wc.build_warped_chart(spec)
             message = f"warping t must stay positive, got f(-0.25) = {shown}"
             for field in (chart.metric, chart.gamma, chart.gamma_star, chart.metric_partial, chart.gamma_partial):
                 with pytest.raises(ValueError, match=re.escape(message)):
@@ -385,7 +371,7 @@ class TestContactResiduals:
     )
     def test_identities_hold(self, spec_factory):
         spec = spec_factory()
-        chart = wc.build_warped_chart(spec, validate_fiber=False)
+        chart = wc.build_warped_chart(spec)
         rng = np.random.default_rng(8)
         for _ in range(10):
             p = wc.sample_warped_points(spec, 1, rng)[0]
@@ -445,7 +431,7 @@ class TestKenmotsuTheorem:
     def test_k_tilde_matches_fiber(self, h3_spec):
         # K~_X Y = K_X Y on fiber probes, at the points the check samples
         chk = wc.kenmotsu_theorem_check(h3_spec)
-        chart = wc.build_warped_chart(h3_spec, validate_fiber=False)
+        chart = wc.build_warped_chart(h3_spec)
         residual = max(
             float(np.max(np.abs(sg.difference_tensor(chart, p[None])[0, 1:, 1:, 1:]
                                 - sg.difference_tensor(h3_spec.fiber, p[None, 1:])[0])))
@@ -467,11 +453,34 @@ class TestBuiltinH3:
         assert abs(h3_chart.gamma(p)[0, 2, 2] + math.exp(1.0)) <= 1e-12
 
 
+def test_every_builtin_fiber_is_statistical():
+    # build_warped_chart takes its fiber as given: this certifies every fiber the commands build
+    # (--const-value and --epsilon change the warp and J, not the fiber chart)
+    specs = [wc.builtin_h3_example()]
+    specs += [cli.FIBERS[fiber](cli.WARPS[warp](1.0), 0.4) for warp in cli.WARPS for fiber in cli.FIBERS]
+    for spec in specs:
+        pc.fiber_axiom_check(spec)
+
+
+def test_fiber_check_rejects_a_nonstatistical_fiber():
+    # primal connection of the plane example paired with a zero dual
+    # connection breaks the duality axiom; the chart is built all the same
+    base = sg.builtin_r2_example()
+    broken = replace(base, gamma_star=stacked(lambda x: np.zeros((2, 2, 2))),
+                     gamma_star_partial=stacked(lambda x: np.zeros((2, 2, 2, 2))))
+    spec = wc.WarpedProductSpec(
+        fiber=broken,
+        complex_structure=stacked(lambda x: wc.standard_complex_structure(1)),
+        warping=wc.exp_warping(),
+    )
+    wc.build_warped_chart(spec)
+    with pytest.raises(ValueError, match="violates the dualistic axioms"):
+        pc.fiber_axiom_check(spec)
+
+
 def test_fiber_check_names_the_first_violating_sample_point():
     # the fiber check evaluates its three sample points as one stack; the message is the
     # one a point-by-point loop over the same draws gives
-    from statwintgen import cli
-
     fiber = cli._perturbed_chart(sg.builtin_r2_example(), 0.01)
     spec = wc.WarpedProductSpec(fiber=fiber, complex_structure=stacked(lambda x: wc.standard_complex_structure(1)),
                                 warping=wc.exp_warping(), label="perturbed fiber")
@@ -480,12 +489,12 @@ def test_fiber_check_names_the_first_violating_sample_point():
     for p in sample_points(2, 3, rng):
         probes = [rng.uniform(-1.0, 1.0, 2) for _ in range(4)]
         worst = max(v[0] for v in sg.axiom_residuals(fiber, p[None], *probes).values())
-        if want is None and worst > wc.FIBER_AXIOM_TOL:
+        if want is None and worst > pc.FIBER_AXIOM_TOL:
             want = (f"fiber of perturbed fiber violates the dualistic axioms "
-                    f"(residual {worst:.3e} > {wc.FIBER_AXIOM_TOL:.1e} at {p.tolist()})")
+                    f"(residual {worst:.3e} > {pc.FIBER_AXIOM_TOL:.1e} at {p.tolist()})")
     assert want is not None
     with pytest.raises(ValueError) as err:
-        wc.build_warped_chart(spec)
+        pc.fiber_axiom_check(spec)
     assert str(err.value) == want
 
 

@@ -60,15 +60,26 @@ does not evaluate stacks of points (it lacks
 ``statistical_geometry.geometry_chunk``), and ``fields_h3`` and
 ``warping_h3`` where the chart fields and the warping do not take a stack,
 so it runs unchanged against older checkouts for before/after tables.
+
+The command stages (``command.<command>``) time whole geometry commands in
+process, in milliseconds per ``cli.main`` call: ``COMMANDS``, each writing
+its report to a temporary file with stdout discarded.  After one warm-up
+round, ``--repeats`` rounds run every command once in turn, and each figure
+is the minimum over the rounds.  These commands and flags exist in every
+checkout since the benchmark was added.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import statistics
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -85,6 +96,8 @@ CHART_FIELDS = ("metric", "gamma", "gamma_star", "metric_partial", "gamma_partia
 GEOMETRY_SAMPLES = 100
 GRID_ROWS_H3 = 7  # t values per h3 sample on the Levi-Civita grid: the point and its 6 stencil points
 SHARPNESS_BUDGET = 1000
+COMMANDS = ("reproduce example-r2", "reproduce example-h3", "axioms --chart r2", "axioms --chart h3",
+            "curvature --chart r2", "curvature --chart h3", "classify --warp exp --fiber flat")
 
 
 def _timed(fn, items) -> tuple[float, list]:
@@ -199,6 +212,24 @@ def geometry_timings(repeats: int) -> dict[str, float]:
     return out
 
 
+def command_timings(repeats: int) -> dict[str, float]:
+    """``command.<command>`` -> min milliseconds per in-process ``cli.main`` call over ``repeats`` rounds."""
+    runs = {command: [] for command in COMMANDS}
+    with tempfile.TemporaryDirectory() as work:
+        out = ["--out", str(Path(work) / "report.json")]
+        for round_index in range(repeats + 1):  # round 0 warms up
+            for command in COMMANDS:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    start = time.perf_counter()
+                    code = cli.main(command.split() + out)
+                    elapsed = time.perf_counter() - start
+                if code not in (0, 1):
+                    raise RuntimeError(f"{command} exited {code}")
+                if round_index:
+                    runs[command].append(elapsed)
+    return {f"command.{command}": 1e3 * min(times) for command, times in runs.items()}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=200, help="instances per batch")
@@ -208,6 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     timings = stage_timings(args.count, args.repeats)
     timings.update(sharpness_timings(args.repeats))
     timings.update(geometry_timings(args.repeats))
+    timings.update(command_timings(args.repeats))
     if args.json:
         print(json.dumps({k: round(v, 2) for k, v in timings.items()}))
         return 0
@@ -220,6 +252,9 @@ def main(argv: list[str] | None = None) -> int:
     for stage in GEOMETRY_STAGES:
         cells = (timings.get(f"geometry.{stage}.{mode}") for mode in ("point", "stack"))
         print(f"{stage:<14}" + "".join(f"{c:>10.1f}" if c is not None else f"{'-':>10}" for c in cells))
+    print(f"\n{'command':<40}{'ms':>10}   (in process, min of {args.repeats} rounds)")
+    for command in COMMANDS:
+        print(f"{command:<40}{timings['command.' + command]:>10.2f}")
     return 0
 
 
