@@ -24,7 +24,10 @@ The argument parser is built once per process, on the first ``main`` call.
 probes with one ``uniform`` call per chunk of
 ``statistical_geometry.geometry_chunk`` samples, which gives the doubles of
 a sample-by-sample draw in the same order, and evaluate each chunk as one
-stack, so memory stays bounded at any ``--samples``.
+stack.  Each yields its chunks' check columns to one fold, ``_fold``, which
+keeps only what a report holds, so the memory of all three stays bounded at
+any ``--samples``.  They share its verdict, |value - target| <= tol, and its
+one error for a non-finite value: ``non-finite <check> check at <point>``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from itertools import cycle
 from pathlib import Path
 from typing import Iterator
 
@@ -174,108 +178,102 @@ def _chunks(count: int, dim: int, rng: np.random.Generator, *boxes) -> Iterator[
         yield tuple(np.ascontiguousarray(column) for column in np.split(draws, edges, axis=1))
 
 
+def _fold(chunks, rows: float = 0, failures: int = 0) -> tuple[int, int, dict[str, float], list, list]:
+    """One pass over a command's checks that keeps only what its report holds.
+
+    ``chunks`` yields (points, columns) pairs, a column being one check's
+    (name, values, target, tol) with a value per point; each sample's rows
+    follow its chunk's columns, and a row is ok when |value - target| <= tol.
+    Returns the row and failing-row counts, each check's worst |value -
+    target| (from 0.0), the first ``rows`` rows (``math.inf``: all) as (name,
+    value, target, tol, ok) and the first ``failures`` failing rows as (name,
+    value, point).  A non-finite value raises OverflowError naming the first
+    such sample, then its first such check.
+    """
+    count, failed, worst, head, fails = 0, 0, {}, [], []
+    for points, columns in chunks:
+        names, values, targets, tols = zip(*columns)
+        values = np.stack(values, axis=1)
+        if not (finite := np.isfinite(values)).all():
+            i, j = np.argwhere(~finite)[0]
+            raise OverflowError(f"non-finite {names[j]} check at {points[i].tolist()}")
+        deviation = np.abs(values - targets)
+        ok = deviation <= tols
+        for name, value in zip(names, deviation.max(axis=0).tolist()):
+            worst[name] = max(worst.get(name, 0.0), value)
+        take, failing = min(rows - len(head), ok.size), np.flatnonzero(~ok)
+        head += zip(cycle(names), values.ravel()[:take].tolist(), cycle(targets), cycle(tols),
+                    ok.ravel()[:take].tolist())
+        fails += [(names[q % len(names)], values.item(q), points[q // len(names)])
+                  for q in failing[:failures - len(fails)].tolist()]
+        count, failed = count + ok.size, failed + failing.size
+    return count, failed, worst, head, fails
+
+
 def cmd_axioms(args) -> int:
     chart = CHARTS[args.chart]()
     if args.perturb_gamma:
         chart = _perturbed_chart(chart, args.perturb_gamma)
-    rng = np.random.default_rng(args.seed)
     cube = [(-1.0, 1.0)] * chart.dim
     box = wc.default_sample_box(chart.dim) if args.chart == "h3" else cube
-    worst = dict.fromkeys(sg.AXIOM_RESIDUALS, 0.0)
-    breaches = []
-    for points, *probes in _chunks(args.samples, chart.dim, rng, box, *[cube] * 4):
-        table = np.stack(list(sg.axiom_residuals(chart, points, *probes).values()), axis=1)
-        bad = np.argwhere(~np.isfinite(table))  # row-major: the first sample, then the first residual
-        if bad.size:
-            i, j = bad[0]
-            raise OverflowError(f"non-finite {sg.AXIOM_RESIDUALS[j]} residual at {points[i].tolist()}")
-        for name, column in zip(sg.AXIOM_RESIDUALS, table.T):
-            worst[name] = max(worst[name], float(column.max()))
-        breaches += [{"residual": sg.AXIOM_RESIDUALS[j], "value": float(table[i, j]), "point": points[i].tolist()}
-                     for i, j in np.argwhere(table > args.residual_tol)]
-    passed = not breaches
+    draws = _chunks(args.samples, chart.dim, np.random.default_rng(args.seed), box, *[cube] * 4)
+    _, failed, worst, _, breaches = _fold(
+        ((points, [(name, r, 0.0, args.residual_tol) for name, r in sg.axiom_residuals(chart, points, *probes).items()])
+         for points, *probes in draws), failures=20)
     lines = [f"axioms[{args.chart}] {name:<16} max {format_float(value)}" for name, value in worst.items()]
-    lines.append(f"axioms[{args.chart}] {'PASS' if passed else 'FAIL'} ({len(breaches)} breaches)")
+    lines.append(f"axioms[{args.chart}] {'FAIL' if failed else 'PASS'} ({failed} breaches)")
     return _finish(
-        args, "axioms", passed,
-        {
-            "chart": args.chart,
-            "seed": args.seed,
-            "samples": args.samples,
-            "residual_tol": args.residual_tol,
-            "worst": worst,
-            "breaches": breaches[:20],
-            "breach_count": len(breaches),
-        },
+        args, "axioms", not failed,
+        {"chart": args.chart, "seed": args.seed, "samples": args.samples, "residual_tol": args.residual_tol,
+         "worst": worst, "breaches": [{"residual": c, "value": v, "point": p.tolist()} for c, v, p in breaches],
+         "breach_count": failed},
         f"axioms-{args.chart}-{args.seed}.json",
         "\n".join(lines),
     )
 
 
-def _check_table(chunks) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """Names, values, targets and tolerances of a command's checks, one row each, sample by sample.
-
-    ``chunks`` holds (points, columns) pairs, a column being one check's
-    (name, values, target, tol) with a value per point; each sample's rows
-    follow its chunk's columns.  A non-finite value has no verdict:
-    OverflowError names the first such check and its sample point.
-    """
-    names, values, bounds, points = [], [], [], []
-    for pts, columns in chunks:
-        col_names, col_values, *col_bounds = zip(*columns)
-        names += list(col_names) * len(pts)
-        values.append(np.stack(col_values, axis=1).ravel())
-        bounds.append(np.tile(col_bounds, len(pts)))
-        points.append(np.repeat(pts, len(columns), axis=0))
-    values = np.concatenate(values)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise OverflowError(f"non-finite {names[bad[0]]} check at {np.concatenate(points)[bad[0]].tolist()}")
-    return names, values, *np.concatenate(bounds, axis=1)
-
-
-def cmd_curvature(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    chunks = []
-    if args.chart == "r2":
+def _curvature_checks(chart_name: str, samples: int, rng: np.random.Generator):
+    """``curvature``'s (points, columns) chunks, one per ``_chunks`` draw."""
+    if chart_name == "r2":
         chart = sg.builtin_r2_example()
         fd = chart.without_analytic()
         ex, ey = np.eye(2)
         cases = [(f"{label}:{which}", ch, which, tol) for label, ch, tol in
                  (("analytic", chart, 1e-10), ("finite-difference", fd, 1e-6)) for which in ("nabla", "nabla_star")]
-        for (points,) in _chunks(args.samples, 2, rng, [(-1.0, 1.0)] * 2):
+        for (points,) in _chunks(samples, 2, rng, [(-1.0, 1.0)] * 2):
             # ex, ey are g-orthonormal on this chart: the sectional curvature is g(R(ex,ey)ey, ex)
-            chunks.append((points, [(name, sg.sectional_curvature(ch, which, points, ex, ey), -1.0, tol)
-                                    for name, ch, which, tol in cases]))
-    else:
-        spec = wc.builtin_h3_example()
-        chart = wc.build_warped_chart(spec)
-        fd = chart.without_analytic()
-        boxes = wc.default_sample_box(3), *[[(-1.0, 1.0)] * 3] * 2, *[[(-1.0, 1.0)] * 2] * 3
-        for points, u, v, vf, uf, wf in _chunks(args.samples, 3, rng, *boxes):
-            sectional = sg.sectional_curvature(chart, "levi_civita", points, u, v)
-            fd_curvature = {which: sg.curvature(fd, which, points) for which in ("nabla", "nabla_star")}
-            closed = wc.warped_curvature_closed_form(spec, points, uf, vf, wf)
-            probes = wc.closed_form_probes(uf, vf, wf)
-            columns = [("levi-civita sectional", sectional, -1.0, 1e-6)]
-            for case in wc.CLOSED_FORM_CASES:
-                r = fd_curvature["nabla_star" if case.endswith("*") else "nabla"]
-                deviation = np.max(np.abs(closed[case] - r.vector(*probes[case])), axis=-1)
-                columns.append((f"closed-form {case}", deviation, 0.0, 1e-6))
-            chunks.append((points, columns))
-    names, values, targets, tols = _check_table(chunks)
-    deviation = np.abs(values - targets)
-    ok = (deviation <= tols).tolist()
-    passed, worst = all(ok), float(deviation.max(initial=0.0))
-    checks = [{"check": c, "value": v, "target": t, "ok": o}
-              for c, v, t, o in zip(names, values[:50].tolist(), targets[:50].tolist(), ok)]
+            yield points, [(name, sg.sectional_curvature(ch, which, points, ex, ey), -1.0, tol)
+                           for name, ch, which, tol in cases]
+        return
+    spec = wc.builtin_h3_example()
+    chart = wc.build_warped_chart(spec)
+    fd = chart.without_analytic()
+    boxes = wc.default_sample_box(3), *[[(-1.0, 1.0)] * 3] * 2, *[[(-1.0, 1.0)] * 2] * 3
+    for points, u, v, vf, uf, wf in _chunks(samples, 3, rng, *boxes):
+        sectional = sg.sectional_curvature(chart, "levi_civita", points, u, v)
+        fd_curvature = {which: sg.curvature(fd, which, points) for which in ("nabla", "nabla_star")}
+        closed = wc.warped_curvature_closed_form(spec, points, uf, vf, wf)
+        probes = wc.closed_form_probes(uf, vf, wf)
+        columns = [("levi-civita sectional", sectional, -1.0, 1e-6)]
+        for case in wc.CLOSED_FORM_CASES:
+            r = fd_curvature["nabla_star" if case.endswith("*") else "nabla"]
+            deviation = np.max(np.abs(closed[case] - r.vector(*probes[case])), axis=-1)
+            columns.append((f"closed-form {case}", deviation, 0.0, 1e-6))
+        yield points, columns
+
+
+def cmd_curvature(args) -> int:
+    count, failed, worst, rows, _ = _fold(
+        _curvature_checks(args.chart, args.samples, np.random.default_rng(args.seed)), rows=50)
+    worst = max(worst.values(), default=0.0)
+    checks = [{"check": c, "value": v, "target": t, "ok": o} for c, v, t, _, o in rows]
     return _finish(
-        args, "curvature", passed,
+        args, "curvature", not failed,
         {"chart": args.chart, "seed": args.seed, "samples": args.samples,
-         "worst_deviation": worst, "checks": checks, "check_count": len(names)},
+         "worst_deviation": worst, "checks": checks, "check_count": count},
         f"curvature-{args.chart}-{args.seed}.json",
-        f"curvature[{args.chart}] {len(names)} checks, worst deviation {format_float(worst)} "
-        f"{'PASS' if passed else 'FAIL'}",
+        f"curvature[{args.chart}] {count} checks, worst deviation {format_float(worst)} "
+        f"{'FAIL' if failed else 'PASS'}",
     )
 
 
@@ -304,10 +302,10 @@ def cmd_classify(args) -> int:
     )
 
 
-def cmd_reproduce(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    chunks = []
-    if args.example == "example-r2":
+def _reproduce_checks(example: str, rng: np.random.Generator):
+    """``reproduce``'s (points, columns) chunks: 20 samples of example-r2, or 50 of example-h3 between
+    its connection-table check and its contact-classification checks."""
+    if example == "example-r2":
         chart = sg.builtin_r2_example()
         fd = chart.without_analytic()
         ex, ey = np.eye(2)
@@ -317,36 +315,34 @@ def cmd_reproduce(args) -> int:
                                            ((chart, "nabla"), (chart, "nabla_star"), (fd, "nabla")))
             residual = np.max(list(sg.axiom_residuals(chart, points, *probes).values()), axis=0)
             k = sg.difference_tensor(chart, points)
-            chunks.append((points, [
+            yield points, [
                 ("curvature(nabla)", nabla, -1.0, 1e-10), ("curvature(nabla_star)", nabla_star, -1.0, 1e-10),
                 ("fd curvature(nabla)", fd_nabla, -1.0, 1e-6), ("axiom residual", residual, 0.0, 1e-8),
-                ("K^y_xx", k[:, 1, 0, 0], 1.0, 1e-12), ("K^x_xy", k[:, 0, 0, 1], 1.0, 1e-12)]))
-    else:
-        spec = wc.builtin_h3_example()
-        chart = wc.build_warped_chart(spec)
-        p = np.array([0.37, 0.41, -0.58])
-        table = float(np.max(np.abs(chart.gamma(p) - wc.h3_connection_table(p[0]))))
-        chunks.append((p[None], [("connection table", [table], 0.0, 1e-12)]))
-        for points, u, v, *probes in _chunks(50, 3, rng, wc.default_sample_box(3), *[[(-1.0, 1.0)] * 3] * 6):
-            sectional, residuals = sg.levi_civita_sectional_and_axioms(chart, points, u, v, probes)
-            residual = np.max(list(residuals.values()), axis=0)
-            chunks.append((points, [("hyperbolic sectional", sectional, -1.0, 1e-6),
-                                    ("axiom residual", residual, 0.0, 1e-6)]))
-        point = wc.sample_warped_points(spec, 1, rng)
-        (cls,) = wc.contact_classification(spec, point)
-        chunks.append((point, [("alpha", [cls.alpha], -1.0, 1e-12),
-                               ("d_phi residual", [cls.d_phi_residual], 0.0, 1e-8)]))
-    names, values, targets, tols = _check_table(chunks)
-    deviation = np.abs(values - targets)
-    ok = (deviation <= tols).tolist()
-    passed, worst = all(ok), float((deviation / np.maximum(tols, 1e-300)).max(initial=0.0))
-    checks = [{"check": c, "value": v, "target": t, "tol": tol, "ok": o}
-              for c, v, t, tol, o in zip(names, values.tolist(), targets.tolist(), tols.tolist(), ok)]
+                ("K^y_xx", k[:, 1, 0, 0], 1.0, 1e-12), ("K^x_xy", k[:, 0, 0, 1], 1.0, 1e-12)]
+        return
+    spec = wc.builtin_h3_example()
+    chart = wc.build_warped_chart(spec)
+    p = np.array([0.37, 0.41, -0.58])
+    table = float(np.max(np.abs(chart.gamma(p) - wc.h3_connection_table(p[0]))))
+    yield p[None], [("connection table", [table], 0.0, 1e-12)]
+    for points, u, v, *probes in _chunks(50, 3, rng, wc.default_sample_box(3), *[[(-1.0, 1.0)] * 3] * 6):
+        sectional, residuals = sg.levi_civita_sectional_and_axioms(chart, points, u, v, probes)
+        residual = np.max(list(residuals.values()), axis=0)
+        yield points, [("hyperbolic sectional", sectional, -1.0, 1e-6), ("axiom residual", residual, 0.0, 1e-6)]
+    point = wc.sample_warped_points(spec, 1, rng)
+    (cls,) = wc.contact_classification(spec, point)
+    yield point, [("alpha", [cls.alpha], -1.0, 1e-12), ("d_phi residual", [cls.d_phi_residual], 0.0, 1e-8)]
+
+
+def cmd_reproduce(args) -> int:
+    count, failed, _, rows, _ = _fold(_reproduce_checks(args.example, np.random.default_rng(args.seed)), rows=math.inf)
+    worst = max((abs(v - t) / max(tol, 1e-300) for _, v, t, tol, _ in rows), default=0.0)
+    checks = [{"check": c, "value": v, "target": t, "tol": tol, "ok": o} for c, v, t, tol, o in rows]
     return _finish(
-        args, "reproduce", passed,
-        {"example": args.example, "seed": args.seed, "checks": checks, "check_count": len(checks)},
+        args, "reproduce", not failed,
+        {"example": args.example, "seed": args.seed, "checks": checks, "check_count": count},
         f"reproduce-{args.example}.json",
-        f"reproduce[{args.example}] {len(checks)} checks {'PASS' if passed else 'FAIL'} (worst {worst:.3g}x tol)",
+        f"reproduce[{args.example}] {count} checks {'FAIL' if failed else 'PASS'} (worst {worst:.3g}x tol)",
     )
 
 

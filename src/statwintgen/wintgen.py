@@ -298,7 +298,10 @@ def _instances_from_upper(n: int, params: list[tuple[float, float, float]],
 
 def _forms_from_upper(n: int, xi: Array, upper: Array) -> Array:
     """(B, 2, n+1, n, n) forms h, h*: phi-slices mirrored from a (B, 2n, n, n) stack of
-    upper triangles, xi-slices the (B,) forced values xi times I, set exactly."""
+    upper triangles, xi-slices the (B,) forced values xi times I, set exactly.  A non-finite
+    xi = -f'/f (a finite f' over a tiny f) raises OverflowError."""
+    if not np.isfinite(xi).all():
+        raise OverflowError("non-finite xi = -f'/f")
     forms = np.empty((len(upper), 2, n + 1, n, n))  # h, h*
     forms[:, :, :n] = symmetrize_upper(upper).reshape(len(upper), 2, n, n, n)
     forms[:, :, n] = xi[:, None, None, None] * _frame(n).eye

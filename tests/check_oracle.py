@@ -1,11 +1,14 @@
-"""The check rows of ``curvature`` and ``reproduce``, one ``add`` call per check per sample (test oracle).
+"""The check rows of ``axioms``, ``curvature`` and ``reproduce``, computed without ``cli._fold`` (test oracle).
 
 ``checks(command, target, seed, samples)`` repeats a command's draws and geometry calls and
 appends each check as a dict, sample by sample, in report order, with the
-tolerance and verdict of that one row: the loop the commands ran before
-they kept their checks as columns.  ``summary`` gives the report fields that
-are read off the rows.  The module name has no ``test_`` prefix, so pytest
-imports it without collecting it.
+tolerance and verdict of that one row: the loop ``curvature`` and
+``reproduce`` ran before they kept their checks as columns.  ``summary``
+gives the report fields that are read off the rows.  ``axioms(chart, seed,
+samples, perturb_gamma)`` is the per-chunk loop ``axioms`` ran before the
+fold: the worst value of each residual, and every breach, uncapped.  The
+module name has no ``test_`` prefix, so pytest imports it without
+collecting it.
 """
 
 from __future__ import annotations
@@ -98,3 +101,23 @@ def summary(rows: list[dict]) -> dict:
         "worst_deviation": max((abs(r["value"] - r["target"]) for r in rows), default=0.0),
         "worst_in_tol": max((abs(r["value"] - r["target"]) / max(r["tol"], 1e-300) for r in rows), default=0.0),
     }
+
+
+def axioms(chart_name: str, seed: int, samples: int, perturb_gamma: float, residual_tol: float = 1e-6) -> dict:
+    """``worst``, every breach and ``passed`` of ``axioms --chart r2|h3``, one residual table per chunk."""
+    chart = cli.CHARTS[chart_name]()
+    if perturb_gamma:
+        chart = cli._perturbed_chart(chart, perturb_gamma)
+    rng = np.random.default_rng(seed)
+    cube = [(-1.0, 1.0)] * chart.dim
+    box = wc.default_sample_box(chart.dim) if chart_name == "h3" else cube
+    worst = dict.fromkeys(sg.AXIOM_RESIDUALS, 0.0)
+    breaches = []
+    for points, *probes in cli._chunks(samples, chart.dim, rng, box, *[cube] * 4):
+        table = np.stack(list(sg.axiom_residuals(chart, points, *probes).values()), axis=1)
+        assert np.isfinite(table).all()
+        for name, column in zip(sg.AXIOM_RESIDUALS, table.T):
+            worst[name] = max(worst[name], float(column.max()))
+        breaches += [{"residual": sg.AXIOM_RESIDUALS[j], "value": float(table[i, j]), "point": points[i].tolist()}
+                     for i, j in np.argwhere(table > residual_tol)]
+    return {"worst": worst, "breaches": breaches, "passed": not breaches}

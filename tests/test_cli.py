@@ -514,9 +514,12 @@ def test_config_missing_file_is_usage_error(tmp_path, capsys):
         ["sweep", "--n", "3", "--count", "3", "--seed", "1", "--magnitude", "1e150"],
         ["sweep", "--n", "3", "--count", "3", "--seed", "1", "--magnitude", "1e160"],
         ["sweep", "--n", "2", "--count", "3", "--c-min", "1e308", "--c-max", "1.7e308"],
+        # finite f and f' whose ratio leaves double precision: the error used to blame the inputs as non-finite
+        ["sweep", "--n", "2", "--count", "3", "--f-min", "1e-320", "--f-max", "1e-320"],
         ["sharpness", "--n", "2", "--c", "1e308", "--iterations", "5"],
         ["sharpness", "--n", "2", "--f", "1e-200", "--iterations", "5"],
         ["sharpness", "--n", "2", "--fprime", "1e200", "--iterations", "5"],
+        ["sharpness", "--n", "2", "--f", "1e-320", "--fprime", "1"],
     ],
     ids=" ".join,
 )
@@ -525,6 +528,8 @@ def test_arithmetic_overflow_is_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "report.out"
     line = _assert_one_line_usage_error(main(["wintgen", *argv, "--out", str(out)]), capsys)
     assert line.startswith("error: arithmetic overflow: ")
+    if "1e-320" in argv:
+        assert line == "error: arithmetic overflow: non-finite xi = -f'/f"
     assert not out.exists()
 
 
@@ -535,6 +540,8 @@ def test_arithmetic_overflow_is_usage_error(argv, tmp_path, capsys):
         (["--fprime", "1e200"], "error: arithmetic overflow: Numerical result out of range"),
         (["--c", "1e308", "--f", "1e-10"], "error: arithmetic overflow: non-finite bound (lhs=inf, rhs=nan)"),
         (["--c", "1e308"], "error: arithmetic overflow: non-finite bound (lhs=inf, rhs=nan)"),
+        # every value finite, but xi = -f'/f overflows
+        (["--f", "1e-320", "--fprime", "1"], "error: arithmetic overflow: non-finite xi = -f'/f"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else "",
 )
@@ -889,7 +896,7 @@ def test_non_finite_residual_names_the_first_sample_and_residual(chart_name, bud
         for point, *probes in draws:  # one sample at a time, residuals in report order
             for name, value in sg.axiom_residuals(chart, point[None], *(q[None] for q in probes)).items():
                 if want is None and not np.isfinite(value[0]):
-                    want = f"error: arithmetic overflow: non-finite {name} residual at {point.tolist()}"
+                    want = f"error: arithmetic overflow: non-finite {name} check at {point.tolist()}"
     assert want is not None
     if budget is not None:
         monkeypatch.setattr(sg, "GEOMETRY_CHUNK_FLOATS", budget)
@@ -917,7 +924,7 @@ def test_non_finite_residual_order_is_sample_first(budget, monkeypatch, capsys):
         monkeypatch.setattr(sg, "GEOMETRY_CHUNK_FLOATS", budget)
     point = _sequential_draws(["axioms", "r2"], 5)[2][0]
     line = _assert_one_line_usage_error(main(["axioms", "--chart", "r2", "--samples", "5", "--seed", "5"]), capsys)
-    assert line == f"error: arithmetic overflow: non-finite k_symmetry residual at {point.tolist()}"
+    assert line == f"error: arithmetic overflow: non-finite k_symmetry check at {point.tolist()}"
 
 
 @pytest.mark.parametrize(
@@ -945,3 +952,23 @@ def test_non_finite_check_value_names_the_first_check_and_sample(argv, function,
     line = _assert_one_line_usage_error(main([*argv, "--seed", "0", "--out", str(out)]), capsys)
     assert line == f"error: arithmetic overflow: non-finite {check} check at {point.tolist()}"
     assert not out.exists()
+
+
+def test_non_finite_check_value_comes_before_a_later_chunks_error(monkeypatch, capsys):
+    # chunks are folded as they are drawn: an error raised for the second chunk (of 186 + 114 samples)
+    # used to hide the first chunk's NaN, when every chunk was evaluated before any was judged
+    original, calls = sg.sectional_curvature, []
+
+    def nan_then_error(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise ValueError("second chunk")
+        out = original(*args)
+        out[10] = np.nan
+        return out
+
+    monkeypatch.setattr(sg, "sectional_curvature", nan_then_error)
+    point = _sequential_draws(["curvature", "h3"], 0)[10][0]
+    line = _assert_one_line_usage_error(main(["curvature", "--chart", "h3", "--samples", "300", "--seed", "0"]), capsys)
+    assert line == f"error: arithmetic overflow: non-finite levi-civita sectional check at {point.tolist()}"
+    assert len(calls) == 1

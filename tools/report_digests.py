@@ -67,6 +67,10 @@ def battery() -> list[list[str]]:
         ["axioms", "--chart", "h3", "--samples", "300"],
         ["curvature", "--chart", "h3", "--samples", "300"],
         ["curvature", "--chart", "r2", "--samples", "1500"],
+        # three chunks with a breach at nearly every sample, and two non-finite residual tables
+        ["axioms", "--chart", "r2", "--perturb-gamma", "0.01", "--samples", "2000"],
+        ["axioms", "--chart", "r2", "--perturb-gamma", "1e200"],
+        ["classify", "--warp", "const", "--const-value", "1e200"],
         *(["classify", "--warp", warp, "--fiber", fiber] for warp in ("exp", "const", "cosh")
           for fiber in ("flat", "r2", "twisted")),
         ["classify", "--warp", "exp", "--fiber", "flat", "--residual-tol", "1e-12"],
