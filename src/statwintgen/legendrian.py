@@ -115,7 +115,7 @@ class LegendrianPointInstance:
     # Derived data, computed on first use by the B = 1 call of the kernels
     # (module functions bound late); ``derive_batch`` fills it for a sweep chunk.
     _violations = cached_property(
-        lambda self: _find_violations(np.array([-(self.f_prime / self.f_val)]), self._forms[None])[0])
+        lambda self: _find_violations(_finite_xi(np.array([-(self.f_prime / self.f_val)])), self._forms[None])[0])
     _derived = cached_property(
         lambda self: next(_derive_rows(self._forms[None], np.array([2.0 * self.c / (4.0 * self.f_val**2)]))))
     _operators = cached_property(lambda self: ShapeOperators(*self._derived[1], stack=self._derived[1]))
@@ -195,7 +195,8 @@ def validate(inst: LegendrianPointInstance) -> list[tuple[str, int, int, int]]:
 
     Checks, to ``VALIDATE_TOL``, symmetry of every slice and the xi-slice
     constraint h[n][i][j] = -(f'/f) delta_ij for both forms.  The result is
-    memoized on the instance; each call returns a fresh list.
+    memoized on the instance; each call returns a fresh list.  A non-finite
+    -(f'/f) (a finite f' over a tiny f) raises OverflowError.
     """
     return list(inst._violations)
 
@@ -208,6 +209,13 @@ def _require_dimension(n: int) -> None:
 def _require_finite(c: float, f_val: float, f_prime: float, forms: Array) -> None:
     if not (math.isfinite(c) and math.isfinite(f_val) and math.isfinite(f_prime) and np.isfinite(forms).all()):
         raise ValueError("c, f, f_prime, h and h_star must be finite")
+
+
+def _finite_xi(xi: Array) -> Array:
+    """The forced values xi = -f'/f, unchanged; a non-finite one (a finite f' over a tiny f) raises OverflowError."""
+    if not np.isfinite(xi).all():
+        raise OverflowError("non-finite xi = -f'/f")
+    return xi
 
 
 def _find_violations(xi: Array, forms: Array) -> list[tuple]:

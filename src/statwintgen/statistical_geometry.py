@@ -170,8 +170,7 @@ def _connection_and_partials(chart: DualisticChart, which: str, points: Array) -
 def curvature_from_gamma(gamma: Array, dgamma: Array) -> Array:
     """Assemble R[..., l, k, i, j] from Gamma and its coordinate derivatives."""
     term_d = np.einsum("...iljk->...lkij", dgamma) - np.einsum("...jlik->...lkij", dgamma)
-    term_q = np.einsum("...lim,...mjk->...lkij", gamma, gamma) - np.einsum("...ljm,...mik->...lkij", gamma, gamma)
-    return term_d + term_q
+    return term_d + kk_bracket(gamma)
 
 
 def curvature(chart: DualisticChart, which: str, points: Array) -> CurvatureTensor:
@@ -294,13 +293,13 @@ def _axiom_residuals(
     return dict(zip(AXIOM_RESIDUALS, values))
 
 
-def check_almost_complex(g: Array, J: Array) -> float:
-    """Residual of J^2 = -Id and g(J.,J.) = g; the worst over a stack of (g, J) pairs."""
+def check_almost_complex(g: Array, J: Array) -> Array:
+    """Residual of J^2 = -Id and g(J.,J.) = g, one value per (g, J) pair of a stack."""
     g = np.asarray(g, dtype=float)
     J = np.asarray(J, dtype=float)
-    return max(
-        float(np.max(np.abs(J @ J + np.eye(J.shape[-1])))),
-        float(np.max(np.abs(np.swapaxes(J, -1, -2) @ g @ J - g))),
+    return np.maximum(
+        np.max(np.abs(J @ J + np.eye(J.shape[-1])), axis=(-2, -1)),
+        np.max(np.abs(np.swapaxes(J, -1, -2) @ g @ J - g), axis=(-2, -1)),
     )
 
 

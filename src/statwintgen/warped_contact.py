@@ -18,6 +18,8 @@ dPhi = f^2 dOmega - 2 alpha eta ^ Phi for the reported alpha = -f'/f.
 
 Every function works on (N, 2n+1) stacks of points, one value or record per point;
 the closed forms give all eight ``CLOSED_FORM_CASES`` from one evaluation of f and g_N.
+The classification evaluates f, g_N and J once per row of the points' central-difference
+grid, which gives the frame at the points, dPhi, and dOmega from its fiber-axis partials.
 """
 
 from __future__ import annotations
@@ -185,14 +187,19 @@ def embed_fiber_vector(v: Array) -> Array:
     return np.concatenate((np.zeros(v.shape[:-1] + (1,)), v), axis=-1)
 
 
+def _warped_block(f: Array, g_n: Array) -> Array:
+    """dt^2 + f^2 g_N from f (...) and the fiber metric (..., 2n, 2n) at the same points."""
+    g = np.zeros(f.shape + (g_n.shape[-1] + 1,) * 2)
+    g[..., 0, 0] = 1.0
+    g[..., 1:, 1:] = (f * f)[..., None, None] * g_n
+    return g
+
+
 def warped_metric(spec: WarpedProductSpec, point: Array) -> Array:
     """dt^2 + f(t)^2 g_N at each point of a (..., 2n+1) stack."""
     point = np.asarray(point, dtype=float)
     f, _, _ = spec.warping.at(point[..., 0])
-    g = np.zeros(point.shape[:-1] + (spec.dim, spec.dim))
-    g[..., 0, 0] = 1.0
-    g[..., 1:, 1:] = (f * f)[..., None, None] * np.asarray(spec.fiber.metric(point[..., 1:]), dtype=float)
-    return g
+    return _warped_block(f, np.asarray(spec.fiber.metric(point[..., 1:]), dtype=float))
 
 
 def default_sample_box(spec_dim: int) -> list[tuple[float, float]]:
@@ -223,9 +230,6 @@ def build_warped_chart(spec: WarpedProductSpec) -> DualisticChart:
     def fiber_field(name: str, x: Array) -> Array:
         """The fiber's field ``name`` at the fiber coordinates of the points (..., d)."""
         return np.asarray(getattr(fiber, name)(x[..., 1:]), dtype=float)
-
-    def metric(x: Array) -> Array:
-        return warped_metric(spec, x)
 
     def _gamma_from(fiber_gamma: str) -> Callable[[Array], Array]:
         def gamma(x: Array) -> Array:
@@ -263,7 +267,7 @@ def build_warped_chart(spec: WarpedProductSpec) -> DualisticChart:
     has_analytic = fiber.gamma_partial is not None and fiber.gamma_star_partial is not None
     return DualisticChart(
         dim=d,
-        metric=metric,
+        metric=lambda x: warped_metric(spec, x),
         gamma=_gamma_from("gamma"),
         gamma_star=_gamma_from("gamma_star"),
         metric_partial=metric_partial,
@@ -320,49 +324,9 @@ def warped_curvature_closed_form(
     return {"a": a, "b": b, "c": c, "d": d, "a*": a, "b*": b, "c*": c, "d*": d_star}
 
 
-def phi_matrix(spec: WarpedProductSpec, point: Array) -> Array:
-    """(1,1) frame tensor on the total chart: phi(dt) = 0, phi(X) = JX; at each point of a (..., 2n+1) stack."""
-    point = np.asarray(point, dtype=float)
-    out = np.zeros(point.shape[:-1] + (spec.dim, spec.dim))
-    out[..., 1:, 1:] = spec.j_at(point[..., 1:])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Almost contact frame, exterior calculus, classification
 # ---------------------------------------------------------------------------
-
-
-def frame_invariant_residual(spec: WarpedProductSpec, points: Array) -> Array:
-    """Worst violation of the almost-contact-metric frame identities, one value per point of a stack.
-
-    phi xi = 0, eta o phi = 0, phi^2 = -Id + eta (x) xi,
-    <phi u, phi v> = <u,v> - eta(u) eta(v).
-    """
-    points = np.asarray(points, dtype=float)
-    d = spec.dim
-    g = warped_metric(spec, points)
-    phi = phi_matrix(spec, points)
-    xi = eta = np.eye(d)[0]
-    res = np.stack([
-        np.max(np.abs(phi @ xi), axis=-1),
-        np.max(np.abs(eta @ phi), axis=-1),
-        np.max(np.abs(phi @ phi + np.eye(d) - np.outer(xi, eta)), axis=(-2, -1)),
-        np.max(np.abs(np.swapaxes(phi, -1, -2) @ g @ phi - g + np.outer(eta, eta)), axis=(-2, -1)),
-    ])
-    return np.max(res, axis=0)
-
-
-def fundamental_two_form(spec: WarpedProductSpec, point: Array) -> Array:
-    """Phi_ab = <phi d_a, d_b> on the total chart, at each point of a (..., 2n+1) stack."""
-    return np.swapaxes(phi_matrix(spec, point), -1, -2) @ warped_metric(spec, point)
-
-
-def fiber_fundamental_form(spec: WarpedProductSpec, fiber_point: Array) -> Array:
-    """Omega_ab = g_N(J d_a, d_b) on the fiber, at each point of a (..., 2n) stack."""
-    fiber_point = np.asarray(fiber_point, dtype=float)
-    g_n = np.asarray(spec.fiber.metric(fiber_point), dtype=float)
-    return np.swapaxes(spec.j_at(fiber_point), -1, -2) @ g_n
 
 
 def exterior_derivative_2form(dw: Array) -> Array:
@@ -371,15 +335,6 @@ def exterior_derivative_2form(dw: Array) -> Array:
     (dw)_abc = d_a w_bc - d_b w_ac + d_c w_ab on coordinate triples.
     """
     return dw - np.einsum("...bac->...abc", dw) + np.einsum("...cab->...abc", dw)
-
-
-def _d_phi_and_omega(spec: WarpedProductSpec, points: Array) -> tuple[Array, Array, Array]:
-    """Phi and the coordinate dPhi on the total chart and dOmega on the fiber at the (N, 2n+1)
-    points, each two-form called once on the central-difference grid of the points."""
-    step = DEFAULT_FD_STEP
-    phi, d_phi = grid_partials(fundamental_two_form(spec, grid(points, step)), len(points), step)
-    d_omega = grid_partials(fiber_fundamental_form(spec, grid(points[:, 1:], step)), len(points), step)[1]
-    return phi, exterior_derivative_2form(d_phi), exterior_derivative_2form(d_omega)
 
 
 def wedge_eta_form(two_form_total: Array) -> Array:
@@ -400,6 +355,8 @@ class ContactClassification:
     identity itself holds with the opposite sign, dPhi = f^2 dOmega - 2 alpha
     eta^Phi, which is what ``d_phi_residual`` (without the dOmega term) and
     ``contact_identity_residual`` (with it) are measured against.
+    ``almost_complex_residual`` is the fiber's: J^2 = -Id and g_N(J., J.) =
+    g_N at the point's fiber coordinates.
     """
 
     alpha: float
@@ -408,6 +365,7 @@ class ContactClassification:
     contact_identity_residual: float
     d_omega_residual: float
     frame_residual: float
+    almost_complex_residual: float
     structure_tag: str
 
 
@@ -416,20 +374,43 @@ def contact_classification(
 ) -> tuple[ContactClassification, ...]:
     """Classification record at each of the (N, 2n+1) points, evaluated as one stack.
 
-    A frame residual above ``frame_tol`` raises at the first such point.
+    f, g_N and J are evaluated once, on the central-difference grid of the points.  The
+    frame at the points is read off the grid's point rows, dPhi comes from Phi = phi^T g
+    on the whole grid, and dOmega from the fiber-axis partials of Omega = J^T g_N on the
+    same grid, whose t-shifted rows leave the fiber coordinates unchanged.  A frame
+    residual above ``frame_tol`` raises at the first such point.
     """
-    frame_res = frame_invariant_residual(spec, points)
+    points = np.asarray(points, dtype=float)
+    count, d, step = len(points), spec.dim, DEFAULT_FD_STEP
+    x = grid(points, step)
+    f, fp, _ = spec.warping.at(x[:, 0])
+    g_n = np.asarray(spec.fiber.metric(x[:, 1:]), dtype=float)
+    j = spec.j_at(x[:, 1:])
+    g = _warped_block(f, g_n)
+    phi = np.zeros(g.shape)  # phi(dt) = 0, phi(X) = JX
+    phi[:, 1:, 1:] = j
+    phi_form, d_phi = grid_partials(np.swapaxes(phi, -1, -2) @ g, count, step)
+    d_phi = exterior_derivative_2form(d_phi)
+    d_omega_fiber = exterior_derivative_2form(grid_partials(np.swapaxes(j, -1, -2) @ g_n, count, step)[1][:, 1:])
+    f, fp, g_n, j, g, phi = (a[:: 1 + 2 * d] for a in (f, fp, g_n, j, g, phi))  # the grid's point rows
+
+    # phi xi = 0, eta o phi = 0, phi^2 = -Id + eta (x) xi, <phi u, phi v> = <u,v> - eta(u) eta(v)
+    xi = eta = np.eye(d)[0]
+    frame_res = np.max(np.stack([
+        np.max(np.abs(phi @ xi), axis=-1),
+        np.max(np.abs(eta @ phi), axis=-1),
+        np.max(np.abs(phi @ phi + np.eye(d) - np.outer(xi, eta)), axis=(-2, -1)),
+        np.max(np.abs(np.swapaxes(phi, -1, -2) @ g @ phi - g + np.outer(eta, eta)), axis=(-2, -1)),
+    ]), axis=0)
     for res in frame_res:
         if res > frame_tol:
             raise ValueError(f"contact frame invariants violated (residual {res:.3e})")
-    f, fp, _ = spec.warping.at(points[:, 0])
     kappa = fp / f  # working coefficient; reported alpha is its negative
     # eta = dt has constant components, so its coordinate d vanishes identically
     d_eta = 0.0
-    phi, d_phi, d_omega_fiber = _d_phi_and_omega(spec, points)
     d_omega = np.zeros(d_phi.shape)
     d_omega[:, 1:, 1:, 1:] = d_omega_fiber
-    wedge = wedge_eta_form(phi)
+    wedge = wedge_eta_form(phi_form)
 
     k, ff = (kappa[:, None, None, None], (f * f)[:, None, None, None])
     axes = (1, 2, 3)
@@ -438,13 +419,14 @@ def contact_classification(
     d_omega_residual = np.max(np.abs(d_omega_fiber), axis=axes)
 
     records = []
-    columns = (kappa, d_phi_residual, contact_identity_residual, d_omega_residual, frame_res)
-    for kap, phi_res, identity_res, omega_res, frame in zip(*(c.tolist() for c in columns)):
+    columns = (kappa, d_phi_residual, contact_identity_residual, d_omega_residual, frame_res,
+               check_almost_complex(g_n, j))
+    for kap, phi_res, identity_res, omega_res, frame, complex_res in zip(*(c.tolist() for c in columns)):
         tag = "unclassified"
         if d_eta <= tol and phi_res <= tol:
             tag = "almost cosymplectic" if abs(kap) <= 1e-12 else "almost alpha-kenmotsu"
         alpha = -kap if kap != 0.0 else 0.0
-        records.append(ContactClassification(alpha, d_eta, phi_res, identity_res, omega_res, frame, tag))
+        records.append(ContactClassification(alpha, d_eta, phi_res, identity_res, omega_res, frame, complex_res, tag))
     return tuple(records)
 
 
@@ -481,12 +463,10 @@ def kenmotsu_theorem_check(
     """
     rng = np.random.default_rng(seed)
     pts = sample_warped_points(spec, samples, rng)
-    chart = build_warped_chart(spec)
     classifications = contact_classification(spec, pts, tol, math.inf)
-    fiber_res = [check_almost_complex(spec.fiber.metric(pts[:, 1:]), spec.j_at(pts[:, 1:]))]
-    fiber_res += [cls.d_omega_residual for cls in classifications]
+    fiber_res = [r for cls in classifications for r in (cls.almost_complex_residual, cls.d_omega_residual)]
     total_res = [r for cls in classifications for r in (cls.frame_residual, cls.d_phi_residual)]
-    k_tilde = difference_tensor(chart, pts)
+    k_tilde = difference_tensor(build_warped_chart(spec), pts)
     k_xi_res = [np.abs(k_tilde[:, :, :, 0]), np.abs(k_tilde[:, :, 0, :])]
     # np.max keeps a NaN, which Python's max(0.0, nan) would drop
     worst_fiber, worst_total, k_xi = (float(np.max(r, initial=0.0)) for r in (fiber_res, total_res, k_xi_res))

@@ -28,11 +28,9 @@ import numpy as np
 from .legendrian import (
     CurvatureScalars,
     LegendrianPointInstance,
-    _find_violations,
+    _finite_xi,
     _frame,
     _require_dimension,
-    _require_finite,
-    _require_no_violations,
     _stacked_curvature_scalars,
     curvature_scalars,
     derive_batch,
@@ -300,8 +298,7 @@ def _forms_from_upper(n: int, xi: Array, upper: Array) -> Array:
     """(B, 2, n+1, n, n) forms h, h*: phi-slices mirrored from a (B, 2n, n, n) stack of
     upper triangles, xi-slices the (B,) forced values xi times I, set exactly.  A non-finite
     xi = -f'/f (a finite f' over a tiny f) raises OverflowError."""
-    if not np.isfinite(xi).all():
-        raise OverflowError("non-finite xi = -f'/f")
+    _finite_xi(xi)
     forms = np.empty((len(upper), 2, n + 1, n, n))  # h, h*
     forms[:, :, :n] = symmetrize_upper(upper).reshape(len(upper), 2, n, n, n)
     forms[:, :, n] = xi[:, None, None, None] * _frame(n).eye
@@ -377,15 +374,12 @@ def _upper_from_params(n: int, params: Array) -> Array:
 def _stacked_bound(n: int, c: float, f: float, fp: float, params: Array) -> Iterator[float]:
     """The slack of the stated bound at every row of a (B, nparams) stack, in order, without instances.
 
-    The forms are built and checked as ``_instances_from_upper``, an instance
-    and ``require_valid`` do, and derived in one kernel call; a row's slack
-    (``main_inequality``'s, bit for bit) is formed, or raises, when it is read.
+    The forms are built as ``_instances_from_upper`` builds them, symmetric and xi-exact,
+    so they are not validated again (``sharpness_search`` checks c, f and fp are finite),
+    and derived in one kernel call; a row's slack (``main_inequality``'s, bit for bit)
+    is formed, or raises, when it is read.
     """
-    xi = np.full(len(params), -(fp / f))
-    forms = _forms_from_upper(n, xi, _upper_from_params(n, params))
-    _require_finite(c, f, fp, forms)
-    for violations in _find_violations(xi, forms):
-        _require_no_violations(violations)
+    forms = _forms_from_upper(n, np.full(len(params), -(fp / f)), _upper_from_params(n, params))
     for scalars in _stacked_curvature_scalars(c, f, fp, forms):
         yield _rhs_and_slack(_rhs_terms(c, f, fp, scalars).values(), scalars.rho_perp)[1]
 
@@ -418,6 +412,9 @@ def sharpness_search(n: int, c: float, f: float, fprime: float, iterations: int,
     that of one trial at a time, bit for bit.
     """
     _require_dimension(n)
+    for name, value in (("c", c), ("f", f), ("fprime", fprime)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not f > 0.0:
         raise ValueError(f"f must be positive, got {f!r}")
     if iterations < 1:

@@ -6,18 +6,26 @@ tolerance and verdict of that one row: the loop ``curvature`` and
 ``reproduce`` ran before they kept their checks as columns.  ``summary``
 gives the report fields that are read off the rows.  ``axioms(chart, seed,
 samples, perturb_gamma)`` is the per-chunk loop ``axioms`` ran before the
-fold: the worst value of each residual, and every breach, uncapped.  The
-module name has no ``test_`` prefix, so pytest imports it without
-collecting it.
+fold: the worst value of each residual, and every breach, uncapped.
+``contact_classification`` and ``kenmotsu_theorem_check`` are the
+multi-grid frame pipeline ``classify`` ran before its one grid pass: f, g_N
+and J evaluated at the points, again on the total central-difference grid,
+and again on a second grid over the fiber coordinates.  The module name has
+no ``test_`` prefix, so pytest imports it without collecting it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 import statwintgen.cli as cli
 import statwintgen.statistical_geometry as sg
 import statwintgen.warped_contact as wc
+from statwintgen.tensor_core import DEFAULT_FD_STEP, grid, grid_partials
+
+from paper_checks import phi_matrix
 
 
 def checks(command: str, target: str, seed: int, samples: int) -> list[dict]:
@@ -121,3 +129,101 @@ def axioms(chart_name: str, seed: int, samples: int, perturb_gamma: float, resid
         breaches += [{"residual": sg.AXIOM_RESIDUALS[j], "value": float(table[i, j]), "point": points[i].tolist()}
                      for i, j in np.argwhere(table > residual_tol)]
     return {"worst": worst, "breaches": breaches, "passed": not breaches}
+
+
+def frame_invariant_residual(spec: wc.WarpedProductSpec, points: np.ndarray) -> np.ndarray:
+    """Worst violation of the almost-contact-metric frame identities, one value per point of a stack.
+
+    phi xi = 0, eta o phi = 0, phi^2 = -Id + eta (x) xi,
+    <phi u, phi v> = <u,v> - eta(u) eta(v).
+    """
+    points = np.asarray(points, dtype=float)
+    d = spec.dim
+    g = wc.warped_metric(spec, points)
+    phi = phi_matrix(spec, points)
+    xi = eta = np.eye(d)[0]
+    res = np.stack([
+        np.max(np.abs(phi @ xi), axis=-1),
+        np.max(np.abs(eta @ phi), axis=-1),
+        np.max(np.abs(phi @ phi + np.eye(d) - np.outer(xi, eta)), axis=(-2, -1)),
+        np.max(np.abs(np.swapaxes(phi, -1, -2) @ g @ phi - g + np.outer(eta, eta)), axis=(-2, -1)),
+    ])
+    return np.max(res, axis=0)
+
+
+def fundamental_two_form(spec: wc.WarpedProductSpec, point: np.ndarray) -> np.ndarray:
+    """Phi_ab = <phi d_a, d_b> on the total chart, at each point of a (..., 2n+1) stack."""
+    return np.swapaxes(phi_matrix(spec, point), -1, -2) @ wc.warped_metric(spec, point)
+
+
+def fiber_fundamental_form(spec: wc.WarpedProductSpec, fiber_point: np.ndarray) -> np.ndarray:
+    """Omega_ab = g_N(J d_a, d_b) on the fiber, at each point of a (..., 2n) stack."""
+    fiber_point = np.asarray(fiber_point, dtype=float)
+    g_n = np.asarray(spec.fiber.metric(fiber_point), dtype=float)
+    return np.swapaxes(spec.j_at(fiber_point), -1, -2) @ g_n
+
+
+def almost_complex_residual(g: np.ndarray, J: np.ndarray) -> float:
+    """Residual of J^2 = -Id and g(J.,J.) = g at one (g, J) pair."""
+    return max(float(np.max(np.abs(J @ J + np.eye(J.shape[-1])))),
+               float(np.max(np.abs(np.swapaxes(J, -1, -2) @ g @ J - g))))
+
+
+def contact_classification(spec: wc.WarpedProductSpec, points: np.ndarray, tol: float = 1e-8,
+                           frame_tol: float = 1e-9) -> tuple[wc.ContactClassification, ...]:
+    """The records of ``wc.contact_classification``: Phi and dPhi from one grid of the points,
+    dOmega from a second grid of their fiber coordinates, the rest evaluated at the points."""
+    points = np.asarray(points, dtype=float)
+    frame_res = frame_invariant_residual(spec, points)
+    for res in frame_res:
+        if res > frame_tol:
+            raise ValueError(f"contact frame invariants violated (residual {res:.3e})")
+    f, fp, _ = spec.warping.at(points[:, 0])
+    kappa = fp / f
+    step = DEFAULT_FD_STEP
+    phi, d_phi = grid_partials(fundamental_two_form(spec, grid(points, step)), len(points), step)
+    d_phi = wc.exterior_derivative_2form(d_phi)
+    d_omega_fiber = wc.exterior_derivative_2form(
+        grid_partials(fiber_fundamental_form(spec, grid(points[:, 1:], step)), len(points), step)[1])
+    d_omega = np.zeros(d_phi.shape)
+    d_omega[:, 1:, 1:, 1:] = d_omega_fiber
+    wedge = wc.wedge_eta_form(phi)
+    g_n = np.asarray(spec.fiber.metric(points[:, 1:]), dtype=float)
+    j = spec.j_at(points[:, 1:])
+
+    records = []
+    for i in range(len(points)):
+        k, ff = kappa[i], f[i] * f[i]
+        phi_res = float(np.max(np.abs(d_phi[i] - 2.0 * k * wedge[i])))
+        tag = "unclassified"
+        if phi_res <= tol:
+            tag = "almost cosymplectic" if abs(k) <= 1e-12 else "almost alpha-kenmotsu"
+        records.append(wc.ContactClassification(
+            alpha=float(-k) if k != 0.0 else 0.0,
+            d_eta_residual=0.0,
+            d_phi_residual=phi_res,
+            contact_identity_residual=float(np.max(np.abs(d_phi[i] - ff * d_omega[i] - 2.0 * k * wedge[i]))),
+            d_omega_residual=float(np.max(np.abs(d_omega_fiber[i]))),
+            frame_residual=float(frame_res[i]),
+            almost_complex_residual=almost_complex_residual(g_n[i], j[i]),
+            structure_tag=tag,
+        ))
+    return tuple(records)
+
+
+def kenmotsu_theorem_check(spec: wc.WarpedProductSpec, samples: int = 5, seed: int = 23,
+                           tol: float = 1e-8) -> wc.KenmotsuCheck:
+    """``wc.kenmotsu_theorem_check`` with the fiber's almost-complex check evaluated apart from the records."""
+    pts = wc.sample_warped_points(spec, samples, np.random.default_rng(seed))
+    classifications = contact_classification(spec, pts, tol, math.inf)
+    fiber_res = [max(almost_complex_residual(g, j) for g, j in
+                     zip(spec.fiber.metric(pts[:, 1:]), spec.j_at(pts[:, 1:])))]
+    fiber_res += [cls.d_omega_residual for cls in classifications]
+    total_res = [r for cls in classifications for r in (cls.frame_residual, cls.d_phi_residual)]
+    k_tilde = sg.difference_tensor(wc.build_warped_chart(spec), pts)
+    k_xi_res = [np.abs(k_tilde[:, :, :, 0]), np.abs(k_tilde[:, :, 0, :])]
+    worst_fiber, worst_total, k_xi = (float(np.max(r, initial=0.0)) for r in (fiber_res, total_res, k_xi_res))
+    if not all(map(math.isfinite, (worst_fiber, worst_total, k_xi))):
+        raise OverflowError(f"non-finite residual on {spec.label}")
+    fiber_ok, total_ok = worst_fiber <= wc.KENMOTSU_TOL, worst_total <= wc.KENMOTSU_TOL
+    return wc.KenmotsuCheck(fiber_ok, total_ok, fiber_ok == total_ok, k_xi, pts, classifications)

@@ -9,7 +9,8 @@
   closed-form curvature of a holomorphic space form and of its warp
   R x_f N(c);
 - ``skew_field_residuals`` and ``phi_warp_residual``: the statistical
-  identities of a g-skew (1,1) field (J on the fiber, phi on the warp).
+  identities of a g-skew (1,1) field (J on the fiber, ``phi_matrix`` on the
+  warp).
 - ``fiber_axiom_check``: the dualistic axioms of a warped product's fiber
   at three seeded sample points, within ``FIBER_AXIOM_TOL``.
 
@@ -39,13 +40,20 @@ from statwintgen.warped_contact import (
     WarpedProductSpec,
     embed_fiber_vector,
     exterior_derivative_2form,
-    phi_matrix,
     warped_metric,
 )
 
 from helpers import partials
 
 Array = np.ndarray
+
+
+def phi_matrix(spec: WarpedProductSpec, point: Array) -> Array:
+    """(1,1) frame tensor on the total chart: phi(dt) = 0, phi(X) = JX; at each point of a (..., 2n+1) stack."""
+    point = np.asarray(point, dtype=float)
+    out = np.zeros(point.shape[:-1] + (spec.dim, spec.dim))
+    out[..., 1:, 1:] = spec.j_at(point[..., 1:])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -86,17 +86,36 @@ def test_classify_command(capsys):
     assert main(["classify", "--warp", "exp", "--fiber", "twisted", "--samples", "2"]) == EXIT_OK
 
 
-def test_classify_evaluates_each_sample_point_once(monkeypatch, capsys):
-    calls = []
-    original = wc._d_phi_and_omega
+@pytest.mark.parametrize("fiber, f_calls, j_rows", [
+    # 5 samples of the 5-dim total chart: f and J once per row of the points' grid (5 x 11 rows), and f
+    # at the points once each by the chart's gamma, metric and metric_partial fields (3 x 5)
+    ("twisted", 70, 55),
+    # the same on the 3-dim total chart of a 2-dim fiber: 5 x 7 grid rows and 3 x 5
+    ("flat", 50, 35),
+    ("r2", 50, 35),
+])
+def test_classify_evaluates_f_and_j_once_per_grid_row(monkeypatch, tmp_path, fiber, f_calls, j_rows):
+    calls, rows = [], []
+    cosh, build = wc.cosh_warping(), cli.FIBERS[fiber]
 
-    def counting(spec, points):
-        calls.extend(points)
-        return original(spec, points)
+    def f(t):
+        calls.append(t)
+        return cosh.f(t)
 
-    monkeypatch.setattr(wc, "_d_phi_and_omega", counting)
-    assert main(["classify", "--warp", "cosh", "--fiber", "twisted", "--samples", "5"]) == EXIT_OK
-    assert len(calls) == 5
+    def counted_fiber(warping, epsilon):
+        spec = build(warping, epsilon)
+
+        def complex_structure(x):
+            rows.extend(x)
+            return spec.complex_structure(x)
+
+        return replace(spec, complex_structure=complex_structure)
+
+    monkeypatch.setattr(wc, "cosh_warping", lambda: replace(cosh, f=f))
+    monkeypatch.setitem(cli.FIBERS, fiber, counted_fiber)
+    argv = ["classify", "--warp", "cosh", "--fiber", fiber, "--samples", "5", "--out", str(tmp_path / "c.json")]
+    assert main(argv) == EXIT_OK
+    assert (len(calls), len(rows)) == (f_calls, j_rows)
 
 
 @pytest.fixture
@@ -118,8 +137,8 @@ def h3_warping_calls(monkeypatch) -> list:
     # four connection fields on the 100 points; nothing is shared across the chart's fields
     (["axioms", "--chart", "h3", "--samples", "100"], 1800),
     # 50 samples: one pass (700) for the sectional curvature and the axioms, the connection
-    # fields (200), the connection table (1) and one classified point (9)
-    (["reproduce", "example-h3"], 910),
+    # fields (200), the connection table (1) and one classified point's grid (7)
+    (["reproduce", "example-h3"], 908),
     # 20 samples: the pass (280) with g at the points taken from it, both finite-differenced
     # connections on the grid (280) and the closed forms (20)
     (["curvature", "--chart", "h3", "--samples", "20"], 580),
@@ -551,6 +570,18 @@ def test_sharpness_overflow_lines_are_pinned(flags, line, iterations, tmp_path, 
     out = tmp_path / "report.out"
     argv = ["wintgen", "sharpness", "--n", "2", "--iterations", iterations, *flags, "--out", str(out)]
     assert _assert_one_line_usage_error(main(argv), capsys) == line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["verify", "chain"])
+def test_instance_xi_overflow_is_named(sub, tmp_path, capsys):
+    # finite f and f' whose xi = -f'/f overflows: the error used to blame the file's xi-slice entries
+    data = lg.umbilic_instance(n=2).to_dict()
+    data["f"], data["f_prime"] = 1e-320, 1
+    path, out = tmp_path / "xi.json", tmp_path / "report.out"
+    path.write_text(json.dumps(data))
+    line = _assert_one_line_usage_error(main(["wintgen", sub, str(path), "--out", str(out)]), capsys)
+    assert line == "error: arithmetic overflow: non-finite xi = -f'/f"
     assert not out.exists()
 
 

@@ -10,7 +10,7 @@ import pytest
 import sharpness_oracle
 from sharpness_oracle import serial_sharpness_search
 from statwintgen import wintgen as wg
-from statwintgen.legendrian import curvature_scalars
+from statwintgen.legendrian import _find_violations, curvature_scalars
 
 FAMILIES = {
     "zero": (0.0, 1.0, 0.0),
@@ -129,3 +129,22 @@ def test_stacked_bound_equals_the_scalar_route_bit_for_bit(n):
 
 def _lhs(n, c, f, fp, params):
     return curvature_scalars(sharpness_oracle.instance_from_params(n, c, f, fp, params)).rho_perp
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_forms_from_upper_are_valid_by_construction(n):
+    # the passes do not re-check their forms: symmetric and xi-exact as built, they have no violation
+    for c, f, fp, params in _stacks(n):
+        xi = np.full(len(params), -(fp / f))
+        forms = wg._forms_from_upper(n, xi, wg._upper_from_params(n, params))
+        assert np.isfinite(forms).all()
+        assert _find_violations(xi, forms) == [()] * len(params)
+
+
+@pytest.mark.parametrize("name, value", [("c", math.inf), ("c", -math.inf), ("c", math.nan), ("f", math.inf),
+                                         ("f", math.nan), ("fprime", math.inf), ("fprime", math.nan)])
+def test_sharpness_search_refuses_a_non_finite_field_by_name(name, value):
+    args = {"n": 2, "c": 0.0, "f": 1.0, "fprime": 0.0, "iterations": 5, "seed": 1, name: value}
+    with pytest.raises(ValueError) as err:
+        wg.sharpness_search(**args)
+    assert str(err.value) == f"{name} must be finite, got {value!r}"

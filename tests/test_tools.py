@@ -29,6 +29,10 @@ def test_stage_timings_times_every_geometry_stage_one_point_at_a_time(capsys):
     for stage in ("warping_h3", "reproduce_h3"):
         value = timings[f"geometry.{stage}.stack"]
         assert math.isfinite(value) and value > 0.0, stage
+    assert stage_timings.COMMANDS == (
+        "reproduce example-r2", "reproduce example-h3", "axioms --chart r2", "axioms --chart h3",
+        "curvature --chart r2", "curvature --chart h3", "classify --warp exp --fiber flat",
+        "classify --warp cosh --fiber twisted")
     for command in stage_timings.COMMANDS:
         value = timings[f"command.{command}"]
         assert math.isfinite(value) and value > 0.0, command

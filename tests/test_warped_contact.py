@@ -1,11 +1,12 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import check_oracle as co
 import paper_checks as pc
 import statwintgen.cli as cli
 import statwintgen.statistical_geometry as sg
@@ -267,7 +268,7 @@ class TestContactClassification:
     @pytest.mark.parametrize("warp", ["exp", "const", "cosh"])
     @pytest.mark.parametrize("fiber", ["flat", "r2", "twisted"])
     def test_wedge_uses_the_fundamental_two_form_bit_for_bit(self, warp, fiber, monkeypatch):
-        # Phi comes back from the grid with dPhi; it must be the two-form the classification used to evaluate
+        # Phi comes back from the grid with dPhi; it must be the two-form of the multi-grid oracle
         spec = cli.FIBERS[fiber](cli.WARPS[warp](2.5), 0.4)
         seen = []
         original = wc.wedge_eta_form
@@ -279,7 +280,7 @@ class TestContactClassification:
         monkeypatch.setattr(wc, "wedge_eta_form", recording)
         chk = wc.kenmotsu_theorem_check(spec, samples=6, seed=19)
         (phi,) = seen
-        want = wc.fundamental_two_form(spec, chk.points)
+        want = co.fundamental_two_form(spec, chk.points)
         assert phi.shape == want.shape
         assert phi.tobytes() == want.tobytes()
 
@@ -287,7 +288,8 @@ class TestContactClassification:
         rng = np.random.default_rng(5)
         for _ in range(10):
             p = wc.sample_warped_points(h3_spec, 1, rng)[0]
-            assert wc.frame_invariant_residual(h3_spec, p[None])[0] < 1e-9
+            assert co.frame_invariant_residual(h3_spec, p[None])[0] < 1e-9
+            assert wc.contact_classification(h3_spec, p[None])[0].frame_residual < 1e-9
 
 
 # w_parallel is a measurement, not an identity, so it is left out
@@ -376,7 +378,7 @@ class TestContactResiduals:
         for _ in range(10):
             p = wc.sample_warped_points(spec, 1, rng)[0]
             probes = [rng.uniform(-1, 1, spec.dim) for _ in range(3)]
-            rec = pc.skew_field_residuals(chart, lambda x: wc.phi_matrix(spec, x), p, *probes)
+            rec = pc.skew_field_residuals(chart, lambda x: pc.phi_matrix(spec, x), p, *probes)
             for name in SKEW_IDENTITIES:
                 assert rec[name] < 1e-6, (name, rec)
             assert pc.phi_warp_residual(spec, chart, p, *probes[:2]) < 1e-6
@@ -438,6 +440,42 @@ class TestKenmotsuTheorem:
             for p in chk.points
         )
         assert residual < 1e-8
+
+
+def _bits(value):
+    """A record or check field in a form that compares bit for bit: NaN equals NaN, -0.0 is not 0.0."""
+    if isinstance(value, (str, bool)):
+        return value
+    if isinstance(value, tuple):
+        return tuple(_bits(item) for item in value)
+    if isinstance(value, (wc.ContactClassification, wc.KenmotsuCheck)):
+        return {f.name: _bits(getattr(value, f.name)) for f in fields(value)}
+    value = np.asarray(value, dtype=float)
+    return value.shape, value.tobytes()
+
+
+def _outcome(call):
+    """The bits of what ``call()`` returns, or the type and message of what it raises."""
+    try:
+        return _bits(call())
+    except (ValueError, OverflowError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 23])
+@pytest.mark.parametrize("warp, const_value", [("exp", 1.0), ("cosh", 1.0), ("const", 2.5), ("const", 1e200),
+                                               ("const", 1e-3)])
+@pytest.mark.parametrize("fiber", list(cli.FIBERS))
+def test_classification_equals_the_multi_grid_oracle_bit_for_bit(fiber, warp, const_value, seed):
+    spec = cli.FIBERS[fiber](cli.WARPS[warp](const_value), 0.4)
+    points = wc.sample_warped_points(spec, 40, np.random.default_rng(seed))
+    with np.errstate(all="ignore"):  # 1e200 squared overflows on both routes
+        assert _outcome(lambda: wc.kenmotsu_theorem_check(spec, 40, seed)) == _outcome(
+            lambda: co.kenmotsu_theorem_check(spec, 40, seed))
+        assert _outcome(lambda: wc.contact_classification(spec, points, 1e-8, math.inf)) == _outcome(
+            lambda: co.contact_classification(spec, points, 1e-8, math.inf))
+        assert _outcome(lambda: wc.contact_classification(spec, points)) == _outcome(
+            lambda: co.contact_classification(spec, points))
 
 
 class TestBuiltinH3:
@@ -513,7 +551,7 @@ ONE_POINT_CALLS = {  # each public geometry function on an N = 1 stack
     "axiom_residuals": lambda: sg.axiom_residuals(H3_CHART, P, X, Y, X, Y),
     "closed_form_probes": lambda: wc.closed_form_probes(U, U, U),
     "warped_curvature_closed_form": lambda: wc.warped_curvature_closed_form(H3, P, U, U, U),
-    "frame_invariant_residual": lambda: wc.frame_invariant_residual(H3, P),
+    "frame_invariant_residual": lambda: co.frame_invariant_residual(H3, P),
     "contact_classification": lambda: wc.contact_classification(H3, P),
 }
 

@@ -10,8 +10,8 @@ output line is ``sha256  exit  argv``, where the digest covers the report
 bytes followed by the command's stdout and then its stderr, so error
 messages are pinned too.  Instance files are written by ``random_instance``
 (plus the RP^2 counterexample, an exact-equality instance whose rhs rounds
-a few ulps below 0, and an asymmetric instance that every command must
-reject) and passed as relative paths, so reports that echo the path
+a few ulps below 0, an asymmetric instance that every command must
+reject, and one whose finite f and f' make xi = -f'/f overflow) and passed as relative paths, so reports that echo the path
 compare equal between checkouts; so are the ``--config`` files, a valid one
 and one whose ``null`` value every checkout must reject.  Two
 checkouts produce the same behaviour on the battery exactly when their
@@ -52,6 +52,10 @@ INSTANCES["eq.json"] = legendrian.LegendrianPointInstance(
 _BAD = legendrian.umbilic_instance(n=2).to_dict()
 _BAD["h"][2][0][1] = 0.5  # not mirrored: asymmetric, and off-diagonal in the xi-slice
 INSTANCES["bad.json"] = legendrian.LegendrianPointInstance.from_dict(_BAD)
+# every value finite, but xi = -f'/f overflows: verify and chain must name the overflow
+INSTANCES["xi-overflow.json"] = legendrian.LegendrianPointInstance.from_dict(
+    {**legendrian.umbilic_instance(n=2).to_dict(), "f": 1e-320, "f_prime": 1.0}
+)
 CONFIGS = {"axioms-h3.json": {"chart": "h3", "samples": 3}, "out-null.json": {"out": None}}
 
 

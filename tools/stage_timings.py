@@ -66,7 +66,9 @@ process, in milliseconds per ``cli.main`` call: ``COMMANDS``, each writing
 its report to a temporary file with stdout discarded.  After one warm-up
 round, ``--repeats`` rounds run every command once in turn, and each figure
 is the minimum over the rounds.  These commands and flags exist in every
-checkout since the benchmark was added.
+checkout since the benchmark was added.  ``classify --warp cosh --fiber
+twisted`` is the command whose cost is mostly the fiber's J, a Python
+function of each point.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ GEOMETRY_SAMPLES = 100
 GRID_ROWS_H3 = 7  # t values per h3 sample on the Levi-Civita grid: the point and its 6 stencil points
 SHARPNESS_BUDGET = 1000
 COMMANDS = ("reproduce example-r2", "reproduce example-h3", "axioms --chart r2", "axioms --chart h3",
-            "curvature --chart r2", "curvature --chart h3", "classify --warp exp --fiber flat")
+            "curvature --chart r2", "curvature --chart h3", "classify --warp exp --fiber flat",
+            "classify --warp cosh --fiber twisted")
 
 
 def _timed(fn, items) -> tuple[float, list]:
