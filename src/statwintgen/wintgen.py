@@ -37,7 +37,8 @@ from .legendrian import (
     require_valid,
     shape_operators,
 )
-from .tensor_core import _triu_indices, commutator, frobenius_norm_sq, instance_rng, symmetrize_upper
+from .tensor_core import (_triu_indices, commutator, frobenius_norm_sq, instance_rng, instance_uniforms,
+                          symmetrize_upper)
 
 SLACK_TOL = 1e-9
 
@@ -264,13 +265,16 @@ def random_instance(
 
 def _random_instances(n: int, c_range, f_range, fprime_range, magnitude: float, seed: int,
                       indices: range) -> tuple[list[LegendrianPointInstance], Array, Array]:
-    """``random_instance`` for every index, each drawn from its own stream, returned as ``_instances_from_upper``."""
-    params, upper = [], []
-    for index in indices:
-        rng = instance_rng(seed, index)
-        params.append((rng.uniform(*c_range), rng.uniform(*f_range), rng.uniform(*fprime_range)))
-        upper.append(rng.uniform(-magnitude, magnitude, size=(2 * n, n, n)))
-    return _instances_from_upper(n, params, np.stack(upper))
+    """``random_instance`` for every index of a step-1 range, returned as ``_instances_from_upper``: the
+    doubles u of ``instance_uniforms`` mapped as numpy's ``uniform`` maps them, low + (high - low) u, columns
+    0-2 to c, f and f', the rest to the upper triangles.  numpy's refusals are raised here, in its order."""
+    u = instance_uniforms(seed, indices, 3 + 2 * n ** 3)
+    bounds = [(float(a), float(b)) for a, b in (c_range, f_range, fprime_range, (-magnitude, magnitude))]
+    low, span = np.array([(a, b - a) for a, b in bounds]).T  # Python floats: an infinite span raises no warning
+    if not np.isfinite(span).all():
+        raise OverflowError("high - low range exceeds valid bounds")
+    upper = (low[3] + span[3] * u[:, 3:]).reshape(len(indices), 2 * n, n, n)
+    return _instances_from_upper(n, (low[:3] + span[:3] * u[:, :3]).tolist(), upper)
 
 
 def _check_draw_args(n: int, c_range, f_range, fprime_range, magnitude: float) -> None:
@@ -331,10 +335,10 @@ def sweep(
     """Reports for ``count`` seeded instances, ordered by instance index, without chains.
 
     ``n``, the ranges and ``magnitude`` are checked once, before any
-    instance is drawn; a bad one raises ValueError naming it.  Instances are
-    drawn per index, as ``random_instance`` draws them, into one forms stack per
-    chunk of ``sweep_chunk(n)``, which ``legendrian.derive_batch`` validates and
-    derives once; each report is ``main_inequality`` reading memoized data.
+    instance is drawn; a bad one raises ValueError naming it.  Each chunk of
+    ``sweep_chunk(n)`` instances is drawn in one pass, from the streams that
+    ``random_instance`` draws, into one forms stack, which ``legendrian.derive_batch``
+    validates and derives once; each report is ``main_inequality`` reading memoized data.
     """
     _check_draw_args(n, c_range, f_range, fprime_range, magnitude)
     out = []

@@ -573,6 +573,27 @@ def test_sharpness_overflow_lines_are_pinned(flags, line, iterations, tmp_path, 
     assert not out.exists()
 
 
+UNBOUNDED_RANGE = "error: arithmetic overflow: high - low range exceeds valid bounds"
+
+
+@pytest.mark.parametrize(
+    "flags, line",
+    [
+        (["--seed", "-1"], "error: expected non-negative integer"),
+        (["--magnitude", "1e308"], UNBOUNDED_RANGE),
+        (["--c-min", "-1e308", "--c-max", "1e308"], UNBOUNDED_RANGE),
+        (["--seed", "-1", "--magnitude", "1e308"], "error: expected non-negative integer"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+)
+def test_sweep_draw_refusals_are_numpys_lines(flags, line, tmp_path, capsys):
+    # the chunk draws raise numpy's own refusals themselves, in numpy's order: the seed, then the range
+    out = tmp_path / "report.out"
+    argv = ["wintgen", "sweep", "--n", "3", "--count", "3", *flags, "--out", str(out)]
+    assert _assert_one_line_usage_error(main(argv), capsys) == line
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sub", ["verify", "chain"])
 def test_instance_xi_overflow_is_named(sub, tmp_path, capsys):
     # finite f and f' whose xi = -f'/f overflows: the error used to blame the file's xi-slice entries

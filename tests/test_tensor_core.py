@@ -9,6 +9,7 @@ from statwintgen.tensor_core import (
     frobenius_norm_sq,
     grid,
     grid_partials,
+    instance_uniforms,
     symmetrize_upper,
 )
 
@@ -176,3 +177,52 @@ class TestRandomSymmetricTraceless:
 def test_symmetrize_upper():
     raw = np.array([[1.0, 2.0], [99.0, 3.0]])
     npt.assert_array_equal(symmetrize_upper(raw), [[1.0, 2.0], [2.0, 3.0]])
+
+
+# Seeds and indices on both sides of 2^32 and 2^64, where SeedSequence adds an entropy word.
+STREAM_SEEDS = (0, 7, 2**32 - 1, 2**32, 2**64 + 3)
+STREAM_RANGES = (range(0, 1000), range(2**32 - 500, 2**32 + 500))
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+class TestInstanceUniforms:
+    @pytest.mark.parametrize("k", [1, 21, 57, 1027])
+    def test_rows_are_the_default_rng_streams_bit_for_bit(self, k):
+        # 5 seeds x 2000 indices, against numpy itself: a numpy release that changed
+        # SeedSequence or PCG64 fails here instead of moving every sweep silently
+        pairs = 0
+        for seed in STREAM_SEEDS:
+            for indices in STREAM_RANGES:
+                drawn = instance_uniforms(seed, indices, k)
+                assert drawn.shape == (len(indices), k)
+                want = np.array([np.random.default_rng([seed, index]).random(k) for index in indices])
+                assert np.array_equal(_bits(drawn), _bits(want)), (seed, indices)
+                pairs += len(indices)
+        assert pairs == 10_000
+
+    @pytest.mark.parametrize("seed", [11, 2**32 + 5, 2**200 + 17])
+    @pytest.mark.parametrize("indices", [range(0, 1), range(2**32 - 1, 2**32), range(2**33 - 3, 2**33 + 3),
+                                         range(2**64 - 2, 2**64 + 2), range(2**70 + 1, 2**70 + 2)],
+                             ids=lambda r: f"{r.start:#x}+{len(r)}")
+    def test_every_entropy_word_count(self, seed, indices):
+        # a range is hashed per block of 2^32 indices; long seeds and indices add words beyond the pool
+        drawn = instance_uniforms(seed, indices, 5)
+        want = np.array([np.random.default_rng([seed, index]).random(5) for index in indices])
+        assert np.array_equal(_bits(drawn), _bits(want))
+
+    def test_empty_range(self):
+        assert instance_uniforms(3, range(4, 4), 7).shape == (0, 7)
+
+    @pytest.mark.parametrize("seed, indices", [(-1, range(0, 2)), (3, range(-1, 2))], ids=["seed", "index"])
+    def test_negative_entropy_is_refused_as_numpy_refuses_it(self, seed, indices):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            np.random.default_rng([seed, indices.start])
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            instance_uniforms(seed, indices, 3)
+
+    def test_a_stepped_range_is_refused(self):
+        with pytest.raises(ValueError, match="step 1"):
+            instance_uniforms(3, range(0, 10, 2), 3)

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import draw_oracle
 import paper_checks as pc
 import statwintgen.legendrian as lg
 import statwintgen.wintgen as wg
@@ -230,6 +231,44 @@ class TestRandomInstance:
             wg.random_instance(n=1, seed=0)
         with pytest.raises(ValueError):
             wg.random_instance(n=2, f_range=(0.0, 1.0), seed=0)
+
+    @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"index": -1}], ids=["seed", "index"])
+    def test_negative_seed_or_index_is_refused_as_numpy_refuses_it(self, kwargs):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            wg.random_instance(3, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"magnitude": 1e308}, {"magnitude": np.inf}, {"c_range": (-1e308, 1e308)}, {"fprime_range": (-np.inf, 0.0)}],
+        ids=["magnitude", "magnitude-inf", "c_range", "fprime_range"],
+    )
+    def test_unbounded_range_is_refused_as_numpy_refuses_it(self, kwargs):
+        with pytest.raises(OverflowError, match="^high - low range exceeds valid bounds$"):
+            wg.random_instance(3, seed=0, **kwargs)
+        with pytest.raises(OverflowError, match="^high - low range exceeds valid bounds$"):
+            wg.sweep(3, 2, 0, **kwargs)
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):  # numpy refuses the seed first
+            wg.sweep(3, 2, -1, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"magnitude": 0.0}, {"magnitude": 1000.0}, {"c_range": (2.5, 2.5), "f_range": (1.0, 1.0)},
+         {"c_range": (-7, 3), "fprime_range": (-0.0, -0.0), "magnitude": 3}],
+        ids=["default", "magnitude-0", "magnitude-1000", "equal-ends", "ints-and-minus-zero"],
+    )
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_chunk_draws_equal_the_per_index_loop_bit_for_bit(self, n, kwargs):
+        ranges = {"c_range": (-4.0, 4.0), "f_range": (0.5, 3.0), "fprime_range": (-2.0, 2.0), "magnitude": 1.0}
+        args = {**ranges, **kwargs}
+        for seed, indices in [(7, range(0, 40)), (2**32, range(2**32 - 3, 2**32 + 3))]:
+            insts, forms, xi = wg._random_instances(n, *args.values(), seed, indices)
+            want_insts, want_forms, want_xi = draw_oracle.random_instances(n, *args.values(), seed, indices)
+            fields = [(i.c, i.f_val, i.f_prime) for i in insts]
+            want_fields = [(i.c, i.f_val, i.f_prime) for i in want_insts]
+            assert [tuple(map(type, f)) for f in fields] == [tuple(map(type, f)) for f in want_fields]
+            assert np.array_equal(np.array(fields).view(np.uint64), np.array(want_fields).view(np.uint64))
+            assert np.array_equal(forms.view(np.uint64), want_forms.view(np.uint64))
+            assert np.array_equal(xi.view(np.uint64), want_xi.view(np.uint64))
 
 
 class TestSweep:

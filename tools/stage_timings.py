@@ -29,6 +29,12 @@ the median over ``--repeats`` batches of ``--count`` instances (a quarter as
 many at n = 8).  Keys are ``<stage>.n<n>``; ``--json`` prints them as one
 JSON object.
 
+The draw stages time one sweep chunk's instances, ``wintgen.sweep_chunk(n)``
+of them at seed 0, 1, ..., in microseconds per instance, median over
+``--repeats`` chunks: ``draw.n<n>`` draws them as ``sweep`` does, with one
+``wintgen._random_instances`` call for the chunk, and ``draw.b1.n<n>`` with
+one ``wintgen.random_instance`` call per index (B = 1).
+
 The sharpness stages (``sharpness.n<n>``) time one ``wintgen.sharpness_search``
 of ``SHARPNESS_BUDGET`` evaluations (c = 0, f = 1, f' = 0, seed 5), in
 microseconds per evaluation, median over ``--repeats`` runs.  The budget
@@ -98,6 +104,7 @@ CHART_FIELDS = ("metric", "gamma", "gamma_star", "metric_partial", "gamma_partia
 GEOMETRY_SAMPLES = 100
 GRID_ROWS_H3 = 7  # t values per h3 sample on the Levi-Civita grid: the point and its 6 stencil points
 SHARPNESS_BUDGET = 1000
+DRAW_RANGES = ((-4.0, 4.0), (0.5, 3.0), (-2.0, 2.0), 1.0)  # random_instance's c, f, f' ranges and magnitude
 COMMANDS = ("reproduce example-r2", "reproduce example-h3", "axioms --chart r2", "axioms --chart h3",
             "curvature --chart r2", "curvature --chart h3", "classify --warp exp --fiber flat",
             "classify --warp cosh --fiber twisted")
@@ -134,6 +141,20 @@ def stage_timings(count: int, repeats: int) -> dict[str, float]:
         runs = [batch(n, size, seed) for seed in range(repeats)]
         for stage in STAGES:
             out[f"{stage}.n{n}"] = 1e6 * statistics.median(r[stage] for r in runs) / size
+    return out
+
+
+def draw_timings(repeats: int) -> dict[str, float]:
+    """``draw.n<n>`` and ``draw.b1.n<n>`` -> median microseconds per instance of one sweep chunk's draws."""
+    out = {}
+    for n in DIMS:
+        indices = range(wintgen.sweep_chunk(n))
+        chunk = [_timed(lambda s: wintgen._random_instances(n, *DRAW_RANGES, s, indices), [seed])[0]
+                 for seed in range(repeats)]
+        alone = [_timed(lambda k: wintgen.random_instance(n, seed=seed, index=k), indices)[0]
+                 for seed in range(repeats)]
+        out[f"draw.n{n}"] = 1e6 * statistics.median(chunk) / len(indices)
+        out[f"draw.b1.n{n}"] = 1e6 * statistics.median(alone) / len(indices)
     return out
 
 
@@ -240,6 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args(argv)
     timings = stage_timings(args.count, args.repeats)
+    timings.update(draw_timings(args.repeats))
     timings.update(sharpness_timings(args.repeats))
     timings.update(geometry_timings(args.repeats))
     timings.update(command_timings(args.repeats))
@@ -249,6 +271,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'stage':<10}" + "".join(f"{f'n={n}':>10}" for n in DIMS) + "   (us per instance)")
     for stage in STAGES:
         print(f"{stage:<10}" + "".join(f"{timings[f'{stage}.n{n}']:>10.1f}" for n in DIMS))
+    print(f"{'draw':<10}" + "".join(f"{timings[f'draw.n{n}']:>10.1f}" for n in DIMS)
+          + "   (us per instance of one sweep chunk)")
+    print(f"{'draw B=1':<10}" + "".join(f"{timings[f'draw.b1.n{n}']:>10.1f}" for n in DIMS))
     print(f"{'sharpness':<10}" + "".join(f"{timings[f'sharpness.n{n}']:>10.1f}" for n in DIMS)
           + f"   (us per evaluation, {SHARPNESS_BUDGET} evaluations)")
     print(f"\n{'geometry':<14}{'point':>10}{'stack':>10}   (us per sample, {GEOMETRY_SAMPLES} samples)")
