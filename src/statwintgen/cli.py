@@ -10,8 +10,11 @@ wintgen       verify / sweep / chain / sharpness on Legendrian instances
 
 Exit codes: 0 all checks passed, 1 at least one property or inequality
 violation, 2 usage or configuration error.  Every JSON report embeds the
-schema string; floats are printed with 17 significant digits so reports
-round-trip exactly.  An optional JSON config file provides defaults for any
+schema string and is rendered by ``dump_json`` in one pass: two-space indent,
+one element per line, ``",\n"`` between elements, ``[]`` and ``{}`` when
+empty, and floats at 17 significant digits (``.17g``), so reports round-trip
+exactly; a NaN or infinity anywhere in it is refused, and so is a value of no
+JSON type.  An optional JSON config file provides defaults for any
 long flag (flags win); the environment variable STATWINTGEN_OUTDIR sets the
 default output directory.  A flag or value the parser rejects ends in one
 ``error:`` line and exit 2, without the usage block.  Arithmetic that leaves
@@ -40,6 +43,8 @@ import os
 import sys
 from dataclasses import replace
 from itertools import cycle
+from json.encoder import encode_basestring_ascii as _json_string
+from math import isfinite
 from pathlib import Path
 from typing import Iterator
 
@@ -63,36 +68,84 @@ def format_float(x: float) -> str:
 
 
 def dump_json(obj, indent: int = 0) -> str:
-    """JSON text with floats rendered at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (np.floating, float)):
-        if not math.isfinite(obj):
-            raise ValueError("non-finite float in report")
-        return format_float(float(obj))
-    if isinstance(obj, (np.integer, int)):
-        return str(int(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return dump_json(obj.tolist(), indent)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(inner + dump_json(v, indent + 1) for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {dump_json(v, indent + 1)}" for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    """``obj`` as report JSON, rendered in one pass over an explicit stack instead of one call per value.
+
+    Two spaces of indent per level (``indent`` to start), one element per line, ``",\n"`` between
+    elements and ``[]`` or ``{}`` when empty.  Keys are ``str(key)``, strings are ASCII-escaped as by
+    ``json.dumps``, floats are ``format(x, ".17g")`` (17 significant digits), and tuples, arrays, numpy
+    scalars and subclasses render as the plain values they hold.  A NaN or infinity at any depth
+    raises ValueError("non-finite float in report"); a value of any other type raises TypeError.
+    """
+    parts: list[str] = []
+    keys: dict[str, str] = {}  # str(key) -> its JSON string and ": "
+    stack: list[tuple] = []  # per open container: (its elements, whether a dict's, separator, closer)
+    value, first = obj, False
+    while True:
+        kind = type(value)
+        if kind is float:
+            if not isfinite(value):
+                raise ValueError("non-finite float in report")
+            parts.append(f"{value:.17g}")
+        elif kind is str:
+            parts.append(_json_string(value))
+        elif kind is bool:
+            parts.append("true" if value else "false")
+        elif kind is int:
+            parts.append(str(value))
+        elif value is None:
+            parts.append("null")
+        elif kind is not dict and kind is not list and kind is not tuple:
+            for types, plain in _PLAIN:
+                if isinstance(value, types):
+                    value = plain(value)
+                    break
+            else:
+                raise TypeError(f"cannot serialize {kind!r}")
+            continue
+        elif not value:
+            parts.append("{}" if kind is dict else "[]")
+        else:
+            pad = "  " * (indent + len(stack) + 1)
+            if kind is not dict and {*map(type, value)} == _FLOAT:
+                if not all(map(isfinite, value)):
+                    raise ValueError("non-finite float in report")
+                parts += ("[\n", pad, (",\n" + pad).join([f"{x:.17g}" for x in value]), "\n", pad[2:], "]")
+            else:
+                is_dict = kind is dict
+                parts.append(("{\n" if is_dict else "[\n") + pad)
+                stack.append((iter(value.items() if is_dict else value), is_dict, ",\n" + pad,
+                              "\n" + pad[2:] + ("}" if is_dict else "]")))
+                first = True
+        while stack:  # the next element of the innermost open container, closing the finished ones
+            items, is_dict, separator, closer = stack[-1]
+            if (value := next(items, _END)) is _END:
+                parts.append(closer)
+                stack.pop()
+                continue
+            if not first:
+                parts.append(separator)
+            first = False
+            if is_dict:
+                key, value = value
+                if (text := keys.get(name := str(key))) is None:
+                    text = keys[name] = _json_string(name) + ": "
+                parts.append(text)
+            break
+        else:
+            return "".join(parts)
+
+
+_FLOAT, _END = {float}, object()  # the type set of a list of plain floats; past a container's last element
+# How a value of no plain type renders: as the plain value that the first rule it matches makes of it.
+_PLAIN = (
+    ((bool, np.bool_), bool),
+    ((np.floating, float), float),
+    ((np.integer, int), int),
+    (str, str.__str__),  # the characters it holds, whatever its own __str__
+    (np.ndarray, np.ndarray.tolist),
+    ((list, tuple), list),
+    (dict, lambda value: dict(value.items())),
+)
 
 
 def _output_dir() -> Path:
@@ -100,9 +153,7 @@ def _output_dir() -> Path:
 
 
 def _base_report(command: str, passed: bool, body: dict) -> dict:
-    rep = {"schema": SCHEMA, "command": command, "passed": passed}
-    rep.update(body)
-    return rep
+    return {"schema": SCHEMA, "command": command, "passed": passed, **body}
 
 
 def _finish(args, command: str, passed: bool, body: dict, default_name: str, summary: str) -> int:
@@ -363,49 +414,24 @@ CSV_COLUMNS = ("seed", "n", "c", "f", "f_prime", "lhs", "rhs", "slack", "holds")
 
 
 def sweep_csv_lines(reports: list[wg.WintgenReport]) -> list[str]:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in reports:
-        lines.append(
-            ",".join(
-                [
-                    str(r.seed),
-                    str(r.n),
-                    format_float(r.c),
-                    format_float(r.f),
-                    format_float(r.f_prime),
-                    format_float(r.lhs),
-                    format_float(r.rhs),
-                    format_float(r.slack),
-                    "true" if r.holds else "false",
-                ]
-            )
-        )
-    return lines
+    """The ``CSV_COLUMNS`` header, then one row per report with its floats at 17 significant digits."""
+    return [",".join(CSV_COLUMNS)] + [
+        f"{r.seed},{r.n},{float(r.c):.17g},{float(r.f):.17g},{float(r.f_prime):.17g},{float(r.lhs):.17g},"
+        f"{float(r.rhs):.17g},{float(r.slack):.17g},{'true' if r.holds else 'false'}" for r in reports]
 
 
 def cmd_wintgen_sweep(args) -> int:
-    reports = wg.sweep(
-        n=args.n,
-        count=args.count,
-        seed=args.seed,
-        c_range=(args.c_min, args.c_max),
-        f_range=(args.f_min, args.f_max),
-        fprime_range=(args.fprime_min, args.fprime_max),
-        magnitude=args.magnitude,
-    )
+    reports = wg.sweep(n=args.n, count=args.count, seed=args.seed, c_range=(args.c_min, args.c_max),
+                       f_range=(args.f_min, args.f_max), fprime_range=(args.fprime_min, args.fprime_max),
+                       magnitude=args.magnitude)
     failures = [r for r in reports if not r.holds]
     out = Path(args.out) if args.out is not None else _output_dir() / f"sweep-{args.seed}.{args.format}"
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
         out.write_text("\n".join(sweep_csv_lines(reports)) + "\n")
     else:
-        body = _base_report(
-            "wintgen-sweep",
-            not failures,
-            {"seed": args.seed, "n": args.n, "count": args.count,
-             "rows": [r.as_dict() for r in reports]},
-        )
-        out.write_text(dump_json(body) + "\n")
+        body = {"seed": args.seed, "n": args.n, "count": args.count, "rows": [r.as_dict() for r in reports]}
+        out.write_text(dump_json(_base_report("wintgen-sweep", not failures, body)) + "\n")
     min_slack = min((r.slack for r in reports), default=0.0)
     print(f"wintgen sweep n={args.n} count={args.count} seed={args.seed}: "
           f"{len(failures)} violations, min slack {format_float(min_slack)} -> {out}")
@@ -428,22 +454,14 @@ def cmd_wintgen_chain(args) -> int:
 
 
 def cmd_wintgen_sharpness(args) -> int:
-    result = wg.sharpness_search(
-        n=args.n, c=args.c, f=args.f, fprime=args.fprime,
-        iterations=args.iterations, seed=args.seed,
-    )
+    result = wg.sharpness_search(n=args.n, c=args.c, f=args.f, fprime=args.fprime, iterations=args.iterations,
+                                 seed=args.seed)
     return _finish(
         args, "wintgen-sharpness", not result.hard_violation,
-        {
-            "n": args.n, "c": args.c, "f": args.f, "f_prime": args.fprime,
-            "seed": args.seed, "iterations": args.iterations,
-            "min_slack": result.min_slack,
-            "evaluations": result.evaluations,
-            "restarts": result.restarts,
-            "trace": result.trace,
-            "hard_violation": result.hard_violation,
-            "best_instance": result.best_instance.to_dict(),
-        },
+        {"n": args.n, "c": args.c, "f": args.f, "f_prime": args.fprime, "seed": args.seed,
+         "iterations": args.iterations, "min_slack": result.min_slack, "evaluations": result.evaluations,
+         "restarts": result.restarts, "trace": result.trace, "hard_violation": result.hard_violation,
+         "best_instance": result.best_instance.to_dict()},
         f"sharpness-{args.seed}.json",
         f"wintgen sharpness min slack {format_float(result.min_slack)} "
         f"({result.evaluations} evals, {result.restarts} restarts, "
@@ -500,10 +518,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="statwintgen",
-        description="Numerical checks for dualistic warped-product geometry and the Wintgen bound.",
-    )
+    parser = _Parser(prog="statwintgen",
+                     description="Numerical checks for dualistic warped-product geometry and the Wintgen bound.")
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file with default values for any long flag")
     sub = parser.add_subparsers(dest="command", required=True)

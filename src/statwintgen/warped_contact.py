@@ -56,8 +56,8 @@ class Warping:
     f_double_prime: Callable[[float], float]
     name: str = "f"
 
-    def at(self, t) -> tuple[Array, Array, Array]:
-        """(f, f', f'') at each t of an array of any shape, each an array of that shape.
+    def at(self, t, derivatives: int = 2) -> tuple[Array, ...]:
+        """(f, f', f'')[:derivatives + 1] at each t of an array of any shape, each an array of that shape.
 
         Each function is called on each t as a Python float, in array order:
         f over the whole stack first, then f', then f''.  The first t whose f
@@ -70,8 +70,8 @@ class Warping:
         if np.count_nonzero(ok) < n:
             i = int(ok.argmin())  # the first bad t
             raise ValueError(f"warping {self.name} must stay positive, got f({s[i]}) = {float(f[i])}")
-        return (f.reshape(shape), np.fromiter(map(self.f_prime, s), float, n).reshape(shape),
-                np.fromiter(map(self.f_double_prime, s), float, n).reshape(shape))
+        return f.reshape(shape), *(np.fromiter(map(fn, s), float, n).reshape(shape)
+                                   for fn in (self.f_prime, self.f_double_prime)[:derivatives])
 
 
 def exp_warping() -> Warping:
@@ -125,12 +125,9 @@ def standard_complex_structure(n: int) -> Array:
 
 def flat_kaehler_spec(n: int, warping: Warping) -> WarpedProductSpec:
     """Trivial flat fiber R^{2n} with the constant standard J."""
-    return WarpedProductSpec(
-        fiber=trivial_chart(2 * n),
-        complex_structure=constant_field(standard_complex_structure(n)),
-        warping=warping,
-        label=f"R x_{warping.name} C^{n} (flat)",
-    )
+    j = constant_field(standard_complex_structure(n))
+    return WarpedProductSpec(fiber=trivial_chart(2 * n), complex_structure=j, warping=warping,
+                             label=f"R x_{warping.name} C^{n} (flat)")
 
 
 def twisted_j_spec(epsilon: float, warping: Warping) -> WarpedProductSpec:
@@ -150,22 +147,14 @@ def twisted_j_spec(epsilon: float, warping: Warping) -> WarpedProductSpec:
         p[..., 1, 1], p[..., 1, 2], p[..., 2, 1], p[..., 2, 2] = c, -s, s, c
         return p @ j0 @ np.swapaxes(p, -1, -2)
 
-    return WarpedProductSpec(
-        fiber=trivial_chart(4),
-        complex_structure=j_field,
-        warping=warping,
-        label=f"twisted-J fiber (eps={epsilon})",
-    )
+    return WarpedProductSpec(fiber=trivial_chart(4), complex_structure=j_field, warping=warping,
+                             label=f"twisted-J fiber (eps={epsilon})")
 
 
 def builtin_h3_example() -> WarpedProductSpec:
     """R x_{e^t} (constant-curvature -1 plane): warped model of hyperbolic 3-space."""
-    return WarpedProductSpec(
-        fiber=builtin_r2_example(),
-        complex_structure=constant_field(standard_complex_structure(1)),
-        warping=exp_warping(),
-        label="h3-example",
-    )
+    j = constant_field(standard_complex_structure(1))
+    return WarpedProductSpec(fiber=builtin_r2_example(), complex_structure=j, warping=exp_warping(), label="h3-example")
 
 
 def h3_connection_table(t: float) -> Array:
@@ -198,7 +187,7 @@ def _warped_block(f: Array, g_n: Array) -> Array:
 def warped_metric(spec: WarpedProductSpec, point: Array) -> Array:
     """dt^2 + f(t)^2 g_N at each point of a (..., 2n+1) stack."""
     point = np.asarray(point, dtype=float)
-    f, _, _ = spec.warping.at(point[..., 0])
+    (f,) = spec.warping.at(point[..., 0], 0)
     return _warped_block(f, np.asarray(spec.fiber.metric(point[..., 1:]), dtype=float))
 
 
@@ -222,10 +211,10 @@ def build_warped_chart(spec: WarpedProductSpec) -> DualisticChart:
     w = spec.warping
     fiber_axes = np.arange(1, d)  # index arrays of the (a, 0, a) and (a, a, 0) entries, a >= 1
 
-    def warp(x: Array) -> tuple[Array, Array, Array, Array]:
-        """(the points (..., d) as floats, then f, f', f'' at their t)."""
+    def warp(x: Array, derivatives: int) -> tuple[Array, ...]:
+        """(the points (..., d) as floats, then f and its first ``derivatives`` derivatives at their t)."""
         x = np.asarray(x, dtype=float)
-        return (x, *w.at(x[..., 0]))
+        return (x, *w.at(x[..., 0], derivatives))
 
     def fiber_field(name: str, x: Array) -> Array:
         """The fiber's field ``name`` at the fiber coordinates of the points (..., d)."""
@@ -233,7 +222,7 @@ def build_warped_chart(spec: WarpedProductSpec) -> DualisticChart:
 
     def _gamma_from(fiber_gamma: str) -> Callable[[Array], Array]:
         def gamma(x: Array) -> Array:
-            x, f, fp, _ = warp(x)
+            x, f, fp = warp(x, 1)
             out = np.zeros(x.shape[:-1] + (d, d, d))
             out[..., 1:, 1:, 1:] = fiber_field(fiber_gamma, x)
             out[..., fiber_axes, 0, fiber_axes] = out[..., fiber_axes, fiber_axes, 0] = (fp / f)[..., None]
@@ -243,7 +232,7 @@ def build_warped_chart(spec: WarpedProductSpec) -> DualisticChart:
         return gamma
 
     def metric_partial(x: Array) -> Array:
-        x, f, fp, _ = warp(x)
+        x, f, fp = warp(x, 1)
         out = np.zeros(x.shape[:-1] + (d, d, d))
         out[..., 0, 1:, 1:] = (2.0 * f * fp)[..., None, None] * fiber_field("metric", x)
         out[..., 1:, 1:, 1:] = (f * f)[..., None, None, None] * fiber_field("metric_partial", x)
@@ -251,7 +240,7 @@ def build_warped_chart(spec: WarpedProductSpec) -> DualisticChart:
 
     def _gamma_partial_from(fiber_gamma_partial: str) -> Callable[[Array], Array]:
         def gamma_partial(x: Array) -> Array:
-            x, f, fp, fpp = warp(x)
+            x, f, fp, fpp = warp(x, 2)
             out = np.zeros(x.shape[:-1] + (d, d, d, d))
             # d/dt blocks; float_power calls C pow, as Python's float ** does (numpy's ** 2 squares)
             d_ratio = (fpp / f - np.float_power(fp / f, 2.0))[..., None]
@@ -383,7 +372,7 @@ def contact_classification(
     points = np.asarray(points, dtype=float)
     count, d, step = len(points), spec.dim, DEFAULT_FD_STEP
     x = grid(points, step)
-    f, fp, _ = spec.warping.at(x[:, 0])
+    f, fp = spec.warping.at(x[:, 0], 1)
     g_n = np.asarray(spec.fiber.metric(x[:, 1:]), dtype=float)
     j = spec.j_at(x[:, 1:])
     g = _warped_block(f, g_n)
@@ -474,11 +463,6 @@ def kenmotsu_theorem_check(
         raise OverflowError(f"non-finite residual on {spec.label}")
     fiber_ok = worst_fiber <= KENMOTSU_TOL
     total_ok = worst_total <= KENMOTSU_TOL
-    return KenmotsuCheck(
-        fiber_almost_kaehler=fiber_ok,
-        total_almost_kenmotsu=total_ok,
-        consistent=(fiber_ok == total_ok),
-        k_tilde_xi_residual=k_xi,
-        points=pts,
-        classifications=classifications,
-    )
+    return KenmotsuCheck(fiber_almost_kaehler=fiber_ok, total_almost_kenmotsu=total_ok,
+                         consistent=(fiber_ok == total_ok), k_tilde_xi_residual=k_xi, points=pts,
+                         classifications=classifications)

@@ -86,21 +86,32 @@ def test_classify_command(capsys):
     assert main(["classify", "--warp", "exp", "--fiber", "twisted", "--samples", "2"]) == EXIT_OK
 
 
-@pytest.mark.parametrize("fiber, f_calls, j_rows", [
-    # 5 samples of the 5-dim total chart: f and J once per row of the points' grid (5 x 11 rows), and f
-    # at the points once each by the chart's gamma, metric and metric_partial fields (3 x 5)
-    ("twisted", 70, 55),
-    # the same on the 3-dim total chart of a 2-dim fiber: 5 x 7 grid rows and 3 x 5
-    ("flat", 50, 35),
-    ("r2", 50, 35),
-])
-def test_classify_evaluates_f_and_j_once_per_grid_row(monkeypatch, tmp_path, fiber, f_calls, j_rows):
-    calls, rows = [], []
-    cosh, build = wc.cosh_warping(), cli.FIBERS[fiber]
+def counted_warping(warping: wc.Warping, calls: list) -> wc.Warping:
+    """``warping`` with each call of f, f' and f'' counted in ``calls[0]``, ``calls[1]`` and ``calls[2]``."""
 
-    def f(t):
-        calls.append(t)
-        return cosh.f(t)
+    def counted(fn, order):
+        def call(t):
+            calls[order] += 1
+            return fn(t)
+
+        return call
+
+    return replace(warping, f=counted(warping.f, 0), f_prime=counted(warping.f_prime, 1),
+                   f_double_prime=counted(warping.f_double_prime, 2))
+
+
+@pytest.mark.parametrize("fiber, warping_calls, j_rows", [
+    # 5 samples of the 5-dim total chart: f, f' and J once per row of the points' grid (5 x 11 rows), f at
+    # the points once each by the chart's gamma, metric and metric_partial fields (3 x 5), f' by gamma and
+    # metric_partial (2 x 5), and f'' never
+    ("twisted", (70, 65, 0), 55),
+    # the same on the 3-dim total chart of a 2-dim fiber: 5 x 7 grid rows, 3 x 5 and 2 x 5
+    ("flat", (50, 45, 0), 35),
+    ("r2", (50, 45, 0), 35),
+])
+def test_classify_evaluates_f_and_j_once_per_grid_row(monkeypatch, tmp_path, fiber, warping_calls, j_rows):
+    calls, rows = [0, 0, 0], []
+    cosh, build = wc.cosh_warping(), cli.FIBERS[fiber]
 
     def counted_fiber(warping, epsilon):
         spec = build(warping, epsilon)
@@ -111,41 +122,36 @@ def test_classify_evaluates_f_and_j_once_per_grid_row(monkeypatch, tmp_path, fib
 
         return replace(spec, complex_structure=complex_structure)
 
-    monkeypatch.setattr(wc, "cosh_warping", lambda: replace(cosh, f=f))
+    monkeypatch.setattr(wc, "cosh_warping", lambda: counted_warping(cosh, calls))
     monkeypatch.setitem(cli.FIBERS, fiber, counted_fiber)
     argv = ["classify", "--warp", "cosh", "--fiber", fiber, "--samples", "5", "--out", str(tmp_path / "c.json")]
     assert main(argv) == EXIT_OK
-    assert (len(calls), len(rows)) == (f_calls, j_rows)
+    assert (tuple(calls), len(rows)) == (warping_calls, j_rows)
 
 
 @pytest.fixture
 def h3_warping_calls(monkeypatch) -> list:
-    """The t of each call of f of the h3 chart's warping, in call order."""
-    calls = []
-    exp = wc.exp_warping()
-
-    def f(t):
-        calls.append(t)
-        return exp.f(t)
-
-    monkeypatch.setattr(wc, "exp_warping", lambda: replace(exp, f=f))
+    """The number of calls of f, f' and f'' of the h3 chart's warping."""
+    calls, exp = [0, 0, 0], wc.exp_warping()
+    monkeypatch.setattr(wc, "exp_warping", lambda: counted_warping(exp, calls))
     return calls
 
 
-@pytest.mark.parametrize("argv, count", [
-    # 100 samples: the Levi-Civita pass on 700 grid points (metric, metric_partial) and the
-    # four connection fields on the 100 points; nothing is shared across the chart's fields
-    (["axioms", "--chart", "h3", "--samples", "100"], 1800),
-    # 50 samples: one pass (700) for the sectional curvature and the axioms, the connection
-    # fields (200), the connection table (1) and one classified point's grid (7)
-    (["reproduce", "example-h3"], 908),
-    # 20 samples: the pass (280) with g at the points taken from it, both finite-differenced
-    # connections on the grid (280) and the closed forms (20)
-    (["curvature", "--chart", "h3", "--samples", "20"], 580),
+@pytest.mark.parametrize("argv, counts", [
+    # 100 samples: the Levi-Civita pass on 700 grid points (f by metric and metric_partial, f' by
+    # metric_partial) and the four connection fields on the 100 points (f and f' by each, f'' by the two
+    # connection partials); nothing is shared across the chart's fields
+    (["axioms", "--chart", "h3", "--samples", "100"], (1800, 1100, 200)),
+    # 50 samples: one pass (700, 350) for the sectional curvature and the axioms, the connection
+    # fields (200, 200, 100), the connection table (1, 1) and one classified point's grid (7, 7)
+    (["reproduce", "example-h3"], (908, 558, 100)),
+    # 20 samples: the pass (280, 140) with g at the points taken from it, both finite-differenced
+    # connections on the grid (280, 280) and the closed forms (20, 20, 20)
+    (["curvature", "--chart", "h3", "--samples", "20"], (580, 440, 20)),
 ])
-def test_h3_commands_evaluate_the_warping_once_per_field_and_point(h3_warping_calls, tmp_path, argv, count):
+def test_h3_commands_evaluate_the_warping_once_per_field_and_point(h3_warping_calls, tmp_path, argv, counts):
     assert main([*argv, "--out", str(tmp_path / "report.json")]) == EXIT_OK
-    assert len(h3_warping_calls) == count
+    assert tuple(h3_warping_calls) == counts
 
 
 def test_reproduce_h3_evaluates_metric_partial_once_per_chunk(monkeypatch, tmp_path):

@@ -1,0 +1,186 @@
+"""``cli.dump_json`` renders every report byte for byte as the recursive writer in ``report_oracle`` does."""
+
+from __future__ import annotations
+
+import collections
+import enum
+import importlib.util
+import json
+import math
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import statwintgen.cli as cli
+import statwintgen.wintgen as wg
+from report_oracle import dump_json as oracle_dump_json
+from statwintgen.cli import EXIT_USAGE, dump_json, main
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+class Level(enum.IntEnum):
+    LOW = 3
+
+
+class Tagged(str):
+    pass
+
+
+class Ratio(float):
+    pass
+
+
+EDGE_CASES = {
+    "negative zero": -0.0,
+    "smallest subnormal": 5e-324,
+    "1e16": 1e16,
+    "1e-7": 1e-7,
+    "largest double": 1.7976931348623157e308,
+    "float32": np.float32(0.1),
+    "float64": np.float64(1.0 / 3.0),
+    "float16": np.float16(-2.5),
+    "int64": np.int64(-7),
+    "uint8": np.uint8(255),
+    "bool_ true": np.bool_(True),
+    "bool_ false": np.bool_(False),
+    "0-d array": np.array(2.5),
+    "3-d array": np.arange(24.0).reshape(2, 3, 4) / 7.0,
+    "int and bool arrays": [np.arange(3), np.array([True, False]), np.zeros((2, 0))],
+    "float32 array": np.linspace(0.0, 1.0, 5, dtype=np.float32),
+    "tuple": (1.0, 2, "x", (None, ())),
+    "empty list": [],
+    "empty dict": {},
+    "empty tuple": (),
+    "nested empties": [[], {}, [[]], {"a": {}, "b": [[], ()]}],
+    "int key": {1: "one", 2.5: [1.0]},
+    "bool key": {True: "yes", None: 0},
+    "int and bool keys in one report": [{1: "one"}, {True: "yes"}, {1.0: "float"}],
+    "quotes and backslashes": {'key "q"\\': 'say "hi" \\ back\\slash'},
+    "control characters": ["tab\tnewline\nnul\x00unit\x1fdel\x7f"],
+    "non-ascii": {"ümlaut ∑": "日本 😀   \ud800"},
+    "mixed list": [1.0, 2, True, 3.5, False, None, -0.0, np.float64(4.0)],
+    "plain floats": [0.1, -0.0, 5e-324, 1e16, 1e-7, 123456789.123456789],
+    "nested plain floats": {"points": [[0.5, -0.25, 1.0 / 3.0], [2.0, 1e300, -1e-300]], "trace": [1.5]},
+    "subclasses": [Level.LOW, Tagged("tag"), Ratio(0.75), collections.OrderedDict(b=1.0, a=[Ratio(2.0)])],
+    "report": {"schema": cli.SCHEMA, "passed": True, "rows": [{"seed": "7-0", "n": 3, "slack": 0.125}] * 3},
+}
+
+
+@pytest.mark.parametrize("value", list(EDGE_CASES.values()), ids=list(EDGE_CASES))
+def test_edge_cases_render_as_the_recursive_writer(value):
+    assert dump_json(value) == oracle_dump_json(value)
+
+
+@pytest.mark.parametrize("indent", [1, 3])
+def test_indent_renders_as_the_recursive_writer(indent):
+    value = EDGE_CASES["nested plain floats"]
+    assert dump_json(value, indent) == oracle_dump_json(value, indent)
+
+
+def _load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_digest_battery_report_renders_as_the_recursive_writer(monkeypatch, tmp_path):
+    digests = _load_tool("report_digests")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STATWINTGEN_OUTDIR", raising=False)
+    for name, inst in digests.INSTANCES.items():
+        Path(name).write_text(inst.to_json())
+    for name, config in digests.CONFIGS.items():
+        Path(name).write_text(json.dumps(config))
+    rendered, writer = [], cli.dump_json
+
+    def recording(obj, *args):
+        text = writer(obj, *args)
+        rendered.append((obj, text))
+        return text
+
+    monkeypatch.setattr(cli, "dump_json", recording)
+    mismatched, reports = [], 0
+    for argv in digests.battery():
+        del rendered[:]
+        Path(digests.OUT).unlink(missing_ok=True)
+        main(argv + ["--out", digests.OUT])
+        if rendered:  # the commands that write a JSON report: all but the CSV sweeps and the refusals
+            obj, text = rendered[-1]  # the outermost call returns last
+            assert Path(digests.OUT).read_text() == text + "\n", argv
+            mismatched += [argv] if text != oracle_dump_json(obj) else []
+            reports += 1
+    assert mismatched == []
+    assert reports == 41  # 52 commands: 6 CSV sweeps and 5 refusals write no JSON report
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=str)
+@pytest.mark.parametrize("where", [
+    lambda x: x,
+    lambda x: [1.0, x, 2.0],  # a list of plain floats
+    lambda x: {"rows": [{"a": 1.0}, {"b": x}]},
+    lambda x: [np.float32(x)],
+    lambda x: {"values": np.array([0.5, x])},
+], ids=["top level", "plain-float list", "dict in a list", "float32 scalar", "array"])
+def test_non_finite_floats_are_refused_at_any_depth(bad, where):
+    for writer in (dump_json, oracle_dump_json):
+        with pytest.raises(ValueError, match=r"^non-finite float in report$"):
+            writer(where(bad))
+
+
+@pytest.mark.parametrize("value", [object(), [1.0, {"a": object()}], {1j: 1.0}.values(), {"a": 1j}],
+                         ids=["object", "nested object", "dict view", "complex"])
+def test_unknown_types_are_refused(value):
+    for writer in (dump_json, oracle_dump_json):
+        with pytest.raises(TypeError, match=r"^cannot serialize <class "):
+            writer(value)
+
+
+@pytest.mark.parametrize("field, bad", [("trace", [0.5, math.nan]), ("min_slack", math.inf)], ids=["trace", "min_slack"])
+def test_cli_refuses_a_non_finite_report_without_writing_it(monkeypatch, tmp_path, capsys, field, bad):
+    search = wg.sharpness_search
+
+    def poisoned(*args, **kwargs):
+        return replace(search(*args, **kwargs), **{field: bad})
+
+    monkeypatch.setattr(wg, "sharpness_search", poisoned)
+    out = tmp_path / "report.json"
+    assert main(["wintgen", "sharpness", "--iterations", "5", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: non-finite float in report"]
+    assert not out.exists()
+
+
+def test_nested_structures_render_as_the_recursive_writer():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    leaves = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+        st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+        st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+        st.lists(st.floats(), max_size=6), st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+    )
+    keys = st.one_of(st.text(max_size=5), st.integers(-3, 3), st.booleans())
+    trees = st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(keys, inner, max_size=4)), max_leaves=20)
+
+    def outcome(writer, value):
+        try:
+            return writer(value)
+        except (ValueError, TypeError) as exc:
+            return type(exc), str(exc)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(trees)
+    def check(value):
+        assert outcome(dump_json, value) == outcome(oracle_dump_json, value)
+
+    check()

@@ -115,13 +115,15 @@ WARPINGS = {"exp": wc.exp_warping(), "cosh": wc.cosh_warping(), "const 2.5": wc.
 EDGE_HEIGHTS = [0.5, -0.5, -0.0, 0.0, 0.5, -0.5, -0.0, SQUARES[0], SQUARES[0]]
 
 
+@pytest.mark.parametrize("derivatives", [0, 1, 2])
 @pytest.mark.parametrize("shape", [(64,), (64, 7), (0,)])
 @pytest.mark.parametrize("name", list(WARPINGS))
-def test_warping_at_equals_the_per_t_oracle(name, shape):
+def test_warping_at_equals_the_per_t_oracle(name, shape, derivatives):
     warping = WARPINGS[name]
     t = np.random.default_rng(5).uniform(-2.0, 2.0, shape)
     flat = t.reshape(-1)
     flat[: len(EDGE_HEIGHTS)] = EDGE_HEIGHTS[: flat.size]
-    for got, want in zip(warping.at(t), oracle.warping_stack(warping, t), strict=True):
+    expected = oracle.warping_stack(warping, t)[: derivatives + 1]
+    for got, want in zip(warping.at(t, derivatives), expected, strict=True):
         assert got.shape == want.shape == shape
         assert got.tobytes() == want.tobytes()  # bit for bit, so -0.0 is not 0.0

@@ -37,3 +37,9 @@ def test_stage_timings_times_every_geometry_stage_one_point_at_a_time(capsys):
     for command in stage_timings.COMMANDS:
         value = timings[f"command.{command}"]
         assert math.isfinite(value) and value > 0.0, command
+    assert stage_timings.REPORTS == {
+        "reproduce_h3": "reproduce example-h3", "classify": "classify",
+        "sharpness": "wintgen sharpness --iterations 150", "sweep_json": "wintgen sweep --n 3 --count 2000 --format json"}
+    for name in stage_timings.REPORTS:
+        value = timings[f"report.{name}"]
+        assert math.isfinite(value) and value > 0.0, name

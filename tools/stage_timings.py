@@ -75,6 +75,12 @@ is the minimum over the rounds.  These commands and flags exist in every
 checkout since the benchmark was added.  ``classify --warp cosh --fiber
 twisted`` is the command whose cost is mostly the fiber's J, a Python
 function of each point.
+
+The report stages (``report.<name>``) time ``cli.dump_json`` alone on the
+report object of each of ``REPORTS``, captured from one in-process run of the
+command: the minimum over ``10 * --repeats`` calls, in microseconds per
+report, and for ``sweep_json`` (a ``SWEEP_ROWS``-row n = 3 JSON sweep) per
+row.
 """
 
 from __future__ import annotations
@@ -108,6 +114,10 @@ DRAW_RANGES = ((-4.0, 4.0), (0.5, 3.0), (-2.0, 2.0), 1.0)  # random_instance's c
 COMMANDS = ("reproduce example-r2", "reproduce example-h3", "axioms --chart r2", "axioms --chart h3",
             "curvature --chart r2", "curvature --chart h3", "classify --warp exp --fiber flat",
             "classify --warp cosh --fiber twisted")
+SWEEP_ROWS = 2000
+REPORTS = {"reproduce_h3": "reproduce example-h3", "classify": "classify",
+           "sharpness": "wintgen sharpness --iterations 150",
+           "sweep_json": f"wintgen sweep --n 3 --count {SWEEP_ROWS} --format json"}
 
 
 def _timed(fn, items) -> tuple[float, list]:
@@ -254,6 +264,30 @@ def command_timings(repeats: int) -> dict[str, float]:
     return {f"command.{command}": 1e3 * min(times) for command, times in runs.items()}
 
 
+def report_timings(repeats: int) -> dict[str, float]:
+    """``report.<name>`` -> min microseconds of one ``cli.dump_json`` call on the report of ``REPORTS[name]``,
+    per row for ``sweep_json``."""
+    writer, reports = cli.dump_json, {}
+
+    def capture(name):
+        def capturing(obj, *args):
+            reports.setdefault(name, obj)  # the outermost call comes first, in a recursive writer too
+            return writer(obj, *args)
+
+        return capturing
+
+    with tempfile.TemporaryDirectory() as work:
+        try:
+            for name, command in REPORTS.items():
+                cli.dump_json = capture(name)
+                with contextlib.redirect_stdout(io.StringIO()):
+                    cli.main(command.split() + ["--out", str(Path(work) / "report.json")])
+        finally:
+            cli.dump_json = writer
+    runs = {name: min(_timed(writer, [obj])[0] for _ in range(10 * repeats)) for name, obj in reports.items()}
+    return {f"report.{name}": 1e6 * t / (SWEEP_ROWS if name == "sweep_json" else 1) for name, t in runs.items()}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=200, help="instances per batch")
@@ -265,6 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     timings.update(sharpness_timings(args.repeats))
     timings.update(geometry_timings(args.repeats))
     timings.update(command_timings(args.repeats))
+    timings.update(report_timings(args.repeats))
     if args.json:
         print(json.dumps({k: round(v, 2) for k, v in timings.items()}))
         return 0
@@ -283,6 +318,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\n{'command':<40}{'ms':>10}   (in process, min of {args.repeats} rounds)")
     for command in COMMANDS:
         print(f"{command:<40}{timings['command.' + command]:>10.2f}")
+    print(f"\n{'report':<40}{'us':>10}   (cli.dump_json alone, per report; sweep_json per row)")
+    for name, command in REPORTS.items():
+        print(f"{command:<40}{timings['report.' + name]:>10.2f}")
     return 0
 
 
