@@ -62,7 +62,9 @@ class _Frame(NamedTuple):
     (first P) and x_s x_r (last P) in one matmul; ``ji`` holds the flat
     offsets j n + i of the entries (j, i).  Slot pairs and tangent pairs run
     over the same list, so the space-form term of a pair sits on the
-    diagonal (p, p) of the (P, P) entry matrix.
+    diagonal (p, p) of the (P, P) entry matrix.  ``delta`` is that term's
+    (n(n+1)/2, P) mask over all slot pairs r < s <= n (xi included), in
+    ``np.triu_indices(n + 1, 1)`` order: 1.0 where (r, s) = (i, j).
     """
 
     eye: Array
@@ -70,17 +72,20 @@ class _Frame(NamedTuple):
     left: Array
     right: Array
     ji: Array
+    delta: Array
 
 
 @lru_cache(maxsize=32)
 def _frame(n: int) -> _Frame:
     i, j = np.triu_indices(n, 1)
+    r, s = np.triu_indices(n + 1, 1)
     frame = _Frame(
         eye=np.eye(n),
         strict_upper=np.triu(np.ones((n, n), dtype=bool), 1),
         left=np.concatenate((i, j)),
         right=np.concatenate((j, i)),
         ji=j * n + i,
+        delta=((r[:, None] == i) & (s[:, None] == j)) * 1.0,
     )
     for a in frame:
         a.flags.writeable = False

@@ -1,6 +1,6 @@
 """Shared numerical kernel.
 
-Dense matrix helpers (Frobenius norms, commutators), the one central-difference
+The commutator of validated finite square matrices, the one central-difference
 primitive (``grid`` and ``grid_partials``) for array-valued fields of several
 variables, per-instance seeded streams (a generator, or a chunk's draws at once,
 bit for bit), upper-triangle mirroring and box sampling.  Everything here is
@@ -22,15 +22,9 @@ def as_square_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
-
-
-def frobenius_norm_sq(m) -> float:
-    """Sum of squared entries, sum_ij M_ij^2."""
-    a = as_square_matrix(m)
-    return float(np.sum(a * a))
 
 
 def commutator(a, b) -> np.ndarray:

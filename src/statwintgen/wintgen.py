@@ -37,8 +37,7 @@ from .legendrian import (
     require_valid,
     shape_operators,
 )
-from .tensor_core import (_triu_indices, commutator, frobenius_norm_sq, instance_rng, instance_uniforms,
-                          symmetrize_upper)
+from .tensor_core import _triu_indices, commutator, instance_rng, instance_uniforms, symmetrize_upper
 
 SLACK_TOL = 1e-9
 
@@ -122,7 +121,9 @@ def _rhs_and_slack(terms: Collection[float], lhs: float) -> tuple[float, float]:
     A non-finite slack (and so a non-finite lhs or rhs) has no verdict: it
     raises OverflowError instead of reporting a violation.
     """
-    rhs = sum(terms)
+    rhs = 0.0
+    for term in terms:  # left to right: builtin sum() compensates from CPython 3.12 on
+        rhs += term
     slack = rhs - lhs
     if not math.isfinite(slack):
         raise OverflowError(f"non-finite bound (lhs={lhs!r}, rhs={rhs!r})")
@@ -163,33 +164,22 @@ def inequality_chain(inst: LegendrianPointInstance, scalars: CurvatureScalars) -
     lhs = scalars.rho_perp
     cterm = 2.0 * c / (4.0 * f * f)
 
-    # Step 1: Cauchy-Schwarz applied inside every squared summand.
-    total = 0.0
-    for r in range(n + 1):
-        for s in range(r + 1, n + 1):
-            g0 = commutator(ops.A0[r], ops.A0[s])
-            gp = commutator(ops.A[r], ops.A[s])
-            gs = commutator(ops.A_star[r], ops.A_star[s])
-            for i in range(n):
-                for j in range(i + 1, n):
-                    delta = 1.0 if (r < n and s < n and i == r and j == s) else 0.0
-                    total += 4.0 * (
-                        16.0 * g0[j, i] ** 2
-                        + gp[j, i] ** 2
-                        + gs[j, i] ** 2
-                        + (cterm * delta) ** 2
-                    )
-    b1 = math.sqrt(total) / nn1
+    # Step 1: Cauchy-Schwarz applied inside every squared summand, one per entry [j, i], i < j, of every
+    # slot pair r < s.  x ** 2 is np.float_power (libm pow, as Python's ** rounds), and np.add.accumulate
+    # adds the summands strictly left to right, pair by pair, so the sum is the plain loop's, bit for bit.
+    frame = _frame(n)
+    slots = [(r, s) for r in range(n + 1) for s in range(r + 1, n + 1)]  # np.triu_indices(n + 1, 1) order
+    brackets = np.array([[commutator(x[r], x[s]) for r, s in slots] for x in (ops.A0, ops.A, ops.A_star)])
+    sq = np.float_power(brackets.reshape(3, len(slots), n * n)[..., frame.ji], 2)
+    summands = 4.0 * (16.0 * sq[0] + sq[1] + sq[2] + np.float_power(cterm * frame.delta, 2))
+    b1 = math.sqrt(np.add.accumulate(summands.ravel())[-1]) / nn1
 
-    # Step 2: operator norms with the quoted c-term.
-    quad = 0.0
-    for r in range(n):
-        for s in range(n):
-            quad += (
-                16.0 * frobenius_norm_sq(commutator(ops.S0[r], ops.S0[s]))
-                + frobenius_norm_sq(commutator(ops.S[r], ops.S[s]))
-                + frobenius_norm_sq(commutator(ops.S_star[r], ops.S_star[s]))
-            )
+    # Step 2: operator norms with the quoted c-term.  Each row sum of the squared entries adds as numpy's
+    # sum of one n x n matrix does; the pairs' 16 F(S0) + F(S) + F(S*) are then added in order.
+    brackets = np.array([[commutator(x[r], x[s]) for r in range(n) for s in range(n)]
+                         for x in (ops.S0, ops.S, ops.S_star)])
+    norms = np.square(brackets).reshape(3, n * n, n * n).sum(axis=2)
+    quad = np.add.accumulate(16.0 * norms[0] + norms[1] + norms[2])[-1]
     b2 = (2.0 / nn1) * math.sqrt(c * c / (4.0 * f * f) * n * n * (n - 1) ** 2 + 0.25 * quad)
 
     bound = _rhs_terms(c, f, fp, scalars)

@@ -2,7 +2,8 @@
 
 - ``lu_inequality``: Lu's commutator inequality (J. Funct. Anal. 261 (2011)),
   a published theorem the Wintgen chain relies on, checked on
-  ``random_symmetric_traceless`` matrix sets;
+  ``random_symmetric_traceless`` matrix sets, with the Frobenius norms of
+  ``frobenius_norm_sq``;
 - ``corollary_reports``: the bound specialized to R x_{e^t} C^n (Kenmotsu)
   and R x N(c) (cosymplectic), which must reproduce the general constant;
 - ``holomorphic_space_form_curvature`` and ``space_form_warped_curvature``:
@@ -35,7 +36,7 @@ from statwintgen.statistical_geometry import (
     covariant_two_form_derivative,
     levi_civita,
 )
-from statwintgen.tensor_core import DEFAULT_FD_STEP, commutator, frobenius_norm_sq, instance_rng, sample_points
+from statwintgen.tensor_core import DEFAULT_FD_STEP, as_square_matrix, commutator, instance_rng, sample_points
 from statwintgen.warped_contact import (
     WarpedProductSpec,
     embed_fiber_vector,
@@ -59,6 +60,12 @@ def phi_matrix(spec: WarpedProductSpec, point: Array) -> Array:
 # ---------------------------------------------------------------------------
 # Lu's commutator inequality
 # ---------------------------------------------------------------------------
+
+
+def frobenius_norm_sq(m) -> float:
+    """Sum of squared entries, sum_ij M_ij^2, of a finite square matrix."""
+    a = as_square_matrix(m)
+    return float(np.sum(a * a))
 
 
 @dataclass(frozen=True)

@@ -228,6 +228,22 @@ def test_verify_and_chain_agree_on_rounded_equality(tmp_path, capsys):
     assert (final["rhs"], final["holds"]) == (data["rhs"], data["holds"]) == (0.0, True)
 
 
+def test_chain_is_not_homothety_invariant(tmp_path, capsys):
+    # the RP^2 instance (c = 4, f = 1) under the homothety lambda = 0.1: (c, f, f') -> (0.04, 0.1, 0);
+    # lhs stays 1, but the c-terms of step 2 on scale with lambda (a known negative result)
+    path = tmp_path / "rp2-homothety.json"
+    path.write_text(lg.umbilic_instance(n=2, c=0.04, f_val=0.1, f_prime=0.0).to_json())
+    out = tmp_path / "chain.json"
+    assert main(["wintgen", "chain", str(path), "--out", str(out)]) == EXIT_VIOLATION
+    assert capsys.readouterr().out.count("VIOLATED") == 5
+    steps = {s["step"]: s for s in json.loads(out.read_text())["chain"]}
+    assert steps.pop("cauchy_schwarz")["holds"]
+    assert not any(s["holds"] for s in steps.values())
+    assert all(s["lhs"] == pytest.approx(1.0, abs=1e-12) for s in steps.values())
+    expected = {"s_operator_bound": 0.4, "lu_bound": 0.2, "substitution_bound": 0.2, "final_bound_rederived": 0.2}
+    assert {name: steps[name]["rhs"] for name in expected} == pytest.approx(expected, abs=1e-12)
+
+
 NEGATIVE_FLAGS = {
     "sharpness --c": (["wintgen", "sharpness", "--iterations", "5"], "--c", "-4e0"),
     "sweep --c-min": (["wintgen", "sweep", "--count", "5"], "--c-min", "-1e-1"),

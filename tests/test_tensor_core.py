@@ -6,7 +6,6 @@ import pytest
 
 from statwintgen.tensor_core import (
     commutator,
-    frobenius_norm_sq,
     grid,
     grid_partials,
     instance_uniforms,
@@ -14,7 +13,7 @@ from statwintgen.tensor_core import (
 )
 
 from helpers import partials, random_orthogonal
-from paper_checks import random_symmetric_traceless
+from paper_checks import frobenius_norm_sq, random_symmetric_traceless
 
 
 class TestFrobenius:

@@ -1,7 +1,11 @@
+import functools
+import operator
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import chain_oracle
 import draw_oracle
 import paper_checks as pc
 import statwintgen.legendrian as lg
@@ -55,7 +59,11 @@ class TestMainInequality:
         assert abs(rep.rhs - 7.0) <= 1e-12
         assert abs(rep.slack - 7.0) <= 1e-12
         assert rep.holds
-        assert abs(sum(rep.rhs_terms.values()) - rep.rhs) == 0.0
+        assert abs(_left_to_right(rep.rhs_terms.values()) - rep.rhs) == 0.0
+
+    def test_rhs_adds_the_terms_left_to_right(self):
+        # builtin sum() compensates from CPython 3.12 on and would give 1.0 here
+        assert wg._rhs_and_slack([1e16, 1.0, -1e16], 0.0) == (0.0, 0.0)
 
     def test_degenerate_zero_instance(self):
         rep = wg.main_inequality(lg.umbilic_instance(n=2, c=0.0, f_val=1.0, f_prime=0.0))
@@ -102,6 +110,10 @@ class TestMainInequality:
         bad = lg.LegendrianPointInstance(n=2, c=0.0, f_val=1.0, f_prime=1.0, h=h, h_star=inst.h_star)
         with pytest.raises(ValueError):
             wg.main_inequality(bad)
+
+
+def _left_to_right(terms) -> float:
+    return functools.reduce(operator.add, terms, 0.0)
 
 
 class TestChain:
@@ -164,7 +176,7 @@ class TestChain:
             assert (chain["final_bound"].rhs, chain["final_bound"].holds) == (rep.rhs, rep.holds)
             swapped = wg.rederived_curvature_constant(rep.c, rep.f, rep.f_prime)
             rederived = {**rep.rhs_terms, "curvature_constant": swapped}
-            assert chain["final_bound_rederived"].rhs == sum(rederived.values())
+            assert chain["final_bound_rederived"].rhs == _left_to_right(rederived.values())
 
     def test_chain_ordering_monotone_through_step_two(self):
         # B1 <= B2 holds on the sweep domain f >= 1/2
@@ -172,6 +184,32 @@ class TestChain:
             inst = wg.random_instance(n=2 + i % 4, seed=21, index=i)
             chain = {s.step: s for s in wg.inequality_chain(inst, lg.curvature_scalars(inst))}
             assert chain["cauchy_schwarz"].rhs <= chain["s_operator_bound"].rhs + 1e-9
+
+
+class TestChainArrays:
+    """Steps 1-2, reduced as arrays, equal the per-pair loops of ``chain_oracle`` bit for bit."""
+
+    @staticmethod
+    def _assert_steps_equal_the_loops(inst):
+        scalars = lg.curvature_scalars(inst)
+        steps = wg.inequality_chain(inst, scalars)[:2]
+        loops = chain_oracle.steps_one_two(inst)
+        assert [(s.lhs, s.rhs, s.holds) for s in steps] == [
+            (scalars.rho_perp, b, wg._judge([b], scalars.rho_perp)[2]) for b in loops]
+
+    @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_seeded_instances(self, n, magnitude):
+        insts = wg._random_instances(n, (-4.0, 4.0), (0.5, 3.0), (-2.0, 2.0), magnitude, 7, range(1000))[0]
+        for inst in insts:
+            self._assert_steps_equal_the_loops(inst)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_umbilic_instances(self, n):
+        self._assert_steps_equal_the_loops(lg.umbilic_instance(n))
+
+    def test_rp2_instance(self):
+        self._assert_steps_equal_the_loops(lg.umbilic_instance(n=2, c=4.0, f_val=1.0, f_prime=0.0))
 
 
 class TestCorollaries:
