@@ -25,8 +25,8 @@ derivation that holds ``MeanData``, the operator stack and rho_perp
 values, and ``_derive_arrays`` the forms with their c-terms 2c/4f^2, read row
 by row through ``_derive_rows``.  A lone instance reads the B = 1 row;
 ``derive_batch`` memoizes a sweep chunk's fresh instances from the stack they
-were drawn as; ``_stacked_curvature_scalars`` scores a stack with no instance
-at all (the sharpness climb's passes).  The derivation fills one (B, 6, n+1, n, n) stack
+were drawn as; ``wintgen._bound_scorer`` derives a stack with no instance at
+all and runs ``_rho_pair`` on its (B,) columns.  The derivation fills one (B, 6, n+1, n, n) stack
 (A = h*, A* = h, A0, S, S*, S0): it takes the means H*, H and H0 = (H + H*)/2
 in one einsum, subtracts them times I to get S, S* and S0 = h0 - H0 I, and
 reads the three traceless norms off the S rows, so the chain brackets the
@@ -34,7 +34,7 @@ very operators whose norms rho uses.  rho_perp brackets only the phi-pairs
 r < s, in one batched matmul.  The constants of each n are cached read-only
 (``_frame``).  Every floating-point operation runs in the order of the plain
 per-form formulas, whatever B is, and rho and rho0 are formed from each
-row's floats by the same formulas, so results match them bit for bit.
+row's floats, or its columns, by the same formulas, so results match them bit for bit.
 """
 
 from __future__ import annotations
@@ -301,17 +301,17 @@ _Derived = tuple[MeanData, Array, float]  # the memoized derivation: means, oper
 def _derive_rows(forms: Array, cterm: Array) -> Iterator[_Derived]:
     """The derivation of every row of a (B, 2, n+1, n, n) stack of forms with (B,) c-terms, as the memo holds it."""
     ops, means, mean_sq, tau_sq, rho_perp = _derive_arrays(forms, cterm)
-    return zip(_mean_rows(means, mean_sq, tau_sq), ops, rho_perp.tolist())
+    return zip(map(_mean_data, means, mean_sq.tolist(), tau_sq.tolist()), ops, rho_perp.tolist())
 
 
-def _mean_rows(means: Array, mean_sq: Array, tau_sq: Array) -> Iterator[MeanData]:
-    """The ``MeanData`` of every row of ``_derive_arrays``'s means and norms, each built when it is read."""
-    for (Hs, H, H0), (Hs_sq, H_sq, H0_sq), (taus, tau, tau0) in zip(means, mean_sq.tolist(), tau_sq.tolist()):
-        yield MeanData(H, Hs, H0, H_sq, Hs_sq, H0_sq, tau, taus, tau0)
+def _mean_data(means, mean_sq, tau_sq) -> MeanData:
+    """``MeanData`` from the means H*, H, H0, their squared norms and tau*, tau, tau0: a row's, or (B,) columns."""
+    (Hs, H, H0), (Hs_sq, H_sq, H0_sq), (taus, tau, tau0) = means, mean_sq, tau_sq
+    return MeanData(H, Hs, H0, H_sq, Hs_sq, H0_sq, tau, taus, tau0)
 
 
 def _derive_arrays(forms: Array, cterm: Array) -> tuple[Array, Array, Array, Array, Array]:
-    """The derivation of a (B, 2, n+1, n, n) stack of forms h, h* with (B,) c-terms 2c/4f^2, as arrays.
+    """The derivation of a (B, 2, n+1, n, n) stack of forms h, h* with (B,) (or one) c-terms 2c/4f^2, as arrays.
 
     Returns the read-only (B, 6, n+1, n, n) operator stack, the read-only
     (B, 3, n+1) means H*, H, H0, their (B, 3) squared norms, the (B, 3)
@@ -357,7 +357,7 @@ def rho_statistical(inst: LegendrianPointInstance) -> float:
 
 
 def _rho_pair(n: int, ambient: float, m: MeanData) -> tuple[float, float]:
-    """rho and rho0 from the ambient term and the norms of ``m``."""
+    """rho and rho0 from the ambient term and the norms of ``m``: floats, or (B,) columns."""
     nn1 = n * (n - 1)
     rho = (ambient + 2.0 * m.norm_H0_sq - (2.0 / nn1) * m.norm_tau0_sq - 0.5 * m.norm_H_sq
            + m.norm_tau_sq / (2.0 * nn1) - 0.5 * m.norm_Hstar_sq + m.norm_taustar_sq / (2.0 * nn1))
@@ -377,7 +377,7 @@ def rho_perp_statistical(inst: LegendrianPointInstance) -> float:
 
 
 def _rho_perp_stack(cterm: Array, ops: Array) -> Array:
-    """(B,) rho_perp from a (B, 6, n+1, n, n) operator stack and the (B,) c-terms 2c/4f^2."""
+    """(B,) rho_perp from a (B, 6, n+1, n, n) operator stack and the (B,) (or one) c-terms 2c/4f^2."""
     count, n = len(ops), ops.shape[-1]
     frame = _frame(n)
     x = ops[:, :3, :n]  # A, A*, A0 on the phi-slots
@@ -420,15 +420,3 @@ def curvature_scalars(inst: LegendrianPointInstance) -> CurvatureScalars:
 def _scalars(m: MeanData, rho: float, rho_zero: float, rho_perp: float) -> CurvatureScalars:
     return CurvatureScalars(rho, rho_perp, rho_zero, m.norm_H_sq, m.norm_Hstar_sq, m.norm_H0_sq,
                             m.norm_tau_sq, m.norm_taustar_sq, m.norm_tau0_sq)
-
-
-def _stacked_curvature_scalars(c: float, f_val: float, f_prime: float, forms: Array) -> Iterator[CurvatureScalars]:
-    """The curvature scalars of every row of a (B, 2, n+1, n, n) stack of valid forms sharing (c, f, f').
-
-    The stack is derived in one kernel call; a row's scalars are formed from
-    its floats, by the single-instance formulas, only when the row is read.
-    """
-    _, means, mean_sq, tau_sq, rho_perp = _derive_arrays(forms, np.full(len(forms), 2.0 * c / (4.0 * f_val**2)))
-    ambient = ambient_plane_curvature(c, f_val, f_prime)
-    for m, row_rho_perp in zip(_mean_rows(means, mean_sq, tau_sq), rho_perp.tolist()):
-        yield _scalars(m, *_rho_pair(forms.shape[-1], ambient, m), row_rho_perp)

@@ -20,18 +20,24 @@ constant fails while the rederived bound (and every earlier chain step) holds.
 from __future__ import annotations
 
 import math
-from collections.abc import Collection, Iterator
+from collections.abc import Callable, Collection, Iterable
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 from .legendrian import (
     CurvatureScalars,
     LegendrianPointInstance,
+    _derive_arrays,
     _finite_xi,
     _frame,
+    _mean_data,
     _require_dimension,
-    _stacked_curvature_scalars,
+    _rho_pair,
+    _scalars,
+    ambient_plane_curvature,
     curvature_scalars,
     derive_batch,
     require_valid,
@@ -115,19 +121,20 @@ def _rhs_terms(c: float, f: float, f_prime: float, scalars: CurvatureScalars) ->
     }
 
 
-def _rhs_and_slack(terms: Collection[float], lhs: float) -> tuple[float, float]:
-    """Sum of the rhs terms and its slack over ``lhs``.
-
-    A non-finite slack (and so a non-finite lhs or rhs) has no verdict: it
-    raises OverflowError instead of reporting a violation.
-    """
+def _rhs_sum(terms: Iterable):
+    """The rhs terms, floats or (B,) columns, added left to right from 0.0 (builtin sum() compensates from 3.12)."""
     rhs = 0.0
-    for term in terms:  # left to right: builtin sum() compensates from CPython 3.12 on
+    for term in terms:
         rhs += term
+    return rhs
+
+
+def _slack(rhs: float, lhs: float) -> float:
+    """rhs - lhs; a non-finite slack (so a non-finite lhs or rhs) has no verdict: it raises OverflowError."""
     slack = rhs - lhs
     if not math.isfinite(slack):
         raise OverflowError(f"non-finite bound (lhs={lhs!r}, rhs={rhs!r})")
-    return rhs, slack
+    return slack
 
 
 def _holds_with_compensation(terms: Collection[float], lhs: float, slack: float) -> bool:
@@ -140,7 +147,8 @@ def _holds_with_compensation(terms: Collection[float], lhs: float, slack: float)
 
 def _judge(terms: Collection[float], lhs: float) -> tuple[float, float, bool]:
     """rhs, slack and verdict of ``lhs <= sum(terms)``: the one rule for every comparison."""
-    rhs, slack = _rhs_and_slack(terms, lhs)
+    rhs = _rhs_sum(terms)
+    slack = _slack(rhs, lhs)
     return rhs, slack, _holds_with_compensation(terms, lhs, slack)
 
 
@@ -281,8 +289,9 @@ def _check_draw_args(n: int, c_range, f_range, fprime_range, magnitude: float) -
 
 def _instances_from_upper(n: int, params: list[tuple[float, float, float]],
                           upper: Array) -> tuple[list[LegendrianPointInstance], Array, Array]:
-    """Instances with fields (c, f, f') and the forms of ``_forms_from_upper``, with those forms and xi values."""
-    xi = np.array([-(fp / f) for _, f, fp in params])
+    """Instances with fields (c, f, f') and the forms of ``_forms_from_upper``, with those forms and xi values.
+    A non-finite xi = -f'/f (a finite f' over a tiny f) raises OverflowError."""
+    xi = _finite_xi(np.array([-(fp / f) for _, f, fp in params]))
     forms = _forms_from_upper(n, xi, upper)
     return [LegendrianPointInstance(n=n, c=c, f_val=f, f_prime=fp, h=form[0], h_star=form[1])
             for (c, f, fp), form in zip(params, forms)], forms, xi
@@ -290,9 +299,7 @@ def _instances_from_upper(n: int, params: list[tuple[float, float, float]],
 
 def _forms_from_upper(n: int, xi: Array, upper: Array) -> Array:
     """(B, 2, n+1, n, n) forms h, h*: phi-slices mirrored from a (B, 2n, n, n) stack of
-    upper triangles, xi-slices the (B,) forced values xi times I, set exactly.  A non-finite
-    xi = -f'/f (a finite f' over a tiny f) raises OverflowError."""
-    _finite_xi(xi)
+    upper triangles, xi-slices the (B,) forced values xi (or one for all) times I, set exactly."""
     forms = np.empty((len(upper), 2, n + 1, n, n))  # h, h*
     forms[:, :, :n] = symmetrize_upper(upper).reshape(len(upper), 2, n, n, n)
     forms[:, :, n] = xi[:, None, None, None] * _frame(n).eye
@@ -365,17 +372,23 @@ def _upper_from_params(n: int, params: Array) -> Array:
     return upper
 
 
-def _stacked_bound(n: int, c: float, f: float, fp: float, params: Array) -> Iterator[float]:
-    """The slack of the stated bound at every row of a (B, nparams) stack, in order, without instances.
+def _bound_scorer(n: int, c: float, f: float, fp: float) -> Callable[[Array], tuple[list[float], list[float]]]:
+    """The bound's column scorer for one (c, f, f'), whose xi, c-term and ambient term it forms once: it maps
+    a (B, nparams) stack to every row's rhs and lhs, ``main_inequality``'s bit for bit.  The forms are built
+    as ``_instances_from_upper`` builds them, so they are not validated again (``sharpness_search`` checks
+    c, f and fp are finite), and derived in one kernel call; ``_rho_pair``, ``_rhs_terms`` and ``_rhs_sum``
+    run on their (B,) columns, where only +, -, * and / act.  ``_slack`` reads a row, or raises."""
+    xi, cterm = _finite_xi(np.array([-(fp / f)])), np.array([2.0 * c / (4.0 * f**2)])
+    ambient = ambient_plane_curvature(c, f, fp)
 
-    The forms are built as ``_instances_from_upper`` builds them, symmetric and xi-exact,
-    so they are not validated again (``sharpness_search`` checks c, f and fp are finite),
-    and derived in one kernel call; a row's slack (``main_inequality``'s, bit for bit)
-    is formed, or raises, when it is read.
-    """
-    forms = _forms_from_upper(n, np.full(len(params), -(fp / f)), _upper_from_params(n, params))
-    for scalars in _stacked_curvature_scalars(c, f, fp, forms):
-        yield _rhs_and_slack(_rhs_terms(c, f, fp, scalars).values(), scalars.rho_perp)[1]
+    def columns(params: Array) -> tuple[list[float], list[float]]:
+        _, means, mean_sq, tau_sq, rho_perp = _derive_arrays(
+            _forms_from_upper(n, xi, _upper_from_params(n, params)), cterm)
+        m = _mean_data(means.swapaxes(0, 1), mean_sq.T, tau_sq.T)
+        scalars = _scalars(m, *_rho_pair(n, ambient, m), rho_perp)
+        return _rhs_sum(_rhs_terms(c, f, fp, scalars).values()).tolist(), rho_perp.tolist()
+
+    return columns
 
 
 SHARPNESS_FIRST_STEP = 0.25
@@ -383,9 +396,27 @@ SHARPNESS_MIN_STEP = 1e-6
 
 
 def _sharpness_pass_rows(n: int) -> int:
-    """Most trials in one pass of ``sharpness_search``: together they cost about the pass's fixed numpy
-    calls, worth some 256 of the 3n(n-1) per-matrix products a row makes (one trial at n >= 8)."""
+    """Most trials in one pass of ``sharpness_search``, its tree and chain together: they cost about the pass's
+    fixed numpy calls, worth some 256 of the 3n(n-1) per-matrix products a row makes (one trial at n >= 8)."""
     return max(1, min(sweep_chunk(n), 256 // (3 * n * (n - 1))))
+
+
+def _sharpness_depth(n: int) -> int:
+    """Levels m of a pass's outcome tree: the most whose 3^m - 1 trials fit in ``_sharpness_pass_rows(n)``."""
+    return next(m for m in range(64) if 3 ** (m + 1) - 1 > _sharpness_pass_rows(n))
+
+
+@lru_cache(maxsize=64)
+def _pass_signs(rows: int, depth: int) -> tuple[Array, Array]:
+    """The (rows, coordinates from the first) signs of a pass's trials and where they move: the tree's 3^depth - 1
+    level by level, (+) and (-) at l after each outcome path (+, -, none) of the levels before it, then the
+    all-none chain, trials t = 2 depth, ... of the pass, trial t moving coordinate t // 2 by + if t is even."""
+    paths = [(*p, s) for level in range(depth) for p in product((1.0, -1.0, 0.0), repeat=level) for s in (1.0, -1.0)]
+    paths += [(0.0,) * (t // 2) + (1.0 - 2.0 * (t % 2),) for t in range(2 * depth, 2 * depth + rows - len(paths))]
+    signs = np.array([path + (0.0,) * (len(paths[-1]) - len(path)) for path in paths])
+    moves = signs != 0.0
+    signs.flags.writeable = moves.flags.writeable = False
+    return signs, moves
 
 
 def sharpness_search(n: int, c: float, f: float, fprime: float, iterations: int, seed: int) -> SharpnessResult:
@@ -398,12 +429,12 @@ def sharpness_search(n: int, c: float, f: float, fprime: float, iterations: int,
     ``SHARPNESS_MIN_STEP``.  ``iterations`` is the total slack-evaluation
     budget.  The trace records the best slack after every improvement.  The
     best instance is judged by ``main_inequality``; a failed bound is a hard
-    violation.  A sweep is scored in speculative passes: one ``_stacked_bound``
-    call scores the next trials in order, (k, +step), (k, -step), (k+1, +step),
-    ..., up to the sweep's end, the budget and ``_sharpness_pass_rows(n)``;
-    rows are read in order, each an evaluation, up to the first that lowers
-    the slack, and the next pass starts at coordinate k+1.  So the result is
-    that of one trial at a time, bit for bit.
+    violation.  A sweep is scored in tree passes: one ``_bound_scorer`` call
+    scores every trial the climb can reach on the next ``_sharpness_depth(n)``
+    coordinates, then those after them on the path that never moves, up to the
+    sweep's end, the budget and ``_sharpness_pass_rows(n)`` rows, and the pass
+    is read along the climb's path, each row read an evaluation.  A trial adds
+    +/- step only where it moves: the climb is one trial at a time's, bit for bit.
     """
     _require_dimension(n)
     for name, value in (("c", c), ("f", f), ("fprime", fprime)):
@@ -414,47 +445,54 @@ def sharpness_search(n: int, c: float, f: float, fprime: float, iterations: int,
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations!r}")
     nparams = 2 * n * (n * (n + 1) // 2)
-    widest = _sharpness_pass_rows(n)
-    # trial 2k moves coordinate k by +step, trial 2k + 1 by -step
-    coordinate, sign, pass_rows = np.arange(2 * nparams) // 2, np.tile((1.0, -1.0), nparams), np.arange(widest)
+    widest, levels, columns = _sharpness_pass_rows(n), _sharpness_depth(n), _bound_scorer(n, c, f, fprime)
     rng = instance_rng(seed, 0)
-    evaluations = 0
-    restarts = 0
+    evaluations = restarts = 0
     best_params = params = None
     best_slack = current = math.inf
     step = 0.0  # below SHARPNESS_MIN_STEP: the climb begins with a fresh draw
     trace: list[float] = []
 
-    def score(trials: Array) -> int | None:
-        """Read a pass's slacks in order and take the first improvement; its row, or None."""
+    def read(row: int) -> bool:
+        """Evaluate a row of the pass; move to its trial if it lowers the slack."""
         nonlocal evaluations, params, current, best_params, best_slack
-        for row, value in enumerate(_stacked_bound(n, c, f, fprime, trials)):
-            evaluations += 1
-            if value < current:
-                params, current = trials[row], value
-                if value < best_slack:
-                    best_slack, best_params = value, params
-                    trace.append(value)
-                return row
-        return None
+        evaluations += 1
+        value = _slack(rhs[row], lhs[row])
+        if not value < current:
+            return False
+        params, current = trials[row], value
+        if value < best_slack:
+            best_slack, best_params = value, params
+            trace.append(value)
+        return True
 
     while evaluations < iterations:
         if step < SHARPNESS_MIN_STEP:  # a fresh start, always taken
             step, current, restarts = SHARPNESS_FIRST_STEP, math.inf, restarts + 1
-            score(rng.uniform(-1.0, 1.0, size=(1, nparams)))
+            trials = rng.uniform(-1.0, 1.0, size=(1, nparams))
+            rhs, lhs = columns(trials)
+            read(0)
             continue
-        improved = False
-        position = 0
+        improved, position = False, 0  # trial 2k moves coordinate k by +step, trial 2k + 1 by -step
         while position < 2 * nparams and evaluations < iterations:
-            rows = min(widest, 2 * nparams - position, iterations - evaluations)
+            first, k0 = position % 2, position // 2  # an odd first trial (-) only opens a chain
+            depth = 0 if first else min(levels, nparams - k0, iterations - evaluations)
+            tree, start = 3 ** depth - 1, position + 2 * depth  # start: the all-none chain's first trial
+            rows = tree + max(0, min(widest - tree, 2 * nparams - start, iterations - evaluations - 2 * depth))
+            signs, moves = _pass_signs(widest + 1, depth)
+            span = min(signs.shape[1], nparams - k0)
             trials = np.repeat(params[None], rows, axis=0)
-            trials[pass_rows[:rows], coordinate[position:position + rows]] += step * sign[position:position + rows]
-            row = score(trials)
-            if row is None:
-                position += rows
-            else:
-                improved = True
-                position = 2 * ((position + row) // 2 + 1)
+            block = trials[:, k0:k0 + span]
+            np.add(block, step * signs[first:first + rows, :span], out=block, where=moves[first:first + rows, :span])
+            rhs, lhs = columns(trials)
+            node = 0  # the outcome path so far in base 3: + is 0, - is 1, none is 2
+            for level in range(depth):
+                row = 3 ** level - 1 + 2 * node
+                node = 3 * node + next((o for o in (0, 1) if evaluations < iterations and read(row + o)), 2)
+            # the row of the first move: one on the tree ends the pass as the tree's last row would
+            hit = tree - 1 if node < tree else next((row for row in range(tree, rows) if read(row)), None)
+            improved |= hit is not None
+            position = start + rows - tree if hit is None else 2 * ((start + hit - tree) // 2 + 1)
         if not improved:
             step *= 0.5
 

@@ -27,7 +27,7 @@ def serial_slack(n: int, c: float, f: float, fprime: float, params) -> float:
     """Slack of the stated bound at one parameter vector, through a decoded instance."""
     inst = instance_from_params(n, c, f, fprime, params)
     scalars = curvature_scalars(inst)
-    return wg._rhs_and_slack(wg._rhs_terms(c, f, fprime, scalars).values(), scalars.rho_perp)[1]
+    return wg._slack(wg._rhs_sum(wg._rhs_terms(c, f, fprime, scalars).values()), scalars.rho_perp)
 
 
 def serial_sharpness_search(n: int, c: float, f: float, fprime: float, iterations: int,

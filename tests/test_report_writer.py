@@ -114,7 +114,7 @@ def test_every_digest_battery_report_renders_as_the_recursive_writer(monkeypatch
             mismatched += [argv] if text != oracle_dump_json(obj) else []
             reports += 1
     assert mismatched == []
-    assert reports == 41  # 52 commands: 6 CSV sweeps and 5 refusals write no JSON report
+    assert reports == 44  # 55 commands: 6 CSV sweeps and 5 refusals write no JSON report
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]

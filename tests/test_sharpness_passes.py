@@ -1,4 +1,4 @@
-"""The stacked sharpness climb against the serial climb and the single-instance route."""
+"""The tree-pass sharpness climb against the serial climb, and its column scorer against the single-instance route."""
 
 from __future__ import annotations
 
@@ -43,35 +43,111 @@ def test_stacked_climb_equals_the_serial_climb_across_restarts():
     _assert_same_climb(wg.sharpness_search(*args), want)
 
 
+@pytest.mark.parametrize("family", FAMILIES, ids=str)
+@pytest.mark.parametrize("n, budgets", [(2, range(1, 41)), (3, range(1, 21))])
+def test_every_budget_ends_the_tree_climb_as_the_serial_climb(n, budgets, family):
+    # a budget of b stops the first tree pass, at coordinates 0, 1, ..., after b - 1 reads: at every level
+    for iterations in budgets:
+        args = (n, *FAMILIES[family], iterations, 11)
+        _assert_same_climb(wg.sharpness_search(*args), serial_sharpness_search(*args))
+
+
+@pytest.mark.parametrize("n, width, depth, budgets", [(8, 1, 0, range(1, 61)), (4, 7, 1, range(145, 191))])
+def test_passes_from_odd_positions_equal_the_serial_climb(monkeypatch, n, width, depth, budgets):
+    # n = 8: every pass is one trial and no tree, and half of them start at a (-) trial;
+    # n = 4: a fruitless pass (a tree of 2, a chain of 5) ends at a (+) trial, so the next starts at its (-)
+    assert (wg._sharpness_pass_rows(n), wg._sharpness_depth(n)) == (width, depth)
+    depths = []  # the tree depth of every pass: 0 at n = 4 only where the pass starts at a (-) trial
+    signs = wg._pass_signs
+    monkeypatch.setattr(wg, "_pass_signs", lambda rows, m: depths.append(m) or signs(rows, m))
+    for iterations in budgets:
+        args = (n, *FAMILIES["mixed"], iterations, 4)
+        _assert_same_climb(wg.sharpness_search(*args), serial_sharpness_search(*args))
+    assert 0 in depths
+
+
+def _serial_restart_evaluations(monkeypatch, args) -> list[int]:
+    """The evaluations the serial climb has made before each of its fresh draws."""
+    count, draws = [0], []
+    serial, rng_for = sharpness_oracle.serial_slack, sharpness_oracle.instance_rng
+
+    class CountingRng:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def uniform(self, *a, **k):
+            draws.append(count[0])
+            return self.rng.uniform(*a, **k)
+
+    with monkeypatch.context() as m:
+        m.setattr(sharpness_oracle, "serial_slack", lambda *a: count.__setitem__(0, count[0] + 1) or serial(*a))
+        m.setattr(sharpness_oracle, "instance_rng", lambda *a: CountingRng(rng_for(*a)))
+        serial_sharpness_search(*args)
+    return draws
+
+
+def test_restarts_after_a_cut_tree_pass_equal_the_serial_climb(monkeypatch):
+    """The last pass of a fruitless sweep is a tree cut to depth 1 by the sweep's end (coordinate 11 of 12),
+    and the fresh draw follows it: budgets that end in it, at the draw and just after agree with the serial climb."""
+    args = (2, *FAMILIES["umbilic"], 1500, 5)
+    restart = _serial_restart_evaluations(monkeypatch, args)[1]
+    rows = []  # the rows of every pass, in order
+    scorer = wg._bound_scorer
+
+    def recording_scorer(*constants):
+        columns = scorer(*constants)
+        return lambda params: rows.append(len(params)) or columns(params)
+
+    monkeypatch.setattr(wg, "_bound_scorer", recording_scorer)
+    want = serial_sharpness_search(*args)
+    assert want.restarts == 2
+    _assert_same_climb(wg.sharpness_search(*args), want)
+    assert rows[rows.index(1, 1) - 1] == 3 ** 1 - 1  # the pass before the second draw: a depth-1 tree
+    for iterations in range(restart - 2, restart + 3):
+        args = (2, *FAMILIES["umbilic"], iterations, 5)
+        _assert_same_climb(wg.sharpness_search(*args), serial_sharpness_search(*args))
+
+
 def test_pass_width_rule():
     assert [wg._sharpness_pass_rows(n) for n in (2, 3, 5, 8, 40)] == [42, 14, 4, 1, 1]
     assert all(1 <= wg._sharpness_pass_rows(n) <= wg.sweep_chunk(n) for n in range(2, 64))
 
 
+def test_pass_depth_rule():
+    assert [wg._sharpness_depth(n) for n in (2, 3, 5, 8, 40)] == [3, 2, 1, 0, 0]
+    for n in range(2, 64):
+        m = wg._sharpness_depth(n)
+        assert 3 ** m - 1 <= wg._sharpness_pass_rows(n) < 3 ** (m + 1) - 1
+
+
 def test_discarded_rows_are_never_read(monkeypatch):
-    """Rows after a pass's accepted one raise when read; the climb neither raises nor changes."""
+    """Every row the serial climb does not evaluate raises when read; the climb neither raises nor changes."""
     args = (2, -3.0, 0.7, 0.4, 400, 3)
-    serial_values = []  # every slack the serial climb evaluates, in order
+    serial_trials = []  # every trial the serial climb evaluates, in order, as bytes
     serial = sharpness_oracle.serial_slack
     monkeypatch.setattr(sharpness_oracle, "serial_slack",
-                        lambda *a: serial_values.append(serial(*a)) or serial_values[-1])
+                        lambda *a: serial_trials.append(a[-1].tobytes()) or serial(*a))
     want = serial_sharpness_search(*args)
-    stacked = wg._stacked_bound
+    scorer = wg._bound_scorer
     read = discarded = 0
 
-    def poisoned(*a):
-        nonlocal read, discarded
-        slacks = list(stacked(*a))
-        rows = 0  # the rows the serial climb also evaluates: the rows this pass must read
-        while rows < len(slacks) and slacks[rows] == serial_values[read + rows]:
-            rows += 1
-        read += rows
-        discarded += len(slacks) - rows
-        yield from slacks[:rows]
-        if rows < len(slacks):
-            raise OverflowError("non-finite bound in a discarded row")
+    def poisoned_scorer(*constants):
+        columns = scorer(*constants)
 
-    monkeypatch.setattr(wg, "_stacked_bound", poisoned)
+        def poisoned(params):
+            nonlocal read, discarded
+            rhs, lhs = columns(params)
+            rows = {trial.tobytes(): row for row, trial in enumerate(params)}
+            evaluated = set()  # the rows of this pass's serial trials: those the serial climb takes next
+            while read < len(serial_trials) and serial_trials[read] in rows:
+                evaluated.add(rows[serial_trials[read]])
+                read += 1
+            discarded += len(params) - len(evaluated)
+            return [x if row in evaluated else math.nan for row, x in enumerate(rhs)], lhs
+
+        return poisoned
+
+    monkeypatch.setattr(wg, "_bound_scorer", poisoned_scorer)
     _assert_same_climb(wg.sharpness_search(*args), want)
     assert read == want.evaluations and discarded > 0
 
@@ -82,7 +158,7 @@ def _scalar_route(n, c, f, fp, params):
     scalars = curvature_scalars(inst)
     terms = list(wg._rhs_terms(c, f, fp, scalars).values())
     try:
-        return terms, wg._rhs_and_slack(terms, scalars.rho_perp)[1]
+        return terms, wg._slack(wg._rhs_sum(terms), scalars.rho_perp)
     except OverflowError as exc:
         return terms, exc
 
@@ -103,27 +179,24 @@ def _stacks(n):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_stacked_bound_equals_the_scalar_route_bit_for_bit(n):
+def test_bound_scorer_equals_the_scalar_route_bit_for_bit(n):
     zero_slacks = overflows = 0
     for c, f, fp, params in _stacks(n):
-        start = 0
-        while start < len(params):  # a raising row ends its pass; the next pass starts after it
-            slacks = wg._stacked_bound(n, c, f, fp, params[start:])
-            for trial in params[start:]:
-                start += 1
-                terms, want = _scalar_route(n, c, f, fp, trial)
-                if isinstance(want, OverflowError):
-                    overflows += 1
-                    with pytest.raises(OverflowError) as exc:
-                        next(slacks)
-                    assert str(exc.value) == str(want)
-                    break
-                got = next(slacks)
-                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
-                if got == 0.0:
-                    zero_slacks += 1
-                    plain = sum(terms) - _lhs(n, c, f, fp, trial)
-                    assert plain == 0.0 and math.copysign(1.0, plain) == math.copysign(1.0, got)
+        rhs, lhs = wg._bound_scorer(n, c, f, fp)(params)  # a non-finite row raises only when it is read
+        for row, trial in enumerate(params):
+            terms, want = _scalar_route(n, c, f, fp, trial)
+            if isinstance(want, OverflowError):
+                overflows += 1
+                with pytest.raises(OverflowError) as exc:
+                    wg._slack(rhs[row], lhs[row])
+                assert str(exc.value) == str(want)
+                continue
+            got = wg._slack(rhs[row], lhs[row])
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+            if got == 0.0:
+                zero_slacks += 1
+                plain = sum(terms) - _lhs(n, c, f, fp, trial)
+                assert plain == 0.0 and math.copysign(1.0, plain) == math.copysign(1.0, got)
     assert zero_slacks >= 16 and overflows > 0
 
 

@@ -93,6 +93,11 @@ def battery() -> list[list[str]]:
         ["wintgen", "sharpness", "--n", "2", "--iterations", "3000", "--seed", "5"],
         ["wintgen", "sharpness", "--n", "2", "--iterations", "3000", "--seed", "5", "--c", "4", "--f", "1"],
         ["wintgen", "sharpness", "--n", "3", "--iterations", "1500", "--seed", "2"],
+        # tree passes one level deep (n = 5), one-trial passes with no tree (n = 8), and a mixed family
+        ["wintgen", "sharpness", "--n", "5", "--iterations", "400", "--seed", "3"],
+        ["wintgen", "sharpness", "--n", "8", "--iterations", "120", "--seed", "3"],
+        ["wintgen", "sharpness", "--n", "3", "--iterations", "700", "--seed", "4", "--c", "-3", "--f", "0.7",
+         "--fprime", "0.4"],
     ]
     configs = [
         ["--config", "axioms-h3.json", "axioms", *SEED],

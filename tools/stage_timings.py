@@ -40,6 +40,11 @@ of ``SHARPNESS_BUDGET`` evaluations (c = 0, f = 1, f' = 0, seed 5), in
 microseconds per evaluation, median over ``--repeats`` runs.  The budget
 covers the climb's first descent and its later sweeps at halved steps, as
 the sharpness runs of ``tools/report_digests.py`` (1500 and 3000) do.
+``sharpness.passes.n<n>`` counts the kernel passes of the same climb per 1000
+evaluations, restart draws included: calls of the scorer that
+``wintgen._bound_scorer`` returns, or of ``wintgen._stacked_bound`` where the
+checkout scores its passes with that (the key is left out where it has
+neither).  The count wraps the scorer from this script, in a run of its own.
 
 The geometry stages time ``GEOMETRY_SAMPLES`` seeded sample points of the
 built-in charts, in microseconds per sample:
@@ -175,7 +180,38 @@ def sharpness_timings(repeats: int) -> dict[str, float]:
         runs = [_timed(lambda _: wintgen.sharpness_search(n, 0.0, 1.0, 0.0, SHARPNESS_BUDGET, 5), [None])[0]
                 for _ in range(repeats)]
         out[f"sharpness.n{n}"] = 1e6 * statistics.median(runs) / SHARPNESS_BUDGET
+        passes = sharpness_passes(n)
+        if passes is not None:
+            out[f"sharpness.passes.n{n}"] = 1000.0 * passes / SHARPNESS_BUDGET
     return out
+
+
+def sharpness_passes(n: int) -> int | None:
+    """Kernel passes of one ``sharpness.n<n>`` climb, counted by wrapping the checkout's pass scorer; None
+    where the checkout has none."""
+    calls = 0
+
+    def counted(columns):
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return columns(*args)
+
+        return counting
+
+    if hasattr(wintgen, "_bound_scorer"):  # a factory: count calls of the scorer it returns
+        name, wrap = "_bound_scorer", lambda factory: lambda *constants: counted(factory(*constants))
+    elif hasattr(wintgen, "_stacked_bound"):
+        name, wrap = "_stacked_bound", counted
+    else:
+        return None
+    original = getattr(wintgen, name)
+    setattr(wintgen, name, wrap(original))
+    try:
+        wintgen.sharpness_search(n, 0.0, 1.0, 0.0, SHARPNESS_BUDGET, 5)
+    finally:
+        setattr(wintgen, name, original)
+    return calls
 
 
 def geometry_batch(seed: int, stacked: bool) -> dict[str, float]:
@@ -311,6 +347,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'draw B=1':<10}" + "".join(f"{timings[f'draw.b1.n{n}']:>10.1f}" for n in DIMS))
     print(f"{'sharpness':<10}" + "".join(f"{timings[f'sharpness.n{n}']:>10.1f}" for n in DIMS)
           + f"   (us per evaluation, {SHARPNESS_BUDGET} evaluations)")
+    if "sharpness.passes.n2" in timings:
+        print(f"{'passes':<10}" + "".join(f"{timings[f'sharpness.passes.n{n}']:>10.1f}" for n in DIMS)
+              + "   (kernel passes per 1000 evaluations)")
     print(f"\n{'geometry':<14}{'point':>10}{'stack':>10}   (us per sample, {GEOMETRY_SAMPLES} samples)")
     for stage in GEOMETRY_STAGES:
         cells = (timings.get(f"geometry.{stage}.{mode}") for mode in ("point", "stack"))
