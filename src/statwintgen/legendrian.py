@@ -26,9 +26,12 @@ values, and ``_derive_arrays`` the forms with their c-terms 2c/4f^2, read row
 by row through ``_derive_rows``.  A lone instance reads the B = 1 row;
 ``derive_batch`` memoizes a sweep chunk's fresh instances from the stack they
 were drawn as; ``wintgen._bound_scorer`` derives a stack with no instance at
-all and runs ``_rho_pair`` on its (B,) columns.  The derivation fills one (B, 6, n+1, n, n) stack
-(A = h*, A* = h, A0, S, S*, S0): it takes the means H*, H and H0 = (H + H*)/2
-in one einsum, subtracts them times I to get S, S* and S0 = h0 - H0 I, and
+all, its forms gathered from the trial parameters in one take, and runs
+``_rho_pair`` on its (B,) columns.  The derivation fills one (B, 6, n+1, n, n)
+stack (A = h*, A* = h, A0, S, S*, S0): it takes the means H*, H and
+H0 = (H + H*)/2 in one einsum, copies A, A* and A0 to the S rows and
+subtracts the means from their diagonals only, S = A - H I (an exact-zero
+off-diagonal entry keeps its sign, which only its square is read for), and
 reads the three traceless norms off the S rows, so the chain brackets the
 very operators whose norms rho uses.  rho_perp brackets only the phi-pairs
 r < s, in one batched matmul.  The constants of each n are cached read-only
@@ -328,7 +331,8 @@ def _derive_arrays(forms: Array, cterm: Array) -> tuple[Array, Array, Array, Arr
     means[:, :2] /= n
     np.add(means[:, 0], means[:, 1], out=means[:, 2])
     means[:, 2] *= 0.5
-    np.subtract(ops[:, :3], means[..., None, None] * _frame(n).eye, out=ops[:, 3:])
+    ops[:, 3:] = ops[:, :3]
+    ops.reshape(count, 6, n + 1, n * n)[:, 3:, :, :: n + 1] -= means[..., None]  # S = A - H I: the diagonal only
     tau_sq = np.square(ops[:, 3:]).reshape(count, 3, -1).sum(axis=2)  # tau*, tau, tau0
     # a stacked (1, n+1) @ (n+1, 1) product adds like the 1-d H @ H
     mean_sq = (means[..., None, :] @ means[..., None]).reshape(count, 3)
@@ -381,9 +385,9 @@ def _rho_perp_stack(cterm: Array, ops: Array) -> Array:
     count, n = len(ops), ops.shape[-1]
     frame = _frame(n)
     x = ops[:, :3, :n]  # A, A*, A0 on the phi-slots
-    prod = np.take(x, frame.left, axis=2) @ np.take(x, frame.right, axis=2)
-    # (x_r x_s)[j, i] and (x_s x_r)[j, i]; np.take keeps C order, so the sum adds row by row
-    entries = np.take(prod.reshape(count, 3, len(frame.left), n * n), frame.ji, axis=3)
+    prod = x.take(frame.left, axis=2) @ x.take(frame.right, axis=2)
+    # (x_r x_s)[j, i] and (x_s x_r)[j, i]; take keeps C order, so the sum adds row by row
+    entries = prod.reshape(count, 3, len(frame.left), n * n).take(frame.ji, axis=3)
     pairs = len(frame.ji)
     bracket = entries[:, :, :pairs] - entries[:, :, pairs:]  # [x_r, x_s][j, i]: rows r < s, columns i < j
     comm = 4.0 * bracket[:, 2] - bracket[:, 0] - bracket[:, 1]

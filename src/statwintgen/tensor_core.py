@@ -3,7 +3,7 @@
 The commutator of validated finite square matrices, the one central-difference
 primitive (``grid`` and ``grid_partials``) for array-valued fields of several
 variables, per-instance seeded streams (a generator, or a chunk's draws at once,
-bit for bit), upper-triangle mirroring and box sampling.  Everything here is
+bit for bit), the upper-triangle indices and box sampling.  Everything here is
 pure: inputs are never mutated, outputs are fresh arrays.
 """
 
@@ -155,22 +155,6 @@ def _triu_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     i, j = np.triu_indices(n)
     i.flags.writeable = j.flags.writeable = False
     return i, j
-
-
-@lru_cache(maxsize=32)
-def _upper_mask(n: int) -> np.ndarray:
-    """Read-only (n, n) mask of the upper triangle i <= j."""
-    mask = np.triu(np.ones((n, n), dtype=bool))
-    mask.flags.writeable = False
-    return mask
-
-
-def symmetrize_upper(raw: np.ndarray) -> np.ndarray:
-    """Mirror the upper triangle (including diagonal) onto the lower one, per matrix of a stack."""
-    a = np.asarray(raw, dtype=float)
-    # one masked select, not index gathers, so a single matrix costs few numpy calls;
-    # + 0.0 turns -0.0 into 0.0, as a sum with the zero triangle did
-    return np.where(_upper_mask(a.shape[-1]), a, a.swapaxes(-1, -2)) + 0.0
 
 
 def sample_points(

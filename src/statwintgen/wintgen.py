@@ -43,7 +43,7 @@ from .legendrian import (
     require_valid,
     shape_operators,
 )
-from .tensor_core import _triu_indices, commutator, instance_rng, instance_uniforms, symmetrize_upper
+from .tensor_core import _triu_indices, commutator, instance_rng, instance_uniforms
 
 SLACK_TOL = 1e-9
 
@@ -271,8 +271,7 @@ def _random_instances(n: int, c_range, f_range, fprime_range, magnitude: float, 
     low, span = np.array([(a, b - a) for a, b in bounds]).T  # Python floats: an infinite span raises no warning
     if not np.isfinite(span).all():
         raise OverflowError("high - low range exceeds valid bounds")
-    upper = (low[3] + span[3] * u[:, 3:]).reshape(len(indices), 2 * n, n, n)
-    return _instances_from_upper(n, (low[:3] + span[:3] * u[:, :3]).tolist(), upper)
+    return _instances_from_upper(n, (low[:3] + span[:3] * u[:, :3]).tolist(), low[3] + span[3] * u[:, 3:])
 
 
 def _check_draw_args(n: int, c_range, f_range, fprime_range, magnitude: float) -> None:
@@ -289,21 +288,38 @@ def _check_draw_args(n: int, c_range, f_range, fprime_range, magnitude: float) -
 
 def _instances_from_upper(n: int, params: list[tuple[float, float, float]],
                           upper: Array) -> tuple[list[LegendrianPointInstance], Array, Array]:
-    """Instances with fields (c, f, f') and the forms of ``_forms_from_upper``, with those forms and xi values.
-    A non-finite xi = -f'/f (a finite f' over a tiny f) raises OverflowError."""
+    """Instances with fields (c, f, f') and the forms ``_forms_from_upper`` gathers from the phi-slices' upper
+    triangles ``upper``, with those forms and xi values.  A non-finite xi = -f'/f (a finite f' over a tiny f)
+    raises OverflowError."""
     xi = _finite_xi(np.array([-(fp / f) for _, f, fp in params]))
-    forms = _forms_from_upper(n, xi, upper)
+    forms = _forms_from_upper(n, xi, upper.reshape(len(upper), -1))
     return [LegendrianPointInstance(n=n, c=c, f_val=f, f_prime=fp, h=form[0], h_star=form[1])
             for (c, f, fp), form in zip(params, forms)], forms, xi
 
 
-def _forms_from_upper(n: int, xi: Array, upper: Array) -> Array:
-    """(B, 2, n+1, n, n) forms h, h*: phi-slices mirrored from a (B, 2n, n, n) stack of
-    upper triangles, xi-slices the (B,) forced values xi (or one for all) times I, set exactly."""
-    forms = np.empty((len(upper), 2, n + 1, n, n))  # h, h*
-    forms[:, :, :n] = symmetrize_upper(upper).reshape(len(upper), 2, n, n, n)
-    forms[:, :, n] = xi[:, None, None, None] * _frame(n).eye
-    return forms
+@lru_cache(maxsize=64)
+def _upper_gather(n: int, width: int) -> Array:
+    """Read-only flat index of the (2, n+1, n, n) forms h, h* into a row of 2n phi-slices of ``width`` entries (h
+    slices first), then xi and xi * 0.0, the entries of xi I.  A slice holds its upper triangle i <= j, packed
+    (width n(n+1)/2) or as an n x n matrix whose lower triangle is not read; (j, i) reads the entry (i, j)."""
+    i, j = _triu_indices(n)
+    tri = np.empty((n, n), dtype=np.intp)
+    tri[i, j] = tri[j, i] = np.arange(len(i)) if width < n * n else i * n + j
+    phi = (width * np.arange(2 * n)[:, None, None] + tri).reshape(2, n, n, n)
+    xi = np.broadcast_to(2 * n * width + 1 - np.eye(n, dtype=np.intp), (2, 1, n, n))
+    index = np.concatenate((phi, xi), axis=1).ravel()
+    index.flags.writeable = False
+    return index
+
+
+def _forms_from_upper(n: int, xi: float | Array, upper: Array) -> Array:
+    """(B, 2, n+1, n, n) forms h, h* in one gather through ``_upper_gather``: phi-slices mirrored from a (B, 2n
+    width) stack of upper triangles, each entry + 0.0 (so -0.0 reads 0.0), xi-slices the forced values xi
+    ((B,), or one for all) times I, set exactly."""
+    rows = np.empty((len(upper), upper.shape[1] + 2))
+    np.add(upper, 0.0, out=rows[:, :-2])
+    rows[:, -2], rows[:, -1] = xi, xi * 0.0
+    return rows.take(_upper_gather(n, upper.shape[1] // (2 * n)), axis=1).reshape(len(upper), 2, n + 1, n, n)
 
 
 # Floats of kernel scratch per stacked pass: a sweep chunk holds as many
@@ -364,26 +380,18 @@ class SharpnessResult:
     hard_violation: bool
 
 
-def _upper_from_params(n: int, params: Array) -> Array:
-    """Decode a (B, nparams) stack of upper-triangle phi-slice entries, h slices first, to (B, 2n, n, n)."""
-    upper = np.zeros((len(params), 2 * n, n, n))
-    i, j = _triu_indices(n)
-    upper[:, :, i, j] = params.reshape(len(params), 2 * n, -1)
-    return upper
-
-
 def _bound_scorer(n: int, c: float, f: float, fp: float) -> Callable[[Array], tuple[list[float], list[float]]]:
     """The bound's column scorer for one (c, f, f'), whose xi, c-term and ambient term it forms once: it maps
-    a (B, nparams) stack to every row's rhs and lhs, ``main_inequality``'s bit for bit.  The forms are built
-    as ``_instances_from_upper`` builds them, so they are not validated again (``sharpness_search`` checks
-    c, f and fp are finite), and derived in one kernel call; ``_rho_pair``, ``_rhs_terms`` and ``_rhs_sum``
-    run on their (B,) columns, where only +, -, * and / act.  ``_slack`` reads a row, or raises."""
-    xi, cterm = _finite_xi(np.array([-(fp / f)])), np.array([2.0 * c / (4.0 * f**2)])
+    a (B, nparams) stack to every row's rhs and lhs, ``main_inequality``'s bit for bit.  The forms are one
+    ``_forms_from_upper`` gather of the packed upper triangles and xi, as a sweep's of its draws, so they are
+    not validated again (``sharpness_search`` checks c, f and fp are finite), and are derived by one call of
+    the shared kernel ``_derive_arrays``; ``_rho_pair``, ``_rhs_terms`` and ``_rhs_sum`` run on their (B,)
+    columns, where only +, -, * and / act.  ``_slack`` reads a row, or raises."""
+    xi, cterm = _finite_xi(np.array([-(fp / f)]))[0], np.array([2.0 * c / (4.0 * f**2)])
     ambient = ambient_plane_curvature(c, f, fp)
 
     def columns(params: Array) -> tuple[list[float], list[float]]:
-        _, means, mean_sq, tau_sq, rho_perp = _derive_arrays(
-            _forms_from_upper(n, xi, _upper_from_params(n, params)), cterm)
+        _, means, mean_sq, tau_sq, rho_perp = _derive_arrays(_forms_from_upper(n, xi, params), cterm)
         m = _mean_data(means.swapaxes(0, 1), mean_sq.T, tau_sq.T)
         scalars = _scalars(m, *_rho_pair(n, ambient, m), rho_perp)
         return _rhs_sum(_rhs_terms(c, f, fp, scalars).values()).tolist(), rho_perp.tolist()
@@ -397,8 +405,9 @@ SHARPNESS_MIN_STEP = 1e-6
 
 def _sharpness_pass_rows(n: int) -> int:
     """Most trials in one pass of ``sharpness_search``, its tree and chain together: they cost about the pass's
-    fixed numpy calls, worth some 256 of the 3n(n-1) per-matrix products a row makes (one trial at n >= 8)."""
-    return max(1, min(sweep_chunk(n), 256 // (3 * n * (n - 1))))
+    fixed numpy calls, worth some 264 of the 3n(n-1) per-matrix products a row makes (one trial at n >= 8).
+    At n = 2 the 44 rows are a whole sweep that does not move: a 26-row tree and the 18-row chain after it."""
+    return max(1, min(sweep_chunk(n), 264 // (3 * n * (n - 1))))
 
 
 def _sharpness_depth(n: int) -> int:
@@ -481,7 +490,7 @@ def sharpness_search(n: int, c: float, f: float, fprime: float, iterations: int,
             rows = tree + max(0, min(widest - tree, 2 * nparams - start, iterations - evaluations - 2 * depth))
             signs, moves = _pass_signs(widest + 1, depth)
             span = min(signs.shape[1], nparams - k0)
-            trials = np.repeat(params[None], rows, axis=0)
+            trials = params[None].repeat(rows, axis=0)
             block = trials[:, k0:k0 + span]
             np.add(block, step * signs[first:first + rows, :span], out=block, where=moves[first:first + rows, :span])
             rhs, lhs = columns(trials)
@@ -496,7 +505,8 @@ def sharpness_search(n: int, c: float, f: float, fprime: float, iterations: int,
         if not improved:
             step *= 0.5
 
-    best_instance = _instances_from_upper(n, [(c, f, fprime)], _upper_from_params(n, best_params[None]))[0][0]
+    h, h_star = _forms_from_upper(n, -(fprime / f), best_params[None])[0]
+    best_instance = LegendrianPointInstance(n=n, c=c, f_val=f, f_prime=fprime, h=h, h_star=h_star)
     hard = not main_inequality(best_instance, include_chain=False).holds
     return SharpnessResult(
         best_instance=best_instance,

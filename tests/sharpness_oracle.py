@@ -3,23 +3,46 @@
 ``wintgen.sharpness_search`` scores each coordinate sweep in stacked passes
 and discards the rows after the first improvement.  This module keeps the
 climb it must reproduce: one trial at a time, each scored by the
-single-instance route (a decoded ``LegendrianPointInstance`` and its
-``curvature_scalars``).  The module name has no ``test_`` prefix, so pytest
-imports it without collecting it.
+single-instance route (a ``LegendrianPointInstance`` decoded through the
+n x n upper triangles, as sweeps build their forms, and its
+``curvature_scalars``).  It also keeps the decode that mirrored the upper
+triangles by a masked select, which the one-gather decode must equal.  The
+module name has no ``test_`` prefix, so pytest imports it without collecting
+it.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from statwintgen import wintgen as wg
 from statwintgen.legendrian import curvature_scalars
 from statwintgen.tensor_core import instance_rng
 
 
+def forms_from_upper(n: int, xi: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """(B, 2, n+1, n, n) forms h, h*: phi-slices mirrored from a (B, 2n, n, n) stack of upper triangles by one
+    masked select, + 0.0 (so -0.0 reads 0.0), xi-slices the (B,) forced values xi times I."""
+    forms = np.empty((len(upper), 2, n + 1, n, n))
+    mirrored = np.where(np.triu(np.ones((n, n), dtype=bool)), upper, upper.swapaxes(-1, -2)) + 0.0
+    forms[:, :, :n] = mirrored.reshape(len(upper), 2, n, n, n)
+    forms[:, :, n] = xi[:, None, None, None] * np.eye(n)
+    return forms
+
+
+def upper_from_params(n: int, params: np.ndarray) -> np.ndarray:
+    """Decode a (B, nparams) stack of upper-triangle phi-slice entries, h slices first, to (B, 2n, n, n)."""
+    upper = np.zeros((len(params), 2 * n, n, n))
+    i, j = np.triu_indices(n)
+    upper[:, :, i, j] = params.reshape(len(params), 2 * n, -1)
+    return upper
+
+
 def instance_from_params(n: int, c: float, f: float, fprime: float, params):
     """The instance whose phi-slice upper triangles, h slices first, are ``params``."""
-    insts, _, _ = wg._instances_from_upper(n, [(c, f, fprime)], wg._upper_from_params(n, params[None]))
+    insts, _, _ = wg._instances_from_upper(n, [(c, f, fprime)], upper_from_params(n, params[None]))
     return insts[0]
 
 

@@ -628,6 +628,35 @@ def test_instance_xi_overflow_is_named(sub, tmp_path, capsys):
     assert not out.exists()
 
 
+OUT_OF_RANGE = "error: arithmetic overflow: Numerical result out of range"
+DIVISION_BY_ZERO = "error: arithmetic overflow: float division by zero"
+
+
+@pytest.mark.parametrize(
+    "flags, line",
+    [
+        (["--f-min", "1e200", "--f-max", "1e200"], OUT_OF_RANGE),  # f**2 overflows; f**2 = 0.0 below
+        (["--f-min", "1e-200", "--f-max", "1e-200", "--fprime-min", "0", "--fprime-max", "0"], DIVISION_BY_ZERO),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+)
+def test_sweep_overflow_lines_are_pinned(flags, line, tmp_path, capsys):
+    # every field finite, but the terms over 4f^2 leave double precision: no rows and no file, not finite rows
+    out = tmp_path / "report.out"
+    argv = ["wintgen", "sweep", "--n", "2", "--count", "3", *flags, "--out", str(out)]
+    assert _assert_one_line_usage_error(main(argv), capsys) == line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("f, fprime, line", [(1e200, 0.5, OUT_OF_RANGE), (1e-200, 0.0, DIVISION_BY_ZERO)])
+@pytest.mark.parametrize("sub", ["verify", "chain"])
+def test_instance_overflow_lines_are_pinned(sub, f, fprime, line, tmp_path, capsys):
+    path, out = tmp_path / "umbilic.json", tmp_path / "report.out"
+    path.write_text(lg.umbilic_instance(n=2, f_val=f, f_prime=fprime).to_json())
+    assert _assert_one_line_usage_error(main(["wintgen", sub, str(path), "--out", str(out)]), capsys) == line
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import frame_oracle
+import kernel_oracle
 import statwintgen.legendrian as lg
 import statwintgen.tensor_core as tensor_core
 import statwintgen.wintgen as wg
@@ -446,6 +447,38 @@ class TestFusedKernel:
             evaluated.append((key, inst))
         for key, inst in evaluated:  # later dimensions left the memoized data alone
             assert _evaluation(inst) == first[key], key
+
+
+def _kernel_stack(n, count):
+    """(count, 2, n+1, n, n) forms with exact zeros of both signs and means of both signs, and (count,) c-terms."""
+    rng = np.random.default_rng(7 * n + count)
+    forms = rng.uniform(-1.0, 1.0, (count, 2, n + 1, n, n)) * 10.0 ** rng.integers(-3, 4, (count, 2, n + 1, 1, 1))
+    zeros = rng.random(forms.shape)
+    forms[zeros < 0.3] = 0.0
+    forms[zeros > 0.7] = -0.0
+    return forms, rng.uniform(-2.0, 2.0, count)
+
+
+class TestLeanKernel:
+    @pytest.mark.parametrize("count", [1, 2, 7, 42])
+    @pytest.mark.parametrize("n", ORACLE_DIMS)
+    def test_kernel_equals_the_means_times_identity_kernel(self, n, count):
+        forms, cterm = _kernel_stack(n, count)
+        got, want = lg._derive_arrays(forms, cterm), kernel_oracle.derive_arrays(forms, cterm)
+        assert [a.shape for a in got] == [a.shape for a in want]
+        for a, b in zip(got[1:], want[1:]):  # means, their squared norms, traceless norms, rho_perp
+            assert a.tobytes() == b.tobytes()
+        (ops, s), (oracle_ops, oracle_s) = (got[0][:, :3], got[0][:, 3:]), (want[0][:, :3], want[0][:, 3:])
+        assert ops.tobytes() == oracle_ops.tobytes()
+        npt.assert_array_equal(s, oracle_s)  # S by value: only exact-zero off-diagonal entries change sign
+        signs = np.signbit(s) != np.signbit(oracle_s)
+        assert not (signs & ((s != 0.0) | np.eye(n, dtype=bool))).any()
+
+    def test_some_zero_of_s_changes_sign(self):
+        # A - 0.0 * H reads +0.0 where A = -0.0 and H <= -0.0; the diagonal subtraction keeps -0.0
+        forms, cterm = _kernel_stack(3, 42)
+        s = lg._derive_arrays(forms, cterm)[0][:, 3:]
+        assert (np.signbit(s) != np.signbit(kernel_oracle.derive_arrays(forms, cterm)[0][:, 3:])).any()
 
 
 class TestOneDerivation:

@@ -86,10 +86,10 @@ def _serial_restart_evaluations(monkeypatch, args) -> list[int]:
     return draws
 
 
-def test_restarts_after_a_cut_tree_pass_equal_the_serial_climb(monkeypatch):
-    """The last pass of a fruitless sweep is a tree cut to depth 1 by the sweep's end (coordinate 11 of 12),
-    and the fresh draw follows it: budgets that end in it, at the draw and just after agree with the serial climb."""
-    args = (2, *FAMILIES["umbilic"], 1500, 5)
+def _pass_before_the_second_draw(monkeypatch, n, iterations) -> int:
+    """The rows of the pass that precedes the second fresh draw of an umbilic climb at seed 5; budgets that end in
+    it, at the draw and just after agree with the serial climb."""
+    args = (n, *FAMILIES["umbilic"], iterations, 5)
     restart = _serial_restart_evaluations(monkeypatch, args)[1]
     rows = []  # the rows of every pass, in order
     scorer = wg._bound_scorer
@@ -98,18 +98,31 @@ def test_restarts_after_a_cut_tree_pass_equal_the_serial_climb(monkeypatch):
         columns = scorer(*constants)
         return lambda params: rows.append(len(params)) or columns(params)
 
-    monkeypatch.setattr(wg, "_bound_scorer", recording_scorer)
-    want = serial_sharpness_search(*args)
-    assert want.restarts == 2
-    _assert_same_climb(wg.sharpness_search(*args), want)
-    assert rows[rows.index(1, 1) - 1] == 3 ** 1 - 1  # the pass before the second draw: a depth-1 tree
-    for iterations in range(restart - 2, restart + 3):
-        args = (2, *FAMILIES["umbilic"], iterations, 5)
+    with monkeypatch.context() as m:
+        m.setattr(wg, "_bound_scorer", recording_scorer)
+        want = serial_sharpness_search(*args)
+        assert want.restarts == 2
+        _assert_same_climb(wg.sharpness_search(*args), want)
+    for budget in range(restart - 2, restart + 3):
+        args = (n, *FAMILIES["umbilic"], budget, 5)
         _assert_same_climb(wg.sharpness_search(*args), serial_sharpness_search(*args))
+    return rows[rows.index(1, 1) - 1]
+
+
+def test_restarts_after_a_cut_tree_pass_equal_the_serial_climb(monkeypatch):
+    # the last pass of a fruitless n = 3 sweep is a tree cut to depth 1 by the sweep's end (coordinate 35 of 36)
+    assert _pass_before_the_second_draw(monkeypatch, 3, 5000) == 3 ** 1 - 1
+
+
+def test_a_fruitless_n2_sweep_is_one_pass(monkeypatch):
+    # an n = 2 pass is as wide as a sweep that does not move (a 26-row tree for coordinates 0-2 and an 18-row
+    # chain for 3-11), so no lone pass is left for the last coordinate before the fresh draw
+    assert wg._sharpness_pass_rows(2) == 3 ** 3 - 1 + 2 * (12 - 3) and wg._sharpness_depth(2) == 3
+    assert _pass_before_the_second_draw(monkeypatch, 2, 1500) == 44
 
 
 def test_pass_width_rule():
-    assert [wg._sharpness_pass_rows(n) for n in (2, 3, 5, 8, 40)] == [42, 14, 4, 1, 1]
+    assert [wg._sharpness_pass_rows(n) for n in (2, 3, 5, 8, 40)] == [44, 14, 4, 1, 1]
     assert all(1 <= wg._sharpness_pass_rows(n) <= wg.sweep_chunk(n) for n in range(2, 64))
 
 
@@ -209,9 +222,23 @@ def test_forms_from_upper_are_valid_by_construction(n):
     # the passes do not re-check their forms: symmetric and xi-exact as built, they have no violation
     for c, f, fp, params in _stacks(n):
         xi = np.full(len(params), -(fp / f))
-        forms = wg._forms_from_upper(n, xi, wg._upper_from_params(n, params))
+        forms = wg._forms_from_upper(n, xi, params)
         assert np.isfinite(forms).all()
         assert _find_violations(xi, forms) == [()] * len(params)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_gather_decode_equals_the_masked_select_bit_for_bit(n):
+    # one gather of packed or n x n upper triangles and xi, -0.0 entries made 0.0 as the masked select made them
+    assert not wg._upper_gather(n, n * (n + 1) // 2).flags.writeable and not wg._upper_gather(n, n * n).flags.writeable
+    for c, f, fp, params in _stacks(n):
+        xi = np.full(len(params), -(fp / f))
+        upper = sharpness_oracle.upper_from_params(n, params)
+        upper[:, :, 1:, 0] = np.nan  # the lower triangle of the n x n layout is never read
+        want = sharpness_oracle.forms_from_upper(n, xi, upper)
+        for got in (wg._forms_from_upper(n, xi[0], params), wg._forms_from_upper(n, xi, params),
+                    wg._forms_from_upper(n, xi, upper.reshape(len(upper), -1))):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name, value", [("c", math.inf), ("c", -math.inf), ("c", math.nan), ("f", math.inf),

@@ -9,7 +9,6 @@ from statwintgen.tensor_core import (
     grid,
     grid_partials,
     instance_uniforms,
-    symmetrize_upper,
 )
 
 from helpers import partials, random_orthogonal
@@ -171,11 +170,6 @@ class TestRandomSymmetricTraceless:
             random_symmetric_traceless(0, 1, seed=0)
         with pytest.raises(ValueError):
             random_symmetric_traceless(2, 0, seed=0)
-
-
-def test_symmetrize_upper():
-    raw = np.array([[1.0, 2.0], [99.0, 3.0]])
-    npt.assert_array_equal(symmetrize_upper(raw), [[1.0, 2.0], [2.0, 3.0]])
 
 
 # Seeds and indices on both sides of 2^32 and 2^64, where SeedSequence adds an entropy word.

@@ -45,6 +45,11 @@ evaluations, restart draws included: calls of the scorer that
 ``wintgen._bound_scorer`` returns, or of ``wintgen._stacked_bound`` where the
 checkout scores its passes with that (the key is left out where it has
 neither).  The count wraps the scorer from this script, in a run of its own.
+``sharpness.pass.b1.n<n>`` and ``sharpness.pass.wide.n<n>`` time one pass of
+that scorer (c = 0, f = 1, f' = 0) on one row and on
+``wintgen._sharpness_pass_rows(n)`` rows, in microseconds per pass, median
+over ``--repeats`` runs of ``PASS_CALLS`` passes; they are left out where the
+checkout has no ``_bound_scorer``.
 
 The geometry stages time ``GEOMETRY_SAMPLES`` seeded sample points of the
 built-in charts, in microseconds per sample:
@@ -115,6 +120,7 @@ CHART_FIELDS = ("metric", "gamma", "gamma_star", "metric_partial", "gamma_partia
 GEOMETRY_SAMPLES = 100
 GRID_ROWS_H3 = 7  # t values per h3 sample on the Levi-Civita grid: the point and its 6 stencil points
 SHARPNESS_BUDGET = 1000
+PASS_CALLS = 200
 DRAW_RANGES = ((-4.0, 4.0), (0.5, 3.0), (-2.0, 2.0), 1.0)  # random_instance's c, f, f' ranges and magnitude
 COMMANDS = ("reproduce example-r2", "reproduce example-h3", "axioms --chart r2", "axioms --chart h3",
             "curvature --chart r2", "curvature --chart h3", "classify --warp exp --fiber flat",
@@ -174,7 +180,8 @@ def draw_timings(repeats: int) -> dict[str, float]:
 
 
 def sharpness_timings(repeats: int) -> dict[str, float]:
-    """``sharpness.n<n>`` -> median microseconds per evaluation of a fixed-budget, fixed-seed climb."""
+    """``sharpness.n<n>`` -> median microseconds per evaluation of a fixed-budget, fixed-seed climb, with its
+    ``sharpness.passes.n<n>`` and the ``sharpness.pass.b1.n<n>`` and ``sharpness.pass.wide.n<n>`` pass times."""
     out = {}
     for n in DIMS:
         runs = [_timed(lambda _: wintgen.sharpness_search(n, 0.0, 1.0, 0.0, SHARPNESS_BUDGET, 5), [None])[0]
@@ -183,6 +190,12 @@ def sharpness_timings(repeats: int) -> dict[str, float]:
         passes = sharpness_passes(n)
         if passes is not None:
             out[f"sharpness.passes.n{n}"] = 1000.0 * passes / SHARPNESS_BUDGET
+        if hasattr(wintgen, "_bound_scorer"):
+            columns, nparams = wintgen._bound_scorer(n, 0.0, 1.0, 0.0), 2 * n * (n * (n + 1) // 2)
+            for key, rows in (("b1", 1), ("wide", wintgen._sharpness_pass_rows(n))):
+                params = [np.random.default_rng(n).uniform(-1.0, 1.0, (rows, nparams))] * PASS_CALLS
+                runs = [_timed(columns, params)[0] for _ in range(repeats)]
+                out[f"sharpness.pass.{key}.n{n}"] = 1e6 * statistics.median(runs) / PASS_CALLS
     return out
 
 
@@ -350,6 +363,11 @@ def main(argv: list[str] | None = None) -> int:
     if "sharpness.passes.n2" in timings:
         print(f"{'passes':<10}" + "".join(f"{timings[f'sharpness.passes.n{n}']:>10.1f}" for n in DIMS)
               + "   (kernel passes per 1000 evaluations)")
+    if "sharpness.pass.b1.n2" in timings:
+        print(f"{'pass B=1':<10}" + "".join(f"{timings[f'sharpness.pass.b1.n{n}']:>10.1f}" for n in DIMS)
+              + "   (us per scorer pass of one row)")
+        print(f"{'pass wide':<10}" + "".join(f"{timings[f'sharpness.pass.wide.n{n}']:>10.1f}" for n in DIMS)
+              + "   (us per scorer pass of _sharpness_pass_rows(n) rows)")
     print(f"\n{'geometry':<14}{'point':>10}{'stack':>10}   (us per sample, {GEOMETRY_SAMPLES} samples)")
     for stage in GEOMETRY_STAGES:
         cells = (timings.get(f"geometry.{stage}.{mode}") for mode in ("point", "stack"))
