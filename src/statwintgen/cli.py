@@ -10,12 +10,13 @@ wintgen       verify / sweep / chain / sharpness on Legendrian instances
 
 Exit codes: 0 all checks passed, 1 at least one property or inequality
 violation, 2 usage or configuration error.  Every JSON report embeds the
-schema string and is rendered by ``dump_json`` in one pass: two-space indent,
-one element per line, ``",\n"`` between elements, ``[]`` and ``{}`` when
-empty, and floats at 17 significant digits (``.17g``), so reports round-trip
-exactly; a NaN or infinity anywhere in it is refused, and so is a value of no
-JSON type.  An optional JSON config file provides defaults for any
-long flag (flags win); the environment variable STATWINTGEN_OUTDIR sets the
+schema string and holds plain values only (dicts with str keys, lists, str,
+int, float, bool and None); ``dump_json`` renders it in one pass: two-space
+indent, one element per line, ``",\n"`` between elements, ``[]`` and ``{}``
+when empty, and floats at 17 significant digits (``.17g``), so reports
+round-trip exactly; a NaN or infinity anywhere in it is refused, and so is a
+value of any other type.  An optional JSON config file provides defaults for
+any long flag (flags win); the environment variable STATWINTGEN_OUTDIR sets the
 default output directory.  A flag or value the parser rejects ends in one
 ``error:`` line and exit 2, without the usage block.  Arithmetic that leaves
 double precision (a non-finite bound, geometry residual or check value, a
@@ -23,13 +24,16 @@ float overflow or a division by an underflowed zero) is a usage error too:
 exit 2 with one ``error:`` line, and no report is written; so is a problem
 size whose arrays cannot be allocated.
 The argument parser is built once per process, on the first ``main`` call.
-``axioms``, ``curvature`` and ``reproduce`` draw their sample points and
-probes with one ``uniform`` call per chunk of
-``statistical_geometry.geometry_chunk`` samples, which gives the doubles of
-a sample-by-sample draw in the same order, and evaluate each chunk as one
-stack.  Each yields its chunks' check columns to one fold, ``_fold``, which
-keeps only what a report holds, so the memory of all three stays bounded at
-any ``--samples``.  They share its verdict, |value - target| <= tol, and its
+The geometry commands' sample points are drawn here and nowhere else:
+``axioms``, ``curvature``, ``classify`` and ``reproduce`` draw their points
+and probes through ``_chunks``, one ``uniform`` call per chunk of
+``statistical_geometry.geometry_chunk`` samples, which gives the doubles of a
+sample-by-sample draw in the same order, and pass them to the geometry
+modules, which draw nothing.  ``classify`` checks all its points as one stack.
+``axioms``, ``curvature`` and ``reproduce`` evaluate each chunk as one stack
+and yield its check columns to one fold, ``_fold``, which keeps only what a
+report holds, so the memory of all three stays bounded at any ``--samples``.
+They share its verdict, |value - target| <= tol, and its
 one error for a non-finite value: ``non-finite <check> check at <point>``.
 """
 
@@ -64,20 +68,20 @@ EXIT_USAGE = 2
 
 def format_float(x: float) -> str:
     """17 significant digits: enough for exact double round-trips."""
-    return format(float(x), ".17g")
+    return format(x, ".17g")
 
 
-def dump_json(obj, indent: int = 0) -> str:
+def dump_json(obj) -> str:
     """``obj`` as report JSON, rendered in one pass over an explicit stack instead of one call per value.
 
-    Two spaces of indent per level (``indent`` to start), one element per line, ``",\n"`` between
-    elements and ``[]`` or ``{}`` when empty.  Keys are ``str(key)``, strings are ASCII-escaped as by
-    ``json.dumps``, floats are ``format(x, ".17g")`` (17 significant digits), and tuples, arrays, numpy
-    scalars and subclasses render as the plain values they hold.  A NaN or infinity at any depth
-    raises ValueError("non-finite float in report"); a value of any other type raises TypeError.
+    Reports hold plain values: dicts with str keys, lists, str, int, float, bool and None.  Two spaces
+    of indent per level, one element per line, ``",\n"`` between elements and ``[]`` or ``{}`` when
+    empty.  Strings are ASCII-escaped as by ``json.dumps`` and floats are ``format(x, ".17g")`` (17
+    significant digits).  A NaN or infinity at any depth raises ValueError("non-finite float in
+    report"); a value or key of any other type, a subclass of a plain type included, raises TypeError.
     """
     parts: list[str] = []
-    keys: dict[str, str] = {}  # str(key) -> its JSON string and ": "
+    keys: dict[str, str] = {}  # key -> its JSON string and ": "
     stack: list[tuple] = []  # per open container: (its elements, whether a dict's, separator, closer)
     value, first = obj, False
     while True:
@@ -94,18 +98,12 @@ def dump_json(obj, indent: int = 0) -> str:
             parts.append(str(value))
         elif value is None:
             parts.append("null")
-        elif kind is not dict and kind is not list and kind is not tuple:
-            for types, plain in _PLAIN:
-                if isinstance(value, types):
-                    value = plain(value)
-                    break
-            else:
-                raise TypeError(f"cannot serialize {kind!r}")
-            continue
+        elif kind is not dict and kind is not list:
+            raise TypeError(f"cannot serialize {kind!r}")
         elif not value:
             parts.append("{}" if kind is dict else "[]")
         else:
-            pad = "  " * (indent + len(stack) + 1)
+            pad = "  " * (len(stack) + 1)
             if kind is not dict and {*map(type, value)} == _FLOAT:
                 if not all(map(isfinite, value)):
                     raise ValueError("non-finite float in report")
@@ -127,8 +125,10 @@ def dump_json(obj, indent: int = 0) -> str:
             first = False
             if is_dict:
                 key, value = value
-                if (text := keys.get(name := str(key))) is None:
-                    text = keys[name] = _json_string(name) + ": "
+                if type(key) is not str:
+                    raise TypeError(f"cannot serialize {type(key)!r} as a key")
+                if (text := keys.get(key)) is None:
+                    text = keys[key] = _json_string(key) + ": "
                 parts.append(text)
             break
         else:
@@ -136,16 +136,6 @@ def dump_json(obj, indent: int = 0) -> str:
 
 
 _FLOAT, _END = {float}, object()  # the type set of a list of plain floats; past a container's last element
-# How a value of no plain type renders: as the plain value that the first rule it matches makes of it.
-_PLAIN = (
-    ((bool, np.bool_), bool),
-    ((np.floating, float), float),
-    ((np.integer, int), int),
-    (str, str.__str__),  # the characters it holds, whatever its own __str__
-    (np.ndarray, np.ndarray.tolist),
-    ((list, tuple), list),
-    (dict, lambda value: dict(value.items())),
-)
 
 
 def _output_dir() -> Path:
@@ -330,13 +320,15 @@ def cmd_curvature(args) -> int:
 
 def cmd_classify(args) -> int:
     spec = FIBERS[args.fiber](WARPS[args.warp](args.const_value), args.epsilon)
-    check = wc.kenmotsu_theorem_check(spec, samples=args.samples, seed=args.seed, tol=args.residual_tol)
+    draws = _chunks(args.samples, spec.dim, np.random.default_rng(args.seed), wc.default_sample_box(spec.dim))
+    points = np.concatenate([chunk for (chunk,) in draws])
+    check = wc.kenmotsu_theorem_check(spec, points, args.residual_tol)
     rows = [
-        {"point": p.tolist(), "alpha": cls.alpha, "d_eta_residual": cls.d_eta_residual,
+        {"point": p, "alpha": cls.alpha, "d_eta_residual": cls.d_eta_residual,
          "d_phi_residual": cls.d_phi_residual,
          "contact_identity_residual": cls.contact_identity_residual,
          "d_omega_residual": cls.d_omega_residual, "tag": cls.structure_tag}
-        for p, cls in zip(check.points, check.classifications)
+        for p, cls in zip(points.tolist(), check.classifications)
     ]
     tags = sorted({r["tag"] for r in rows})
     return _finish(
@@ -380,7 +372,7 @@ def _reproduce_checks(example: str, rng: np.random.Generator):
         sectional, residuals = sg.levi_civita_sectional_and_axioms(chart, points, u, v, probes)
         residual = np.max(list(residuals.values()), axis=0)
         yield points, [("hyperbolic sectional", sectional, -1.0, 1e-6), ("axiom residual", residual, 0.0, 1e-6)]
-    point = wc.sample_warped_points(spec, 1, rng)
+    (point,) = next(_chunks(1, 3, rng, wc.default_sample_box(3)))
     (cls,) = wc.contact_classification(spec, point)
     yield point, [("alpha", [cls.alpha], -1.0, 1e-12), ("d_phi residual", [cls.d_phi_residual], 0.0, 1e-8)]
 
@@ -416,8 +408,8 @@ CSV_COLUMNS = ("seed", "n", "c", "f", "f_prime", "lhs", "rhs", "slack", "holds")
 def sweep_csv_lines(reports: list[wg.WintgenReport]) -> list[str]:
     """The ``CSV_COLUMNS`` header, then one row per report with its floats at 17 significant digits."""
     return [",".join(CSV_COLUMNS)] + [
-        f"{r.seed},{r.n},{float(r.c):.17g},{float(r.f):.17g},{float(r.f_prime):.17g},{float(r.lhs):.17g},"
-        f"{float(r.rhs):.17g},{float(r.slack):.17g},{'true' if r.holds else 'false'}" for r in reports]
+        f"{r.seed},{r.n},{r.c:.17g},{r.f:.17g},{r.f_prime:.17g},{r.lhs:.17g},{r.rhs:.17g},{r.slack:.17g},"
+        f"{'true' if r.holds else 'false'}" for r in reports]
 
 
 def cmd_wintgen_sweep(args) -> int:

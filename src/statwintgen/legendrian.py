@@ -48,6 +48,7 @@ import numbers
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -146,7 +147,8 @@ class LegendrianPointInstance:
         """Instance from decoded JSON; a malformed value raises ValueError naming its key.
 
         ``data`` must be an object with an integral ``n``, numbers ``c``, ``f``
-        and ``f_prime`` and nested lists of numbers ``h`` and ``h_star``.
+        and ``f_prime`` and nested lists of numbers ``h`` and ``h_star``.  Every
+        number, a form's leaves included, is a real that is not a bool (``_is_number``).
         """
         if not isinstance(data, dict):
             raise ValueError(f"instance must be a JSON object, got {type(data).__name__}")
@@ -174,20 +176,30 @@ class LegendrianPointInstance:
         return LegendrianPointInstance.from_dict(data)
 
 
+def _is_number(kind: type) -> bool:
+    """The one rule for a number of an instance file, a scalar or a leaf of a form: a real that is not a bool."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+
 def _json_number(data: dict, key: str) -> numbers.Real:
     value = data[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not _is_number(type(value)):
         raise ValueError(f"instance key {key!r} must be a number, got {value!r}")
     return value
 
 
 def _json_form(data: dict, key: str) -> Array:
-    try:
-        form = np.asarray(data[key])
-        if form.dtype.kind in "iuf":
-            return form.astype(float, copy=False)
-    except ValueError:  # ragged nesting
-        pass
+    """A regular nested list of numbers as a float array, flattened level by level; each leaf is read as
+    ``float`` reads it, so an integer too large for a double raises OverflowError."""
+    leaves, shape = [data[key]], []
+    while (kinds := {*map(type, leaves)}) == {list} and len(sizes := {*map(len, leaves)}) == 1:
+        shape += sizes
+        leaves = [*chain.from_iterable(leaves)]
+    if all(map(_is_number, kinds)):
+        try:
+            return np.fromiter(leaves, float, len(leaves)).reshape(shape)
+        except ValueError:  # more axes than an array holds
+            pass
     raise ValueError(f"instance key {key!r} must be a nested list of numbers")
 
 

@@ -3,14 +3,13 @@
 The commutator of validated finite square matrices, the one central-difference
 primitive (``grid`` and ``grid_partials``) for array-valued fields of several
 variables, per-instance seeded streams (a generator, or a chunk's draws at once,
-bit for bit), the upper-triangle indices and box sampling.  Everything here is
-pure: inputs are never mutated, outputs are fresh arrays.
+bit for bit) and the upper-triangle indices.  Everything here is pure: inputs
+are never mutated, outputs are fresh arrays.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -156,17 +155,3 @@ def _triu_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     i.flags.writeable = j.flags.writeable = False
     return i, j
 
-
-def sample_points(
-    dim: int,
-    count: int,
-    rng: np.random.Generator,
-    box: Sequence[tuple[float, float]] | None = None,
-) -> np.ndarray:
-    """Uniform sample points from a per-axis box (default [-1, 1]^dim)."""
-    lo = np.full(dim, -1.0)
-    hi = np.full(dim, 1.0)
-    if box is not None:
-        for axis, (a, b) in enumerate(box):
-            lo[axis], hi[axis] = a, b
-    return rng.uniform(lo, hi, size=(count, dim))

@@ -16,7 +16,8 @@ Sign conventions: Omega(X,Y) = g(JX, Y) on the fiber, matching Phi's slot
 order; with these the exact two-form identity of the warp is
 dPhi = f^2 dOmega - 2 alpha eta ^ Phi for the reported alpha = -f'/f.
 
-Every function works on (N, 2n+1) stacks of points, one value or record per point;
+Every function works on (N, 2n+1) stacks of points that the caller draws (from
+``default_sample_box``), one value or record per point;
 the closed forms give all eight ``CLOSED_FORM_CASES`` from one evaluation of f and g_N.
 The classification evaluates f, g_N and J once per row of the points' central-difference
 grid, which gives the frame at the points, dPhi, and dOmega from its fiber-axis partials.
@@ -32,6 +33,7 @@ import numpy as np
 
 from .statistical_geometry import (
     DualisticChart,
+    _bilinear,
     check_almost_complex,
     constant_field,
     curvature,
@@ -39,7 +41,7 @@ from .statistical_geometry import (
     trivial_chart,
     builtin_r2_example,
 )
-from .tensor_core import DEFAULT_FD_STEP, grid, grid_partials, sample_points
+from .tensor_core import DEFAULT_FD_STEP, grid, grid_partials
 
 Array = np.ndarray
 
@@ -192,12 +194,8 @@ def warped_metric(spec: WarpedProductSpec, point: Array) -> Array:
 
 
 def default_sample_box(spec_dim: int) -> list[tuple[float, float]]:
-    """t restricted to [-1/2, 1/2] to keep e^{2t} well conditioned."""
+    """Per-axis (low, high) bounds of the sample points: t restricted to [-1/2, 1/2] to keep e^{2t} well conditioned."""
     return [(-0.5, 0.5)] + [(-1.0, 1.0)] * (spec_dim - 1)
-
-
-def sample_warped_points(spec: WarpedProductSpec, count: int, rng: np.random.Generator) -> Array:
-    return sample_points(spec.dim, count, rng, box=default_sample_box(spec.dim))
 
 
 def build_warped_chart(spec: WarpedProductSpec) -> DualisticChart:
@@ -298,16 +296,12 @@ def warped_curvature_closed_form(
     xf = points[:, 1:]
     f, fp, fpp = spec.warping.at(points[:, 0])
     g_n = np.asarray(spec.fiber.metric(xf), dtype=float)
-
-    def ip(a: Array, b: Array) -> Array:
-        """g_N(a, b) as the row-vector products (a g_N) b, with a trailing axis to scale vectors by."""
-        return (np.matmul(a[..., None, :], g_n) @ b[..., :, None])[..., 0, :]
-
     a = embed_fiber_vector(-(fpp / f)[..., None] * v)
     b = np.zeros(points.shape)
-    warped_ip = (f * f)[..., None] * ip(v, wv)
+    warped_ip = (f * f)[..., None] * _bilinear(v, g_n, wv)[..., None]
     c = np.concatenate((-(fpp / f)[..., None] * warped_ip, np.zeros(xf.shape)), axis=-1)
-    warp = ((fp / f) ** 2 * (f * f))[..., None] * (ip(wv, u) * v - ip(v, u) * wv)
+    warp = ((fp / f) ** 2 * (f * f))[..., None] * (
+        _bilinear(wv, g_n, u)[..., None] * v - _bilinear(v, g_n, u)[..., None] * wv)
     d, d_star = (embed_fiber_vector(curvature(spec.fiber, which, xf).vector(v, wv, u) - warp)
                  for which in ("nabla", "nabla_star"))
     return {"a": a, "b": b, "c": c, "d": d, "a*": a, "b*": b, "c*": c, "d*": d_star}
@@ -430,32 +424,24 @@ class KenmotsuCheck:
     total_almost_kenmotsu: bool
     consistent: bool
     k_tilde_xi_residual: float
-    points: Array
     classifications: tuple[ContactClassification, ...]
 
 
-def kenmotsu_theorem_check(
-    spec: WarpedProductSpec,
-    samples: int = 5,
-    seed: int = 23,
-    tol: float = 1e-8,
-) -> KenmotsuCheck:
-    """Evaluate both sides of the warped-Kenmotsu equivalence numerically.
+def kenmotsu_theorem_check(spec: WarpedProductSpec, points: Array, tol: float = 1e-8) -> KenmotsuCheck:
+    """Evaluate both sides of the warped-Kenmotsu equivalence numerically at an (N, 2n+1) stack of points.
 
     Fiber side: J compatible with g_N and dOmega = 0.  Total side: contact
     frame invariants hold, d eta = 0, and dPhi = 2 (f'/f) eta ^ Phi; both at
     ``KENMOTSU_TOL``.  Also measures the difference-tensor identities
     K~_X xi = K~_xi xi = 0, which hold for every warp.  Each point is
     classified once, all points as one stack, with tag tolerance ``tol`` and
-    no frame gate; the records are returned.  A non-finite residual has
-    no verdict: it raises OverflowError.
+    no frame gate; the records are returned in point order.  A non-finite
+    residual has no verdict: it raises OverflowError.
     """
-    rng = np.random.default_rng(seed)
-    pts = sample_warped_points(spec, samples, rng)
-    classifications = contact_classification(spec, pts, tol, math.inf)
+    classifications = contact_classification(spec, points, tol, math.inf)
     fiber_res = [r for cls in classifications for r in (cls.almost_complex_residual, cls.d_omega_residual)]
     total_res = [r for cls in classifications for r in (cls.frame_residual, cls.d_phi_residual)]
-    k_tilde = difference_tensor(build_warped_chart(spec), pts)
+    k_tilde = difference_tensor(build_warped_chart(spec), points)
     k_xi_res = [np.abs(k_tilde[:, :, :, 0]), np.abs(k_tilde[:, :, 0, :])]
     # np.max keeps a NaN, which Python's max(0.0, nan) would drop
     worst_fiber, worst_total, k_xi = (float(np.max(r, initial=0.0)) for r in (fiber_res, total_res, k_xi_res))
@@ -464,5 +450,5 @@ def kenmotsu_theorem_check(
     fiber_ok = worst_fiber <= KENMOTSU_TOL
     total_ok = worst_total <= KENMOTSU_TOL
     return KenmotsuCheck(fiber_almost_kaehler=fiber_ok, total_almost_kenmotsu=total_ok,
-                         consistent=(fiber_ok == total_ok), k_tilde_xi_residual=k_xi, points=pts,
+                         consistent=(fiber_ok == total_ok), k_tilde_xi_residual=k_xi,
                          classifications=classifications)

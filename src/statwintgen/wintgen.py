@@ -406,8 +406,9 @@ SHARPNESS_MIN_STEP = 1e-6
 def _sharpness_pass_rows(n: int) -> int:
     """Most trials in one pass of ``sharpness_search``, its tree and chain together: they cost about the pass's
     fixed numpy calls, worth some 264 of the 3n(n-1) per-matrix products a row makes (one trial at n >= 8).
-    At n = 2 the 44 rows are a whole sweep that does not move: a 26-row tree and the 18-row chain after it."""
-    return max(1, min(sweep_chunk(n), 264 // (3 * n * (n - 1))))
+    At n = 2 the 44 rows are a whole sweep that does not move: a 26-row tree and the 18-row chain after it.
+    That is never more than a sweep's ``sweep_chunk(n)`` instances."""
+    return max(1, 264 // (3 * n * (n - 1)))
 
 
 def _sharpness_depth(n: int) -> int:

@@ -93,7 +93,8 @@ def checks(command: str, target: str, seed: int, samples: int) -> list[dict]:
             for i in range(len(points)):
                 add("hyperbolic sectional", sectional[i], -1.0, 1e-6)
                 add("axiom residual", residual[i], 0.0, 1e-6)
-        (cls,) = wc.contact_classification(spec, wc.sample_warped_points(spec, 1, rng))
+        (point,) = next(cli._chunks(1, 3, rng, wc.default_sample_box(3)))
+        (cls,) = wc.contact_classification(spec, point)
         add("alpha", cls.alpha, -1.0, 1e-12)
         add("d_phi residual", cls.d_phi_residual, 0.0, 1e-8)
     else:
@@ -211,10 +212,8 @@ def contact_classification(spec: wc.WarpedProductSpec, points: np.ndarray, tol: 
     return tuple(records)
 
 
-def kenmotsu_theorem_check(spec: wc.WarpedProductSpec, samples: int = 5, seed: int = 23,
-                           tol: float = 1e-8) -> wc.KenmotsuCheck:
+def kenmotsu_theorem_check(spec: wc.WarpedProductSpec, pts: np.ndarray, tol: float = 1e-8) -> wc.KenmotsuCheck:
     """``wc.kenmotsu_theorem_check`` with the fiber's almost-complex check evaluated apart from the records."""
-    pts = wc.sample_warped_points(spec, samples, np.random.default_rng(seed))
     classifications = contact_classification(spec, pts, tol, math.inf)
     fiber_res = [max(almost_complex_residual(g, j) for g, j in
                      zip(spec.fiber.metric(pts[:, 1:]), spec.j_at(pts[:, 1:])))]
@@ -226,4 +225,4 @@ def kenmotsu_theorem_check(spec: wc.WarpedProductSpec, samples: int = 5, seed: i
     if not all(map(math.isfinite, (worst_fiber, worst_total, k_xi))):
         raise OverflowError(f"non-finite residual on {spec.label}")
     fiber_ok, total_ok = worst_fiber <= wc.KENMOTSU_TOL, worst_total <= wc.KENMOTSU_TOL
-    return wc.KenmotsuCheck(fiber_ok, total_ok, fiber_ok == total_ok, k_xi, pts, classifications)
+    return wc.KenmotsuCheck(fiber_ok, total_ok, fiber_ok == total_ok, k_xi, classifications)

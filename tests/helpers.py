@@ -4,8 +4,10 @@
 ``nabla_g_residual`` measures metric compatibility of a connection, which the
 Levi-Civita tests check, ``stacked`` turns a chart field written for one
 point into the stacked field a ``DualisticChart`` holds, and ``partials``
-differentiates a single-point function around one point.  The module name
-has no ``test_`` prefix, so pytest imports it without collecting it.
+differentiates a single-point function around one point.  ``box_points`` and
+``warped_points`` draw sample points as the CLI's ``_chunks`` does, for the
+tests that call the geometry functions themselves.  The module name has no
+``test_`` prefix, so pytest imports it without collecting it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,19 @@ import numpy as np
 
 from statwintgen.statistical_geometry import DualisticChart
 from statwintgen.tensor_core import grid, grid_partials
+from statwintgen.warped_contact import WarpedProductSpec, default_sample_box
+
+
+def box_points(count: int, rng: np.random.Generator, box) -> np.ndarray:
+    """``count`` points drawn uniformly from ``box``, per-axis (low, high) pairs, in one ``rng.uniform`` call:
+    the doubles ``cli._chunks`` draws from ``rng`` for that box, in any chunks."""
+    low, high = np.transpose(box)
+    return rng.uniform(low, high, size=(count, len(box)))
+
+
+def warped_points(spec: WarpedProductSpec, count: int, rng: np.random.Generator | int) -> np.ndarray:
+    """``count`` points of ``spec``'s product chart from ``default_sample_box``, drawn from a generator or a seed."""
+    return box_points(count, np.random.default_rng(rng), default_sample_box(spec.dim))
 
 
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:

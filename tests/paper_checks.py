@@ -36,7 +36,7 @@ from statwintgen.statistical_geometry import (
     covariant_two_form_derivative,
     levi_civita,
 )
-from statwintgen.tensor_core import DEFAULT_FD_STEP, as_square_matrix, commutator, instance_rng, sample_points
+from statwintgen.tensor_core import DEFAULT_FD_STEP, as_square_matrix, commutator, instance_rng
 from statwintgen.warped_contact import (
     WarpedProductSpec,
     embed_fiber_vector,
@@ -44,7 +44,7 @@ from statwintgen.warped_contact import (
     warped_metric,
 )
 
-from helpers import partials
+from helpers import box_points, partials
 
 Array = np.ndarray
 
@@ -348,7 +348,7 @@ def fiber_axiom_check(spec: WarpedProductSpec) -> None:
     residual is above ``FIBER_AXIOM_TOL`` or not finite."""
     rng = np.random.default_rng(171)
     fiber = spec.fiber
-    pts = sample_points(fiber.dim, 3, rng)
+    pts = box_points(3, rng, [(-1.0, 1.0)] * fiber.dim)
     probes = rng.uniform(-1.0, 1.0, size=(len(pts), 4, fiber.dim))
     residuals = axiom_residuals(fiber, pts, *probes.transpose(1, 0, 2))
     for p, *values in zip(pts, *residuals.values()):

@@ -24,7 +24,7 @@ import statwintgen.warped_contact as wc
 import statwintgen.wintgen as wg
 from statwintgen.cli import main as cli_main
 
-from helpers import stacked
+from helpers import stacked, warped_points
 
 EX, EY = np.eye(2)
 
@@ -85,7 +85,7 @@ def test_criterion_2_h3_reproduction():
     ok = bool(np.max(np.abs(gam - expected)) <= 1e-13)
     worst = 0.0
     for _ in range(50):
-        q = wc.sample_warped_points(spec, 1, rng)[0]
+        q = warped_points(spec, 1, rng)[0]
         u, v = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
         worst = max(worst, abs(sg.sectional_curvature(chart, "levi_civita", q[None], u, v)[0] + 1.0))
     ok &= worst <= 1e-6
@@ -111,7 +111,7 @@ def test_criterion_3_closed_form_curvature():
             chart = wc.build_warped_chart(spec).without_analytic()
             rng = np.random.default_rng(3)
             for _ in range(20):
-                p = wc.sample_warped_points(spec, 1, rng)[0]
+                p = warped_points(spec, 1, rng)[0]
                 vf, uf, wf = (rng.uniform(-1, 1, 2) for _ in range(3))
                 closed = wc.warped_curvature_closed_form(spec, p[None], uf[None], vf[None], wf[None])
                 probes = wc.closed_form_probes(uf, vf, wf)
@@ -132,7 +132,7 @@ def test_criterion_4_space_form_curvature():
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(100):
-        p = wc.sample_warped_points(spec, 1, rng)[0]
+        p = warped_points(spec, 1, rng)[0]
         x, y, z, w = (rng.uniform(-1, 1, 3) for _ in range(4))
         closed = pc.space_form_warped_curvature(spec, 0.0, p, x, y, z, w)
         g = wc.warped_metric(spec, p)
@@ -143,7 +143,7 @@ def test_criterion_4_space_form_curvature():
     for c in (-3.0, 1.5, 4.0):
         spec_c = wc.flat_kaehler_spec(2, wc.cosh_warping())
         for _ in range(20):
-            p = wc.sample_warped_points(spec_c, 1, rng)[0]
+            p = warped_points(spec_c, 1, rng)[0]
             x, y, z, w = (rng.uniform(-1, 1, 5) for _ in range(4))
             a = pc.space_form_warped_curvature(spec_c, c, p, x, y, z, w)
             b = pc.space_form_warped_curvature(spec_c, c, p, y, x, z, w)
@@ -163,8 +163,9 @@ def test_criterion_5_contact_classification():
     ok &= abs(abs(cls_exp.alpha) - 1.0) <= 1e-12
     ok &= cls_exp.contact_identity_residual < 1e-8
 
-    positive = wc.kenmotsu_theorem_check(exp_spec)
-    negative = wc.kenmotsu_theorem_check(wc.twisted_j_spec(0.4, wc.exp_warping()))
+    twisted = wc.twisted_j_spec(0.4, wc.exp_warping())
+    positive = wc.kenmotsu_theorem_check(exp_spec, warped_points(exp_spec, 5, 23))
+    negative = wc.kenmotsu_theorem_check(twisted, warped_points(twisted, 5, 23))
     ok &= positive.consistent and positive.fiber_almost_kaehler
     ok &= negative.consistent and not negative.fiber_almost_kaehler
     assert _line(5, "contact classification", ok,

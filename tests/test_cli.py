@@ -22,7 +22,7 @@ from statwintgen.cli import (
 import statwintgen.warped_contact as wc
 import statwintgen.wintgen as wg
 
-from helpers import stacked
+from helpers import stacked, warped_points
 
 
 def test_schema_version_constant():
@@ -460,6 +460,46 @@ def test_verify_dimension_one_is_usage_error(tmp_path, capsys):
     _assert_one_line_usage_error(main(["wintgen", "verify", str(path)]), capsys)
 
 
+def _n2_file(path, h_leaf=0, c=0):
+    """An n = 2 instance file with f = 1, f' = 0, h* = 0 and h = 0 but h[0][0][0] = ``h_leaf``, as JSON writes them."""
+    zero = [[0, 0], [0, 0]]
+    path.write_text(json.dumps({"n": 2, "c": c, "f": 1, "f_prime": 0, "h": [[[h_leaf, 0], [0, 0]], zero, zero],
+                                "h_star": [zero] * 3}))
+    return path
+
+
+@pytest.mark.parametrize("sub", ["verify", "chain"])
+@pytest.mark.parametrize("leaf", [True, False], ids=str)
+def test_a_bool_in_a_form_is_refused_as_it_is_for_c(sub, leaf, tmp_path, capsys):
+    # numpy read a JSON true in h as 1.0: verify exited 0 with holds=True
+    path = tmp_path / "i.json"
+    line = _assert_one_line_usage_error(main(["wintgen", sub, str(_n2_file(path, h_leaf=leaf))]), capsys)
+    assert line == "error: instance key 'h' must be a nested list of numbers"
+    line = _assert_one_line_usage_error(main(["wintgen", sub, str(_n2_file(path, c=leaf))]), capsys)
+    assert line == f"error: instance key 'c' must be a number, got {leaf}"
+
+
+@pytest.mark.parametrize("sub", ["verify", "chain"])
+@pytest.mark.parametrize("leaf", [10**20, 2**63, 2**64], ids=["1e20", "2^63", "2^64"])
+def test_an_integer_in_a_form_is_read_as_a_float_as_it_is_for_c(sub, leaf, tmp_path, capsys):
+    # numpy's integer inference refused 10^20 and 2^64 in h but took 2^63; c took them all as floats
+    path, out = tmp_path / "i.json", tmp_path / "r.json"
+    runs = []
+    for value in (leaf, float(leaf)):
+        code = main(["wintgen", sub, str(_n2_file(path, h_leaf=value)), "--out", str(out)])
+        runs.append((code, out.read_bytes(), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == EXIT_OK and runs[0][2].err == ""
+
+
+@pytest.mark.parametrize("sub", ["verify", "chain"])
+def test_an_integer_beyond_double_range_overflows_in_a_form_as_in_c(sub, tmp_path, capsys):
+    path = tmp_path / "i.json"
+    lines = [_assert_one_line_usage_error(main(["wintgen", sub, str(_n2_file(path, **{key: 10**400}))]), capsys)
+             for key in ("h_leaf", "c")]
+    assert lines == ["error: arithmetic overflow: int too large to convert to float"] * 2
+
+
 def test_sharpness_dimension_one_is_usage_error(capsys):
     code = main(["wintgen", "sharpness", "--n", "1", "--iterations", "10"])
     _assert_one_line_usage_error(code, capsys)
@@ -854,6 +894,7 @@ GEOMETRY_COMMANDS = {  # argv -> (chart dimension, samples)
     ("reproduce", "example-h3"): (3, 50),
     ("curvature", "--chart", "r2", "--samples", "100"): (2, 100),
     ("curvature", "--chart", "h3", "--samples", "30"): (3, 30),
+    ("classify", "--fiber", "twisted", "--samples", "30"): (5, 30),
 }
 
 
@@ -866,7 +907,8 @@ def _report_and_stdout(argv, path, capsys):
 @pytest.mark.parametrize("argv", list(GEOMETRY_COMMANDS), ids=" ".join)
 def test_geometry_chunks_leave_reports_byte_identical(argv, budget, tmp_path, monkeypatch, capsys):
     dim, samples = GEOMETRY_COMMANDS[argv]
-    assert samples <= sg.geometry_chunk(dim)  # the default budget: one chunk
+    monkeypatch.setattr(sg, "GEOMETRY_CHUNK_FLOATS", 1 << 24)  # classify's 30 points are two chunks by default
+    assert samples <= sg.geometry_chunk(dim)  # one chunk: one rng.uniform call
     one_chunk = _report_and_stdout(argv, tmp_path / "one.json", capsys)
     monkeypatch.setattr(sg, "GEOMETRY_CHUNK_FLOATS", budget)
     assert samples >= 3 * sg.geometry_chunk(dim)
@@ -885,11 +927,11 @@ def _sequential_draws(argv, seed, rng=None):
         ("axioms", "h3"): lambda: [rng.uniform(*np.array(wc.default_sample_box(3)).T),
                                    *(rng.uniform(-1.0, 1.0, 3) for _ in range(4))],
         ("curvature", "r2"): lambda: [rng.uniform(-1.0, 1.0, 2)],
-        ("curvature", "h3"): lambda: [wc.sample_warped_points(spec, 1, rng)[0],
+        ("curvature", "h3"): lambda: [warped_points(spec, 1, rng)[0],
                                       *(rng.uniform(-1.0, 1.0, 3) for _ in range(2)),
                                       *(rng.uniform(-1.0, 1.0, 2) for _ in range(3))],
         ("reproduce", "example-r2"): lambda: [rng.uniform(-1.0, 1.0, 2), *(rng.uniform(-1, 1, 2) for _ in range(4))],
-        ("reproduce", "example-h3"): lambda: [wc.sample_warped_points(spec, 1, rng)[0],
+        ("reproduce", "example-h3"): lambda: [warped_points(spec, 1, rng)[0],
                                               *(rng.uniform(-1, 1, 3) for _ in range(6))],
     }[argv[0], argv[-1]]
     count = {"axioms": 10, "curvature": 20, "reproduce": 20 if argv[-1] == "example-r2" else 50}[argv[0]]
@@ -914,8 +956,8 @@ def test_one_call_chunk_draws_equal_the_per_sample_draws(argv, budget, tmp_path,
         rngs.append(rng)
         for chunk in chunked(count, dim, rng, *boxes):
             chunks.append(chunk)
+            states.append(rng.bit_generator.state)
             yield chunk
-        states.append(rng.bit_generator.state)
 
     closed_form, probes = wc.warped_curvature_closed_form, []
 
@@ -930,20 +972,20 @@ def test_one_call_chunk_draws_equal_the_per_sample_draws(argv, budget, tmp_path,
     assert main([*argv, "--seed", "9", "--out", str(tmp_path / "r.json")]) == EXIT_OK
     oracle = np.random.default_rng(9)
     want = _sequential_draws(argv, 9, rng=oracle)
+    if argv[-1] == "example-h3":  # then the classification point, one more _chunks draw
+        want.append([warped_points(wc.builtin_h3_example(), 1, oracle)[0]])
     if argv[-1] == "h3" and argv[0] == "curvature":  # drawn V, U, W; handed over as U, V, W
         assert len(probes) == len(want)
         for (u, v, w), (*_, vf, uf, wf) in zip(probes, want):
             assert np.array_equal(u, uf) and np.array_equal(v, vf) and np.array_equal(w, wf)
-    assert (len(chunks) == 1) is (budget is None)
+    assert (len(chunks) == len(rngs)) is (budget is None)
     got = [sample for chunk in chunks for sample in zip(*chunk)]
     assert len(got) == len(want)
     for sample, expected in zip(got, want):
         for a, b in zip(sample, expected, strict=True):
             assert np.array_equal(a, b)
-    assert states == [oracle.bit_generator.state]  # after the last chunk
-    if argv[-1] == "example-h3":
-        wc.sample_warped_points(wc.builtin_h3_example(), 1, oracle)  # the classification point after the chunks
-    assert rngs[0].bit_generator.state == oracle.bit_generator.state
+    assert states[-1] == oracle.bit_generator.state  # after the last chunk
+    assert all(rng is rngs[0] for rng in rngs)
 
 
 @pytest.mark.parametrize(

@@ -39,33 +39,46 @@ EDGE_CASES = {
     "1e16": 1e16,
     "1e-7": 1e-7,
     "largest double": 1.7976931348623157e308,
+    "empty list": [],
+    "empty dict": {},
+    "nested empties": [[], {}, [[]], {"a": {}, "b": [[], []]}],
+    "quotes and backslashes": {'key "q"\\': 'say "hi" \\ back\\slash'},
+    "control characters": ["tab\tnewline\nnul\x00unit\x1fdel\x7f"],
+    "non-ascii": {"ümlaut ∑": "日本 😀   \ud800"},
+    "mixed list": [1.0, 2, True, 3.5, False, None, -0.0, 4.0],
+    "plain floats": [0.1, -0.0, 5e-324, 1e16, 1e-7, 123456789.123456789],
+    "nested plain floats": {"points": [[0.5, -0.25, 1.0 / 3.0], [2.0, 1e300, -1e-300]], "trace": [1.5]},
+    "report": {"schema": cli.SCHEMA, "passed": True, "rows": [{"seed": "7-0", "n": 3, "slack": 0.125}] * 3},
+}
+
+# Values no report holds: numpy values, tuples, subclasses of the plain types and keys that are not str.
+NOT_PLAIN = {
     "float32": np.float32(0.1),
     "float64": np.float64(1.0 / 3.0),
     "float16": np.float16(-2.5),
     "int64": np.int64(-7),
     "uint8": np.uint8(255),
-    "bool_ true": np.bool_(True),
-    "bool_ false": np.bool_(False),
+    "bool_": np.bool_(True),
     "0-d array": np.array(2.5),
     "3-d array": np.arange(24.0).reshape(2, 3, 4) / 7.0,
-    "int and bool arrays": [np.arange(3), np.array([True, False]), np.zeros((2, 0))],
-    "float32 array": np.linspace(0.0, 1.0, 5, dtype=np.float32),
-    "tuple": (1.0, 2, "x", (None, ())),
-    "empty list": [],
-    "empty dict": {},
+    "arrays in a list": [np.arange(3), np.array([True, False])],
+    "float in a list of floats": [0.5, np.float64(4.0)],
+    "tuple": (1.0, 2, "x"),
     "empty tuple": (),
-    "nested empties": [[], {}, [[]], {"a": {}, "b": [[], ()]}],
-    "int key": {1: "one", 2.5: [1.0]},
-    "bool key": {True: "yes", None: 0},
-    "int and bool keys in one report": [{1: "one"}, {True: "yes"}, {1.0: "float"}],
-    "quotes and backslashes": {'key "q"\\': 'say "hi" \\ back\\slash'},
-    "control characters": ["tab\tnewline\nnul\x00unit\x1fdel\x7f"],
-    "non-ascii": {"ümlaut ∑": "日本 😀   \ud800"},
-    "mixed list": [1.0, 2, True, 3.5, False, None, -0.0, np.float64(4.0)],
-    "plain floats": [0.1, -0.0, 5e-324, 1e16, 1e-7, 123456789.123456789],
-    "nested plain floats": {"points": [[0.5, -0.25, 1.0 / 3.0], [2.0, 1e300, -1e-300]], "trace": [1.5]},
-    "subclasses": [Level.LOW, Tagged("tag"), Ratio(0.75), collections.OrderedDict(b=1.0, a=[Ratio(2.0)])],
-    "report": {"schema": cli.SCHEMA, "passed": True, "rows": [{"seed": "7-0", "n": 3, "slack": 0.125}] * 3},
+    "tuple in a report": {"rows": [{"point": (0.5, 0.25)}]},
+    "int key": {1: "one"},
+    "float key": {2.5: [1.0]},
+    "bool key": {True: "yes"},
+    "None key": {None: 0},
+    "str subclass key": {Tagged("tag"): 1.0},
+    "int enum": Level.LOW,
+    "str subclass": Tagged("tag"),
+    "float subclass": Ratio(0.75),
+    "OrderedDict": collections.OrderedDict(b=1.0),
+    "object": object(),
+    "nested object": [1.0, {"a": object()}],
+    "dict view": {1j: 1.0}.values(),
+    "complex": {"a": 1j},
 }
 
 
@@ -74,10 +87,11 @@ def test_edge_cases_render_as_the_recursive_writer(value):
     assert dump_json(value) == oracle_dump_json(value)
 
 
-@pytest.mark.parametrize("indent", [1, 3])
-def test_indent_renders_as_the_recursive_writer(indent):
-    value = EDGE_CASES["nested plain floats"]
-    assert dump_json(value, indent) == oracle_dump_json(value, indent)
+@pytest.mark.parametrize("value", list(NOT_PLAIN.values()), ids=list(NOT_PLAIN))
+def test_values_no_report_holds_are_refused(value):
+    for writer in (dump_json, oracle_dump_json):
+        with pytest.raises(TypeError, match=r"^cannot serialize <(class|enum) '"):
+            writer(value)
 
 
 def _load_tool(name: str):
@@ -91,14 +105,14 @@ def test_every_digest_battery_report_renders_as_the_recursive_writer(monkeypatch
     digests = _load_tool("report_digests")
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("STATWINTGEN_OUTDIR", raising=False)
-    for name, inst in digests.INSTANCES.items():
-        Path(name).write_text(inst.to_json())
+    for name, text in digests.FILES.items():
+        Path(name).write_text(text)
     for name, config in digests.CONFIGS.items():
         Path(name).write_text(json.dumps(config))
     rendered, writer = [], cli.dump_json
 
-    def recording(obj, *args):
-        text = writer(obj, *args)
+    def recording(obj):
+        text = writer(obj)
         rendered.append((obj, text))
         return text
 
@@ -114,7 +128,7 @@ def test_every_digest_battery_report_renders_as_the_recursive_writer(monkeypatch
             mismatched += [argv] if text != oracle_dump_json(obj) else []
             reports += 1
     assert mismatched == []
-    assert reports == 44  # 55 commands: 6 CSV sweeps and 5 refusals write no JSON report
+    assert reports == 46  # 59 commands: 6 CSV sweeps and 7 refusals write no JSON report
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -125,21 +139,12 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
     lambda x: x,
     lambda x: [1.0, x, 2.0],  # a list of plain floats
     lambda x: {"rows": [{"a": 1.0}, {"b": x}]},
-    lambda x: [np.float32(x)],
-    lambda x: {"values": np.array([0.5, x])},
-], ids=["top level", "plain-float list", "dict in a list", "float32 scalar", "array"])
+    lambda x: [None, x],
+], ids=["top level", "plain-float list", "dict in a list", "mixed list"])
 def test_non_finite_floats_are_refused_at_any_depth(bad, where):
     for writer in (dump_json, oracle_dump_json):
         with pytest.raises(ValueError, match=r"^non-finite float in report$"):
             writer(where(bad))
-
-
-@pytest.mark.parametrize("value", [object(), [1.0, {"a": object()}], {1j: 1.0}.values(), {"a": 1j}],
-                         ids=["object", "nested object", "dict view", "complex"])
-def test_unknown_types_are_refused(value):
-    for writer in (dump_json, oracle_dump_json):
-        with pytest.raises(TypeError, match=r"^cannot serialize <class "):
-            writer(value)
 
 
 @pytest.mark.parametrize("field, bad", [("trace", [0.5, math.nan]), ("min_slack", math.inf)], ids=["trace", "min_slack"])
@@ -163,14 +168,10 @@ def test_nested_structures_render_as_the_recursive_writer():
     st = pytest.importorskip("hypothesis.strategies")
     leaves = st.one_of(
         st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
-        st.floats(width=32).map(np.float32), st.floats().map(np.float64),
-        st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
         st.lists(st.floats(), max_size=6), st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
     )
-    keys = st.one_of(st.text(max_size=5), st.integers(-3, 3), st.booleans())
     trees = st.recursive(leaves, lambda inner: st.one_of(
-        st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
-        st.dictionaries(keys, inner, max_size=4)), max_leaves=20)
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=5), inner, max_size=4)), max_leaves=20)
 
     def outcome(writer, value):
         try:

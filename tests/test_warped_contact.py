@@ -11,9 +11,8 @@ import paper_checks as pc
 import statwintgen.cli as cli
 import statwintgen.statistical_geometry as sg
 import statwintgen.warped_contact as wc
-from statwintgen.tensor_core import sample_points
 
-from helpers import stacked
+from helpers import box_points, stacked, warped_points
 
 E3 = np.eye(3)
 
@@ -63,7 +62,7 @@ class TestBuildWarpedChart:
     def test_built_chart_is_statistical(self, h3_spec, h3_chart):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            p = wc.sample_warped_points(h3_spec, 1, rng)[0]
+            p = warped_points(h3_spec, 1, rng)[0]
             probes = [rng.uniform(-1, 1, 3) for _ in range(4)]
             assert max(v[0] for v in sg.axiom_residuals(h3_chart, p[None], *probes).values()) < 1e-6
 
@@ -99,7 +98,7 @@ class TestBuildWarpedChart:
         spec = wc.WarpedProductSpec(fiber=sg.trivial_chart(2), complex_structure=lambda x: wc.standard_complex_structure(1),
                                     warping=wc.exp_warping(), label="unstacked-j")
         with pytest.raises(ValueError, match=re.escape("complex structure of unstacked-j returned shape (2, 2)")):
-            wc.kenmotsu_theorem_check(spec)
+            wc.kenmotsu_theorem_check(spec, warped_points(spec, 5, 23))
 
 
 def fd_curvature_vector(chart, which, point, case, vf, uf, wf):
@@ -145,7 +144,7 @@ class TestClosedFormCurvature:
         chart = wc.build_warped_chart(spec)
         rng = np.random.default_rng(hash((warp.name, fiber_name)) % 2**32)
         for _ in range(3):
-            p = wc.sample_warped_points(spec, 1, rng)[0]
+            p = warped_points(spec, 1, rng)[0]
             vf, uf, wf = (rng.uniform(-1, 1, 2) for _ in range(3))
             closed = wc.warped_curvature_closed_form(spec, p[None], uf[None], vf[None], wf[None])
             for case in wc.CLOSED_FORM_CASES:
@@ -172,7 +171,7 @@ class TestClosedFormCurvature:
 
         monkeypatch.setattr(wc.Warping, "at", counting)
         rng = np.random.default_rng(14)
-        points = wc.sample_warped_points(h3_spec, 20, rng)
+        points = warped_points(h3_spec, 20, rng)
         U, V, W = rng.uniform(-1.0, 1.0, (3, 20, 2))
         closed = wc.warped_curvature_closed_form(h3_spec, points, U, V, W)
         assert calls == [(20,)]
@@ -203,7 +202,7 @@ class TestSpaceFormCurvature:
         chart = wc.build_warped_chart(spec)
         rng = np.random.default_rng(3)
         for _ in range(100):
-            p = wc.sample_warped_points(spec, 1, rng)[0]
+            p = warped_points(spec, 1, rng)[0]
             x, y, z, w = (rng.uniform(-1, 1, 3) for _ in range(4))
             closed = pc.space_form_warped_curvature(spec, 0.0, p, x, y, z, w)
             g = chart.metric(p)
@@ -216,7 +215,7 @@ class TestSpaceFormCurvature:
         spec = wc.flat_kaehler_spec(2, wc.cosh_warping())
         rng = np.random.default_rng(4)
         for _ in range(20):
-            p = wc.sample_warped_points(spec, 1, rng)[0]
+            p = warped_points(spec, 1, rng)[0]
             x, y, z, w = (rng.uniform(-1, 1, 5) for _ in range(4))
             a = pc.space_form_warped_curvature(spec, 2.5, p, x, y, z, w)
             b = pc.space_form_warped_curvature(spec, 2.5, p, y, x, z, w)
@@ -278,16 +277,17 @@ class TestContactClassification:
             return original(phi)
 
         monkeypatch.setattr(wc, "wedge_eta_form", recording)
-        chk = wc.kenmotsu_theorem_check(spec, samples=6, seed=19)
+        points = warped_points(spec, 6, 19)
+        wc.kenmotsu_theorem_check(spec, points)
         (phi,) = seen
-        want = co.fundamental_two_form(spec, chk.points)
+        want = co.fundamental_two_form(spec, points)
         assert phi.shape == want.shape
         assert phi.tobytes() == want.tobytes()
 
     def test_frame_invariant_residual_small(self, h3_spec):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            p = wc.sample_warped_points(h3_spec, 1, rng)[0]
+            p = warped_points(h3_spec, 1, rng)[0]
             assert co.frame_invariant_residual(h3_spec, p[None])[0] < 1e-9
             assert wc.contact_classification(h3_spec, p[None])[0].frame_residual < 1e-9
 
@@ -376,7 +376,7 @@ class TestContactResiduals:
         chart = wc.build_warped_chart(spec)
         rng = np.random.default_rng(8)
         for _ in range(10):
-            p = wc.sample_warped_points(spec, 1, rng)[0]
+            p = warped_points(spec, 1, rng)[0]
             probes = [rng.uniform(-1, 1, spec.dim) for _ in range(3)]
             rec = pc.skew_field_residuals(chart, lambda x: pc.phi_matrix(spec, x), p, *probes)
             for name in SKEW_IDENTITIES:
@@ -385,17 +385,22 @@ class TestContactResiduals:
 
 
 class TestKenmotsuTheorem:
+    @staticmethod
+    def check(spec):
+        """The check at 5 points of a seed-23 draw."""
+        return wc.kenmotsu_theorem_check(spec, warped_points(spec, 5, 23))
+
     def test_positive_flat(self):
-        chk = wc.kenmotsu_theorem_check(wc.flat_kaehler_spec(1, wc.exp_warping()))
+        chk = self.check(wc.flat_kaehler_spec(1, wc.exp_warping()))
         assert chk.fiber_almost_kaehler and chk.total_almost_kenmotsu and chk.consistent
         assert chk.k_tilde_xi_residual < 1e-10
 
     def test_positive_r2(self, h3_spec):
-        chk = wc.kenmotsu_theorem_check(h3_spec)
+        chk = self.check(h3_spec)
         assert chk.fiber_almost_kaehler and chk.total_almost_kenmotsu and chk.consistent
 
     def test_negative_twisted(self):
-        chk = wc.kenmotsu_theorem_check(wc.twisted_j_spec(0.4, wc.exp_warping()))
+        chk = self.check(wc.twisted_j_spec(0.4, wc.exp_warping()))
         assert not chk.fiber_almost_kaehler
         assert not chk.total_almost_kenmotsu
         assert chk.consistent
@@ -407,7 +412,7 @@ class TestKenmotsuTheorem:
             complex_structure=stacked(lambda x: j_bad.copy()),
             warping=wc.exp_warping(),
         )
-        chk = wc.kenmotsu_theorem_check(spec)
+        chk = self.check(spec)
         assert not chk.fiber_almost_kaehler
         assert not chk.total_almost_kenmotsu
         assert chk.consistent
@@ -422,22 +427,22 @@ class TestKenmotsuTheorem:
             "h3": wc.builtin_h3_example,
             "twisted": lambda: wc.twisted_j_spec(0.4, wc.exp_warping()),
         }[name]()
-        chk = wc.kenmotsu_theorem_check(spec, samples=4, seed=11, tol=tol)
-        assert len(chk.points) == len(chk.classifications) == 4
-        for p, cls in zip(chk.points, chk.classifications):
+        points = warped_points(spec, 4, 11)
+        chk = wc.kenmotsu_theorem_check(spec, points, tol)
+        assert len(chk.classifications) == 4
+        for p, cls in zip(points, chk.classifications):
             assert cls == wc.contact_classification(spec, p[None], tol=tol)[0]
         if name == "flat" and tol == 1e-12:
             # exp/flat residuals sit near 1e-10: the strict tag tolerance rejects them
             assert {cls.structure_tag for cls in chk.classifications} == {"unclassified"}
 
     def test_k_tilde_matches_fiber(self, h3_spec):
-        # K~_X Y = K_X Y on fiber probes, at the points the check samples
-        chk = wc.kenmotsu_theorem_check(h3_spec)
+        # K~_X Y = K_X Y on fiber probes, at the points ``check`` classifies
         chart = wc.build_warped_chart(h3_spec)
         residual = max(
             float(np.max(np.abs(sg.difference_tensor(chart, p[None])[0, 1:, 1:, 1:]
                                 - sg.difference_tensor(h3_spec.fiber, p[None, 1:])[0])))
-            for p in chk.points
+            for p in warped_points(h3_spec, 5, 23)
         )
         assert residual < 1e-8
 
@@ -468,10 +473,10 @@ def _outcome(call):
 @pytest.mark.parametrize("fiber", list(cli.FIBERS))
 def test_classification_equals_the_multi_grid_oracle_bit_for_bit(fiber, warp, const_value, seed):
     spec = cli.FIBERS[fiber](cli.WARPS[warp](const_value), 0.4)
-    points = wc.sample_warped_points(spec, 40, np.random.default_rng(seed))
+    points = warped_points(spec, 40, seed)
     with np.errstate(all="ignore"):  # 1e200 squared overflows on both routes
-        assert _outcome(lambda: wc.kenmotsu_theorem_check(spec, 40, seed)) == _outcome(
-            lambda: co.kenmotsu_theorem_check(spec, 40, seed))
+        assert _outcome(lambda: wc.kenmotsu_theorem_check(spec, points)) == _outcome(
+            lambda: co.kenmotsu_theorem_check(spec, points))
         assert _outcome(lambda: wc.contact_classification(spec, points, 1e-8, math.inf)) == _outcome(
             lambda: co.contact_classification(spec, points, 1e-8, math.inf))
         assert _outcome(lambda: wc.contact_classification(spec, points)) == _outcome(
@@ -482,7 +487,7 @@ class TestBuiltinH3:
     def test_hyperbolic_sectional(self, h3_spec, h3_chart):
         rng = np.random.default_rng(9)
         for _ in range(50):
-            p = wc.sample_warped_points(h3_spec, 1, rng)[0]
+            p = warped_points(h3_spec, 1, rng)[0]
             u, v = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
             assert abs(sg.sectional_curvature(h3_chart, "levi_civita", p[None], u, v)[0] + 1.0) <= 1e-6
 
@@ -524,7 +529,7 @@ def test_fiber_check_names_the_first_violating_sample_point():
                                 warping=wc.exp_warping(), label="perturbed fiber")
     rng = np.random.default_rng(171)
     want = None
-    for p in sample_points(2, 3, rng):
+    for p in box_points(3, rng, [(-1.0, 1.0)] * 2):
         probes = [rng.uniform(-1.0, 1.0, 2) for _ in range(4)]
         worst = max(v[0] for v in sg.axiom_residuals(fiber, p[None], *probes).values())
         if want is None and worst > pc.FIBER_AXIOM_TOL:

@@ -11,7 +11,9 @@ bytes followed by the command's stdout and then its stderr, so error
 messages are pinned too.  Instance files are written by ``random_instance``
 (plus the RP^2 counterexample, an exact-equality instance whose rhs rounds
 a few ulps below 0, an asymmetric instance that every command must
-reject, and one whose finite f and f' make xi = -f'/f overflow) and passed as relative paths, so reports that echo the path
+reject, and one whose finite f and f' make xi = -f'/f overflow), plus two
+files written by hand, with a JSON ``true`` and the integer 10^20 in ``h``,
+and passed as relative paths, so reports that echo the path
 compare equal between checkouts; so are the ``--config`` files, a valid one
 and one whose ``null`` value every checkout must reject.  Two
 checkouts produce the same behaviour on the battery exactly when their
@@ -56,6 +58,13 @@ INSTANCES["bad.json"] = legendrian.LegendrianPointInstance.from_dict(_BAD)
 INSTANCES["xi-overflow.json"] = legendrian.LegendrianPointInstance.from_dict(
     {**legendrian.umbilic_instance(n=2).to_dict(), "f": 1e-320, "f_prime": 1.0}
 )
+# The instance files' text; two more are written by hand: every number of a file follows one rule, a leaf of
+# h included, so a JSON true in h is refused as it is for c, and 10^20 in h is read as 1e+20.
+FILES = {name: inst.to_json() for name, inst in INSTANCES.items()}
+_ZERO = [[0, 0], [0, 0]]
+for _name, _leaf in (("h-true.json", True), ("h-1e20.json", 10**20)):
+    FILES[_name] = json.dumps({"n": 2, "c": 0, "f": 1, "f_prime": 0, "h": [[[_leaf, 0], [0, 0]], _ZERO, _ZERO],
+                               "h_star": [_ZERO] * 3})
 CONFIGS = {"axioms-h3.json": {"chart": "h3", "samples": 3}, "out-null.json": {"out": None}}
 
 
@@ -81,7 +90,7 @@ def battery() -> list[list[str]]:
         ["classify", "--warp", "cosh", "--fiber", "twisted", "--samples", "7", "--residual-tol", "1"],
     ]
     wintgen_cmds = [
-        *(["wintgen", sub, name] for name in INSTANCES for sub in ("verify", "chain")),
+        *(["wintgen", sub, name] for name in FILES for sub in ("verify", "chain")),
         ["wintgen", "sweep", "--n", "3", "--count", "300"],
         ["wintgen", "sweep", "--n", "2", "--count", "50", "--format", "json"],
         ["wintgen", "sweep", "--n", "5", "--count", "100"],
@@ -122,8 +131,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for name, inst in INSTANCES.items():
-                Path(name).write_text(inst.to_json())
+            for name, text in FILES.items():
+                Path(name).write_text(text)
             for name, config in CONFIGS.items():
                 Path(name).write_text(json.dumps(config))
             for argv in battery():

@@ -319,9 +319,9 @@ def report_timings(repeats: int) -> dict[str, float]:
     writer, reports = cli.dump_json, {}
 
     def capture(name):
-        def capturing(obj, *args):
+        def capturing(obj):
             reports.setdefault(name, obj)  # the outermost call comes first, in a recursive writer too
-            return writer(obj, *args)
+            return writer(obj)
 
         return capturing
 
