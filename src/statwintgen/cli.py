@@ -23,6 +23,13 @@ double precision (a non-finite bound, geometry residual or check value, a
 float overflow or a division by an underflowed zero) is a usage error too:
 exit 2 with one ``error:`` line, and no report is written; so is a problem
 size whose arrays cannot be allocated.
+One function, ``_write_report``, writes every report file, JSON or CSV, after
+the report is rendered, so a command that fails writes nothing and leaves an
+existing file as it was.  It rewrites the file in place: over the old bytes,
+then cut to the new length, keeping the inode, so hard links and symlink
+targets see the new report.  A target that is not a regular file (/dev/null,
+a pipe) is written but not truncated.  The write is not atomic, just as a
+truncating open is not: a reader can see a mix of old and new bytes.
 The argument parser is built once per process, on the first ``main`` call.
 The geometry commands' sample points are drawn here and nowhere else:
 ``axioms``, ``curvature``, ``classify`` and ``reproduce`` draw their points
@@ -44,9 +51,10 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import replace
-from itertools import cycle
+from itertools import accumulate, cycle
 from json.encoder import encode_basestring_ascii as _json_string
 from math import isfinite
 from pathlib import Path
@@ -146,6 +154,34 @@ def _base_report(command: str, passed: bool, body: dict) -> dict:
     return {"schema": SCHEMA, "command": command, "passed": passed, **body}
 
 
+def _write_report(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` in place: over the old bytes, then cut a regular file to the new length.
+
+    The file keeps its inode, as with a truncating open, but is not first cut to zero, which on ext4
+    costs far more than the write.  Report text is ASCII (``dump_json`` escapes every string, and CSV
+    rows hold numbers), so its UTF-8 bytes are those of a text-mode write under any ASCII-compatible
+    locale.  A target that is not a regular file (``/dev/null``, a pipe) is not truncated.  A missing
+    parent directory is created, with the errors of ``mkdir(parents=True, exist_ok=True)``.  The write
+    is not atomic: a reader can see a mix of old and new bytes, as it could see a partly written file
+    with the truncating open.
+    """
+    data = text.encode()
+    flags = os.O_WRONLY | os.O_CREAT
+    try:
+        fd = os.open(path, flags, 0o666)
+    except (FileNotFoundError, NotADirectoryError):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, flags, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _finish(args, command: str, passed: bool, body: dict, default_name: str, summary: str) -> int:
     """Epilogue of every report-writing command except the sweep.
 
@@ -160,8 +196,7 @@ def _finish(args, command: str, passed: bool, body: dict, default_name: str, sum
     if path is None and "STATWINTGEN_OUTDIR" in os.environ:
         path = _output_dir() / default_name
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        _write_report(path, text)
     print(summary + (f" -> {path}" if path else ""))
     return EXIT_OK if passed else EXIT_VIOLATION
 
@@ -211,12 +246,12 @@ def _chunks(count: int, dim: int, rng: np.random.Generator, *boxes) -> Iterator[
     is one ``rng.uniform`` call with per-column bounds, yielded as the boxes'
     (size, width) stacks: the doubles of a sample-by-sample draw, in order.
     """
-    low, high = np.concatenate([np.asarray(box, dtype=float) for box in boxes]).T
-    edges = np.cumsum([len(box) for box in boxes])[:-1]
+    low, high = np.array([pair for box in boxes for pair in box], dtype=float).T
+    edges = [0, *accumulate(map(len, boxes))]
     size = sg.geometry_chunk(dim)
     for start in range(0, count, size):
         draws = rng.uniform(low, high, size=(min(size, count - start), len(low)))
-        yield tuple(np.ascontiguousarray(column) for column in np.split(draws, edges, axis=1))
+        yield tuple(np.ascontiguousarray(draws[:, a:b]) for a, b in zip(edges, edges[1:]))
 
 
 def _fold(chunks, rows: float = 0, failures: int = 0) -> tuple[int, int, dict[str, float], list, list]:
@@ -417,13 +452,13 @@ def cmd_wintgen_sweep(args) -> int:
                        f_range=(args.f_min, args.f_max), fprime_range=(args.fprime_min, args.fprime_max),
                        magnitude=args.magnitude)
     failures = [r for r in reports if not r.holds]
-    out = Path(args.out) if args.out is not None else _output_dir() / f"sweep-{args.seed}.{args.format}"
-    out.parent.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
-        out.write_text("\n".join(sweep_csv_lines(reports)) + "\n")
+        text = "\n".join(sweep_csv_lines(reports)) + "\n"
     else:
         body = {"seed": args.seed, "n": args.n, "count": args.count, "rows": [r.as_dict() for r in reports]}
-        out.write_text(dump_json(_base_report("wintgen-sweep", not failures, body)) + "\n")
+        text = dump_json(_base_report("wintgen-sweep", not failures, body)) + "\n"
+    out = Path(args.out) if args.out is not None else _output_dir() / f"sweep-{args.seed}.{args.format}"
+    _write_report(out, text)
     min_slack = min((r.slack for r in reports), default=0.0)
     print(f"wintgen sweep n={args.n} count={args.count} seed={args.seed}: "
           f"{len(failures)} violations, min slack {format_float(min_slack)} -> {out}")

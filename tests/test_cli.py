@@ -1,6 +1,10 @@
 import argparse
 import json
+import math
+import os
+import stat
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -392,6 +396,134 @@ def test_outdir_env_variable(tmp_path, monkeypatch):
     assert main(["wintgen", "sweep", "--n", "2", "--count", "2", "--seed", "4",
                  "--c-min", "-1", "--c-max", "0"]) == EXIT_OK
     assert (tmp_path / "sweep-4.csv").exists()
+
+
+# Both write sites of the report writer: a JSON report through ``_finish``, and the sweep's CSV and JSON.
+WRITE_SITES = [
+    ["wintgen", "verify", "umbilic.json"],
+    ["wintgen", "sweep", "--n", "2", "--count", "3", "--c-min", "-1", "--c-max", "0"],
+    ["wintgen", "sweep", "--n", "2", "--count", "3", "--c-min", "-1", "--c-max", "0", "--format", "json"],
+]
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    """``tmp_path`` as the working directory, holding the n = 2 umbilic instance file ``umbilic.json``."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STATWINTGEN_OUTDIR", raising=False)
+    (tmp_path / "umbilic.json").write_text(lg.umbilic_instance(n=2).to_json())
+    return tmp_path
+
+
+def _fresh_report(argv, capsys) -> bytes:
+    """The report ``argv`` writes to a path that does not exist yet."""
+    path = Path("fresh.out")
+    path.unlink(missing_ok=True)
+    assert main([*argv, "--out", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("argv", WRITE_SITES, ids=" ".join)
+def test_a_short_report_over_a_longer_file_leaves_exactly_its_bytes(argv, workdir, capsys):
+    want = _fresh_report(argv, capsys)
+    out = workdir / "report.out"
+    out.write_bytes(b"\xff" * (4 * len(want)))
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == want
+
+
+@pytest.mark.parametrize("argv", WRITE_SITES, ids=" ".join)
+def test_a_rewritten_report_keeps_its_inode_and_hard_links_see_it(argv, workdir, capsys):
+    want = _fresh_report(argv, capsys)
+    out, link = workdir / "report.out", workdir / "link.out"
+    out.write_bytes(b"\xff" * 65536)
+    os.link(out, link)
+    inode = out.stat().st_ino
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert out.stat().st_ino == inode
+    assert link.read_bytes() == out.read_bytes() == want
+
+
+@pytest.mark.parametrize("argv", WRITE_SITES, ids=" ".join)
+def test_a_symlinked_out_rewrites_the_links_target(argv, workdir, capsys):
+    want = _fresh_report(argv, capsys)
+    target, link = workdir / "target.out", workdir / "link.out"
+    target.write_bytes(b"\xff" * 65536)
+    link.symlink_to(target)
+    assert main([*argv, "--out", str(link)]) == EXIT_OK
+    assert link.is_symlink() and link.readlink() == target
+    assert target.read_bytes() == want
+
+
+@pytest.mark.parametrize("argv", WRITE_SITES, ids=" ".join)
+def test_out_dev_null_is_written_without_truncation(argv, workdir, capsys):
+    # ftruncate on a character device or a pipe fails with EINVAL: only regular files are cut to length
+    assert main([*argv, "--out", os.devnull]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.endswith(f" -> {os.devnull}\n") and captured.err == ""
+
+
+@pytest.mark.parametrize("argv", WRITE_SITES, ids=" ".join)
+def test_a_directory_as_out_is_a_usage_error(argv, workdir, capsys):
+    (workdir / "reports").mkdir()
+    line = _assert_one_line_usage_error(main([*argv, "--out", "reports"]), capsys)
+    assert line == "error: [Errno 21] Is a directory: 'reports'"
+    assert list((workdir / "reports").iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", WRITE_SITES, ids=" ".join)
+def test_missing_parent_directories_are_created_and_a_file_in_the_way_is_refused(argv, workdir, capsys):
+    want = _fresh_report(argv, capsys)
+    assert main([*argv, "--out", "new/dir/report.out"]) == EXIT_OK
+    assert (workdir / "new" / "dir" / "report.out").read_bytes() == want
+    capsys.readouterr()
+    (workdir / "file.txt").write_text("kept")
+    line = _assert_one_line_usage_error(main([*argv, "--out", "file.txt/report.out"]), capsys)
+    assert line == "error: [Errno 17] File exists: 'file.txt'"  # mkdir(parents=True, exist_ok=True)'s own error
+    assert (workdir / "file.txt").read_text() == "kept"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o007], ids=oct)
+@pytest.mark.parametrize("argv", WRITE_SITES, ids=" ".join)
+def test_a_new_report_gets_the_mode_of_open_w(argv, umask, workdir, capsys):
+    previous = os.umask(umask)
+    try:
+        assert main([*argv, "--out", "report.out"]) == EXIT_OK
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE((workdir / "report.out").stat().st_mode) == 0o666 & ~umask
+
+
+def _poisoned_sharpness(monkeypatch):
+    search = wg.sharpness_search
+    monkeypatch.setattr(wg, "sharpness_search", lambda *a, **k: replace(search(*a, **k), min_slack=math.inf))
+
+
+def _poisoned_sweep(monkeypatch):
+    sweep = wg.sweep
+    monkeypatch.setattr(wg, "sweep", lambda *a, **k: [replace(r, slack=math.nan) for r in sweep(*a, **k)])
+
+
+@pytest.mark.parametrize(
+    "argv, poison",
+    [
+        (["wintgen", "sharpness", "--iterations", "5"], _poisoned_sharpness),  # dump_json refuses the report
+        (["wintgen", "sweep", "--n", "2", "--count", "3", "--format", "json"], _poisoned_sweep),
+        (["wintgen", "sweep", "--n", "2", "--count", "3", "--f-min", "1e200", "--f-max", "1e200"], None),
+        (["classify", "--warp", "const", "--const-value", "1e200", "--samples", "2"], None),
+        (["wintgen", "sweep", "--format", "xml"], None),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v.__name__.strip("_") if v else "as-is",
+)
+def test_a_failing_command_leaves_an_existing_report_untouched(argv, poison, workdir, monkeypatch, capsys):
+    out = workdir / "report.out"
+    old = bytes(range(256)) * 256
+    out.write_bytes(old)
+    if poison is not None:
+        poison(monkeypatch)
+    _assert_one_line_usage_error(main([*argv, "--out", str(out)]), capsys)
+    assert out.read_bytes() == old
 
 
 def _malformed_instance(tmp_path, name, **changes):

@@ -128,7 +128,31 @@ def test_every_digest_battery_report_renders_as_the_recursive_writer(monkeypatch
             mismatched += [argv] if text != oracle_dump_json(obj) else []
             reports += 1
     assert mismatched == []
-    assert reports == 46  # 59 commands: 6 CSV sweeps and 7 refusals write no JSON report
+    assert reports == 46  # 59 commands: 4 CSV sweeps and 9 refusals write no JSON report
+
+
+def test_every_digest_battery_report_over_a_longer_file_equals_the_fresh_report(monkeypatch, tmp_path, capsys):
+    # reports are rewritten in place: over a file longer than any report, a command must leave the bytes,
+    # stdout, stderr and exit code it gives on a fresh path, and a command that writes no report leaves the file
+    digests = _load_tool("report_digests")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STATWINTGEN_OUTDIR", raising=False)
+    for name, text in digests.FILES.items():
+        Path(name).write_text(text)
+    for name, config in digests.CONFIGS.items():
+        Path(name).write_text(json.dumps(config))
+    out, filler = Path(digests.OUT), b"\xff" * (1 << 20)  # the 3900-row n = 2 CSV sweep is 511 687 bytes
+    written = 0
+    for argv in digests.battery():
+        out.unlink(missing_ok=True)
+        fresh = main(argv + ["--out", digests.OUT]), capsys.readouterr()
+        report = out.read_bytes() if out.exists() else filler
+        assert len(report) < len(filler) or report == filler, argv
+        out.write_bytes(filler)
+        assert (main(argv + ["--out", digests.OUT]), capsys.readouterr()) == fresh, argv
+        assert out.read_bytes() == report, argv
+        written += report != filler
+    assert written == 50  # 59 commands: 9 refusals write no report
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]

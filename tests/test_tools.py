@@ -45,3 +45,7 @@ def test_stage_timings_times_every_geometry_stage_one_point_at_a_time(capsys):
     for name in stage_timings.REPORTS:
         value = timings[f"report.{name}"]
         assert math.isfinite(value) and value > 0.0, name
+    assert stage_timings.WRITES == {"chain_n8": "wintgen chain n8.json", "sweep_csv_n3": "wintgen sweep --n 3 --count 50"}
+    for name in stage_timings.WRITES:
+        value = timings[f"write_report.{name}"]
+        assert math.isfinite(value) and value > 0.0, name

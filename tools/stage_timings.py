@@ -91,6 +91,15 @@ report object of each of ``REPORTS``, captured from one in-process run of the
 command: the minimum over ``10 * --repeats`` calls, in microseconds per
 report, and for ``sweep_json`` (a ``SWEEP_ROWS``-row n = 3 JSON sweep) per
 row.
+
+The write stages (``write_report.<name>``) time ``cli._write_report`` alone,
+rewriting an existing file with the text of each of ``WRITES``, captured
+from one in-process run of the command: an n = 8 chain report and a
+50-row n = 3 CSV sweep, the sizes the benchmark's chain and
+sweep workloads write.  Each figure is the minimum over ``--repeats`` runs
+of ``WRITE_CALLS`` rewrites, in microseconds per rewrite, on the file system
+that holds the temporary directory.  They are left out where the checkout
+has no ``_write_report``.
 """
 
 from __future__ import annotations
@@ -129,6 +138,8 @@ SWEEP_ROWS = 2000
 REPORTS = {"reproduce_h3": "reproduce example-h3", "classify": "classify",
            "sharpness": "wintgen sharpness --iterations 150",
            "sweep_json": f"wintgen sweep --n 3 --count {SWEEP_ROWS} --format json"}
+WRITES = {"chain_n8": "wintgen chain n8.json", "sweep_csv_n3": "wintgen sweep --n 3 --count 50"}
+WRITE_CALLS = 200
 
 
 def _timed(fn, items) -> tuple[float, list]:
@@ -337,6 +348,25 @@ def report_timings(repeats: int) -> dict[str, float]:
     return {f"report.{name}": 1e6 * t / (SWEEP_ROWS if name == "sweep_json" else 1) for name, t in runs.items()}
 
 
+def write_timings(repeats: int) -> dict[str, float]:
+    """``write_report.<name>`` -> min microseconds of one ``cli._write_report`` call rewriting an existing file
+    with the report of ``WRITES[name]``; empty where the checkout has no ``_write_report``."""
+    if not hasattr(cli, "_write_report"):
+        return {}
+    out = {}
+    with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
+        Path("n8.json").write_text(wintgen.random_instance(8, seed=11, index=8).to_json())
+        for name, command in WRITES.items():
+            path = Path(f"{name}.out")
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main([*command.split(), "--out", str(path)]) not in (0, 1):
+                    raise RuntimeError(f"{command} failed")
+            text = path.read_text()
+            runs = [_timed(lambda _: cli._write_report(path, text), range(WRITE_CALLS))[0] for _ in range(repeats)]
+            out[f"write_report.{name}"] = 1e6 * min(runs) / WRITE_CALLS
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=200, help="instances per batch")
@@ -349,6 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     timings.update(geometry_timings(args.repeats))
     timings.update(command_timings(args.repeats))
     timings.update(report_timings(args.repeats))
+    timings.update(write_timings(args.repeats))
     if args.json:
         print(json.dumps({k: round(v, 2) for k, v in timings.items()}))
         return 0
@@ -378,6 +409,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\n{'report':<40}{'us':>10}   (cli.dump_json alone, per report; sweep_json per row)")
     for name, command in REPORTS.items():
         print(f"{command:<40}{timings['report.' + name]:>10.2f}")
+    if "write_report.chain_n8" in timings:
+        print(f"\n{'write':<40}{'us':>10}   (cli._write_report alone, per rewrite of an existing file)")
+        for name, command in WRITES.items():
+            print(f"{command:<40}{timings['write_report.' + name]:>10.2f}")
     return 0
 
 
