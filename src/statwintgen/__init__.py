@@ -2,7 +2,7 @@
 
 Layers, bottom up:
 
-- ``tensor_core``: dense-matrix and finite-difference kernel, seeded RNG helpers.
+- ``tensor_core``: dense-matrix and complex-step derivative kernel, seeded RNG helpers.
 - ``statistical_geometry``: dualistic charts, dual-connection curvature,
   axiom residual checks, the constant-curvature plane example.
 - ``warped_contact``: statistical warped products R x_f N, closed-form

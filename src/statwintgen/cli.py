@@ -3,7 +3,7 @@
 Commands
 --------
 axioms        dualistic-axiom residual suite on a built-in chart
-curvature     curvature cross-checks (analytic vs finite-difference, closed forms)
+curvature     curvature checks (sectional curvature, closed forms), one complex-step route
 classify      almost-contact classification of a warped product
 reproduce     full reproduction battery for the built-in examples
 wintgen       verify / sweep / chain / sharpness on Legendrian instances
@@ -223,11 +223,11 @@ FIBERS = {
 
 
 def _perturbed_chart(chart: sg.DualisticChart, eps: float) -> sg.DualisticChart:
-    """Corrupt one primal connection coefficient; negative-path testing aid."""
+    """Corrupt one primal connection coefficient, in the coefficients' dtype; negative-path testing aid."""
     base_gamma = chart.gamma
 
     def gamma(x):
-        g = np.array(base_gamma(x), dtype=float, copy=True)
+        g = np.array(base_gamma(x))
         g[..., 0, 0, 0] += eps
         return g
 
@@ -312,27 +312,23 @@ def _curvature_checks(chart_name: str, samples: int, rng: np.random.Generator):
     """``curvature``'s (points, columns) chunks, one per ``_chunks`` draw."""
     if chart_name == "r2":
         chart = sg.builtin_r2_example()
-        fd = chart.without_analytic()
         ex, ey = np.eye(2)
-        cases = [(f"{label}:{which}", ch, which, tol) for label, ch, tol in
-                 (("analytic", chart, 1e-10), ("finite-difference", fd, 1e-6)) for which in ("nabla", "nabla_star")]
         for (points,) in _chunks(samples, 2, rng, [(-1.0, 1.0)] * 2):
             # ex, ey are g-orthonormal on this chart: the sectional curvature is g(R(ex,ey)ey, ex)
-            yield points, [(name, sg.sectional_curvature(ch, which, points, ex, ey), -1.0, tol)
-                           for name, ch, which, tol in cases]
+            yield points, [(f"{which} sectional", sg.sectional_curvature(chart, which, points, ex, ey), -1.0, 1e-10)
+                           for which in ("nabla", "nabla_star")]
         return
     spec = wc.builtin_h3_example()
     chart = wc.build_warped_chart(spec)
-    fd = chart.without_analytic()
     boxes = wc.default_sample_box(3), *[[(-1.0, 1.0)] * 3] * 2, *[[(-1.0, 1.0)] * 2] * 3
     for points, u, v, vf, uf, wf in _chunks(samples, 3, rng, *boxes):
         sectional = sg.sectional_curvature(chart, "levi_civita", points, u, v)
-        fd_curvature = {which: sg.curvature(fd, which, points) for which in ("nabla", "nabla_star")}
+        curvature = {which: sg.curvature(chart, which, points) for which in ("nabla", "nabla_star")}
         closed = wc.warped_curvature_closed_form(spec, points, uf, vf, wf)
         probes = wc.closed_form_probes(uf, vf, wf)
         columns = [("levi-civita sectional", sectional, -1.0, 1e-6)]
         for case in wc.CLOSED_FORM_CASES:
-            r = fd_curvature["nabla_star" if case.endswith("*") else "nabla"]
+            r = curvature["nabla_star" if case.endswith("*") else "nabla"]
             deviation = np.max(np.abs(closed[case] - r.vector(*probes[case])), axis=-1)
             columns.append((f"closed-form {case}", deviation, 0.0, 1e-6))
         yield points, columns
@@ -385,17 +381,16 @@ def _reproduce_checks(example: str, rng: np.random.Generator):
     its connection-table check and its contact-classification checks."""
     if example == "example-r2":
         chart = sg.builtin_r2_example()
-        fd = chart.without_analytic()
         ex, ey = np.eye(2)
         for points, *probes in _chunks(20, 2, rng, *[[(-1.0, 1.0)] * 2] * 5):
             # ex, ey are g-orthonormal on this chart: the sectional curvature is g(R(ex,ey)ey, ex)
-            nabla, nabla_star, fd_nabla = (sg.sectional_curvature(ch, which, points, ex, ey) for ch, which in
-                                           ((chart, "nabla"), (chart, "nabla_star"), (fd, "nabla")))
+            nabla, nabla_star = (sg.sectional_curvature(chart, which, points, ex, ey)
+                                 for which in ("nabla", "nabla_star"))
             residual = np.max(list(sg.axiom_residuals(chart, points, *probes).values()), axis=0)
             k = sg.difference_tensor(chart, points)
             yield points, [
                 ("curvature(nabla)", nabla, -1.0, 1e-10), ("curvature(nabla_star)", nabla_star, -1.0, 1e-10),
-                ("fd curvature(nabla)", fd_nabla, -1.0, 1e-6), ("axiom residual", residual, 0.0, 1e-8),
+                ("axiom residual", residual, 0.0, 1e-8),
                 ("K^y_xx", k[:, 1, 0, 0], 1.0, 1e-12), ("K^x_xy", k[:, 0, 0, 1], 1.0, 1e-12)]
         return
     spec = wc.builtin_h3_example()
@@ -554,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("axioms", help="dualistic axiom residual suite")
     p.add_argument("--chart", choices=tuple(CHARTS), default="r2")
     p.add_argument("--samples", type=positive_int, default=100)
-    p.add_argument("--residual-tol", type=nonnegative_float, default=1e-6)
+    p.add_argument("--residual-tol", type=nonnegative_float, default=1e-12)
     p.add_argument("--perturb-gamma", type=finite_float, default=0.0,
                    help="corrupt one connection coefficient by EPS (negative-path testing)")
     _add_common(p)

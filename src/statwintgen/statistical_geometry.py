@@ -10,7 +10,7 @@ identity so that a chart can be certified (or rejected) numerically.
 Index conventions, fixed package-wide:
   gamma[k, i, j]      coefficient of d_k in nabla_{d_i} d_j  (symmetric in i,j)
   metric_partial[a, i, j]      d_a g_ij
-  gamma_partial[a, k, i, j]    d_a Gamma^k_ij
+  dgamma[a, k, i, j]           d_a Gamma^k_ij, taken on the complex-step jet
   curvature R[l, k, i, j]      component on d_l of R(d_i, d_j) d_k, with
                                R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
                                (coordinate frames, so no bracket term)
@@ -18,8 +18,10 @@ Sectional-type contractions use K(X,Y) = g(R(X,Y)Y,X) / (|X|^2|Y|^2 - g(X,Y)^2).
 
 The geometry functions take an (N, dim) stack of points and return per-point
 arrays with the leading axis N: one call of each chart field, one ``np.linalg.inv``
-and one set of einsums per stack, and one ``tensor_core.grid`` array holding every
-sample followed by its 2 dim central-difference points.  One point is the N = 1 stack.
+and one set of einsums per stack.  Every first derivative is a complex step:
+the fields run on one ``tensor_core.jet`` array holding every sample followed by
+its dim complex-step points, and ``jet_partials`` splits their values back into
+values and partials, exact to rounding.  One point is the N = 1 stack.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor_core import DEFAULT_FD_STEP, grid, grid_partials
+from .tensor_core import jet, jet_partials
 
 Array = np.ndarray
 MatrixField = Callable[[Array], Array]
@@ -44,9 +46,9 @@ class DualisticChart:
     Every field is stacked: an (N, dim) stack of points gives the (N, dim,
     ..., dim) stack of its values; the built-in fields broadcast over any
     leading axes, so one point (dim,) gives one value.  The metric partials
-    are required; the connection partials are optional, and when absent,
-    central differences with ``DEFAULT_FD_STEP`` are used.  All fields must
-    be pure functions.
+    are required: the Levi-Civita partials need g's second derivatives.
+    Every field must be a pure function of real or complex points (a jet's),
+    holomorphic in them, with values in their dtype.
     """
 
     dim: int
@@ -54,13 +56,7 @@ class DualisticChart:
     gamma: MatrixField
     gamma_star: MatrixField
     metric_partial: MatrixField
-    gamma_partial: MatrixField | None = None
-    gamma_star_partial: MatrixField | None = None
     label: str = "chart"
-
-    def without_analytic(self) -> "DualisticChart":
-        """Copy of the chart with the connection partials stripped, so they are finite-differenced."""
-        return replace(self, gamma_partial=None, gamma_star_partial=None)
 
 
 @dataclass(frozen=True)
@@ -91,18 +87,18 @@ GEOMETRY_CHUNK_FLOATS = 1 << 18
 def geometry_chunk(dim: int) -> int:
     """Sample points per stacked pass at chart dimension ``dim``.
 
-    The largest pass, Levi-Civita curvature, holds per point about
-    4 (1+2d) d^3 Christoffel-stage floats on its grid and 8 d^4 curvature floats.
+    The largest pass, Levi-Civita curvature, holds per point about 4 (1+d) d^3
+    complex Christoffel-stage values on its jet, 8 (1+d) d^3 floats, and 8 d^4 curvature floats.
     """
-    return max(1, GEOMETRY_CHUNK_FLOATS // (4 * (1 + 2 * dim) * dim**3 + 8 * dim**4))
+    return max(1, GEOMETRY_CHUNK_FLOATS // (8 * (1 + dim) * dim**3 + 8 * dim**4))
 
 
-_FIELD_RANKS = dict(metric=2, gamma=3, gamma_star=3, metric_partial=3, gamma_partial=4, gamma_star_partial=4)
+_FIELD_RANKS = dict(metric=2, gamma=3, gamma_star=3, metric_partial=3)
 
 
 def _field(chart: DualisticChart, name: str, points: Array) -> Array:
-    """The chart's field ``name`` at an (N, dim) stack of points, checked to hold one value per point."""
-    values = np.asarray(getattr(chart, name)(points), dtype=float)
+    """The chart's field ``name`` at an (N, dim) stack of points in their dtype, checked to hold one value each."""
+    values = np.asarray(getattr(chart, name)(points), dtype=points.dtype)
     shape = points.shape[:1] + (chart.dim,) * _FIELD_RANKS[name]
     if values.shape != shape:
         raise ValueError(f"field {name} of chart {chart.label} returned shape {values.shape}, expected {shape}")
@@ -115,7 +111,7 @@ def _bilinear(u: Array, m: Array, v: Array) -> Array:
 
 
 def _inverse(g: Array, points: Array, label: str) -> Array:
-    """Inverses of a stack of metrics; a singular one is named by its point, the first in stack order."""
+    """Inverses of a stack of metrics; a singular one is named by its point's real part, the first in stack order."""
     try:
         return np.linalg.inv(g)
     except np.linalg.LinAlgError:
@@ -123,7 +119,7 @@ def _inverse(g: Array, points: Array, label: str) -> Array:
             try:
                 np.linalg.inv(m)
             except np.linalg.LinAlgError as exc:
-                raise ValueError(f"singular metric at {x.tolist()} on {label}") from exc
+                raise ValueError(f"singular metric at {x.real.tolist()} on {label}") from exc
         raise
 
 
@@ -142,29 +138,21 @@ def levi_civita(chart: DualisticChart, points: Array) -> Array:
     return _metric_and_christoffel(chart, np.asarray(points, dtype=float))[2]
 
 
-def _gamma_fields(which: str) -> tuple[str, str]:
-    """Names of the (coefficient, analytic partial) fields of nabla or nabla*."""
-    if which not in ("nabla", "nabla_star"):
-        raise ValueError(f"unknown connection {which!r}; expected one of {WHICH_CONNECTIONS}")
-    name = "gamma" if which == "nabla" else "gamma_star"
-    return name, name + "_partial"
-
-
 def _levi_civita_pass(chart: DualisticChart, points: Array) -> tuple[Array, Array, Array, Array]:
     """(g, dg, Gamma0, R0) over an (N, dim) stack, R0 the curvature of Gamma0, from one evaluation
-    of g and dg on every point of its central-difference grid."""
-    g, dg, gamma0 = _metric_and_christoffel(chart, grid(points, DEFAULT_FD_STEP))
-    rows = 1 + 2 * chart.dim  # grid rows per point, the point itself first
-    gamma0, dgamma0 = grid_partials(gamma0, len(points), DEFAULT_FD_STEP)
-    return g[::rows], dg[::rows], gamma0, curvature_from_gamma(gamma0, dgamma0)
+    of g and dg on every row of the points' jet."""
+    g, dg, gamma0 = _metric_and_christoffel(chart, jet(points))
+    rows = 1 + chart.dim  # jet rows per point, the point itself first
+    gamma0, dgamma0 = jet_partials(gamma0, len(points))
+    return g[::rows].real.copy(), dg[::rows].real.copy(), gamma0, curvature_from_gamma(gamma0, dgamma0)
 
 
 def _connection_and_partials(chart: DualisticChart, which: str, points: Array) -> tuple[Array, Array]:
-    """(Gamma, d Gamma) of nabla or nabla* over an (N, dim) stack."""
-    name, partial = _gamma_fields(which)
-    if getattr(chart, partial) is not None:
-        return _field(chart, name, points), _field(chart, partial, points)
-    return grid_partials(_field(chart, name, grid(points, DEFAULT_FD_STEP)), len(points), DEFAULT_FD_STEP)
+    """(Gamma, d Gamma) of nabla or nabla* over an (N, dim) stack, from the field on the points' jet."""
+    if which not in ("nabla", "nabla_star"):
+        raise ValueError(f"unknown connection {which!r}; expected one of {WHICH_CONNECTIONS}")
+    name = "gamma" if which == "nabla" else "gamma_star"
+    return jet_partials(_field(chart, name, jet(points)), len(points))
 
 
 def curvature_from_gamma(gamma: Array, dgamma: Array) -> Array:
@@ -265,7 +253,7 @@ def _axiom_residuals(
     chart: DualisticChart, x: Array, g: Array, dg: Array, gam0: Array, R0: Array, X: Array, Y: Array, Z: Array, W: Array
 ) -> dict[str, Array]:
     """The residuals of ``axiom_residuals`` at the points x from their Levi-Civita pass (g, dg, Gamma0, R0);
-    g and dg at the points come with the pass, which evaluates them on the grid anyway."""
+    g and dg at the points come with the pass, which evaluates them on the jet anyway."""
     X, Y, Z, W = (np.asarray(v, dtype=float) for v in (X, Y, Z, W))
     gam, dgam = _connection_and_partials(chart, "nabla", x)
     gam_star, dgam_star = _connection_and_partials(chart, "nabla_star", x)
@@ -304,11 +292,11 @@ def check_almost_complex(g: Array, J: Array) -> Array:
 
 
 def constant_field(value: Array) -> MatrixField:
-    """Stacked field with the value ``value`` at every point."""
+    """Stacked field with the value ``value`` at every point, in the points' dtype: complex on a jet."""
     arr = np.asarray(value, dtype=float)
 
     def field(x: Array) -> Array:
-        out = np.empty(np.shape(x)[:-1] + arr.shape)
+        out = np.empty(np.shape(x)[:-1] + arr.shape, dtype=complex if np.iscomplexobj(x) else float)
         out[...] = arr
         return out
 
@@ -318,15 +306,12 @@ def constant_field(value: Array) -> MatrixField:
 def trivial_chart(dim: int) -> DualisticChart:
     """Euclidean chart with nabla = nabla* = Levi-Civita = 0 (flat, trivial)."""
     zeros3 = np.zeros((dim, dim, dim))
-    zeros4 = np.zeros((dim, dim, dim, dim))
     return DualisticChart(
         dim=dim,
         metric=constant_field(np.eye(dim)),
         gamma=constant_field(zeros3),
         gamma_star=constant_field(zeros3),
         metric_partial=constant_field(zeros3),
-        gamma_partial=constant_field(zeros4),
-        gamma_star_partial=constant_field(zeros4),
         label=f"flat-trivial-{dim}d",
     )
 
@@ -336,7 +321,7 @@ def builtin_r2_example() -> DualisticChart:
 
     g = dx^2 + dy^2; the primal connection has Gamma^y_xx = 1 and
     Gamma^x_xy = Gamma^x_yx = 1, the dual one carries the opposite signs.
-    All coefficient fields are constant, so analytic partials are exact zeros.
+    All coefficient fields are constant, so their complex-step partials are exact zeros.
     """
     gam = np.zeros((2, 2, 2))
     gam[1, 0, 0] = 1.0  # nabla_dx dx = dy

@@ -1,9 +1,10 @@
 """Shared numerical kernel.
 
-The commutator of validated finite square matrices, the one central-difference
-primitive (``grid`` and ``grid_partials``) for array-valued fields of several
-variables, per-instance seeded streams (a generator, or a chunk's draws at once,
-bit for bit) and the upper-triangle indices.  Everything here is pure: inputs
+The commutator of validated finite square matrices, the one derivative
+primitive for array-valued fields of several variables (the complex-step
+``jet`` of a stack of points and its split ``jet_partials``), per-instance
+seeded streams (a generator, or a chunk's draws at once, bit for bit) and the
+upper-triangle indices.  Everything here is pure: inputs
 are never mutated, outputs are fresh arrays.
 """
 
@@ -13,7 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-DEFAULT_FD_STEP = 1e-5
+# the complex step: a power of two, so dividing by it is exact, and its square is far below one ulp of any value
+JET_STEP = 2.0**-100
 
 
 def as_square_matrix(m) -> np.ndarray:
@@ -35,39 +37,27 @@ def commutator(a, b) -> np.ndarray:
     return am @ bm - bm @ am
 
 
-@lru_cache(maxsize=32)
-def _grid_signs(dim: int) -> np.ndarray:
-    """Read-only (1 + 2 dim, dim) signs: 0 in row 0, +1 at [1 + 2a, a], -1 at [2 + 2a, a], 0 elsewhere."""
-    axes = np.arange(dim)
-    signs = np.zeros((1 + 2 * dim, dim))
-    signs[1 + 2 * axes, axes] = 1.0
-    signs[2 + 2 * axes, axes] = -1.0
-    signs.flags.writeable = False
-    return signs
+def jet(points) -> np.ndarray:
+    """Each point of an (N, dim) stack followed by its complex-step points, an (N (1 + dim), dim) complex stack.
 
-
-def grid(points, step: float) -> np.ndarray:
-    """Each point of an (N, dim) stack followed by its central-difference points, an (N (1 + 2 dim), dim) stack.
-
-    Row ``(1 + 2 dim) i`` is point i, then rows ``+ 1 + 2a`` and ``+ 2 + 2a``
-    are that point moved by ``+step`` and ``-step`` along axis a.
+    Row ``(1 + dim) i`` is point i, and row ``(1 + dim) i + 1 + a`` is that point
+    moved by ``i JET_STEP`` along axis a; every row of a point has its real coordinates.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    x = np.asarray(points, dtype=float)[:, None, :]
-    signs = _grid_signs(x.shape[-1])
-    # the unshifted coordinates are copied, not offset by 0.0, so a -0.0 stays -0.0
-    return np.where(signs == 0.0, x, x + signs * step).reshape(-1, x.shape[-1])
+    x = np.asarray(points, dtype=float)
+    rows = np.empty((len(x), 1 + x.shape[-1], x.shape[-1]), dtype=complex)
+    rows.real = x[:, None, :]
+    rows.imag = JET_STEP * np.eye(1 + x.shape[-1], x.shape[-1], -1)
+    return rows.reshape(-1, x.shape[-1])
 
 
-def grid_partials(values: np.ndarray, count: int, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """(values, partials) at ``count`` points from a field's values on their ``grid(points, step)``.
+def jet_partials(values: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, partials) at ``count`` points from a holomorphic field's values on their ``jet(points)``.
 
-    ``values`` has one row per grid point, (count (1 + 2 dim), ...); the
-    values come back as (count, ...) and the partials as (count, dim, ...).
+    ``values`` has one row per jet row, (count (1 + dim), ...); the values come back as the real
+    (count, ...) and the partials as (count, dim, ...), each Im F(x + i JET_STEP e_a) / JET_STEP.
     """
     values = values.reshape((count, -1) + values.shape[1:])
-    return values[:, 0], (values[:, 1::2] - values[:, 2::2]) / (2.0 * step)
+    return values[:, 0].real.copy(), values[:, 1:].imag / JET_STEP
 
 
 def instance_rng(seed: int, index: int = 0) -> np.random.Generator:

@@ -19,8 +19,9 @@ dPhi = f^2 dOmega - 2 alpha eta ^ Phi for the reported alpha = -f'/f.
 Every function works on (N, 2n+1) stacks of points that the caller draws (from
 ``default_sample_box``), one value or record per point;
 the closed forms give all eight ``CLOSED_FORM_CASES`` from one evaluation of f and g_N.
-The classification evaluates f, g_N and J once per row of the points' central-difference
-grid, which gives the frame at the points, dPhi, and dOmega from its fiber-axis partials.
+The classification evaluates f, g_N and J once per row of the points' complex-step jet,
+which gives the frame at the points, dPhi, and dOmega from its fiber-axis partials.
+Every field here keeps the dtype of its points, so it runs on a jet's complex rows too.
 """
 
 from __future__ import annotations
@@ -41,12 +42,12 @@ from .statistical_geometry import (
     trivial_chart,
     builtin_r2_example,
 )
-from .tensor_core import DEFAULT_FD_STEP, grid, grid_partials
+from .tensor_core import jet, jet_partials
 
 Array = np.ndarray
 
 CLOSED_FORM_CASES = ("a", "b", "c", "d", "a*", "b*", "c*", "d*")
-KENMOTSU_TOL = 1e-6
+KENMOTSU_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,17 +64,34 @@ class Warping:
 
         Each function is called on each t as a Python float, in array order:
         f over the whole stack first, then f', then f''.  The first t whose f
-        is not positive (or not finite) is reported before f' is called."""
-        t = np.asarray(t, dtype=float)
-        s = t.ravel().tolist()
-        n, shape = len(s), t.shape
-        f = np.fromiter(map(self.f, s), float, n)
+        is not positive (or not finite) is reported before f' is called.  A
+        complex t (a jet's) gives the complex steps f(Re t) + i Im t f'(Re t),
+        and f' with f'' likewise, so ``derivatives`` is then at most 1; the
+        functions see Re t, once per run of equal consecutive Re t, as a point's
+        jet rows share theirs."""
+        t = np.asarray(t)
+        complex_step = np.iscomplexobj(t)
+        if derivatives + complex_step > 2:
+            raise ValueError("a complex t takes at most the first derivative")
+        re, first = t.real.astype(float).ravel(), slice(None)
+        if complex_step:  # the first t of each run of equal bits, so a -0.0 and a 0.0 stay apart
+            bits = re.view(np.int64)
+            first = np.ones(len(bits), dtype=bool)
+            first[1:] = bits[1:] != bits[:-1]
+        s = re[first].tolist()
+        f = np.fromiter(map(self.f, s), float, len(s))
         ok = (0.0 < f) & (f < math.inf)  # False at a NaN too
-        if np.count_nonzero(ok) < n:
+        if np.count_nonzero(ok) < len(s):
             i = int(ok.argmin())  # the first bad t
             raise ValueError(f"warping {self.name} must stay positive, got f({s[i]}) = {float(f[i])}")
-        return f.reshape(shape), *(np.fromiter(map(fn, s), float, n).reshape(shape)
-                                   for fn in (self.f_prime, self.f_double_prime)[:derivatives])
+        values = [f, *(np.fromiter(map(fn, s), float, len(s)) for fn in (self.f_prime, self.f_double_prime)
+                       [: derivatives + complex_step])]
+        if not complex_step:
+            return tuple(v.reshape(t.shape) for v in values)
+        values = np.array(values)[:, first.cumsum() - 1].reshape((-1,) + t.shape)
+        steps = np.empty(values[1:].shape, dtype=complex)  # parts set apart: exact, a -0.0 included
+        steps.real, steps.imag = values[:-1], t.imag * values[1:]
+        return tuple(steps)
 
 
 def exp_warping() -> Warping:
@@ -108,9 +126,9 @@ class WarpedProductSpec:
         return self.fiber.dim + 1
 
     def j_at(self, fiber_point: Array) -> Array:
-        """J at a fiber point (2n,) or at each point of a stack (..., 2n), checked to hold one J per point."""
-        x = np.asarray(fiber_point, dtype=float)
-        j = np.asarray(self.complex_structure(x), dtype=float)
+        """J at a fiber point (2n,) or at each point of a stack (..., 2n), in their dtype, one J per point."""
+        x = _points(fiber_point)
+        j = np.asarray(self.complex_structure(x), dtype=x.dtype)
         if j.shape != x.shape + x.shape[-1:]:
             raise ValueError(f"complex structure of {self.label} returned shape {j.shape} for points {x.shape}")
         return j
@@ -143,9 +161,9 @@ def twisted_j_spec(epsilon: float, warping: Warping) -> WarpedProductSpec:
     j0 = standard_complex_structure(2)
 
     def j_field(x: Array) -> Array:
-        theta = epsilon * (0.5 + np.asarray(x, dtype=float)[..., 3])
-        c, s = (np.reshape([fn(t) for t in theta.ravel().tolist()], theta.shape) for fn in (math.cos, math.sin))
-        p = np.tile(np.eye(4), theta.shape + (1, 1))
+        theta = epsilon * (0.5 + _points(x)[..., 3])
+        c, s = np.cos(theta), np.sin(theta)
+        p = np.tile(np.eye(4, dtype=theta.dtype), theta.shape + (1, 1))
         p[..., 1, 1], p[..., 1, 2], p[..., 2, 1], p[..., 2, 2] = c, -s, s, c
         return p @ j0 @ np.swapaxes(p, -1, -2)
 
@@ -172,6 +190,11 @@ def h3_connection_table(t: float) -> Array:
     return out
 
 
+def _points(x) -> Array:
+    """Points as a float array, or as a complex one where they are a jet's."""
+    return np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
+
+
 def embed_fiber_vector(v: Array) -> Array:
     """Fiber vectors (..., 2n) as total-chart vectors (..., 2n+1) with dt-component 0."""
     v = np.asarray(v, dtype=float)
@@ -180,7 +203,7 @@ def embed_fiber_vector(v: Array) -> Array:
 
 def _warped_block(f: Array, g_n: Array) -> Array:
     """dt^2 + f^2 g_N from f (...) and the fiber metric (..., 2n, 2n) at the same points."""
-    g = np.zeros(f.shape + (g_n.shape[-1] + 1,) * 2)
+    g = np.zeros(f.shape + (g_n.shape[-1] + 1,) * 2, dtype=g_n.dtype)
     g[..., 0, 0] = 1.0
     g[..., 1:, 1:] = (f * f)[..., None, None] * g_n
     return g
@@ -188,9 +211,9 @@ def _warped_block(f: Array, g_n: Array) -> Array:
 
 def warped_metric(spec: WarpedProductSpec, point: Array) -> Array:
     """dt^2 + f(t)^2 g_N at each point of a (..., 2n+1) stack."""
-    point = np.asarray(point, dtype=float)
+    point = _points(point)
     (f,) = spec.warping.at(point[..., 0], 0)
-    return _warped_block(f, np.asarray(spec.fiber.metric(point[..., 1:]), dtype=float))
+    return _warped_block(f, np.asarray(spec.fiber.metric(point[..., 1:]), dtype=point.dtype))
 
 
 def default_sample_box(spec_dim: int) -> list[tuple[float, float]]:
@@ -201,7 +224,6 @@ def default_sample_box(spec_dim: int) -> list[tuple[float, float]]:
 def build_warped_chart(spec: WarpedProductSpec) -> DualisticChart:
     """Assemble the (2n+1)-dim dualistic chart of R x_f N, with fields stacked like the fiber's.
 
-    The analytic connection partials are attached whenever the fiber has them.
     The fiber is taken as given: its dualistic axioms are not checked here.
     """
     fiber = spec.fiber
@@ -209,19 +231,19 @@ def build_warped_chart(spec: WarpedProductSpec) -> DualisticChart:
     w = spec.warping
     fiber_axes = np.arange(1, d)  # index arrays of the (a, 0, a) and (a, a, 0) entries, a >= 1
 
-    def warp(x: Array, derivatives: int) -> tuple[Array, ...]:
-        """(the points (..., d) as floats, then f and its first ``derivatives`` derivatives at their t)."""
-        x = np.asarray(x, dtype=float)
-        return (x, *w.at(x[..., 0], derivatives))
+    def warp(x: Array) -> tuple[Array, ...]:
+        """(the points (..., d) as floats or a jet's complex rows, then f and f' at their t)."""
+        x = _points(x)
+        return (x, *w.at(x[..., 0], 1))
 
     def fiber_field(name: str, x: Array) -> Array:
         """The fiber's field ``name`` at the fiber coordinates of the points (..., d)."""
-        return np.asarray(getattr(fiber, name)(x[..., 1:]), dtype=float)
+        return np.asarray(getattr(fiber, name)(x[..., 1:]), dtype=x.dtype)
 
     def _gamma_from(fiber_gamma: str) -> Callable[[Array], Array]:
         def gamma(x: Array) -> Array:
-            x, f, fp = warp(x, 1)
-            out = np.zeros(x.shape[:-1] + (d, d, d))
+            x, f, fp = warp(x)
+            out = np.zeros(x.shape[:-1] + (d, d, d), dtype=x.dtype)
             out[..., 1:, 1:, 1:] = fiber_field(fiber_gamma, x)
             out[..., fiber_axes, 0, fiber_axes] = out[..., fiber_axes, fiber_axes, 0] = (fp / f)[..., None]
             out[..., 0, 1:, 1:] = (-f * fp)[..., None, None] * fiber_field("metric", x)
@@ -230,36 +252,18 @@ def build_warped_chart(spec: WarpedProductSpec) -> DualisticChart:
         return gamma
 
     def metric_partial(x: Array) -> Array:
-        x, f, fp = warp(x, 1)
-        out = np.zeros(x.shape[:-1] + (d, d, d))
+        x, f, fp = warp(x)
+        out = np.zeros(x.shape[:-1] + (d, d, d), dtype=x.dtype)
         out[..., 0, 1:, 1:] = (2.0 * f * fp)[..., None, None] * fiber_field("metric", x)
         out[..., 1:, 1:, 1:] = (f * f)[..., None, None, None] * fiber_field("metric_partial", x)
         return out
 
-    def _gamma_partial_from(fiber_gamma_partial: str) -> Callable[[Array], Array]:
-        def gamma_partial(x: Array) -> Array:
-            x, f, fp, fpp = warp(x, 2)
-            out = np.zeros(x.shape[:-1] + (d, d, d, d))
-            # d/dt blocks; float_power calls C pow, as Python's float ** does (numpy's ** 2 squares)
-            d_ratio = (fpp / f - np.float_power(fp / f, 2.0))[..., None]
-            out[..., 0, fiber_axes, 0, fiber_axes] = out[..., 0, fiber_axes, fiber_axes, 0] = d_ratio
-            out[..., 0, 0, 1:, 1:] = (-(fp * fp + f * fpp))[..., None, None] * fiber_field("metric", x)
-            # fiber-direction blocks
-            out[..., 1:, 1:, 1:, 1:] = fiber_field(fiber_gamma_partial, x)
-            out[..., 1:, 0, 1:, 1:] = (-f * fp)[..., None, None, None] * fiber_field("metric_partial", x)
-            return out
-
-        return gamma_partial
-
-    has_analytic = fiber.gamma_partial is not None and fiber.gamma_star_partial is not None
     return DualisticChart(
         dim=d,
         metric=lambda x: warped_metric(spec, x),
         gamma=_gamma_from("gamma"),
         gamma_star=_gamma_from("gamma_star"),
         metric_partial=metric_partial,
-        gamma_partial=_gamma_partial_from("gamma_partial") if has_analytic else None,
-        gamma_star_partial=_gamma_partial_from("gamma_star_partial") if has_analytic else None,
         label=spec.label,
     )
 
@@ -357,25 +361,26 @@ def contact_classification(
 ) -> tuple[ContactClassification, ...]:
     """Classification record at each of the (N, 2n+1) points, evaluated as one stack.
 
-    f, g_N and J are evaluated once, on the central-difference grid of the points.  The
-    frame at the points is read off the grid's point rows, dPhi comes from Phi = phi^T g
-    on the whole grid, and dOmega from the fiber-axis partials of Omega = J^T g_N on the
-    same grid, whose t-shifted rows leave the fiber coordinates unchanged.  A frame
-    residual above ``frame_tol`` raises at the first such point.
+    f, g_N and J are evaluated once, on the complex-step jet of the points, and f' is the complex step
+    of f.  The frame at the points is read off the real parts of the jet's point rows, dPhi comes from
+    Phi = phi^T g on the whole jet, and dOmega from the fiber-axis partials of Omega = J^T g_N on the
+    same jet, whose t-shifted rows leave the fiber coordinates real.  A frame residual above
+    ``frame_tol`` raises at the first such point.
     """
     points = np.asarray(points, dtype=float)
-    count, d, step = len(points), spec.dim, DEFAULT_FD_STEP
-    x = grid(points, step)
-    f, fp = spec.warping.at(x[:, 0], 1)
-    g_n = np.asarray(spec.fiber.metric(x[:, 1:]), dtype=float)
+    count, d = len(points), spec.dim
+    x = jet(points)
+    (f,) = spec.warping.at(x[:, 0], 0)
+    g_n = np.asarray(spec.fiber.metric(x[:, 1:]), dtype=complex)
     j = spec.j_at(x[:, 1:])
     g = _warped_block(f, g_n)
-    phi = np.zeros(g.shape)  # phi(dt) = 0, phi(X) = JX
+    phi = np.zeros(g.shape, dtype=complex)  # phi(dt) = 0, phi(X) = JX
     phi[:, 1:, 1:] = j
-    phi_form, d_phi = grid_partials(np.swapaxes(phi, -1, -2) @ g, count, step)
+    phi_form, d_phi = jet_partials(np.swapaxes(phi, -1, -2) @ g, count)
     d_phi = exterior_derivative_2form(d_phi)
-    d_omega_fiber = exterior_derivative_2form(grid_partials(np.swapaxes(j, -1, -2) @ g_n, count, step)[1][:, 1:])
-    f, fp, g_n, j, g, phi = (a[:: 1 + 2 * d] for a in (f, fp, g_n, j, g, phi))  # the grid's point rows
+    d_omega_fiber = exterior_derivative_2form(jet_partials(np.swapaxes(j, -1, -2) @ g_n, count)[1][:, 1:])
+    fp = jet_partials(f, count)[1][:, 0]  # f' itself: Im f on the t-shift row is JET_STEP f'
+    f, g_n, j, g, phi = (a[:: 1 + d].real for a in (f, g_n, j, g, phi))  # the jet's point rows
 
     # phi xi = 0, eta o phi = 0, phi^2 = -Id + eta (x) xi, <phi u, phi v> = <u,v> - eta(u) eta(v)
     xi = eta = np.eye(d)[0]

@@ -8,10 +8,11 @@ gives the report fields that are read off the rows.  ``axioms(chart, seed,
 samples, perturb_gamma)`` is the per-chunk loop ``axioms`` ran before the
 fold: the worst value of each residual, and every breach, uncapped.
 ``contact_classification`` and ``kenmotsu_theorem_check`` are the
-multi-grid frame pipeline ``classify`` ran before its one grid pass: f, g_N
-and J evaluated at the points, again on the total central-difference grid,
-and again on a second grid over the fiber coordinates.  The module name has
-no ``test_`` prefix, so pytest imports it without collecting it.
+multi-jet frame pipeline, the one ``classify`` ran before its one grid pass
+with the jet in place of the grid: f, g_N and J evaluated at the points (as
+complex points, as the jet's point rows are), again on the total jet, and
+again on a second jet over the fiber coordinates.  The module name has no
+``test_`` prefix, so pytest imports it without collecting it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 import statwintgen.cli as cli
 import statwintgen.statistical_geometry as sg
 import statwintgen.warped_contact as wc
-from statwintgen.tensor_core import DEFAULT_FD_STEP, grid, grid_partials
+from statwintgen.tensor_core import jet, jet_partials
 
 from paper_checks import phi_matrix
 
@@ -39,28 +40,24 @@ def checks(command: str, target: str, seed: int, samples: int) -> list[dict]:
 
     if (command, target) == ("curvature", "r2"):
         chart = sg.builtin_r2_example()
-        fd = chart.without_analytic()
         ex, ey = np.eye(2)
-        cases = [(f"{label}:{w}", ch, w, tol) for label, ch, tol in
-                 (("analytic", chart, 1e-10), ("finite-difference", fd, 1e-6)) for w in ("nabla", "nabla_star")]
         for (points,) in cli._chunks(samples, 2, rng, [(-1.0, 1.0)] * 2):
-            values = [sg.sectional_curvature(ch, w, points, ex, ey) for _, ch, w, _ in cases]
+            values = [sg.sectional_curvature(chart, w, points, ex, ey) for w in ("nabla", "nabla_star")]
             for i in range(len(points)):
-                for (name, _, _, tol), vals in zip(cases, values):
-                    add(name, vals[i], -1.0, tol)
+                for w, vals in zip(("nabla", "nabla_star"), values):
+                    add(f"{w} sectional", vals[i], -1.0, 1e-10)
     elif (command, target) == ("curvature", "h3"):
         spec = wc.builtin_h3_example()
         chart = wc.build_warped_chart(spec)
-        fd = chart.without_analytic()
         boxes = wc.default_sample_box(3), *[[(-1.0, 1.0)] * 3] * 2, *[[(-1.0, 1.0)] * 2] * 3
         for points, u, v, vf, uf, wf in cli._chunks(samples, 3, rng, *boxes):
             sectional = sg.sectional_curvature(chart, "levi_civita", points, u, v)
-            fd_curvature = {w: sg.curvature(fd, w, points) for w in ("nabla", "nabla_star")}
+            curvature = {w: sg.curvature(chart, w, points) for w in ("nabla", "nabla_star")}
             closed = wc.warped_curvature_closed_form(spec, points, uf, vf, wf)
             probes = wc.closed_form_probes(uf, vf, wf)
             deviations = []
             for case in wc.CLOSED_FORM_CASES:
-                r = fd_curvature["nabla_star" if case.endswith("*") else "nabla"]
+                r = curvature["nabla_star" if case.endswith("*") else "nabla"]
                 deviations.append(np.max(np.abs(closed[case] - r.vector(*probes[case])), axis=-1))
             for i in range(len(points)):
                 add("levi-civita sectional", sectional[i], -1.0, 1e-6)
@@ -68,17 +65,14 @@ def checks(command: str, target: str, seed: int, samples: int) -> list[dict]:
                     add(f"closed-form {case}", dev[i], 0.0, 1e-6)
     elif (command, target) == ("reproduce", "example-r2"):
         chart = sg.builtin_r2_example()
-        fd = chart.without_analytic()
         ex, ey = np.eye(2)
         for points, *probes in cli._chunks(20, 2, rng, *[[(-1.0, 1.0)] * 2] * 5):
-            nabla, nabla_star, fd_nabla = (sg.sectional_curvature(ch, w, points, ex, ey) for ch, w in
-                                           ((chart, "nabla"), (chart, "nabla_star"), (fd, "nabla")))
+            nabla, nabla_star = (sg.sectional_curvature(chart, w, points, ex, ey) for w in ("nabla", "nabla_star"))
             residual = np.max(list(sg.axiom_residuals(chart, points, *probes).values()), axis=0)
             k = sg.difference_tensor(chart, points)
             for i in range(len(points)):
                 add("curvature(nabla)", nabla[i], -1.0, 1e-10)
                 add("curvature(nabla_star)", nabla_star[i], -1.0, 1e-10)
-                add("fd curvature(nabla)", fd_nabla[i], -1.0, 1e-6)
                 add("axiom residual", residual[i], 0.0, 1e-8)
                 add("K^y_xx", k[i, 1, 0, 0], 1.0, 1e-12)
                 add("K^x_xy", k[i, 0, 0, 1], 1.0, 1e-12)
@@ -112,7 +106,7 @@ def summary(rows: list[dict]) -> dict:
     }
 
 
-def axioms(chart_name: str, seed: int, samples: int, perturb_gamma: float, residual_tol: float = 1e-6) -> dict:
+def axioms(chart_name: str, seed: int, samples: int, perturb_gamma: float, residual_tol: float = 1e-12) -> dict:
     """``worst``, every breach and ``passed`` of ``axioms --chart r2|h3``, one residual table per chunk."""
     chart = cli.CHARTS[chart_name]()
     if perturb_gamma:
@@ -138,10 +132,10 @@ def frame_invariant_residual(spec: wc.WarpedProductSpec, points: np.ndarray) -> 
     phi xi = 0, eta o phi = 0, phi^2 = -Id + eta (x) xi,
     <phi u, phi v> = <u,v> - eta(u) eta(v).
     """
-    points = np.asarray(points, dtype=float)
+    points = np.asarray(points)
     d = spec.dim
-    g = wc.warped_metric(spec, points)
-    phi = phi_matrix(spec, points)
+    g = wc.warped_metric(spec, points).real
+    phi = phi_matrix(spec, points).real
     xi = eta = np.eye(d)[0]
     res = np.stack([
         np.max(np.abs(phi @ xi), axis=-1),
@@ -159,8 +153,8 @@ def fundamental_two_form(spec: wc.WarpedProductSpec, point: np.ndarray) -> np.nd
 
 def fiber_fundamental_form(spec: wc.WarpedProductSpec, fiber_point: np.ndarray) -> np.ndarray:
     """Omega_ab = g_N(J d_a, d_b) on the fiber, at each point of a (..., 2n) stack."""
-    fiber_point = np.asarray(fiber_point, dtype=float)
-    g_n = np.asarray(spec.fiber.metric(fiber_point), dtype=float)
+    fiber_point = np.asarray(fiber_point)
+    g_n = np.asarray(spec.fiber.metric(fiber_point))
     return np.swapaxes(spec.j_at(fiber_point), -1, -2) @ g_n
 
 
@@ -172,25 +166,26 @@ def almost_complex_residual(g: np.ndarray, J: np.ndarray) -> float:
 
 def contact_classification(spec: wc.WarpedProductSpec, points: np.ndarray, tol: float = 1e-8,
                            frame_tol: float = 1e-9) -> tuple[wc.ContactClassification, ...]:
-    """The records of ``wc.contact_classification``: Phi and dPhi from one grid of the points,
-    dOmega from a second grid of their fiber coordinates, the rest evaluated at the points."""
+    """The records of ``wc.contact_classification``: Phi and dPhi from one jet of the points,
+    dOmega from a second jet of their fiber coordinates, the rest evaluated at the points as complex
+    points with zero imaginary parts, whose real parts are kept."""
     points = np.asarray(points, dtype=float)
-    frame_res = frame_invariant_residual(spec, points)
+    at_points = points.astype(complex)
+    frame_res = frame_invariant_residual(spec, at_points)
     for res in frame_res:
         if res > frame_tol:
             raise ValueError(f"contact frame invariants violated (residual {res:.3e})")
     f, fp, _ = spec.warping.at(points[:, 0])
     kappa = fp / f
-    step = DEFAULT_FD_STEP
-    phi, d_phi = grid_partials(fundamental_two_form(spec, grid(points, step)), len(points), step)
+    phi, d_phi = jet_partials(fundamental_two_form(spec, jet(points)), len(points))
     d_phi = wc.exterior_derivative_2form(d_phi)
     d_omega_fiber = wc.exterior_derivative_2form(
-        grid_partials(fiber_fundamental_form(spec, grid(points[:, 1:], step)), len(points), step)[1])
+        jet_partials(fiber_fundamental_form(spec, jet(points[:, 1:])), len(points))[1])
     d_omega = np.zeros(d_phi.shape)
     d_omega[:, 1:, 1:, 1:] = d_omega_fiber
     wedge = wc.wedge_eta_form(phi)
-    g_n = np.asarray(spec.fiber.metric(points[:, 1:]), dtype=float)
-    j = spec.j_at(points[:, 1:])
+    g_n = np.asarray(spec.fiber.metric(at_points[:, 1:])).real
+    j = spec.j_at(at_points[:, 1:]).real
 
     records = []
     for i in range(len(points)):

@@ -15,8 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from statwintgen.statistical_geometry import DualisticChart
-from statwintgen.tensor_core import grid, grid_partials
 from statwintgen.warped_contact import WarpedProductSpec, default_sample_box
+
+from derivative_oracle import grid, grid_partials
 
 
 def box_points(count: int, rng: np.random.Generator, box) -> np.ndarray:
@@ -38,11 +39,12 @@ def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def stacked(field):
-    """The stacked chart field of a single-point ``field``: its value at each point of a (..., dim) array."""
+    """The stacked chart field of a single-point ``field``: its value at each point of a (..., dim) array.
+    A jet's complex points are passed on as they are, for the fields that take them."""
 
     def lifted(points):
-        x = np.asarray(points, dtype=float)
-        values = np.array([np.asarray(field(p), dtype=float) for p in x.reshape(-1, x.shape[-1])])
+        x = np.asarray(points, dtype=complex if np.iscomplexobj(points) else float)
+        values = np.array([np.asarray(field(p)) for p in x.reshape(-1, x.shape[-1])])
         return values.reshape(x.shape[:-1] + values.shape[1:])
 
     return lifted
@@ -53,8 +55,8 @@ def partials(fn, point, step: float) -> np.ndarray:
 
     ``out[a] = (fn(x + step e_a) - fn(x - step e_a)) / 2 step``, stacked along
     axis 0, so ``out[a]`` has the shape of ``fn(x)``: one point of
-    ``tensor_core.grid`` and ``grid_partials``, with ``fn`` called once per
-    grid point.
+    ``derivative_oracle.grid`` and ``grid_partials``, with ``fn`` called once
+    per grid point.
     """
     x = np.asarray(point, dtype=float)
     values = np.array([np.asarray(fn(p), dtype=float) for p in grid(x[None], step)])

@@ -36,7 +36,7 @@ from statwintgen.statistical_geometry import (
     covariant_two_form_derivative,
     levi_civita,
 )
-from statwintgen.tensor_core import DEFAULT_FD_STEP, as_square_matrix, commutator, instance_rng
+from statwintgen.tensor_core import as_square_matrix, commutator, instance_rng
 from statwintgen.warped_contact import (
     WarpedProductSpec,
     embed_fiber_vector,
@@ -44,15 +44,17 @@ from statwintgen.warped_contact import (
     warped_metric,
 )
 
+from derivative_oracle import FD_STEP
 from helpers import box_points, partials
 
 Array = np.ndarray
 
 
 def phi_matrix(spec: WarpedProductSpec, point: Array) -> Array:
-    """(1,1) frame tensor on the total chart: phi(dt) = 0, phi(X) = JX; at each point of a (..., 2n+1) stack."""
-    point = np.asarray(point, dtype=float)
-    out = np.zeros(point.shape[:-1] + (spec.dim, spec.dim))
+    """(1,1) frame tensor on the total chart: phi(dt) = 0, phi(X) = JX; at each point of a (..., 2n+1) stack,
+    in the points' dtype, so complex on a jet."""
+    point = np.asarray(point, dtype=complex if np.iscomplexobj(point) else float)
+    out = np.zeros(point.shape[:-1] + (spec.dim, spec.dim), dtype=point.dtype)
     out[..., 1:, 1:] = spec.j_at(point[..., 1:])
     return out
 
@@ -286,8 +288,8 @@ def skew_field_residuals(
         return np.asarray(t_field(x), dtype=float).T @ np.asarray(chart.metric(x), dtype=float)
 
     w = t.T @ g
-    dw = partials(w_field, point, DEFAULT_FD_STEP)
-    d_t = partials(t_field, point, DEFAULT_FD_STEP)
+    dw = partials(w_field, point, FD_STEP)
+    d_t = partials(t_field, point, FD_STEP)
 
     def ip(u: Array, v: Array) -> float:
         return float(u @ g @ v)
@@ -324,11 +326,11 @@ def phi_warp_residual(spec: WarpedProductSpec, chart: DualisticChart, point: Arr
     X, Y = (np.asarray(v, dtype=float) for v in (X, Y))
     f, fp, _ = spec.warping.at(point[0])
     phi = phi_matrix(spec, point)
-    d_phi = partials(lambda x: phi_matrix(spec, x), point, DEFAULT_FD_STEP)
+    d_phi = partials(lambda x: phi_matrix(spec, x), point, FD_STEP)
     nx_phi_y = _nabla_endomorphism(phi, d_phi, np.asarray(chart.gamma(point), dtype=float), X, Y)
     xf = point[1:]
     nxj_fiber = _nabla_endomorphism(
-        spec.j_at(xf), partials(spec.j_at, xf, DEFAULT_FD_STEP),
+        spec.j_at(xf), partials(spec.j_at, xf, FD_STEP),
         np.asarray(spec.fiber.gamma(xf), dtype=float), X[1:], Y[1:],
     )
     predicted = embed_fiber_vector(nxj_fiber) - (fp / f) * Y[0] * (phi @ X)
@@ -340,7 +342,7 @@ def phi_warp_residual(spec: WarpedProductSpec, chart: DualisticChart, point: Arr
 # Dualistic axioms of a warped product's fiber
 # ---------------------------------------------------------------------------
 
-FIBER_AXIOM_TOL = 1e-6
+FIBER_AXIOM_TOL = 1e-12
 
 
 def fiber_axiom_check(spec: WarpedProductSpec) -> None:

@@ -23,7 +23,7 @@ from statwintgen.cli import EXIT_OK, EXIT_VIOLATION, format_float, main
 
 COMMANDS = {
     "curvature r2": ["curvature", "--chart", "r2"],
-    "curvature h3": ["curvature", "--chart", "h3", "--samples", "300"],  # two chunks: 186 and 114 samples
+    "curvature h3": ["curvature", "--chart", "h3", "--samples", "300"],  # two chunks: 173 and 127 samples
     "reproduce example-r2": ["reproduce", "example-r2"],
     "reproduce example-h3": ["reproduce", "example-h3"],
 }
@@ -53,7 +53,7 @@ def test_report_equals_the_per_sample_rows(name, shift, tmp_path, monkeypatch, c
     if name.startswith("curvature"):
         assert report["worst_deviation"] == want["worst_deviation"]
         keys = ["check", "value", "target", "ok"]
-        assert [list(row) for row in report["checks"]] == [keys] * 50
+        assert [list(row) for row in report["checks"]] == [keys] * min(50, len(rows))  # r2: 20 x 2 rows
         assert report["checks"] == [{k: row[k] for k in keys} for row in rows[:50]]
         assert f"{want['check_count']} checks, worst deviation {format_float(want['worst_deviation'])} " in stdout
     else:
@@ -67,7 +67,8 @@ AXIOMS = {  # chart, --perturb-gamma, --samples, --seed
     "r2 perturbed": ("r2", 0.01, 100, 4),
     "h3": ("h3", 0.0, 100, 4),
     "h3 perturbed": ("h3", 0.01, 100, 4),
-    # three chunks (910, 910 and 180 samples) and 1982 breaches: the 20-row cap and the count span chunks
+    # three chunks (819, 819 and 362 samples) and a breach at every sample: the 20-row cap and the count
+    # span chunks
     "r2 perturbed 3 chunks": ("r2", 0.01, 2000, 0),
 }
 
@@ -87,7 +88,7 @@ def test_axioms_report_equals_the_per_chunk_loop(name, tmp_path, capsys):
     assert report["breaches"] == want["breaches"][:20]
     assert report["breach_count"] == len(want["breaches"])
     if samples == 2000:
-        assert report["breach_count"] == 1982
+        assert report["breach_count"] == 2000
     lines = [f"axioms[{chart}] {r:<16} max {format_float(v)}" for r, v in want["worst"].items()]
     lines.append(f"axioms[{chart}] {'PASS' if want['passed'] else 'FAIL'} ({len(want['breaches'])} breaches)")
     assert capsys.readouterr().out == "\n".join(lines) + f" -> {out}\n"
@@ -105,9 +106,9 @@ def _traced_peak(argv: list[str], out) -> int:
 @pytest.mark.parametrize(
     "argv, samples",
     [
-        (["curvature", "--chart", "h3"], 372),  # two chunks of 186
-        (["curvature", "--chart", "r2"], 1820),  # two chunks of 910
-        (["axioms", "--chart", "r2", "--perturb-gamma", "0.01"], 1820),  # a breach at almost every sample
+        (["curvature", "--chart", "h3"], 372),  # three chunks: 173, 173 and 26
+        (["curvature", "--chart", "r2"], 1820),  # three chunks: 819, 819 and 182
+        (["axioms", "--chart", "r2", "--perturb-gamma", "0.01"], 1820),  # a breach at every sample
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
 )

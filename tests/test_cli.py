@@ -105,13 +105,13 @@ def counted_warping(warping: wc.Warping, calls: list) -> wc.Warping:
 
 
 @pytest.mark.parametrize("fiber, warping_calls, j_rows", [
-    # 5 samples of the 5-dim total chart: f, f' and J once per row of the points' grid (5 x 11 rows), f at
-    # the points once each by the chart's gamma, metric and metric_partial fields (3 x 5), f' by gamma and
-    # metric_partial (2 x 5), and f'' never
-    ("twisted", (70, 65, 0), 55),
-    # the same on the 3-dim total chart of a 2-dim fiber: 5 x 7 grid rows, 3 x 5 and 2 x 5
-    ("flat", (50, 45, 0), 35),
-    ("r2", (50, 45, 0), 35),
+    # 5 samples of the 5-dim total chart: J once per row of the points' jet (5 x 6 rows), f and f' once per
+    # point for the jet's complex steps of f (5 each), f at the points once each by the chart's gamma, metric
+    # and metric_partial fields (3 x 5), f' by gamma and metric_partial (2 x 5), and f'' never
+    ("twisted", (20, 15, 0), 30),
+    # the same on the 3-dim total chart of a 2-dim fiber: 5 x 4 jet rows, 5 + 3 x 5 and 5 + 2 x 5
+    ("flat", (20, 15, 0), 20),
+    ("r2", (20, 15, 0), 20),
 ])
 def test_classify_evaluates_f_and_j_once_per_grid_row(monkeypatch, tmp_path, fiber, warping_calls, j_rows):
     calls, rows = [0, 0, 0], []
@@ -142,16 +142,16 @@ def h3_warping_calls(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("argv, counts", [
-    # 100 samples: the Levi-Civita pass on 700 grid points (f by metric and metric_partial, f' by
-    # metric_partial) and the four connection fields on the 100 points (f and f' by each, f'' by the two
-    # connection partials); nothing is shared across the chart's fields
-    (["axioms", "--chart", "h3", "--samples", "100"], (1800, 1100, 200)),
-    # 50 samples: one pass (700, 350) for the sectional curvature and the axioms, the connection
-    # fields (200, 200, 100), the connection table (1, 1) and one classified point's grid (7, 7)
-    (["reproduce", "example-h3"], (908, 558, 100)),
-    # 20 samples: the pass (280, 140) with g at the points taken from it, both finite-differenced
-    # connections on the grid (280, 280) and the closed forms (20, 20, 20)
-    (["curvature", "--chart", "h3", "--samples", "20"], (580, 440, 20)),
+    # 100 samples, each with 4 jet rows that share its t: once per point and field, the Levi-Civita pass
+    # (f and f' by metric, f, f' and f'' by metric_partial, whose f' takes its complex step from f'') and
+    # both connections (f, f' and f'' by each); nothing is shared across the chart's fields
+    (["axioms", "--chart", "h3", "--samples", "100"], (400, 400, 300)),
+    # 50 samples: one pass (100, 100, 50) for the sectional curvature and the axioms, the connections
+    # (100, 100, 100), the connection table (1, 1) and one classified point's jet (1, 1)
+    (["reproduce", "example-h3"], (202, 202, 150)),
+    # 20 samples: the pass (40, 40, 20) with g at the points taken from it, both connections on the jet
+    # (40, 40, 40) and the closed forms (20, 20, 20)
+    (["curvature", "--chart", "h3", "--samples", "20"], (100, 100, 80)),
 ])
 def test_h3_commands_evaluate_the_warping_once_per_field_and_point(h3_warping_calls, tmp_path, argv, counts):
     assert main([*argv, "--out", str(tmp_path / "report.json")]) == EXIT_OK
@@ -173,7 +173,17 @@ def test_reproduce_h3_evaluates_metric_partial_once_per_chunk(monkeypatch, tmp_p
 
     monkeypatch.setattr(wc, "build_warped_chart", counting)
     assert main(["reproduce", "example-h3", "--out", str(tmp_path / "report.json")]) == EXIT_OK
-    assert calls == [7 * 50]  # one chunk of 50 samples, each with its 6 stencil points
+    assert calls == [4 * 50]  # one chunk of 50 samples, each with its 3 jet shifts
+
+
+@pytest.mark.parametrize("chart", ["r2", "h3"])
+def test_a_connection_perturbed_by_1e_9_fails_the_axioms_at_the_default_tolerance(chart, tmp_path):
+    # the complex step leaves the residuals of the unperturbed charts near 1e-15, so the default
+    # --residual-tol of 1e-12 catches a corrupted coefficient far below the 1e-7 that used to pass
+    out = tmp_path / "report.json"
+    assert main(["axioms", "--chart", chart, "--out", str(out)]) == EXIT_OK
+    assert main(["axioms", "--chart", chart, "--perturb-gamma", "1e-9", "--out", str(out)]) == EXIT_VIOLATION
+    assert json.loads(out.read_text())["residual_tol"] == 1e-12
 
 
 def test_unknown_command_usage_error():
@@ -1152,10 +1162,10 @@ def test_geometry_samples_keep_the_one_sample_at_a_time_stream(argv, tmp_path, m
 @pytest.mark.parametrize("budget", [None, 1])
 def test_singular_metric_names_the_first_singular_sample(budget, monkeypatch, capsys):
     points = [draw[0] for draw in _sequential_draws(["axioms", "r2"], 8)][:5]
-    bad = points[3].tobytes()
+    bad = points[3].astype(complex).tobytes()  # the point row of sample 3's jet
     base = sg.builtin_r2_example()
-    chart = replace(base, metric=stacked(lambda x: np.zeros((2, 2)) if np.asarray(x).tobytes() == bad else np.eye(2)),
-                    label="singular-at-sample-3")
+    chart = replace(base, metric=stacked(lambda x: np.zeros((2, 2)) if np.asarray(x, dtype=complex).tobytes() == bad
+                                         else np.eye(2)), label="singular-at-sample-3")
     monkeypatch.setitem(cli.CHARTS, "r2", lambda: chart)
     if budget is not None:
         monkeypatch.setattr(sg, "GEOMETRY_CHUNK_FLOATS", budget)
@@ -1207,7 +1217,7 @@ def test_non_finite_residual_order_is_sample_first(budget, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, function, check",
     [
-        (["curvature", "--chart", "r2"], "sectional_curvature", "analytic:nabla"),
+        (["curvature", "--chart", "r2"], "sectional_curvature", "nabla sectional"),
         # row 90 of 180: past the 50 reported rows, where max() dropped the NaN and the command exited 1
         (["curvature", "--chart", "h3"], "sectional_curvature", "levi-civita sectional"),
         (["reproduce", "example-r2"], "sectional_curvature", "curvature(nabla)"),
@@ -1232,7 +1242,7 @@ def test_non_finite_check_value_names_the_first_check_and_sample(argv, function,
 
 
 def test_non_finite_check_value_comes_before_a_later_chunks_error(monkeypatch, capsys):
-    # chunks are folded as they are drawn: an error raised for the second chunk (of 186 + 114 samples)
+    # chunks are folded as they are drawn: an error raised for the second chunk (of 173 + 127 samples)
     # used to hide the first chunk's NaN, when every chunk was evaluated before any was judged
     original, calls = sg.sectional_curvature, []
 

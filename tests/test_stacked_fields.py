@@ -1,11 +1,14 @@
-"""Stacked chart fields against their single-point definitions, bit for bit.
+"""Stacked chart fields against their single-point definitions, bit for bit, and their jets against
+the two oracles of the jet.
 
 Every built-in chart field takes an (N, dim) stack of points.  Evaluated on a
 stack, it must return, row by row, exactly the doubles of the single-point
 definitions in ``field_oracle.py`` evaluated one point at a time: for the r2
-and h3 charts, for every warp x fiber of the ``classify`` command, for their
-``without_analytic()`` copies and for ``cli._perturbed_chart``.  The same
-holds for ``Warping.at`` against the per-t loop ``field_oracle.warping_stack``.
+and h3 charts, for every warp x fiber of the ``classify`` command and for
+``cli._perturbed_chart``.  The same holds for ``Warping.at`` against the per-t
+loop ``field_oracle.warping_stack``.  On a complex-step jet, the connection
+partials of the same charts must match the hand-derived partials to 1e-13
+relative and central differences to their tolerance.
 """
 
 import math
@@ -13,9 +16,12 @@ import math
 import numpy as np
 import pytest
 
+import derivative_oracle as derivative
 import field_oracle as oracle
 import statwintgen.cli as cli
+import statwintgen.statistical_geometry as sg
 import statwintgen.warped_contact as wc
+from statwintgen.tensor_core import JET_STEP, jet, jet_partials
 
 EPS = 0.01
 
@@ -40,13 +46,12 @@ def _charts() -> dict:
             base[name] = (wc.build_warped_chart(spec), oracle.warped_fields(spec))
     out = dict(base)
     for name, (chart, fields) in base.items():
-        no_connection_partials = {k: v for k, v in fields.items() if k not in ("gamma_partial", "gamma_star_partial")}
-        out[f"{name} without_analytic"] = (chart.without_analytic(), no_connection_partials)
         out[f"{name} perturbed"] = (cli._perturbed_chart(chart, EPS), oracle.perturbed(fields, EPS))
     return out
 
 
 CHARTS = _charts()
+CHART_FIELDS = ("metric", "gamma", "gamma_star", "metric_partial")  # the oracle's other fields are partials
 
 
 def _squares_that_round_apart(count: int = 8) -> list[float]:
@@ -79,10 +84,7 @@ def _points(dim: int, count: int = 64, seed: int = 3) -> np.ndarray:
 def test_stacked_fields_equal_the_single_point_oracle(name):
     chart, fields = CHARTS[name]
     points = _points(chart.dim)
-    for field in oracle.FIELDS:
-        if field not in fields:
-            assert getattr(chart, field) is None
-            continue
+    for field in CHART_FIELDS:
         want = np.array([fields[field](p) for p in points])
         stacked = getattr(chart, field)(points)
         assert stacked.shape == want.shape, field
@@ -127,3 +129,62 @@ def test_warping_at_equals_the_per_t_oracle(name, shape, derivatives):
     for got, want in zip(warping.at(t, derivatives), expected, strict=True):
         assert got.shape == want.shape == shape
         assert got.tobytes() == want.tobytes()  # bit for bit, so -0.0 is not 0.0
+
+
+BUILTIN_CHARTS = derivative.builtin_charts()
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_CHARTS))
+def test_jet_partials_equal_the_analytic_and_central_difference_oracles(name):
+    chart, analytic_source = BUILTIN_CHARTS[name]
+    points = _points(chart.dim, count=16)
+    gammas = {}
+    for which, field in (("nabla", chart.gamma), ("nabla_star", chart.gamma_star)):
+        gamma, dgamma = sg._connection_and_partials(chart, which, points)
+        want = field(points)
+        assert np.max(np.abs(gamma - want)) <= 1e-15 * np.max(np.abs(want), initial=1.0)
+        analytic = derivative.analytic_connection_partials(analytic_source, which, points)
+        assert dgamma.shape == analytic.shape == (16,) + (chart.dim,) * 4
+        assert np.max(np.abs(dgamma - analytic)) <= 1e-13 * np.max(np.abs(analytic), initial=1.0), which
+        fd_gamma, fd_dgamma = derivative.fd_connection_and_partials(chart, which, points)
+        assert np.array_equal(fd_gamma, want)
+        assert np.max(np.abs(dgamma - fd_dgamma)) <= derivative.FD_TOL, which
+        gammas[which] = analytic
+    # the Levi-Civita connection is the mean of a dualistic pair, and so are its partials
+    lc_analytic = 0.5 * (gammas["nabla"] + gammas["nabla_star"])
+    _, dgamma0 = jet_partials(sg._metric_and_christoffel(chart, jet(points))[2], len(points))
+    assert np.max(np.abs(dgamma0 - lc_analytic)) <= 1e-13 * np.max(np.abs(lc_analytic), initial=1.0)
+    assert np.max(np.abs(dgamma0 - derivative.fd_levi_civita_and_partials(chart, points)[1])) <= derivative.FD_TOL
+
+
+@pytest.mark.parametrize("derivatives", [0, 1])
+@pytest.mark.parametrize("name", list(WARPINGS))
+def test_warping_at_on_a_jet_is_the_complex_step_of_the_per_t_oracle(name, derivatives):
+    warping = WARPINGS[name]
+    t = np.random.default_rng(6).uniform(-2.0, 2.0, 40)
+    t[: len(EDGE_HEIGHTS)] = EDGE_HEIGHTS
+    rows = jet(np.stack([t, t], axis=1))[:, 0]  # each t three times, its t-shift row second
+    calls = [0, 0, 0]
+
+    def counted(fn, order):
+        def call(x):
+            calls[order] += 1
+            return fn(x)
+
+        return call
+
+    counting = wc.Warping(counted(warping.f, 0), counted(warping.f_prime, 1), counted(warping.f_double_prime, 2))
+    values = counting.at(rows, derivatives)
+    expected = oracle.warping_stack(warping, rows.real)
+    assert len(values) == derivatives + 1
+    for got, want, slope in zip(values, expected, expected[1:]):
+        assert got.dtype == complex and got.shape == rows.shape
+        assert got.real.tobytes() == want.tobytes()
+        assert got.imag.tobytes() == (rows.imag * slope).tobytes()
+        assert np.array_equal(got.imag[1::3] / JET_STEP, slope[1::3])
+    # once per run of equal consecutive t: EDGE_HEIGHTS ends with a t twice, and its -0.0 and 0.0 stay apart
+    runs = 1 + np.count_nonzero(rows.real.view(np.int64)[1:] != rows.real.view(np.int64)[:-1])
+    assert runs == len(t) - 1
+    assert calls == [runs] * (derivatives + 2) + [0] * (1 - derivatives)
+    with pytest.raises(ValueError, match="at most the first derivative"):
+        warping.at(rows, 2)

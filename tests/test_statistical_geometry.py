@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +8,7 @@ import pytest
 
 from statwintgen.statistical_geometry import (
     DualisticChart,
+    _metric_and_christoffel,
     axiom_residuals,
     builtin_r2_example,
     curvature,
@@ -18,8 +19,9 @@ from statwintgen.statistical_geometry import (
     sectional_curvature,
     trivial_chart,
 )
-from statwintgen.tensor_core import DEFAULT_FD_STEP
+from statwintgen.tensor_core import JET_STEP, jet
 
+from derivative_oracle import FD_STEP, FD_TOL, fd_curvature, point_jet_partials
 from helpers import nabla_g_residual, partials, stacked
 from paper_checks import holomorphic_space_form_curvature
 
@@ -112,12 +114,12 @@ class TestCurvature:
         npt.assert_array_equal(comp, -np.swapaxes(comp, 2, 3))
 
     def test_finite_difference_path_matches(self):
+        # the central-difference oracle, a second route to the jet's curvature
         chart = builtin_r2_example()
-        fd = chart.without_analytic()
         p = np.array([0.1, 0.9])
         g = chart.metric(p)
-        val = curvature(fd, "nabla", p[None]).scalar(g, EX, EY, EY, EX)[0]
-        assert abs(val + 1.0) <= 1e-6
+        val = fd_curvature(chart, "nabla", p[None]).scalar(g, EX, EY, EY, EX)[0]
+        assert abs(val + 1.0) <= FD_TOL
 
     def test_unknown_connection(self):
         with pytest.raises(ValueError):
@@ -177,12 +179,14 @@ class TestAxiomResiduals:
             npt.assert_allclose(levi_civita(chart, p[None])[0], mean, atol=1e-6)
 
     def test_fd_path_within_tolerance(self):
-        chart = builtin_r2_example().without_analytic()
+        # R + R* = 2 R0 + 2 [K,K] with every curvature by the central-difference oracle
+        chart = builtin_r2_example()
         rng = np.random.default_rng(6)
         for _ in range(25):
-            p = rng.uniform(-1, 1, 2)
-            probes = [rng.uniform(-1, 1, 2) for _ in range(4)]
-            assert max(v[0] for v in axiom_residuals(chart, p[None], *probes).values()) < 1e-6
+            p = rng.uniform(-1, 1, (1, 2))
+            r, r_star, r0 = (fd_curvature(chart, w, p).components for w in ("nabla", "nabla_star", "levi_civita"))
+            total = r + r_star - 2.0 * r0 - 2.0 * kk_bracket(difference_tensor(chart, p))
+            assert np.max(np.abs(total)) < FD_TOL
 
 
 class TestHolomorphicSpaceForm:
@@ -252,8 +256,8 @@ def _stack_charts():
     return {
         "r2": r2,
         "h3": h3,
-        "r2-fd": r2.without_analytic(),
-        "h3-fd": h3.without_analytic(),
+        "cosh/r2": wc.build_warped_chart(cli.FIBERS["r2"](wc.cosh_warping(), 0.4)),
+        "cosh/twisted": wc.build_warped_chart(cli.FIBERS["twisted"](wc.cosh_warping(), 0.4)),
         "r2-perturbed": cli._perturbed_chart(r2, 0.01),
         "h3-perturbed": cli._perturbed_chart(h3, 0.01),
     }
@@ -304,14 +308,18 @@ class TestStackedKernel:
                 npt.assert_array_equal(stacked[i], fn(chart, point[None])[0])
 
     def test_levi_civita_curvature_matches_pointwise_partials(self, name):
-        # the stacked grid against helpers.partials around each point on its own
+        # the stacked jet against the jet around each point on its own, row by row, bit for bit;
+        # and against central differences around each point at their tolerance
         chart = STACK_CHARTS[name]
         points, _ = _stack(chart, count=3)
         stacked = curvature(chart, "levi_civita", points).components
         for i, point in enumerate(points):
-            dgamma = partials(lambda x: levi_civita(chart, x[None])[0], point, DEFAULT_FD_STEP)
+            dgamma = point_jet_partials(lambda x: _metric_and_christoffel(chart, x[None])[2][0], point)
+            gamma = _metric_and_christoffel(chart, jet(point[None])[:1])[2][0].real
+            npt.assert_array_equal(stacked[i], curvature_from_gamma(gamma, dgamma))
+            dgamma = partials(lambda x: levi_civita(chart, x[None])[0], point, FD_STEP)
             want = curvature_from_gamma(levi_civita(chart, point[None])[0], dgamma)
-            npt.assert_allclose(stacked[i], want, rtol=0.0, atol=1e-12)
+            npt.assert_allclose(stacked[i], want, rtol=0.0, atol=FD_TOL)
 
 
 class TestFieldContract:
@@ -325,8 +333,8 @@ class TestFieldContract:
         for call in (lambda: sectional_curvature(chart, "nabla", points, EX, EY), lambda: levi_civita(chart, points)):
             with pytest.raises(ValueError, match=re.escape(message + f"({count}, 2, 2)")):
                 call()
-        # the axioms' Levi-Civita pass evaluates the metric on each point and its four grid neighbours
-        with pytest.raises(ValueError, match=re.escape(message + f"({5 * count}, 2, 2)")):
+        # the axioms' Levi-Civita pass evaluates the metric on each point's jet: the point and its two shifts
+        with pytest.raises(ValueError, match=re.escape(message + f"({3 * count}, 2, 2)")):
             axiom_residuals(chart, points, *probes)
 
     def test_metric_partial_is_required(self):
@@ -334,18 +342,17 @@ class TestFieldContract:
         with pytest.raises(TypeError, match="metric_partial"):
             DualisticChart(dim=2, metric=stacked(lambda x: np.eye(2)), gamma=zeros, gamma_star=zeros)
 
-    @pytest.mark.parametrize("name", ["r2", "h3"])
-    def test_without_analytic_strips_only_the_connection_partials(self, name):
-        chart = STACK_CHARTS[name]
-        fd = chart.without_analytic()
-        assert fd.metric_partial is chart.metric_partial
-        assert (fd.metric, fd.gamma, fd.gamma_star) == (chart.metric, chart.gamma, chart.gamma_star)
-        assert fd.gamma_partial is None and fd.gamma_star_partial is None
+    def test_charts_carry_no_connection_partials(self):
+        # the connection partials are complex steps of the connection fields, one route for every chart
+        names = [f.name for f in fields(DualisticChart)]
+        assert names == ["dim", "metric", "gamma", "gamma_star", "metric_partial", "label"]
 
     def test_connection_field_without_the_stack_axis_is_named(self):
-        zeros = np.zeros((2, 2, 2, 2))
-        chart = replace(builtin_r2_example(), gamma_star_partial=lambda x: zeros, label="flat-partial")
-        with pytest.raises(ValueError, match=re.escape("field gamma_star_partial of chart flat-partial")):
+        zeros = np.zeros((2, 2, 2))
+        chart = replace(builtin_r2_example(), gamma_star=lambda x: zeros, label="flat-partial")
+        # the curvature evaluates the connection on each point's jet: 3 points, 3 rows each
+        with pytest.raises(ValueError, match=re.escape("field gamma_star of chart flat-partial returned shape "
+                                                       "(2, 2, 2), expected (9, 2, 2, 2)")):
             curvature(chart, "nabla_star", np.zeros((3, 2)))
 
     def test_axiom_residuals_evaluate_g_and_dg_once_per_stencil_point(self):
@@ -366,21 +373,22 @@ class TestFieldContract:
         counting = replace(chart, metric=counted("metric"), metric_partial=counted("metric_partial"))
         points, probes = _stack(chart, count=100)
         residuals = axiom_residuals(counting, points, *probes)
-        assert seen == {"metric": 100 * 7, "metric_partial": 100 * 7}  # each point and its six stencil points
+        assert seen == {"metric": 100 * 4, "metric_partial": 100 * 4}  # each point and its three jet shifts
         for key, value in axiom_residuals(chart, points, *probes).items():
             npt.assert_array_equal(residuals[key], value)
 
 
 def _singular_chart(singular_points) -> DualisticChart:
-    """Identity metric except at the given points, where it is the zero matrix."""
-    bad = [np.asarray(p, dtype=float).tobytes() for p in singular_points]
+    """Identity metric except at the given real or complex points, where it is the zero matrix; a real
+    point is also the jet row of that point with zero imaginary parts."""
+    bad = [np.asarray(p, dtype=complex).tobytes() for p in singular_points]
 
     def metric(x):
-        return np.zeros((2, 2)) if np.asarray(x, dtype=float).tobytes() in bad else np.eye(2)
+        return np.zeros((2, 2)) if np.asarray(x, dtype=complex).tobytes() in bad else np.eye(2)
 
-    zeros3, zeros4 = stacked(lambda x: np.zeros((2, 2, 2))), stacked(lambda x: np.zeros((2, 2, 2, 2)))
+    zeros3 = stacked(lambda x: np.zeros((2, 2, 2)))
     return DualisticChart(dim=2, metric=stacked(metric), gamma=zeros3, gamma_star=zeros3, metric_partial=zeros3,
-                          gamma_partial=zeros4, gamma_star_partial=zeros4, label="singular-test")
+                          label="singular-test")
 
 
 def _first_single_point_error(fn, count):
@@ -395,16 +403,17 @@ def _first_single_point_error(fn, count):
 class TestSingularMetricInAStack:
     POINTS, PROBES = _stack(trivial_chart(2), count=5, seed=9)
 
-    def _stencil_point(self, i, axis):
-        x = self.POINTS[i].copy()
-        x[axis] += DEFAULT_FD_STEP
+    def _jet_row(self, i, axis):
+        x = self.POINTS[i].astype(complex)
+        x[axis] += 1j * JET_STEP
         return x
 
-    @pytest.mark.parametrize("singular", ["point 3", "point 3 and a stencil point of point 1"])
+    @pytest.mark.parametrize("singular", ["point 3", "point 3 and a jet row of point 1"])
     def test_error_names_the_first_singular_point_in_evaluation_order(self, singular):
-        bad = [self.POINTS[3]] + ([self._stencil_point(1, 0)] if singular != "point 3" else [])
+        bad = [self.POINTS[3]] + ([self._jet_row(1, 0)] if singular != "point 3" else [])
         chart = _singular_chart(bad)
-        want = bad[-1]  # point 1 comes before point 3
+        # point 1 comes before point 3; a jet row is named by its sample's real coordinates
+        want = self.POINTS[1] if len(bad) == 2 else self.POINTS[3]
         with pytest.raises(ValueError) as err:
             axiom_residuals(chart, self.POINTS, *self.PROBES)
         assert str(err.value) == f"singular metric at {want.tolist()} on singular-test"

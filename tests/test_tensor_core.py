@@ -5,12 +5,14 @@ import numpy.testing as npt
 import pytest
 
 from statwintgen.tensor_core import (
+    JET_STEP,
     commutator,
-    grid,
-    grid_partials,
     instance_uniforms,
+    jet,
+    jet_partials,
 )
 
+from derivative_oracle import grid, grid_partials
 from helpers import partials, random_orthogonal
 from paper_checks import frobenius_norm_sq, random_symmetric_traceless
 
@@ -142,6 +144,49 @@ class TestGrid:
         for x, d in zip(points, dvalues):
             npt.assert_allclose(d[0], [[x[1], 0.0], [3.0, 1.0]], atol=1e-8)
             npt.assert_allclose(d[1], [[x[0], 2.0 * x[1]], [0.0, -1.0]], atol=1e-8)
+
+
+class TestJet:
+    def test_row_order_is_the_point_then_one_imaginary_shift_per_axis(self):
+        points = np.array([[1.0, 2.0, 3.0], [-4.0, 0.5, 0.25]])
+        rows = jet(points)
+        assert rows.shape == (2 * 4, 3) and rows.dtype == complex
+        for i, x in enumerate(points):
+            want = [x + 0j] + [x + 1j * JET_STEP * e for e in np.eye(3)]
+            npt.assert_array_equal(rows[4 * i : 4 * (i + 1)], want)
+
+    def test_every_row_keeps_the_real_coordinates(self):
+        rows = jet(np.array([[-0.0, 1.0]]))
+        for row in rows:  # a -0.0 stays -0.0
+            assert row[0].real == 0.0 and math.copysign(1.0, row[0].real) == -1.0
+        assert list(rows[:, 0].imag) == [0.0, JET_STEP, 0.0]
+
+    def test_the_step_is_a_power_of_two(self):
+        assert math.frexp(JET_STEP)[0] == 0.5
+
+    def test_partials_of_polynomials_are_exact(self):
+        points = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 2))
+
+        def field(x):  # (N, 2) -> (N, 2, 2)
+            return np.stack([[x[:, 0] * x[:, 1], x[:, 1] ** 2], [3.0 * x[:, 0], x[:, 0] - x[:, 1]]]).transpose(2, 0, 1)
+
+        values, dvalues = jet_partials(field(jet(points)), len(points))
+        npt.assert_array_equal(values, field(points))
+        assert values.dtype == dvalues.dtype == float and dvalues.shape == (4, 2, 2, 2)
+        for x, d in zip(points, dvalues):
+            npt.assert_array_equal(d[0], [[x[1], 0.0], [3.0, 1.0]])
+            npt.assert_array_equal(d[1], [[x[0], 2.0 * x[1]], [0.0, -1.0]])
+
+    def test_partials_of_transcendental_fields_match_to_rounding(self):
+        # the complex step of exp, sin and an inverse, against their derivatives and central differences
+        points = np.random.default_rng(4).uniform(-1.0, 1.0, (5, 1))
+        values, dvalues = jet_partials(np.exp(jet(points)) * np.sin(jet(points)) / (2.0 + jet(points)), 5)
+        x = points[:, 0]
+        want = np.exp(x) * (np.sin(x) + np.cos(x)) / (2.0 + x) - np.exp(x) * np.sin(x) / (2.0 + x) ** 2
+        npt.assert_allclose(values[:, 0], np.exp(x) * np.sin(x) / (2.0 + x), rtol=1e-15)
+        npt.assert_allclose(dvalues[:, 0, 0], want, rtol=1e-14)
+        fd = grid_partials(np.exp(grid(points)) * np.sin(grid(points)) / (2.0 + grid(points)), 5)[1]
+        npt.assert_allclose(dvalues, fd, atol=1e-9)
 
 
 class TestRandomSymmetricTraceless:

@@ -3,7 +3,10 @@
 import importlib.util
 import json
 import math
+import warnings
 from pathlib import Path
+
+from statwintgen import cli
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -49,3 +52,24 @@ def test_stage_timings_times_every_geometry_stage_one_point_at_a_time(capsys):
     for name in stage_timings.WRITES:
         value = timings[f"write_report.{name}"]
         assert math.isfinite(value) and value > 0.0, name
+
+
+def test_every_geometry_command_of_the_digest_battery_runs_without_a_warning(monkeypatch, tmp_path, capsys):
+    # with warnings raised as errors, a warning escapes cli.main as an exception: a cast of a jet's complex
+    # values to float, for one, would raise numpy's ComplexWarning where it drops their imaginary parts
+    digests = _load("report_digests")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STATWINTGEN_OUTDIR", raising=False)
+    for name, config in digests.CONFIGS.items():
+        Path(name).write_text(json.dumps(config))
+    words = {"reproduce", "axioms", "curvature", "classify"}
+    commands = [argv for argv in digests.battery() if words & set(argv)]
+    assert len(commands) == 27
+    for argv in commands:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv + ["--out", digests.OUT])
+        # the refusals: a non-finite residual or warp, and a null config value
+        expected = 2 if {"1e200", "out-null.json"} & set(argv) else 1 if "--perturb-gamma" in argv else 0
+        assert code == expected, argv
+        assert "Warning" not in capsys.readouterr().err, argv

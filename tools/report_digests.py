@@ -76,7 +76,7 @@ def battery() -> list[list[str]]:
           for perturb in ([], ["--perturb-gamma", "0.01"])),
         ["curvature", "--chart", "r2"],
         ["curvature", "--chart", "h3"],
-        # more samples than one stacked chunk holds (186 at dimension 3, 910 at dimension 2)
+        # more samples than one stacked chunk holds (173 at dimension 3, 819 at dimension 2)
         ["axioms", "--chart", "h3", "--samples", "300"],
         ["curvature", "--chart", "h3", "--samples", "300"],
         ["curvature", "--chart", "r2", "--samples", "1500"],

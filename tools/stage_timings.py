@@ -58,10 +58,14 @@ built-in charts, in microseconds per sample:
     axioms_h3       the same on the warped h3 chart
     lc_curvature    statistical_geometry.curvature of the Levi-Civita connection (h3)
     sectional       statistical_geometry.sectional_curvature, Levi-Civita (h3)
-    fields_h3       the h3 chart's six fields (metric, both connections and
-                    their analytic partials)
-    warping_h3      warped_contact.Warping.at of the h3 chart on the t column
-                    of the samples' Levi-Civita grid, in microseconds per t
+    fields_h3       the h3 chart's fields (metric, both connections, the metric
+                    partials, and the analytic connection partials where the
+                    checkout's charts still carry them)
+    warping_h3      warped_contact.Warping.at(t, 1) of the h3 chart on the t column
+                    of the rows the Levi-Civita pass evaluates the metric on:
+                    the samples' complex-step jet where the checkout has
+                    ``tensor_core.jet``, else their central-difference grid;
+                    in microseconds per t
     reproduce_h3    the Levi-Civita sectional curvature and axiom_residuals
                     (h3), as ``reproduce example-h3`` computes them: from one
                     pass with ``levi_civita_sectional_and_axioms`` where the
@@ -118,8 +122,8 @@ import numpy as np
 
 from statwintgen import cli, legendrian, wintgen
 from statwintgen import statistical_geometry as sg
+from statwintgen import tensor_core
 from statwintgen import warped_contact as wc
-from statwintgen.tensor_core import DEFAULT_FD_STEP
 
 DIMS = (2, 3, 5, 8)
 STAGES = ("generate", "validate", "means", "rho", "rho_perp", "chain", "csv", "sweep")
@@ -127,7 +131,7 @@ GEOMETRY_STAGES = ("axioms_r2", "axioms_h3", "lc_curvature", "sectional", "field
 STACK_STAGES = ("fields_h3", "warping_h3")  # skipped where the fields and the warping take one point
 CHART_FIELDS = ("metric", "gamma", "gamma_star", "metric_partial", "gamma_partial", "gamma_star_partial")
 GEOMETRY_SAMPLES = 100
-GRID_ROWS_H3 = 7  # t values per h3 sample on the Levi-Civita grid: the point and its 6 stencil points
+GRID_STEP = 1e-5  # the central-difference step of the checkouts without the jet
 SHARPNESS_BUDGET = 1000
 PASS_CALLS = 200
 DRAW_RANGES = ((-4.0, 4.0), (0.5, 3.0), (-2.0, 2.0), 1.0)  # random_instance's c, f, f' ranges and magnitude
@@ -253,8 +257,9 @@ def geometry_batch(seed: int, stacked: bool) -> dict[str, float]:
         "axioms_h3": ("h3", lambda chart, x, p: sg.axiom_residuals(chart, x, *p)),
         "lc_curvature": ("h3", lambda chart, x, p: sg.curvature(chart, "levi_civita", x)),
         "sectional": ("h3", lambda chart, x, p: sg.sectional_curvature(chart, "levi_civita", x, p[0], p[1])),
-        "fields_h3": ("h3", lambda chart, x, p: [getattr(chart, f)(x) for f in CHART_FIELDS]),
-        "warping_h3": ("h3", lambda chart, x, p: h3.warping.at(_grid_heights(x))),
+        "fields_h3": ("h3", lambda chart, x, p: [getattr(chart, f)(x) for f in CHART_FIELDS
+                                                 if getattr(chart, f, None) is not None]),
+        "warping_h3": ("h3", lambda chart, x, p: h3.warping.at(_pass_heights(x), 1)),
         "reproduce_h3": ("h3", _reproduce_pair),
     }
     t = {}
@@ -269,9 +274,13 @@ def geometry_batch(seed: int, stacked: bool) -> dict[str, float]:
     return t
 
 
-def _grid_heights(points) -> np.ndarray:
-    """The t column of the Levi-Civita grid of (N, 3) points: each t, then t + h, t - h and t four times."""
-    t, h = points[:, :1], DEFAULT_FD_STEP
+def _pass_heights(points) -> np.ndarray:
+    """The t column of the rows of (N, 3) points that the Levi-Civita pass evaluates the metric on: their
+    complex-step jet (each t, then t + i step, t and t) where the checkout has ``tensor_core.jet``, else their
+    central-difference grid (each t, then t + h, t - h and t four times)."""
+    if hasattr(tensor_core, "jet"):
+        return tensor_core.jet(points)[:, 0]
+    t, h = points[:, :1], GRID_STEP
     return np.hstack([t, t + h, t - h, t, t, t, t]).ravel()
 
 
@@ -301,7 +310,7 @@ def geometry_timings(repeats: int) -> dict[str, float]:
         runs = [geometry_batch(seed, mode == "stack") for seed in range(repeats)]
         for stage in GEOMETRY_STAGES:
             if stage in runs[0]:
-                units = GEOMETRY_SAMPLES * (GRID_ROWS_H3 if stage == "warping_h3" else 1)
+                units = GEOMETRY_SAMPLES * (len(_pass_heights(np.zeros((1, 3)))) if stage == "warping_h3" else 1)
                 out[f"geometry.{stage}.{mode}"] = 1e6 * statistics.median(r[stage] for r in runs) / units
     return out
 
