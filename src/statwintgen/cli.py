@@ -390,7 +390,7 @@ def _reproduce_checks(example: str, rng: np.random.Generator):
             k = sg.difference_tensor(chart, points)
             yield points, [
                 ("curvature(nabla)", nabla, -1.0, 1e-10), ("curvature(nabla_star)", nabla_star, -1.0, 1e-10),
-                ("axiom residual", residual, 0.0, 1e-8),
+                ("axiom residual", residual, 0.0, 1e-12),
                 ("K^y_xx", k[:, 1, 0, 0], 1.0, 1e-12), ("K^x_xy", k[:, 0, 0, 1], 1.0, 1e-12)]
         return
     spec = wc.builtin_h3_example()
@@ -401,7 +401,7 @@ def _reproduce_checks(example: str, rng: np.random.Generator):
     for points, u, v, *probes in _chunks(50, 3, rng, wc.default_sample_box(3), *[[(-1.0, 1.0)] * 3] * 6):
         sectional, residuals = sg.levi_civita_sectional_and_axioms(chart, points, u, v, probes)
         residual = np.max(list(residuals.values()), axis=0)
-        yield points, [("hyperbolic sectional", sectional, -1.0, 1e-6), ("axiom residual", residual, 0.0, 1e-6)]
+        yield points, [("hyperbolic sectional", sectional, -1.0, 1e-6), ("axiom residual", residual, 0.0, 1e-12)]
     (point,) = next(_chunks(1, 3, rng, wc.default_sample_box(3)))
     (cls,) = wc.contact_classification(spec, point)
     yield point, [("alpha", [cls.alpha], -1.0, 1e-12), ("d_phi residual", [cls.d_phi_residual], 0.0, 1e-8)]

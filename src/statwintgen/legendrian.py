@@ -17,15 +17,17 @@ brackets of the mean shape operators over phi-pairs.  The definitional frame
 sums over sectional curvatures and normal curvature entries live with the
 tests (``tests/frame_oracle.py``), which compare this module against them.
 
-Instances are immutable (read-only arrays, finite fields, n >= 2, f > 0), so
-their derived data is memoized on the instance: the violation list, and one
-derivation that holds ``MeanData``, the operator stack and rho_perp
-(``ShapeOperators`` is built on first request).  The kernels take arrays:
-``_find_violations`` a (B, 2, n+1, n, n) stack of forms h, h* with its xi
-values, and ``_derive_arrays`` the forms with their c-terms 2c/4f^2, read row
-by row through ``_derive_rows``.  A lone instance reads the B = 1 row;
-``derive_batch`` memoizes a sweep chunk's fresh instances from the stack they
-were drawn as; ``wintgen._bound_scorer`` derives a stack with no instance at
+Instances are immutable (read-only arrays, finite fields, n >= 2, f > 0, all
+checked by ``_require_stack``), so their derived data is memoized on the
+instance: the violation list, and one derivation that holds ``MeanData``, the
+operator stack and rho_perp (``ShapeOperators`` is built on first request).
+The kernels take arrays: ``_find_violations`` a (B, 2, n+1, n, n) stack of
+forms h, h* with its xi values, and ``_derive_arrays`` the forms with their
+c-terms 2c/4f^2, read row by row through ``_derive_rows``.  The constructor
+copies its forms and reads the B = 1 row on first use; ``_instance_rows``
+builds a sweep chunk's instances as read-only rows of the one stack they were
+drawn as, checked once, their memo filled from one kernel pass as they are
+built; ``wintgen._bound_scorer`` derives a stack with no instance at
 all, its forms gathered from the trial parameters in one take, and runs
 ``_rho_pair`` on its (B,) columns.  The derivation fills one (B, 6, n+1, n, n)
 stack (A = h*, A* = h, A0, S, S*, S0): it takes the means H*, H and
@@ -106,23 +108,16 @@ class LegendrianPointInstance:
     h_star: Array
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        h_star = np.asarray(self.h_star, dtype=float)
-        _require_dimension(self.n)
-        shape = (self.n + 1, self.n, self.n)
-        if h.shape != shape or h_star.shape != shape:
-            raise ValueError(f"h and h_star must have shape {shape}")
-        forms = np.array((h, h_star))  # the kernel's (2, n+1, n, n) slice of this instance
+        h, h_star = np.asarray(self.h, dtype=float), np.asarray(self.h_star, dtype=float)
+        # the kernel's (2, n+1, n, n) slice of this instance, a copy; forms of unequal shapes make a stack of
+        # no form's shape, which the check refuses
+        forms = np.array((h, h_star)) if h.shape == h_star.shape else np.empty((2, 0))
+        _require_stack(self.n, ((self.c, self.f_val, self.f_prime),), forms[None])
         forms.flags.writeable = False
-        object.__setattr__(self, "_forms", forms)
-        object.__setattr__(self, "h", forms[0])
-        object.__setattr__(self, "h_star", forms[1])
-        _require_finite(self.c, self.f_val, self.f_prime, forms)
-        if self.f_val <= 0.0:
-            raise ValueError(f"f must be positive, got {self.f_val!r}")
+        vars(self).update(h=forms[0], h_star=forms[1], _forms=forms)
 
     # Derived data, computed on first use by the B = 1 call of the kernels
-    # (module functions bound late); ``derive_batch`` fills it for a sweep chunk.
+    # (module functions bound late); ``_instance_rows`` fills it as it builds a sweep chunk's rows.
     _violations = cached_property(
         lambda self: _find_violations(_finite_xi(np.array([-(self.f_prime / self.f_val)])), self._forms[None])[0])
     _derived = cached_property(
@@ -226,9 +221,18 @@ def _require_dimension(n: int) -> None:
         raise ValueError(f"n must be >= 2, got {n!r}")
 
 
-def _require_finite(c: float, f_val: float, f_prime: float, forms: Array) -> None:
-    if not (math.isfinite(c) and math.isfinite(f_val) and math.isfinite(f_prime) and np.isfinite(forms).all()):
-        raise ValueError("c, f, f_prime, h and h_star must be finite")
+def _require_stack(n: int, fields: Sequence[Sequence[float]], forms: Array) -> None:
+    """Refuse a (B, 2, n+1, n, n) stack of forms h, h* with its B rows of fields (c, f, f') as the first bad
+    row's lone instance is refused: n >= 2, the shape, finite fields and forms, f > 0."""
+    _require_dimension(n)
+    shape = (n + 1, n, n)
+    if forms.shape[1:] != (2, *shape):
+        raise ValueError(f"h and h_star must have shape {shape}")
+    for (c, f_val, f_prime), finite in zip(fields, np.isfinite(forms).reshape(len(forms), -1).all(axis=1)):
+        if not (finite and math.isfinite(c) and math.isfinite(f_val) and math.isfinite(f_prime)):
+            raise ValueError("c, f, f_prime, h and h_star must be finite")
+        if f_val <= 0.0:
+            raise ValueError(f"f must be positive, got {f_val!r}")
 
 
 def _finite_xi(xi: Array) -> Array:
@@ -352,12 +356,22 @@ def _derive_arrays(forms: Array, cterm: Array) -> tuple[Array, Array, Array, Arr
     return ops, means, mean_sq, tau_sq, _rho_perp_stack(cterm, ops)
 
 
-def derive_batch(insts: Sequence[LegendrianPointInstance], forms: Array, xi: Array) -> None:
-    """Validate and derive fresh instances in one pass over the (B, 2, n+1, n, n) forms and (B,) xi values
-    -(f'/f) they were built from, and memoize each instance's row, which its accessors then read."""
-    cterm = np.array([2.0 * inst.c / (4.0 * inst.f_val**2) for inst in insts])
-    for inst, found, derived in zip(insts, _find_violations(xi, forms), _derive_rows(forms, cterm)):
-        vars(inst).update(_violations=found, _derived=derived)
+def _instance_rows(n: int, fields: Array, xi: Array, forms: Array) -> list[LegendrianPointInstance]:
+    """The instances of a (B, 2, n+1, n, n) stack of forms h, h* with their (B, 3) fields c, f, f' and (B,) xi
+    values -(f'/f), checked once as a stack.  Each row's ``h``, ``h_star`` and forms are read-only views of the
+    stack, and its memo is filled from one pass of the kernels, with the c-terms 2c/4f^2 as a column:
+    ``np.float_power`` is libm pow, as Python's ``**`` is, so each is the lone instance's float."""
+    values = fields.tolist()
+    _require_stack(n, values, forms)
+    forms.flags.writeable = False
+    with np.errstate(over="ignore"):  # where f^2 overflows, Python's ** in ambient_plane_curvature raises
+        cterm = 2.0 * fields[:, 0] / (4.0 * np.float_power(fields[:, 1], 2))
+    rows = [object.__new__(LegendrianPointInstance) for _ in values]
+    for inst, (c, f, fp), form, found, derived in zip(rows, values, forms, _find_violations(xi, forms),
+                                                      _derive_rows(forms, cterm)):
+        vars(inst).update(n=n, c=c, f_val=f, f_prime=fp, h=form[0], h_star=form[1], _forms=form,
+                          _violations=found, _derived=derived)
+    return rows
 
 
 def ambient_plane_curvature(c: float, f_val: float, f_prime: float) -> float:

@@ -33,13 +33,13 @@ from .legendrian import (
     _derive_arrays,
     _finite_xi,
     _frame,
+    _instance_rows,
     _mean_data,
     _require_dimension,
     _rho_pair,
     _scalars,
     ambient_plane_curvature,
     curvature_scalars,
-    derive_batch,
     require_valid,
     shape_operators,
 )
@@ -271,7 +271,7 @@ def _random_instances(n: int, c_range, f_range, fprime_range, magnitude: float, 
     low, span = np.array([(a, b - a) for a, b in bounds]).T  # Python floats: an infinite span raises no warning
     if not np.isfinite(span).all():
         raise OverflowError("high - low range exceeds valid bounds")
-    return _instances_from_upper(n, (low[:3] + span[:3] * u[:, :3]).tolist(), low[3] + span[3] * u[:, 3:])
+    return _instances_from_upper(n, low[:3] + span[:3] * u[:, :3], low[3] + span[3] * u[:, 3:])
 
 
 def _check_draw_args(n: int, c_range, f_range, fprime_range, magnitude: float) -> None:
@@ -286,15 +286,15 @@ def _check_draw_args(n: int, c_range, f_range, fprime_range, magnitude: float) -
         raise ValueError(f"f_range must be positive, got ({f_range[0]!r}, {f_range[1]!r})")
 
 
-def _instances_from_upper(n: int, params: list[tuple[float, float, float]],
-                          upper: Array) -> tuple[list[LegendrianPointInstance], Array, Array]:
-    """Instances with fields (c, f, f') and the forms ``_forms_from_upper`` gathers from the phi-slices' upper
-    triangles ``upper``, with those forms and xi values.  A non-finite xi = -f'/f (a finite f' over a tiny f)
-    raises OverflowError."""
-    xi = _finite_xi(np.array([-(fp / f) for _, f, fp in params]))
+def _instances_from_upper(n: int, params, upper: Array) -> tuple[list[LegendrianPointInstance], Array, Array]:
+    """The rows ``legendrian._instance_rows`` builds of (B, 3) fields (c, f, f') ``params`` and the forms
+    ``_forms_from_upper`` gathers from the phi-slices' upper triangles ``upper``, with those forms and xi
+    values.  A non-finite xi = -f'/f (a finite f' over a tiny f) raises OverflowError before any row is built."""
+    fields = np.asarray(params, dtype=float)
+    with np.errstate(over="ignore"):  # _finite_xi refuses an overflow by name
+        xi = _finite_xi(-(fields[:, 2] / fields[:, 1]))
     forms = _forms_from_upper(n, xi, upper.reshape(len(upper), -1))
-    return [LegendrianPointInstance(n=n, c=c, f_val=f, f_prime=fp, h=form[0], h_star=form[1])
-            for (c, f, fp), form in zip(params, forms)], forms, xi
+    return _instance_rows(n, fields, xi, forms), forms, xi
 
 
 @lru_cache(maxsize=64)
@@ -350,16 +350,15 @@ def sweep(
     ``n``, the ranges and ``magnitude`` are checked once, before any
     instance is drawn; a bad one raises ValueError naming it.  Each chunk of
     ``sweep_chunk(n)`` instances is drawn in one pass, from the streams that
-    ``random_instance`` draws, into one forms stack, which ``legendrian.derive_batch``
-    validates and derives once; each report is ``main_inequality`` reading memoized data.
+    ``random_instance`` draws, into one forms stack, whose rows are the instances,
+    validated and derived once as a stack; each report is ``main_inequality`` reading memoized data.
     """
     _check_draw_args(n, c_range, f_range, fprime_range, magnitude)
     out = []
     chunk = sweep_chunk(n)
     for start in range(0, count, chunk):
         indices = range(start, min(start + chunk, count))
-        insts, forms, xi = _random_instances(n, c_range, f_range, fprime_range, magnitude, seed, indices)
-        derive_batch(insts, forms, xi)
+        insts = _random_instances(n, c_range, f_range, fprime_range, magnitude, seed, indices)[0]
         out += [main_inequality(inst, seed=f"{seed}-{index}", include_chain=False)
                 for index, inst in zip(indices, insts)]
     return out
@@ -506,8 +505,7 @@ def sharpness_search(n: int, c: float, f: float, fprime: float, iterations: int,
         if not improved:
             step *= 0.5
 
-    h, h_star = _forms_from_upper(n, -(fprime / f), best_params[None])[0]
-    best_instance = LegendrianPointInstance(n=n, c=c, f_val=f, f_prime=fprime, h=h, h_star=h_star)
+    best_instance = _instances_from_upper(n, [(c, f, fprime)], best_params[None])[0][0]
     hard = not main_inequality(best_instance, include_chain=False).holds
     return SharpnessResult(
         best_instance=best_instance,

@@ -73,7 +73,7 @@ def checks(command: str, target: str, seed: int, samples: int) -> list[dict]:
             for i in range(len(points)):
                 add("curvature(nabla)", nabla[i], -1.0, 1e-10)
                 add("curvature(nabla_star)", nabla_star[i], -1.0, 1e-10)
-                add("axiom residual", residual[i], 0.0, 1e-8)
+                add("axiom residual", residual[i], 0.0, 1e-12)
                 add("K^y_xx", k[i, 1, 0, 0], 1.0, 1e-12)
                 add("K^x_xy", k[i, 0, 0, 1], 1.0, 1e-12)
     elif (command, target) == ("reproduce", "example-h3"):
@@ -86,7 +86,7 @@ def checks(command: str, target: str, seed: int, samples: int) -> list[dict]:
             residual = np.max(list(residuals.values()), axis=0)
             for i in range(len(points)):
                 add("hyperbolic sectional", sectional[i], -1.0, 1e-6)
-                add("axiom residual", residual[i], 0.0, 1e-6)
+                add("axiom residual", residual[i], 0.0, 1e-12)
         (point,) = next(cli._chunks(1, 3, rng, wc.default_sample_box(3)))
         (cls,) = wc.contact_classification(spec, point)
         add("alpha", cls.alpha, -1.0, 1e-12)

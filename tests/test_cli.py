@@ -186,6 +186,20 @@ def test_a_connection_perturbed_by_1e_9_fails_the_axioms_at_the_default_toleranc
     assert json.loads(out.read_text())["residual_tol"] == 1e-12
 
 
+@pytest.mark.parametrize("example, module, builder", [("example-r2", sg, "builtin_r2_example"),
+                                                      ("example-h3", wc, "build_warped_chart")])
+def test_reproduce_fails_the_axiom_residuals_of_a_connection_perturbed_by_1e_9(example, module, builder,
+                                                                                 monkeypatch, tmp_path):
+    # the axiom-residual rows are held at axioms' default 1e-12, so they catch what axioms catches
+    original = getattr(module, builder)
+    monkeypatch.setattr(module, builder, lambda *spec: cli._perturbed_chart(original(*spec), 1e-9))
+    out = tmp_path / "report.json"
+    assert main(["reproduce", example, "--out", str(out)]) == EXIT_VIOLATION
+    residuals = [c for c in json.loads(out.read_text())["checks"] if c["check"] == "axiom residual"]
+    assert residuals and {c["tol"] for c in residuals} == {1e-12}
+    assert not all(c["ok"] for c in residuals)
+
+
 def test_unknown_command_usage_error():
     assert main(["frobnicate"]) == EXIT_USAGE
 

@@ -498,10 +498,11 @@ class TestOneDerivation:
 
     @pytest.mark.parametrize("first", ["means_and_traceless", "shape_operators", "rho_perp_statistical"])
     def test_derivation_runs_once_whichever_is_called_first(self, first, monkeypatch):
+        drawn = wg.random_instance(3, seed=71, index=0)  # a drawn row is derived as it is built
         derive_rows = lg._derive_rows
         calls = []
         monkeypatch.setattr(lg, "_derive_rows", lambda forms, cterm: calls.append(forms) or derive_rows(forms, cterm))
-        inst = _copy(wg.random_instance(3, seed=71, index=0))
+        inst = _copy(drawn)
         assert calls == []
         getattr(lg, first)(inst)
         for fn in (lg.means_and_traceless, lg.shape_operators, lg.rho_perp_statistical, lg.curvature_scalars):
@@ -546,12 +547,10 @@ def _wrong_xi(n):
 
 
 def _chunk_fill(insts):
-    """Fresh copies of ``insts`` memoized as a sweep chunk is: ``derive_batch`` on their stacked forms and xi values."""
-    forms = np.stack([np.array((inst.h, inst.h_star)) for inst in insts])
-    xi = np.array([-(inst.f_prime / inst.f_val) for inst in insts])
-    fresh = [_copy(inst) for inst in insts]
-    lg.derive_batch(fresh, forms, xi)
-    return fresh
+    """Rows of ``insts`` built as a sweep chunk's are: ``_instance_rows`` on their stacked fields, xi values and forms."""
+    fields = np.array([(inst.c, inst.f_val, inst.f_prime) for inst in insts])
+    forms = np.stack([inst._forms for inst in insts])
+    return lg._instance_rows(insts[0].n, fields, -(fields[:, 2] / fields[:, 1]), forms)
 
 
 class TestStackedPass:
@@ -560,8 +559,7 @@ class TestStackedPass:
         insts = _oracle_instances(n, count=9)
         insts += [wg.random_instance(n, seed=61, index=k, magnitude=1000.0) for k in range(3)]
         insts.append(lg.umbilic_instance(n, c=4.0, f_val=1.0, f_prime=0.0))
-        drawn, forms, xi = wg._random_instances(n, (-4.0, 4.0), (0.5, 3.0), (-2.0, 2.0), 1.0, 67, range(5))
-        lg.derive_batch(drawn, forms, xi)  # the sweep's own chunk fill
+        drawn = wg._random_instances(n, (-4.0, 4.0), (0.5, 3.0), (-2.0, 2.0), 1.0, 67, range(5))[0]  # a sweep chunk
         for inst in _chunk_fill(insts) + drawn:
             assert {"_violations", "_derived"} <= vars(inst).keys()
             assert _derived_bytes(inst) == _derived_bytes(_copy(inst))
@@ -600,3 +598,125 @@ class TestStackedPass:
         reports = wg.sweep(n=3, count=10, seed=89)  # chunks of 4, 4 and 2
         assert len(reports) == 10
         assert counts == {"_derive_arrays": 3, "_find_violations": 3, "ShapeOperators": 0}
+
+
+# ---------------------------------------------------------------------------
+# A chunk's instances are rows of its one checked, read-only forms stack
+# ---------------------------------------------------------------------------
+
+
+DRAW_RANGES = ((-4.0, 4.0), (0.5, 3.0), (-2.0, 2.0))
+
+
+def _rows_of_one_stack(n, count=6):
+    """A chunk of drawn rows (magnitude 1 and 1000), and rows of constructed instances, invalid ones included."""
+    drawn = [inst for magnitude in (1.0, 1000.0)
+             for inst in wg._random_instances(n, *DRAW_RANGES, magnitude, 83, range(count))[0]]
+    built = [wg.random_instance(n, seed=83, index=count), _asymmetric(n), _wrong_xi(n),
+             lg.umbilic_instance(n, c=4.0, f_val=1.0, f_prime=0.0)]
+    return drawn + _chunk_fill(built)
+
+
+def _bad_stack(n, bad):
+    """Fields, xi values and forms of four drawn rows, each row k in ``bad`` corrupted as ``bad[k]`` says."""
+    insts, forms, xi = wg._random_instances(n, *DRAW_RANGES, 1.0, 97, range(4))
+    fields = np.array([(inst.c, inst.f_val, inst.f_prime) for inst in insts])
+    forms = forms.copy()
+    for row, kind in bad.items():
+        if kind == "nan-form":
+            forms[row, 1, 0, 0, 1] = np.nan
+        elif kind == "inf-c":
+            fields[row, 0] = np.inf
+        else:  # kind is the f to set
+            fields[row, 1] = kind
+    return fields, xi, forms
+
+
+class TestInstanceRows:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_rows_equal_instances_built_one_at_a_time(self, n):
+        for row in _rows_of_one_stack(n):
+            alone = _copy(row)
+            assert (type(row), row.n, row.c, row.f_val, row.f_prime) == (
+                type(alone), alone.n, alone.c, alone.f_val, alone.f_prime)
+            assert [type(v) for v in (row.n, row.c, row.f_val, row.f_prime)] == [int, float, float, float]
+            for name in ("h", "h_star", "_forms"):
+                got, want = getattr(row, name), getattr(alone, name)
+                assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            memo = vars(row)["_violations"], vars(row)["_derived"]  # filled as the row was built
+            assert memo[0] == alone._violations
+            if not memo[0]:
+                assert _derived_bytes(row) == _derived_bytes(alone)
+                assert lg.curvature_scalars(row) == lg.curvature_scalars(alone)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_every_row_is_a_read_only_view_of_the_stack(self, n):
+        insts, forms, _ = wg._random_instances(n, *DRAW_RANGES, 1.0, 89, range(7))
+        assert not forms.flags.writeable
+        for k, inst in enumerate(insts):
+            for name in ("h", "h_star", "_forms"):
+                array = getattr(inst, name)
+                assert not array.flags.writeable and np.shares_memory(array, forms[k])
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0, 0] = 1.0
+
+    def test_the_public_constructor_copies_its_inputs(self):
+        base = wg.random_instance(3, seed=89, index=0)
+        h, h_star = base.h.copy(), base.h_star.copy()
+        inst = lg.LegendrianPointInstance(n=3, c=base.c, f_val=base.f_val, f_prime=base.f_prime, h=h, h_star=h_star)
+        h[0, 0, 0] += 1.0
+        h_star[...] = 0.0
+        assert inst.h.tobytes() == base.h.tobytes() and inst.h_star.tobytes() == base.h_star.tobytes()
+        assert not np.shares_memory(inst._forms, h) and not inst._forms.flags.writeable
+        assert lg.validate(inst) == []
+
+    @pytest.mark.parametrize("bad", [{2: "nan-form"}, {1: "inf-c"}, {3: 0.0}, {0: -1.5}, {1: -2.0, 2: "nan-form"},
+                                     {1: "nan-form", 3: -2.0}],
+                             ids=["nan-form", "inf-c", "f-zero", "f-negative", "f-first", "finite-first"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_bad_row_raises_the_lone_instance_refusal(self, n, bad):
+        fields, xi, forms = _bad_stack(n, bad)
+        first = min(bad)
+        c, f, fp = fields[first].tolist()
+        with pytest.raises(ValueError) as alone:
+            lg.LegendrianPointInstance(n=n, c=c, f_val=f, f_prime=fp, h=forms[first, 0], h_star=forms[first, 1])
+        with pytest.raises(ValueError) as stacked:
+            lg._instance_rows(n, fields, xi, forms)
+        assert str(stacked.value) == str(alone.value)
+        assert str(alone.value) in ("c, f, f_prime, h and h_star must be finite", f"f must be positive, got {f!r}")
+
+    @pytest.mark.parametrize("stack, h, h_star", [((4, 2, 3, 2, 3), (3, 2, 3), (3, 2, 3)),
+                                                  ((4, 2, 4, 3, 3), (4, 3, 3), (4, 3, 3)),
+                                                  ((4, 1, 3, 2, 2), (3, 2, 2), (3, 3, 2))])
+    def test_a_wrong_shape_raises_the_lone_instance_refusal(self, stack, h, h_star):
+        fields, xi, _ = _bad_stack(2, {})
+        with pytest.raises(ValueError) as stacked:
+            lg._instance_rows(2, fields, xi, np.zeros(stack))
+        with pytest.raises(ValueError) as alone:
+            lg.LegendrianPointInstance(n=2, c=0.0, f_val=1.0, f_prime=0.0, h=np.zeros(h), h_star=np.zeros(h_star))
+        assert str(stacked.value) == str(alone.value) == "h and h_star must have shape (3, 2, 2)"
+        with pytest.raises(ValueError, match="n must be >= 2, got 1"):
+            lg._instance_rows(1, fields, xi, np.zeros(stack))
+
+    def test_a_draw_whose_xi_overflows_raises_before_any_row_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(wg, "_instance_rows", lambda *args: built.append(args))
+        upper = np.zeros((2, 2 * 2 * 2 * 2))
+        with pytest.raises(OverflowError, match="non-finite xi"):
+            wg._instances_from_upper(2, [(0.0, 1.0, 1.0), (0.0, 1e-310, 1.0)], upper)
+        assert built == []
+        # the public constructor still takes such fields, and names the overflow on first validation
+        inst = lg.LegendrianPointInstance(n=2, c=0.0, f_val=1e-310, f_prime=1.0, h=np.zeros((3, 2, 2)),
+                                          h_star=np.zeros((3, 2, 2)))
+        with pytest.raises(OverflowError, match="non-finite xi"):
+            lg.validate(inst)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_random_instance_is_its_row_of_the_sweep_chunk(self, n):
+        chunk = wg._random_instances(n, *DRAW_RANGES, 1.0, 101, range(wg.sweep_chunk(n)))[0]
+        for index in (0, 1, len(chunk) - 1):
+            alone, row = wg.random_instance(n, seed=101, index=index), chunk[index]
+            assert (alone.n, alone.c, alone.f_val, alone.f_prime) == (row.n, row.c, row.f_val, row.f_prime)
+            assert alone._forms.tobytes() == row._forms.tobytes()
+            assert alone._violations == row._violations == ()
+            assert _derived_bytes(alone) == _derived_bytes(row)

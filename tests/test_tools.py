@@ -28,11 +28,11 @@ def test_stage_timings_times_every_geometry_stage_one_point_at_a_time(capsys):
             for n in stage_timings.DIMS]
     for key in keys:
         assert math.isfinite(timings[key]) and timings[key] > 0.0, key
-    assert {"warping_h3", "reproduce_h3"} <= set(stage_timings.GEOMETRY_STAGES)
+    assert {"warping_h3", "reproduce_h3", "axioms_d5", "classify_d5"} <= set(stage_timings.GEOMETRY_STAGES)
     for stage in stage_timings.GEOMETRY_STAGES:
         value = timings[f"geometry.{stage}.point"]
         assert math.isfinite(value) and value > 0.0, stage
-    for stage in ("warping_h3", "reproduce_h3"):
+    for stage in ("warping_h3", "reproduce_h3", "axioms_d5", "classify_d5"):
         value = timings[f"geometry.{stage}.stack"]
         assert math.isfinite(value) and value > 0.0, stage
     assert stage_timings.COMMANDS == (

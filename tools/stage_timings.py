@@ -70,6 +70,10 @@ built-in charts, in microseconds per sample:
                     (h3), as ``reproduce example-h3`` computes them: from one
                     pass with ``levi_civita_sectional_and_axioms`` where the
                     checkout has it, else with one call of each function
+    axioms_d5       statistical_geometry.axiom_residuals on the dim-5 chart of
+                    ``twisted_j_spec(0.4, cosh_warping())``, as ``classify
+                    --warp cosh --fiber twisted`` builds it
+    classify_d5     warped_contact.contact_classification of that spec
 
 each once per point, as an N = 1 stack (``geometry.<stage>.point``), and as
 one stacked call over all samples (``geometry.<stage>.stack``), as the
@@ -127,7 +131,8 @@ from statwintgen import warped_contact as wc
 
 DIMS = (2, 3, 5, 8)
 STAGES = ("generate", "validate", "means", "rho", "rho_perp", "chain", "csv", "sweep")
-GEOMETRY_STAGES = ("axioms_r2", "axioms_h3", "lc_curvature", "sectional", "fields_h3", "warping_h3", "reproduce_h3")
+GEOMETRY_STAGES = ("axioms_r2", "axioms_h3", "lc_curvature", "sectional", "fields_h3", "warping_h3", "reproduce_h3",
+                   "axioms_d5", "classify_d5")
 STACK_STAGES = ("fields_h3", "warping_h3")  # skipped where the fields and the warping take one point
 CHART_FIELDS = ("metric", "gamma", "gamma_star", "metric_partial", "gamma_partial", "gamma_star_partial")
 GEOMETRY_SAMPLES = 100
@@ -244,8 +249,8 @@ def sharpness_passes(n: int) -> int | None:
 
 def geometry_batch(seed: int, stacked: bool) -> dict[str, float]:
     """Seconds per geometry stage on ``GEOMETRY_SAMPLES`` fresh points, one at a time or stacked."""
-    h3 = wc.builtin_h3_example()
-    charts = {"r2": sg.builtin_r2_example(), "h3": wc.build_warped_chart(h3)}
+    h3, d5 = wc.builtin_h3_example(), wc.twisted_j_spec(0.4, wc.cosh_warping())
+    charts = {"r2": sg.builtin_r2_example(), "h3": wc.build_warped_chart(h3), "d5": wc.build_warped_chart(d5)}
     rng = np.random.default_rng(seed)
     samples = {}
     for name, chart in charts.items():
@@ -261,6 +266,8 @@ def geometry_batch(seed: int, stacked: bool) -> dict[str, float]:
                                                  if getattr(chart, f, None) is not None]),
         "warping_h3": ("h3", lambda chart, x, p: h3.warping.at(_pass_heights(x), 1)),
         "reproduce_h3": ("h3", _reproduce_pair),
+        "axioms_d5": ("d5", lambda chart, x, p: sg.axiom_residuals(chart, x, *p)),
+        "classify_d5": ("d5", lambda chart, x, p: wc.contact_classification(d5, x)),
     }
     t = {}
     for stage, (name, call) in calls.items():
