@@ -47,8 +47,10 @@ class DualisticChart:
     ..., dim) stack of its values; the built-in fields broadcast over any
     leading axes, so one point (dim,) gives one value.  The metric partials
     are required: the Levi-Civita partials need g's second derivatives.
-    Every field must be a pure function of real or complex points (a jet's),
-    holomorphic in them, with values in their dtype.
+    Every field must be a pure numpy function of real or complex points (a
+    jet's), holomorphic in them, with values in their dtype; the kernel calls
+    it through ``_field``, which checks the shape.  The same rule holds for a
+    warped product's J and its warping's f, f' and f'' (``warped_contact``).
     """
 
     dim: int
@@ -93,13 +95,14 @@ def geometry_chunk(dim: int) -> int:
     return max(1, GEOMETRY_CHUNK_FLOATS // (8 * (1 + dim) * dim**3 + 8 * dim**4))
 
 
-_FIELD_RANKS = dict(metric=2, gamma=3, gamma_star=3, metric_partial=3)
+_FIELD_RANKS = dict(metric=2, gamma=3, gamma_star=3, metric_partial=3, complex_structure=2)
 
 
-def _field(chart: DualisticChart, name: str, points: Array) -> Array:
-    """The chart's field ``name`` at an (N, dim) stack of points in their dtype, checked to hold one value each."""
+def _field(chart, name: str, points: Array) -> Array:
+    """The field ``name`` of a chart (or a warped product's J) at a stack of points (..., dim) in their dtype,
+    checked to hold one (dim, ..., dim) value per point."""
     values = np.asarray(getattr(chart, name)(points), dtype=points.dtype)
-    shape = points.shape[:1] + (chart.dim,) * _FIELD_RANKS[name]
+    shape = points.shape[:-1] + points.shape[-1:] * _FIELD_RANKS[name]
     if values.shape != shape:
         raise ValueError(f"field {name} of chart {chart.label} returned shape {values.shape}, expected {shape}")
     return values

@@ -19,15 +19,19 @@ dPhi = f^2 dOmega - 2 alpha eta ^ Phi for the reported alpha = -f'/f.
 Every function works on (N, 2n+1) stacks of points that the caller draws (from
 ``default_sample_box``), one value or record per point;
 the closed forms give all eight ``CLOSED_FORM_CASES`` from one evaluation of f and g_N.
-The classification evaluates f, g_N and J once per row of the points' complex-step jet,
+The classification evaluates f, g_N and J once, on the points' complex-step jet,
 which gives the frame at the points, dPhi, and dOmega from its fiber-axis partials.
-Every field here keeps the dtype of its points, so it runs on a jet's complex rows too.
+Every field here, the warping's f, f' and f'' included, is a holomorphic numpy
+function of a whole stack that keeps the dtype of its points, so it runs on a
+jet's complex rows too; the fiber's fields and J are called through the one
+checked evaluator ``statistical_geometry._field``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -35,6 +39,7 @@ import numpy as np
 from .statistical_geometry import (
     DualisticChart,
     _bilinear,
+    _field,
     check_almost_complex,
     constant_field,
     curvature,
@@ -52,60 +57,48 @@ KENMOTSU_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Warping:
-    """Warping function t -> f(t) with analytic first and second derivatives."""
+    """Warping function t -> f(t) with analytic first and second derivatives.
 
-    f: Callable[[float], float]
-    f_prime: Callable[[float], float]
-    f_double_prime: Callable[[float], float]
+    f, f' and f'' follow the field rule of ``DualisticChart``: each is a numpy
+    function of an array of heights t of any shape, real or complex (a jet's),
+    holomorphic in t, with one value per t in its dtype.
+    """
+
+    f: Callable[[Array], Array]
+    f_prime: Callable[[Array], Array]
+    f_double_prime: Callable[[Array], Array]
     name: str = "f"
 
     def at(self, t, derivatives: int = 2) -> tuple[Array, ...]:
-        """(f, f', f'')[:derivatives + 1] at each t of an array of any shape, each an array of that shape.
+        """(f, f', f'')[:derivatives + 1] at each t of an array of any shape, each of that shape in t's dtype.
 
-        Each function is called on each t as a Python float, in array order:
-        f over the whole stack first, then f', then f''.  The first t whose f
-        is not positive (or not finite) is reported before f' is called.  A
-        complex t (a jet's) gives the complex steps f(Re t) + i Im t f'(Re t),
-        and f' with f'' likewise, so ``derivatives`` is then at most 1; the
-        functions see Re t, once per run of equal consecutive Re t, as a point's
-        jet rows share theirs."""
-        t = np.asarray(t)
-        complex_step = np.iscomplexobj(t)
-        if derivatives + complex_step > 2:
-            raise ValueError("a complex t takes at most the first derivative")
-        re, first = t.real.astype(float).ravel(), slice(None)
-        if complex_step:  # the first t of each run of equal bits, so a -0.0 and a 0.0 stay apart
-            bits = re.view(np.int64)
-            first = np.ones(len(bits), dtype=bool)
-            first[1:] = bits[1:] != bits[:-1]
-        s = re[first].tolist()
-        f = np.fromiter(map(self.f, s), float, len(s))
-        ok = (0.0 < f) & (f < math.inf)  # False at a NaN too
-        if np.count_nonzero(ok) < len(s):
-            i = int(ok.argmin())  # the first bad t
-            raise ValueError(f"warping {self.name} must stay positive, got f({s[i]}) = {float(f[i])}")
-        values = [f, *(np.fromiter(map(fn, s), float, len(s)) for fn in (self.f_prime, self.f_double_prime)
-                       [: derivatives + complex_step])]
-        if not complex_step:
-            return tuple(v.reshape(t.shape) for v in values)
-        values = np.array(values)[:, first.cumsum() - 1].reshape((-1,) + t.shape)
-        steps = np.empty(values[1:].shape, dtype=complex)  # parts set apart: exact, a -0.0 included
-        steps.real, steps.imag = values[:-1], t.imag * values[1:]
-        return tuple(steps)
+        Each function is called once, on the whole stack cast to complex: a real t then gets the real parts
+        of libm's complex routines, which are libm's real values (``math.exp``'s, not numpy's real loop's),
+        and a jet's t + i e gets f(t) + i e f'(t), f' and f'' likewise, as each is holomorphic.  The first t
+        whose f is not positive (or not finite) is reported before f' is called."""
+        z = np.asarray(t, dtype=complex)
+        f = self.f(z)
+        ok = (0.0 < f.real) & (f.real < math.inf)  # False at a NaN too
+        if not ok.all():
+            i = np.argmin(ok)  # the first bad t
+            raise ValueError(f"warping {self.name} must stay positive, "
+                             f"got f({float(z.real.flat[i])}) = {float(f.real.flat[i])}")
+        values = (f, *(fn(z) for fn in (self.f_prime, self.f_double_prime)[:derivatives]))
+        return values if np.iscomplexobj(t) else tuple(v.real for v in values)
 
 
 def exp_warping() -> Warping:
-    return Warping(math.exp, math.exp, math.exp, name="exp(t)")
+    return Warping(np.exp, np.exp, np.exp, name="exp(t)")
 
 
 def const_warping(value: float) -> Warping:
     if value <= 0.0:
         raise ValueError("constant warping must be positive")
-    return Warping(lambda t: value, lambda t: 0.0, lambda t: 0.0, name=f"const {value}")
+    return Warping(partial(np.full_like, fill_value=value), np.zeros_like, np.zeros_like, name=f"const {value}")
 
 
 def cosh_warping() -> Warping:
-    return Warping(math.cosh, math.sinh, math.cosh, name="cosh(t)")
+    return Warping(np.cosh, np.sinh, np.cosh, name="cosh(t)")
 
 
 @dataclass(frozen=True)
@@ -127,11 +120,7 @@ class WarpedProductSpec:
 
     def j_at(self, fiber_point: Array) -> Array:
         """J at a fiber point (2n,) or at each point of a stack (..., 2n), in their dtype, one J per point."""
-        x = _points(fiber_point)
-        j = np.asarray(self.complex_structure(x), dtype=x.dtype)
-        if j.shape != x.shape + x.shape[-1:]:
-            raise ValueError(f"complex structure of {self.label} returned shape {j.shape} for points {x.shape}")
-        return j
+        return _field(self, "complex_structure", fiber_point)
 
 
 def standard_complex_structure(n: int) -> Array:
@@ -161,7 +150,7 @@ def twisted_j_spec(epsilon: float, warping: Warping) -> WarpedProductSpec:
     j0 = standard_complex_structure(2)
 
     def j_field(x: Array) -> Array:
-        theta = epsilon * (0.5 + _points(x)[..., 3])
+        theta = epsilon * (0.5 + x[..., 3])
         c, s = np.cos(theta), np.sin(theta)
         p = np.tile(np.eye(4, dtype=theta.dtype), theta.shape + (1, 1))
         p[..., 1, 1], p[..., 1, 2], p[..., 2, 1], p[..., 2, 2] = c, -s, s, c
@@ -190,11 +179,6 @@ def h3_connection_table(t: float) -> Array:
     return out
 
 
-def _points(x) -> Array:
-    """Points as a float array, or as a complex one where they are a jet's."""
-    return np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
-
-
 def embed_fiber_vector(v: Array) -> Array:
     """Fiber vectors (..., 2n) as total-chart vectors (..., 2n+1) with dt-component 0."""
     v = np.asarray(v, dtype=float)
@@ -211,9 +195,8 @@ def _warped_block(f: Array, g_n: Array) -> Array:
 
 def warped_metric(spec: WarpedProductSpec, point: Array) -> Array:
     """dt^2 + f(t)^2 g_N at each point of a (..., 2n+1) stack."""
-    point = _points(point)
     (f,) = spec.warping.at(point[..., 0], 0)
-    return _warped_block(f, np.asarray(spec.fiber.metric(point[..., 1:]), dtype=point.dtype))
+    return _warped_block(f, _field(spec.fiber, "metric", point[..., 1:]))
 
 
 def default_sample_box(spec_dim: int) -> list[tuple[float, float]]:
@@ -231,31 +214,22 @@ def build_warped_chart(spec: WarpedProductSpec) -> DualisticChart:
     w = spec.warping
     fiber_axes = np.arange(1, d)  # index arrays of the (a, 0, a) and (a, a, 0) entries, a >= 1
 
-    def warp(x: Array) -> tuple[Array, ...]:
-        """(the points (..., d) as floats or a jet's complex rows, then f and f' at their t)."""
-        x = _points(x)
-        return (x, *w.at(x[..., 0], 1))
-
-    def fiber_field(name: str, x: Array) -> Array:
-        """The fiber's field ``name`` at the fiber coordinates of the points (..., d)."""
-        return np.asarray(getattr(fiber, name)(x[..., 1:]), dtype=x.dtype)
-
     def _gamma_from(fiber_gamma: str) -> Callable[[Array], Array]:
         def gamma(x: Array) -> Array:
-            x, f, fp = warp(x)
+            f, fp = w.at(x[..., 0], 1)
             out = np.zeros(x.shape[:-1] + (d, d, d), dtype=x.dtype)
-            out[..., 1:, 1:, 1:] = fiber_field(fiber_gamma, x)
+            out[..., 1:, 1:, 1:] = _field(fiber, fiber_gamma, x[..., 1:])
             out[..., fiber_axes, 0, fiber_axes] = out[..., fiber_axes, fiber_axes, 0] = (fp / f)[..., None]
-            out[..., 0, 1:, 1:] = (-f * fp)[..., None, None] * fiber_field("metric", x)
+            out[..., 0, 1:, 1:] = (-f * fp)[..., None, None] * _field(fiber, "metric", x[..., 1:])
             return out
 
         return gamma
 
     def metric_partial(x: Array) -> Array:
-        x, f, fp = warp(x)
+        f, fp = w.at(x[..., 0], 1)
         out = np.zeros(x.shape[:-1] + (d, d, d), dtype=x.dtype)
-        out[..., 0, 1:, 1:] = (2.0 * f * fp)[..., None, None] * fiber_field("metric", x)
-        out[..., 1:, 1:, 1:] = (f * f)[..., None, None, None] * fiber_field("metric_partial", x)
+        out[..., 0, 1:, 1:] = (2.0 * f * fp)[..., None, None] * _field(fiber, "metric", x[..., 1:])
+        out[..., 1:, 1:, 1:] = (f * f)[..., None, None, None] * _field(fiber, "metric_partial", x[..., 1:])
         return out
 
     return DualisticChart(
@@ -299,7 +273,7 @@ def warped_curvature_closed_form(
     u, v, wv = (np.asarray(a, dtype=float) for a in (U, V, W))
     xf = points[:, 1:]
     f, fp, fpp = spec.warping.at(points[:, 0])
-    g_n = np.asarray(spec.fiber.metric(xf), dtype=float)
+    g_n = _field(spec.fiber, "metric", xf)
     a = embed_fiber_vector(-(fpp / f)[..., None] * v)
     b = np.zeros(points.shape)
     warped_ip = (f * f)[..., None] * _bilinear(v, g_n, wv)[..., None]
@@ -371,7 +345,7 @@ def contact_classification(
     count, d = len(points), spec.dim
     x = jet(points)
     (f,) = spec.warping.at(x[:, 0], 0)
-    g_n = np.asarray(spec.fiber.metric(x[:, 1:]), dtype=complex)
+    g_n = _field(spec.fiber, "metric", x[:, 1:])
     j = spec.j_at(x[:, 1:])
     g = _warped_block(f, g_n)
     phi = np.zeros(g.shape, dtype=complex)  # phi(dt) = 0, phi(X) = JX

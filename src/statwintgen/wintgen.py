@@ -250,32 +250,42 @@ def random_instance(
     seed: int = 0,
     index: int = 0,
 ) -> LegendrianPointInstance:
-    """Validated random instance; deterministic in (seed, index).
+    """Random instance, valid by construction; deterministic in (seed, index).
 
     Draw order is fixed: c, f, f', then the phi-slices of h (alpha ascending),
     then those of h*; each slice is a symmetrized uniform [-magnitude,
     magnitude] matrix.  xi-slices are set to the forced -(f'/f) I exactly.
-    The arguments are checked as ``sweep`` checks them.
+    The arguments are checked as ``sweep`` checks them.  The instance is
+    built by the public constructor, so its derived data waits for first use.
     """
     _check_draw_args(n, c_range, f_range, fprime_range, magnitude)
-    return _random_instances(n, c_range, f_range, fprime_range, magnitude, seed, range(index, index + 1))[0][0]
+    fields, _, forms = _draw(n, c_range, f_range, fprime_range, magnitude, seed, range(index, index + 1))
+    ((c, f, fp),) = fields.tolist()
+    return LegendrianPointInstance(n=n, c=c, f_val=f, f_prime=fp, h=forms[0, 0], h_star=forms[0, 1])
 
 
 def _random_instances(n: int, c_range, f_range, fprime_range, magnitude: float, seed: int,
-                      indices: range) -> tuple[list[LegendrianPointInstance], Array, Array]:
-    """``random_instance`` for every index of a step-1 range, returned as ``_instances_from_upper``: the
-    doubles u of ``instance_uniforms`` mapped as numpy's ``uniform`` maps them, low + (high - low) u, columns
-    0-2 to c, f and f', the rest to the upper triangles.  numpy's refusals are raised here, in its order."""
+                      indices: range) -> list[LegendrianPointInstance]:
+    """``random_instance`` for every index of a step-1 range, as the rows ``legendrian._instance_rows`` builds of
+    the one draw."""
+    return _instance_rows(n, *_draw(n, c_range, f_range, fprime_range, magnitude, seed, indices))
+
+
+def _draw(n: int, c_range, f_range, fprime_range, magnitude: float, seed: int,
+          indices: range) -> tuple[Array, Array, Array]:
+    """The draws of ``random_instance`` for every index of a step-1 range, as ``_fields_and_forms`` returns
+    them: the doubles u of ``instance_uniforms`` mapped as numpy's ``uniform`` maps them, low + (high - low) u,
+    columns 0-2 to c, f and f', the rest to the upper triangles.  numpy's refusals are raised here, in its order."""
     u = instance_uniforms(seed, indices, 3 + 2 * n ** 3)
     bounds = [(float(a), float(b)) for a, b in (c_range, f_range, fprime_range, (-magnitude, magnitude))]
     low, span = np.array([(a, b - a) for a, b in bounds]).T  # Python floats: an infinite span raises no warning
     if not np.isfinite(span).all():
         raise OverflowError("high - low range exceeds valid bounds")
-    return _instances_from_upper(n, low[:3] + span[:3] * u[:, :3], low[3] + span[3] * u[:, 3:])
+    return _fields_and_forms(n, low[:3] + span[:3] * u[:, :3], low[3] + span[3] * u[:, 3:])
 
 
 def _check_draw_args(n: int, c_range, f_range, fprime_range, magnitude: float) -> None:
-    """Refuse, before any draw, an ``n``, range or ``magnitude`` that ``_random_instances`` cannot draw from."""
+    """Refuse, before any draw, an ``n``, range or ``magnitude`` that ``_draw`` cannot draw from."""
     _require_dimension(n)
     for name, (low, high) in (("c_range", c_range), ("f_range", f_range), ("fprime_range", fprime_range)):
         if not low <= high:
@@ -286,15 +296,15 @@ def _check_draw_args(n: int, c_range, f_range, fprime_range, magnitude: float) -
         raise ValueError(f"f_range must be positive, got ({f_range[0]!r}, {f_range[1]!r})")
 
 
-def _instances_from_upper(n: int, params, upper: Array) -> tuple[list[LegendrianPointInstance], Array, Array]:
-    """The rows ``legendrian._instance_rows`` builds of (B, 3) fields (c, f, f') ``params`` and the forms
-    ``_forms_from_upper`` gathers from the phi-slices' upper triangles ``upper``, with those forms and xi
-    values.  A non-finite xi = -f'/f (a finite f' over a tiny f) raises OverflowError before any row is built."""
+def _fields_and_forms(n: int, params, upper: Array) -> tuple[Array, Array, Array]:
+    """(B, 3) fields (c, f, f') ``params`` as floats, their (B,) xi values -f'/f, and the forms
+    ``_forms_from_upper`` gathers from the phi-slices' upper triangles ``upper``: the arguments of
+    ``legendrian._instance_rows``.  A non-finite xi (a finite f' over a tiny f) raises OverflowError before
+    any form is gathered."""
     fields = np.asarray(params, dtype=float)
     with np.errstate(over="ignore"):  # _finite_xi refuses an overflow by name
         xi = _finite_xi(-(fields[:, 2] / fields[:, 1]))
-    forms = _forms_from_upper(n, xi, upper.reshape(len(upper), -1))
-    return _instance_rows(n, fields, xi, forms), forms, xi
+    return fields, xi, _forms_from_upper(n, xi, upper.reshape(len(upper), -1))
 
 
 @lru_cache(maxsize=64)
@@ -358,7 +368,7 @@ def sweep(
     chunk = sweep_chunk(n)
     for start in range(0, count, chunk):
         indices = range(start, min(start + chunk, count))
-        insts = _random_instances(n, c_range, f_range, fprime_range, magnitude, seed, indices)[0]
+        insts = _random_instances(n, c_range, f_range, fprime_range, magnitude, seed, indices)
         out += [main_inequality(inst, seed=f"{seed}-{index}", include_chain=False)
                 for index, inst in zip(indices, insts)]
     return out
@@ -505,7 +515,7 @@ def sharpness_search(n: int, c: float, f: float, fprime: float, iterations: int,
         if not improved:
             step *= 0.5
 
-    best_instance = _instances_from_upper(n, [(c, f, fprime)], best_params[None])[0][0]
+    best_instance = _instance_rows(n, *_fields_and_forms(n, [(c, f, fprime)], best_params[None]))[0]
     hard = not main_inequality(best_instance, include_chain=False).holds
     return SharpnessResult(
         best_instance=best_instance,

@@ -1,6 +1,6 @@
 """The per-index draw loop (test oracle).
 
-``wintgen._random_instances`` draws a whole index range's uniforms with
+``wintgen._draw`` draws a whole index range's uniforms with
 ``tensor_core.instance_uniforms`` and maps them as numpy's ``uniform`` does.
 This module keeps the loop it must reproduce bit for bit: one
 ``instance_rng(seed, index)`` per index, then ``uniform`` for c, f, f' and
@@ -17,10 +17,10 @@ from statwintgen.tensor_core import instance_rng
 
 
 def random_instances(n: int, c_range, f_range, fprime_range, magnitude: float, seed: int, indices):
-    """``_random_instances`` from one generator per index, returned as ``_instances_from_upper``."""
+    """``wintgen._draw`` from one generator per index: the fields, xi values and forms of ``_fields_and_forms``."""
     params, upper = [], []
     for index in indices:
         rng = instance_rng(seed, index)
         params.append((rng.uniform(*c_range), rng.uniform(*f_range), rng.uniform(*fprime_range)))
         upper.append(rng.uniform(-magnitude, magnitude, size=(2 * n, n, n)))
-    return wg._instances_from_upper(n, params, np.stack(upper))
+    return wg._fields_and_forms(n, params, np.stack(upper))

@@ -2,7 +2,7 @@
 
 These are the definitions the package used before its chart fields took
 stacks: each field takes one point and returns its value there, the warping
-is evaluated on Python floats, and the warped-product blocks are filled with
+is evaluated on Python floats by ``math``, and the warped-product blocks are filled with
 per-index loops.  ``tests/test_stacked_fields.py`` evaluates them point by
 point and requires the package's stacked fields to give the same doubles.
 The module name has no ``test_`` prefix, so pytest imports it without
@@ -40,12 +40,21 @@ def r2_fields() -> dict:
 FIBERS = {"flat-trivial-2d": flat_fields(2), "flat-trivial-4d": flat_fields(4), "r2-example": r2_fields()}
 
 
+def math_warping(warping) -> tuple:
+    """f, f', f'' and f''' of a built-in warping, found by its name, as ``math`` functions of one Python float."""
+    if warping.name.startswith("const "):
+        value = float(warping.name.removeprefix("const "))
+        return (lambda t: value, lambda t: 0.0, lambda t: 0.0, lambda t: 0.0)
+    return {"exp(t)": (math.exp,) * 4, "cosh(t)": (math.cosh, math.sinh) * 2}[warping.name]
+
+
 def warping_at(warping, t: float) -> tuple[float, float, float]:
-    """(f, f', f'') at one t, as Python floats; a non-positive f raises."""
-    f = float(warping.f(t))
+    """(f, f', f'') of a built-in warping at one t, as Python floats by ``math_warping``; a non-positive f raises."""
+    fns = math_warping(warping)
+    f = fns[0](t)
     if not (math.isfinite(f) and f > 0.0):
         raise ValueError(f"warping {warping.name} must stay positive, got f({t}) = {f}")
-    return f, float(warping.f_prime(t)), float(warping.f_double_prime(t))
+    return f, fns[1](t), fns[2](t)
 
 
 def warping_stack(warping, t) -> tuple:

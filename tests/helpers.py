@@ -6,16 +6,19 @@ Levi-Civita tests check, ``stacked`` turns a chart field written for one
 point into the stacked field a ``DualisticChart`` holds, and ``partials``
 differentiates a single-point function around one point.  ``box_points`` and
 ``warped_points`` draw sample points as the CLI's ``_chunks`` does, for the
-tests that call the geometry functions themselves.  The module name has no
+tests that call the geometry functions themselves, and ``counted_warping``
+counts the calls of a warping's functions.  The module name has no
 ``test_`` prefix, so pytest imports it without collecting it.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from statwintgen.statistical_geometry import DualisticChart
-from statwintgen.warped_contact import WarpedProductSpec, default_sample_box
+from statwintgen.warped_contact import WarpedProductSpec, Warping, default_sample_box
 
 from derivative_oracle import grid, grid_partials
 
@@ -30,6 +33,20 @@ def box_points(count: int, rng: np.random.Generator, box) -> np.ndarray:
 def warped_points(spec: WarpedProductSpec, count: int, rng: np.random.Generator | int) -> np.ndarray:
     """``count`` points of ``spec``'s product chart from ``default_sample_box``, drawn from a generator or a seed."""
     return box_points(count, np.random.default_rng(rng), default_sample_box(spec.dim))
+
+
+def counted_warping(warping: Warping, calls: list) -> Warping:
+    """``warping`` with each call of f, f' and f'' counted in ``calls[0]``, ``calls[1]`` and ``calls[2]``."""
+
+    def counted(fn, order):
+        def call(t):
+            calls[order] += 1
+            return fn(t)
+
+        return call
+
+    return replace(warping, f=counted(warping.f, 0), f_prime=counted(warping.f_prime, 1),
+                   f_double_prime=counted(warping.f_double_prime, 2))
 
 
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:

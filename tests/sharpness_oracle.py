@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from statwintgen import wintgen as wg
-from statwintgen.legendrian import curvature_scalars
+from statwintgen.legendrian import _instance_rows, curvature_scalars
 from statwintgen.tensor_core import instance_rng
 
 
@@ -42,8 +42,7 @@ def upper_from_params(n: int, params: np.ndarray) -> np.ndarray:
 
 def instance_from_params(n: int, c: float, f: float, fprime: float, params):
     """The instance whose phi-slice upper triangles, h slices first, are ``params``."""
-    insts, _, _ = wg._instances_from_upper(n, [(c, f, fprime)], upper_from_params(n, params[None]))
-    return insts[0]
+    return _instance_rows(n, *wg._fields_and_forms(n, [(c, f, fprime)], upper_from_params(n, params[None])))[0]
 
 
 def serial_slack(n: int, c: float, f: float, fprime: float, params) -> float:

@@ -26,7 +26,7 @@ from statwintgen.cli import (
 import statwintgen.warped_contact as wc
 import statwintgen.wintgen as wg
 
-from helpers import stacked, warped_points
+from helpers import counted_warping, stacked, warped_points
 
 
 def test_schema_version_constant():
@@ -90,28 +90,15 @@ def test_classify_command(capsys):
     assert main(["classify", "--warp", "exp", "--fiber", "twisted", "--samples", "2"]) == EXIT_OK
 
 
-def counted_warping(warping: wc.Warping, calls: list) -> wc.Warping:
-    """``warping`` with each call of f, f' and f'' counted in ``calls[0]``, ``calls[1]`` and ``calls[2]``."""
-
-    def counted(fn, order):
-        def call(t):
-            calls[order] += 1
-            return fn(t)
-
-        return call
-
-    return replace(warping, f=counted(warping.f, 0), f_prime=counted(warping.f_prime, 1),
-                   f_double_prime=counted(warping.f_double_prime, 2))
-
-
 @pytest.mark.parametrize("fiber, warping_calls, j_rows", [
-    # 5 samples of the 5-dim total chart: J once per row of the points' jet (5 x 6 rows), f and f' once per
-    # point for the jet's complex steps of f (5 each), f at the points once each by the chart's gamma, metric
-    # and metric_partial fields (3 x 5), f' by gamma and metric_partial (2 x 5), and f'' never
-    ("twisted", (20, 15, 0), 30),
-    # the same on the 3-dim total chart of a 2-dim fiber: 5 x 4 jet rows, 5 + 3 x 5 and 5 + 2 x 5
-    ("flat", (20, 15, 0), 20),
-    ("r2", (20, 15, 0), 20),
+    # 5 samples of the 5-dim total chart: J once per row of the points' jet (5 x 6 rows); each of f, f' and f''
+    # is called at most once per Warping.at, on a whole stack: f once on the jet, whose complex step gives f',
+    # then f by the chart's gamma, metric and metric_partial fields at the points (3) and f' by gamma and
+    # metric_partial (2), and f'' never
+    ("twisted", (4, 2, 0), 30),
+    # the same on the 3-dim total chart of a 2-dim fiber: 5 x 4 jet rows
+    ("flat", (4, 2, 0), 20),
+    ("r2", (4, 2, 0), 20),
 ])
 def test_classify_evaluates_f_and_j_once_per_grid_row(monkeypatch, tmp_path, fiber, warping_calls, j_rows):
     calls, rows = [0, 0, 0], []
@@ -142,16 +129,17 @@ def h3_warping_calls(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("argv, counts", [
-    # 100 samples, each with 4 jet rows that share its t: once per point and field, the Levi-Civita pass
-    # (f and f' by metric, f, f' and f'' by metric_partial, whose f' takes its complex step from f'') and
-    # both connections (f, f' and f'' by each); nothing is shared across the chart's fields
-    (["axioms", "--chart", "h3", "--samples", "100"], (400, 400, 300)),
-    # 50 samples: one pass (100, 100, 50) for the sectional curvature and the axioms, the connections
-    # (100, 100, 100), the connection table (1, 1) and one classified point's jet (1, 1)
-    (["reproduce", "example-h3"], (202, 202, 150)),
-    # 20 samples: the pass (40, 40, 20) with g at the points taken from it, both connections on the jet
-    # (40, 40, 40) and the closed forms (20, 20, 20)
-    (["curvature", "--chart", "h3", "--samples", "20"], (100, 100, 80)),
+    # each of f, f' and f'' at most once per Warping.at, on a whole stack, whatever its number of samples; a
+    # holomorphic f' carries its own complex step, so f'' is called only where f'' itself is read.
+    # axioms: the Levi-Civita pass on the jet (f by metric, f and f' by metric_partial) and both
+    # connections on the jet (f and f' by each); nothing is shared across the chart's fields
+    (["axioms", "--chart", "h3", "--samples", "100"], (4, 3, 0)),
+    # one pass (2, 1) for the sectional curvature and the axioms, the connections (2, 2), the connection
+    # table at one point (1, 1) and one classified point's jet (1, 0)
+    (["reproduce", "example-h3"], (6, 4, 0)),
+    # the pass (2, 1) with g at the points taken from it, both connections on the jet (2, 2) and the closed
+    # forms (1, 1, 1)
+    (["curvature", "--chart", "h3", "--samples", "20"], (5, 4, 1)),
 ])
 def test_h3_commands_evaluate_the_warping_once_per_field_and_point(h3_warping_calls, tmp_path, argv, counts):
     assert main([*argv, "--out", str(tmp_path / "report.json")]) == EXIT_OK

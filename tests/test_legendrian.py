@@ -498,11 +498,10 @@ class TestOneDerivation:
 
     @pytest.mark.parametrize("first", ["means_and_traceless", "shape_operators", "rho_perp_statistical"])
     def test_derivation_runs_once_whichever_is_called_first(self, first, monkeypatch):
-        drawn = wg.random_instance(3, seed=71, index=0)  # a drawn row is derived as it is built
         derive_rows = lg._derive_rows
         calls = []
         monkeypatch.setattr(lg, "_derive_rows", lambda forms, cterm: calls.append(forms) or derive_rows(forms, cterm))
-        inst = _copy(drawn)
+        inst = wg.random_instance(3, seed=71, index=0)  # a lone draw derives on first use, as a constructed instance
         assert calls == []
         getattr(lg, first)(inst)
         for fn in (lg.means_and_traceless, lg.shape_operators, lg.rho_perp_statistical, lg.curvature_scalars):
@@ -559,7 +558,7 @@ class TestStackedPass:
         insts = _oracle_instances(n, count=9)
         insts += [wg.random_instance(n, seed=61, index=k, magnitude=1000.0) for k in range(3)]
         insts.append(lg.umbilic_instance(n, c=4.0, f_val=1.0, f_prime=0.0))
-        drawn = wg._random_instances(n, (-4.0, 4.0), (0.5, 3.0), (-2.0, 2.0), 1.0, 67, range(5))[0]  # a sweep chunk
+        drawn = wg._random_instances(n, (-4.0, 4.0), (0.5, 3.0), (-2.0, 2.0), 1.0, 67, range(5))  # a sweep chunk
         for inst in _chunk_fill(insts) + drawn:
             assert {"_violations", "_derived"} <= vars(inst).keys()
             assert _derived_bytes(inst) == _derived_bytes(_copy(inst))
@@ -611,7 +610,7 @@ DRAW_RANGES = ((-4.0, 4.0), (0.5, 3.0), (-2.0, 2.0))
 def _rows_of_one_stack(n, count=6):
     """A chunk of drawn rows (magnitude 1 and 1000), and rows of constructed instances, invalid ones included."""
     drawn = [inst for magnitude in (1.0, 1000.0)
-             for inst in wg._random_instances(n, *DRAW_RANGES, magnitude, 83, range(count))[0]]
+             for inst in wg._random_instances(n, *DRAW_RANGES, magnitude, 83, range(count))]
     built = [wg.random_instance(n, seed=83, index=count), _asymmetric(n), _wrong_xi(n),
              lg.umbilic_instance(n, c=4.0, f_val=1.0, f_prime=0.0)]
     return drawn + _chunk_fill(built)
@@ -619,9 +618,7 @@ def _rows_of_one_stack(n, count=6):
 
 def _bad_stack(n, bad):
     """Fields, xi values and forms of four drawn rows, each row k in ``bad`` corrupted as ``bad[k]`` says."""
-    insts, forms, xi = wg._random_instances(n, *DRAW_RANGES, 1.0, 97, range(4))
-    fields = np.array([(inst.c, inst.f_val, inst.f_prime) for inst in insts])
-    forms = forms.copy()
+    fields, xi, forms = wg._draw(n, *DRAW_RANGES, 1.0, 97, range(4))
     for row, kind in bad.items():
         if kind == "nan-form":
             forms[row, 1, 0, 0, 1] = np.nan
@@ -651,7 +648,8 @@ class TestInstanceRows:
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_every_row_is_a_read_only_view_of_the_stack(self, n):
-        insts, forms, _ = wg._random_instances(n, *DRAW_RANGES, 1.0, 89, range(7))
+        fields, xi, forms = wg._draw(n, *DRAW_RANGES, 1.0, 89, range(7))
+        insts = lg._instance_rows(n, fields, xi, forms)
         assert not forms.flags.writeable
         for k, inst in enumerate(insts):
             for name in ("h", "h_star", "_forms"):
@@ -700,10 +698,15 @@ class TestInstanceRows:
 
     def test_a_draw_whose_xi_overflows_raises_before_any_row_is_built(self, monkeypatch):
         built = []
-        monkeypatch.setattr(wg, "_instance_rows", lambda *args: built.append(args))
+        for name in ("_forms_from_upper", "_instance_rows", "LegendrianPointInstance"):
+            monkeypatch.setattr(wg, name, lambda *args, _name=name, **kwargs: built.append(_name))
         upper = np.zeros((2, 2 * 2 * 2 * 2))
         with pytest.raises(OverflowError, match="non-finite xi"):
-            wg._instances_from_upper(2, [(0.0, 1.0, 1.0), (0.0, 1e-310, 1.0)], upper)
+            wg._fields_and_forms(2, [(0.0, 1.0, 1.0), (0.0, 1e-310, 1.0)], upper)
+        overflowing = dict(f_range=(1e-310, 1e-310), fprime_range=(1.0, 1.0))
+        for draw in (lambda: wg.random_instance(2, **overflowing), lambda: wg.sweep(2, 3, 0, **overflowing)):
+            with pytest.raises(OverflowError, match="non-finite xi"):
+                draw()
         assert built == []
         # the public constructor still takes such fields, and names the overflow on first validation
         inst = lg.LegendrianPointInstance(n=2, c=0.0, f_val=1e-310, f_prime=1.0, h=np.zeros((3, 2, 2)),
@@ -713,9 +716,10 @@ class TestInstanceRows:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_random_instance_is_its_row_of_the_sweep_chunk(self, n):
-        chunk = wg._random_instances(n, *DRAW_RANGES, 1.0, 101, range(wg.sweep_chunk(n)))[0]
+        chunk = wg._random_instances(n, *DRAW_RANGES, 1.0, 101, range(wg.sweep_chunk(n)))
         for index in (0, 1, len(chunk) - 1):
             alone, row = wg.random_instance(n, seed=101, index=index), chunk[index]
+            assert {"_violations", "_derived"} & vars(alone).keys() == set()  # a lone draw derives on first use
             assert (alone.n, alone.c, alone.f_val, alone.f_prime) == (row.n, row.c, row.f_val, row.f_prime)
             assert alone._forms.tobytes() == row._forms.tobytes()
             assert alone._violations == row._violations == ()

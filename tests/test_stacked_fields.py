@@ -5,8 +5,9 @@ Every built-in chart field takes an (N, dim) stack of points.  Evaluated on a
 stack, it must return, row by row, exactly the doubles of the single-point
 definitions in ``field_oracle.py`` evaluated one point at a time: for the r2
 and h3 charts, for every warp x fiber of the ``classify`` command and for
-``cli._perturbed_chart``.  The same holds for ``Warping.at`` against the per-t
-loop ``field_oracle.warping_stack``.  On a complex-step jet, the connection
+``cli._perturbed_chart``.  The same holds for ``Warping.at`` of the built-in
+warpings against their ``math`` table, t by t (``field_oracle.warping_stack``),
+and on a jet against its complex step.  On a complex-step jet, the connection
 partials of the same charts must match the hand-derived partials to 1e-13
 relative and central differences to their tolerance.
 """
@@ -22,6 +23,8 @@ import statwintgen.cli as cli
 import statwintgen.statistical_geometry as sg
 import statwintgen.warped_contact as wc
 from statwintgen.tensor_core import JET_STEP, jet, jet_partials
+
+from helpers import counted_warping
 
 EPS = 0.01
 
@@ -113,22 +116,31 @@ def test_stacked_warped_metric_equals_the_single_point_oracle(name):
 
 
 WARPINGS = {"exp": wc.exp_warping(), "cosh": wc.cosh_warping(), "const 2.5": wc.const_warping(2.5)}
-# a repeated t, both zeros and the sample box's t edges, then a t whose cosh ratio squares apart
-EDGE_HEIGHTS = [0.5, -0.5, -0.0, 0.0, 0.5, -0.5, -0.0, SQUARES[0], SQUARES[0]]
+# a repeated t, both zeros and the sample box's t edges, the |t| = 20 edges, then a t whose cosh ratio squares apart
+EDGE_HEIGHTS = [0.5, -0.5, -0.0, 0.0, 0.5, -0.5, -0.0, 20.0, -20.0, SQUARES[0], SQUARES[0]]
+
+
+def _heights(shape, seed: int) -> np.ndarray:
+    """Heights t of the given shape: the edges first, then the sample box's [-1/2, 1/2] and [-20, 20] in turn."""
+    rng = np.random.default_rng(seed)
+    t = np.where(np.arange(math.prod(shape)) % 2 == 0, rng.uniform(-0.5, 0.5, shape).ravel(),
+                 rng.uniform(-20.0, 20.0, shape).ravel())
+    t[: len(EDGE_HEIGHTS)] = EDGE_HEIGHTS[: t.size]
+    return t.reshape(shape)
 
 
 @pytest.mark.parametrize("derivatives", [0, 1, 2])
 @pytest.mark.parametrize("shape", [(64,), (64, 7), (0,)])
 @pytest.mark.parametrize("name", list(WARPINGS))
 def test_warping_at_equals_the_per_t_oracle(name, shape, derivatives):
-    warping = WARPINGS[name]
-    t = np.random.default_rng(5).uniform(-2.0, 2.0, shape)
-    flat = t.reshape(-1)
-    flat[: len(EDGE_HEIGHTS)] = EDGE_HEIGHTS[: flat.size]
+    # the oracle is the math table of the built-in, t by t: numpy's real exp and cosh round apart from it
+    warping, calls = WARPINGS[name], [0, 0, 0]
+    t = _heights(shape, 5)
     expected = oracle.warping_stack(warping, t)[: derivatives + 1]
-    for got, want in zip(warping.at(t, derivatives), expected, strict=True):
-        assert got.shape == want.shape == shape
+    for got, want in zip(counted_warping(warping, calls).at(t, derivatives), expected, strict=True):
+        assert got.dtype == float and got.shape == want.shape == shape
         assert got.tobytes() == want.tobytes()  # bit for bit, so -0.0 is not 0.0
+    assert calls == [1] * (derivatives + 1) + [0] * (2 - derivatives)  # each function once, on the whole stack
 
 
 BUILTIN_CHARTS = derivative.builtin_charts()
@@ -157,34 +169,19 @@ def test_jet_partials_equal_the_analytic_and_central_difference_oracles(name):
     assert np.max(np.abs(dgamma0 - derivative.fd_levi_civita_and_partials(chart, points)[1])) <= derivative.FD_TOL
 
 
-@pytest.mark.parametrize("derivatives", [0, 1])
+@pytest.mark.parametrize("derivatives", [0, 1, 2])
 @pytest.mark.parametrize("name", list(WARPINGS))
 def test_warping_at_on_a_jet_is_the_complex_step_of_the_per_t_oracle(name, derivatives):
-    warping = WARPINGS[name]
-    t = np.random.default_rng(6).uniform(-2.0, 2.0, 40)
-    t[: len(EDGE_HEIGHTS)] = EDGE_HEIGHTS
+    warping, calls = WARPINGS[name], [0, 0, 0]
+    t = _heights((40,), 6)
     rows = jet(np.stack([t, t], axis=1))[:, 0]  # each t three times, its t-shift row second
-    calls = [0, 0, 0]
-
-    def counted(fn, order):
-        def call(x):
-            calls[order] += 1
-            return fn(x)
-
-        return call
-
-    counting = wc.Warping(counted(warping.f, 0), counted(warping.f_prime, 1), counted(warping.f_double_prime, 2))
-    values = counting.at(rows, derivatives)
-    expected = oracle.warping_stack(warping, rows.real)
+    values = counted_warping(warping, calls).at(rows, derivatives)
+    table, heights = oracle.math_warping(warping), rows.real.tolist()
     assert len(values) == derivatives + 1
-    for got, want, slope in zip(values, expected, expected[1:]):
+    for k, got in enumerate(values):  # f(t) + i e f'(t) from the math table, and f' with f'' likewise
+        value, slope = (np.array([table[k + s](x) for x in heights]) for s in (0, 1))
         assert got.dtype == complex and got.shape == rows.shape
-        assert got.real.tobytes() == want.tobytes()
+        assert got.real.tobytes() == value.tobytes()
         assert got.imag.tobytes() == (rows.imag * slope).tobytes()
         assert np.array_equal(got.imag[1::3] / JET_STEP, slope[1::3])
-    # once per run of equal consecutive t: EDGE_HEIGHTS ends with a t twice, and its -0.0 and 0.0 stay apart
-    runs = 1 + np.count_nonzero(rows.real.view(np.int64)[1:] != rows.real.view(np.int64)[:-1])
-    assert runs == len(t) - 1
-    assert calls == [runs] * (derivatives + 2) + [0] * (1 - derivatives)
-    with pytest.raises(ValueError, match="at most the first derivative"):
-        warping.at(rows, 2)
+    assert calls == [1] * (derivatives + 1) + [0] * (2 - derivatives)  # each function once, on the whole jet

@@ -68,7 +68,7 @@ class TestBuildWarpedChart:
             assert max(v[0] for v in sg.axiom_residuals(h3_chart, p[None], *probes).values()) < 1e-6
 
     def test_warping_must_stay_positive(self):
-        bad = wc.Warping(lambda t: t, lambda t: 1.0, lambda t: 0.0, name="t")
+        bad = wc.Warping(lambda t: t, np.ones_like, np.zeros_like, name="t")
         spec = wc.WarpedProductSpec(
             fiber=sg.trivial_chart(2),
             complex_structure=stacked(lambda x: wc.standard_complex_structure(1)),
@@ -80,9 +80,9 @@ class TestBuildWarpedChart:
     def test_warping_positivity_names_the_first_bad_point_of_a_stack(self):
         # each f is non-positive or not finite at the second and fourth points (t < 0); the second is named
         points = np.array([[0.5, 0.1, 0.2], [-0.25, 0.0, 0.3], [0.75, -0.4, 0.0], [-1.5, 0.2, 0.2]])
-        for f, shown in ((lambda t: t, "-0.25"), (lambda t: t if t > 0 else math.nan, "nan"),
-                         (lambda t: t if t > 0 else math.inf, "inf")):
-            bad = wc.Warping(f, lambda t: 1.0, lambda t: 0.0, name="t")
+        for f, shown in ((lambda t: t, "-0.25"), (lambda t: np.where(t.real > 0, t, math.nan), "nan"),
+                         (lambda t: np.where(t.real > 0, t, math.inf), "inf")):
+            bad = wc.Warping(f, np.ones_like, np.zeros_like, name="t")
             spec = wc.WarpedProductSpec(fiber=sg.trivial_chart(2), complex_structure=sg.constant_field(np.eye(2)),
                                         warping=bad)
             chart = wc.build_warped_chart(spec)
@@ -98,8 +98,32 @@ class TestBuildWarpedChart:
     def test_complex_structure_without_the_stack_axis_is_named(self):
         spec = wc.WarpedProductSpec(fiber=sg.trivial_chart(2), complex_structure=lambda x: wc.standard_complex_structure(1),
                                     warping=wc.exp_warping(), label="unstacked-j")
-        with pytest.raises(ValueError, match=re.escape("complex structure of unstacked-j returned shape (2, 2)")):
+        # the classification evaluates J on the jet of the 5 points: each point and its 3 shifts
+        message = "field complex_structure of chart unstacked-j returned shape (2, 2), expected (20, 2, 2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
             wc.kenmotsu_theorem_check(spec, warped_points(spec, 5, 23))
+
+    @pytest.mark.parametrize("name", ["metric", "gamma", "gamma_star", "metric_partial"])
+    def test_fiber_field_without_the_stack_axis_is_named_inside_the_warped_chart(self, name):
+        fiber = sg.builtin_r2_example()
+        one_value = getattr(fiber, name)(np.zeros(2))
+        unstacked = replace(fiber, **{name: lambda x: one_value}, label="unstacked-fiber")
+        spec = replace(wc.builtin_h3_example(), fiber=unstacked)
+        chart, points = wc.build_warped_chart(spec), warped_points(spec, 5, 23)
+        shape = "(2, 2)" if name == "metric" else "(2, 2, 2)"
+        message = f"field {name} of chart unstacked-fiber returned shape {shape}, expected (5, 2"
+        # every warped field that reads the fiber's field refuses it by name
+        readers = {"metric": ("metric", "gamma", "gamma_star", "metric_partial"), "gamma": ("gamma",),
+                   "gamma_star": ("gamma_star",), "metric_partial": ("metric_partial",)}[name]
+        for reader in readers:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                getattr(chart, reader)(points)
+        if name == "metric":
+            for call in (lambda: wc.warped_metric(spec, points),
+                         lambda: wc.contact_classification(spec, points),
+                         lambda: wc.warped_curvature_closed_form(spec, points, *np.ones((3, 5, 2)))):
+                with pytest.raises(ValueError, match=re.escape("field metric of chart unstacked-fiber returned shape")):
+                    call()
 
 
 def curvature_vectors(chart, which, point, case, vf, uf, wf):

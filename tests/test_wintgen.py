@@ -200,7 +200,7 @@ class TestChainArrays:
     @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_seeded_instances(self, n, magnitude):
-        insts = wg._random_instances(n, (-4.0, 4.0), (0.5, 3.0), (-2.0, 2.0), magnitude, 7, range(1000))[0]
+        insts = wg._random_instances(n, (-4.0, 4.0), (0.5, 3.0), (-2.0, 2.0), magnitude, 7, range(1000))
         for inst in insts:
             self._assert_steps_equal_the_loops(inst)
 
@@ -299,12 +299,10 @@ class TestRandomInstance:
         ranges = {"c_range": (-4.0, 4.0), "f_range": (0.5, 3.0), "fprime_range": (-2.0, 2.0), "magnitude": 1.0}
         args = {**ranges, **kwargs}
         for seed, indices in [(7, range(0, 40)), (2**32, range(2**32 - 3, 2**32 + 3))]:
-            insts, forms, xi = wg._random_instances(n, *args.values(), seed, indices)
-            want_insts, want_forms, want_xi = draw_oracle.random_instances(n, *args.values(), seed, indices)
-            fields = [(i.c, i.f_val, i.f_prime) for i in insts]
-            want_fields = [(i.c, i.f_val, i.f_prime) for i in want_insts]
-            assert [tuple(map(type, f)) for f in fields] == [tuple(map(type, f)) for f in want_fields]
-            assert np.array_equal(np.array(fields).view(np.uint64), np.array(want_fields).view(np.uint64))
+            fields, xi, forms = wg._draw(n, *args.values(), seed, indices)
+            want_fields, want_xi, want_forms = draw_oracle.random_instances(n, *args.values(), seed, indices)
+            assert fields.dtype == want_fields.dtype == float
+            assert np.array_equal(fields.view(np.uint64), want_fields.view(np.uint64))
             assert np.array_equal(forms.view(np.uint64), want_forms.view(np.uint64))
             assert np.array_equal(xi.view(np.uint64), want_xi.view(np.uint64))
 

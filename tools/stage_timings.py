@@ -42,14 +42,11 @@ covers the climb's first descent and its later sweeps at halved steps, as
 the sharpness runs of ``tools/report_digests.py`` (1500 and 3000) do.
 ``sharpness.passes.n<n>`` counts the kernel passes of the same climb per 1000
 evaluations, restart draws included: calls of the scorer that
-``wintgen._bound_scorer`` returns, or of ``wintgen._stacked_bound`` where the
-checkout scores its passes with that (the key is left out where it has
-neither).  The count wraps the scorer from this script, in a run of its own.
-``sharpness.pass.b1.n<n>`` and ``sharpness.pass.wide.n<n>`` time one pass of
-that scorer (c = 0, f = 1, f' = 0) on one row and on
-``wintgen._sharpness_pass_rows(n)`` rows, in microseconds per pass, median
-over ``--repeats`` runs of ``PASS_CALLS`` passes; they are left out where the
-checkout has no ``_bound_scorer``.
+``wintgen._bound_scorer`` returns.  The count wraps the scorer from this
+script, in a run of its own.  ``sharpness.pass.b1.n<n>`` and
+``sharpness.pass.wide.n<n>`` time one pass of that scorer (c = 0, f = 1,
+f' = 0) on one row and on ``wintgen._sharpness_pass_rows(n)`` rows, in
+microseconds per pass, median over ``--repeats`` runs of ``PASS_CALLS`` passes.
 
 The geometry stages time ``GEOMETRY_SAMPLES`` seeded sample points of the
 built-in charts, in microseconds per sample:
@@ -58,18 +55,14 @@ built-in charts, in microseconds per sample:
     axioms_h3       the same on the warped h3 chart
     lc_curvature    statistical_geometry.curvature of the Levi-Civita connection (h3)
     sectional       statistical_geometry.sectional_curvature, Levi-Civita (h3)
-    fields_h3       the h3 chart's fields (metric, both connections, the metric
-                    partials, and the analytic connection partials where the
-                    checkout's charts still carry them)
+    fields_h3       the h3 chart's fields (metric, both connections and the
+                    metric partials)
     warping_h3      warped_contact.Warping.at(t, 1) of the h3 chart on the t column
-                    of the rows the Levi-Civita pass evaluates the metric on:
-                    the samples' complex-step jet where the checkout has
-                    ``tensor_core.jet``, else their central-difference grid;
-                    in microseconds per t
+                    of the rows the Levi-Civita pass evaluates the metric on,
+                    the samples' complex-step jet; in microseconds per t
     reproduce_h3    the Levi-Civita sectional curvature and axiom_residuals
                     (h3), as ``reproduce example-h3`` computes them: from one
-                    pass with ``levi_civita_sectional_and_axioms`` where the
-                    checkout has it, else with one call of each function
+                    pass with ``levi_civita_sectional_and_axioms``
     axioms_d5       statistical_geometry.axiom_residuals on the dim-5 chart of
                     ``twisted_j_spec(0.4, cosh_warping())``, as ``classify
                     --warp cosh --fiber twisted`` builds it
@@ -77,13 +70,11 @@ built-in charts, in microseconds per sample:
 
 each once per point, as an N = 1 stack (``geometry.<stage>.point``), and as
 one stacked call over all samples (``geometry.<stage>.stack``), as the
-``axioms``, ``curvature`` and ``reproduce`` commands do.  The script uses
-only public functions that have existed since the benchmark was added,
-except where named above.  It skips the geometry stages where the checkout
-does not evaluate stacks of points (it lacks
-``statistical_geometry.geometry_chunk``), and ``fields_h3`` and
-``warping_h3`` where the chart fields and the warping do not take a stack,
-so it runs unchanged against older checkouts for before/after tables.
+``axioms``, ``curvature`` and ``reproduce`` commands do.
+
+The script calls only functions that this checkout and its parent commit
+both have, so it runs unchanged against both for before/after tables; an
+older checkout may lack some of them.
 
 The command stages (``command.<command>``) time whole geometry commands in
 process, in milliseconds per ``cli.main`` call: ``COMMANDS``, each writing
@@ -106,8 +97,7 @@ from one in-process run of the command: an n = 8 chain report and a
 50-row n = 3 CSV sweep, the sizes the benchmark's chain and
 sweep workloads write.  Each figure is the minimum over ``--repeats`` runs
 of ``WRITE_CALLS`` rewrites, in microseconds per rewrite, on the file system
-that holds the temporary directory.  They are left out where the checkout
-has no ``_write_report``.
+that holds the temporary directory.
 """
 
 from __future__ import annotations
@@ -133,10 +123,8 @@ DIMS = (2, 3, 5, 8)
 STAGES = ("generate", "validate", "means", "rho", "rho_perp", "chain", "csv", "sweep")
 GEOMETRY_STAGES = ("axioms_r2", "axioms_h3", "lc_curvature", "sectional", "fields_h3", "warping_h3", "reproduce_h3",
                    "axioms_d5", "classify_d5")
-STACK_STAGES = ("fields_h3", "warping_h3")  # skipped where the fields and the warping take one point
-CHART_FIELDS = ("metric", "gamma", "gamma_star", "metric_partial", "gamma_partial", "gamma_star_partial")
+CHART_FIELDS = ("metric", "gamma", "gamma_star", "metric_partial")
 GEOMETRY_SAMPLES = 100
-GRID_STEP = 1e-5  # the central-difference step of the checkouts without the jet
 SHARPNESS_BUDGET = 1000
 PASS_CALLS = 200
 DRAW_RANGES = ((-4.0, 4.0), (0.5, 3.0), (-2.0, 2.0), 1.0)  # random_instance's c, f, f' ranges and magnitude
@@ -207,21 +195,17 @@ def sharpness_timings(repeats: int) -> dict[str, float]:
         runs = [_timed(lambda _: wintgen.sharpness_search(n, 0.0, 1.0, 0.0, SHARPNESS_BUDGET, 5), [None])[0]
                 for _ in range(repeats)]
         out[f"sharpness.n{n}"] = 1e6 * statistics.median(runs) / SHARPNESS_BUDGET
-        passes = sharpness_passes(n)
-        if passes is not None:
-            out[f"sharpness.passes.n{n}"] = 1000.0 * passes / SHARPNESS_BUDGET
-        if hasattr(wintgen, "_bound_scorer"):
-            columns, nparams = wintgen._bound_scorer(n, 0.0, 1.0, 0.0), 2 * n * (n * (n + 1) // 2)
-            for key, rows in (("b1", 1), ("wide", wintgen._sharpness_pass_rows(n))):
-                params = [np.random.default_rng(n).uniform(-1.0, 1.0, (rows, nparams))] * PASS_CALLS
-                runs = [_timed(columns, params)[0] for _ in range(repeats)]
-                out[f"sharpness.pass.{key}.n{n}"] = 1e6 * statistics.median(runs) / PASS_CALLS
+        out[f"sharpness.passes.n{n}"] = 1000.0 * sharpness_passes(n) / SHARPNESS_BUDGET
+        columns, nparams = wintgen._bound_scorer(n, 0.0, 1.0, 0.0), 2 * n * (n * (n + 1) // 2)
+        for key, rows in (("b1", 1), ("wide", wintgen._sharpness_pass_rows(n))):
+            params = [np.random.default_rng(n).uniform(-1.0, 1.0, (rows, nparams))] * PASS_CALLS
+            runs = [_timed(columns, params)[0] for _ in range(repeats)]
+            out[f"sharpness.pass.{key}.n{n}"] = 1e6 * statistics.median(runs) / PASS_CALLS
     return out
 
 
-def sharpness_passes(n: int) -> int | None:
-    """Kernel passes of one ``sharpness.n<n>`` climb, counted by wrapping the checkout's pass scorer; None
-    where the checkout has none."""
+def sharpness_passes(n: int) -> int:
+    """Kernel passes of one ``sharpness.n<n>`` climb, counted by wrapping the scorers ``_bound_scorer`` returns."""
     calls = 0
 
     def counted(columns):
@@ -232,18 +216,12 @@ def sharpness_passes(n: int) -> int | None:
 
         return counting
 
-    if hasattr(wintgen, "_bound_scorer"):  # a factory: count calls of the scorer it returns
-        name, wrap = "_bound_scorer", lambda factory: lambda *constants: counted(factory(*constants))
-    elif hasattr(wintgen, "_stacked_bound"):
-        name, wrap = "_stacked_bound", counted
-    else:
-        return None
-    original = getattr(wintgen, name)
-    setattr(wintgen, name, wrap(original))
+    original = wintgen._bound_scorer
+    wintgen._bound_scorer = lambda *constants: counted(original(*constants))
     try:
         wintgen.sharpness_search(n, 0.0, 1.0, 0.0, SHARPNESS_BUDGET, 5)
     finally:
-        setattr(wintgen, name, original)
+        wintgen._bound_scorer = original
     return calls
 
 
@@ -262,18 +240,15 @@ def geometry_batch(seed: int, stacked: bool) -> dict[str, float]:
         "axioms_h3": ("h3", lambda chart, x, p: sg.axiom_residuals(chart, x, *p)),
         "lc_curvature": ("h3", lambda chart, x, p: sg.curvature(chart, "levi_civita", x)),
         "sectional": ("h3", lambda chart, x, p: sg.sectional_curvature(chart, "levi_civita", x, p[0], p[1])),
-        "fields_h3": ("h3", lambda chart, x, p: [getattr(chart, f)(x) for f in CHART_FIELDS
-                                                 if getattr(chart, f, None) is not None]),
-        "warping_h3": ("h3", lambda chart, x, p: h3.warping.at(_pass_heights(x), 1)),
-        "reproduce_h3": ("h3", _reproduce_pair),
+        "fields_h3": ("h3", lambda chart, x, p: [getattr(chart, f)(x) for f in CHART_FIELDS]),
+        "warping_h3": ("h3", lambda chart, x, p: h3.warping.at(tensor_core.jet(x)[:, 0], 1)),
+        "reproduce_h3": ("h3", lambda chart, x, p: sg.levi_civita_sectional_and_axioms(chart, x, p[0], p[1], p)),
         "axioms_d5": ("d5", lambda chart, x, p: sg.axiom_residuals(chart, x, *p)),
         "classify_d5": ("d5", lambda chart, x, p: wc.contact_classification(d5, x)),
     }
     t = {}
     for stage, (name, call) in calls.items():
         chart, (points, probes) = charts[name], samples[name]
-        if stage in STACK_STAGES and not _fields_take_stacks(chart, points):
-            continue
         if stacked:
             t[stage], _ = _timed(lambda _: call(chart, points, probes), [None])
         else:
@@ -281,44 +256,14 @@ def geometry_batch(seed: int, stacked: bool) -> dict[str, float]:
     return t
 
 
-def _pass_heights(points) -> np.ndarray:
-    """The t column of the rows of (N, 3) points that the Levi-Civita pass evaluates the metric on: their
-    complex-step jet (each t, then t + i step, t and t) where the checkout has ``tensor_core.jet``, else their
-    central-difference grid (each t, then t + h, t - h and t four times)."""
-    if hasattr(tensor_core, "jet"):
-        return tensor_core.jet(points)[:, 0]
-    t, h = points[:, :1], GRID_STEP
-    return np.hstack([t, t + h, t - h, t, t, t, t]).ravel()
-
-
-def _reproduce_pair(chart, points, probes):
-    """The Levi-Civita sectional curvature on the first two probes and the axiom residuals on all four."""
-    if hasattr(sg, "levi_civita_sectional_and_axioms"):
-        return sg.levi_civita_sectional_and_axioms(chart, points, probes[0], probes[1], probes)
-    return (sg.sectional_curvature(chart, "levi_civita", points, probes[0], probes[1]),
-            sg.axiom_residuals(chart, points, *probes))
-
-
-def _fields_take_stacks(chart, points) -> bool:
-    """Whether the chart's fields map an (N, dim) stack of points to one value per point."""
-    try:
-        return np.shape(chart.metric(points[:2])) == (2, chart.dim, chart.dim)
-    except (TypeError, ValueError):  # a single-point field given a stack
-        return False
-
-
 def geometry_timings(repeats: int) -> dict[str, float]:
-    """``geometry.<stage>.point`` and ``.stack`` -> median us per sample (per t for ``warping_h3``),
-    where stacks are evaluated."""
+    """``geometry.<stage>.point`` and ``.stack`` -> median us per sample (per t for ``warping_h3``)."""
     out = {}
-    if not hasattr(sg, "geometry_chunk"):
-        return out
     for mode in ("point", "stack"):
         runs = [geometry_batch(seed, mode == "stack") for seed in range(repeats)]
         for stage in GEOMETRY_STAGES:
-            if stage in runs[0]:
-                units = GEOMETRY_SAMPLES * (len(_pass_heights(np.zeros((1, 3)))) if stage == "warping_h3" else 1)
-                out[f"geometry.{stage}.{mode}"] = 1e6 * statistics.median(r[stage] for r in runs) / units
+            units = GEOMETRY_SAMPLES * (len(tensor_core.jet(np.zeros((1, 3)))) if stage == "warping_h3" else 1)
+            out[f"geometry.{stage}.{mode}"] = 1e6 * statistics.median(r[stage] for r in runs) / units
     return out
 
 
@@ -366,9 +311,7 @@ def report_timings(repeats: int) -> dict[str, float]:
 
 def write_timings(repeats: int) -> dict[str, float]:
     """``write_report.<name>`` -> min microseconds of one ``cli._write_report`` call rewriting an existing file
-    with the report of ``WRITES[name]``; empty where the checkout has no ``_write_report``."""
-    if not hasattr(cli, "_write_report"):
-        return {}
+    with the report of ``WRITES[name]``."""
     out = {}
     with tempfile.TemporaryDirectory() as work, contextlib.chdir(work):
         Path("n8.json").write_text(wintgen.random_instance(8, seed=11, index=8).to_json())
@@ -407,28 +350,24 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'draw B=1':<10}" + "".join(f"{timings[f'draw.b1.n{n}']:>10.1f}" for n in DIMS))
     print(f"{'sharpness':<10}" + "".join(f"{timings[f'sharpness.n{n}']:>10.1f}" for n in DIMS)
           + f"   (us per evaluation, {SHARPNESS_BUDGET} evaluations)")
-    if "sharpness.passes.n2" in timings:
-        print(f"{'passes':<10}" + "".join(f"{timings[f'sharpness.passes.n{n}']:>10.1f}" for n in DIMS)
-              + "   (kernel passes per 1000 evaluations)")
-    if "sharpness.pass.b1.n2" in timings:
-        print(f"{'pass B=1':<10}" + "".join(f"{timings[f'sharpness.pass.b1.n{n}']:>10.1f}" for n in DIMS)
-              + "   (us per scorer pass of one row)")
-        print(f"{'pass wide':<10}" + "".join(f"{timings[f'sharpness.pass.wide.n{n}']:>10.1f}" for n in DIMS)
-              + "   (us per scorer pass of _sharpness_pass_rows(n) rows)")
+    print(f"{'passes':<10}" + "".join(f"{timings[f'sharpness.passes.n{n}']:>10.1f}" for n in DIMS)
+          + "   (kernel passes per 1000 evaluations)")
+    print(f"{'pass B=1':<10}" + "".join(f"{timings[f'sharpness.pass.b1.n{n}']:>10.1f}" for n in DIMS)
+          + "   (us per scorer pass of one row)")
+    print(f"{'pass wide':<10}" + "".join(f"{timings[f'sharpness.pass.wide.n{n}']:>10.1f}" for n in DIMS)
+          + "   (us per scorer pass of _sharpness_pass_rows(n) rows)")
     print(f"\n{'geometry':<14}{'point':>10}{'stack':>10}   (us per sample, {GEOMETRY_SAMPLES} samples)")
     for stage in GEOMETRY_STAGES:
-        cells = (timings.get(f"geometry.{stage}.{mode}") for mode in ("point", "stack"))
-        print(f"{stage:<14}" + "".join(f"{c:>10.1f}" if c is not None else f"{'-':>10}" for c in cells))
+        print(f"{stage:<14}" + "".join(f"{timings[f'geometry.{stage}.{mode}']:>10.1f}" for mode in ("point", "stack")))
     print(f"\n{'command':<40}{'ms':>10}   (in process, min of {args.repeats} rounds)")
     for command in COMMANDS:
         print(f"{command:<40}{timings['command.' + command]:>10.2f}")
     print(f"\n{'report':<40}{'us':>10}   (cli.dump_json alone, per report; sweep_json per row)")
     for name, command in REPORTS.items():
         print(f"{command:<40}{timings['report.' + name]:>10.2f}")
-    if "write_report.chain_n8" in timings:
-        print(f"\n{'write':<40}{'us':>10}   (cli._write_report alone, per rewrite of an existing file)")
-        for name, command in WRITES.items():
-            print(f"{command:<40}{timings['write_report.' + name]:>10.2f}")
+    print(f"\n{'write':<40}{'us':>10}   (cli._write_report alone, per rewrite of an existing file)")
+    for name, command in WRITES.items():
+        print(f"{command:<40}{timings['write_report.' + name]:>10.2f}")
     return 0
 
 
