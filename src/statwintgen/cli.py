@@ -53,7 +53,6 @@ import math
 import os
 import stat
 import sys
-from dataclasses import replace
 from itertools import accumulate, cycle
 from json.encoder import encode_basestring_ascii as _json_string
 from math import isfinite
@@ -217,7 +216,7 @@ WARPS = {
 }
 FIBERS = {
     "flat": lambda warping, epsilon: wc.flat_kaehler_spec(1, warping),
-    "r2": lambda warping, epsilon: replace(wc.builtin_h3_example(), warping=warping, label="r2-fiber warp"),
+    "r2": lambda warping, epsilon: wc.builtin_h3_example()._replace(warping=warping, label="r2-fiber warp"),
     "twisted": lambda warping, epsilon: wc.twisted_j_spec(epsilon, warping),
 }
 
@@ -231,7 +230,7 @@ def _perturbed_chart(chart: sg.DualisticChart, eps: float) -> sg.DualisticChart:
         g[..., 0, 0, 0] += eps
         return g
 
-    return replace(chart, gamma=gamma, label=chart.label + f"+perturbed({eps})")
+    return chart._replace(gamma=gamma, label=chart.label + f"+perturbed({eps})")
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ c-terms 2c/4f^2, read row by row through ``_derive_rows``.  The constructor
 copies its forms and reads the B = 1 row on first use; ``_instance_rows``
 builds a sweep chunk's instances as read-only rows of the one stack they were
 drawn as, checked once, their memo filled from one kernel pass as they are
-built; ``wintgen._bound_scorer`` derives a stack with no instance at
+built (a draw is valid as built: its rows' violation lists are ``()`` with no
+scan); ``wintgen._bound_scorer`` derives a stack with no instance at
 all, its forms gathered from the trial parameters in one take, and runs
 ``_rho_pair`` on its (B,) columns.  The derivation fills one (B, 6, n+1, n, n)
 stack (A = h*, A* = h, A0, S, S*, S0): it takes the means H*, H and
@@ -48,7 +49,7 @@ import json
 import math
 import numbers
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from typing import NamedTuple
@@ -269,8 +270,7 @@ def _require_no_violations(violations: Sequence[tuple]) -> None:
         raise ValueError(f"invalid Legendrian instance: first violations {list(violations[:5])}")
 
 
-@dataclass(frozen=True)
-class MeanData:
+class MeanData(NamedTuple):
     """Mean curvature vectors (normal coordinates) and all squared norms."""
 
     H: Array
@@ -289,8 +289,7 @@ def means_and_traceless(inst: LegendrianPointInstance) -> MeanData:
     return inst._derived[0]
 
 
-@dataclass(frozen=True)
-class ShapeOperators:
+class ShapeOperators(NamedTuple):
     """Shape operators per normal direction and their traceless parts.
 
     A[alpha] is the operator of u_{alpha+1} for the primal connection (dual
@@ -306,7 +305,7 @@ class ShapeOperators:
     S: Array
     S_star: Array
     S0: Array
-    stack: Array = field(repr=False, compare=False)
+    stack: Array
 
 
 def shape_operators(inst: LegendrianPointInstance) -> ShapeOperators:
@@ -356,21 +355,25 @@ def _derive_arrays(forms: Array, cterm: Array) -> tuple[Array, Array, Array, Arr
     return ops, means, mean_sq, tau_sq, _rho_perp_stack(cterm, ops)
 
 
-def _instance_rows(n: int, fields: Array, xi: Array, forms: Array) -> list[LegendrianPointInstance]:
+def _instance_rows(n: int, fields: Array, xi: Array, forms: Array,
+                   found: Sequence[tuple] | None = None) -> list[LegendrianPointInstance]:
     """The instances of a (B, 2, n+1, n, n) stack of forms h, h* with their (B, 3) fields c, f, f' and (B,) xi
     values -(f'/f), checked once as a stack.  Each row's ``h``, ``h_star`` and forms are read-only views of the
     stack, and its memo is filled from one pass of the kernels, with the c-terms 2c/4f^2 as a column:
-    ``np.float_power`` is libm pow, as Python's ``**`` is, so each is the lone instance's float."""
+    ``np.float_power`` is libm pow, as Python's ``**`` is, so each is the lone instance's float.  The
+    violation memo is ``found`` where the caller knows it (a ``wintgen._forms_from_upper`` gather is
+    symmetric and xi-exact as built, so each row's is ``()``), else ``_find_violations`` of the stack."""
     values = fields.tolist()
     _require_stack(n, values, forms)
     forms.flags.writeable = False
     with np.errstate(over="ignore"):  # where f^2 overflows, Python's ** in ambient_plane_curvature raises
         cterm = 2.0 * fields[:, 0] / (4.0 * np.float_power(fields[:, 1], 2))
     rows = [object.__new__(LegendrianPointInstance) for _ in values]
-    for inst, (c, f, fp), form, found, derived in zip(rows, values, forms, _find_violations(xi, forms),
-                                                      _derive_rows(forms, cterm)):
+    if found is None:
+        found = _find_violations(xi, forms)
+    for inst, (c, f, fp), form, violations, derived in zip(rows, values, forms, found, _derive_rows(forms, cterm)):
         vars(inst).update(n=n, c=c, f_val=f, f_prime=fp, h=form[0], h_star=form[1], _forms=form,
-                          _violations=found, _derived=derived)
+                          _violations=violations, _derived=derived)
     return rows
 
 
@@ -428,8 +431,7 @@ def rho_levicivita(inst: LegendrianPointInstance) -> float:
     return _rho_pair(inst.n, ambient_plane_curvature(inst.c, inst.f_val, inst.f_prime), m)[1]
 
 
-@dataclass(frozen=True)
-class CurvatureScalars:
+class CurvatureScalars(NamedTuple):
     rho: float
     rho_perp: float
     rho_zero: float

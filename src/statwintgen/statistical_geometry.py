@@ -26,8 +26,7 @@ values and partials, exact to rounding.  One point is the N = 1 stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,8 +38,7 @@ MatrixField = Callable[[Array], Array]
 WHICH_CONNECTIONS = ("nabla", "nabla_star", "levi_civita")
 
 
-@dataclass(frozen=True)
-class DualisticChart:
+class DualisticChart(NamedTuple):
     """Coordinate chart with metric and dual connection coefficient fields.
 
     Every field is stacked: an (N, dim) stack of points gives the (N, dim,
@@ -61,8 +59,7 @@ class DualisticChart:
     label: str = "chart"
 
 
-@dataclass(frozen=True)
-class CurvatureTensor:
+class CurvatureTensor(NamedTuple):
     """Curvature components R[N, l, k, i, j] over a stack of points (see module docstring)."""
 
     components: Array
@@ -330,6 +327,4 @@ def builtin_r2_example() -> DualisticChart:
     gam[1, 0, 0] = 1.0  # nabla_dx dx = dy
     gam[0, 0, 1] = 1.0  # nabla_dx dy = dx
     gam[0, 1, 0] = 1.0  # nabla_dy dx = dx
-    return replace(
-        trivial_chart(2), gamma=constant_field(gam), gamma_star=constant_field(-gam), label="r2-example"
-    )
+    return trivial_chart(2)._replace(gamma=constant_field(gam), gamma_star=constant_field(-gam), label="r2-example")

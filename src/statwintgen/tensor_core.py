@@ -75,7 +75,13 @@ _MASK32 = 0xFFFFFFFF
 _MIX_L, _MIX_R, _SHIFT = (np.array(v, dtype=np.uint32) for v in (0xCA01F9DD, 0x4973F715, 16))
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _STATE_WORDS = np.array([0, 1, 2, 3] * 2)  # generate_state(4, uint64) hashes the pool cyclically
-_UNUSED_SEED = np.random.SeedSequence(0)  # seeds the one PCG64 per call cheaply; each row sets its state
+
+
+@lru_cache(maxsize=1)
+def _unused_seed() -> np.random.SeedSequence:
+    """Seeds the one PCG64 per call cheaply; each row sets its state.  Built on the first draw, so a
+    command that draws nothing never imports ``numpy.random``."""
+    return np.random.SeedSequence(0)
 
 
 @lru_cache(maxsize=8)
@@ -129,7 +135,7 @@ def instance_uniforms(seed: int, indices: range, k: int) -> np.ndarray:
         pool = mixed
     state = _hashmix(pool[_STATE_WORDS], *state_constants).T.astype("<u4", order="C").view("<u8")
     out = np.empty((count, k))
-    gen = np.random.Generator(np.random.PCG64(_UNUSED_SEED))
+    gen = np.random.Generator(np.random.PCG64(_unused_seed()))
     for row, (s_hi, s_lo, q_hi, q_lo) in enumerate(state.tolist()):
         inc = ((q_hi << 64 | q_lo) << 1 | 1) % (1 << 128)  # PCG64 seeding: two LCG steps, initstate between
         gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {

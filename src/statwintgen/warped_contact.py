@@ -30,9 +30,8 @@ checked evaluator ``statistical_geometry._field``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,8 +54,7 @@ CLOSED_FORM_CASES = ("a", "b", "c", "d", "a*", "b*", "c*", "d*")
 KENMOTSU_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Warping:
+class Warping(NamedTuple):
     """Warping function t -> f(t) with analytic first and second derivatives.
 
     f, f' and f'' follow the field rule of ``DualisticChart``: each is a numpy
@@ -101,8 +99,7 @@ def cosh_warping() -> Warping:
     return Warping(np.cosh, np.sinh, np.cosh, name="cosh(t)")
 
 
-@dataclass(frozen=True)
-class WarpedProductSpec:
+class WarpedProductSpec(NamedTuple):
     """Fiber chart + almost complex field + warping data for R x_f N.
 
     ``complex_structure`` is stacked like the fiber's fields: fiber points
@@ -308,8 +305,7 @@ def wedge_eta_form(two_form_total: Array) -> Array:
     )
 
 
-@dataclass(frozen=True)
-class ContactClassification:
+class ContactClassification(NamedTuple):
     """Classification record at a sample point.
 
     ``alpha`` is the reported Kenmotsu coefficient -f'/f; the two-form
@@ -397,8 +393,7 @@ def contact_classification(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KenmotsuCheck:
+class KenmotsuCheck(NamedTuple):
     fiber_almost_kaehler: bool
     total_almost_kenmotsu: bool
     consistent: bool

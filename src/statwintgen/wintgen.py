@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Collection, Iterable
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +55,7 @@ Array = np.ndarray
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     step: str
     lhs: float
     rhs: float
@@ -66,8 +65,7 @@ class ChainStep:
         return {"step": self.step, "lhs": self.lhs, "rhs": self.rhs, "holds": self.holds}
 
 
-@dataclass(frozen=True)
-class WintgenReport:
+class WintgenReport(NamedTuple):
     seed: str | None
     n: int
     c: float
@@ -78,7 +76,7 @@ class WintgenReport:
     rhs: float
     slack: float
     holds: bool
-    chain: list[ChainStep] = field(default_factory=list)
+    chain: list[ChainStep]
 
     def as_dict(self) -> dict:
         return {
@@ -267,8 +265,9 @@ def random_instance(
 def _random_instances(n: int, c_range, f_range, fprime_range, magnitude: float, seed: int,
                       indices: range) -> list[LegendrianPointInstance]:
     """``random_instance`` for every index of a step-1 range, as the rows ``legendrian._instance_rows`` builds of
-    the one draw."""
-    return _instance_rows(n, *_draw(n, c_range, f_range, fprime_range, magnitude, seed, indices))
+    the one draw, which is valid as drawn: no row is scanned for violations."""
+    return _instance_rows(n, *_draw(n, c_range, f_range, fprime_range, magnitude, seed, indices),
+                          found=[()] * len(indices))
 
 
 def _draw(n: int, c_range, f_range, fprime_range, magnitude: float, seed: int,
@@ -361,7 +360,7 @@ def sweep(
     instance is drawn; a bad one raises ValueError naming it.  Each chunk of
     ``sweep_chunk(n)`` instances is drawn in one pass, from the streams that
     ``random_instance`` draws, into one forms stack, whose rows are the instances,
-    validated and derived once as a stack; each report is ``main_inequality`` reading memoized data.
+    checked and derived once as a stack; each report is ``main_inequality`` reading memoized data.
     """
     _check_draw_args(n, c_range, f_range, fprime_range, magnitude)
     out = []
@@ -379,8 +378,7 @@ def sweep(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SharpnessResult:
+class SharpnessResult(NamedTuple):
     best_instance: LegendrianPointInstance
     min_slack: float
     trace: list[float]
@@ -515,7 +513,7 @@ def sharpness_search(n: int, c: float, f: float, fprime: float, iterations: int,
         if not improved:
             step *= 0.5
 
-    best_instance = _instance_rows(n, *_fields_and_forms(n, [(c, f, fprime)], best_params[None]))[0]
+    best_instance = _instance_rows(n, *_fields_and_forms(n, [(c, f, fprime)], best_params[None]), found=[()])[0]
     hard = not main_inequality(best_instance, include_chain=False).holds
     return SharpnessResult(
         best_instance=best_instance,

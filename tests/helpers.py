@@ -13,8 +13,6 @@ counts the calls of a warping's functions.  The module name has no
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from statwintgen.statistical_geometry import DualisticChart
@@ -45,8 +43,8 @@ def counted_warping(warping: Warping, calls: list) -> Warping:
 
         return call
 
-    return replace(warping, f=counted(warping.f, 0), f_prime=counted(warping.f_prime, 1),
-                   f_double_prime=counted(warping.f_double_prime, 2))
+    return warping._replace(f=counted(warping.f, 0), f_prime=counted(warping.f_prime, 1),
+                            f_double_prime=counted(warping.f_double_prime, 2))
 
 
 def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:

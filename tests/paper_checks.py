@@ -21,7 +21,7 @@ collecting it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -158,7 +158,7 @@ def corollary_reports(inst: LegendrianPointInstance, variant: str, seed: str | N
         raise AssertionError(
             f"corollary constant mismatch: specialized {rhs!r} vs general {base.rhs!r}"
         )
-    return replace(base, rhs_terms=terms, rhs=rhs, slack=slack, holds=holds)
+    return base._replace(rhs_terms=terms, rhs=rhs, slack=slack, holds=holds)
 
 
 # ---------------------------------------------------------------------------

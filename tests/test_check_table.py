@@ -12,7 +12,6 @@ with ``--samples``.
 
 import json
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -35,8 +34,8 @@ SAMPLES = {"curvature r2": 20, "curvature h3": 300, "reproduce example-r2": 20, 
 def test_report_equals_the_per_sample_rows(name, shift, tmp_path, monkeypatch, capsys):
     if shift:  # every connection coefficient of the r2 chart (the h3 fiber) and f'' of exp move: some rows fail
         builtin, exp = sg.builtin_r2_example(), wc.exp_warping()
-        chart = replace(builtin, gamma=lambda x: builtin.gamma(x) + shift)
-        warping = replace(exp, f_double_prime=lambda t: exp.f_double_prime(t) + shift)
+        chart = builtin._replace(gamma=lambda x: builtin.gamma(x) + shift)
+        warping = exp._replace(f_double_prime=lambda t: exp.f_double_prime(t) + shift)
         monkeypatch.setattr(sg, "builtin_r2_example", lambda: chart)
         monkeypatch.setattr(wc, "builtin_r2_example", lambda: chart)
         monkeypatch.setattr(wc, "exp_warping", lambda: warping)

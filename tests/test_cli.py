@@ -3,7 +3,8 @@ import json
 import math
 import os
 import stat
-from dataclasses import replace
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +112,7 @@ def test_classify_evaluates_f_and_j_once_per_grid_row(monkeypatch, tmp_path, fib
             rows.extend(x)
             return spec.complex_structure(x)
 
-        return replace(spec, complex_structure=complex_structure)
+        return spec._replace(complex_structure=complex_structure)
 
     monkeypatch.setattr(wc, "cosh_warping", lambda: counted_warping(cosh, calls))
     monkeypatch.setitem(cli.FIBERS, fiber, counted_fiber)
@@ -157,7 +158,7 @@ def test_reproduce_h3_evaluates_metric_partial_once_per_chunk(monkeypatch, tmp_p
             calls.append(len(x))
             return chart.metric_partial(x)
 
-        return replace(chart, metric_partial=metric_partial)
+        return chart._replace(metric_partial=metric_partial)
 
     monkeypatch.setattr(wc, "build_warped_chart", counting)
     assert main(["reproduce", "example-h3", "--out", str(tmp_path / "report.json")]) == EXIT_OK
@@ -509,12 +510,12 @@ def test_a_new_report_gets_the_mode_of_open_w(argv, umask, workdir, capsys):
 
 def _poisoned_sharpness(monkeypatch):
     search = wg.sharpness_search
-    monkeypatch.setattr(wg, "sharpness_search", lambda *a, **k: replace(search(*a, **k), min_slack=math.inf))
+    monkeypatch.setattr(wg, "sharpness_search", lambda *a, **k: search(*a, **k)._replace(min_slack=math.inf))
 
 
 def _poisoned_sweep(monkeypatch):
     sweep = wg.sweep
-    monkeypatch.setattr(wg, "sweep", lambda *a, **k: [replace(r, slack=math.nan) for r in sweep(*a, **k)])
+    monkeypatch.setattr(wg, "sweep", lambda *a, **k: [r._replace(slack=math.nan) for r in sweep(*a, **k)])
 
 
 @pytest.mark.parametrize(
@@ -1166,7 +1167,7 @@ def test_singular_metric_names_the_first_singular_sample(budget, monkeypatch, ca
     points = [draw[0] for draw in _sequential_draws(["axioms", "r2"], 8)][:5]
     bad = points[3].astype(complex).tobytes()  # the point row of sample 3's jet
     base = sg.builtin_r2_example()
-    chart = replace(base, metric=stacked(lambda x: np.zeros((2, 2)) if np.asarray(x, dtype=complex).tobytes() == bad
+    chart = base._replace(metric=stacked(lambda x: np.zeros((2, 2)) if np.asarray(x, dtype=complex).tobytes() == bad
                                          else np.eye(2)), label="singular-at-sample-3")
     monkeypatch.setitem(cli.CHARTS, "r2", lambda: chart)
     if budget is not None:
@@ -1261,3 +1262,24 @@ def test_non_finite_check_value_comes_before_a_later_chunks_error(monkeypatch, c
     line = _assert_one_line_usage_error(main(["curvature", "--chart", "h3", "--samples", "300", "--seed", "0"]), capsys)
     assert line == f"error: arithmetic overflow: non-finite levi-civita sectional check at {point.tolist()}"
     assert len(calls) == 1
+
+
+def _loads_numpy_random(tmp_path, code: str) -> bool:
+    """Whether ``numpy.random`` is imported after ``code`` runs in a fresh interpreter on the package sources."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    probe = f"import sys\n{code}\nprint('numpy.random' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1] == "True"
+
+
+def test_numpy_random_is_imported_only_by_a_command_that_draws(tmp_path):
+    instance = tmp_path / "instance.json"
+    instance.write_text(wg.random_instance(3, seed=5, index=1).to_json())
+    commands = [["wintgen", "chain", str(instance), "--out", str(tmp_path / "chain.json")],
+                ["wintgen", "verify", str(instance), "--out", str(tmp_path / "verify.json")]]
+    runs = "".join(f"statwintgen.cli.main({argv!r})\n" for argv in commands)
+    assert not _loads_numpy_random(tmp_path, "import statwintgen.cli")
+    assert not _loads_numpy_random(tmp_path, "import statwintgen.cli\n" + runs)
+    sweep = ["wintgen", "sweep", "--n", "2", "--count", "3", "--out", str(tmp_path / "sweep.csv")]
+    assert _loads_numpy_random(tmp_path, f"import statwintgen.cli\nstatwintgen.cli.main({sweep!r})")

@@ -596,7 +596,8 @@ class TestStackedPass:
         monkeypatch.setattr(wg, "sweep_chunk", lambda n: 4)
         reports = wg.sweep(n=3, count=10, seed=89)  # chunks of 4, 4 and 2
         assert len(reports) == 10
-        assert counts == {"_derive_arrays": 3, "_find_violations": 3, "ShapeOperators": 0}
+        # drawn rows are valid as drawn (test_drawn_rows_have_no_violation): no chunk is scanned
+        assert counts == {"_derive_arrays": 3, "_find_violations": 0, "ShapeOperators": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +646,16 @@ class TestInstanceRows:
             if not memo[0]:
                 assert _derived_bytes(row) == _derived_bytes(alone)
                 assert lg.curvature_scalars(row) == lg.curvature_scalars(alone)
+
+    @pytest.mark.parametrize("magnitude", [1.0, 1000.0])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_drawn_rows_have_no_violation(self, n, magnitude):
+        # a sweep chunk's rows get the verdict () without a scan: every row of a draw must have no violation
+        indices = range(wg.sweep_chunk(n))
+        fields, xi, forms = wg._draw(n, *DRAW_RANGES, magnitude, 107, indices)
+        assert lg._find_violations(xi, forms) == [()] * len(indices)
+        rows = wg._random_instances(n, *DRAW_RANGES, magnitude, 107, indices)
+        assert [vars(row)["_violations"] for row in rows] == [()] * len(indices)
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_every_row_is_a_read_only_view_of_the_stack(self, n):

@@ -7,7 +7,6 @@ import enum
 import importlib.util
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -176,7 +175,7 @@ def test_cli_refuses_a_non_finite_report_without_writing_it(monkeypatch, tmp_pat
     search = wg.sharpness_search
 
     def poisoned(*args, **kwargs):
-        return replace(search(*args, **kwargs), **{field: bad})
+        return search(*args, **kwargs)._replace(**{field: bad})
 
     monkeypatch.setattr(wg, "sharpness_search", poisoned)
     out = tmp_path / "report.json"

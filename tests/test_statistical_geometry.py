@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -327,7 +326,7 @@ class TestFieldContract:
 
     @pytest.mark.parametrize("count", [2, 5])  # 2 = dim: the single-point value (2, 2) has the stack's length
     def test_field_without_the_stack_axis_is_named(self, count):
-        chart = replace(builtin_r2_example(), metric=lambda x: np.eye(2), label="single-point-metric")
+        chart = builtin_r2_example()._replace(metric=lambda x: np.eye(2), label="single-point-metric")
         points, probes = np.zeros((count, 2)), np.ones((4, count, 2))
         message = "field metric of chart single-point-metric returned shape (2, 2), expected "
         for call in (lambda: sectional_curvature(chart, "nabla", points, EX, EY), lambda: levi_civita(chart, points)):
@@ -344,12 +343,12 @@ class TestFieldContract:
 
     def test_charts_carry_no_connection_partials(self):
         # the connection partials are complex steps of the connection fields, one route for every chart
-        names = [f.name for f in fields(DualisticChart)]
+        names = list(DualisticChart._fields)
         assert names == ["dim", "metric", "gamma", "gamma_star", "metric_partial", "label"]
 
     def test_connection_field_without_the_stack_axis_is_named(self):
         zeros = np.zeros((2, 2, 2))
-        chart = replace(builtin_r2_example(), gamma_star=lambda x: zeros, label="flat-partial")
+        chart = builtin_r2_example()._replace(gamma_star=lambda x: zeros, label="flat-partial")
         # the curvature evaluates the connection on each point's jet: 3 points, 3 rows each
         with pytest.raises(ValueError, match=re.escape("field gamma_star of chart flat-partial returned shape "
                                                        "(2, 2, 2), expected (9, 2, 2, 2)")):
@@ -370,7 +369,7 @@ class TestFieldContract:
 
             return count
 
-        counting = replace(chart, metric=counted("metric"), metric_partial=counted("metric_partial"))
+        counting = chart._replace(metric=counted("metric"), metric_partial=counted("metric_partial"))
         points, probes = _stack(chart, count=100)
         residuals = axiom_residuals(counting, points, *probes)
         assert seen == {"metric": 100 * 4, "metric_partial": 100 * 4}  # each point and its three jet shifts

@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -107,8 +106,8 @@ class TestBuildWarpedChart:
     def test_fiber_field_without_the_stack_axis_is_named_inside_the_warped_chart(self, name):
         fiber = sg.builtin_r2_example()
         one_value = getattr(fiber, name)(np.zeros(2))
-        unstacked = replace(fiber, **{name: lambda x: one_value}, label="unstacked-fiber")
-        spec = replace(wc.builtin_h3_example(), fiber=unstacked)
+        unstacked = fiber._replace(**{name: lambda x: one_value}, label="unstacked-fiber")
+        spec = wc.builtin_h3_example()._replace(fiber=unstacked)
         chart, points = wc.build_warped_chart(spec), warped_points(spec, 5, 23)
         shape = "(2, 2)" if name == "metric" else "(2, 2, 2)"
         message = f"field {name} of chart unstacked-fiber returned shape {shape}, expected (5, 2"
@@ -480,10 +479,10 @@ def _bits(value):
     """A record or check field in a form that compares bit for bit: NaN equals NaN, -0.0 is not 0.0."""
     if isinstance(value, (str, bool)):
         return value
+    if isinstance(value, (wc.ContactClassification, wc.KenmotsuCheck)):
+        return {name: _bits(getattr(value, name)) for name in value._fields}
     if isinstance(value, tuple):
         return tuple(_bits(item) for item in value)
-    if isinstance(value, (wc.ContactClassification, wc.KenmotsuCheck)):
-        return {f.name: _bits(getattr(value, f.name)) for f in fields(value)}
     value = np.asarray(value, dtype=float)
     return value.shape, value.tobytes()
 
@@ -538,7 +537,7 @@ def test_fiber_check_rejects_a_nonstatistical_fiber():
     # primal connection of the plane example paired with a zero dual
     # connection breaks the duality axiom; the chart is built all the same
     base = sg.builtin_r2_example()
-    broken = replace(base, gamma_star=stacked(lambda x: np.zeros((2, 2, 2))))
+    broken = base._replace(gamma_star=stacked(lambda x: np.zeros((2, 2, 2))))
     spec = wc.WarpedProductSpec(
         fiber=broken,
         complex_structure=stacked(lambda x: wc.standard_complex_structure(1)),
