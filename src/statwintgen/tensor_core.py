@@ -1,11 +1,11 @@
 """Shared numerical kernel.
 
-The commutator of validated finite square matrices, the one derivative
-primitive for array-valued fields of several variables (the complex-step
-``jet`` of a stack of points and its split ``jet_partials``), per-instance
-seeded streams (a generator, or a chunk's draws at once, bit for bit) and the
-upper-triangle indices.  Everything here is pure: inputs
-are never mutated, outputs are fresh arrays.
+The commutator of two square arrays of one shape (checked where they come
+from), the one derivative primitive for array-valued fields of several
+variables (the complex-step ``jet`` of a stack of points and its split
+``jet_partials``), per-instance seeded streams (a generator, or a chunk's
+draws at once, bit for bit) and the upper-triangle indices.  Everything here
+is pure: inputs are never mutated, outputs are fresh arrays.
 """
 
 from __future__ import annotations
@@ -18,23 +18,14 @@ import numpy as np
 JET_STEP = 2.0**-100
 
 
-def as_square_matrix(m) -> np.ndarray:
-    """Validate and return a finite square matrix as a float ndarray."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    return a
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix commutator AB - BA of two square arrays of one shape.
 
-
-def commutator(a, b) -> np.ndarray:
-    """Matrix commutator AB - BA."""
-    am = as_square_matrix(a)
-    bm = as_square_matrix(b)
-    if am.shape != bm.shape:
-        raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    return am @ bm - bm @ am
+    The operands are used as given, with no conversion and no check: the package passes views of the
+    operator stack of an instance checked where it entered, and an instance whose operators overflow
+    already has a non-finite bound, which ``wintgen._slack`` refuses before the chain runs.
+    """
+    return a @ b - b @ a
 
 
 def jet(points) -> np.ndarray:

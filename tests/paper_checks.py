@@ -36,7 +36,7 @@ from statwintgen.statistical_geometry import (
     covariant_two_form_derivative,
     levi_civita,
 )
-from statwintgen.tensor_core import as_square_matrix, commutator, instance_rng
+from statwintgen.tensor_core import commutator, instance_rng
 from statwintgen.warped_contact import (
     WarpedProductSpec,
     embed_fiber_vector,
@@ -62,6 +62,16 @@ def phi_matrix(spec: WarpedProductSpec, point: Array) -> Array:
 # ---------------------------------------------------------------------------
 # Lu's commutator inequality
 # ---------------------------------------------------------------------------
+
+
+def as_square_matrix(m) -> np.ndarray:
+    """Validate and return a finite square matrix as a float ndarray."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return a
 
 
 def frobenius_norm_sq(m) -> float:

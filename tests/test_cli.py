@@ -842,6 +842,23 @@ def test_instance_overflow_lines_are_pinned(sub, f, fprime, line, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cells", [[(0, 1), (1, 0)], [(0, 0)], [(0, 0), (1, 1)]],
+                         ids=["off-diagonal", "diagonal", "trace"])
+@pytest.mark.parametrize("sub", ["verify", "chain"])
+def test_overflowing_operators_are_refused_by_the_bound(sub, cells, tmp_path, capsys):
+    # tensor_core.commutator checks nothing: operators that overflow (A0 = (A + A*)/2 here, and its trace in
+    # the last case) already make main_inequality's bound non-finite, and _slack refuses it before the chain
+    phi = np.zeros((2, 2, 2))
+    phi[0][tuple(zip(*cells))] = 1.7e308
+    forms = [*phi.tolist(), [[-1.0, 0.0], [0.0, -1.0]]]  # the forced xi-slice -(f'/f) I
+    path, out = tmp_path / "overflow.json", tmp_path / "report.out"
+    path.write_text(json.dumps({"n": 2, "c": 0.0, "f": 1.0, "f_prime": 1.0, "h": forms, "h_star": forms}))
+    out.write_bytes(b"previous report\n")
+    line = _assert_one_line_usage_error(main(["wintgen", sub, str(path), "--out", str(out)]), capsys)
+    assert line == "error: arithmetic overflow: non-finite bound (lhs=nan, rhs=nan)"
+    assert out.read_bytes() == b"previous report\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
