@@ -248,13 +248,14 @@ def random_instance(
     seed: int = 0,
     index: int = 0,
 ) -> LegendrianPointInstance:
-    """Random instance, valid by construction; deterministic in (seed, index).
+    """Random instance, valid by construction; the same for the same arguments, whatever chunk draws it.
 
-    Draw order is fixed: c, f, f', then the phi-slices of h (alpha ascending),
-    then those of h*; each slice is a symmetrized uniform [-magnitude,
-    magnitude] matrix.  xi-slices are set to the forced -(f'/f) I exactly.
-    The arguments are checked as ``sweep`` checks them.  The instance is
-    built by the public constructor, so its derived data waits for first use.
+    It reads doubles index k to (index + 1) k - 1 of ``PCG64(seed)``, with
+    k = 3 + 2n^3, in a fixed order: c, f, f', then the phi-slices of h (alpha
+    ascending), then those of h*; each slice is a symmetrized uniform
+    [-magnitude, magnitude] matrix.  xi-slices are set to the forced -(f'/f) I
+    exactly.  The arguments are checked as ``sweep`` checks them.  The instance
+    is built by the public constructor, so its derived data waits for first use.
     """
     _check_draw_args(n, c_range, f_range, fprime_range, magnitude)
     fields, _, forms = _draw(n, c_range, f_range, fprime_range, magnitude, seed, range(index, index + 1))
@@ -273,8 +274,9 @@ def _random_instances(n: int, c_range, f_range, fprime_range, magnitude: float, 
 def _draw(n: int, c_range, f_range, fprime_range, magnitude: float, seed: int,
           indices: range) -> tuple[Array, Array, Array]:
     """The draws of ``random_instance`` for every index of a step-1 range, as ``_fields_and_forms`` returns
-    them: the doubles u of ``instance_uniforms`` mapped as numpy's ``uniform`` maps them, low + (high - low) u,
-    columns 0-2 to c, f and f', the rest to the upper triangles.  numpy's refusals are raised here, in its order."""
+    them: each index's own row of ``instance_uniforms`` (it does not depend on the range) mapped as numpy's
+    ``uniform`` maps it, low + (high - low) u, columns 0-2 to c, f and f', the rest to the upper triangles.
+    numpy's refusals are raised here, in its order: the seed's and the index's before the ranges'."""
     u = instance_uniforms(seed, indices, 3 + 2 * n ** 3)
     bounds = [(float(a), float(b)) for a, b in (c_range, f_range, fprime_range, (-magnitude, magnitude))]
     low, span = np.array([(a, b - a) for a, b in bounds]).T  # Python floats: an infinite span raises no warning
@@ -358,8 +360,8 @@ def sweep(
 
     ``n``, the ranges and ``magnitude`` are checked once, before any
     instance is drawn; a bad one raises ValueError naming it.  Each chunk of
-    ``sweep_chunk(n)`` instances is drawn in one pass, from the streams that
-    ``random_instance`` draws, into one forms stack, whose rows are the instances,
+    ``sweep_chunk(n)`` instances is drawn in one pass, from the doubles that
+    ``random_instance`` reads, into one forms stack, whose rows are the instances,
     checked and derived once as a stack; each report is ``main_inequality`` reading memoized data.
     """
     _check_draw_args(n, c_range, f_range, fprime_range, magnitude)

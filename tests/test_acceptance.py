@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+import draw_oracle
 import frame_oracle
 import paper_checks as pc
 import statwintgen.legendrian as lg
@@ -38,11 +39,9 @@ def _line(num: int, name: str, ok: bool, detail: str = "") -> bool:
 
 @pytest.fixture(scope="module")
 def sweep_instances():
-    """The shared 10^4 validated instances (n cycling 2..5, master seed 7)."""
-    instances = []
-    for i in range(10_000):
-        instances.append(wg.random_instance(n=2 + i % 4, seed=7, index=i))
-    return instances
+    """The shared 10^4 validated instances (n cycling 2..5, master seed 7), drawn from the
+    ``default_rng([7, i])`` streams that criterion 8 has always read."""
+    return [draw_oracle.hashed_instance(2 + i % 4, 7, i) for i in range(10_000)]
 
 
 def test_criterion_1_r2_reproduction():

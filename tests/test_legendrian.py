@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import draw_oracle
 import frame_oracle
 import kernel_oracle
 import statwintgen.legendrian as lg
@@ -210,8 +211,8 @@ def _oracle_instances(n, count=25):
 
 
 def _random_instance_reference(n, seed, index, magnitude=1.0):
-    """Field-by-field draw: c, f, f', then every phi-slice of h, then of h*."""
-    rng = np.random.default_rng([seed, index])
+    """Field-by-field draw from the instance's own generator: c, f, f', then every phi-slice of h, then of h*."""
+    rng = draw_oracle.counter_rng(seed, index, 3 + 2 * n**3)
     c = float(rng.uniform(-4.0, 4.0))
     f = float(rng.uniform(0.5, 3.0))
     fp = float(rng.uniform(-2.0, 2.0))

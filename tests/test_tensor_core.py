@@ -11,7 +11,9 @@ from statwintgen.tensor_core import (
     jet,
     jet_partials,
 )
+import statwintgen.wintgen as wg
 
+import draw_oracle
 from derivative_oracle import grid, grid_partials
 from helpers import partials, random_orthogonal
 from paper_checks import frobenius_norm_sq, random_symmetric_traceless
@@ -217,9 +219,10 @@ class TestRandomSymmetricTraceless:
             random_symmetric_traceless(2, 0, seed=0)
 
 
-# Seeds and indices on both sides of 2^32 and 2^64, where SeedSequence adds an entropy word.
-STREAM_SEEDS = (0, 7, 2**32 - 1, 2**32, 2**64 + 3)
-STREAM_RANGES = (range(0, 1000), range(2**32 - 500, 2**32 + 500))
+# Seeds of one, two and seven 32-bit words; ranges across 2^32 and where index k passes 2^64.
+STREAM_SEEDS = (11, 2**32 + 5, 2**200 + 17)
+SEED_IDS = ("11", "2^32+5", "2^200+17")
+STREAM_RANGES = (range(0, 300), range(2**32 - 150, 2**32 + 150), range(2**64 // 19 - 2, 2**64 // 19 + 3))
 
 
 def _bits(a) -> np.ndarray:
@@ -227,39 +230,49 @@ def _bits(a) -> np.ndarray:
 
 
 class TestInstanceUniforms:
-    @pytest.mark.parametrize("k", [1, 21, 57, 1027])
-    def test_rows_are_the_default_rng_streams_bit_for_bit(self, k):
-        # 5 seeds x 2000 indices, against numpy itself: a numpy release that changed
-        # SeedSequence or PCG64 fails here instead of moving every sweep silently
-        pairs = 0
-        for seed in STREAM_SEEDS:
-            for indices in STREAM_RANGES:
-                drawn = instance_uniforms(seed, indices, k)
-                assert drawn.shape == (len(indices), k)
-                want = np.array([np.random.default_rng([seed, index]).random(k) for index in indices])
-                assert np.array_equal(_bits(drawn), _bits(want)), (seed, indices)
-                pairs += len(indices)
-        assert pairs == 10_000
+    @pytest.mark.parametrize("k", [1, 19, 57, 1027])
+    @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=SEED_IDS)
+    def test_rows_are_the_counter_streams_bit_for_bit(self, seed, k):
+        # row i against a generator of its own, PCG64(seed) advanced by index k doubles
+        for indices in STREAM_RANGES:
+            drawn = instance_uniforms(seed, indices, k)
+            assert drawn.shape == (len(indices), k)
+            want = np.array([draw_oracle.counter_rng(seed, index, k).random(k) for index in indices])
+            assert np.array_equal(_bits(drawn), _bits(want)), (seed, indices)
 
-    @pytest.mark.parametrize("seed", [11, 2**32 + 5, 2**200 + 17])
-    @pytest.mark.parametrize("indices", [range(0, 1), range(2**32 - 1, 2**32), range(2**33 - 3, 2**33 + 3),
-                                         range(2**64 - 2, 2**64 + 2), range(2**70 + 1, 2**70 + 2)],
-                             ids=lambda r: f"{r.start:#x}+{len(r)}")
-    def test_every_entropy_word_count(self, seed, indices):
-        # a range is hashed per block of 2^32 indices; long seeds and indices add words beyond the pool
-        drawn = instance_uniforms(seed, indices, 5)
-        want = np.array([np.random.default_rng([seed, index]).random(5) for index in indices])
-        assert np.array_equal(_bits(drawn), _bits(want))
+    @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=SEED_IDS)
+    def test_rows_are_consecutive_blocks_of_the_seeds_one_stream(self, seed):
+        # no jump-ahead on this side: one PCG64(seed) read from its first double
+        stream = np.random.Generator(np.random.PCG64(seed)).random(60 * 57)
+        for indices in (range(0, 60), range(17, 41), range(59, 60)):
+            want = stream[57 * indices.start:57 * indices.stop].reshape(-1, 57)
+            assert np.array_equal(_bits(instance_uniforms(seed, indices, 57)), _bits(want))
+
+    def test_golden_streams(self):
+        # literal doubles, not numpy's output: a numpy release that changed PCG64, its seeding or its
+        # jump-ahead fails here instead of moving every sweep silently
+        row = instance_uniforms(7, range(0, 1), 57)[0]
+        assert [row[j].hex() for j in (0, 1, 2, 56)] == [
+            "0x1.400c8353e3ca9p-1", "0x1.cb5f9b795e4cdp-1", "0x1.8d26acbf2815fp-1", "0x1.a1f71164c35edp-1"]
+        row = instance_uniforms(2**200 + 17, range(2**33 + 1, 2**33 + 2), 5)[0]
+        assert [x.hex() for x in row] == [
+            "0x1.c152cc1971bfep-2", "0x1.a21f32d74cc00p-3", "0x1.54f9afae1afbap-2", "0x1.4612bfcdbf5cdp-1",
+            "0x1.84ee0cc5240d7p-1"]
+        inst = wg.random_instance(3, seed=11, index=3)
+        assert [x.hex() for x in (inst.c, inst.f_val, inst.f_prime)] == [
+            "-0x1.e29c57e900cecp+1", "0x1.c649eb88703bep-1", "0x1.32725f2a4c014p+0"]
 
     def test_empty_range(self):
         assert instance_uniforms(3, range(4, 4), 7).shape == (0, 7)
 
-    @pytest.mark.parametrize("seed, indices", [(-1, range(0, 2)), (3, range(-1, 2))], ids=["seed", "index"])
+    @pytest.mark.parametrize("seed, indices", [(-1, range(0, 2)), (1, range(-1, 2))], ids=["seed", "index"])
     def test_negative_entropy_is_refused_as_numpy_refuses_it(self, seed, indices):
         with pytest.raises(ValueError, match="^expected non-negative integer$"):
-            np.random.default_rng([seed, indices.start])
+            np.random.PCG64(-1)  # numpy's own refusal of a seed, which advance() does not make of an index
         with pytest.raises(ValueError, match="^expected non-negative integer$"):
             instance_uniforms(seed, indices, 3)
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            wg.random_instance(3, seed=seed, index=indices.start)
 
     def test_a_stepped_range_is_refused(self):
         with pytest.raises(ValueError, match="step 1"):

@@ -10,7 +10,6 @@ import draw_oracle
 import paper_checks as pc
 import statwintgen.legendrian as lg
 import statwintgen.wintgen as wg
-from statwintgen.tensor_core import instance_rng
 
 from helpers import random_orthogonal
 
@@ -298,13 +297,25 @@ class TestRandomInstance:
     def test_chunk_draws_equal_the_per_index_loop_bit_for_bit(self, n, kwargs):
         ranges = {"c_range": (-4.0, 4.0), "f_range": (0.5, 3.0), "fprime_range": (-2.0, 2.0), "magnitude": 1.0}
         args = {**ranges, **kwargs}
-        for seed, indices in [(7, range(0, 40)), (2**32, range(2**32 - 3, 2**32 + 3))]:
+        for seed, indices in [(11, range(0, 40)), (2**32 + 5, range(2**32 - 3, 2**32 + 3)),
+                              (2**200 + 17, range(2**64 // 19 - 2, 2**64 // 19 + 2))]:
             fields, xi, forms = wg._draw(n, *args.values(), seed, indices)
             want_fields, want_xi, want_forms = draw_oracle.random_instances(n, *args.values(), seed, indices)
             assert fields.dtype == want_fields.dtype == float
             assert np.array_equal(fields.view(np.uint64), want_fields.view(np.uint64))
             assert np.array_equal(forms.view(np.uint64), want_forms.view(np.uint64))
             assert np.array_equal(xi.view(np.uint64), want_xi.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_every_chunk_row_is_its_lone_draw(self, n):
+        # overlapping chunks, a pair across the 2^32 index boundary and one where index k passes 2^64:
+        # a row depends on its index alone
+        for seed, start in [(11, 0), (2**32 + 5, 2**32 - 6), (2**200 + 17, 2**64 // 19 - 6)]:
+            for first, stop in [(start, start + 9), (start + 4, start + 12)]:
+                chunk = wg._draw(n, *draw_oracle.DEFAULT_RANGES, 1.0, seed, range(first, stop))
+                for row, index in enumerate(range(first, stop)):
+                    alone = wg._draw(n, *draw_oracle.DEFAULT_RANGES, 1.0, seed, range(index, index + 1))
+                    assert all(got[row].tobytes() == want[0].tobytes() for got, want in zip(chunk, alone)), index
 
 
 class TestSweep:
@@ -360,9 +371,9 @@ class TestSweep:
         "ranges", [((-4.0, 4.0), (0.5, 3.0), (-2.0, 2.0)), ((1.0, 7.5), (2.0, 2.0), (-0.3, 9.0))], ids=["default", "other"]
     )
     def test_scalar_parameter_draws_equal_the_zipped_draw(self, ranges):
-        # the per-index streams are the data behind acceptance criterion 8
+        # c, f and f' are the first three doubles of the instance's 19 (n = 2)
         for index in range(1000):
-            old = tuple(map(float, instance_rng(7, index).uniform(*zip(*ranges))))
+            old = tuple(map(float, draw_oracle.counter_rng(7, index, 19).uniform(*zip(*ranges))))
             inst = wg.random_instance(2, *ranges, seed=7, index=index)
             assert (inst.c, inst.f_val, inst.f_prime) == old
 
