@@ -18,19 +18,21 @@ sums over sectional curvatures and normal curvature entries live with the
 tests (``tests/frame_oracle.py``), which compare this module against them.
 
 Instances are immutable (read-only arrays, finite fields, n >= 2, f > 0, all
-checked by ``_require_stack``), so their derived data is memoized on the
+checked by the constructor), so their derived data is memoized on the
 instance: the violation list, and one derivation that holds ``MeanData``, the
 operator stack and rho_perp (``ShapeOperators`` is built on first request).
 The kernels take arrays: ``_find_violations`` a (B, 2, n+1, n, n) stack of
 forms h, h* with its xi values, and ``_derive_arrays`` the forms with their
 c-terms 2c/4f^2, read row by row through ``_derive_rows``.  The constructor
-copies its forms and reads the B = 1 row on first use; ``_instance_rows``
-builds a sweep chunk's instances as read-only rows of the one stack they were
-drawn as, checked once, their memo filled from one kernel pass as they are
-built (a draw is valid as built: its rows' violation lists are ``()`` with no
-scan); ``wintgen._bound_scorer`` derives a stack with no instance at
-all, its forms gathered from the trial parameters in one take, and runs
-``_rho_pair`` on its (B,) columns.  The derivation fills one (B, 6, n+1, n, n)
+copies its forms and scans and derives its B = 1 row on first use;
+``_instance_rows`` builds a sweep chunk's instances as read-only rows of the
+one stack they were drawn as, their memo filled from one kernel pass as they
+are built.  A drawn stack is valid as built (``wintgen._fields_and_forms``
+gathers it symmetric and xi-exact from checked arguments), so its rows are
+neither checked nor scanned: their violation lists are ``()``.
+``wintgen._bound_scorer`` derives a stack with no instance at all, its forms
+gathered from the trial parameters in one take, and runs ``_rho_pair`` on its
+(B,) columns.  The derivation fills one (B, 6, n+1, n, n)
 stack (A = h*, A* = h, A0, S, S*, S0): it takes the means H*, H and
 H0 = (H + H*)/2 in one einsum, copies A, A* and A0 to the S rows and
 subtracts the means from their diagonals only, S = A - H I (an exact-zero
@@ -48,7 +50,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -110,10 +112,15 @@ class LegendrianPointInstance:
 
     def __post_init__(self):
         h, h_star = np.asarray(self.h, dtype=float), np.asarray(self.h_star, dtype=float)
-        # the kernel's (2, n+1, n, n) slice of this instance, a copy; forms of unequal shapes make a stack of
-        # no form's shape, which the check refuses
-        forms = np.array((h, h_star)) if h.shape == h_star.shape else np.empty((2, 0))
-        _require_stack(self.n, ((self.c, self.f_val, self.f_prime),), forms[None])
+        _require_dimension(self.n)
+        shape = (self.n + 1, self.n, self.n)
+        if h.shape != shape or h_star.shape != shape:
+            raise ValueError(f"h and h_star must have shape {shape}")
+        forms = np.array((h, h_star))  # the kernel's (2, n+1, n, n) slice of this instance, a copy
+        if not (np.isfinite(forms).all() and all(map(math.isfinite, (self.c, self.f_val, self.f_prime)))):
+            raise ValueError("c, f, f_prime, h and h_star must be finite")
+        if self.f_val <= 0.0:
+            raise ValueError(f"f must be positive, got {self.f_val!r}")
         forms.flags.writeable = False
         vars(self).update(h=forms[0], h_star=forms[1], _forms=forms)
 
@@ -222,20 +229,6 @@ def _require_dimension(n: int) -> None:
         raise ValueError(f"n must be >= 2, got {n!r}")
 
 
-def _require_stack(n: int, fields: Sequence[Sequence[float]], forms: Array) -> None:
-    """Refuse a (B, 2, n+1, n, n) stack of forms h, h* with its B rows of fields (c, f, f') as the first bad
-    row's lone instance is refused: n >= 2, the shape, finite fields and forms, f > 0."""
-    _require_dimension(n)
-    shape = (n + 1, n, n)
-    if forms.shape[1:] != (2, *shape):
-        raise ValueError(f"h and h_star must have shape {shape}")
-    for (c, f_val, f_prime), finite in zip(fields, np.isfinite(forms).reshape(len(forms), -1).all(axis=1)):
-        if not (finite and math.isfinite(c) and math.isfinite(f_val) and math.isfinite(f_prime)):
-            raise ValueError("c, f, f_prime, h and h_star must be finite")
-        if f_val <= 0.0:
-            raise ValueError(f"f must be positive, got {f_val!r}")
-
-
 def _finite_xi(xi: Array) -> Array:
     """The forced values xi = -f'/f, unchanged; a non-finite one (a finite f' over a tiny f) raises OverflowError."""
     if not np.isfinite(xi).all():
@@ -262,12 +255,8 @@ def _find_violations(xi: Array, forms: Array) -> list[tuple]:
 
 
 def require_valid(inst: LegendrianPointInstance) -> None:
-    _require_no_violations(validate(inst))
-
-
-def _require_no_violations(violations: Sequence[tuple]) -> None:
-    if violations:
-        raise ValueError(f"invalid Legendrian instance: first violations {list(violations[:5])}")
+    if violations := validate(inst):
+        raise ValueError(f"invalid Legendrian instance: first violations {violations[:5]}")
 
 
 class MeanData(NamedTuple):
@@ -355,25 +344,22 @@ def _derive_arrays(forms: Array, cterm: Array) -> tuple[Array, Array, Array, Arr
     return ops, means, mean_sq, tau_sq, _rho_perp_stack(cterm, ops)
 
 
-def _instance_rows(n: int, fields: Array, xi: Array, forms: Array,
-                   found: Sequence[tuple] | None = None) -> list[LegendrianPointInstance]:
-    """The instances of a (B, 2, n+1, n, n) stack of forms h, h* with their (B, 3) fields c, f, f' and (B,) xi
-    values -(f'/f), checked once as a stack.  Each row's ``h``, ``h_star`` and forms are read-only views of the
-    stack, and its memo is filled from one pass of the kernels, with the c-terms 2c/4f^2 as a column:
-    ``np.float_power`` is libm pow, as Python's ``**`` is, so each is the lone instance's float.  The
-    violation memo is ``found`` where the caller knows it (a ``wintgen._forms_from_upper`` gather is
-    symmetric and xi-exact as built, so each row's is ``()``), else ``_find_violations`` of the stack."""
+def _instance_rows(n: int, fields: Array, forms: Array) -> list[LegendrianPointInstance]:
+    """The instances of a (B, 2, n+1, n, n) stack of forms h, h* with their (B, 3) fields c, f, f', valid as built.
+
+    The callers gather the stack with ``wintgen._fields_and_forms`` from checked arguments, so every row is
+    symmetric and xi-exact with finite fields and f > 0: no row is checked again, and each row's violation
+    memo is ``()`` with no scan.  Each row's ``h``, ``h_star`` and forms are read-only views of the stack,
+    and its derivation memo is filled from one pass of the kernels, with the c-terms 2c/4f^2 as a column:
+    ``np.float_power`` is libm pow, as Python's ``**`` is, so each is the lone instance's float."""
     values = fields.tolist()
-    _require_stack(n, values, forms)
     forms.flags.writeable = False
     with np.errstate(over="ignore"):  # where f^2 overflows, Python's ** in ambient_plane_curvature raises
         cterm = 2.0 * fields[:, 0] / (4.0 * np.float_power(fields[:, 1], 2))
     rows = [object.__new__(LegendrianPointInstance) for _ in values]
-    if found is None:
-        found = _find_violations(xi, forms)
-    for inst, (c, f, fp), form, violations, derived in zip(rows, values, forms, found, _derive_rows(forms, cterm)):
+    for inst, (c, f, fp), form, derived in zip(rows, values, forms, _derive_rows(forms, cterm)):
         vars(inst).update(n=n, c=c, f_val=f, f_prime=fp, h=form[0], h_star=form[1], _forms=form,
-                          _violations=violations, _derived=derived)
+                          _violations=(), _derived=derived)
     return rows
 
 

@@ -3,15 +3,12 @@
 The commutator of two square arrays of one shape (checked where they come
 from), the one derivative primitive for array-valued fields of several
 variables (the complex-step ``jet`` of a stack of points and its split
-``jet_partials``), seeded streams (a generator per (seed, index), and the
-instances' doubles of one counter-addressed stream per seed) and the
-upper-triangle indices.  Everything here is pure: inputs are never mutated,
-outputs are fresh arrays.
+``jet_partials``), and seeded streams (a generator per (seed, index), and the
+instances' doubles of one counter-addressed stream per seed).  Everything
+here is pure: inputs are never mutated, outputs are fresh arrays.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -63,21 +60,16 @@ def instance_uniforms(seed: int, indices: range, k: int) -> np.ndarray:
     """(len(indices), k) doubles: the row of an index is doubles index k to (index + 1) k - 1 of ``PCG64(seed)``.
 
     Each instance owns its k consecutive doubles of the seed's one stream, reached by PCG's jump-ahead, so a
-    row depends on (seed, index, k) only, whatever range it is drawn in.  The stream has period 2^128 doubles.
-    A negative seed or index raises numpy's ValueError (``PCG64.advance`` would wrap a negative index)."""
+    row depends on (seed, index, k) only, whatever range it is drawn in.  A negative seed or index raises
+    numpy's ValueError (``PCG64.advance`` would wrap a negative index), and so does an index whose last double
+    lies at or past 2^128, the stream's period (``advance`` reduces modulo it, so that index would alias)."""
     if indices.step != 1:
         raise ValueError(f"indices must have step 1, got {indices!r}")
     bits = np.random.PCG64(int(seed))
     if indices and indices.start < 0:
         raise ValueError("expected non-negative integer")
+    if indices and indices.stop * k > 2**128:
+        raise ValueError(f"index {indices.stop - 1} reads past the stream's 2^128 doubles ({k} per index)")
     bits.advance(indices.start * k)
     return np.random.Generator(bits).random(len(indices) * k).reshape(len(indices), k)
-
-
-@lru_cache(maxsize=32)
-def _triu_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only index arrays (i, j) of the upper triangle i <= j < n."""
-    i, j = np.triu_indices(n)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
 

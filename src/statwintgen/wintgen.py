@@ -43,7 +43,7 @@ from .legendrian import (
     require_valid,
     shape_operators,
 )
-from .tensor_core import _triu_indices, commutator, instance_rng, instance_uniforms
+from .tensor_core import commutator, instance_rng, instance_uniforms
 
 SLACK_TOL = 1e-9
 
@@ -258,7 +258,7 @@ def random_instance(
     is built by the public constructor, so its derived data waits for first use.
     """
     _check_draw_args(n, c_range, f_range, fprime_range, magnitude)
-    fields, _, forms = _draw(n, c_range, f_range, fprime_range, magnitude, seed, range(index, index + 1))
+    fields, forms = _draw(n, c_range, f_range, fprime_range, magnitude, seed, range(index, index + 1))
     ((c, f, fp),) = fields.tolist()
     return LegendrianPointInstance(n=n, c=c, f_val=f, f_prime=fp, h=forms[0, 0], h_star=forms[0, 1])
 
@@ -266,17 +266,19 @@ def random_instance(
 def _random_instances(n: int, c_range, f_range, fprime_range, magnitude: float, seed: int,
                       indices: range) -> list[LegendrianPointInstance]:
     """``random_instance`` for every index of a step-1 range, as the rows ``legendrian._instance_rows`` builds of
-    the one draw, which is valid as drawn: no row is scanned for violations."""
-    return _instance_rows(n, *_draw(n, c_range, f_range, fprime_range, magnitude, seed, indices),
-                          found=[()] * len(indices))
+    the one draw.  The draw is valid as built, so no row is checked or scanned: the caller checked the
+    arguments (``_check_draw_args``), ``_draw`` refuses an unbounded span and ``_fields_and_forms`` a non-finite
+    xi before any row is built."""
+    return _instance_rows(n, *_draw(n, c_range, f_range, fprime_range, magnitude, seed, indices))
 
 
 def _draw(n: int, c_range, f_range, fprime_range, magnitude: float, seed: int,
-          indices: range) -> tuple[Array, Array, Array]:
+          indices: range) -> tuple[Array, Array]:
     """The draws of ``random_instance`` for every index of a step-1 range, as ``_fields_and_forms`` returns
-    them: each index's own row of ``instance_uniforms`` (it does not depend on the range) mapped as numpy's
-    ``uniform`` maps it, low + (high - low) u, columns 0-2 to c, f and f', the rest to the upper triangles.
-    numpy's refusals are raised here, in its order: the seed's and the index's before the ranges'."""
+    them, (fields, forms): each index's own row of ``instance_uniforms`` (it does not depend on the range)
+    mapped as numpy's ``uniform`` maps it, low + (high - low) u, columns 0-2 to c, f and f', the rest to the
+    upper triangles.  numpy's refusals are raised here, in its order: the seed's and the index's before the
+    ranges'."""
     u = instance_uniforms(seed, indices, 3 + 2 * n ** 3)
     bounds = [(float(a), float(b)) for a, b in (c_range, f_range, fprime_range, (-magnitude, magnitude))]
     low, span = np.array([(a, b - a) for a, b in bounds]).T  # Python floats: an infinite span raises no warning
@@ -297,15 +299,15 @@ def _check_draw_args(n: int, c_range, f_range, fprime_range, magnitude: float) -
         raise ValueError(f"f_range must be positive, got ({f_range[0]!r}, {f_range[1]!r})")
 
 
-def _fields_and_forms(n: int, params, upper: Array) -> tuple[Array, Array, Array]:
-    """(B, 3) fields (c, f, f') ``params`` as floats, their (B,) xi values -f'/f, and the forms
-    ``_forms_from_upper`` gathers from the phi-slices' upper triangles ``upper``: the arguments of
-    ``legendrian._instance_rows``.  A non-finite xi (a finite f' over a tiny f) raises OverflowError before
-    any form is gathered."""
+def _fields_and_forms(n: int, params, upper: Array) -> tuple[Array, Array]:
+    """(B, 3) fields (c, f, f') ``params`` as floats, and the forms ``_forms_from_upper`` gathers from the
+    phi-slices' upper triangles ``upper`` with the xi values -f'/f: the arguments of
+    ``legendrian._instance_rows``, symmetric and xi-exact as built.  A non-finite xi (a finite f' over a
+    tiny f) raises OverflowError before any form is gathered."""
     fields = np.asarray(params, dtype=float)
     with np.errstate(over="ignore"):  # _finite_xi refuses an overflow by name
         xi = _finite_xi(-(fields[:, 2] / fields[:, 1]))
-    return fields, xi, _forms_from_upper(n, xi, upper.reshape(len(upper), -1))
+    return fields, _forms_from_upper(n, xi, upper.reshape(len(upper), -1))
 
 
 @lru_cache(maxsize=64)
@@ -313,7 +315,7 @@ def _upper_gather(n: int, width: int) -> Array:
     """Read-only flat index of the (2, n+1, n, n) forms h, h* into a row of 2n phi-slices of ``width`` entries (h
     slices first), then xi and xi * 0.0, the entries of xi I.  A slice holds its upper triangle i <= j, packed
     (width n(n+1)/2) or as an n x n matrix whose lower triangle is not read; (j, i) reads the entry (i, j)."""
-    i, j = _triu_indices(n)
+    i, j = np.triu_indices(n)
     tri = np.empty((n, n), dtype=np.intp)
     tri[i, j] = tri[j, i] = np.arange(len(i)) if width < n * n else i * n + j
     phi = (width * np.arange(2 * n)[:, None, None] + tri).reshape(2, n, n, n)
@@ -362,7 +364,7 @@ def sweep(
     instance is drawn; a bad one raises ValueError naming it.  Each chunk of
     ``sweep_chunk(n)`` instances is drawn in one pass, from the doubles that
     ``random_instance`` reads, into one forms stack, whose rows are the instances,
-    checked and derived once as a stack; each report is ``main_inequality`` reading memoized data.
+    valid as drawn and derived once as a stack; each report is ``main_inequality`` reading memoized data.
     """
     _check_draw_args(n, c_range, f_range, fprime_range, magnitude)
     out = []
@@ -515,7 +517,7 @@ def sharpness_search(n: int, c: float, f: float, fprime: float, iterations: int,
         if not improved:
             step *= 0.5
 
-    best_instance = _instance_rows(n, *_fields_and_forms(n, [(c, f, fprime)], best_params[None]), found=[()])[0]
+    best_instance = _instance_rows(n, *_fields_and_forms(n, [(c, f, fprime)], best_params[None]))[0]
     hard = not main_inequality(best_instance, include_chain=False).holds
     return SharpnessResult(
         best_instance=best_instance,

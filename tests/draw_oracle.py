@@ -41,7 +41,7 @@ def _loop(n: int, c_range, f_range, fprime_range, magnitude: float, streams):
 
 
 def random_instances(n: int, c_range, f_range, fprime_range, magnitude: float, seed: int, indices):
-    """``wintgen._draw`` from one counter-addressed generator per index: the fields, xi values and forms of
+    """``wintgen._draw`` from one counter-addressed generator per index: the fields and forms of
     ``_fields_and_forms``."""
     k = 3 + 2 * n**3
     return _loop(n, c_range, f_range, fprime_range, magnitude, (counter_rng(seed, index, k) for index in indices))
@@ -50,6 +50,6 @@ def random_instances(n: int, c_range, f_range, fprime_range, magnitude: float, s
 def hashed_instance(n: int, seed: int, index: int, magnitude: float = 1.0) -> LegendrianPointInstance:
     """The instance that ``random_instance(n, seed=seed, index=index)`` drew from ``default_rng([seed, index])``
     at the default ranges, before counter addressing, built by the public constructor."""
-    (fields, _, forms) = _loop(n, *DEFAULT_RANGES, magnitude, [np.random.default_rng([seed, index])])
+    fields, forms = _loop(n, *DEFAULT_RANGES, magnitude, [np.random.default_rng([seed, index])])
     ((c, f, fp),) = fields.tolist()
     return LegendrianPointInstance(n=n, c=c, f_val=f, f_prime=fp, h=forms[0, 0], h_star=forms[0, 1])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +9,6 @@ import draw_oracle
 import frame_oracle
 import kernel_oracle
 import statwintgen.legendrian as lg
-import statwintgen.tensor_core as tensor_core
 import statwintgen.wintgen as wg
 
 
@@ -407,7 +407,7 @@ def _evaluation(inst):
 class TestFusedKernel:
     @pytest.mark.parametrize("n", ORACLE_DIMS)
     def test_cached_constants_are_read_only(self, n):
-        constants = [*lg._frame(n), *tensor_core._triu_indices(n)]
+        constants = [*lg._frame(n), wg._upper_gather(n, n * n), wg._upper_gather(n, n * (n + 1) // 2)]
         for array in constants:
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = array.flat[0]
@@ -439,7 +439,7 @@ class TestFusedKernel:
         first = {}
         for key in order:  # each on cold caches, as the first evaluation of a process
             lg._frame.cache_clear()
-            tensor_core._triu_indices.cache_clear()
+            wg._upper_gather.cache_clear()
             first[key] = _evaluation(make(*key))
         evaluated = []
         for key in order:
@@ -546,11 +546,15 @@ def _wrong_xi(n):
                                       h_star=h_star)
 
 
+def _xi(insts):
+    """The (B,) forced xi values -(f'/f) of ``insts``, the ones ``_find_violations`` checks their xi-slices against."""
+    return np.array([-(inst.f_prime / inst.f_val) for inst in insts])
+
+
 def _chunk_fill(insts):
-    """Rows of ``insts`` built as a sweep chunk's are: ``_instance_rows`` on their stacked fields, xi values and forms."""
+    """Rows of valid ``insts`` built as a sweep chunk's are: ``_instance_rows`` on their stacked fields and forms."""
     fields = np.array([(inst.c, inst.f_val, inst.f_prime) for inst in insts])
-    forms = np.stack([inst._forms for inst in insts])
-    return lg._instance_rows(insts[0].n, fields, -(fields[:, 2] / fields[:, 1]), forms)
+    return lg._instance_rows(insts[0].n, fields, np.stack([inst._forms for inst in insts]))
 
 
 class TestStackedPass:
@@ -567,25 +571,28 @@ class TestStackedPass:
     @pytest.mark.parametrize("make", [_asymmetric, _wrong_xi], ids=["asymmetric-phi", "wrong-xi"])
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_invalid_instance_gets_the_single_instance_verdict(self, make, n):
+        # a constructed instance is scanned on first use, as the B = 1 row of the stacked scan
         bad = make(n)
-        stacked = _chunk_fill([wg.random_instance(n, seed=73, index=0), make(n)])[1]
-        assert lg.validate(stacked) == lg.validate(bad) != []
-        with pytest.raises(ValueError) as alone:
+        violations = lg.validate(bad)
+        assert violations != [] and lg._find_violations(_xi([bad]), bad._forms[None]) == [tuple(violations)]
+        message = f"^invalid Legendrian instance: first violations {re.escape(str(violations[:5]))}$"
+        with pytest.raises(ValueError, match=message):
             lg.require_valid(bad)
-        with pytest.raises(ValueError) as batched:
-            lg.require_valid(stacked)
-        assert str(batched.value) == str(alone.value)
-        with pytest.raises(ValueError, match="invalid Legendrian instance"):
-            lg.rho_perp_statistical(stacked)
+        for accessor in (lg.means_and_traceless, lg.shape_operators, lg.rho_statistical, lg.rho_perp_statistical,
+                         lg.curvature_scalars, wg.main_inequality):
+            with pytest.raises(ValueError, match=message):
+                accessor(bad)
 
     def test_mixed_stack_keeps_each_verdict(self):
         n = 3
         fresh = [wg.random_instance(n, seed=79, index=0), _asymmetric(n), wg.random_instance(n, seed=79, index=1),
                  _wrong_xi(n), _asymmetric(n)]
-        for alone, batched in zip(fresh, _chunk_fill(fresh)):
-            assert lg.validate(batched) == lg.validate(alone)
-            if not lg.validate(alone):
-                assert _derived_bytes(batched) == _derived_bytes(alone)
+        found = lg._find_violations(_xi(fresh), np.stack([inst._forms for inst in fresh]))
+        assert [list(v) for v in found] == [lg.validate(_copy(inst)) for inst in fresh]
+        assert [bool(v) for v in found] == [False, True, False, True, True]
+        valid = [inst for inst, v in zip(fresh, found) if not v]
+        for alone, batched in zip(valid, _chunk_fill(valid)):
+            assert _derived_bytes(batched) == _derived_bytes(alone)
 
     def test_sweep_derives_once_per_chunk_and_builds_no_operators(self, monkeypatch):
         counts = {"_derive_arrays": 0, "_find_violations": 0, "ShapeOperators": 0}
@@ -597,12 +604,12 @@ class TestStackedPass:
         monkeypatch.setattr(wg, "sweep_chunk", lambda n: 4)
         reports = wg.sweep(n=3, count=10, seed=89)  # chunks of 4, 4 and 2
         assert len(reports) == 10
-        # drawn rows are valid as drawn (test_drawn_rows_have_no_violation): no chunk is scanned
+        # drawn rows are valid as drawn (test_drawn_and_decoded_rows_are_valid_as_built): no chunk is scanned
         assert counts == {"_derive_arrays": 3, "_find_violations": 0, "ShapeOperators": 0}
 
 
 # ---------------------------------------------------------------------------
-# A chunk's instances are rows of its one checked, read-only forms stack
+# A chunk's instances are rows of its one read-only forms stack, valid as drawn
 # ---------------------------------------------------------------------------
 
 
@@ -610,25 +617,39 @@ DRAW_RANGES = ((-4.0, 4.0), (0.5, 3.0), (-2.0, 2.0))
 
 
 def _rows_of_one_stack(n, count=6):
-    """A chunk of drawn rows (magnitude 1 and 1000), and rows of constructed instances, invalid ones included."""
+    """A chunk of drawn rows (magnitude 1 and 1000), and rows of valid constructed instances."""
     drawn = [inst for magnitude in (1.0, 1000.0)
              for inst in wg._random_instances(n, *DRAW_RANGES, magnitude, 83, range(count))]
-    built = [wg.random_instance(n, seed=83, index=count), _asymmetric(n), _wrong_xi(n),
+    built = [wg.random_instance(n, seed=83, index=count), wg.random_instance(n, seed=83, index=0, magnitude=0.0),
              lg.umbilic_instance(n, c=4.0, f_val=1.0, f_prime=0.0)]
     return drawn + _chunk_fill(built)
 
 
-def _bad_stack(n, bad):
-    """Fields, xi values and forms of four drawn rows, each row k in ``bad`` corrupted as ``bad[k]`` says."""
-    fields, xi, forms = wg._draw(n, *DRAW_RANGES, 1.0, 97, range(4))
-    for row, kind in bad.items():
-        if kind == "nan-form":
-            forms[row, 1, 0, 0, 1] = np.nan
-        elif kind == "inf-c":
-            fields[row, 0] = np.inf
-        else:  # kind is the f to set
-            fields[row, 1] = kind
-    return fields, xi, forms
+EDGES = {  # the edges of what _draw accepts
+    "c-1e308": {"c_range": (-1e308, 0.0)},
+    "magnitude-1e307": {"magnitude": 1e307},
+    "f-1e-150": {"f_range": (1e-150, 1e-150), "fprime_range": (0.0, 0.0)},
+    "cterm-overflow": {"c_range": (0.0, 1e308), "f_range": (1e-150, 1e-150), "fprime_range": (-1e-140, 1e-140)},
+}
+
+
+def _trusted_rows(kind, n, arg):
+    """The rows of a drawn chunk (``arg`` its magnitude), of a chunk drawn at one of the ``EDGES``, or the
+    sharpness search's best instance (``arg`` its family c, f, f')."""
+    if kind == "draw":
+        return wg._random_instances(n, *DRAW_RANGES, arg, 107, range(wg.sweep_chunk(n)))
+    if kind == "edge":
+        ranges = {**dict(zip(("c_range", "f_range", "fprime_range"), DRAW_RANGES)), "magnitude": 1.0, **EDGES[arg]}
+        return wg._random_instances(n, *ranges.values(), 109, range(40))
+    return [wg.sharpness_search(n, *arg, iterations=400, seed=5).best_instance]
+
+
+TRUSTED_CASES = (
+    [pytest.param("draw", n, m, id=f"draw-n{n}-magnitude-{m:g}") for n in (2, 3, 5, 8) for m in (0.0, 1.0, 1000.0)]
+    + [pytest.param("edge", n, edge, id=f"edge-n{n}-{edge}") for n in (2, 3) for edge in EDGES]
+    + [pytest.param("sharpness", n, family, id=f"sharpness-n{n}-c{family[0]:g}")
+       for n in (2, 3) for family in ((0.0, 1.0, 0.0), (3.0, 0.5, 0.25))]
+)
 
 
 class TestInstanceRows:
@@ -642,26 +663,27 @@ class TestInstanceRows:
             for name in ("h", "h_star", "_forms"):
                 got, want = getattr(row, name), getattr(alone, name)
                 assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            memo = vars(row)["_violations"], vars(row)["_derived"]  # filled as the row was built
-            assert memo[0] == alone._violations
-            if not memo[0]:
-                assert _derived_bytes(row) == _derived_bytes(alone)
-                assert lg.curvature_scalars(row) == lg.curvature_scalars(alone)
+            assert {"_violations", "_derived"} <= vars(row).keys()  # filled as the row was built
+            assert vars(row)["_violations"] == alone._violations == ()
+            assert _derived_bytes(row) == _derived_bytes(alone)
+            assert lg.curvature_scalars(row) == lg.curvature_scalars(alone)
 
-    @pytest.mark.parametrize("magnitude", [1.0, 1000.0])
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
-    def test_drawn_rows_have_no_violation(self, n, magnitude):
-        # a sweep chunk's rows get the verdict () without a scan: every row of a draw must have no violation
-        indices = range(wg.sweep_chunk(n))
-        fields, xi, forms = wg._draw(n, *DRAW_RANGES, magnitude, 107, indices)
-        assert lg._find_violations(xi, forms) == [()] * len(indices)
-        rows = wg._random_instances(n, *DRAW_RANGES, magnitude, 107, indices)
-        assert [vars(row)["_violations"] for row in rows] == [()] * len(indices)
+    @pytest.mark.parametrize("kind, n, arg", TRUSTED_CASES)
+    def test_drawn_and_decoded_rows_are_valid_as_built(self, kind, n, arg):
+        # _instance_rows trusts its stack: each row's verdict is () with no check and no scan, so every row that
+        # a draw or the sharpness search builds must pass the constructor's check and the scan (under the
+        # CLI's errstate, where the edges' derivations overflow)
+        with np.errstate(all="ignore"):
+            rows = _trusted_rows(kind, n, arg)
+            forms = np.stack([row._forms for row in rows])
+            assert lg._find_violations(_xi(rows), forms) == [()] * len(rows)
+            for row in rows:
+                assert vars(row)["_violations"] == () == _copy(row)._violations
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_every_row_is_a_read_only_view_of_the_stack(self, n):
-        fields, xi, forms = wg._draw(n, *DRAW_RANGES, 1.0, 89, range(7))
-        insts = lg._instance_rows(n, fields, xi, forms)
+        fields, forms = wg._draw(n, *DRAW_RANGES, 1.0, 89, range(7))
+        insts = lg._instance_rows(n, fields, forms)
         assert not forms.flags.writeable
         for k, inst in enumerate(insts):
             for name in ("h", "h_star", "_forms"):
@@ -680,33 +702,36 @@ class TestInstanceRows:
         assert not np.shares_memory(inst._forms, h) and not inst._forms.flags.writeable
         assert lg.validate(inst) == []
 
-    @pytest.mark.parametrize("bad", [{2: "nan-form"}, {1: "inf-c"}, {3: 0.0}, {0: -1.5}, {1: -2.0, 2: "nan-form"},
-                                     {1: "nan-form", 3: -2.0}],
-                             ids=["nan-form", "inf-c", "f-zero", "f-negative", "f-first", "finite-first"])
+    @pytest.mark.parametrize("bad, message", [
+        ({"h_star": np.nan}, "c, f, f_prime, h and h_star must be finite"),
+        ({"h": -np.inf}, "c, f, f_prime, h and h_star must be finite"),
+        ({"c": np.inf}, "c, f, f_prime, h and h_star must be finite"),
+        ({"f_val": np.nan}, "c, f, f_prime, h and h_star must be finite"),
+        ({"f_prime": -np.inf}, "c, f, f_prime, h and h_star must be finite"),
+        ({"f_val": 0.0}, "f must be positive, got 0.0"),
+        ({"f_val": -1.5}, "f must be positive, got -1.5"),
+        ({"f_val": -2.0, "h_star": np.nan}, "c, f, f_prime, h and h_star must be finite"),
+    ], ids=["nan-form", "inf-form", "inf-c", "nan-f", "inf-f-prime", "f-zero", "f-negative", "finite-first"])
     @pytest.mark.parametrize("n", [2, 3])
-    def test_a_bad_row_raises_the_lone_instance_refusal(self, n, bad):
-        fields, xi, forms = _bad_stack(n, bad)
-        first = min(bad)
-        c, f, fp = fields[first].tolist()
-        with pytest.raises(ValueError) as alone:
-            lg.LegendrianPointInstance(n=n, c=c, f_val=f, f_prime=fp, h=forms[first, 0], h_star=forms[first, 1])
-        with pytest.raises(ValueError) as stacked:
-            lg._instance_rows(n, fields, xi, forms)
-        assert str(stacked.value) == str(alone.value)
-        assert str(alone.value) in ("c, f, f_prime, h and h_star must be finite", f"f must be positive, got {f!r}")
+    def test_the_constructor_refuses_non_finite_data_then_f_not_positive(self, n, bad, message):
+        base = wg.random_instance(n, seed=97, index=1)
+        args = dict(n=n, c=base.c, f_val=base.f_val, f_prime=base.f_prime, h=base.h.copy(), h_star=base.h_star.copy())
+        for name, value in bad.items():
+            if name in ("h", "h_star"):
+                args[name][0, 0, 1] = value
+            else:
+                args[name] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lg.LegendrianPointInstance(**args)
 
-    @pytest.mark.parametrize("stack, h, h_star", [((4, 2, 3, 2, 3), (3, 2, 3), (3, 2, 3)),
-                                                  ((4, 2, 4, 3, 3), (4, 3, 3), (4, 3, 3)),
-                                                  ((4, 1, 3, 2, 2), (3, 2, 2), (3, 3, 2))])
-    def test_a_wrong_shape_raises_the_lone_instance_refusal(self, stack, h, h_star):
-        fields, xi, _ = _bad_stack(2, {})
-        with pytest.raises(ValueError) as stacked:
-            lg._instance_rows(2, fields, xi, np.zeros(stack))
-        with pytest.raises(ValueError) as alone:
-            lg.LegendrianPointInstance(n=2, c=0.0, f_val=1.0, f_prime=0.0, h=np.zeros(h), h_star=np.zeros(h_star))
-        assert str(stacked.value) == str(alone.value) == "h and h_star must have shape (3, 2, 2)"
-        with pytest.raises(ValueError, match="n must be >= 2, got 1"):
-            lg._instance_rows(1, fields, xi, np.zeros(stack))
+    @pytest.mark.parametrize("h, h_star", [((3, 2, 3), (3, 2, 3)), ((4, 3, 3), (4, 3, 3)), ((3, 2, 2), (3, 3, 2))])
+    def test_a_wrong_shape_is_refused_before_the_data(self, h, h_star):
+        # n first, then the shape, then finiteness: non-finite fields and forms of a wrong shape name the shape
+        bad = dict(c=np.nan, f_val=-1.0, f_prime=0.0, h=np.full(h, np.nan), h_star=np.zeros(h_star))
+        with pytest.raises(ValueError, match=f"^{re.escape('h and h_star must have shape (3, 2, 2)')}$"):
+            lg.LegendrianPointInstance(n=2, **bad)
+        with pytest.raises(ValueError, match="^n must be >= 2, got 1$"):
+            lg.LegendrianPointInstance(n=1, **bad)
 
     def test_a_draw_whose_xi_overflows_raises_before_any_row_is_built(self, monkeypatch):
         built = []

@@ -274,6 +274,20 @@ class TestInstanceUniforms:
         with pytest.raises(ValueError, match="^expected non-negative integer$"):
             wg.random_instance(3, seed=seed, index=indices.start)
 
+    def test_an_index_past_the_period_is_refused(self):
+        # PCG64.advance reduces modulo the period 2^128, so index 2^128 // 57 would alias a lower one at k = 57
+        last = 2**128 // 57 - 1  # its doubles end at 2^128 - 1 - 2^128 % 57
+        inst = wg.random_instance(3, seed=13, index=last)
+        fields, forms = draw_oracle.random_instances(3, *draw_oracle.DEFAULT_RANGES, 1.0, 13, [last])
+        assert [inst.c, inst.f_val, inst.f_prime] == fields[0].tolist()
+        assert inst._forms.tobytes() == forms[0].tobytes()
+        message = f"^index {last + 1} reads past the stream's 2\\^128 doubles \\(57 per index\\)$"
+        with pytest.raises(ValueError, match=message):
+            wg.random_instance(3, seed=13, index=last + 1)
+        with pytest.raises(ValueError, match=message):
+            instance_uniforms(13, range(last, last + 2), 57)
+        assert instance_uniforms(13, range(last + 1, last + 1), 57).shape == (0, 57)  # an empty range reads nothing
+
     def test_a_stepped_range_is_refused(self):
         with pytest.raises(ValueError, match="step 1"):
             instance_uniforms(3, range(0, 10, 2), 3)

@@ -299,12 +299,11 @@ class TestRandomInstance:
         args = {**ranges, **kwargs}
         for seed, indices in [(11, range(0, 40)), (2**32 + 5, range(2**32 - 3, 2**32 + 3)),
                               (2**200 + 17, range(2**64 // 19 - 2, 2**64 // 19 + 2))]:
-            fields, xi, forms = wg._draw(n, *args.values(), seed, indices)
-            want_fields, want_xi, want_forms = draw_oracle.random_instances(n, *args.values(), seed, indices)
+            fields, forms = wg._draw(n, *args.values(), seed, indices)
+            want_fields, want_forms = draw_oracle.random_instances(n, *args.values(), seed, indices)
             assert fields.dtype == want_fields.dtype == float
             assert np.array_equal(fields.view(np.uint64), want_fields.view(np.uint64))
-            assert np.array_equal(forms.view(np.uint64), want_forms.view(np.uint64))
-            assert np.array_equal(xi.view(np.uint64), want_xi.view(np.uint64))
+            assert np.array_equal(forms.view(np.uint64), want_forms.view(np.uint64))  # xi-slices included
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_every_chunk_row_is_its_lone_draw(self, n):
