@@ -32,17 +32,20 @@ gathers it symmetric and xi-exact from checked arguments), so its rows are
 neither checked nor scanned: their violation lists are ``()``.
 ``wintgen._bound_scorer`` derives a stack with no instance at all, its forms
 gathered from the trial parameters in one take, and runs ``_rho_pair`` on its
-(B,) columns.  The derivation fills one (B, 6, n+1, n, n)
-stack (A = h*, A* = h, A0, S, S*, S0): it takes the means H*, H and
-H0 = (H + H*)/2 in one einsum, copies A, A* and A0 to the S rows and
-subtracts the means from their diagonals only, S = A - H I (an exact-zero
-off-diagonal entry keeps its sign, which only its square is read for), and
-reads the three traceless norms off the S rows, so the chain brackets the
-very operators whose norms rho uses.  rho_perp brackets only the phi-pairs
-r < s, in one batched matmul.  The constants of each n are cached read-only
-(``_frame``).  Every floating-point operation runs in the order of the plain
-per-form formulas, whatever B is, and rho and rho0 are formed from each
-row's floats, or its columns, by the same formulas, so results match them bit for bit.
+(B,) columns.  The derivation is kind-major: it fills one contiguous
+(6, B, n+1, n, n) stack (A = h*, A* = h, A0, S, S*, S0) and (3, B, n+1)
+means, so each elementwise step runs on whole contiguous kinds, and row b
+reads the strided view ``ops[:, b]``, whose (n, n) blocks are C-contiguous.
+It takes the means H*, H and H0 = (H + H*)/2 in one einsum, copies A, A*
+and A0 to the S kinds and subtracts the means from their diagonals only,
+S = A - H I (an exact-zero off-diagonal entry keeps its sign, which only
+its square is read for), and reads the three traceless norms off the S
+kinds, so the chain brackets the very operators whose norms rho uses.
+rho_perp brackets only the phi-pairs r < s, in one batched matmul.  The
+constants of each n are cached read-only (``_frame``).  Every floating-point
+operation runs in the order of the plain per-form formulas, whatever B is,
+and rho and rho0 are formed from each row's floats, or its (B,) columns, by
+the same formulas, so results match them bit for bit.
 """
 
 from __future__ import annotations
@@ -285,7 +288,9 @@ class ShapeOperators(NamedTuple):
     pairing: <h*(X,Y), u> = g(A_u X, Y), so A comes from the h* slices), and
     A_star[alpha] from the h slices; A0 is their mean.  S-variants subtract
     the matching mean curvature times I (H*, H, H0) and are trace-free.  The
-    six are views of ``stack``, one read-only (6, n+1, n, n) array.
+    six are views of ``stack``, one read-only (6, n+1, n, n) array: a row
+    ``ops[:, b]`` of the kernel's kind-major stack, so its kinds lie B rows
+    apart while each (n+1, n, n) kind, and so each (n, n) block, is C-contiguous.
     """
 
     A: Array
@@ -306,9 +311,11 @@ _Derived = tuple[MeanData, Array, float]  # the memoized derivation: means, oper
 
 
 def _derive_rows(forms: Array, cterm: Array) -> Iterator[_Derived]:
-    """The derivation of every row of a (B, 2, n+1, n, n) stack of forms with (B,) c-terms, as the memo holds it."""
+    """The derivation of every row of a (B, 2, n+1, n, n) stack of forms with (B,) c-terms, as the memo holds it:
+    row b's operator stack is the strided view ``ops[:, b]`` of the kernel's kind-major stack."""
     ops, means, mean_sq, tau_sq, rho_perp = _derive_arrays(forms, cterm)
-    return zip(map(_mean_data, means, mean_sq.tolist(), tau_sq.tolist()), ops, rho_perp.tolist())
+    return zip(map(_mean_data, means.swapaxes(0, 1), mean_sq.T.tolist(), tau_sq.T.tolist()), ops.swapaxes(0, 1),
+               rho_perp.tolist())
 
 
 def _mean_data(means, mean_sq, tau_sq) -> MeanData:
@@ -320,26 +327,27 @@ def _mean_data(means, mean_sq, tau_sq) -> MeanData:
 def _derive_arrays(forms: Array, cterm: Array) -> tuple[Array, Array, Array, Array, Array]:
     """The derivation of a (B, 2, n+1, n, n) stack of forms h, h* with (B,) (or one) c-terms 2c/4f^2, as arrays.
 
-    Returns the read-only (B, 6, n+1, n, n) operator stack, the read-only
-    (B, 3, n+1) means H*, H, H0, their (B, 3) squared norms, the (B, 3)
-    traceless norms tau*, tau, tau0, and the (B,) rho_perp bracketed from the
-    operators (see the module docstring).
+    Returns them kind-major: the read-only (6, B, n+1, n, n) operator stack,
+    the read-only (3, B, n+1) means H*, H, H0, their (3, B) squared norms,
+    the (3, B) traceless norms tau*, tau, tau0, and the (B,) rho_perp
+    bracketed from the operators (see the module docstring).  Each kind is
+    one contiguous block, so every elementwise step is one long inner loop.
     """
     count, n = len(forms), forms.shape[-1]
-    ops = np.empty((count, 6, n + 1, n, n))  # A, A*, A0, S, S*, S0
-    ops[:, :2] = forms[:, ::-1]
-    np.add(ops[:, 0], ops[:, 1], out=ops[:, 2])
-    ops[:, 2] *= 0.5
-    means = np.empty((count, 3, n + 1))  # H*, H, H0 = (H + H*)/2
-    np.einsum("bfaii->bfa", ops[:, :2], out=means[:, :2])
-    means[:, :2] /= n
-    np.add(means[:, 0], means[:, 1], out=means[:, 2])
-    means[:, 2] *= 0.5
-    ops[:, 3:] = ops[:, :3]
-    ops.reshape(count, 6, n + 1, n * n)[:, 3:, :, :: n + 1] -= means[..., None]  # S = A - H I: the diagonal only
-    tau_sq = np.square(ops[:, 3:]).reshape(count, 3, -1).sum(axis=2)  # tau*, tau, tau0
+    ops = np.empty((6, count, n + 1, n, n))  # A, A*, A0, S, S*, S0
+    ops[:2] = forms.swapaxes(0, 1)[::-1]
+    np.add(ops[0], ops[1], out=ops[2])
+    ops[2] *= 0.5
+    means = np.empty((3, count, n + 1))  # H*, H, H0 = (H + H*)/2
+    np.einsum("fbaii->fba", ops[:2], out=means[:2])
+    means[:2] /= n
+    np.add(means[0], means[1], out=means[2])
+    means[2] *= 0.5
+    ops[3:] = ops[:3]
+    ops.reshape(6, count, n + 1, n * n)[3:, ..., :: n + 1] -= means[..., None]  # S = A - H I: the diagonal only
+    tau_sq = np.square(ops[3:]).reshape(3, count, -1).sum(axis=2)  # tau*, tau, tau0
     # a stacked (1, n+1) @ (n+1, 1) product adds like the 1-d H @ H
-    mean_sq = (means[..., None, :] @ means[..., None]).reshape(count, 3)
+    mean_sq = (means[..., None, :] @ means[..., None]).reshape(3, count)
     ops.flags.writeable = means.flags.writeable = False  # shared by every caller
     return ops, means, mean_sq, tau_sq, _rho_perp_stack(cterm, ops)
 
@@ -396,16 +404,16 @@ def rho_perp_statistical(inst: LegendrianPointInstance) -> float:
 
 
 def _rho_perp_stack(cterm: Array, ops: Array) -> Array:
-    """(B,) rho_perp from a (B, 6, n+1, n, n) operator stack and the (B,) (or one) c-terms 2c/4f^2."""
-    count, n = len(ops), ops.shape[-1]
+    """(B,) rho_perp from a kind-major (6, B, n+1, n, n) operator stack and the (B,) (or one) c-terms 2c/4f^2."""
+    count, n = ops.shape[1], ops.shape[-1]
     frame = _frame(n)
-    x = ops[:, :3, :n]  # A, A*, A0 on the phi-slots
+    x = ops[:3, :, :n]  # A, A*, A0 on the phi-slots
     prod = x.take(frame.left, axis=2) @ x.take(frame.right, axis=2)
     # (x_r x_s)[j, i] and (x_s x_r)[j, i]; take keeps C order, so the sum adds row by row
-    entries = prod.reshape(count, 3, len(frame.left), n * n).take(frame.ji, axis=3)
+    entries = prod.reshape(3, count, len(frame.left), n * n).take(frame.ji, axis=3)
     pairs = len(frame.ji)
     bracket = entries[:, :, :pairs] - entries[:, :, pairs:]  # [x_r, x_s][j, i]: rows r < s, columns i < j
-    comm = 4.0 * bracket[:, 2] - bracket[:, 0] - bracket[:, 1]
+    comm = 4.0 * bracket[2] - bracket[0] - bracket[1]
     comm = comm.reshape(count, -1)  # a view: comm is a fresh C-ordered array
     comm[:, :: pairs + 1] -= cterm[:, None]  # the diagonal (p, p) of each (P, P) block
     return np.sqrt(np.square(comm).sum(axis=1)) / (n * (n - 1))

@@ -396,14 +396,15 @@ def _bound_scorer(n: int, c: float, f: float, fp: float) -> Callable[[Array], tu
     a (B, nparams) stack to every row's rhs and lhs, ``main_inequality``'s bit for bit.  The forms are one
     ``_forms_from_upper`` gather of the packed upper triangles and xi, as a sweep's of its draws, so they are
     not validated again (``sharpness_search`` checks c, f and fp are finite), and are derived by one call of
-    the shared kernel ``_derive_arrays``; ``_rho_pair``, ``_rhs_terms`` and ``_rhs_sum`` run on their (B,)
-    columns, where only +, -, * and / act.  ``_slack`` reads a row, or raises."""
+    the shared kernel ``_derive_arrays``, whose kind-major (3, B) means and norms are read as they are:
+    ``_rho_pair``, ``_rhs_terms`` and ``_rhs_sum`` run on their contiguous (B,) columns, where only +, -, *
+    and / act.  ``_slack`` reads a row, or raises."""
     xi, cterm = _finite_xi(np.array([-(fp / f)]))[0], np.array([2.0 * c / (4.0 * f**2)])
     ambient = ambient_plane_curvature(c, f, fp)
 
     def columns(params: Array) -> tuple[list[float], list[float]]:
         _, means, mean_sq, tau_sq, rho_perp = _derive_arrays(_forms_from_upper(n, xi, params), cterm)
-        m = _mean_data(means.swapaxes(0, 1), mean_sq.T, tau_sq.T)
+        m = _mean_data(means, mean_sq, tau_sq)
         scalars = _scalars(m, *_rho_pair(n, ambient, m), rho_perp)
         return _rhs_sum(_rhs_terms(c, f, fp, scalars).values()).tolist(), rho_perp.tolist()
 

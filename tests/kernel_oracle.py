@@ -1,12 +1,16 @@
-"""The stacked derivation as it formed S through a means-times-identity temporary (test oracle).
+"""The stacked derivation, batch-major, as it formed S through a means-times-identity temporary (test oracle).
 
 ``legendrian._derive_arrays`` forms the traceless operators by copying the
 shape operators and subtracting the means on their diagonals only.  This
 module keeps the earlier kernel, which subtracted a whole (B, 3, n+1, n, n)
-``means * I`` stack, and its ``np.take`` bracket pass.  The two must agree
-bit for bit on every returned array except S, whose exact-zero off-diagonal
-entries may differ in sign (A - 0.0 * H against A).  The module name has no
-``test_`` prefix, so pytest imports it without collecting it.
+``means * I`` stack, and its ``np.take`` bracket pass.  It is also the
+batch-major reference: its arrays put the rows first, (B, 6, n+1, n, n)
+operators, (B, 3, n+1) means and (B, 3) norms, where the kernel is
+kind-major, (6, B, n+1, n, n), (3, B, n+1) and (3, B); the tests compare
+them after ``np.moveaxis``.  The two must agree bit for bit on every
+returned array except S, whose exact-zero off-diagonal entries may differ in
+sign (A - 0.0 * H against A).  The module name has no ``test_`` prefix, so
+pytest imports it without collecting it.
 """
 
 from __future__ import annotations

@@ -460,12 +460,21 @@ def _kernel_stack(n, count):
     return forms, rng.uniform(-2.0, 2.0, count)
 
 
+def _batch_major(derived):
+    """The kernel's kind-major arrays in the oracle's batch-major layout: the kind axis moved behind the rows."""
+    return [np.moveaxis(a, 0, 1) for a in derived[:4]] + [derived[4]]
+
+
 class TestLeanKernel:
     @pytest.mark.parametrize("count", [1, 2, 7, 42])
     @pytest.mark.parametrize("n", ORACLE_DIMS)
     def test_kernel_equals_the_means_times_identity_kernel(self, n, count):
         forms, cterm = _kernel_stack(n, count)
-        got, want = lg._derive_arrays(forms, cterm), kernel_oracle.derive_arrays(forms, cterm)
+        derived = lg._derive_arrays(forms, cterm)
+        assert [a.shape for a in derived] == [(6, count, n + 1, n, n), (3, count, n + 1), (3, count), (3, count),
+                                              (count,)]
+        assert all(a.flags.c_contiguous for a in derived)
+        got, want = _batch_major(derived), kernel_oracle.derive_arrays(forms, cterm)
         assert [a.shape for a in got] == [a.shape for a in want]
         for a, b in zip(got[1:], want[1:]):  # means, their squared norms, traceless norms, rho_perp
             assert a.tobytes() == b.tobytes()
@@ -478,7 +487,7 @@ class TestLeanKernel:
     def test_some_zero_of_s_changes_sign(self):
         # A - 0.0 * H reads +0.0 where A = -0.0 and H <= -0.0; the diagonal subtraction keeps -0.0
         forms, cterm = _kernel_stack(3, 42)
-        s = lg._derive_arrays(forms, cterm)[0][:, 3:]
+        s = _batch_major(lg._derive_arrays(forms, cterm))[0][:, 3:]
         assert (np.signbit(s) != np.signbit(kernel_oracle.derive_arrays(forms, cterm)[0][:, 3:])).any()
 
 
@@ -667,6 +676,17 @@ class TestInstanceRows:
             assert vars(row)["_violations"] == alone._violations == ()
             assert _derived_bytes(row) == _derived_bytes(alone)
             assert lg.curvature_scalars(row) == lg.curvature_scalars(alone)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_row_operators_equal_the_lone_instance_in_contiguous_blocks(self, n):
+        # a row's stack is ops[:, b] of the kind-major kernel stack: its kinds are B rows apart, its blocks are not
+        for row in _rows_of_one_stack(n):
+            got, want = lg.shape_operators(row), lg.shape_operators(_copy(row))
+            assert got.stack.shape == want.stack.shape == (6, n + 1, n, n)
+            assert got.stack.tobytes() == want.stack.tobytes()  # sign bits included
+            for kind in got.stack:
+                for block in kind:
+                    assert block.flags.c_contiguous and not block.flags.writeable
 
     @pytest.mark.parametrize("kind, n, arg", TRUSTED_CASES)
     def test_drawn_and_decoded_rows_are_valid_as_built(self, kind, n, arg):

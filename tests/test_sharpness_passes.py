@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -166,14 +167,10 @@ def test_discarded_rows_are_never_read(monkeypatch):
 
 
 def _scalar_route(n, c, f, fp, params):
-    """The rhs terms and the slack, or the OverflowError, of one parameter vector through a decoded instance."""
-    inst = sharpness_oracle.instance_from_params(n, c, f, fp, params)
-    scalars = curvature_scalars(inst)
+    """The rhs terms, the rhs and the lhs of one parameter vector through a decoded instance."""
+    scalars = curvature_scalars(sharpness_oracle.instance_from_params(n, c, f, fp, params))
     terms = list(wg._rhs_terms(c, f, fp, scalars).values())
-    try:
-        return terms, wg._slack(wg._rhs_sum(terms), scalars.rho_perp)
-    except OverflowError as exc:
-        return terms, exc
+    return terms, wg._rhs_sum(terms), scalars.rho_perp
 
 
 def _stacks(n):
@@ -190,19 +187,36 @@ def _stacks(n):
             yield c, 1.0, fp, zeros
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+def _overflow_edges(n):
+    """Rows whose rhs or lhs is inf or NaN: the family of ``wintgen sharpness --c 1e308 --f 1e-10``, whose
+    constant term overflows, and trials of magnitude 1e160, whose squares overflow."""
+    rng = np.random.default_rng(100 + n)
+    nparams = 2 * n * (n * (n + 1) // 2)
+    scale = np.array([1.0, 1e160, -1e160, 1e-300])[:, None]
+    for c, f, fp in [(1e308, 1e-10, 0.0), (0.0, 1.0, 0.0), (-3.0, 0.7, 0.4)]:
+        yield c, f, fp, scale * rng.uniform(-1.0, 1.0, (len(scale), nparams))
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_bound_scorer_equals_the_scalar_route_bit_for_bit(n):
-    zero_slacks = overflows = 0
-    for c, f, fp, params in _stacks(n):
+    zero_slacks, overflows = 0, set()
+    for c, f, fp, params in chain(_stacks(n), _overflow_edges(n)):
         rhs, lhs = wg._bound_scorer(n, c, f, fp)(params)  # a non-finite row raises only when it is read
         for row, trial in enumerate(params):
-            terms, want = _scalar_route(n, c, f, fp, trial)
-            if isinstance(want, OverflowError):
-                overflows += 1
-                with pytest.raises(OverflowError) as exc:
+            terms, want_rhs, want_lhs = _scalar_route(n, c, f, fp, trial)
+            assert _bits(rhs[row], lhs[row]) == _bits(want_rhs, want_lhs)  # inf and NaN too, sign bits included
+            try:
+                want = wg._slack(want_rhs, want_lhs)
+            except OverflowError as exc:
+                overflows.add(str(exc))
+                with pytest.raises(OverflowError) as got:
                     wg._slack(rhs[row], lhs[row])
-                assert str(exc.value) == str(want)
+                assert str(got.value) == str(exc)
                 continue
             got = wg._slack(rhs[row], lhs[row])
             assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
@@ -210,7 +224,8 @@ def test_bound_scorer_equals_the_scalar_route_bit_for_bit(n):
                 zero_slacks += 1
                 plain = sum(terms) - _lhs(n, c, f, fp, trial)
                 assert plain == 0.0 and math.copysign(1.0, plain) == math.copysign(1.0, got)
-    assert zero_slacks >= 16 and overflows > 0
+    # the 1e308 family's line, as tests/test_cli.py pins it for the command
+    assert zero_slacks >= 16 and "non-finite bound (lhs=inf, rhs=nan)" in overflows
 
 
 def _lhs(n, c, f, fp, params):

@@ -24,7 +24,7 @@ def test_stage_timings_times_every_geometry_stage_one_point_at_a_time(capsys):
     timings = json.loads(capsys.readouterr().out)
     keys = [f"{stage}.n{n}"
             for stage in (*stage_timings.STAGES, "draw", "draw.b1", "sharpness", "sharpness.passes",
-                          "sharpness.pass.b1", "sharpness.pass.wide")
+                          "sharpness.pass.b1", "sharpness.pass.wide", "kernel.b1", "kernel.wide", "kernel.chunk")
             for n in stage_timings.DIMS]
     for key in keys:
         assert math.isfinite(timings[key]) and timings[key] > 0.0, key

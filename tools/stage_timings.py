@@ -48,6 +48,18 @@ script, in a run of its own.  ``sharpness.pass.b1.n<n>`` and
 f' = 0) on one row and on ``wintgen._sharpness_pass_rows(n)`` rows, in
 microseconds per pass, median over ``--repeats`` runs of ``PASS_CALLS`` passes.
 
+The kernel stages time one ``legendrian._derive_arrays`` call, the shared
+derivation both the sharpness scorer and the sweep run, on the drawn forms
+and c-terms of ``wintgen._draw`` (seed 0): ``kernel.b1.n<n>`` on one row,
+``kernel.wide.n<n>`` on ``wintgen._sharpness_pass_rows(n)`` rows and
+``kernel.chunk.n<n>`` on one ``wintgen.sweep_chunk(n)`` stack, in
+microseconds per call, median over ``--repeats`` runs of ``PASS_CALLS`` calls.
+A chunk-sized call's time depends on the process's allocation history: in
+some states its temporaries take some 400 fresh pages per call, which can
+double it, so two checkouts' ``kernel.chunk`` figures compare only when
+both runs are in the same state (the minor-fault count of
+``resource.getrusage`` tells).
+
 The geometry stages time ``GEOMETRY_SAMPLES`` seeded sample points of the
 built-in charts, in microseconds per sample:
 
@@ -206,6 +218,20 @@ def sharpness_timings(repeats: int) -> dict[str, float]:
     return out
 
 
+def kernel_timings(repeats: int) -> dict[str, float]:
+    """``kernel.b1.n<n>``, ``kernel.wide.n<n>`` and ``kernel.chunk.n<n>`` -> median microseconds per
+    ``legendrian._derive_arrays`` call on one row, a wide sharpness pass's rows and a sweep chunk's."""
+    out = {}
+    for n in DIMS:
+        for key, rows in (("b1", 1), ("wide", wintgen._sharpness_pass_rows(n)), ("chunk", wintgen.sweep_chunk(n))):
+            fields, forms = wintgen._draw(n, *DRAW_RANGES, 0, range(rows))
+            cterm = 2.0 * fields[:, 0] / (4.0 * fields[:, 1] ** 2)
+            runs = [_timed(lambda _: legendrian._derive_arrays(forms, cterm), range(PASS_CALLS))[0]
+                    for _ in range(repeats)]
+            out[f"kernel.{key}.n{n}"] = 1e6 * statistics.median(runs) / PASS_CALLS
+    return out
+
+
 def sharpness_passes(n: int) -> int:
     """Kernel passes of one ``sharpness.n<n>`` climb, counted by wrapping the scorers ``_bound_scorer`` returns."""
     calls = 0
@@ -337,6 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     timings = stage_timings(args.count, args.repeats)
     timings.update(draw_timings(args.repeats))
     timings.update(sharpness_timings(args.repeats))
+    timings.update(kernel_timings(args.repeats))
     timings.update(geometry_timings(args.repeats))
     timings.update(command_timings(args.repeats))
     timings.update(report_timings(args.repeats))
@@ -358,6 +385,12 @@ def main(argv: list[str] | None = None) -> int:
           + "   (us per scorer pass of one row)")
     print(f"{'pass wide':<10}" + "".join(f"{timings[f'sharpness.pass.wide.n{n}']:>10.1f}" for n in DIMS)
           + "   (us per scorer pass of _sharpness_pass_rows(n) rows)")
+    print(f"{'kernel B=1':<10}" + "".join(f"{timings[f'kernel.b1.n{n}']:>10.1f}" for n in DIMS)
+          + "   (us per _derive_arrays call of one row)")
+    print(f"{'kern wide':<10}" + "".join(f"{timings[f'kernel.wide.n{n}']:>10.1f}" for n in DIMS)
+          + "   (us per call of _sharpness_pass_rows(n) rows)")
+    print(f"{'kern chunk':<10}" + "".join(f"{timings[f'kernel.chunk.n{n}']:>10.1f}" for n in DIMS)
+          + "   (us per call of sweep_chunk(n) rows)")
     print(f"\n{'geometry':<14}{'point':>10}{'stack':>10}   (us per sample, {GEOMETRY_SAMPLES} samples)")
     for stage in GEOMETRY_STAGES:
         print(f"{stage:<14}" + "".join(f"{timings[f'geometry.{stage}.{mode}']:>10.1f}" for mode in ("point", "stack")))
